@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, parse_scalar
 from .cealg import InvariantForm, InvariantVector, parse_form
-from .hermitian import matrix_inverse
+from .hermitian import matmul, matrix_inverse, rref, sandwich, solve
 
 QDIM = 8
 
@@ -179,24 +179,9 @@ class QOperator:
         return "QOperator(%d nonzero entries)" % nz
 
 
-def scalar_matmul(a, b):
-    """Product of 8x8 scalar matrices."""
-    out = [[Scalar.zero()] * QDIM for _ in range(QDIM)]
-    for i in range(QDIM):
-        for k in range(QDIM):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(QDIM):
-                y = b[k][j]
-                if not y.is_zero():
-                    out[i][j] = out[i][j] + x * y
-    return out
-
-
 def scalar_commutator(a, b):
-    ab = scalar_matmul(a, b)
-    ba = scalar_matmul(b, a)
+    ab = matmul(a, b)
+    ba = matmul(b, a)
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
@@ -408,21 +393,7 @@ def transport_dolbeault(cfg, tau=None):
     P = bismut_iso_matrix(cfg.h)
     Pinv = matrix_inverse(P)
     Aq = dolbeault_Q(cfg, tau=tau)
-    model = cfg.model
-    out = QOperator(model)
-    for i in range(QDIM):
-        for j in range(QDIM):
-            acc = model.zero()
-            for k in range(QDIM):
-                if P[i][k].is_zero():
-                    continue
-                ent = Aq.entries[k]
-                for l in range(QDIM):
-                    if ent[l].is_zero() or Pinv[l][j].is_zero():
-                        continue
-                    acc = acc + ent[l].scale(P[i][k] * Pinv[l][j])
-            out.entries[i][j] = acc
-    return out
+    return QOperator(cfg.model, sandwich(P, Aq.entries, Pinv, cfg.model.zero()))
 
 
 def subbundle_report(frame, span, A_connection, A_dolbeault, b_class=None):
@@ -439,7 +410,7 @@ def subbundle_report(frame, span, A_connection, A_dolbeault, b_class=None):
     k = len(span)
     # linear independence over the scalars (rational entries expected)
     mat = [[sec.coeffs[a] for a in range(QDIM)] for sec in span]
-    if _rank(mat) != k:
+    if len(rref(mat, QDIM)[1]) != k:
         raise ValueError("subbundle span is linearly dependent")
     isotropic = all(frame.pair(x, y).is_zero() for x in span for y in span)
 
@@ -462,29 +433,6 @@ def subbundle_report(frame, span, A_connection, A_dolbeault, b_class=None):
     return out
 
 
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _form_membership(img, span):
     """Whether the 8-vector of forms img lies in span (x) forms, exactly."""
     # collect all (generator-index-tuple) keys appearing
@@ -494,33 +442,9 @@ def _form_membership(img, span):
     mat = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]
     for key in keys:
         rhs = [f.terms.get(key, Scalar.zero()) for f in img]
-        if not _solvable(mat, rhs):
+        if solve(mat, rhs) is None:
             return False
     return True
-
-
-def _solvable(mat, rhs):
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    aug = [[mat[r][c] for c in range(ncols)] + [rhs[r]] for r in range(nrows)]
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return all(aug[r][ncols].is_zero() for r in range(row, nrows))
 
 
 def _span_slope(frame, span, A, b_class):
@@ -530,37 +454,15 @@ def _span_slope(frame, span, A, b_class):
     Hm = frame.metric_H_matrix()
     k = len(span)
     S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
-    # S^dagger H S (k x k), exact
-    ShS = [[Scalar.zero()] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = Scalar.zero()
-            for a in range(QDIM):
-                sa = S[a][i].conjugate()
-                if sa.is_zero():
-                    continue
-                for b in range(QDIM):
-                    if not Hm[a][b].is_zero() and not S[b][j].is_zero():
-                        acc = acc + sa * Hm[a][b] * S[b][j]
-            ShS[i][j] = acc
-    ShS_inv = matrix_inverse(ShS)
+    SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span], Hm)
+    ShS_inv = matrix_inverse(matmul(SdH, S))  # (S^dagger H S)^-1, k x k
     # curvature of the induced connection on the subbundle: compress F = dA + A^A
     F = curvature(A) if A is not None else QOperator(model)
+    SdHFS = sandwich(SdH, F.entries, S, model.zero())
     trace = model.zero()
     for i in range(k):
         for j in range(k):
-            # (S^dagger H F S)_{ji} against ShS_inv[i][j]
-            acc = model.zero()
-            for a in range(QDIM):
-                for b in range(QDIM):
-                    sa = S[a][j].conjugate()
-                    if sa.is_zero() or S[b][i].is_zero():
-                        continue
-                    for c in range(QDIM):
-                        if Hm[a][c].is_zero() or F.entries[c][b].is_zero():
-                            continue
-                        acc = acc + F.entries[c][b].scale(sa * Hm[a][c] * S[b][i])
-            trace = trace + acc.scale(ShS_inv[i][j])
+            trace = trace + SdHFS[j][i].scale(ShS_inv[i][j])
     c1 = trace.scale(Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1))
     top = c1.wedge(b_class.rep)
     return h.integrate(top) * Scalar.of(Fraction(1, k))

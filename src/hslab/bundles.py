@@ -20,6 +20,7 @@ from math import sqrt
 
 from .scalars import Scalar, parse_scalar
 from .cealg import InvariantForm, parse_form
+from .hermitian import HermitianStructure, solve
 
 
 @dataclass(frozen=True)
@@ -95,53 +96,6 @@ def degree_and_slope(c, b, rank, h):
     return h.integrate(top) * Scalar.of(Fraction(1, rank))
 
 
-def _rational_solve(rows, rhs):
-    """Solve an exact linear system over Gaussian-rational scalars.
-
-    rows: list of lists of Scalars (pi-free), rhs: list of Scalars decomposed
-    per pi-power.  Returns a solution vector of Scalars or None.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    # decompose rhs per pi power and solve each rational system
-    powers = set()
-    for s in rhs:
-        powers.update(k for k, _ in s.items())
-    if not powers:
-        return [Scalar.zero()] * ncols
-    sol = [Scalar.zero()] * ncols
-    for k in sorted(powers):
-        b = [Scalar({0: dict(s.items()).get(k, (0, 0))}) for s in rhs]
-        aug = [[rows[r][c] for c in range(ncols)] + [b[r]] for r in range(nrows)]
-        # Gauss elimination over complex rationals
-        pivots = []
-        row = 0
-        for col in range(ncols):
-            piv = None
-            for r in range(row, nrows):
-                if not aug[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = aug[row][col].inverse()
-            aug[row] = [x * inv for x in aug[row]]
-            for r in range(nrows):
-                if r != row and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-            pivots.append(col)
-            row += 1
-        for r in range(row, nrows):
-            if not aug[r][ncols].is_zero():
-                return None
-        piscale = Scalar.pi(k) if k else Scalar.one()
-        for r, col in enumerate(pivots):
-            sol[col] = sol[col] + aug[r][ncols] * piscale
-    return sol
-
-
 def ch2_constraint(model, F0, F1):
     """Decide whether F0^2 - F1^2 is in the image of dd^c on invariant (1,1)-forms.
 
@@ -162,7 +116,7 @@ def ch2_constraint(model, F0, F1):
         return True, model.zero()
     rows = [[img.terms.get(key, Scalar.zero()) for img in images] for key in keys]
     rhs = [target.terms.get(key, Scalar.zero()) for key in keys]
-    sol = _rational_solve(rows, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         return False, None
     witness = model.zero()
@@ -229,7 +183,6 @@ class SystemParams:
 
     @classmethod
     def from_json(cls, model, doc):
-        from .hermitian import HermitianStructure
         if isinstance(doc, str):
             doc = json.loads(doc)
         t0 = LineBundleTriple(*doc["triple0"], role="V0")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verify: the family solves the system and the
 associated connection is Hermitian-Einstein), 1 failed selftest identity,
-2 degenerate coupling, 3 malformed arguments.
+2 degenerate coupling, 3 malformed arguments (including a deformation that
+is not positive).
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def cmd_verify(args):
     except DegenerateCoupling as exc:
         print("degenerate coupling: %s" % exc, file=sys.stderr)
         return 2
+    except ValueError as exc:
+        raise _ArgumentError(str(exc))
     report = verify_family(candidate)
     print(report.human_summary())
     if args.json:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import matrix_inverse
+from .hermitian import matrix_inverse, sandwich
 from .algebroid import (QDIM, QFrame, QOperator, connection_DG,
                         scalar_commutator)
 
@@ -37,22 +37,9 @@ class CompatibleMetricH:
         (generator indices swap with their conjugates), then the result is
         transposed and sandwiched by the metric.
         """
-        model = self.model
-        out = QOperator(model)
-        for i in range(QDIM):
-            for j in range(QDIM):
-                acc = model.zero()
-                for k in range(QDIM):
-                    hik = self.Hm_inv[i][k]
-                    if hik.is_zero():
-                        continue
-                    for l in range(QDIM):
-                        ent = A.entries[l][k]
-                        if ent.is_zero() or self.Hm[l][j].is_zero():
-                            continue
-                        acc = acc + ent.conjugate().scale(hik * self.Hm[l][j])
-                out.entries[i][j] = acc
-        return out
+        conj_t = [[e.conjugate() for e in col] for col in zip(*A.entries)]
+        return QOperator(self.model,
+                         sandwich(self.Hm_inv, conj_t, self.Hm, self.model.zero()))
 
 
 def decompose_unitary(A: QOperator, H: CompatibleMetricH):
@@ -85,11 +72,6 @@ def _j_vector(model, vec):
     for a, c in enumerate(coeffs):
         out.append(c * (Scalar.of(0, 1) if a < n else Scalar.of(0, -1)))
     return InvariantVector(model, out)
-
-
-def _contract_matrix(A: QOperator, vec):
-    """i_vec A as a scalar matrix (for 1-form-valued A)."""
-    return A.value_at(vec)
 
 
 def nabla_H_star(s, B: QOperator, T: QOperator):

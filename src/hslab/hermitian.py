@@ -5,6 +5,12 @@ Gram matrix, its exact inverse, a C-bilinear Hodge star, the codifferential
 d^* = -*d*, the Lee form J d^* omega, double metric contractions of 2-forms,
 and the Levi-Civita / Bismut connection coefficients on the invariant frame.
 
+The module also holds the package's one exact linear-algebra core over
+Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
+matrix_inverse built on it, matrix_det (forward elimination that stops at
+the first zero column), matmul, and sandwich (left . mid . right with a
+middle matrix of Scalars or forms).
+
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of Gram data is certified
 by evaluating leading principal minors as floats at pi, which affects no
@@ -20,54 +26,95 @@ from .scalars import Scalar
 from .cealg import InvariantForm, InvariantVector, _merge_sign
 
 
+def _pivot_row(a, col, start):
+    """First row at or below start whose entry in col is a nonzero monomial.
+
+    Returns None when the column is zero from start down, and raises
+    ValueError when its nonzero entries there are all non-monomial: only
+    monomials q pi^k can be inverted exactly.
+    """
+    nonzero = False
+    for r in range(start, len(a)):
+        x = a[r][col]
+        if x.is_monomial():
+            return r
+        nonzero = nonzero or not x.is_zero()
+    if nonzero:
+        raise ValueError("column %d has no monomial pivot" % col)
+    return None
+
+
+def rref(rows, ncols):
+    """Gauss-Jordan reduction of a Scalar matrix over its first ncols columns.
+
+    Returns (reduced, pivots): the reduced rows, each pivot scaled to one and
+    cleared from every other row, and the pivot columns in order.  Columns
+    from ncols on (an augmented block) are carried along but never pivoted.
+    Raises ValueError when a column offers only non-monomial pivots.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = _pivot_row(a, col, row)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        s = a[row][col].inverse()
+        a[row] = [x * s for x in a[row]]
+        for r in range(len(a)):
+            f = a[r][col]
+            if r != row and not f.is_zero():
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return a, pivots
+
+
+def solve(rows, rhs):
+    """One exact solution of rows . x = rhs, with free unknowns set to 0.
+
+    Returns None when the system is inconsistent.  The right-hand side may
+    carry any powers of pi; pivots come from rows only.
+    """
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(not row[ncols].is_zero() for row in reduced[len(pivots):]):
+        return None
+    x = [Scalar.zero()] * ncols
+    for row, col in zip(reduced, pivots):
+        x[col] = row[ncols]
+    return x
+
+
 def matrix_inverse(rows):
-    """Exact inverse of a square Scalar matrix by Gauss-Jordan.
+    """Exact inverse of a square Scalar matrix: rref of [A | I].
 
     Pivots must be invertible scalars (monomials q pi^k); this covers every
     Gram matrix the engine builds, whose entries are Gaussian rationals.
     """
     n = len(rows)
-    a = [[rows[i][j] for j in range(n)] for i in range(n)]
-    inv = [[Scalar.one() if i == j else Scalar.zero() for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero() and a[r][col].is_monomial():
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular or has non-monomial pivots")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        s = a[col][col].inverse()
-        a[col] = [x * s for x in a[col]]
-        inv[col] = [x * s for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    one, zero = Scalar.one(), Scalar.zero()
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    reduced, pivots = rref(aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def matrix_det(rows):
-    """Exact determinant by fraction-free-ish elimination on Scalars."""
+    """Exact determinant by forward elimination on Scalars.
+
+    Kept apart from rref: it stops at the first zero column, which is what
+    makes the Hodge star's many singular minors cheap.
+    """
     n = len(rows)
-    a = [[rows[i][j] for j in range(n)] for i in range(n)]
+    a = [list(row) for row in rows]
     det = Scalar.one()
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero() and a[r][col].is_monomial():
-                piv = r
-                break
+        piv = _pivot_row(a, col, col)
         if piv is None:
-            if all(a[r][col].is_zero() for r in range(col, n)):
-                return Scalar.zero()
-            raise ValueError("determinant needs monomial pivots")
+            return Scalar.zero()
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             det = -det
@@ -79,6 +126,49 @@ def matrix_det(rows):
             f = a[r][col] * s
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def matmul(a, b):
+    """Product of two Scalar matrices, skipping zero factors."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Scalar.zero()] * ncols
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[k]):
+                if not y.is_zero():
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def sandwich(left, mid, right, zero):
+    """left . mid . right for Scalar matrices left, right around any mid.
+
+    mid may hold Scalars or forms (anything with is_zero, + and * Scalar);
+    zero is its additive zero.  Each term is mid[k][l] * (left[i][k] *
+    right[l][j]): the two outer scalars multiply first, so every middle
+    entry is scaled once per term rather than once per factor.
+    """
+    ncols = len(right[0]) if right else 0
+    out = []
+    for lrow in left:
+        orow = []
+        for j in range(ncols):
+            acc = zero
+            for k, x in enumerate(lrow):
+                if x.is_zero():
+                    continue
+                for l, m in enumerate(mid[k]):
+                    y = right[l][j]
+                    if m.is_zero() or y.is_zero():
+                        continue
+                    acc = acc + m * (x * y)
+            orow.append(acc)
+        out.append(orow)
+    return out
 
 
 class HermitianStructure:
@@ -217,26 +307,14 @@ class HermitianStructure:
         Equals the orthonormal-frame sum sum_{ij} F(e_i,e_j) G(e_i,e_j)
         without leaving exact arithmetic.
         """
-        dim = self.model.dim
-        Fv = self.form_values(F)
-        Gv = self.form_values(G)
-        gi = self.Ginv6
-        # M = Ginv * Fv * Ginv, then contract with Gv
-        out = Scalar.zero()
-        for a in range(dim):
-            for b in range(dim):
-                fab = Fv[a][b]
-                if fab.is_zero():
-                    continue
-                for c in range(dim):
-                    gac = gi[a][c]
-                    if gac.is_zero():
-                        continue
-                    for d in range(dim):
-                        gbd = gi[b][d]
-                        if gbd.is_zero() or Gv[c][d].is_zero():
-                            continue
-                        out = out + gac * gbd * fab * Gv[c][d]
+        zero = Scalar.zero()
+        # M = Ginv . F . Ginv (Ginv6 is symmetric), then contract with G
+        M = sandwich(self.Ginv6, self.form_values(F), self.Ginv6, zero)
+        out = zero
+        for mrow, grow in zip(M, self.form_values(G)):
+            for m, g in zip(mrow, grow):
+                if not m.is_zero() and not g.is_zero():
+                    out = out + m * g
         return out
 
     # -- connections --------------------------------------------------------
@@ -255,30 +333,15 @@ class HermitianStructure:
 
     def levi_civita(self):
         """Koszul formula on invariant fields (derivative terms vanish)."""
-        model = self.model
-        dim = model.dim
-        br = self.brackets()
-
-        def gv(vec, c):
-            # g(vec, Z_c)
-            out = Scalar.zero()
-            for a, coef in enumerate(vec.coeffs):
-                if not coef.is_zero() and not self.G6[a][c].is_zero():
-                    out = out + coef * self.G6[a][c]
-            return out
-
+        dim = self.model.dim
+        # gb[a][b][c] = g([Z_a, Z_b], Z_c)
+        gb = [matmul([v.coeffs for v in row], self.G6) for row in self.brackets()]
         half = Scalar.of(Fraction(1, 2))
-        gamma = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+        gamma = []
         for a in range(dim):
-            for b in range(dim):
-                kvals = [half * (gv(br[a][b], c) - gv(br[b][c], a) + gv(br[c][a], b))
-                         for c in range(dim)]
-                for d in range(dim):
-                    acc = Scalar.zero()
-                    for c in range(dim):
-                        if not kvals[c].is_zero() and not self.Ginv6[c][d].is_zero():
-                            acc = acc + kvals[c] * self.Ginv6[c][d]
-                    gamma[a][b][d] = acc
+            kvals = [[half * (gb[a][b][c] - gb[b][c][a] + gb[c][a][b])
+                      for c in range(dim)] for b in range(dim)]
+            gamma.append(matmul(kvals, self.Ginv6))
         return ConnectionCoefficients(self, gamma, "levi-civita")
 
     def bismut(self):

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
-from .hermitian import HermitianStructure
+from .hermitian import HermitianStructure, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals, DegenerateCoupling)
@@ -125,39 +125,6 @@ class SolutionCandidate:
     gamma_form: object
 
 
-def _solve_two_by_two(rows, rhs):
-    """Exact solve of a small linear system whose pivots are monomials."""
-    n = len(rhs)
-    ncols = len(rows[0])
-    aug = [list(rows[r]) + [rhs[r]] for r in range(n)]
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for r in range(row, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if not aug[r][ncols].is_zero():
-            raise ValueError("inconsistent correction system")
-    sol = [Scalar.zero()] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
-
-
 def _gamma_correction(model, omega0, tau_form, F0, F1):
     """Closed torus (1,1)-form gamma with F_j ^ (tau^2 + 2 omega_0 ^ gamma) = 0.
 
@@ -175,7 +142,10 @@ def _gamma_correction(model, omega0, tau_form, F0, F1):
         rows.append([F.wedge(omega0).wedge(g).top_coeff() * two
                      for g in g_basis])
         rhs.append(-(F.wedge(tau_sq).top_coeff()))
-    x, y = _solve_two_by_two(rows, rhs)
+    sol = solve(rows, rhs)
+    if sol is None:
+        raise ValueError("inconsistent correction system")
+    x, y = sol
     gamma = model.zero()
     if not x.is_zero():
         gamma = gamma + g_basis[0].scale(x)
@@ -259,34 +229,20 @@ class VerificationReport:
 
 
 def _residual_entry(name, form_or_matrix):
+    """Zero flag and witness of a residual form or matrix (of scalars or forms).
+
+    The witness of a matrix is its first nonzero entry in row order.
+    """
     if isinstance(form_or_matrix, list):
         zero = matrix_is_zero(form_or_matrix)
         witness = ""
         if not zero:
-            for i, row in enumerate(form_or_matrix):
-                for j, v in enumerate(row):
-                    if not v.is_zero():
-                        witness = "entry (%d,%d): %s" % (i, j, v)
-                        break
-                if witness:
-                    break
+            i, j, v = next((i, j, v) for i, row in enumerate(form_or_matrix)
+                           for j, v in enumerate(row) if not v.is_zero())
+            witness = "entry (%d,%d): %s" % (i, j, v)
     else:
         zero = form_or_matrix.is_zero()
         witness = "" if zero else form_or_matrix.literal()
-    return {"name": name, "zero": zero, "witness": witness}
-
-
-def _qop_residual_entry(name, qop):
-    zero = qop.is_zero()
-    witness = ""
-    if not zero:
-        for i in range(QDIM):
-            for j in range(QDIM):
-                if not qop.entries[i][j].is_zero():
-                    witness = "entry (%d,%d): %s" % (i, j, qop.entries[i][j].literal())
-                    break
-            if witness:
-                break
     return {"name": name, "zero": zero, "witness": witness}
 
 
@@ -308,7 +264,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     hs_ok = all(r["zero"] for r in residuals)
 
     he = he_residual_G(s)
-    residuals.append(_qop_residual_entry("hermitian_einstein_G", he))
+    residuals.append(_residual_entry("hermitian_einstein_G", he.entries))
     he_ok = residuals[-1]["zero"]
 
     kres = harmonic_residual(s)
@@ -320,7 +276,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
                                      [[crit["cross"]]]))
 
     gamma_ext = extension_class_gamma(s)
-    residuals.append(_qop_residual_entry("extension_class", gamma_ext))
+    residuals.append(_residual_entry("extension_class", gamma_ext.entries))
     gamma_nonzero = not residuals[-1]["zero"]
 
     higgs = higgs_equation_residuals(s)
@@ -436,7 +392,7 @@ def _canonical(pair):
     return pair <= flipped
 
 
-def _sweep_record(pair, base_cache, require_ch2, ch2_cache, timings):
+def _sweep_record(pair, base_cache, timings):
     import time
     start = time.perf_counter() if timings else 0.0
     t0, t1 = pair
@@ -444,15 +400,6 @@ def _sweep_record(pair, base_cache, require_ch2, ch2_cache, timings):
     s1 = sum(x * x for x in t1)
     if s0 == s1:
         return None
-    if require_ch2:
-        key = s0 - s1
-        if key not in ch2_cache:
-            model, omega0, _ = build_iwasawa()
-            F0 = curvature_from_triple(model, LineBundleTriple(*t0, role="V0"))
-            F1 = curvature_from_triple(model, LineBundleTriple(*t1, role="V1"))
-            ch2_cache[key] = ch2_constraint(model, F0, F1)[0]
-        if not ch2_cache[key]:
-            return None
     alpha = Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))
     dot = sum(a * b for a, b in zip(t0, t1))
     # cross term of the K residual: |alpha| times the frame contraction of
@@ -484,13 +431,25 @@ def _sweep_record(pair, base_cache, require_ch2, ch2_cache, timings):
     return rec
 
 
+def _ch2_holds():
+    """Whether F0^2 - F1^2 is dd^c-exact, decided once for every pair.
+
+    F(t)^2 = 2 pi^2 |t|^2 w_{121'2'} for every triple t (the selftest's
+    F(m,n,p)^2 identity), so each pair's target is a nonzero multiple of one
+    4-form and any one pair decides the whole sweep.
+    """
+    model, _, _ = build_iwasawa()
+    F0 = curvature_from_triple(model, LineBundleTriple(1, 0, 0, role="V0"))
+    F1 = curvature_from_triple(model, LineBundleTriple(1, 1, 0, role="V1"))
+    return ch2_constraint(model, F0, F1)[0]
+
+
 def _chunk_worker(args):
-    pairs, require_ch2, timings, base_flags = args
+    pairs, timings, base_flags = args
     cache = _LookupCache(base_flags)
-    ch2_cache = {}
     out = []
     for pair in pairs:
-        rec = _sweep_record(pair, cache, require_ch2, ch2_cache, timings)
+        rec = _sweep_record(pair, cache, timings)
         if rec is not None:
             out.append(rec)
     return out
@@ -513,10 +472,13 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
     Returns a list of JSON-ready records in deterministic lexicographic
     parameter order (pairs identified up to simultaneous sign flips unless
     raw is set).  The result is byte-stable for fixed arguments when
-    timings are disabled.
+    timings are disabled.  require_ch2 keeps only pairs whose F0^2 - F1^2
+    is dd^c-exact, which on this model is every pair (see _ch2_holds).
     """
     if max_abs < 0:
         raise ValueError("max_abs must be nonnegative")
+    if require_ch2 and not _ch2_holds():
+        return []
     triples = _triples(max_abs)
     pairs = []
     for t0 in triples:
@@ -533,14 +495,13 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
         nchunk = min(threads, len(pairs))
         size = (len(pairs) + nchunk - 1) // nchunk
         chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        args = [(c, require_ch2, timings, base_cache.cache) for c in chunks]
+        args = [(c, timings, base_cache.cache) for c in chunks]
         with ProcessPoolExecutor(max_workers=nchunk) as ex:
             for part in ex.map(_chunk_worker, args):
                 records.extend(part)
     else:
-        ch2_cache = {}
         for pair in pairs:
-            rec = _sweep_record(pair, base_cache, require_ch2, ch2_cache, timings)
+            rec = _sweep_record(pair, base_cache, timings)
             if rec is not None:
                 records.append(rec)
     if require_harmonic:

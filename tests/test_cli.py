@@ -38,6 +38,9 @@ def test_verify_exit_three_malformed(capsys):
     assert main(["verify", "--triples", "0,0,0,1,0,0"]) == 3
     assert main(["verify", "--triples", "1,2,2,2,-1,0",
                  "--tau", "2,0,0,0"]) == 3
+    # inside |t_i| <= 1/2 but not positive
+    assert main(["verify", "--triples", "1,2,2,2,-1,0",
+                 "--tau", "1/2,1/2,1/2,1/2"]) == 3
     assert main(["nonsense"]) == 3
 
 

@@ -165,6 +165,8 @@ def test_sweep_max_one_catalog():
     assert len(sweep(1, raw=True)) == 432
     assert sweep(1, require_harmonic=True) == [r for r in records
                                                if r["harmonic"]]
+    # F0^2 - F1^2 is always a multiple of dd^c omega_0 here
+    assert sweep(1, require_ch2=True) == records
 
 
 def test_sweep_deterministic_and_threaded():
@@ -219,5 +221,5 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
 def sweep_pair(t0, t1):
     from hslab.iwasawa import _BaseCache, _sweep_record
     cache = _BaseCache()
-    rec = _sweep_record((t0, t1), cache, False, {}, False)
+    rec = _sweep_record((t0, t1), cache, False)
     return [rec] if rec is not None else []
