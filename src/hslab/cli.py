@@ -3,7 +3,7 @@
 Exit codes: 0 success (verify: the family solves the system and the
 associated connection is Hermitian-Einstein), 1 failed selftest identity,
 2 degenerate coupling, 3 malformed arguments (including a deformation that
-is not positive).
+is not positive and a sweep thread count below 1).
 """
 
 from __future__ import annotations
@@ -94,13 +94,16 @@ def cmd_verify(args):
 def cmd_sweep(args):
     if args.max < 0:
         raise _ArgumentError("--max must be nonnegative")
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     env = os.environ.get("HS_LAB_THREADS")
     if env is not None:
         try:
             threads = int(env)
         except ValueError:
             raise _ArgumentError("HS_LAB_THREADS must be an integer")
+        source = "HS_LAB_THREADS"
+    if threads < 1:
+        raise _ArgumentError("%s must be at least 1" % source)
     records = sweep(args.max, require_harmonic=args.require_harmonic,
                     require_ch2=args.require_ch2, raw=args.raw,
                     threads=threads, timings=args.timings)

@@ -8,6 +8,11 @@ plus a (1,0)-form field.  The three moment-map residuals I, J, K and the
 harmonicity residual are computed exactly; the closed-form criteria (the
 pairing of one curvature against the torsion coclosure, plus the coupled
 frame contraction of the two curvatures) are exposed for cross-checks.
+
+Harmonicity reads K alone, so moment_residuals computes K and builds I and
+J only when they are first looked up, from the same frame, connection and
+unitary decomposition.  The metric-only objects they share (Levi-Civita,
+Bismut, Lee form) are built once per HermitianStructure.
 """
 
 from __future__ import annotations
@@ -116,39 +121,57 @@ def matrix_is_zero(rows):
     return all(x.is_zero() for row in rows for x in row)
 
 
+class _MomentResiduals(dict):
+    """The moment-map residuals, with I and J built on first lookup.
+
+    K is stored at construction.  Indexing "I" or "J" builds that residual
+    from the connection and decomposition K was computed from, stores it
+    and returns it.  A residual not yet indexed is not a key, so len(),
+    iteration and get() see only what has been built.
+    """
+
+    def __init__(self, s, B, Psi, theta_sharp, K):
+        super().__init__(K=K)
+        self._parts = (s, B, Psi, theta_sharp)
+
+    def __missing__(self, key):
+        s, B, Psi, theta_sharp = self._parts
+        h = s.h
+        if key == "I":
+            # (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
+            w2 = h.omega.wedge(h.omega)
+            FB = B.d() + B.wedge(B)
+            value = (FB + Psi.wedge(Psi)).map_entries(lambda f: f.wedge(w2))
+        elif key == "J":
+            # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi
+            JPsi = Psi.map_entries(h.j_form)
+            value = _add_matrices(nabla_H_star(s, B, JPsi),
+                                  Psi.value_at(_j_vector(s.model, theta_sharp)),
+                                  sign=-1)
+        else:
+            raise KeyError(key)
+        self[key] = value
+        return value
+
+
 def moment_residuals(s):
     """The three moment-map residuals of the canonical connection.
 
-    I and J are returned as form-valued matrices (top-degree and scalar
-    respectively after the stated contractions), K as a scalar matrix.  All
-    vanish exactly iff the connection is a critical point compatible with
-    the full hyperkaehler-type system.
+    I and J are form-valued matrices (top-degree and scalar respectively
+    after the stated contractions), K a scalar matrix.  All vanish exactly
+    iff the connection is a critical point compatible with the full
+    hyperkaehler-type system.  Only K is computed here; I and J are built
+    when first indexed, so a caller reading K alone pays for K alone.
     """
     frame = QFrame(s.h, s.alpha)
     H = CompatibleMetricH(frame)
     A = connection_DG(s)
     B, Psi = decompose_unitary(A, H)
-    h = s.h
-    model = s.model
-    w2 = h.omega.wedge(h.omega)
-
-    # I: (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
-    FB = B.d() + B.wedge(B)
-    I_res = (FB + Psi.wedge(Psi)).map_entries(lambda f: f.wedge(w2))
-
-    theta = h.lee_form()
-    theta_sharp = h.sharp(theta)
-    j_theta_sharp = _j_vector(model, theta_sharp)
-
+    theta_sharp = s.h.sharp(s.h.lee_form())
     # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
     K_res = _add_matrices(nabla_H_star(s, B, Psi),
                           Psi.value_at(theta_sharp))
-
-    # J: (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi
-    JPsi = Psi.map_entries(h.j_form)
-    J_res = _add_matrices(nabla_H_star(s, B, JPsi),
-                          Psi.value_at(j_theta_sharp), sign=-1)
-    return {"I": I_res, "J": J_res, "K": K_res}
+    return _MomentResiduals(s, B, Psi, theta_sharp, K_res)
 
 
 def harmonic_residual(s):

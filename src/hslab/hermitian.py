@@ -11,6 +11,11 @@ matrix_inverse built on it, matrix_det (forward elimination that stops at
 the first zero column), matmul, and sandwich (left . mid . right with a
 middle matrix of Scalars or forms).
 
+A HermitianStructure builds its brackets, Levi-Civita and Bismut
+coefficients and Lee form at most once and then returns the same object on
+every call, as star does with its table of basis images; the metric a
+structure was built for never changes.
+
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of Gram data is certified
 by evaluating leading principal minors as floats at pi, which affects no
@@ -172,7 +177,14 @@ def sandwich(left, mid, right, zero):
 
 
 class HermitianStructure:
-    """A Hermitian metric on an invariant complex model, given by omega."""
+    """A Hermitian metric on an invariant complex model, given by omega.
+
+    brackets(), levi_civita(), bismut() and lee_form() are built on first
+    call and the same object is returned afterwards.  That is sound because
+    omega, the returned connection coefficients and the returned forms are
+    never modified after construction; code that changed them in place
+    would change every later caller's value too.
+    """
 
     def __init__(self, model, omega, check_positive=True):
         self.model = model
@@ -200,6 +212,10 @@ class HermitianStructure:
         if self.c_vol.is_zero():
             raise ValueError("degenerate fundamental form: omega^3 = 0")
         self._star_cache = {}
+        self._brackets = None
+        self._levi_civita = None
+        self._bismut = None
+        self._lee_form = None
         if check_positive:
             self._certify_positive()
 
@@ -284,7 +300,9 @@ class HermitianStructure:
 
     def lee_form(self):
         """theta = J d^* omega; vanishes iff d(omega^2) = 0."""
-        return self.j_form(self.codifferential(self.omega))
+        if self._lee_form is None:
+            self._lee_form = self.j_form(self.codifferential(self.omega))
+        return self._lee_form
 
     def sharp(self, oneform):
         """Metric dual vector of a 1-form."""
@@ -321,6 +339,8 @@ class HermitianStructure:
 
     def brackets(self):
         """Lie brackets [Z_a, Z_b] from the Maurer-Cartan equations."""
+        if self._brackets is not None:
+            return self._brackets
         model = self.model
         dim = model.dim
         Z = [model.basis_vector(a) for a in range(dim)]
@@ -329,10 +349,13 @@ class HermitianStructure:
             for b in range(dim):
                 coeffs = [-(model.diff[c].apply(Z[a], Z[b])) for c in range(dim)]
                 out[a][b] = InvariantVector(model, coeffs)
+        self._brackets = out
         return out
 
     def levi_civita(self):
         """Koszul formula on invariant fields (derivative terms vanish)."""
+        if self._levi_civita is not None:
+            return self._levi_civita
         dim = self.model.dim
         # gb[a][b][c] = g([Z_a, Z_b], Z_c)
         gb = [matmul([v.coeffs for v in row], self.G6) for row in self.brackets()]
@@ -342,10 +365,13 @@ class HermitianStructure:
             kvals = [[half * (gb[a][b][c] - gb[b][c][a] + gb[c][a][b])
                       for c in range(dim)] for b in range(dim)]
             gamma.append(matmul(kvals, self.Ginv6))
-        return ConnectionCoefficients(self, gamma, "levi-civita")
+        self._levi_civita = ConnectionCoefficients(self, gamma, "levi-civita")
+        return self._levi_civita
 
     def bismut(self):
         """nabla^- = nabla + (1/2) g^{-1} d^c omega (totally skew torsion)."""
+        if self._bismut is not None:
+            return self._bismut
         lc = self.levi_civita()
         model = self.model
         dim = model.dim
@@ -362,20 +388,24 @@ class HermitianStructure:
                         if not tvals[c].is_zero() and not self.Ginv6[c][d].is_zero():
                             acc = acc + tvals[c] * self.Ginv6[c][d]
                     gamma[a][b][d] = acc
-        return ConnectionCoefficients(self, gamma, "bismut")
+        self._bismut = ConnectionCoefficients(self, gamma, "bismut")
+        return self._bismut
 
 
 class ConnectionCoefficients:
-    """Invariant connection coefficients: nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d."""
+    """Invariant connection coefficients: nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d.
+
+    Keeps the structure's model and brackets but not the structure itself:
+    the structure keeps its connections, and a reference back would make a
+    cycle that only the cyclic garbage collector frees, so every metric's
+    objects would outlive it.
+    """
 
     def __init__(self, structure, gamma, torsion_tag):
-        self.structure = structure
+        self.model = structure.model
+        self._brackets = structure.brackets()
         self.gamma = gamma
         self.torsion_tag = torsion_tag
-
-    @property
-    def model(self):
-        return self.structure.model
 
     def nabla(self, a, b):
         """The vector nabla_{Z_a} Z_b."""
@@ -383,5 +413,4 @@ class ConnectionCoefficients:
 
     def torsion(self, a, b):
         """T(Z_a, Z_b) = nabla_a Z_b - nabla_b Z_a - [Z_a, Z_b]."""
-        br = self.structure.brackets()
-        return self.nabla(a, b) - self.nabla(b, a) - br[a][b]
+        return self.nabla(a, b) - self.nabla(b, a) - self._brackets[a][b]

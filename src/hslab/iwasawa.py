@@ -11,12 +11,16 @@ correction in the span of the two curvature directions).
 
 verify_family produces an exact report over every displayed condition;
 sweep enumerates integer pairs and certifies harmonicity through a cached
-engine decomposition of the moment-map residual.
+engine decomposition of the moment-map residual.  With threads > 1 both
+the per-triple engine flags and the per-pair records are computed in one
+process pool of at most os.cpu_count() workers; otherwise both run in
+this process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
@@ -356,6 +360,10 @@ class _BaseCache:
     curvatures.  The base part is evaluated by the engine at two couplings
     per triple against an orthogonal partner (where the cross term provably
     vanishes) and extrapolated linearly.
+
+    Each flag is a pure function of its triple, so a sweep with threads > 1
+    fills one cache per worker process over a share of the triples and
+    merges the flags (_base_worker); a serial sweep fills this one in turn.
     """
 
     def __init__(self):
@@ -444,6 +452,19 @@ def _ch2_holds():
     return ch2_constraint(model, F0, F1)[0]
 
 
+def _chunks(items, n):
+    """items split into at most n contiguous runs, in order."""
+    size = (len(items) + n - 1) // n
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _base_worker(triples):
+    cache = _BaseCache()
+    for t in triples:
+        cache.base_is_zero(t)
+    return cache.cache
+
+
 def _chunk_worker(args):
     pairs, timings, base_flags = args
     cache = _LookupCache(base_flags)
@@ -472,8 +493,10 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
     Returns a list of JSON-ready records in deterministic lexicographic
     parameter order (pairs identified up to simultaneous sign flips unless
     raw is set).  The result is byte-stable for fixed arguments when
-    timings are disabled.  require_ch2 keeps only pairs whose F0^2 - F1^2
-    is dd^c-exact, which on this model is every pair (see _ch2_holds).
+    timings are disabled, whatever the thread count.  threads > 1 runs the
+    work in a process pool of min(threads, os.cpu_count()) workers.
+    require_ch2 keeps only pairs whose F0^2 - F1^2 is dd^c-exact, which on
+    this model is every pair (see _ch2_holds).
     """
     if max_abs < 0:
         raise ValueError("max_abs must be nonnegative")
@@ -486,20 +509,20 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
             pair = (t0, t1)
             if raw or _canonical(pair):
                 pairs.append(pair)
-    base_cache = _BaseCache()
-    # precompute base verdicts once, single-threaded, in sorted order
-    for t in triples:
-        base_cache.base_is_zero(t)
+    workers = min(threads or 1, os.cpu_count() or 1, len(pairs))
     records = []
-    if threads and threads > 1 and pairs:
-        nchunk = min(threads, len(pairs))
-        size = (len(pairs) + nchunk - 1) // nchunk
-        chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        args = [(c, timings, base_cache.cache) for c in chunks]
-        with ProcessPoolExecutor(max_workers=nchunk) as ex:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            flags = {}
+            for part in ex.map(_base_worker, _chunks(triples, workers)):
+                flags.update(part)
+            args = [(c, timings, flags) for c in _chunks(pairs, workers)]
             for part in ex.map(_chunk_worker, args):
                 records.extend(part)
     else:
+        base_cache = _BaseCache()
+        for t in triples:
+            base_cache.base_is_zero(t)
         for pair in pairs:
             rec = _sweep_record(pair, base_cache, timings)
             if rec is not None:

@@ -82,6 +82,10 @@ def test_sweep_threads_env_override(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     monkeypatch.setenv("HS_LAB_THREADS", "not-a-number")
     assert main(["sweep", "--max", "1"]) == 3
+    for bad in ("0", "-2"):
+        monkeypatch.setenv("HS_LAB_THREADS", bad)
+        assert main(["sweep", "--max", "1", "--threads", "2"]) == 3
+        assert "HS_LAB_THREADS must be at least 1" in capsys.readouterr().err
     monkeypatch.delenv("HS_LAB_THREADS")
     capsys.readouterr()
     assert main(["sweep", "--max", "1"]) == 0
@@ -107,6 +111,9 @@ def test_selftest_cli_failure_exit(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-def test_parser_rejects_bad_sweep_args():
+def test_parser_rejects_bad_sweep_args(monkeypatch):
+    monkeypatch.delenv("HS_LAB_THREADS", raising=False)
     assert main(["sweep", "--max", "-1"]) == 3
     assert main(["sweep"]) == 3
+    assert main(["sweep", "--max", "1", "--threads", "0"]) == 3
+    assert main(["sweep", "--max", "1", "--threads", "-1"]) == 3

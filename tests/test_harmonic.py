@@ -1,5 +1,7 @@
 """Unitary/Chern decompositions, moment maps, harmonicity, Higgs data."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,16 @@ from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             harmonic_residual, harmonic_criteria,
                             harmonic_vs_moment_gap, higgs_field, higgs_dbar,
                             higgs_equation_residuals, matrix_is_zero)
+from hslab.bundles import LineBundleTriple
+from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
 
 from conftest import make_params, random_pair
+
+# sha256 of the I, J, K residuals of the uncorrected deformed family below,
+# recorded from code that computed all three at once: the lazily built I
+# and J must reproduce it
+PINNED_MOMENT_DIGEST = ("22b50a757b8f9dd45a652bce18f178ec"
+                        "8984cae8f69d4691296d6a177be15f9c")
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +103,34 @@ def test_moment_residuals_on_solution(std):
     assert res["I"].is_zero()
     assert matrix_is_zero(res["J"])
     assert matrix_is_zero(res["K"])
+
+
+def _moment_digest(I, J, K):
+    text = json.dumps([I.dump(), [[str(x) for x in r] for r in J],
+                       [[str(x) for x in r] for r in K]])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_moment_residuals_off_solution_pinned():
+    # an uncorrected deformation: I, J and K are all nonzero here, so the
+    # digest pins the values of all three, not just that they vanish
+    cfg = FamilyConfig(LineBundleTriple(1, 2, 2), LineBundleTriple(1, 1, 0),
+                       tau=TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0),
+                       correct=False)
+    s = make_family(cfg).params
+    first = moment_residuals(s)
+    K = first["K"]
+    I, J = first["I"], first["J"]
+    assert not I.is_zero()
+    assert not matrix_is_zero(J) and not matrix_is_zero(K)
+    assert _moment_digest(I, J, K) == PINNED_MOMENT_DIGEST
+    # the order of lookup does not change any value
+    later = moment_residuals(s)
+    J2, I2, K2 = later["J"], later["I"], later["K"]
+    assert _moment_digest(I2, J2, K2) == PINNED_MOMENT_DIGEST
+    assert moment_residuals(s)["K"] == harmonic_residual(s) == K
+    with pytest.raises(KeyError):
+        first["L"]
 
 
 def test_harmonic_three_way_equivalence(model, h0, Omega, rng):

@@ -1,5 +1,7 @@
 """Metric structures: Gram data, Hodge star, codifferential, connections."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,29 @@ def test_lee_nonzero_on_kt_model(kt_model):
     assert not theta.is_zero()
     # the sharp of a nonzero form is nonzero
     assert not h.sharp(theta).is_zero()
+
+
+def test_metric_objects_are_built_once(model):
+    h = _diag_metric(model, (1, 2, 3))
+    for name in ("brackets", "levi_civita", "bismut", "lee_form"):
+        method = getattr(h, name)
+        assert method() is method()
+    # a second structure on the same metric builds its own, equal, objects
+    other = _diag_metric(model, (1, 2, 3))
+    assert other.bismut() is not h.bismut()
+    assert other.bismut().gamma == h.bismut().gamma
+    assert other.lee_form() == h.lee_form()
+    # the connections do not point back at their structure, so dropping the
+    # structure frees it at once, without the cyclic garbage collector
+    ref = weakref.ref(other)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del other
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_bismut_equals_levi_civita_on_torus(abelian_model):

@@ -1,5 +1,6 @@
 """Family construction, exact verification reports, and the integer sweep."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,17 @@ def test_verify_family_nonorthogonal_pair_not_harmonic():
     assert by_name["torsion_pairing"]["zero"]
 
 
+def test_verify_family_repeat_on_one_candidate():
+    # the second run reuses the metric objects the first one built; the
+    # report must not depend on whether they were built already
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
+    first = verify_family(cand).to_json()
+    assert not json.loads(first)["verdicts"]["harmonic"]
+    assert verify_family(cand).to_json() == first
+    assert verify_family(_family((1, 1, 0), (1, 0, 0), tau=tau)).to_json() == first
+
+
 def test_verify_family_negative_control():
     # a wrong coupling must break the anomaly verdict
     report = verify_family(_family((1, 2, 2), (2, -1, 0), alpha=Scalar.one()))
@@ -173,6 +185,39 @@ def test_sweep_deterministic_and_threaded():
     records = sweep(1)
     assert sweep(1) == records
     assert sweep(1, threads=2) == records
+
+
+def test_sweep_pool_is_capped_at_cpu_count(monkeypatch):
+    import hslab.iwasawa as iwasawa
+    records = sweep(1)
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            assert len(items) <= self.max_workers
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(iwasawa, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(iwasawa.os, "cpu_count", lambda: 3)
+    assert sweep(1, threads=100000) == records
+    assert sizes == [3]
+    # an unknown CPU count means one CPU: no pool at all
+    monkeypatch.setattr(iwasawa.os, "cpu_count", lambda: None)
+    assert sweep(1, threads=100000) == records
+    assert sizes == [3]
 
 
 def test_sweep_timings_flag():
