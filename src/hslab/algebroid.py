@@ -80,12 +80,6 @@ class QOperator:
             entries = [[z for _ in range(QDIM)] for _ in range(QDIM)]
         self.entries = entries
 
-    @classmethod
-    def from_scalar_matrix(cls, model, rows):
-        entries = [[model.unit(s) if (isinstance(s, Scalar) and not s.is_zero())
-                    else model.zero() for s in row] for row in rows]
-        return cls(model, entries)
-
     def clone(self):
         return QOperator(self.model, [row[:] for row in self.entries])
 
@@ -239,9 +233,6 @@ class QFrame:
         G[7][7] = self.alpha
         return G
 
-    def metric_G(self):
-        return QOperator.from_scalar_matrix(self.model, self.metric_G_matrix())
-
     def metric_H_matrix(self):
         """The compatible positive metric: g on T, |alpha| on both End blocks."""
         aval = self.alpha.evalf().real
@@ -254,18 +245,6 @@ class QFrame:
         H[6][6] = aabs
         H[7][7] = aabs
         return H
-
-    def hermitian_product(self, Hm, x, y):
-        """h(x, y) = conj(x)^T Hm y."""
-        out = Scalar.zero()
-        for a in range(QDIM):
-            xa = x.coeffs[a].conjugate()
-            if xa.is_zero():
-                continue
-            for b in range(QDIM):
-                if not Hm[a][b].is_zero() and not y.coeffs[b].is_zero():
-                    out = out + xa * Hm[a][b] * y.coeffs[b]
-        return out
 
 
 def connection_DG(s):
@@ -315,7 +294,7 @@ def curvature(A):
 
 def he_residual_G(s):
     """F_{D^G} ^ omega^2; vanishes exactly on Hull-Strominger solutions."""
-    F = curvature(connection_DG(s))
+    F = curvature(s.connection)
     w2 = s.h.omega.wedge(s.h.omega)
     return F.map_entries(lambda a: a.wedge(w2))
 

@@ -9,6 +9,12 @@ the curvature of a Hermitian holomorphic line bundle.  This module houses
 the curvature map, Hermitian-Yang-Mills and Bianchi residuals, the exact
 coupling constant solve, degree/slope pairings against balanced classes,
 the second-Chern-character constraint, and the holomorphic-volume-form norm.
+
+SystemParams is also the per-family context of the orthogonal bundle Q:
+its frame, compatible metric H, connection D^G and the unitary (B, Psi) and
+Chern (C, phi) splittings of D^G are built on first use and kept, so every
+verifier of one family reads the same objects.  The dataclass is frozen,
+which keeps them valid, and none of them refers back to the family.
 """
 
 from __future__ import annotations
@@ -16,11 +22,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 
 from .scalars import Scalar, parse_scalar
 from .cealg import InvariantForm, parse_form
 from .hermitian import HermitianStructure, solve
+from .algebroid import QFrame, connection_DG
+from .harmonic import CompatibleMetricH, decompose_chern, decompose_unitary
 
 
 @dataclass(frozen=True)
@@ -149,9 +158,13 @@ class DegenerateCoupling(ValueError):
     """Raised when m_0^2+n_0^2+p_0^2 = m_1^2+n_1^2+p_1^2 (no alpha exists)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemParams:
-    """One verifiable Hull-Strominger configuration."""
+    """One verifiable Hull-Strominger configuration and its Q-bundle objects.
+
+    frame, metric_H, connection, unitary_split and chern_split are built on
+    first use and kept: the family is frozen, so they stay valid.
+    """
     model: object
     h: object                 # HermitianStructure
     triple0: LineBundleTriple
@@ -170,6 +183,28 @@ class SystemParams:
         for pq in self.Omega.bigrade():
             if pq != (3, 0):
                 raise ValueError("volume form must have bidegree (3,0)")
+
+    @cached_property
+    def frame(self):
+        return QFrame(self.h, self.alpha)
+
+    @cached_property
+    def metric_H(self):
+        return CompatibleMetricH(self.frame)
+
+    @cached_property
+    def connection(self):
+        return connection_DG(self)
+
+    @cached_property
+    def unitary_split(self):
+        """(B, Psi): unitary part and self-adjoint 1-form of the connection."""
+        return decompose_unitary(self.connection, self.metric_H)
+
+    @cached_property
+    def chern_split(self):
+        """(C, phi): Chern-type part and (1,0)-form field of the connection."""
+        return decompose_chern(self.connection, self.metric_H)
 
     def to_json(self):
         return {
@@ -214,20 +249,13 @@ def hs_residuals(s: SystemParams):
     return (s.F0.wedge(w2), s.F1.wedge(w2), w2.d(), bianchi)
 
 
-class OmegaNorm:
-    """Exact |Omega|^2 and its float square root."""
-
-    def __init__(self, norm_sq, norm_float):
-        self.norm_sq = norm_sq
-        self.norm = norm_float
-
-
 def omega_norm(Omega, h):
     """Norm of the holomorphic volume form from Omega ^ conj(Omega).
 
-    Convention: Omega ^ conj(Omega) = -8 i |Omega|^2 omega^3/3!, calibrated
-    so that |w_123| = 1 for the standard structure.  The square itself is
-    exact; the norm is a float since the square root is generally irrational.
+    Returns the pair (|Omega|^2, |Omega|).  Convention: Omega ^ conj(Omega)
+    = -8 i |Omega|^2 omega^3/3!, calibrated so that |w_123| = 1 for the
+    standard structure.  The square is exact; the norm is a float since the
+    square root is generally irrational.
     """
     if Omega.is_zero():
         raise ValueError("volume form is zero")
@@ -239,7 +267,7 @@ def omega_norm(Omega, h):
     val = norm_sq.evalf().real
     if val <= 0:
         raise ValueError("norm square is not positive")
-    return OmegaNorm(norm_sq, sqrt(val))
+    return norm_sq, sqrt(val)
 
 
 def conformally_balanced_residual(Omega, h):

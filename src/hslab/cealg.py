@@ -120,9 +120,6 @@ class NilmanifoldModel:
     def zero(self):
         return InvariantForm(self, {})
 
-    def unit(self, scalar=None):
-        return InvariantForm(self, {(): scalar if scalar is not None else Scalar.one()})
-
     def gen(self, a, scalar=None):
         return InvariantForm(self, {(a,): scalar if scalar is not None else Scalar.one()})
 
@@ -405,14 +402,6 @@ class InvariantForm:
         if f.is_zero():
             return Scalar.zero()
         return f.terms.get((), Scalar.zero())
-
-    def coeff(self, indices):
-        """Coefficient of the (sign-normalized) basis form e_indices."""
-        idx, sign = _sort_sign(tuple(indices))
-        if idx is None:
-            return Scalar.zero()
-        v = self.terms.get(idx, Scalar.zero())
-        return v if sign > 0 else -v
 
     def top_coeff(self):
         return self.terms.get(self.model.top_index(), Scalar.zero())

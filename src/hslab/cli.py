@@ -19,10 +19,8 @@ from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       DegenerateCoupling, SystemParams)
-from .algebroid import connection_DG, curvature
-from .harmonic import (CompatibleMetricH, decompose_unitary,
-                       harmonic_vs_moment_gap, matrix_is_zero)
-from .algebroid import QFrame
+from .algebroid import curvature
+from .harmonic import harmonic_vs_moment_gap, matrix_is_zero
 from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
                       make_family, verify_family, sweep)
 
@@ -106,7 +104,7 @@ def cmd_sweep(args):
         raise _ArgumentError("%s must be at least 1" % source)
     records = sweep(args.max, require_harmonic=args.require_harmonic,
                     require_ch2=args.require_ch2, raw=args.raw,
-                    threads=threads, timings=args.timings)
+                    threads=threads)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -177,10 +175,8 @@ def run_selftest(dc_sign=1, star_sign=1):
                          triple1=LineBundleTriple(2, -1, 0, role="V1"),
                          F0=F0, F1=F1, alpha=alpha,
                          Omega=model.basis_form((0, 1, 2)))
-        A = connection_DG(s)
-        H = CompatibleMetricH(QFrame(h, alpha))
-        B, Psi = decompose_unitary(A, H)
-        lhs = curvature(A)
+        B, Psi = s.unitary_split
+        lhs = curvature(s.connection)
         rhs = (B.d() + B.wedge(B) + Psi.wedge(Psi)
                + Psi.d() + B.wedge(Psi) + Psi.wedge(B))
         return (lhs - rhs).is_zero(), s
@@ -235,8 +231,6 @@ def build_parser():
     ps.add_argument("--require-ch2", action="store_true")
     ps.add_argument("--raw", action="store_true",
                     help="do not identify pairs under simultaneous sign flips")
-    ps.add_argument("--timings", action="store_true",
-                    help="include per-record timings (breaks byte determinism)")
     ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--out", help="output path (default stdout)")
     ps.set_defaults(func=cmd_sweep)

@@ -9,10 +9,12 @@ harmonicity residual are computed exactly; the closed-form criteria (the
 pairing of one curvature against the torsion coclosure, plus the coupled
 frame contraction of the two curvatures) are exposed for cross-checks.
 
-Harmonicity reads K alone, so moment_residuals computes K and builds I and
-J only when they are first looked up, from the same frame, connection and
-unitary decomposition.  The metric-only objects they share (Levi-Civita,
-Bismut, Lee form) are built once per HermitianStructure.
+Every residual here reads the per-family objects of its SystemParams
+(frame, compatible metric, connection, unitary and Chern splittings), which
+are built once per family; the metric-only objects they share (Levi-Civita,
+Bismut, Lee form) are built once per HermitianStructure.  Harmonicity reads
+K alone, so moment_residuals computes K and builds I and J only when they
+are first looked up.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from fractions import Fraction
 from .scalars import Scalar
 from .cealg import InvariantVector
 from .hermitian import matrix_inverse, sandwich
-from .algebroid import (QDIM, QFrame, QOperator, connection_DG,
-                        scalar_commutator)
+from .algebroid import QDIM, QFrame, QOperator, scalar_commutator
 
 
 class CompatibleMetricH:
@@ -125,18 +126,19 @@ class _MomentResiduals(dict):
     """The moment-map residuals, with I and J built on first lookup.
 
     K is stored at construction.  Indexing "I" or "J" builds that residual
-    from the connection and decomposition K was computed from, stores it
-    and returns it.  A residual not yet indexed is not a key, so len(),
-    iteration and get() see only what has been built.
+    from the family's unitary decomposition, stores it and returns it.  A
+    residual not yet indexed is not a key, so len(), iteration and get()
+    see only what has been built.
     """
 
-    def __init__(self, s, B, Psi, theta_sharp, K):
+    def __init__(self, s, K):
         super().__init__(K=K)
-        self._parts = (s, B, Psi, theta_sharp)
+        self._s = s
 
     def __missing__(self, key):
-        s, B, Psi, theta_sharp = self._parts
+        s = self._s
         h = s.h
+        B, Psi = s.unitary_split
         if key == "I":
             # (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
             w2 = h.omega.wedge(h.omega)
@@ -145,6 +147,7 @@ class _MomentResiduals(dict):
         elif key == "J":
             # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi
             JPsi = Psi.map_entries(h.j_form)
+            theta_sharp = h.sharp(h.lee_form())
             value = _add_matrices(nabla_H_star(s, B, JPsi),
                                   Psi.value_at(_j_vector(s.model, theta_sharp)),
                                   sign=-1)
@@ -163,15 +166,12 @@ def moment_residuals(s):
     hyperkaehler-type system.  Only K is computed here; I and J are built
     when first indexed, so a caller reading K alone pays for K alone.
     """
-    frame = QFrame(s.h, s.alpha)
-    H = CompatibleMetricH(frame)
-    A = connection_DG(s)
-    B, Psi = decompose_unitary(A, H)
+    B, Psi = s.unitary_split
     theta_sharp = s.h.sharp(s.h.lee_form())
     # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
     K_res = _add_matrices(nabla_H_star(s, B, Psi),
                           Psi.value_at(theta_sharp))
-    return _MomentResiduals(s, B, Psi, theta_sharp, K_res)
+    return _MomentResiduals(s, K_res)
 
 
 def harmonic_residual(s):
@@ -201,42 +201,25 @@ def harmonic_vs_moment_gap(s):
     """Difference between the J-type codifferential and its moment-map form.
 
     Computes (nabla^H)^*(J Psi) - *((nabla^H Psi) ^ omega^2)/2
-    - i_{J theta^sharp} Psi, which is an identity (zero) for any invariant
-    configuration; exposed so the identity can be pinned by tests.
+    - i_{J theta^sharp} Psi, that is the J residual minus the star term.
+    The gap vanishes on solutions (not off them); exposed so the identity
+    can be pinned by tests.
     """
-    frame = QFrame(s.h, s.alpha)
-    H = CompatibleMetricH(frame)
-    A = connection_DG(s)
-    B, Psi = decompose_unitary(A, H)
+    B, Psi = s.unitary_split
     h = s.h
-    model = s.model
     w2 = h.omega.wedge(h.omega)
-
-    JPsi = Psi.map_entries(h.j_form)
-    lhs = nabla_H_star(s, B, JPsi)
-
     nabla_Psi = Psi.d() + B.wedge(Psi) + Psi.wedge(B)
     half = Scalar.of(Fraction(1, 2))
     star_term = nabla_Psi.map_entries(
         lambda f: h.star(f.wedge(w2)).scale(half))
     star_rows = [[e.terms.get((), Scalar.zero()) for e in row]
                  for row in star_term.entries]
-
-    theta_sharp = h.sharp(h.lee_form())
-    j_theta_sharp = _j_vector(model, theta_sharp)
-    correction = Psi.value_at(j_theta_sharp)
-
-    gap = _add_matrices(lhs, star_rows, sign=-1)
-    gap = _add_matrices(gap, correction, sign=-1)
-    return gap
+    return _add_matrices(moment_residuals(s)["J"], star_rows, sign=-1)
 
 
 def higgs_field(s):
     """The Chern-type decomposition data (C, phi) of the connection."""
-    frame = QFrame(s.h, s.alpha)
-    H = CompatibleMetricH(frame)
-    A = connection_DG(s)
-    return decompose_chern(A, H)
+    return s.chern_split
 
 
 def higgs_dbar(s, C=None, phi=None):
@@ -259,10 +242,8 @@ def higgs_equation_residuals(s):
     dbar_Q phi ^ w^2 whose nonvanishing certifies that the configuration is
     not of Higgs type, and the integrability term del^H phi + phi ^ phi.
     """
-    frame = QFrame(s.h, s.alpha)
-    H = CompatibleMetricH(frame)
-    A = connection_DG(s)
-    C, phi = decompose_chern(A, H)
+    C, phi = s.chern_split
+    H = s.metric_H
     h = s.h
     w2 = h.omega.wedge(h.omega)
 

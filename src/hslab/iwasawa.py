@@ -9,16 +9,19 @@ solves the full system with zero remainder (the naive omega + tau family
 fails the instanton equations at second order in tau; gamma is the unique
 correction in the span of the two curvature directions).
 
-verify_family produces an exact report over every displayed condition;
-sweep enumerates integer pairs and certifies harmonicity through a cached
-engine decomposition of the moment-map residual.  With threads > 1 both
-the per-triple engine flags and the per-pair records are computed in one
-process pool of at most os.cpu_count() workers; otherwise both run in
-this process.
+verify_family produces an exact report over every displayed condition,
+reading one family's Q-bundle objects (frame, compatible metric,
+connection and its splittings) from the SystemParams that builds each of
+them once.  sweep enumerates integer pairs and certifies harmonicity
+through an engine decomposition of the moment-map residual, in two steps
+on one code path: per-triple engine flags (_base_flags), then per-pair
+records.  Both steps map contiguous chunks through a process pool of at
+most os.cpu_count() workers, or through the builtin map when that is one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field, asdict
@@ -31,8 +34,7 @@ from .hermitian import HermitianStructure, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals, DegenerateCoupling)
-from .algebroid import (QDIM, QFrame, QSection, he_residual_G,
-                        connection_DG, transport_dolbeault,
+from .algebroid import (QDIM, QSection, he_residual_G, transport_dolbeault,
                         extension_class_gamma, bismut_iso_matrix,
                         subbundle_report)
 from .harmonic import (harmonic_residual, harmonic_criteria,
@@ -289,15 +291,13 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     higgs_nonholomorphic = not higgs["holomorphicity_obstruction"].is_zero()
 
     # slope of the cotangent subbundle and degrees of the two line bundles
-    frame = QFrame(h, s.alpha)
     w2 = h.omega.wedge(h.omega)
     b = CohClass(w2, flavor="aeppli")
-    A = connection_DG(s)
     T = transport_dolbeault(s)
     P = bismut_iso_matrix(h)
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]
-    rep = subbundle_report(frame, span, A, T, b_class=b)
+    rep = subbundle_report(s.frame, span, s.connection, T, b_class=b)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, 1, h)
     deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, 1, h)
@@ -350,7 +350,7 @@ def _orthogonal_partner(t):
     return (1, 0, 0)
 
 
-class _BaseCache:
+def _base_flags(triples):
     """Per-triple engine certification of the harmonicity base residual.
 
     The moment-map residual of a pair splits into a part depending only on
@@ -361,37 +361,30 @@ class _BaseCache:
     per triple against an orthogonal partner (where the cross term provably
     vanishes) and extrapolated linearly.
 
-    Each flag is a pure function of its triple, so a sweep with threads > 1
-    fills one cache per worker process over a share of the triples and
-    merges the flags (_base_worker); a serial sweep fills this one in turn.
+    Returns {triple: base part is zero}.  Each flag is a pure function of
+    its triple, so chunks of the triples can be flagged in any process and
+    the dicts merged.
     """
-
-    def __init__(self):
-        self.model, self.omega0, self.Omega = build_iwasawa()
-        self.h = HermitianStructure(self.model, self.omega0)
-        self.cache = {}
-
-    def base_is_zero(self, triple):
-        if triple in self.cache:
-            return self.cache[triple]
-        partner = _orthogonal_partner(triple)
+    model, omega0, Omega = build_iwasawa()
+    h = HermitianStructure(model, omega0)
+    flags = {}
+    for triple in triples:
         t0 = LineBundleTriple(*triple, role="V0")
-        t1 = LineBundleTriple(*partner, role="V1")
-        F0 = curvature_from_triple(self.model, t0)
-        F1 = curvature_from_triple(self.model, t1)
+        t1 = LineBundleTriple(*_orthogonal_partner(triple), role="V1")
+        F0 = curvature_from_triple(model, t0)
+        F1 = curvature_from_triple(model, t1)
         flat = True
         for aval in (Scalar.one(), Scalar.of(2)):
-            s = SystemParams(model=self.model, h=self.h, triple0=t0,
-                             triple1=t1, F0=F0, F1=F1, alpha=aval,
-                             Omega=self.Omega)
+            s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
+                             F0=F0, F1=F1, alpha=aval, Omega=Omega)
             K = harmonic_residual(s)
             # the cross entries must vanish for the orthogonal partner
             if not (K[6][7].is_zero() and K[7][6].is_zero()):
                 raise AssertionError("cross term leaked into base computation")
             if not matrix_is_zero(K):
                 flat = False
-        self.cache[triple] = flat
-        return flat
+        flags[triple] = flat
+    return flags
 
 
 def _canonical(pair):
@@ -400,9 +393,7 @@ def _canonical(pair):
     return pair <= flipped
 
 
-def _sweep_record(pair, base_cache, timings):
-    import time
-    start = time.perf_counter() if timings else 0.0
+def _sweep_record(pair, base_flags):
     t0, t1 = pair
     s0 = sum(x * x for x in t0)
     s1 = sum(x * x for x in t1)
@@ -415,7 +406,7 @@ def _sweep_record(pair, base_cache, timings):
     sgn = 1 if s0 > s1 else -1
     cross = alpha * Scalar.pi(2, -16 * sgn * dot)
     psi_triple = t0 if s0 > s1 else t1
-    base_zero = base_cache.base_is_zero(psi_triple)
+    base_zero = base_flags[psi_triple]
     harmonic = base_zero and cross.is_zero()
     # holomorphicity obstruction: the End-block entry of dbar phi in closed
     # form is -4 pi^2 |alpha| (Mb Ms)_{jk} with Mb the heavier factor;
@@ -427,16 +418,13 @@ def _sweep_record(pair, base_cache, timings):
     e11 = (m0 * m1 + n0 * n1 + p0 * p1, p0 * n1 - n0 * p1)
     e12 = (m0 * n1 - m1 * n0, m0 * p1 - m1 * p0)
     dphi_nonzero = any(v != 0 for v in e11 + e12)
-    rec = {
+    return {
         "params": {"triple0": list(t0), "triple1": list(t1)},
         "alpha": str(alpha),
         "flags": {"hs_solution": True, "hermitian_einstein": True},
         "harmonic": harmonic,
         "dbar_phi_23_nonzero": dphi_nonzero,
     }
-    if timings:
-        rec["timings"] = {"seconds": time.perf_counter() - start}
-    return rec
 
 
 def _ch2_holds():
@@ -454,49 +442,27 @@ def _ch2_holds():
 
 def _chunks(items, n):
     """items split into at most n contiguous runs, in order."""
-    size = (len(items) + n - 1) // n
+    size = max(1, (len(items) + n - 1) // n)
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _base_worker(triples):
-    cache = _BaseCache()
-    for t in triples:
-        cache.base_is_zero(t)
-    return cache.cache
-
-
-def _chunk_worker(args):
-    pairs, timings, base_flags = args
-    cache = _LookupCache(base_flags)
-    out = []
-    for pair in pairs:
-        rec = _sweep_record(pair, cache, timings)
-        if rec is not None:
-            out.append(rec)
-    return out
-
-
-class _LookupCache:
-    """Read-only base cache for worker processes."""
-
-    def __init__(self, flags):
-        self.flags = flags
-
-    def base_is_zero(self, triple):
-        return self.flags[triple]
+def _records(args):
+    pairs, base_flags = args
+    records = (_sweep_record(pair, base_flags) for pair in pairs)
+    return [rec for rec in records if rec is not None]
 
 
 def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
-          threads=1, timings=False):
+          threads=1):
     """Enumerate integer families and report exact verdicts per pair.
 
     Returns a list of JSON-ready records in deterministic lexicographic
     parameter order (pairs identified up to simultaneous sign flips unless
-    raw is set).  The result is byte-stable for fixed arguments when
-    timings are disabled, whatever the thread count.  threads > 1 runs the
-    work in a process pool of min(threads, os.cpu_count()) workers.
-    require_ch2 keeps only pairs whose F0^2 - F1^2 is dd^c-exact, which on
-    this model is every pair (see _ch2_holds).
+    raw is set).  The result is byte-stable for fixed arguments, whatever
+    the thread count.  threads > 1 runs the work in a process pool of
+    min(threads, os.cpu_count()) workers.  require_ch2 keeps only pairs
+    whose F0^2 - F1^2 is dd^c-exact, which on this model is every pair
+    (see _ch2_holds).
     """
     if max_abs < 0:
         raise ValueError("max_abs must be nonnegative")
@@ -509,24 +475,18 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
             pair = (t0, t1)
             if raw or _canonical(pair):
                 pairs.append(pair)
-    workers = min(threads or 1, os.cpu_count() or 1, len(pairs))
-    records = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            flags = {}
-            for part in ex.map(_base_worker, _chunks(triples, workers)):
-                flags.update(part)
-            args = [(c, timings, flags) for c in _chunks(pairs, workers)]
-            for part in ex.map(_chunk_worker, args):
-                records.extend(part)
-    else:
-        base_cache = _BaseCache()
-        for t in triples:
-            base_cache.base_is_zero(t)
-        for pair in pairs:
-            rec = _sweep_record(pair, base_cache, timings)
-            if rec is not None:
-                records.append(rec)
+    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(pairs)))
+    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else contextlib.nullcontext())
+    with pool as ex:
+        run = ex.map if ex is not None else map
+        flags = {}
+        for part in run(_base_flags, _chunks(triples, workers)):
+            flags.update(part)
+        records = []
+        chunks = [(c, flags) for c in _chunks(pairs, workers)]
+        for part in run(_records, chunks):
+            records.extend(part)
     if require_harmonic:
         records = [r for r in records if r["harmonic"]]
     return records

@@ -77,13 +77,6 @@ class Scalar:
     def is_monomial(self):
         return len(self._c) == 1
 
-    def as_rational(self):
-        if self.is_zero():
-            return _ZERO
-        if not self.is_rational():
-            raise ValueError("scalar is not a plain rational: %s" % self)
-        return self._c[0][0]
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

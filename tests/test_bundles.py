@@ -113,9 +113,9 @@ def test_degree_zero(model, h0, rng):
 
 
 def test_omega_norm_and_balanced(model, h0, Omega):
-    n = omega_norm(Omega, h0)
-    assert n.norm_sq == Scalar.one()
-    assert n.norm == pytest.approx(1.0)
+    norm_sq, norm = omega_norm(Omega, h0)
+    assert norm_sq == Scalar.one()
+    assert norm == pytest.approx(1.0)
     assert conformally_balanced_residual(Omega, h0).is_zero()
 
 

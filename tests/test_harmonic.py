@@ -24,6 +24,11 @@ from conftest import make_params, random_pair
 PINNED_MOMENT_DIGEST = ("22b50a757b8f9dd45a652bce18f178ec"
                         "8984cae8f69d4691296d6a177be15f9c")
 
+# sha256 of harmonic_vs_moment_gap on the same family, recorded from code
+# that built the J residual's terms separately from moment_residuals
+PINNED_GAP_DIGEST = ("ace44b31c54b2a84198d40ceee7cb2d5"
+                     "fd52b0663a3aacf8819687f4fe663714")
+
 
 @pytest.fixture(scope="module")
 def std(model, h0, Omega):
@@ -131,6 +136,11 @@ def test_moment_residuals_off_solution_pinned():
     assert moment_residuals(s)["K"] == harmonic_residual(s) == K
     with pytest.raises(KeyError):
         first["L"]
+    # the codifferential gap is not zero off a solution either
+    gap = harmonic_vs_moment_gap(s)
+    assert not matrix_is_zero(gap)
+    text = json.dumps([[str(x) for x in r] for r in gap])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_GAP_DIGEST
 
 
 def test_harmonic_three_way_equivalence(model, h0, Omega, rng):

@@ -1,6 +1,10 @@
 """Family construction, exact verification reports, and the integer sweep."""
 
+import dataclasses
+import gc
 import json
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -144,6 +148,52 @@ def test_verify_family_repeat_on_one_candidate():
     assert verify_family(_family((1, 1, 0), (1, 0, 0), tau=tau)).to_json() == first
 
 
+def test_family_context_is_built_once(monkeypatch):
+    import hslab.algebroid as algebroid
+    calls = {"connection_DG": 0, "QFrame": 0}
+    connection_DG = algebroid.connection_DG
+    frame_init = algebroid.QFrame.__init__
+
+    def counted_connection(s):
+        calls["connection_DG"] += 1
+        return connection_DG(s)
+
+    def counted_frame_init(self, h, alpha):
+        calls["QFrame"] += 1
+        frame_init(self, h, alpha)
+
+    # every module binding of connection_DG, and every QFrame however reached
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hslab") and \
+                vars(mod).get("connection_DG") is connection_DG:
+            monkeypatch.setattr(mod, "connection_DG", counted_connection)
+    monkeypatch.setattr(algebroid.QFrame, "__init__", counted_frame_init)
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
+    # every verifier reads the one connection and frame of the family
+    verify_family(cand)
+    assert calls == {"connection_DG": 1, "QFrame": 1}
+    s = cand.params
+    for name in ("frame", "metric_H", "connection", "unitary_split",
+                 "chern_split"):
+        assert getattr(s, name) is getattr(s, name)
+    assert calls == {"connection_DG": 1, "QFrame": 1}
+    # the objects are only valid for fixed fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.alpha = Scalar.one()
+    # no kept object points back at the family, so dropping it frees it at
+    # once, without the cyclic garbage collector
+    ref = weakref.ref(s)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del s, cand
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_verify_family_negative_control():
     # a wrong coupling must break the anomaly verdict
     report = verify_family(_family((1, 2, 2), (2, -1, 0), alpha=Scalar.one()))
@@ -220,15 +270,6 @@ def test_sweep_pool_is_capped_at_cpu_count(monkeypatch):
     assert sizes == [3]
 
 
-def test_sweep_timings_flag():
-    records = sweep(1, timings=True)
-    assert all("timings" in r and r["timings"]["seconds"] >= 0
-               for r in records)
-    for r in records:
-        r.pop("timings")
-    assert records == sweep(1)
-
-
 def test_sweep_records_match_engine(rng):
     # subsample the catalog and replay each record against full engine runs
     records = sweep(1)
@@ -264,7 +305,6 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
 
 
 def sweep_pair(t0, t1):
-    from hslab.iwasawa import _BaseCache, _sweep_record
-    cache = _BaseCache()
-    rec = _sweep_record((t0, t1), cache, False)
+    from hslab.iwasawa import _base_flags, _sweep_record
+    rec = _sweep_record((t0, t1), _base_flags([t0, t1]))
     return [rec] if rec is not None else []
