@@ -17,6 +17,10 @@ V + xi -> V - (1/2) g^{-1} xi, and the equality of the (0,1)-part of D^G
 with the transported Dolbeault operator is a pinned test, which calibrates
 the sign convention in splitting a (1,1)-form into (0,1)-form-valued
 cotangent components: c w_j ^ w_k' -> (-c w_k') (x) w_j.
+
+The verifiers here take a SystemParams and read its per-family objects,
+each built once: frame, metric_H, connection (D^G), connection_curvature
+and dolbeault (the Dolbeault operator in the extension frame).
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .scalars import Scalar, parse_scalar
-from .cealg import InvariantForm, InvariantVector, parse_form
+from .scalars import Scalar
+from .cealg import parse_form
 from .hermitian import matmul, matrix_inverse, rref, sandwich, solve
 
 QDIM = 8
@@ -80,9 +84,6 @@ class QOperator:
             entries = [[z for _ in range(QDIM)] for _ in range(QDIM)]
         self.entries = entries
 
-    def clone(self):
-        return QOperator(self.model, [row[:] for row in self.entries])
-
     def __add__(self, other):
         return QOperator(self.model,
                          [[a + b for a, b in zip(r1, r2)]
@@ -131,10 +132,6 @@ class QOperator:
             rows.append([a.contract(vector).terms.get((), Scalar.zero())
                          if not a.is_zero() else Scalar.zero() for a in row])
         return rows
-
-    def contract(self, vector):
-        return QOperator(self.model,
-                         [[a.contract(vector) for a in row] for row in self.entries])
 
     def apply(self, section):
         """Apply to a constant section; result is a tuple of 8 forms."""
@@ -294,9 +291,8 @@ def curvature(A):
 
 def he_residual_G(s):
     """F_{D^G} ^ omega^2; vanishes exactly on Hull-Strominger solutions."""
-    F = curvature(s.connection)
     w2 = s.h.omega.wedge(s.h.omega)
-    return F.map_entries(lambda a: a.wedge(w2))
+    return s.connection_curvature.map_entries(lambda a: a.wedge(w2))
 
 
 def _split_components(model, X):
@@ -305,17 +301,16 @@ def _split_components(model, X):
     return [-X.contract(Z[j]) for j in range(3)]
 
 
-def dolbeault_Q(cfg, tau=None):
+def dolbeault_Q(cfg):
     """Dolbeault operator of Q in the extension frame, as a (0,1)-matrix.
 
-    cfg is a SystemParams; tau optionally replaces the (2,1)-part source:
-    the operator uses 2i partial(omega + tau) in the cotangent coupling.
+    cfg is a SystemParams; the cotangent coupling is 2i partial(omega).
     The returned matrix is the connection part; the coframe itself is
     holomorphic, so this is the whole operator on invariant sections.
+    Verifiers read it as cfg.dolbeault, built once per family.
     """
     model = cfg.model
-    base = cfg.h.omega if tau is None else cfg.h.omega + tau
-    two_i_del = base.partial().scale(Scalar.of(0, 2))
+    two_i_del = cfg.h.omega.partial().scale(Scalar.of(0, 2))
     Z = [model.basis_vector(j) for j in range(3)]
     A = QOperator(model)
     E = A.entries
@@ -334,13 +329,13 @@ def dolbeault_Q(cfg, tau=None):
     return A
 
 
-def extension_class_gamma(cfg, tau=None):
+def extension_class_gamma(cfg):
     """The Hom(A_P, T*)-valued extension-class block of the Dolbeault operator.
 
     Zero iff the extension splits at the invariant level (flat bundles and
     partial(omega) = 0).
     """
-    A = dolbeault_Q(cfg, tau=tau)
+    A = cfg.dolbeault
     out = QOperator(cfg.model)
     for l in range(3):
         for c in range(5):
@@ -367,48 +362,37 @@ def bismut_iso_matrix(h):
     return P
 
 
-def transport_dolbeault(cfg, tau=None):
+def transport_dolbeault(cfg):
     """The Dolbeault operator conjugated into the complexified frame."""
     P = bismut_iso_matrix(cfg.h)
     Pinv = matrix_inverse(P)
-    Aq = dolbeault_Q(cfg, tau=tau)
-    return QOperator(cfg.model, sandwich(P, Aq.entries, Pinv, cfg.model.zero()))
+    return QOperator(cfg.model, sandwich(P, cfg.dolbeault.entries, Pinv,
+                                         cfg.model.zero()))
 
 
-def subbundle_report(frame, span, A_connection, A_dolbeault, b_class=None):
-    """Isotropy / invariance / slope report for an invariant subbundle.
+def subbundle_report(s, span, b_class=None):
+    """Isotropy / invariance / slope report for an invariant subbundle of s.
 
     span: list of QSections over the complexified frame.  Invariance is
-    checked for the d_preserved mode against the connection matrix and for
-    the holomorphic mode against the transported Dolbeault matrix; the slope
-    uses the Chern-Weil trace of the induced connection, which vanishes for
-    constant isotropic frames paired against closed classes whenever the
-    induced curvature trace does.
+    checked against the transported Dolbeault matrix of s; the slope against
+    b_class uses the Chern-Weil trace of the induced connection, which
+    vanishes for constant isotropic frames paired against closed classes
+    whenever the induced curvature trace does.
     """
-    model = frame.model
-    k = len(span)
     # linear independence over the scalars (rational entries expected)
     mat = [[sec.coeffs[a] for a in range(QDIM)] for sec in span]
-    if len(rref(mat, QDIM)[1]) != k:
+    if len(rref(mat, QDIM)[1]) != len(span):
         raise ValueError("subbundle span is linearly dependent")
-    isotropic = all(frame.pair(x, y).is_zero() for x in span for y in span)
-
-    def invariant_under(A):
-        for sec in span:
-            img = A.apply(sec)
-            # img must be a combination of span with form coefficients:
-            # solve the linear membership exactly, per generator component
-            if not _form_membership(img, span):
-                return False
-        return True
-
+    frame = s.frame
+    dolbeault = transport_dolbeault(s)
     out = {
-        "isotropic": isotropic,
-        "holomorphic_invariant": invariant_under(A_dolbeault) if A_dolbeault else None,
-        "d_preserved": invariant_under(A_connection) if A_connection else None,
+        "isotropic": all(frame.pair(x, y).is_zero() for x in span for y in span),
+        # each image must be a combination of span with form coefficients
+        "holomorphic_invariant": all(_form_membership(dolbeault.apply(sec), span)
+                                     for sec in span),
     }
     if b_class is not None:
-        out["slope"] = _span_slope(frame, span, A_connection, b_class)
+        out["slope"] = _span_slope(s, span, b_class)
     return out
 
 
@@ -426,22 +410,20 @@ def _form_membership(img, span):
     return True
 
 
-def _span_slope(frame, span, A, b_class):
+def _span_slope(s, span, b_class):
     """Chern-Weil slope of the spanned subbundle against a 4-class."""
-    model = frame.model
-    h = frame.h
-    Hm = frame.metric_H_matrix()
+    model = s.model
     k = len(span)
     S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
-    SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span], Hm)
+    SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
+                 s.metric_H.Hm)
     ShS_inv = matrix_inverse(matmul(SdH, S))  # (S^dagger H S)^-1, k x k
-    # curvature of the induced connection on the subbundle: compress F = dA + A^A
-    F = curvature(A) if A is not None else QOperator(model)
-    SdHFS = sandwich(SdH, F.entries, S, model.zero())
+    # curvature of the induced connection on the subbundle: compress F_{D^G}
+    SdHFS = sandwich(SdH, s.connection_curvature.entries, S, model.zero())
     trace = model.zero()
     for i in range(k):
         for j in range(k):
             trace = trace + SdHFS[j][i].scale(ShS_inv[i][j])
     c1 = trace.scale(Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1))
     top = c1.wedge(b_class.rep)
-    return h.integrate(top) * Scalar.of(Fraction(1, k))
+    return s.h.integrate(top) * Scalar.of(Fraction(1, k))

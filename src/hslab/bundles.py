@@ -11,10 +11,11 @@ coupling constant solve, degree/slope pairings against balanced classes,
 the second-Chern-character constraint, and the holomorphic-volume-form norm.
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
-its frame, compatible metric H, connection D^G and the unitary (B, Psi) and
-Chern (C, phi) splittings of D^G are built on first use and kept, so every
-verifier of one family reads the same objects.  The dataclass is frozen,
-which keeps them valid, and none of them refers back to the family.
+its frame, compatible metric H, connection D^G, the curvature of D^G, the
+Dolbeault operator of Q and the unitary (B, Psi) and Chern (C, phi)
+splittings of D^G are built on first use and kept, so every verifier of
+one family reads the same objects.  The dataclass is frozen, which keeps
+them valid, and none of them refers back to the family.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import sqrt
 from .scalars import Scalar, parse_scalar
 from .cealg import InvariantForm, parse_form
 from .hermitian import HermitianStructure, solve
-from .algebroid import QFrame, connection_DG
+from .algebroid import QFrame, connection_DG, curvature, dolbeault_Q
 from .harmonic import CompatibleMetricH, decompose_chern, decompose_unitary
 
 
@@ -162,8 +163,8 @@ class DegenerateCoupling(ValueError):
 class SystemParams:
     """One verifiable Hull-Strominger configuration and its Q-bundle objects.
 
-    frame, metric_H, connection, unitary_split and chern_split are built on
-    first use and kept: the family is frozen, so they stay valid.
+    The Q-bundle objects below are built on first use and kept: the family
+    is frozen, so they stay valid.
     """
     model: object
     h: object                 # HermitianStructure
@@ -195,6 +196,16 @@ class SystemParams:
     @cached_property
     def connection(self):
         return connection_DG(self)
+
+    @cached_property
+    def connection_curvature(self):
+        """F = dA + A ^ A of the connection D^G."""
+        return curvature(self.connection)
+
+    @cached_property
+    def dolbeault(self):
+        """The Dolbeault operator of Q in the extension frame."""
+        return dolbeault_Q(self)
 
     @cached_property
     def unitary_split(self):

@@ -132,9 +132,6 @@ class NilmanifoldModel:
             s = -s
         return InvariantForm(self, {idx: s})
 
-    def vector(self, coeffs):
-        return InvariantVector(self, coeffs)
-
     def basis_vector(self, a):
         coeffs = [Scalar.zero()] * self.dim
         coeffs[a] = Scalar.one()
@@ -351,10 +348,7 @@ class InvariantForm:
         return (self.dbar() - self.partial()).scale(Scalar.i())
 
     def conjugate(self):
-        return self.conjugate_shell(self.model)
-
-    def conjugate_shell(self, model):
-        n = model.n
+        n = self.model.n
         t = {}
         for k, v in self.terms.items():
             idx, sign = _sort_sign(tuple((a + n) % (2 * n) for a in k))
@@ -363,7 +357,7 @@ class InvariantForm:
                 s = -s
             t[idx] = s
         out = InvariantForm.__new__(InvariantForm)
-        out.model = model
+        out.model = self.model
         out.terms = {k: v for k, v in t.items() if not v.is_zero()}
         return out
 

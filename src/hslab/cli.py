@@ -1,9 +1,10 @@
 """Command-line surface: verify one family, sweep a catalog, or self-test.
 
 Exit codes: 0 success (verify: the family solves the system and the
-associated connection is Hermitian-Einstein), 1 failed selftest identity,
-2 degenerate coupling, 3 malformed arguments (including a deformation that
-is not positive and a sweep thread count below 1).
+associated connection is Hermitian-Einstein), 1 failed verification or
+selftest identity, 2 degenerate coupling, 3 malformed arguments (including
+a deformation that is not positive, a sweep thread count below 1, and a
+--json or --out path that cannot be opened for writing).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       DegenerateCoupling, SystemParams)
-from .algebroid import curvature
 from .harmonic import harmonic_vs_moment_gap, matrix_is_zero
 from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
                       make_family, verify_family, sweep)
@@ -54,6 +54,14 @@ def _parse_ints(text, count, what):
     return out
 
 
+def _write(path, text, option):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _ArgumentError("cannot write %s: %s" % (option, exc))
+
+
 def cmd_verify(args):
     ints = _parse_ints(args.triples, 6, "--triples")
     tau = TauDeformation()
@@ -83,8 +91,7 @@ def cmd_verify(args):
     report = verify_family(candidate)
     print(report.human_summary())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        _write(args.json, report.to_json() + "\n", "--json")
     ok = report.verdicts["hs_solution"] and report.verdicts["hermitian_einstein"]
     return 0 if ok else 1
 
@@ -108,8 +115,7 @@ def cmd_sweep(args):
     lines = [json.dumps(r, sort_keys=True) for r in records]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text, "--out")
     else:
         sys.stdout.write(text)
     harmonic = sum(1 for r in records if r["harmonic"])
@@ -176,7 +182,7 @@ def run_selftest(dc_sign=1, star_sign=1):
                          F0=F0, F1=F1, alpha=alpha,
                          Omega=model.basis_form((0, 1, 2)))
         B, Psi = s.unitary_split
-        lhs = curvature(s.connection)
+        lhs = s.connection_curvature
         rhs = (B.d() + B.wedge(B) + Psi.wedge(Psi)
                + Psi.d() + B.wedge(Psi) + Psi.wedge(B))
         return (lhs - rhs).is_zero(), s

@@ -222,12 +222,20 @@ def higgs_field(s):
     return s.chern_split
 
 
-def higgs_dbar(s, C=None, phi=None):
+def higgs_dbar(s):
     """dbar_Q phi = (d phi)^{(1,1)} + A^{0,1} ^ phi + phi ^ A^{0,1}."""
-    if C is None or phi is None:
-        C, phi = higgs_field(s)
+    C, phi = s.chern_split
     A01 = C.part(0, 1)
     return (phi.d() + A01.wedge(phi) + phi.wedge(A01)).part(1, 1)
+
+
+def higgs_obstruction(s, dbar_phi):
+    """dbar_Q phi ^ omega^2, from dbar_phi = higgs_dbar(s).
+
+    Its nonvanishing certifies that the configuration is not of Higgs type.
+    """
+    w2 = s.h.omega.wedge(s.h.omega)
+    return dbar_phi.map_entries(lambda f: f.wedge(w2))
 
 
 def _chern_d(C, a):
@@ -249,7 +257,7 @@ def higgs_equation_residuals(s):
 
     FH = C.d() + C.wedge(C)
     phi_star = H.adjoint(phi)  # (0,1)-form valued
-    dbar_phi = higgs_dbar(s, C, phi)
+    dbar_phi = higgs_dbar(s)
     del_phi_star = _chern_d(C, phi_star).part(1, 1)
     half = Scalar.of(Fraction(1, 2))
 
@@ -259,12 +267,11 @@ def higgs_equation_residuals(s):
         .map_entries(lambda f: f.wedge(w2))
     IJ_second = (dbar_phi + del_phi_star).map_entries(lambda f: f.wedge(w2))
     integrability = _chern_d(C, phi).part(2, 0) + phi.wedge(phi)
-    obstruction = dbar_phi.map_entries(lambda f: f.wedge(w2))
     return {
         "K": K_res,
         "IJ_curvature": IJ_first,
         "IJ_mixed": IJ_second,
         "integrability": integrability,
-        "holomorphicity_obstruction": obstruction,
+        "holomorphicity_obstruction": higgs_obstruction(s, dbar_phi),
         "dbar_phi": dbar_phi,
     }

@@ -186,7 +186,7 @@ class HermitianStructure:
     would change every later caller's value too.
     """
 
-    def __init__(self, model, omega, check_positive=True):
+    def __init__(self, model, omega):
         self.model = model
         self.omega = omega
         if omega.conjugate() != omega:
@@ -216,8 +216,7 @@ class HermitianStructure:
         self._levi_civita = None
         self._bismut = None
         self._lee_form = None
-        if check_positive:
-            self._certify_positive()
+        self._certify_positive()
 
     def _certify_positive(self):
         """Float certificate that the Hermitian Gram matrix is positive."""
@@ -365,7 +364,7 @@ class HermitianStructure:
             kvals = [[half * (gb[a][b][c] - gb[b][c][a] + gb[c][a][b])
                       for c in range(dim)] for b in range(dim)]
             gamma.append(matmul(kvals, self.Ginv6))
-        self._levi_civita = ConnectionCoefficients(self, gamma, "levi-civita")
+        self._levi_civita = ConnectionCoefficients(self, gamma)
         return self._levi_civita
 
     def bismut(self):
@@ -388,7 +387,7 @@ class HermitianStructure:
                         if not tvals[c].is_zero() and not self.Ginv6[c][d].is_zero():
                             acc = acc + tvals[c] * self.Ginv6[c][d]
                     gamma[a][b][d] = acc
-        self._bismut = ConnectionCoefficients(self, gamma, "bismut")
+        self._bismut = ConnectionCoefficients(self, gamma)
         return self._bismut
 
 
@@ -401,11 +400,10 @@ class ConnectionCoefficients:
     objects would outlive it.
     """
 
-    def __init__(self, structure, gamma, torsion_tag):
+    def __init__(self, structure, gamma):
         self.model = structure.model
         self._brackets = structure.brackets()
         self.gamma = gamma
-        self.torsion_tag = torsion_tag
 
     def nabla(self, a, b):
         """The vector nabla_{Z_a} Z_b."""

@@ -9,14 +9,17 @@ solves the full system with zero remainder (the naive omega + tau family
 fails the instanton equations at second order in tau; gamma is the unique
 correction in the span of the two curvature directions).
 
-verify_family produces an exact report over every displayed condition,
-reading one family's Q-bundle objects (frame, compatible metric,
-connection and its splittings) from the SystemParams that builds each of
-them once.  sweep enumerates integer pairs and certifies harmonicity
-through an engine decomposition of the moment-map residual, in two steps
-on one code path: per-triple engine flags (_base_flags), then per-pair
-records.  Both steps map contiguous chunks through a process pool of at
-most os.cpu_count() workers, or through the builtin map when that is one.
+verify_family produces an exact report over every displayed condition.
+It reads one family's Q-bundle objects from the SystemParams that builds
+each of them once: the frame and compatible metric H, the connection D^G
+and its curvature, the Dolbeault operator, and the unitary (B, Psi) and
+Chern (C, phi) splittings of D^G.
+
+sweep enumerates integer pairs and certifies harmonicity through an
+engine decomposition of the moment-map residual, in two steps on one code
+path: per-triple engine flags (_base_flags), then per-pair records.  Both
+steps map contiguous chunks through a process pool of at most
+os.cpu_count() workers, or through the builtin map when that is one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
 
@@ -33,12 +36,11 @@ from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
-                      SystemParams, hs_residuals, DegenerateCoupling)
-from .algebroid import (QDIM, QSection, he_residual_G, transport_dolbeault,
-                        extension_class_gamma, bismut_iso_matrix,
-                        subbundle_report)
-from .harmonic import (harmonic_residual, harmonic_criteria,
-                       higgs_equation_residuals, matrix_is_zero)
+                      SystemParams, hs_residuals)
+from .algebroid import (QDIM, QSection, he_residual_G, extension_class_gamma,
+                        bismut_iso_matrix, subbundle_report)
+from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar,
+                       higgs_obstruction, matrix_is_zero)
 
 
 def su3_structure(model):
@@ -285,19 +287,17 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     residuals.append(_residual_entry("extension_class", gamma_ext.entries))
     gamma_nonzero = not residuals[-1]["zero"]
 
-    higgs = higgs_equation_residuals(s)
-    dphi23 = higgs["dbar_phi"].entries[6][7]
-    residuals.append(_residual_entry("dbar_phi_23", dphi23))
-    higgs_nonholomorphic = not higgs["holomorphicity_obstruction"].is_zero()
+    dbar_phi = higgs_dbar(s)
+    residuals.append(_residual_entry("dbar_phi_23", dbar_phi.entries[6][7]))
+    higgs_nonholomorphic = not higgs_obstruction(s, dbar_phi).is_zero()
 
     # slope of the cotangent subbundle and degrees of the two line bundles
     w2 = h.omega.wedge(h.omega)
     b = CohClass(w2, flavor="aeppli")
-    T = transport_dolbeault(s)
     P = bismut_iso_matrix(h)
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]
-    rep = subbundle_report(s.frame, span, s.connection, T, b_class=b)
+    rep = subbundle_report(s, span, b_class=b)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, 1, h)
     deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, 1, h)

@@ -1,7 +1,5 @@
 """Orthogonal bundle frame: pairing, connection, Dolbeault operator."""
 
-from fractions import Fraction
-
 import pytest
 
 from hslab.scalars import Scalar
@@ -126,27 +124,24 @@ def test_qsection_algebra(model, rng):
     assert x.scale(Scalar.of(2)).coeffs == (x + x).coeffs
 
 
-def test_cotangent_subbundle(model, h0, frame, std):
+def test_cotangent_subbundle(model, h0, std):
     P = bismut_iso_matrix(h0)
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]
-    A = connection_DG(std)
-    T = transport_dolbeault(std)
     b = CohClass(h0.omega.wedge(h0.omega), flavor="aeppli")
-    rep = subbundle_report(frame, span, A, T, b_class=b)
+    rep = subbundle_report(std, span, b_class=b)
     assert rep["isotropic"]
     assert rep["holomorphic_invariant"]
     assert rep["slope"].is_zero()
 
 
-def test_tangent_span_not_invariant(model, frame, std):
+def test_tangent_span_not_invariant(model, std):
     secs = _basis_sections(model)[:3]
-    T = transport_dolbeault(std)
-    rep = subbundle_report(frame, secs, None, T)
+    rep = subbundle_report(std, secs)
     assert not rep["holomorphic_invariant"]
 
 
-def test_dependent_span_rejected(model, frame, std):
+def test_dependent_span_rejected(model, std):
     secs = _basis_sections(model)
     with pytest.raises(ValueError):
-        subbundle_report(frame, [secs[0], secs[0]], None, None)
+        subbundle_report(std, [secs[0], secs[0]])

@@ -44,6 +44,21 @@ def test_verify_exit_three_malformed(capsys):
     assert main(["nonsense"]) == 3
 
 
+def test_unwritable_output_path_exits_three(tmp_path, capsys):
+    # a path in a missing directory is a bad argument, not a failed
+    # verification: one error line and exit 3, no traceback
+    missing = tmp_path / "missing"
+    cases = (["verify", "--triples", "1,2,2,2,-1,0",
+              "--json", str(missing / "r.json")],
+             ["sweep", "--max", "0", "--out", str(missing / "c.jsonl")])
+    for argv, option in zip(cases, ("--json", "--out")):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % option)
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not missing.exists()
+
+
 def test_verify_with_tau_and_picard(tmp_path):
     path = tmp_path / "report.json"
     assert main(["verify", "--triples", "1,2,2,2,-1,0",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import sys
 import weakref
@@ -19,6 +20,15 @@ from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            VerificationReport, sweep)
 
 from conftest import random_pair, random_scalar
+
+# sha256 of verify_family(...).to_json() for a flat, a Picard-twisted and a
+# deformed family, recorded from code whose verifiers each built their own
+# curvature and Dolbeault operator and read the full Higgs residuals
+PINNED_REPORT_DIGESTS = {
+    "flat": "bb5bd1065af5cc78b4b6ef5d3ca263296b82e7a88c5142cb8d81d59de06d7061",
+    "picard": "07cd5c73b642de35deedc812da703a47174dedba68c87000d4a942a65bb08a3d",
+    "deformed": "c3acc6d38459a83c0bbd1359d57b259ceb640355f6ae10555b2ce9eb84ad93ec",
+}
 
 
 def _triples(t0, t1):
@@ -148,36 +158,56 @@ def test_verify_family_repeat_on_one_candidate():
     assert verify_family(_family((1, 1, 0), (1, 0, 0), tau=tau)).to_json() == first
 
 
+def test_verify_family_reports_pinned():
+    picard = PicardPoint(a0=(Scalar.of(Fraction(1, 3)), Scalar.of(0, 2)),
+                         a1=(Scalar.of(-1), Scalar.of(Fraction(1, 2), 1)))
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    families = {
+        "flat": _family((1, 2, 2), (2, -1, 0)),
+        "picard": _family((1, 2, 2), (2, -1, 0), picard=picard),
+        "deformed": _family((1, 1, 0), (1, 0, 0), tau=tau),
+    }
+    digests = {name: hashlib.sha256(verify_family(cand).to_json().encode())
+               .hexdigest() for name, cand in families.items()}
+    assert digests == PINNED_REPORT_DIGESTS
+
+
 def test_family_context_is_built_once(monkeypatch):
     import hslab.algebroid as algebroid
-    calls = {"connection_DG": 0, "QFrame": 0}
-    connection_DG = algebroid.connection_DG
+    counted = ("connection_DG", "curvature", "dolbeault_Q")
+    calls = dict.fromkeys(counted + ("QFrame",), 0)
     frame_init = algebroid.QFrame.__init__
 
-    def counted_connection(s):
-        calls["connection_DG"] += 1
-        return connection_DG(s)
+    def counting(name, original):
+        def counted_call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted_call
 
     def counted_frame_init(self, h, alpha):
         calls["QFrame"] += 1
         frame_init(self, h, alpha)
 
-    # every module binding of connection_DG, and every QFrame however reached
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("hslab") and \
-                vars(mod).get("connection_DG") is connection_DG:
-            monkeypatch.setattr(mod, "connection_DG", counted_connection)
+    # every module binding of the counted functions, and every QFrame however
+    # reached
+    for name in counted:
+        original = getattr(algebroid, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("hslab") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting(name, original))
     monkeypatch.setattr(algebroid.QFrame, "__init__", counted_frame_init)
+    once = dict.fromkeys(calls, 1)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
-    # every verifier reads the one connection and frame of the family
+    # every verifier reads the one connection, curvature, Dolbeault operator
+    # and frame of the family
     verify_family(cand)
-    assert calls == {"connection_DG": 1, "QFrame": 1}
+    assert calls == once
     s = cand.params
-    for name in ("frame", "metric_H", "connection", "unitary_split",
-                 "chern_split"):
+    for name in ("frame", "metric_H", "connection", "connection_curvature",
+                 "dolbeault", "unitary_split", "chern_split"):
         assert getattr(s, name) is getattr(s, name)
-    assert calls == {"connection_DG": 1, "QFrame": 1}
+    assert calls == once
     # the objects are only valid for fixed fields
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.alpha = Scalar.one()
