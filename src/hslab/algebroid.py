@@ -232,8 +232,7 @@ class QFrame:
 
     def metric_H_matrix(self):
         """The compatible positive metric: g on T, |alpha| on both End blocks."""
-        aval = self.alpha.evalf().real
-        aabs = self.alpha if aval > 0 else -self.alpha
+        aabs = self.alpha if self.alpha.sign() > 0 else -self.alpha
         z = Scalar.zero()
         H = [[z] * QDIM for _ in range(QDIM)]
         for a in range(6):

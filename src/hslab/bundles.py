@@ -265,7 +265,8 @@ def omega_norm(Omega, h):
 
     Returns the pair (|Omega|^2, |Omega|).  Convention: Omega ^ conj(Omega)
     = -8 i |Omega|^2 omega^3/3!, calibrated so that |w_123| = 1 for the
-    standard structure.  The square is exact; the norm is a float since the
+    standard structure.  The square is exact and its positivity is decided
+    exactly (Scalar.sign); the norm is a float, for display only, since the
     square root is generally irrational.
     """
     if Omega.is_zero():
@@ -275,10 +276,9 @@ def omega_norm(Omega, h):
     norm_sq = h.integrate(lhs) * c_n.inverse()
     if not norm_sq.is_real():
         raise ValueError("norm square is not real")
-    val = norm_sq.evalf().real
-    if val <= 0:
+    if norm_sq.sign() != 1:
         raise ValueError("norm square is not positive")
-    return norm_sq, sqrt(val)
+    return norm_sq, sqrt(norm_sq.evalf().real)
 
 
 def conformally_balanced_residual(Omega, h):

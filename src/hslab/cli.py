@@ -10,6 +10,7 @@ a deformation that is not positive, a sweep thread count below 1, and a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       DegenerateCoupling, SystemParams)
 from .harmonic import harmonic_vs_moment_gap, matrix_is_zero
 from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
-                      make_family, verify_family, sweep)
+                      make_family, verify_family, iter_sweep)
 
 
 class _ArgumentError(Exception):
@@ -54,12 +55,42 @@ def _parse_ints(text, count, what):
     return out
 
 
-def _write(path, text, option):
+@contextlib.contextmanager
+def _output(path, option):
+    """A write function for the file at path, opened before any work is done.
+
+    Yields None when path is None.  A path that cannot be opened or written
+    is an _ArgumentError (exit 3).  If the block fails, a file that this call
+    created is removed again; an existing path (say /dev/stdout) never is.
+    """
+    if path is None:
+        yield None
+        return
+    created = not os.path.exists(path)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise _ArgumentError("cannot write %s: %s" % (option, exc))
+
+    def write(text):
+        try:
+            fh.write(text)
+        except OSError as exc:
+            raise _ArgumentError("cannot write %s: %s" % (option, exc))
+
+    try:
+        yield write
+        try:
+            fh.close()
+        except OSError as exc:
+            raise _ArgumentError("cannot write %s: %s" % (option, exc))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def cmd_verify(args):
@@ -81,17 +112,17 @@ def cmd_verify(args):
     except ValueError as exc:
         raise _ArgumentError(str(exc))
     cfg = FamilyConfig(t0, t1, tau=tau, picard=picard)
-    try:
-        candidate = make_family(cfg)
-    except DegenerateCoupling as exc:
-        print("degenerate coupling: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        raise _ArgumentError(str(exc))
-    report = verify_family(candidate)
-    print(report.human_summary())
-    if args.json:
-        _write(args.json, report.to_json() + "\n", "--json")
+    with _output(args.json, "--json") as write:
+        try:
+            candidate = make_family(cfg)
+        except DegenerateCoupling:
+            raise  # exit 2, in main
+        except ValueError as exc:
+            raise _ArgumentError(str(exc))
+        report = verify_family(candidate)
+        print(report.human_summary())
+        if write is not None:
+            write(report.to_json() + "\n")
     ok = report.verdicts["hs_solution"] and report.verdicts["hermitian_einstein"]
     return 0 if ok else 1
 
@@ -109,17 +140,17 @@ def cmd_sweep(args):
         source = "HS_LAB_THREADS"
     if threads < 1:
         raise _ArgumentError("%s must be at least 1" % source)
-    records = sweep(args.max, require_harmonic=args.require_harmonic,
-                    require_ch2=args.require_ch2, raw=args.raw,
-                    threads=threads)
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        _write(args.out, text, "--out")
-    else:
-        sys.stdout.write(text)
-    harmonic = sum(1 for r in records if r["harmonic"])
-    print("families: %d  harmonic: %d" % (len(records), harmonic),
+    families = harmonic = 0
+    with _output(args.out, "--out") as write:
+        write = write or sys.stdout.write
+        # each record is written as it arrives; the catalog is never held
+        for rec in iter_sweep(args.max, require_harmonic=args.require_harmonic,
+                              require_ch2=args.require_ch2, raw=args.raw,
+                              threads=threads):
+            write(json.dumps(rec, sort_keys=True) + "\n")
+            families += 1
+            harmonic += rec["harmonic"]
+    print("families: %d  harmonic: %d" % (families, harmonic),
           file=sys.stderr)
     return 0
 

@@ -192,7 +192,7 @@ def harmonic_criteria(s):
     dc = h.omega.dc()
     torsion_pairing = s.F0.wedge(h.star(dc))
     cross = s.alpha * h.frame_contraction(s.F1, s.F0)
-    if s.alpha.evalf().real < 0:
+    if s.alpha.sign() < 0:
         cross = -cross
     return {"torsion_pairing": torsion_pairing, "cross": cross}
 

@@ -219,14 +219,17 @@ class HermitianStructure:
         self._certify_positive()
 
     def _certify_positive(self):
-        """Float certificate that the Hermitian Gram matrix is positive."""
+        """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
+
+        Each leading minor must be real with sign +1; a minor whose sign is
+        not decided exactly (Scalar.sign) raises ValueError as well.
+        """
         n = self.model.n
         for k in range(1, n + 1):
             minor = matrix_det([[self.g[i][j] for j in range(k)] for i in range(k)])
-            val = minor.evalf()
-            if abs(val.imag) > 1e-9 or val.real <= 0:
+            if not minor.is_real() or minor.sign() != 1:
                 raise ValueError("Gram matrix is not positive definite "
-                                 "(leading minor %d evaluates to %s)" % (k, val))
+                                 "(leading minor %d is %s)" % (k, minor))
 
     # -- frame pairing helpers -----------------------------------------------
 

@@ -17,9 +17,13 @@ Chern (C, phi) splittings of D^G.
 
 sweep enumerates integer pairs and certifies harmonicity through an
 engine decomposition of the moment-map residual, in two steps on one code
-path: per-triple engine flags (_base_flags), then per-pair records.  Both
-steps map contiguous chunks through a process pool of at most
-os.cpu_count() workers, or through the builtin map when that is one.
+path (iter_sweep): per-triple engine flags (_base_flags, contiguous chunks
+of the triples), then per-pair records, one task per row of pairs with the
+same first triple.  Both steps map their tasks in order through a process
+pool of at most os.cpu_count() workers, or through the builtin map when
+that is one.  Records are yielded row by row, so the catalog is streamed:
+the pairs are never listed and memory does not grow with the record count.
+sweep() is list(iter_sweep(...)).
 """
 
 from __future__ import annotations
@@ -446,10 +450,49 @@ def _chunks(items, n):
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _records(args):
-    pairs, base_flags = args
-    records = (_sweep_record(pair, base_flags) for pair in pairs)
-    return [rec for rec in records if rec is not None]
+def _row_records(args):
+    """Records of the pairs (t0, t1), t1 over every triple in order: one row."""
+    t0, triples, raw, base_flags = args
+    out = []
+    for t1 in triples:
+        pair = (t0, t1)
+        if raw or _canonical(pair):
+            rec = _sweep_record(pair, base_flags)
+            if rec is not None:
+                out.append(rec)
+    return out
+
+
+def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
+               threads=1):
+    """The records of sweep(), yielded one at a time in the same order.
+
+    The engine flags of every triple are computed first (_base_flags, in
+    chunks).  Then each row of pairs, one per first triple t0, is a task;
+    rows are mapped in order and each is yielded as soon as it is back, so
+    memory holds the rows done but not yet consumed, never a list of all
+    pairs or records.  threads > 1 runs both steps in one process pool of
+    min(threads, os.cpu_count(), number of triples) workers; otherwise both
+    run in this process.
+    """
+    if max_abs < 0:
+        raise ValueError("max_abs must be nonnegative")
+    if require_ch2 and not _ch2_holds():
+        return
+    triples = _triples(max_abs)
+    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(triples)))
+    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else contextlib.nullcontext())
+    with pool as ex:
+        run = ex.map if ex is not None else map
+        flags = {}
+        for part in run(_base_flags, _chunks(triples, workers)):
+            flags.update(part)
+        rows = ((t0, triples, raw, flags) for t0 in triples)
+        for row in run(_row_records, rows):
+            for rec in row:
+                if rec["harmonic"] or not require_harmonic:
+                    yield rec
 
 
 def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
@@ -462,31 +505,7 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
     the thread count.  threads > 1 runs the work in a process pool of
     min(threads, os.cpu_count()) workers.  require_ch2 keeps only pairs
     whose F0^2 - F1^2 is dd^c-exact, which on this model is every pair
-    (see _ch2_holds).
+    (see _ch2_holds).  iter_sweep yields the same records one at a time.
     """
-    if max_abs < 0:
-        raise ValueError("max_abs must be nonnegative")
-    if require_ch2 and not _ch2_holds():
-        return []
-    triples = _triples(max_abs)
-    pairs = []
-    for t0 in triples:
-        for t1 in triples:
-            pair = (t0, t1)
-            if raw or _canonical(pair):
-                pairs.append(pair)
-    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(pairs)))
-    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
-            else contextlib.nullcontext())
-    with pool as ex:
-        run = ex.map if ex is not None else map
-        flags = {}
-        for part in run(_base_flags, _chunks(triples, workers)):
-            flags.update(part)
-        records = []
-        chunks = [(c, flags) for c in _chunks(pairs, workers)]
-        for part in run(_records, chunks):
-            records.extend(part)
-    if require_harmonic:
-        records = [r for r in records if r["harmonic"]]
-    return records
+    return list(iter_sweep(max_abs, require_harmonic=require_harmonic,
+                           require_ch2=require_ch2, raw=raw, threads=threads))

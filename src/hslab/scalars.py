@@ -2,13 +2,20 @@
 
 Every coefficient manipulated by the engine is a finite sum
 
-    sum_k (a_k + b_k i) pi^k,   a_k, b_k rational, k integer,
+    sum_k (a_k + b_k i)/d_k pi^k,   a_k, b_k, d_k integers, d_k > 0, k integer,
 
-stored sparsely by exponent.  Addition, multiplication and conjugation are
-closed; division is defined only by monomials q pi^k with q != 0, which is
-all the geometry ever needs (metric normalizations, alpha, volume factors).
-Floating-point evaluation at pi exists purely for positivity certificates
-and display; no verdict depends on it.
+stored sparsely by exponent: a Scalar keeps one dict {k: (a, b, d)} of
+reduced Gaussian-integer triples (gcd(a, b, d) = 1, (a, b) != (0, 0)), so
+equal values have equal dicts.  Each sum or product of two coefficients is
+brought back to that form by one three-argument math.gcd; no Fraction is
+built on the hot path.  Mixed Laurent polynomials and single pi-powers go
+through the same code, with a shortcut for the product of two monomials.
+
+Addition, multiplication and conjugation are closed; division is defined
+only by monomials q pi^k with q != 0, which is all the geometry ever needs
+(metric normalizations, alpha, volume factors).  sign() is exact on real
+monomials and refuses anything else.  Floating-point evaluation at pi
+(evalf) is for display only; no verdict depends on it.
 """
 
 from __future__ import annotations
@@ -17,12 +24,30 @@ import math
 import re
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_gcd = math.gcd
+
+
+def _triple(re, im):
+    """Reduced (a, b, d) with (a + b i)/d = re + im i, or None for zero."""
+    re = Fraction(re)
+    im = Fraction(im)
+    if not (re or im):
+        return None
+    p, q = re.numerator, re.denominator
+    r, s = im.numerator, im.denominator
+    d = q * s // _gcd(q, s)
+    # lcm of reduced denominators: gcd(a, b, d) = 1 already
+    return (p * (d // q), r * (d // s), d)
+
+
+def _new(c):
+    out = Scalar.__new__(Scalar)
+    out._c = c
+    return out
 
 
 class Scalar:
-    """An exact complex number sum_k (re_k + im_k i) pi^k."""
+    """An exact complex number sum_k (a_k + b_k i)/d_k pi^k."""
 
     __slots__ = ("_c",)
 
@@ -30,10 +55,9 @@ class Scalar:
         c = {}
         if coeffs:
             for k, (re, im) in coeffs.items():
-                re = Fraction(re)
-                im = Fraction(im)
-                if re or im:
-                    c[int(k)] = (re, im)
+                t = _triple(re, im)
+                if t is not None:
+                    c[int(k)] = t
         self._c = c
 
     # -- constructors ------------------------------------------------------
@@ -44,66 +68,90 @@ class Scalar:
 
     @classmethod
     def one(cls):
-        return cls({0: (_ONE, _ZERO)})
+        return cls({0: (1, 0)})
 
     @classmethod
     def of(cls, re, im=0, k=0):
         """The monomial (re + im i) pi^k."""
-        return cls({k: (Fraction(re), Fraction(im))})
+        return cls({k: (re, im)})
 
     @classmethod
     def i(cls):
-        return cls({0: (_ZERO, _ONE)})
+        return cls({0: (0, 1)})
 
     @classmethod
     def pi(cls, k=1, re=1, im=0):
-        return cls({k: (Fraction(re), Fraction(im))})
+        return cls({k: (re, im)})
 
     # -- structure ---------------------------------------------------------
 
     def items(self):
-        return self._c.items()
+        """(k, (re, im)) per pi-power, with Fraction real and imaginary parts."""
+        return {k: (Fraction(a, d), Fraction(b, d))
+                for k, (a, b, d) in self._c.items()}.items()
 
     def is_zero(self):
         return not self._c
 
     def is_real(self):
-        return all(im == 0 for _, im in self._c.values())
+        return all(not b for _, b, _ in self._c.values())
 
     def is_rational(self):
         """True when the value is a plain rational number (pi-free, real)."""
-        return all(k == 0 and im == 0 for k, (_, im) in self._c.items())
+        return all(k == 0 and not t[1] for k, t in self._c.items())
 
     def is_monomial(self):
         return len(self._c) == 1
 
+    def sign(self):
+        """Exact sign of a real monomial q pi^k: the sign of q (0 for zero).
+
+        Anything else (a non-real value or a sum of several pi-powers)
+        raises ValueError: the sign is never guessed from a float.
+        """
+        c = self._c
+        if not c:
+            return 0
+        if len(c) == 1:
+            ((a, b, _),) = c.values()
+            if not b:
+                return 1 if a > 0 else -1
+        raise ValueError("sign is decided only for real monomials, got %s"
+                         % self)
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         c = dict(self._c)
-        for k, (re, im) in other._c.items():
-            if k in c:
-                re2, im2 = c[k]
-                re, im = re + re2, im + im2
-                if re or im:
-                    c[k] = (re, im)
-                else:
-                    del c[k]
+        for k, t in other._c.items():
+            u = c.get(k)
+            if u is None:
+                c[k] = t
+                continue
+            a, b, d = u
+            x, y, e = t
+            if d == e:
+                a += x
+                b += y
             else:
-                c[k] = (re, im)
-        out = Scalar.__new__(Scalar)
-        out._c = c
-        return out
+                a = a * e + x * d
+                b = b * e + y * d
+                d *= e
+            if a or b:
+                g = _gcd(a, b, d)
+                c[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+            else:
+                del c[k]
+        return _new(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Scalar.__new__(Scalar)
-        out._c = {k: (-re, -im) for k, (re, im) in self._c.items()}
-        return out
+        return _new({k: (-a, -b, d) for k, (a, b, d) in self._c.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -115,25 +163,42 @@ class Scalar:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = {}
-        for k1, (a, b) in self._c.items():
-            for k2, (x, y) in other._c.items():
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        sc = self._c
+        oc = other._c
+        if len(sc) == 1 and len(oc) == 1:
+            ((k1, (a, b, d)),) = sc.items()
+            ((k2, (x, y, e)),) = oc.items()
+            # a product of nonzero Gaussian rationals is nonzero
+            re = a * x - b * y
+            im = a * y + b * x
+            d *= e
+            g = _gcd(re, im, d)
+            if g != 1:
+                return _new({k1 + k2: (re // g, im // g, d // g)})
+            return _new({k1 + k2: (re, im, d)})
+        acc = {}
+        for k1, (a, b, d) in sc.items():
+            for k2, (x, y, e) in oc.items():
                 k = k1 + k2
                 re = a * x - b * y
                 im = a * y + b * x
-                if k in c:
-                    re2, im2 = c[k]
-                    re, im = re + re2, im + im2
-                if re or im:
-                    c[k] = (re, im)
-                elif k in c:
-                    del c[k]
-        out = Scalar.__new__(Scalar)
-        out._c = c
-        return out
+                de = d * e
+                u = acc.get(k)
+                if u is None:
+                    acc[k] = (re, im, de)
+                else:
+                    p, q, f = u
+                    acc[k] = (p * de + re * f, q * de + im * f, f * de)
+        c = {}
+        for k, (re, im, d) in acc.items():
+            if re or im:
+                g = _gcd(re, im, d)
+                c[k] = (re // g, im // g, d // g)
+        return _new(c)
 
     __rmul__ = __mul__
 
@@ -142,9 +207,11 @@ class Scalar:
         if len(self._c) != 1:
             raise ZeroDivisionError(
                 "scalar division is defined only by nonzero monomials, got %s" % self)
-        ((k, (re, im)),) = self._c.items()
-        nrm = re * re + im * im
-        return Scalar({-k: (re / nrm, -im / nrm)})
+        ((k, (a, b, d)),) = self._c.items()
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        re, im, n = a * d, -b * d, a * a + b * b
+        g = _gcd(re, im, n)
+        return _new({-k: (re // g, im // g, n // g)})
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -156,9 +223,7 @@ class Scalar:
         return _coerce(other) * self.inverse()
 
     def conjugate(self):
-        out = Scalar.__new__(Scalar)
-        out._c = {k: (re, -im) for k, (re, im) in self._c.items()}
-        return out
+        return _new({k: (a, -b, d) for k, (a, b, d) in self._c.items()})
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -177,13 +242,13 @@ class Scalar:
     # -- evaluation and display --------------------------------------------
 
     def evalf(self):
-        """Float value at pi = math.pi (presentation/certificates only)."""
+        """Float value at pi = math.pi (display only)."""
         re = 0.0
         im = 0.0
-        for k, (a, b) in self._c.items():
+        for k, (a, b, d) in self._c.items():
             w = math.pi ** k
-            re += float(a) * w
-            im += float(b) * w
+            re += (a / d) * w
+            im += (b / d) * w
         return complex(re, im)
 
     def __str__(self):
@@ -191,7 +256,8 @@ class Scalar:
             return "0"
         parts = []
         for k in sorted(self._c):
-            re, im = self._c[k]
+            a, b, d = self._c[k]
+            re, im = Fraction(a, d), Fraction(b, d)
             if im == 0:
                 body = str(re)
             elif re == 0:
@@ -215,8 +281,10 @@ class Scalar:
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar({0: (Fraction(x), _ZERO)}) if x else Scalar()
+    if isinstance(x, int):
+        return _new({0: (int(x), 0, 1)} if x else {})
+    if isinstance(x, Fraction):
+        return _new({0: (x.numerator, 0, x.denominator)} if x else {})
     return NotImplemented
 
 

@@ -59,6 +59,52 @@ def test_unwritable_output_path_exits_three(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_output_path_is_opened_before_the_work(tmp_path, monkeypatch,
+                                               capsys):
+    import hslab.cli
+    import hslab.iwasawa
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the output was opened")
+
+    monkeypatch.setattr(hslab.iwasawa, "_base_flags", never)
+    monkeypatch.setattr(hslab.cli, "make_family", never)
+    monkeypatch.setattr(hslab.cli, "verify_family", never)
+    missing = tmp_path / "missing"
+    cases = (["verify", "--triples", "1,2,2,2,-1,0",
+              "--json", str(missing / "r.json")],
+             ["sweep", "--max", "2", "--out", str(missing / "c.jsonl")])
+    for argv, option in zip(cases, ("--json", "--out")):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % option)
+        assert err.count("\n") == 1
+
+
+def test_failed_run_removes_only_the_file_it_created(tmp_path, monkeypatch,
+                                                     capsys):
+    import hslab.iwasawa
+    report = tmp_path / "r.json"
+    # degenerate coupling: exit 2 and no report file
+    assert main(["verify", "--triples", "1,0,0,0,1,0",
+                 "--json", str(report)]) == 2
+    assert not report.exists()
+    # an existing path is never removed
+    report.write_text("old")
+    assert main(["verify", "--triples", "1,0,0,0,1,0",
+                 "--json", str(report)]) == 2
+    assert report.exists()
+
+    def broken(triples):
+        raise RuntimeError("engine failure")
+
+    monkeypatch.setattr(hslab.iwasawa, "_base_flags", broken)
+    catalog = tmp_path / "c.jsonl"
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--max", "1", "--out", str(catalog)])
+    assert not catalog.exists()
+
+
 def test_verify_with_tau_and_picard(tmp_path):
     path = tmp_path / "report.json"
     assert main(["verify", "--triples", "1,2,2,2,-1,0",
@@ -89,6 +135,30 @@ def test_sweep_out_file_and_threads(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--max", "1"]) == 0
     assert path.read_text() == capsys.readouterr().out
+
+
+def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
+                                                         monkeypatch, capsys):
+    import tracemalloc
+    import hslab.iwasawa
+    # engine flags stubbed: the test measures the record stream alone
+    monkeypatch.setattr(hslab.iwasawa, "_base_flags",
+                        lambda triples: dict.fromkeys(triples, True))
+    out = str(tmp_path / "catalog.jsonl")
+    assert main(["sweep", "--max", "1", "--out", out]) == 0  # warm-up
+    peaks = []
+    for max_abs in (1, 2):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--max", str(max_abs), "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "families: 216 " in err and "families: 6580 " in err
+    # a record held until the end costs about 1.4 kB; a streamed one is
+    # written and dropped, so 6,364 more records may add at most 100 B each
+    assert peaks[1] - peaks[0] < 100 * (6580 - 216)
 
 
 def test_sweep_threads_env_override(tmp_path, monkeypatch, capsys):

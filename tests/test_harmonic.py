@@ -12,7 +12,8 @@ from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             decompose_chern, moment_residuals,
                             harmonic_residual, harmonic_criteria,
                             harmonic_vs_moment_gap, higgs_field, higgs_dbar,
-                            higgs_equation_residuals, matrix_is_zero)
+                            higgs_equation_residuals, higgs_obstruction,
+                            matrix_is_zero)
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
 
@@ -245,3 +246,38 @@ def test_higgs_equation_residuals(std):
     assert res["IJ_mixed"].is_zero()
     assert res["integrability"].is_zero()
     assert not res["holomorphicity_obstruction"].is_zero()
+
+
+# dbar_Q phi ^ omega^2 of two families: the nonzero entries of the 8x8
+# matrix, each a multiple of the volume form w1^w2^w3^w1'^w2'^w3'
+OBSTRUCTION_FLAT = {(0, 0): "9/4", (1, 1): "9/4",
+                    (3, 3): "-9/4", (4, 4): "-9/4"}
+OBSTRUCTION_DEFORMED = {
+    (0, 0): "442/171", (0, 1): "40/171", (1, 0): "40/171",
+    (1, 1): "358/171", (2, 0): "-2/5 i", (2, 1): "1 i",
+    (3, 3): "-374/171", (3, 4): "80/171", (3, 5): "-160/171 i",
+    (4, 3): "80/171", (4, 4): "-542/171", (4, 5): "400/171 i",
+    (5, 3): "574/855 i", (5, 4): "-287/171 i", (5, 5): "-232/171",
+    (6, 6): "232/171", (6, 7): "-458/171", (7, 6): "-458/171",
+    (7, 7): "116/171"}
+
+
+@pytest.mark.parametrize("t0, t1, tau, expected", [
+    ((1, 2, 2), (2, -1, 0), TauDeformation(), OBSTRUCTION_FLAT),
+    ((1, 1, 0), (1, 0, 0),
+     TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0),
+     OBSTRUCTION_DEFORMED),
+], ids=["flat", "deformed"])
+def test_higgs_obstruction_pinned(t0, t1, tau, expected):
+    s = make_family(FamilyConfig(LineBundleTriple(*t0, role="V0"),
+                                 LineBundleTriple(*t1, role="V1"),
+                                 tau=tau)).params
+    obstruction = higgs_obstruction(s, higgs_dbar(s))
+    top = s.model.top_index()
+    got = {}
+    for i, row in enumerate(obstruction.entries):
+        for j, entry in enumerate(row):
+            if not entry.is_zero():
+                assert set(entry.terms) == {top}
+                got[(i, j)] = str(entry.top_coeff())
+    assert got == expected

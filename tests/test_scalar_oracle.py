@@ -1,0 +1,117 @@
+"""Scalar arithmetic against sympy, on hypothesis-drawn Laurent polynomials.
+
+Each Scalar is mapped to the sympy expression sum_k (re_k + im_k I) pi^k
+with a symbolic positive pi; sums, products, negation, conjugation, monomial
+inverses, str -> parse_scalar and evalf must agree with sympy's.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hslab.scalars import Scalar, parse_scalar  # noqa: E402
+
+PI = sympy.Symbol("pi", positive=True)
+
+# deterministic draws, and no example database written next to the tests
+ORACLE = settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+
+# small entries, so that sums cancel often, and large ones for the gcds
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)))
+coefficients = st.tuples(rationals, rationals)
+laurent = st.dictionaries(st.integers(-3, 3), coefficients,
+                          max_size=4).map(Scalar)
+monomials = st.builds(lambda k, c: Scalar({k: c}), st.integers(-4, 4),
+                      coefficients).filter(lambda a: not a.is_zero())
+
+
+def to_sympy(a):
+    return sum(((sympy.Rational(re.numerator, re.denominator)
+                 + sympy.I * sympy.Rational(im.numerator, im.denominator))
+                * PI ** k for k, (re, im) in a.items()), sympy.Integer(0))
+
+
+def same(a, expr):
+    return sympy.expand(to_sympy(a) - expr) == 0
+
+
+def canonical(a):
+    """Each stored (a, b, d): d > 0, gcd(a, b, d) = 1, not both a, b zero."""
+    return all(d > 0 and math.gcd(x, y, d) == 1 and (x or y)
+               for x, y, d in a._c.values())
+
+
+@ORACLE
+@given(laurent, laurent)
+def test_sum_difference_product(a, b):
+    x, y = to_sympy(a), to_sympy(b)
+    for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y),
+                      (-a, -x)):
+        assert canonical(got)
+        assert same(got, want)
+
+
+@ORACLE
+@given(laurent)
+def test_conjugate(a):
+    assert canonical(a.conjugate())
+    assert same(a.conjugate(), sympy.conjugate(to_sympy(a)))
+
+
+@ORACLE
+@given(monomials, laurent)
+def test_monomial_inverse_and_division(m, a):
+    inv = m.inverse()
+    assert canonical(inv) and inv.is_monomial()
+    assert sympy.expand(to_sympy(inv) * to_sympy(m)) == 1
+    assert same(a / m, sympy.expand(to_sympy(a) * to_sympy(inv)))
+
+
+@ORACLE
+@given(laurent, laurent)
+def test_equality_and_hash_follow_the_value(a, b):
+    c = (a + b) - b
+    assert c == a and hash(c) == hash(a)
+    assert (a == b) == same(a, to_sympy(b))
+
+
+@ORACLE
+@given(laurent)
+def test_str_parse_roundtrip(a):
+    back = parse_scalar(str(a))
+    assert back == a
+    assert str(back) == str(a)
+
+
+@ORACLE
+@given(laurent)
+def test_evalf(a):
+    want = complex(to_sympy(a).subs(PI, sympy.pi).evalf(40))
+    scale = sum((abs(re) + abs(im)) * math.pi ** k
+                for k, (re, im) in a.items())
+    got = a.evalf()
+    assert math.isclose(got.real, want.real, rel_tol=1e-12,
+                        abs_tol=1e-12 * scale)
+    assert math.isclose(got.imag, want.imag, rel_tol=1e-12,
+                        abs_tol=1e-12 * scale)
+
+
+@ORACLE
+@given(laurent)
+def test_sign_is_exact_or_refused(a):
+    if a.is_zero():
+        assert a.sign() == 0
+    elif a.is_monomial() and a.is_real():
+        assert a.sign() == sympy.sign(to_sympy(a))
+    else:
+        with pytest.raises(ValueError):
+            a.sign()

@@ -73,3 +73,24 @@ def test_evalf():
     a = Scalar.pi(2, Fraction(3, 2))
     assert a.evalf() == pytest.approx(1.5 * math.pi ** 2)
     assert Scalar.of(0, 1).evalf() == pytest.approx(1j)
+
+
+def test_sign_exact_on_real_monomials_only():
+    assert Scalar.pi(-2, Fraction(1, 8)).sign() == 1
+    assert Scalar.pi(3, Fraction(-5, 7)).sign() == -1
+    assert Scalar.zero().sign() == 0
+    # pi - 3 > 0, but a float would have to decide it: refused
+    for undecided in (Scalar.pi() - Scalar.of(3), Scalar.of(1, 1),
+                      Scalar.i()):
+        with pytest.raises(ValueError):
+            undecided.sign()
+
+
+def test_items_and_str_keep_fraction_parts():
+    a = Scalar({-1: (Fraction(6, 4), 0), 2: (0, Fraction(-3, 9))})
+    assert dict(a.items()) == {-1: (Fraction(3, 2), Fraction(0)),
+                               2: (Fraction(0), Fraction(-1, 3))}
+    assert all(isinstance(x, Fraction)
+               for _, pair in a.items() for x in pair)
+    assert str(a) == "3/2 pi^-1 + -1/3 i pi^2"
+    assert a == parse_scalar(str(a))
