@@ -4,7 +4,8 @@ Exit codes: 0 success (verify: the family solves the system and the
 associated connection is Hermitian-Einstein), 1 failed verification or
 selftest identity, 2 degenerate coupling, 3 malformed arguments (including
 a deformation that is not positive, a sweep thread count below 1, and a
---json or --out path that cannot be opened for writing).
+--json or --out path that cannot be opened for writing).  The sweep runs in
+one process: --threads and HS_LAB_THREADS are checked, but have no effect.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def cmd_sweep(args):
         write = write or sys.stdout.write
         # each record is written as it arrives; the catalog is never held
         for rec in iter_sweep(args.max, require_harmonic=args.require_harmonic,
-                              require_ch2=args.require_ch2, raw=args.raw,
-                              threads=threads):
+                              require_ch2=args.require_ch2, raw=args.raw):
             write(json.dumps(rec, sort_keys=True) + "\n")
             families += 1
             harmonic += rec["harmonic"]
@@ -268,7 +268,7 @@ def build_parser():
     ps.add_argument("--require-ch2", action="store_true")
     ps.add_argument("--raw", action="store_true",
                     help="do not identify pairs under simultaneous sign flips")
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=int, default=1, help="has no effect")
     ps.add_argument("--out", help="output path (default stdout)")
     ps.set_defaults(func=cmd_sweep)
 

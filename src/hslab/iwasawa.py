@@ -15,29 +15,25 @@ each of them once: the frame and compatible metric H, the connection D^G
 and its curvature, the Dolbeault operator, and the unitary (B, Psi) and
 Chern (C, phi) splittings of D^G.
 
-sweep enumerates integer pairs and certifies harmonicity through an
-engine decomposition of the moment-map residual, in two steps on one code
-path (iter_sweep): per-triple engine flags (_base_flags, contiguous chunks
-of the triples), then per-pair records, one task per row of pairs with the
-same first triple.  Both steps map their tasks in order through a process
-pool of at most os.cpu_count() workers, or through the builtin map when
-that is one.  Records are yielded row by row, so the catalog is streamed:
-the pairs are never listed and memory does not grow with the record count.
+sweep enumerates integer pairs in one process (iter_sweep): per-triple
+engine flags of the moment-map residual K, then closed-form records, row
+by row.  K of a triple against its orthogonal partner is a polynomial of
+degree <= 2 in the triple, so _base_flags reads every flag off one exact
+interpolation: at most 30 engine runs at any --max.  Records are yielded
+as they are made, so memory does not grow with the record count.
 sweep() is list(iter_sweep(...)).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
-from .hermitian import HermitianStructure, solve
+from .hermitian import HermitianStructure, matmul, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals)
@@ -338,13 +334,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
 
 def _triples(max_abs):
     rng = range(-max_abs, max_abs + 1)
-    out = []
-    for m in rng:
-        for n in rng:
-            for p in rng:
-                if (m, n, p) != (0, 0, 0):
-                    out.append((m, n, p))
-    return out
+    return [t for t in product(rng, repeat=3) if t != (0, 0, 0)]
 
 
 def _orthogonal_partner(t):
@@ -354,40 +344,79 @@ def _orthogonal_partner(t):
     return (1, 0, 0)
 
 
+# Per branch of _orthogonal_partner: sample triples on which interpolation
+# of degree <= 2 is unique (unisolvent), then a guard triple off them.
+_SAMPLES = {
+    "plane": ([(1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, 0, 0), (2, 0, 0),
+               (1, 1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, -1, 1)],
+              (2, -1, 1)),
+    "axis": ([(0, 0, 1), (0, 0, 2), (0, 0, -1)], (0, 0, -2)),
+}
+
+
+def _branch(t):
+    return "plane" if t[:2] != (0, 0) else "axis"
+
+
+def _monomials(t):
+    """1, x_i and x_i x_j (i <= j), x the variables of t's branch."""
+    x = t if _branch(t) == "plane" else t[2:]
+    return [Scalar.of(v) for v in (1, *x)] + [
+        Scalar.of(a * b) for i, a in enumerate(x) for b in x[i:]]
+
+
 def _base_flags(triples):
     """Per-triple engine certification of the harmonicity base residual.
 
-    The moment-map residual of a pair splits into a part depending only on
-    the triple carried by the self-adjoint block (a function linear in the
-    coupling constant) plus a cross term supported on the two off-diagonal
-    End entries, proportional to alpha times the frame contraction of the
-    curvatures.  The base part is evaluated by the engine at two couplings
-    per triple against an orthogonal partner (where the cross term provably
-    vanishes) and extrapolated linearly.
+    The moment-map residual of a pair is a part depending only on the
+    triple of the self-adjoint block (linear in the coupling) plus a cross
+    term on the off-diagonal End entries, alpha times the frame contraction
+    of the curvatures.  The base part is the engine's K of the triple
+    against an orthogonal partner (no cross term) at two couplings.
 
-    Returns {triple: base part is zero}.  Each flag is a pure function of
-    its triple, so chunks of the triples can be flagged in any process and
-    the dicts merged.
+    At omega_0 and a fixed coupling the curvatures are linear in the
+    triple, connection_DG is affine in them, the unitary split is linear
+    and K = nabla_H_star(B, Psi) + i_{theta^sharp} Psi is bilinear in
+    (B, Psi) plus linear in Psi: K is a polynomial of degree <= 2 in the
+    triple's branch variables.  So the engine runs on each branch's samples
+    and guard only (at most 30 runs), and each flag is read off the
+    interpolant.
+
+    Returns {triple: base part is zero}.  Raises ValueError if a branch's
+    samples are not unisolvent and AssertionError if the guard disagrees.
     """
     model, omega0, Omega = build_iwasawa()
     h = HermitianStructure(model, omega0)
-    flags = {}
-    for triple in triples:
+
+    def engine_K(triple, aval):
         t0 = LineBundleTriple(*triple, role="V0")
         t1 = LineBundleTriple(*_orthogonal_partner(triple), role="V1")
-        F0 = curvature_from_triple(model, t0)
-        F1 = curvature_from_triple(model, t1)
-        flat = True
+        s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
+                         F0=curvature_from_triple(model, t0),
+                         F1=curvature_from_triple(model, t1),
+                         alpha=aval, Omega=Omega)
+        K = harmonic_residual(s)
+        # the cross entries must vanish for the orthogonal partner
+        if not (K[6][7].is_zero() and K[7][6].is_zero()):
+            raise AssertionError("cross term leaked into base computation")
+        return [x for row in K for x in row]
+
+    flags = dict.fromkeys(triples, True)
+    for branch, (samples, guard) in _SAMPLES.items():
+        todo = [t for t in flags if _branch(t) == branch]
+        if not todo:
+            continue
+        # raises ValueError (singular) unless the samples are unisolvent
+        inv = matrix_inverse([_monomials(t) for t in samples])
         for aval in (Scalar.one(), Scalar.of(2)):
-            s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
-                             F0=F0, F1=F1, alpha=aval, Omega=Omega)
-            K = harmonic_residual(s)
-            # the cross entries must vanish for the orthogonal partner
-            if not (K[6][7].is_zero() and K[7][6].is_zero()):
-                raise AssertionError("cross term leaked into base computation")
-            if not matrix_is_zero(K):
-                flat = False
-        flags[triple] = flat
+            # row k: the coefficient of monomial k in each entry of K
+            coeffs = matmul(inv, [engine_K(t, aval) for t in samples])
+            if engine_K(guard, aval) != matmul([_monomials(guard)], coeffs)[0]:
+                raise AssertionError("K is not of degree <= 2 in the triple")
+            if not matrix_is_zero(coeffs):
+                for t in todo:
+                    value = matmul([_monomials(t)], coeffs)[0]
+                    flags[t] = flags[t] and all(v.is_zero() for v in value)
     return flags
 
 
@@ -397,21 +426,24 @@ def _canonical(pair):
     return pair <= flipped
 
 
-def _sweep_record(pair, base_flags):
+def _sweep_record(pair, base_flags, alphas):
+    """The record of one pair, None if s0 == s1.  alphas: s0 - s1 -> alpha,
+    a per-sweep cache (the literal depends on that difference alone)."""
     t0, t1 = pair
     s0 = sum(x * x for x in t0)
     s1 = sum(x * x for x in t1)
     if s0 == s1:
         return None
-    alpha = Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))
+    alpha = alphas.get(s0 - s1)
+    if alpha is None:
+        alpha = alphas[s0 - s1] = str(
+            Scalar.pi(-2, Fraction(1, 2 * (s0 - s1))))
     dot = sum(a * b for a, b in zip(t0, t1))
     # cross term of the K residual: |alpha| times the frame contraction of
-    # the two curvatures, supported on the End off-diagonal entries
-    sgn = 1 if s0 > s1 else -1
-    cross = alpha * Scalar.pi(2, -16 * sgn * dot)
+    # the two curvatures, -16 pi^2 |alpha| dot, supported on the End
+    # off-diagonal entries; alpha != 0, so it vanishes iff dot == 0
     psi_triple = t0 if s0 > s1 else t1
-    base_zero = base_flags[psi_triple]
-    harmonic = base_zero and cross.is_zero()
+    harmonic = base_flags[psi_triple] and dot == 0
     # holomorphicity obstruction: the End-block entry of dbar phi in closed
     # form is -4 pi^2 |alpha| (Mb Ms)_{jk} with Mb the heavier factor;
     # nonzero iff the product is nonzero, which holds whenever both triples
@@ -424,7 +456,7 @@ def _sweep_record(pair, base_flags):
     dphi_nonzero = any(v != 0 for v in e11 + e12)
     return {
         "params": {"triple0": list(t0), "triple1": list(t1)},
-        "alpha": str(alpha),
+        "alpha": alpha,
         "flags": {"hs_solution": True, "hermitian_einstein": True},
         "harmonic": harmonic,
         "dbar_phi_23_nonzero": dphi_nonzero,
@@ -444,68 +476,36 @@ def _ch2_holds():
     return ch2_constraint(model, F0, F1)[0]
 
 
-def _chunks(items, n):
-    """items split into at most n contiguous runs, in order."""
-    size = max(1, (len(items) + n - 1) // n)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _row_records(args):
-    """Records of the pairs (t0, t1), t1 over every triple in order: one row."""
-    t0, triples, raw, base_flags = args
-    out = []
-    for t1 in triples:
-        pair = (t0, t1)
-        if raw or _canonical(pair):
-            rec = _sweep_record(pair, base_flags)
-            if rec is not None:
-                out.append(rec)
-    return out
-
-
-def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
-               threads=1):
+def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     """The records of sweep(), yielded one at a time in the same order.
 
-    The engine flags of every triple are computed first (_base_flags, in
-    chunks).  Then each row of pairs, one per first triple t0, is a task;
-    rows are mapped in order and each is yielded as soon as it is back, so
-    memory holds the rows done but not yet consumed, never a list of all
-    pairs or records.  threads > 1 runs both steps in one process pool of
-    min(threads, os.cpu_count(), number of triples) workers; otherwise both
-    run in this process.
+    The engine flags of every triple come first (_base_flags); then each
+    record is yielded as it is made, never held in a list of all records.
     """
     if max_abs < 0:
         raise ValueError("max_abs must be nonnegative")
     if require_ch2 and not _ch2_holds():
         return
     triples = _triples(max_abs)
-    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(triples)))
-    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
-            else contextlib.nullcontext())
-    with pool as ex:
-        run = ex.map if ex is not None else map
-        flags = {}
-        for part in run(_base_flags, _chunks(triples, workers)):
-            flags.update(part)
-        rows = ((t0, triples, raw, flags) for t0 in triples)
-        for row in run(_row_records, rows):
-            for rec in row:
-                if rec["harmonic"] or not require_harmonic:
+    flags = _base_flags(triples)
+    alphas = {}
+    for t0 in triples:
+        for t1 in triples:
+            pair = (t0, t1)
+            if raw or _canonical(pair):
+                rec = _sweep_record(pair, flags, alphas)
+                if rec is not None and (rec["harmonic"]
+                                        or not require_harmonic):
                     yield rec
 
 
-def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False,
-          threads=1):
+def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     """Enumerate integer families and report exact verdicts per pair.
 
     Returns a list of JSON-ready records in deterministic lexicographic
     parameter order (pairs identified up to simultaneous sign flips unless
-    raw is set).  The result is byte-stable for fixed arguments, whatever
-    the thread count.  threads > 1 runs the work in a process pool of
-    min(threads, os.cpu_count()) workers.  require_ch2 keeps only pairs
-    whose F0^2 - F1^2 is dd^c-exact, which on this model is every pair
-    (see _ch2_holds).  iter_sweep yields the same records one at a time.
+    raw is set), byte-stable for fixed arguments.  require_ch2 keeps only
+    pairs whose F0^2 - F1^2 is dd^c-exact: every pair here (_ch2_holds).
     """
     return list(iter_sweep(max_abs, require_harmonic=require_harmonic,
-                           require_ch2=require_ch2, raw=raw, threads=threads))
+                           require_ch2=require_ch2, raw=raw))

@@ -137,6 +137,21 @@ def test_sweep_out_file_and_threads(tmp_path, capsys):
     assert path.read_text() == capsys.readouterr().out
 
 
+def test_sweep_threads_do_not_change_the_catalog(tmp_path, monkeypatch):
+    # the sweep runs in one process; the thread count is only validated
+    monkeypatch.delenv("HS_LAB_THREADS", raising=False)
+    paths = [tmp_path / ("c%d.jsonl" % i) for i in range(3)]
+    assert main(["sweep", "--max", "1", "--threads", "1",
+                 "--out", str(paths[0])]) == 0
+    assert main(["sweep", "--max", "1", "--threads", "2",
+                 "--out", str(paths[1])]) == 0
+    monkeypatch.setenv("HS_LAB_THREADS", "4")
+    assert main(["sweep", "--max", "1", "--out", str(paths[2])]) == 0
+    catalog = paths[0].read_bytes()
+    assert catalog.count(b"\n") == 216
+    assert paths[1].read_bytes() == catalog == paths[2].read_bytes()
+
+
 def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
                                                          monkeypatch, capsys):
     import tracemalloc

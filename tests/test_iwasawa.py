@@ -15,6 +15,7 @@ from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
                            hs_residuals)
 from hslab.algebroid import he_residual_G
 from hslab.harmonic import harmonic_residual, matrix_is_zero, higgs_dbar
+import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, make_family, verify_family,
                            VerificationReport, sweep)
@@ -264,40 +265,90 @@ def test_sweep_max_one_catalog():
 def test_sweep_deterministic_and_threaded():
     records = sweep(1)
     assert sweep(1) == records
-    assert sweep(1, threads=2) == records
 
 
-def test_sweep_pool_is_capped_at_cpu_count(monkeypatch):
-    import hslab.iwasawa as iwasawa
-    records = sweep(1)
-    sizes = []
+def _engine_flags(triples, model, h0, Omega):
+    """Reference base flags: the engine's K of every triple against its
+    orthogonal partner, at alpha 1 and 2, with no interpolation."""
+    from conftest import make_params
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+    def flat(t, alpha):
+        s = make_params(model, h0, Omega, t, iwasawa._orthogonal_partner(t),
+                        alpha=Scalar.of(alpha))
+        return matrix_is_zero(iwasawa.harmonic_residual(s))
+    return {t: flat(t, 1) and flat(t, 2) for t in triples}
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            self.max_workers = max_workers
 
-        def __enter__(self):
-            return self
+def test_base_flags_equal_engine_flags_at_max_3(model, h0, Omega):
+    triples = iwasawa._triples(3)
+    assert len(triples) == 342
+    assert iwasawa._base_flags(triples) == _engine_flags(triples, model, h0,
+                                                         Omega)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            items = list(items)
-            assert len(items) == (3 if fn is iwasawa._base_flags else 26)
-            return [fn(x) for x in items]
+def _stand_in_K(entries):
+    """A harmonic_residual stand-in: the 8x8 zero matrix with the entries
+    entries(m, n, p, alpha) -> {(i, j): Scalar} set."""
+    def residual(s):
+        t = s.triple0
+        K = [[Scalar.zero()] * 8 for _ in range(8)]
+        for (i, j), v in entries(t.m, t.n, t.p, s.alpha).items():
+            K[i][j] = v
+        return K
+    return residual
 
-    monkeypatch.setattr(iwasawa, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(iwasawa.os, "cpu_count", lambda: 3)
-    assert sweep(1, threads=100000) == records
-    assert sizes == [3]
-    # an unknown CPU count means one CPU: no pool at all
-    monkeypatch.setattr(iwasawa.os, "cpu_count", lambda: None)
-    assert sweep(1, threads=100000) == records
-    assert sizes == [3]
+
+def test_base_flags_interpolate_a_quadratic_residual(monkeypatch, model, h0,
+                                                     Omega):
+    calls = []
+
+    def entries(m, n, p, alpha):
+        calls.append((m, n, p))
+        # entry (3, 3) is zero at alpha = 1 and entry (4, 4) at alpha = 2,
+        # so each coupling rules out triples that the other does not
+        return {(0, 1): Scalar.pi(1, m * n - p * p + 1, (m + n) * p),
+                (3, 3): (alpha - Scalar.one()) * Scalar.of((m - n) * p),
+                (4, 4): (alpha - Scalar.of(2)) * Scalar.of((m - 1) * (p - 1))}
+
+    monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(entries))
+    triples = iwasawa._triples(3)
+    flags = iwasawa._base_flags(triples)
+    assert len(calls) == 30
+    assert flags == _engine_flags(triples, model, h0, Omega)
+    assert {t for t, ok in flags.items() if ok} == {(1, -1, 0), (0, 0, 1)}
+
+
+@pytest.mark.parametrize("cubic, triple", [
+    (lambda m, n, p: m * n * p, (1, 1, 1)),
+    (lambda m, n, p: p ** 3, (0, 0, 1)),
+], ids=["plane", "axis"])
+def test_base_flags_guard_rejects_a_cubic_residual(monkeypatch, cubic,
+                                                   triple):
+    monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(
+        lambda m, n, p, alpha: {(2, 2): Scalar.of(cubic(m, n, p))}))
+    with pytest.raises(AssertionError, match="degree <= 2"):
+        iwasawa._base_flags([triple])
+
+
+def test_base_flags_check_the_samples_and_the_cross_term(monkeypatch):
+
+    def never(s):
+        raise AssertionError("engine ran")
+
+    monkeypatch.setattr(iwasawa, "harmonic_residual", never)
+    assert iwasawa._base_flags([]) == {}
+    # ten plane samples on the quadric m n = 0: the monomial matrix has
+    # rank 9, and the check comes before any engine run
+    plane, guard = iwasawa._SAMPLES["plane"]
+    on_quadric = [t for t in plane if t != (1, 1, 0)] + [(0, 2, 1)]
+    monkeypatch.setitem(iwasawa._SAMPLES, "plane", (on_quadric, guard))
+    with pytest.raises(ValueError, match="singular"):
+        iwasawa._base_flags([(1, 2, 3)])
+    monkeypatch.setitem(iwasawa._SAMPLES, "plane", (plane, guard))
+    monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(
+        lambda m, n, p, alpha: {(6, 7): Scalar.of(m)}))
+    with pytest.raises(AssertionError, match="cross term leaked"):
+        iwasawa._base_flags([(1, 2, 3)])
 
 
 def test_sweep_records_match_engine(rng):
@@ -336,5 +387,5 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
 
 def sweep_pair(t0, t1):
     from hslab.iwasawa import _base_flags, _sweep_record
-    rec = _sweep_record((t0, t1), _base_flags([t0, t1]))
+    rec = _sweep_record((t0, t1), _base_flags([t0, t1]), {})
     return [rec] if rec is not None else []
