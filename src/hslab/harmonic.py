@@ -15,6 +15,11 @@ are built once per family; the metric-only objects they share (Levi-Civita,
 Bismut, Lee form) are built once per HermitianStructure.  Harmonicity reads
 K alone, so moment_residuals computes K and builds I and J only when they
 are first looked up.
+
+K and J both go through nabla_H_star, the codifferential of nabla^H.  It
+contracts with the inverse metric before taking commutators (one per row
+of Ginv, not one per entry) and adds the contracted Levi-Civita trace as
+one term, which it computes rather than assumes to be zero.
 """
 
 from __future__ import annotations
@@ -80,36 +85,58 @@ def _j_vector(model, vec):
     return InvariantVector(model, out)
 
 
+def _accumulate(out, M, c):
+    """out += c * M, touching only the nonzero entries of M."""
+    for orow, mrow in zip(out, M):
+        for j, v in enumerate(mrow):
+            if not v.is_zero():
+                orow[j] = orow[j] + c * v
+
+
 def nabla_H_star(s, B: QOperator, T: QOperator):
     """Codifferential of a 1-form-valued endomorphism T for nabla^H = d + B.
 
     Returns the scalar matrix -sum_{ab} Ginv[a][b] ([B(Z_a), T(Z_b)]
-    - Gamma^c_{ab} T(Z_c)) with Gamma the Levi-Civita coefficients.
+    - Gamma^c_{ab} T(Z_c)) with Gamma the Levi-Civita coefficients,
+    contracted before any commutator is taken:
+
+        -sum_a [B(Z_a), S_a] + sum_c g^c T(Z_c),
+        S_a = sum_b Ginv[a][b] T(Z_b),  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
+
+    That is one commutator per row of Ginv instead of one per nonzero
+    entry.  A row with a single nonzero entry (every row at omega_0) scales
+    its one commutator instead of building S_a.  The trace g^c is
+    tr ad_{Z_c}, zero on a unimodular (e.g. nilpotent) algebra (Milnor,
+    Adv. Math. 21, 1976), so on the Iwasawa model the second sum adds
+    nothing; it is still computed, not assumed, so a model loaded from
+    JSON whose algebra is not unimodular gets the full codifferential.
     """
-    h = s.h
     model = s.model
-    lc = h.levi_civita()
+    gamma = s.h.levi_civita().gamma
     Z = [model.basis_vector(a) for a in range(6)]
-    Bv = [B.value_at(Z[a]) for a in range(6)]
     Tv = [T.value_at(Z[a]) for a in range(6)]
+    # the nonzero entries (b, Ginv[a][b]) of each row a
+    rows = [[(b, g) for b, g in enumerate(grow) if not g.is_zero()]
+            for grow in s.h.Ginv6]
     out = [[Scalar.zero()] * QDIM for _ in range(QDIM)]
-    for a in range(6):
-        for b in range(6):
-            gab = h.Ginv6[a][b]
-            if gab.is_zero():
-                continue
-            term = scalar_commutator(Bv[a], Tv[b])
-            for c in range(6):
-                gam = lc.gamma[a][b][c]
-                if gam.is_zero():
-                    continue
-                term = [[x - gam * y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(term, Tv[c])]
-            for i in range(QDIM):
-                for j in range(QDIM):
-                    v = term[i][j]
-                    if not v.is_zero():
-                        out[i][j] = out[i][j] - gab * v
+    for a, row in enumerate(rows):
+        if len(row) == 1:
+            b, g = row[0]
+            coeff, S = -g, Tv[b]
+        else:
+            coeff, S = Scalar.of(-1), [[Scalar.zero()] * QDIM for _ in range(QDIM)]
+            for b, g in row:
+                _accumulate(S, Tv[b], g)
+        _accumulate(out, scalar_commutator(B.value_at(Z[a]), S), coeff)
+    for c in range(6):
+        trace = Scalar.zero()
+        for a, row in enumerate(rows):
+            for b, g in row:
+                gam = gamma[a][b][c]
+                if not gam.is_zero():
+                    trace = trace + g * gam
+        if not trace.is_zero():
+            _accumulate(out, Tv[c], trace)
     return out
 
 

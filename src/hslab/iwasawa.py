@@ -420,12 +420,6 @@ def _base_flags(triples):
     return flags
 
 
-def _canonical(pair):
-    t0, t1 = pair
-    flipped = (tuple(-x for x in t0), tuple(-x for x in t1))
-    return pair <= flipped
-
-
 def _sweep_record(pair, base_flags, alphas):
     """The record of one pair, None if s0 == s1.  alphas: s0 - s1 -> alpha,
     a per-sweep cache (the literal depends on that difference alone)."""
@@ -490,13 +484,14 @@ def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     flags = _base_flags(triples)
     alphas = {}
     for t0 in triples:
+        # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
+        # nonzero t0, so that is t0 < -t0, decided once per row
+        if not raw and not t0 < tuple(-x for x in t0):
+            continue
         for t1 in triples:
-            pair = (t0, t1)
-            if raw or _canonical(pair):
-                rec = _sweep_record(pair, flags, alphas)
-                if rec is not None and (rec["harmonic"]
-                                        or not require_harmonic):
-                    yield rec
+            rec = _sweep_record((t0, t1), flags, alphas)
+            if rec is not None and (rec["harmonic"] or not require_harmonic):
+                yield rec
 
 
 def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):

@@ -267,6 +267,21 @@ def test_sweep_deterministic_and_threaded():
     assert sweep(1) == records
 
 
+def test_sweep_keeps_the_canonical_raw_pairs():
+    # one pair per simultaneous sign flip: the raw pairs with
+    # (t0, t1) <= (-t0, -t1), in the raw order
+    def pair(rec):
+        return (tuple(rec["params"]["triple0"]), tuple(rec["params"]["triple1"]))
+
+    def flipped(p):
+        return tuple(tuple(-x for x in t) for t in p)
+
+    raw = [pair(r) for r in sweep(2, raw=True)]
+    kept = [pair(r) for r in sweep(2)]
+    assert kept == [p for p in raw if p <= flipped(p)]
+    assert len(raw) == 2 * len(kept)
+
+
 def _engine_flags(triples, model, h0, Omega):
     """Reference base flags: the engine's K of every triple against its
     orthogonal partner, at alpha 1 and 2, with no interpolation."""
