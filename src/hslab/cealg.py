@@ -397,6 +397,19 @@ class InvariantForm:
             return Scalar.zero()
         return f.terms.get((), Scalar.zero())
 
+    def at(self, *indices):
+        """a(Z_i1, .., Z_ik) on frame vectors, as one signed coefficient lookup.
+
+        Equals apply(basis_vector(i1), .., basis_vector(ik)): the permutation
+        sign of the indices times the coefficient of their sorted tuple, and
+        zero when an index repeats.
+        """
+        key, sign = _sort_sign(indices)
+        v = self.terms.get(key)  # key is None, never a term, on a repeat
+        if v is None:
+            return Scalar.zero()
+        return -v if sign < 0 else v
+
     def top_coeff(self):
         return self.terms.get(self.model.top_index(), Scalar.zero())
 

@@ -93,6 +93,12 @@ def _accumulate(out, M, c):
                 orow[j] = orow[j] + c * v
 
 
+def _frame_values(A: QOperator, a):
+    """A.value_at(Z_a) for a 1-form-valued operator: each entry's Z_a coefficient."""
+    zero = Scalar.zero()
+    return [[e.terms.get((a,), zero) for e in row] for row in A.entries]
+
+
 def nabla_H_star(s, B: QOperator, T: QOperator):
     """Codifferential of a 1-form-valued endomorphism T for nabla^H = d + B.
 
@@ -111,10 +117,8 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
     nothing; it is still computed, not assumed, so a model loaded from
     JSON whose algebra is not unimodular gets the full codifferential.
     """
-    model = s.model
     gamma = s.h.levi_civita().gamma
-    Z = [model.basis_vector(a) for a in range(6)]
-    Tv = [T.value_at(Z[a]) for a in range(6)]
+    Tv = [_frame_values(T, a) for a in range(6)]
     # the nonzero entries (b, Ginv[a][b]) of each row a
     rows = [[(b, g) for b, g in enumerate(grow) if not g.is_zero()]
             for grow in s.h.Ginv6]
@@ -127,7 +131,7 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
             coeff, S = Scalar.of(-1), [[Scalar.zero()] * QDIM for _ in range(QDIM)]
             for b, g in row:
                 _accumulate(S, Tv[b], g)
-        _accumulate(out, scalar_commutator(B.value_at(Z[a]), S), coeff)
+        _accumulate(out, scalar_commutator(_frame_values(B, a), S), coeff)
     for c in range(6):
         trace = Scalar.zero()
         for a, row in enumerate(rows):

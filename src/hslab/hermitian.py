@@ -16,10 +16,15 @@ coefficients and Lee form at most once and then returns the same object on
 every call, as star does with its table of basis images; the metric a
 structure was built for never changes.
 
+Values of forms on frame vectors (Gram entries, brackets, torsion) are read
+off the coefficients with InvariantForm.at, and the star's frame pairings
+are minors of the inverse Gram matrix, memoized per structure so that all
+pairings share their sub-minors.
+
 All operations stay in exact scalars; frame orthonormalization (which would
-need square roots) is never performed.  Positivity of Gram data is certified
-by evaluating leading principal minors as floats at pi, which affects no
-exact verdict.
+need square roots) is never performed.  Positivity of the Gram matrix is
+certified exactly: Sylvester's criterion on its leading principal minors,
+each signed by Scalar.sign().
 """
 
 from __future__ import annotations
@@ -110,8 +115,8 @@ def matrix_inverse(rows):
 def matrix_det(rows):
     """Exact determinant by forward elimination on Scalars.
 
-    Kept apart from rref: it stops at the first zero column, which is what
-    makes the Hodge star's many singular minors cheap.
+    Kept apart from rref: it needs no reduced form and stops at the first
+    zero column.  The positivity certificate's leading minors use it.
     """
     n = len(rows)
     a = [list(row) for row in rows]
@@ -196,9 +201,8 @@ class HermitianStructure:
                 raise ValueError("fundamental form is not of bidegree (1,1)")
         n = model.n
         mi = Scalar.of(0, -1)
-        Z = [model.basis_vector(a) for a in range(2 * n)]
         # g(Z_j, Z_k') = -i omega(Z_j, Z_k')
-        self.g = [[mi * omega.apply(Z[j], Z[k + n]) for k in range(n)]
+        self.g = [[mi * omega.at(j, k + n) for k in range(n)]
                   for j in range(n)]
         zero = Scalar.zero()
         self.G6 = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
@@ -212,6 +216,7 @@ class HermitianStructure:
         if self.c_vol.is_zero():
             raise ValueError("degenerate fundamental form: omega^3 = 0")
         self._star_cache = {}
+        self._minors = {}
         self._brackets = None
         self._levi_civita = None
         self._bismut = None
@@ -234,13 +239,38 @@ class HermitianStructure:
     # -- frame pairing helpers -----------------------------------------------
 
     def dual_pairing(self, I, J):
-        """C-bilinear dual metric <e_I, e_J> = det of generator pairings."""
+        """C-bilinear dual metric <e_I, e_J> of increasing index tuples.
+
+        That is the (I, J) minor of Ginv6, det(Ginv6[a][b]) for a in I and
+        b in J, and zero when the lengths differ.  It is expanded along the
+        first row of I, skipping zero entries of Ginv6, and every minor met
+        on the way is memoized in this structure, keyed by (I, J): the
+        star's pairings of one degree share their sub-minors.
+        """
         if len(I) != len(J):
             return Scalar.zero()
+        return self._minor(I, J)
+
+    def _minor(self, I, J):
+        out = self._minors.get((I, J))
+        if out is not None:
+            return out
         if not I:
-            return Scalar.one()
-        rows = [[self.Ginv6[a][b] for b in J] for a in I]
-        return matrix_det(rows)
+            out = Scalar.one()
+        else:
+            row = self.Ginv6[I[0]]
+            rest = I[1:]
+            out = Scalar.zero()
+            for j, b in enumerate(J):
+                x = row[b]
+                if x.is_zero():
+                    continue
+                m = self._minor(rest, J[:j] + J[j + 1:])
+                if m.is_zero():
+                    continue
+                out = out - x * m if j % 2 else out + x * m
+        self._minors[(I, J)] = out
+        return out
 
     def form_values(self, F):
         """Matrix F(Z_a, Z_b) of a 2-form over the complexified frame."""
@@ -255,27 +285,29 @@ class HermitianStructure:
     # -- star, codifferential, Lee form ----------------------------------------
 
     def star(self, form):
-        """C-linear Hodge star with volume omega^3/3!."""
+        """C-linear Hodge star with volume omega^3/3!.
+
+        The image of a basis form e_J is sum_I <e_I, e_J> c_vol
+        sign(I, I^c) e_{I^c} over the k-subsets I; its pairings come from
+        the memoized minors (dual_pairing), and each image is built once
+        per structure and kept.
+        """
         model = self.model
         out = model.zero()
         dim = model.dim
         for J, v in form.terms.items():
-            key = J
-            image = self._star_cache.get(key)
+            image = self._star_cache.get(J)
             if image is None:
-                k = len(J)
-                image = model.zero()
-                for I in combinations(range(dim), k):
+                terms = {}
+                for I in combinations(range(dim), len(J)):
                     pairing = self.dual_pairing(I, J)
                     if pairing.is_zero():
                         continue
                     Ic = tuple(x for x in range(dim) if x not in I)
                     merged, sign = _merge_sign(I, Ic)
                     s = pairing * self.c_vol
-                    if sign < 0:
-                        s = -s
-                    image = image + InvariantForm(model, {Ic: s})
-                self._star_cache[key] = image
+                    terms[Ic] = -s if sign < 0 else s
+                image = self._star_cache[J] = InvariantForm(model, terms)
             out = out + image.scale(v)
         return out
 
@@ -345,28 +377,40 @@ class HermitianStructure:
             return self._brackets
         model = self.model
         dim = model.dim
-        Z = [model.basis_vector(a) for a in range(dim)]
         out = [[None] * dim for _ in range(dim)]
         for a in range(dim):
             for b in range(dim):
-                coeffs = [-(model.diff[c].apply(Z[a], Z[b])) for c in range(dim)]
+                coeffs = [-(model.diff[c].at(a, b)) for c in range(dim)]
                 out[a][b] = InvariantVector(model, coeffs)
         self._brackets = out
         return out
 
     def levi_civita(self):
-        """Koszul formula on invariant fields (derivative terms vanish)."""
+        """Koszul formula on invariant fields (derivative terms vanish).
+
+        g(nabla_{Z_a} Z_b, Z_c) = (1/2)(g([Z_a, Z_b], Z_c) - g([Z_b, Z_c], Z_a)
+        + g([Z_c, Z_a], Z_b)): each nonzero pairing g([Z_x, Z_y], Z_z) is
+        added into the three places it appears in, so the zero pairings (all
+        but a few on a nilpotent model) cost nothing.
+        """
         if self._levi_civita is not None:
             return self._levi_civita
         dim = self.model.dim
         # gb[a][b][c] = g([Z_a, Z_b], Z_c)
         gb = [matmul([v.coeffs for v in row], self.G6) for row in self.brackets()]
         half = Scalar.of(Fraction(1, 2))
-        gamma = []
-        for a in range(dim):
-            kvals = [[half * (gb[a][b][c] - gb[b][c][a] + gb[c][a][b])
-                      for c in range(dim)] for b in range(dim)]
-            gamma.append(matmul(kvals, self.Ginv6))
+        zero = Scalar.zero()
+        koszul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        for x in range(dim):
+            for y in range(dim):
+                for z, v in enumerate(gb[x][y]):
+                    if v.is_zero():
+                        continue
+                    v = half * v
+                    koszul[x][y][z] = koszul[x][y][z] + v
+                    koszul[z][x][y] = koszul[z][x][y] - v
+                    koszul[y][z][x] = koszul[y][z][x] + v
+        gamma = [matmul(kvals, self.Ginv6) for kvals in koszul]
         self._levi_civita = ConnectionCoefficients(self, gamma)
         return self._levi_civita
 
@@ -375,21 +419,14 @@ class HermitianStructure:
         if self._bismut is not None:
             return self._bismut
         lc = self.levi_civita()
-        model = self.model
-        dim = model.dim
-        T = self.omega.dc()
-        Z = [model.basis_vector(a) for a in range(dim)]
-        half = Scalar.of(Fraction(1, 2))
-        gamma = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
-        for a in range(dim):
-            for b in range(dim):
-                tvals = [half * T.apply(Z[a], Z[b], Z[c]) for c in range(dim)]
-                for d in range(dim):
-                    acc = lc.gamma[a][b][d]
-                    for c in range(dim):
-                        if not tvals[c].is_zero() and not self.Ginv6[c][d].is_zero():
-                            acc = acc + tvals[c] * self.Ginv6[c][d]
-                    gamma[a][b][d] = acc
+        dim = self.model.dim
+        half_T = self.omega.dc().scale(Fraction(1, 2))
+        # row (a, b): the correction sum_c (1/2) T(Z_a, Z_b, Z_c) Ginv[c][d]
+        corr = matmul([[half_T.at(a, b, c) for c in range(dim)]
+                       for a in range(dim) for b in range(dim)], self.Ginv6)
+        gamma = [[[x if y.is_zero() else x + y
+                   for x, y in zip(lc.gamma[a][b], corr[a * dim + b])]
+                  for b in range(dim)] for a in range(dim)]
         self._bismut = ConnectionCoefficients(self, gamma)
         return self._bismut
 

@@ -420,19 +420,22 @@ def _base_flags(triples):
     return flags
 
 
-def _sweep_record(pair, base_flags, alphas):
-    """The record of one pair, None if s0 == s1.  alphas: s0 - s1 -> alpha,
-    a per-sweep cache (the literal depends on that difference alone)."""
-    t0, t1 = pair
-    s0 = sum(x * x for x in t0)
-    s1 = sum(x * x for x in t1)
+def _sweep_record(t0, t1, s0, s1, base_flags, alphas):
+    """The record of the pair (t0, t1), None if s0 == s1.
+
+    s0 and s1 are the squared norms of t0 and t1, computed once per triple
+    by the caller.  alphas: s0 - s1 -> alpha, a per-sweep cache (the literal
+    depends on that difference alone).
+    """
     if s0 == s1:
         return None
     alpha = alphas.get(s0 - s1)
     if alpha is None:
         alpha = alphas[s0 - s1] = str(
             Scalar.pi(-2, Fraction(1, 2 * (s0 - s1))))
-    dot = sum(a * b for a, b in zip(t0, t1))
+    m0, n0, p0 = t0
+    m1, n1, p1 = t1
+    dot = m0 * m1 + n0 * n1 + p0 * p1
     # cross term of the K residual: |alpha| times the frame contraction of
     # the two curvatures, -16 pi^2 |alpha| dot, supported on the End
     # off-diagonal entries; alpha != 0, so it vanishes iff dot == 0
@@ -443,9 +446,7 @@ def _sweep_record(pair, base_flags, alphas):
     # nonzero iff the product is nonzero, which holds whenever both triples
     # are nonzero (the matrices are invertible), and the zero locus of the
     # four components below is insensitive to the factor order
-    m0, n0, p0 = t0
-    m1, n1, p1 = t1
-    e11 = (m0 * m1 + n0 * n1 + p0 * p1, p0 * n1 - n0 * p1)
+    e11 = (dot, p0 * n1 - n0 * p1)
     e12 = (m0 * n1 - m1 * n0, m0 * p1 - m1 * p0)
     dphi_nonzero = any(v != 0 for v in e11 + e12)
     return {
@@ -483,13 +484,14 @@ def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     triples = _triples(max_abs)
     flags = _base_flags(triples)
     alphas = {}
-    for t0 in triples:
+    norms = [sum(x * x for x in t) for t in triples]
+    for t0, s0 in zip(triples, norms):
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
         if not raw and not t0 < tuple(-x for x in t0):
             continue
-        for t1 in triples:
-            rec = _sweep_record((t0, t1), flags, alphas)
+        for t1, s1 in zip(triples, norms):
+            rec = _sweep_record(t0, t1, s0, s1, flags, alphas)
             if rec is not None and (rec["harmonic"] or not require_harmonic):
                 yield rec
 

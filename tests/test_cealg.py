@@ -72,6 +72,27 @@ def test_apply_contraction_order(model):
     assert a.apply(v2, v1) == -Scalar.one()
 
 
+def test_at_is_apply_on_frame_vectors(model, abelian_model, kt_model, rng):
+    # a(Z_i1, .., Z_ik) read off the coefficients equals the contraction
+    # oracle, with the permutation sign of unsorted indices and zero on a
+    # repeated index; a mixed-degree form is read in degree k only
+    for m in (model, abelian_model, kt_model):
+        Z = [m.basis_vector(a) for a in range(6)]
+        for deg in range(7):
+            a = random_form(m, rng, deg) + random_form(m, rng, (deg + 1) % 7)
+            cases = [rng.sample(key, len(key)) for key in a.terms if len(key) == deg]
+            cases += [rng.sample(range(6), deg) for _ in range(5)]
+            if deg >= 2:
+                cases += [idx[:-1] + [idx[0]] for idx in cases[:3]]
+            for idx in cases:
+                assert a.at(*idx) == a.apply(*(Z[i] for i in idx)), (deg, idx)
+            for key, v in a.terms.items():
+                assert a.at(*key) == v
+    assert model.basis_form((0, 1, 2)).at(2, 0, 1) == Scalar.one()
+    assert model.basis_form((0, 1, 2)).at(1, 0, 2) == -Scalar.one()
+    assert model.basis_form((0, 1)).at(1, 1).is_zero()
+
+
 def test_bigrade_partition(model, rng):
     for _ in range(40):
         a = random_form(model, rng, rng.choice((2, 3)))

@@ -402,5 +402,6 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
 
 def sweep_pair(t0, t1):
     from hslab.iwasawa import _base_flags, _sweep_record
-    rec = _sweep_record((t0, t1), _base_flags([t0, t1]), {})
+    rec = _sweep_record(t0, t1, sum(x * x for x in t0), sum(x * x for x in t1),
+                        _base_flags([t0, t1]), {})
     return [rec] if rec is not None else []

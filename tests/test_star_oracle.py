@@ -1,10 +1,12 @@
 """The Hodge star's frame pairings checked against sympy as an independent oracle.
 
-On seeded deformed metrics, HermitianStructure.dual_pairing(I, J) must equal
-the (I, J) minor of sympy's inverse of the Gram matrix G6 for every pair of
-k-subsets, and star(form) must equal the image built in sympy from those
-minors, the Pfaffian volume coefficient of omega and the permutation sign of
-(I, complement of I).
+On seeded deformed metrics on the Iwasawa model, and on a deformed metric on
+the Kodaira-Thurston-style model (whose Lee form is nonzero),
+HermitianStructure.dual_pairing(I, J) must equal the (I, J) minor of sympy's
+inverse of the Gram matrix G6 for every pair of k-subsets, whatever order the
+memoized minors are filled in, and star(form) must equal the image built in
+sympy from those minors, the Pfaffian volume coefficient of omega and the
+permutation sign of (I, complement of I).
 """
 
 import random
@@ -68,23 +70,43 @@ def _structures():
     return out
 
 
+def _kt_structure(kt_model):
+    """A deformed metric on the Kodaira-Thurston-style model."""
+    half_i = Scalar.of(0, Fraction(1, 2))
+    omega = (kt_model.basis_form((0, 3)) + kt_model.basis_form((1, 4))
+             + kt_model.basis_form((2, 5))).scale(half_i)
+    tau = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4), Fraction(0))
+    return HermitianStructure(kt_model, omega + tau.form(kt_model))
+
+
 @pytest.fixture(scope="module")
-def structures():
+def structures(kt_model):
     return [(h, sympy.Matrix([[_to_sympy(x) for x in row] for row in h.G6]).inv())
-            for h in _structures()]
+            for h in _structures() + [_kt_structure(kt_model)]]
 
 
-def test_dual_pairing_is_a_minor_of_the_inverse_gram(structures):
+def test_dual_pairing_is_a_minor_of_the_inverse_gram(structures, kt_model):
+    # the last structure is not on the Iwasawa model and has a Lee form
+    assert structures[-1][0].model is kt_model
+    assert not structures[-1][0].lee_form().is_zero()
     for h, ginv in structures:
         # the off-diagonal blocks make some minors nonzero and the deformed
         # metric makes them more than products of diagonal entries
         assert any(not h.Ginv6[a][b].is_zero()
                    for a in range(3) for b in range(3, 6) if b != a + 3)
-        for k in range(7):
-            for I in combinations(range(6), k):
-                for J in combinations(range(6), k):
-                    minor = ginv.extract(list(I), list(J)).det(method="berkowitz")
-                    assert h.dual_pairing(I, J) == _from_sympy(minor), (I, J)
+        pairs = [(I, J) for k in range(7) for I in combinations(range(6), k)
+                 for J in combinations(range(6), k)]
+        values = {}
+        for I, J in pairs:
+            minor = ginv.extract(list(I), list(J)).det(method="berkowitz")
+            values[I, J] = h.dual_pairing(I, J)
+            assert values[I, J] == _from_sympy(minor), (I, J)
+        # a repeated call reads the memo; a fresh structure filling its memo
+        # in the reverse order computes every minor again, to equal values
+        fresh = HermitianStructure(h.model, h.omega)
+        for I, J in reversed(pairs):
+            assert h.dual_pairing(I, J) == values[I, J], (I, J)
+            assert fresh.dual_pairing(I, J) == values[I, J], (I, J)
 
 
 def _sympy_star(h, ginv, form):
@@ -107,15 +129,16 @@ def _sympy_star(h, ginv, form):
 
 
 def test_star_of_a_form_matches_sympy(structures):
-    h, ginv = structures[0]
-    rng = random.Random(7)
-    terms = {}
-    for k in (1, 2, 3, 4, 5):
-        for _ in range(2):
-            terms[tuple(sorted(rng.sample(range(6), k)))] = Scalar.of(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                Fraction(rng.randint(1, 5), rng.randint(1, 4)))
-    form = InvariantForm(h.model, terms)
-    star = h.star(form)
-    assert star == _sympy_star(h, ginv, form)
-    assert len(star.terms) > len(form.terms)
+    # an Iwasawa metric and the Kodaira-Thurston-style one
+    for h, ginv in (structures[0], structures[-1]):
+        rng = random.Random(7)
+        terms = {}
+        for k in (1, 2, 3, 4, 5):
+            for _ in range(2):
+                terms[tuple(sorted(rng.sample(range(6), k)))] = Scalar.of(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+        form = InvariantForm(h.model, terms)
+        star = h.star(form)
+        assert star == _sympy_star(h, ginv, form)
+        assert len(star.terms) > len(form.terms)
