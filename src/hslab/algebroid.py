@@ -25,11 +25,9 @@ and dolbeault (the Dolbeault operator in the extension frame).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .scalars import Scalar
-from .cealg import parse_form
 from .hermitian import matmul, matrix_inverse, rref, sandwich, solve
 
 QDIM = 8
@@ -156,15 +154,6 @@ class QOperator:
         """JSON-ready 8x8 array of form literals (golden-file format)."""
         return [[a.literal() for a in row] for row in self.entries]
 
-    def to_json(self):
-        return json.dumps(self.dump())
-
-    @classmethod
-    def from_dump(cls, model, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(model, [[parse_form(model, lit) for lit in row] for row in doc])
-
     def __repr__(self):
         nz = sum(1 for row in self.entries for a in row if not a.is_zero())
         return "QOperator(%d nonzero entries)" % nz
@@ -289,9 +278,11 @@ def curvature(A):
 
 
 def he_residual_G(s):
-    """F_{D^G} ^ omega^2; vanishes exactly on Hull-Strominger solutions."""
-    w2 = s.h.omega.wedge(s.h.omega)
-    return s.connection_curvature.map_entries(lambda a: a.wedge(w2))
+    """F_{D^G} ^ omega^2, each entry through h.wedge_omega_sq.
+
+    Vanishes exactly on Hull-Strominger solutions.
+    """
+    return s.connection_curvature.map_entries(s.h.wedge_omega_sq)
 
 
 def _split_components(model, X):

@@ -77,11 +77,6 @@ def hermitian_curvature(model, M):
     return out.scale(Scalar.pi())
 
 
-def hym_residual(F, h):
-    """F ^ omega^2; zero iff the bundle is Hermitian-Yang-Mills for omega."""
-    return F.wedge(h.omega).wedge(h.omega)
-
-
 class CohClass:
     """A cohomology class by invariant representative, closedness-checked."""
 
@@ -142,7 +137,7 @@ def alpha_solve(F0, F1, h):
     Raises on degenerate coupling (the quadratic terms cancel) and when the
     two sides are not proportional.
     """
-    lhs = h.omega.dc().d()
+    lhs = h.dc_omega.d()
     rhs = F0.wedge(F0) - F1.wedge(F1)
     if rhs.is_zero():
         raise DegenerateCoupling("tr F0^2 = tr F1^2: no coupling constant exists")
@@ -251,13 +246,14 @@ def hs_residuals(s: SystemParams):
     + alpha F1^2).  The conformally-balanced residual d(|Omega| omega^2)
     equals the constant |Omega| times the third entry: |Omega| is constant
     on invariant data, so the zero locus is unchanged and the returned form
-    keeps exact coefficients.
+    keeps exact coefficients.  The metric h gives omega^2, d^c omega and
+    F_j ^ omega^2 (h.omega_sq, h.dc_omega, h.wedge_omega_sq).
     """
     h = s.h
-    w2 = h.omega.wedge(h.omega)
-    bianchi = h.omega.dc().d() \
+    bianchi = h.dc_omega.d() \
         - s.F0.wedge(s.F0).scale(s.alpha) + s.F1.wedge(s.F1).scale(s.alpha)
-    return (s.F0.wedge(w2), s.F1.wedge(w2), w2.d(), bianchi)
+    return (h.wedge_omega_sq(s.F0), h.wedge_omega_sq(s.F1), h.omega_sq.d(),
+            bianchi)
 
 
 def omega_norm(Omega, h):

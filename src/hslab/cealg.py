@@ -57,8 +57,6 @@ def _sort_sign(indices):
     for i in range(1, len(idx)):
         j = i
         while j > 0 and idx[j - 1] > idx[j]:
-            if idx[j - 1] == idx[j]:
-                return None, 0
             idx[j - 1], idx[j] = idx[j], idx[j - 1]
             sign = -sign
             j -= 1

@@ -18,13 +18,12 @@ import sys
 from fractions import Fraction
 
 from .scalars import Scalar
-from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       DegenerateCoupling, SystemParams)
 from .harmonic import harmonic_vs_moment_gap, matrix_is_zero
 from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
-                      make_family, verify_family, iter_sweep)
+                      build_iwasawa, make_family, verify_family, iter_sweep)
 
 
 class _ArgumentError(Exception):
@@ -162,13 +161,16 @@ def run_selftest(dc_sign=1, star_sign=1):
     the suite must then fail at the named identity.
     """
     import random
-    model = build_iwasawa_model()
-    half_i = Scalar.of(0, Fraction(1, 2))
-    w0 = (model.basis_form((0, 3)) + model.basis_form((1, 4))
-          + model.basis_form((2, 5))).scale(half_i)
+    model, w0, Omega = build_iwasawa()
     h = HermitianStructure(model, w0)
+    half_i = Scalar.of(0, Fraction(1, 2))
     dsgn = Scalar.of(dc_sign)
     ssgn = Scalar.of(star_sign)
+    t0 = LineBundleTriple(1, 2, 2, role="V0")
+    t1 = LineBundleTriple(2, -1, 0, role="V1")
+    F0 = curvature_from_triple(model, t0)
+    F1 = curvature_from_triple(model, t1)
+    alpha = alpha_solve(F0, F1, h)
 
     def check_dw3():
         return (model.d_gen(2) - model.basis_form((0, 1))).is_zero()
@@ -197,21 +199,12 @@ def run_selftest(dc_sign=1, star_sign=1):
         return True
 
     def check_alpha():
-        F0 = curvature_from_triple(model, LineBundleTriple(1, 2, 2, role="V0"))
-        F1 = curvature_from_triple(model, LineBundleTriple(2, -1, 0, role="V1"))
-        alpha = alpha_solve(F0, F1, h)
         anomaly = w0.dc().scale(dsgn).d() - (F0.wedge(F0) - F1.wedge(F1)).scale(alpha)
         return anomaly.is_zero()
 
     def check_fd_decomp():
-        F0 = curvature_from_triple(model, LineBundleTriple(1, 2, 2, role="V0"))
-        F1 = curvature_from_triple(model, LineBundleTriple(2, -1, 0, role="V1"))
-        alpha = alpha_solve(F0, F1, h)
-        s = SystemParams(model=model, h=h,
-                         triple0=LineBundleTriple(1, 2, 2, role="V0"),
-                         triple1=LineBundleTriple(2, -1, 0, role="V1"),
-                         F0=F0, F1=F1, alpha=alpha,
-                         Omega=model.basis_form((0, 1, 2)))
+        s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
+                         F0=F0, F1=F1, alpha=alpha, Omega=Omega)
         B, Psi = s.unitary_split
         lhs = s.connection_curvature
         rhs = (B.d() + B.wedge(B) + Psi.wedge(Psi)

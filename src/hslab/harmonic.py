@@ -172,9 +172,8 @@ class _MomentResiduals(dict):
         B, Psi = s.unitary_split
         if key == "I":
             # (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
-            w2 = h.omega.wedge(h.omega)
             FB = B.d() + B.wedge(B)
-            value = (FB + Psi.wedge(Psi)).map_entries(lambda f: f.wedge(w2))
+            value = (FB + Psi.wedge(Psi)).map_entries(h.wedge_omega_sq)
         elif key == "J":
             # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi
             JPsi = Psi.map_entries(h.j_form)
@@ -220,8 +219,7 @@ def harmonic_criteria(s):
     vanish iff the compatible metric is harmonic.
     """
     h = s.h
-    dc = h.omega.dc()
-    torsion_pairing = s.F0.wedge(h.star(dc))
+    torsion_pairing = s.F0.wedge(h.star(h.dc_omega))
     cross = s.alpha * h.frame_contraction(s.F1, s.F0)
     if s.alpha.sign() < 0:
         cross = -cross
@@ -238,11 +236,10 @@ def harmonic_vs_moment_gap(s):
     """
     B, Psi = s.unitary_split
     h = s.h
-    w2 = h.omega.wedge(h.omega)
     nabla_Psi = Psi.d() + B.wedge(Psi) + Psi.wedge(B)
     half = Scalar.of(Fraction(1, 2))
     star_term = nabla_Psi.map_entries(
-        lambda f: h.star(f.wedge(w2)).scale(half))
+        lambda f: h.star(h.wedge_omega_sq(f)).scale(half))
     star_rows = [[e.terms.get((), Scalar.zero()) for e in row]
                  for row in star_term.entries]
     return _add_matrices(moment_residuals(s)["J"], star_rows, sign=-1)
@@ -263,10 +260,10 @@ def higgs_dbar(s):
 def higgs_obstruction(s, dbar_phi):
     """dbar_Q phi ^ omega^2, from dbar_phi = higgs_dbar(s).
 
-    Its nonvanishing certifies that the configuration is not of Higgs type.
+    Each entry goes through h.wedge_omega_sq.  Its nonvanishing certifies
+    that the configuration is not of Higgs type.
     """
-    w2 = s.h.omega.wedge(s.h.omega)
-    return dbar_phi.map_entries(lambda f: f.wedge(w2))
+    return dbar_phi.map_entries(s.h.wedge_omega_sq)
 
 
 def _chern_d(C, a):
@@ -283,8 +280,7 @@ def higgs_equation_residuals(s):
     """
     C, phi = s.chern_split
     H = s.metric_H
-    h = s.h
-    w2 = h.omega.wedge(h.omega)
+    wedge_w2 = s.h.wedge_omega_sq
 
     FH = C.d() + C.wedge(C)
     phi_star = H.adjoint(phi)  # (0,1)-form valued
@@ -293,10 +289,10 @@ def higgs_equation_residuals(s):
     half = Scalar.of(Fraction(1, 2))
 
     bracket = phi.wedge(phi_star) + phi_star.wedge(phi)
-    K_res = (FH + bracket.scale(half)).map_entries(lambda f: f.wedge(w2))
+    K_res = (FH + bracket.scale(half)).map_entries(wedge_w2)
     IJ_first = (FH + dbar_phi.scale(half) - del_phi_star.scale(half)) \
-        .map_entries(lambda f: f.wedge(w2))
-    IJ_second = (dbar_phi + del_phi_star).map_entries(lambda f: f.wedge(w2))
+        .map_entries(wedge_w2)
+    IJ_second = (dbar_phi + del_phi_star).map_entries(wedge_w2)
     integrability = _chern_d(C, phi).part(2, 0) + phi.wedge(phi)
     return {
         "K": K_res,

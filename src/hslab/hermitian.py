@@ -11,10 +11,12 @@ matrix_inverse built on it, matrix_det (forward elimination that stops at
 the first zero column), matmul, and sandwich (left . mid . right with a
 middle matrix of Scalars or forms).
 
-A HermitianStructure builds its brackets, Levi-Civita and Bismut
-coefficients and Lee form at most once and then returns the same object on
-every call, as star does with its table of basis images; the metric a
-structure was built for never changes.
+A HermitianStructure builds omega_sq = omega ^ omega and dc_omega = d^c omega
+at construction, for every verifier of its metric to read.  Its brackets,
+Levi-Civita and Bismut coefficients and Lee form are built at most once.
+star and wedge_omega_sq (form -> form ^ omega^2) share one loop over tables
+of basis images e_J, each image built on first use and kept by the
+structure; the metric a structure was built for never changes.
 
 Values of forms on frame vectors (Gram entries, brackets, torsion) are read
 off the coefficients with InvariantForm.at, and the star's frame pairings
@@ -211,11 +213,14 @@ class HermitianStructure:
                 self.G6[j][k + n] = self.g[j][k]
                 self.G6[k + n][j] = self.g[j][k]
         self.Ginv6 = matrix_inverse(self.G6)
-        self.volume = omega.wedge(omega).wedge(omega).scale(Fraction(1, 6))
+        self.omega_sq = omega.wedge(omega)
+        self.dc_omega = omega.dc()
+        self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()
         if self.c_vol.is_zero():
             raise ValueError("degenerate fundamental form: omega^3 = 0")
         self._star_cache = {}
+        self._wedge_omega_sq_cache = {}
         self._minors = {}
         self._brackets = None
         self._levi_civita = None
@@ -284,32 +289,50 @@ class HermitianStructure:
 
     # -- star, codifferential, Lee form ----------------------------------------
 
+    def _through_images(self, form, cache, image):
+        """sum_J v_J image(e_J) over the terms v_J e_J of form.
+
+        image(J) gives the terms of image(e_J), built on first use and kept
+        in cache.
+        """
+        terms = {}
+        for J, v in form.terms.items():
+            img = cache.get(J)
+            if img is None:
+                img = cache[J] = image(J)
+            for K, w in img.items():
+                x = w * v
+                u = terms.get(K)
+                terms[K] = x if u is None else u + x
+        return InvariantForm(self.model, terms)
+
     def star(self, form):
         """C-linear Hodge star with volume omega^3/3!.
 
         The image of a basis form e_J is sum_I <e_I, e_J> c_vol
         sign(I, I^c) e_{I^c} over the k-subsets I; its pairings come from
-        the memoized minors (dual_pairing), and each image is built once
-        per structure and kept.
+        the memoized minors (dual_pairing).
         """
-        model = self.model
-        out = model.zero()
-        dim = model.dim
-        for J, v in form.terms.items():
-            image = self._star_cache.get(J)
-            if image is None:
-                terms = {}
-                for I in combinations(range(dim), len(J)):
-                    pairing = self.dual_pairing(I, J)
-                    if pairing.is_zero():
-                        continue
-                    Ic = tuple(x for x in range(dim) if x not in I)
-                    merged, sign = _merge_sign(I, Ic)
-                    s = pairing * self.c_vol
-                    terms[Ic] = -s if sign < 0 else s
-                image = self._star_cache[J] = InvariantForm(model, terms)
-            out = out + image.scale(v)
-        return out
+        return self._through_images(form, self._star_cache, self._star_image)
+
+    def _star_image(self, J):
+        dim = self.model.dim
+        terms = {}
+        for I in combinations(range(dim), len(J)):
+            pairing = self.dual_pairing(I, J)
+            if pairing.is_zero():
+                continue
+            Ic = tuple(x for x in range(dim) if x not in I)
+            _, sign = _merge_sign(I, Ic)
+            s = pairing * self.c_vol
+            terms[Ic] = -s if sign < 0 else s
+        return terms
+
+    def wedge_omega_sq(self, form):
+        """form ^ omega^2, through the images e_J ^ omega^2 of this metric."""
+        return self._through_images(
+            form, self._wedge_omega_sq_cache,
+            lambda J: self.model.basis_form(J).wedge(self.omega_sq).terms)
 
     def codifferential(self, form):
         """d^* = -*d* in real dimension six."""
@@ -420,7 +443,7 @@ class HermitianStructure:
             return self._bismut
         lc = self.levi_civita()
         dim = self.model.dim
-        half_T = self.omega.dc().scale(Fraction(1, 2))
+        half_T = self.dc_omega.scale(Fraction(1, 2))
         # row (a, b): the correction sum_c (1/2) T(Z_a, Z_b, Z_c) Ginv[c][d]
         corr = matmul([[half_T.at(a, b, c) for c in range(dim)]
                        for a in range(dim) for b in range(dim)], self.Ginv6)

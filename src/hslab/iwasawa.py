@@ -292,8 +292,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     higgs_nonholomorphic = not higgs_obstruction(s, dbar_phi).is_zero()
 
     # slope of the cotangent subbundle and degrees of the two line bundles
-    w2 = h.omega.wedge(h.omega)
-    b = CohClass(w2, flavor="aeppli")
+    b = CohClass(h.omega_sq, flavor="aeppli")
     P = bismut_iso_matrix(h)
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]

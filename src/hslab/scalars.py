@@ -96,10 +96,6 @@ class Scalar:
     def is_real(self):
         return all(not b for _, b, _ in self._c.values())
 
-    def is_rational(self):
-        """True when the value is a plain rational number (pi-free, real)."""
-        return all(k == 0 and not t[1] for k, t in self._c.items())
-
     def is_monomial(self):
         return len(self._c) == 1
 
@@ -160,7 +156,10 @@ class Scalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
@@ -220,7 +219,10 @@ class Scalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def conjugate(self):
         return _new({k: (a, -b, d) for k, (a, b, d) in self._c.items()})

@@ -3,7 +3,7 @@
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import (QDIM, QSection, QOperator, QFrame,
+from hslab.algebroid import (QDIM, QSection, QFrame,
                              connection_DG, curvature, he_residual_G,
                              dolbeault_Q, transport_dolbeault,
                              extension_class_gamma, bismut_iso_matrix,
@@ -109,12 +109,6 @@ def test_extension_class(std):
             assert (g.entries[5 + l][c] - A.entries[5 + l][c]).is_zero()
         for c in range(5, QDIM):
             assert g.entries[5 + l][c].is_zero()
-
-
-def test_qoperator_dump_roundtrip(model, std):
-    A = connection_DG(std)
-    clone = QOperator.from_dump(model, A.to_json())
-    assert (clone - A).is_zero() and clone == A
 
 
 def test_qsection_algebra(model, rng):

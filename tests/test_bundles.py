@@ -7,7 +7,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
-                           hermitian_curvature, hym_residual, CohClass,
+                           hermitian_curvature, CohClass,
                            degree_and_slope, ch2_constraint, alpha_solve,
                            DegenerateCoupling, SystemParams, hs_residuals,
                            omega_norm, conformally_balanced_residual)
@@ -81,7 +81,7 @@ def test_hs_residuals_and_alpha_perturbation(model, h0, Omega, rng):
 def test_hym_residual(model, h0, rng):
     t = random_triple(rng)
     F = curvature_from_triple(model, LineBundleTriple(*t, role="V0"))
-    assert hym_residual(F, h0).is_zero()
+    assert h0.wedge_omega_sq(F).is_zero()
 
 
 def test_ch2_constraint(model, h0):

@@ -8,6 +8,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.hermitian import HermitianStructure, matrix_inverse, matrix_det
+from hslab.iwasawa import TauDeformation, su3_structure
 
 from conftest import random_form, random_scalar
 
@@ -61,6 +62,29 @@ def test_self_star_of_omega(model, h0):
     lhs = h0.star(h0.omega)
     rhs = h0.omega.wedge(h0.omega).scale(Scalar.of(Fraction(1, 2)))
     assert (lhs - rhs).is_zero()
+
+
+def _deformed(model):
+    omega0, _ = su3_structure(model)
+    tau = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4), Fraction(0))
+    return HermitianStructure(model, omega0 + tau.form(model))
+
+
+@pytest.mark.parametrize("name", ["model", "abelian_model", "kt_model"])
+def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
+    model = request.getfixturevalue(name)
+    h = _deformed(model)
+    w2 = h.omega.wedge(h.omega)
+    forms = [random_form(model, rng, deg, nterms=4)
+             for deg in range(7) for _ in range(3)]
+    assert sum(1 for f in forms if not f.wedge(w2).is_zero()) >= 9
+    # a cold table, then the same forms through the kept images
+    for _ in range(2):
+        for f in forms:
+            assert h.wedge_omega_sq(f) == f.wedge(w2)
+    fresh = _deformed(model)
+    for f in forms:
+        assert fresh.wedge_omega_sq(f) == f.wedge(w2)
 
 
 def test_codifferential_and_lee_zero(model, h0):

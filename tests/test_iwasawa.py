@@ -225,6 +225,30 @@ def test_family_context_is_built_once(monkeypatch):
             gc.enable()
 
 
+def test_metric_forms_are_built_once(monkeypatch):
+    from hslab.cealg import InvariantForm
+    wedges, dcs = [], []
+    wedge, dc = InvariantForm.wedge, InvariantForm.dc
+
+    def counted_wedge(self, other):
+        wedges.append((self, other))
+        return wedge(self, other)
+
+    def counted_dc(self):
+        dcs.append(self)
+        return dc(self)
+
+    monkeypatch.setattr(InvariantForm, "wedge", counted_wedge)
+    monkeypatch.setattr(InvariantForm, "dc", counted_dc)
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
+    verify_family(cand)
+    # every verifier reads omega^2 and d^c omega off the one metric
+    omega = cand.params.h.omega
+    assert sum(1 for a, b in wedges if a is omega and b is omega) == 1
+    assert sum(1 for a in dcs if a is omega) == 1
+
+
 def test_verify_family_negative_control():
     # a wrong coupling must break the anomaly verdict
     report = verify_family(_family((1, 2, 2), (2, -1, 0), alpha=Scalar.one()))

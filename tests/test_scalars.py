@@ -13,10 +13,22 @@ from conftest import random_scalar
 
 def test_constructors_and_basics():
     assert Scalar.zero().is_zero()
-    assert Scalar.one().is_rational()
     assert (Scalar.i() * Scalar.i() + Scalar.one()).is_zero()
     assert Scalar.pi().evalf() == pytest.approx(math.pi)
     assert Scalar.pi(-2).evalf() == pytest.approx(math.pi ** -2)
+
+
+def test_reflected_operators():
+    # ints and Fractions coerce on either side
+    assert 2 - Scalar.one() == Scalar.one()
+    assert Fraction(1, 2) - Scalar.one() == Scalar.of(Fraction(-1, 2))
+    assert 1 / Scalar.of(2) == Scalar.of(Fraction(1, 2))
+    assert Fraction(3) / Scalar.i() == Scalar.of(0, -3)
+    # anything else is Python's own TypeError naming both operand types
+    with pytest.raises(TypeError, match=r"for -: 'float' and 'Scalar'"):
+        1.5 - Scalar.one()
+    with pytest.raises(TypeError, match=r"for /: 'float' and 'Scalar'"):
+        1.5 / Scalar.one()
 
 
 def test_ring_axioms_randomized():
