@@ -137,7 +137,7 @@ def alpha_solve(F0, F1, h):
     Raises on degenerate coupling (the quadratic terms cancel) and when the
     two sides are not proportional.
     """
-    lhs = h.dc_omega.d()
+    lhs = h.ddc_omega
     rhs = F0.wedge(F0) - F1.wedge(F1)
     if rhs.is_zero():
         raise DegenerateCoupling("tr F0^2 = tr F1^2: no coupling constant exists")
@@ -246,11 +246,11 @@ def hs_residuals(s: SystemParams):
     + alpha F1^2).  The conformally-balanced residual d(|Omega| omega^2)
     equals the constant |Omega| times the third entry: |Omega| is constant
     on invariant data, so the zero locus is unchanged and the returned form
-    keeps exact coefficients.  The metric h gives omega^2, d^c omega and
-    F_j ^ omega^2 (h.omega_sq, h.dc_omega, h.wedge_omega_sq).
+    keeps exact coefficients.  The metric h gives omega^2, dd^c omega and
+    F_j ^ omega^2 (h.omega_sq, h.ddc_omega, h.wedge_omega_sq).
     """
     h = s.h
-    bianchi = h.dc_omega.d() \
+    bianchi = h.ddc_omega \
         - s.F0.wedge(s.F0).scale(s.alpha) + s.F1.wedge(s.F1).scale(s.alpha)
     return (h.wedge_omega_sq(s.F0), h.wedge_omega_sq(s.F1), h.omega_sq.d(),
             bianchi)

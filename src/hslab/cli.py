@@ -2,17 +2,17 @@
 
 Exit codes: 0 success (verify: the family solves the system and the
 associated connection is Hermitian-Einstein), 1 failed verification or
-selftest identity, 2 degenerate coupling, 3 malformed arguments (including
-a deformation that is not positive, a sweep thread count below 1, and a
---json or --out path that cannot be opened for writing).  The sweep runs in
-one process: --threads and HS_LAB_THREADS are checked, but have no effect.
+selftest identity, 2 degenerate coupling, 3 malformed arguments (say a
+deformation that is not positive or a sweep thread count below 1) or an
+output that cannot be written (a --json or --out path, a sweep's closed
+stdout).  The sweep runs in one process: --threads and HS_LAB_THREADS are
+checked, but have no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -144,11 +144,13 @@ def cmd_sweep(args):
     with _output(args.out, "--out") as write:
         write = write or sys.stdout.write
         # each record is written as it arrives; the catalog is never held
-        for rec in iter_sweep(args.max, require_harmonic=args.require_harmonic,
-                              require_ch2=args.require_ch2, raw=args.raw):
-            write(json.dumps(rec, sort_keys=True) + "\n")
+        for line, harm in iter_sweep(
+                args.max, require_harmonic=args.require_harmonic,
+                require_ch2=args.require_ch2, raw=args.raw):
+            write(line + "\n")
             families += 1
-            harmonic += rec["harmonic"]
+            harmonic += harm
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     print("families: %d  harmonic: %d" % (families, harmonic),
           file=sys.stderr)
     return 0
@@ -171,6 +173,8 @@ def run_selftest(dc_sign=1, star_sign=1):
     F0 = curvature_from_triple(model, t0)
     F1 = curvature_from_triple(model, t1)
     alpha = alpha_solve(F0, F1, h)
+    s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
+                     F0=F0, F1=F1, alpha=alpha, Omega=Omega)
 
     def check_dw3():
         return (model.d_gen(2) - model.basis_form((0, 1))).is_zero()
@@ -203,16 +207,11 @@ def run_selftest(dc_sign=1, star_sign=1):
         return anomaly.is_zero()
 
     def check_fd_decomp():
-        s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
-                         F0=F0, F1=F1, alpha=alpha, Omega=Omega)
         B, Psi = s.unitary_split
         lhs = s.connection_curvature
         rhs = (B.d() + B.wedge(B) + Psi.wedge(Psi)
                + Psi.d() + B.wedge(Psi) + Psi.wedge(B))
-        return (lhs - rhs).is_zero(), s
-
-    def check_harmonic_vs_mmap(s):
-        return matrix_is_zero(harmonic_vs_moment_gap(s))
+        return (lhs - rhs).is_zero()
 
     checks = [
         ("d omega_3", check_dw3),
@@ -220,15 +219,13 @@ def run_selftest(dc_sign=1, star_sign=1):
         ("*d^c omega_0", check_star_dc),
         ("F(m,n,p)^2", check_fsq),
         ("alpha round-trip", check_alpha),
+        ("curvature decomposition", check_fd_decomp),
+        ("codifferential vs moment-map identity",
+         lambda: matrix_is_zero(harmonic_vs_moment_gap(s))),
     ]
     for name, fn in checks:
         if not fn():
             return False, name
-    ok, s = check_fd_decomp()
-    if not ok:
-        return False, "curvature decomposition"
-    if not check_harmonic_vs_mmap(s):
-        return False, "codifferential vs moment-map identity"
     return True, None
 
 
@@ -283,6 +280,11 @@ def main(argv=None):
     except DegenerateCoupling as exc:
         print("degenerate coupling: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write standard output: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,12 +11,12 @@ matrix_inverse built on it, matrix_det (forward elimination that stops at
 the first zero column), matmul, and sandwich (left . mid . right with a
 middle matrix of Scalars or forms).
 
-A HermitianStructure builds omega_sq = omega ^ omega and dc_omega = d^c omega
-at construction, for every verifier of its metric to read.  Its brackets,
-Levi-Civita and Bismut coefficients and Lee form are built at most once.
-star and wedge_omega_sq (form -> form ^ omega^2) share one loop over tables
-of basis images e_J, each image built on first use and kept by the
-structure; the metric a structure was built for never changes.
+A HermitianStructure builds omega_sq = omega ^ omega, dc_omega = d^c omega
+and ddc_omega = dd^c omega at construction, for every verifier of its
+metric to read; its brackets, Levi-Civita and Bismut coefficients and Lee
+form at most once.  star and wedge_omega_sq (form -> form ^ omega^2) share
+one loop over tables of basis images e_J, each built on first use and kept
+by the structure; the metric a structure was built for never changes.
 
 Values of forms on frame vectors (Gram entries, brackets, torsion) are read
 off the coefficients with InvariantForm.at, and the star's frame pairings
@@ -215,6 +215,7 @@ class HermitianStructure:
         self.Ginv6 = matrix_inverse(self.G6)
         self.omega_sq = omega.wedge(omega)
         self.dc_omega = omega.dc()
+        self.ddc_omega = self.dc_omega.d()
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()
         if self.c_vol.is_zero():

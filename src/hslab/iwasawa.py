@@ -19,9 +19,9 @@ sweep enumerates integer pairs in one process (iter_sweep): per-triple
 engine flags of the moment-map residual K, then closed-form records, row
 by row.  K of a triple against its orthogonal partner is a polynomial of
 degree <= 2 in the triple, so _base_flags reads every flag off one exact
-interpolation: at most 30 engine runs at any --max.  Records are yielded
-as they are made, so memory does not grow with the record count.
-sweep() is list(iter_sweep(...)).
+interpolation: at most 30 engine runs at any --max.  iter_sweep yields
+catalog lines as they are made, so memory does not grow with the record
+count; sweep() parses them.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class SolutionCandidate:
     gamma_form: object
 
 
-def _gamma_correction(model, omega0, tau_form, F0, F1):
+def _gamma_correction(omega0, tau_form, F0, F1):
     """Closed torus (1,1)-form gamma with F_j ^ (tau^2 + 2 omega_0 ^ gamma) = 0.
 
     gamma is sought in the real span of the two curvature directions; the
@@ -154,12 +154,7 @@ def _gamma_correction(model, omega0, tau_form, F0, F1):
     if sol is None:
         raise ValueError("inconsistent correction system")
     x, y = sol
-    gamma = model.zero()
-    if not x.is_zero():
-        gamma = gamma + g_basis[0].scale(x)
-    if not y.is_zero():
-        gamma = gamma + g_basis[1].scale(y)
-    return gamma
+    return g_basis[0].scale(x) + g_basis[1].scale(y)  # scale(0) is zero
 
 
 def make_family(cfg: FamilyConfig) -> SolutionCandidate:
@@ -175,7 +170,7 @@ def make_family(cfg: FamilyConfig) -> SolutionCandidate:
 
     tau_form = cfg.tau.form(model)
     if cfg.correct and not cfg.tau.is_zero():
-        gamma = _gamma_correction(model, omega0, tau_form, F0, F1)
+        gamma = _gamma_correction(omega0, tau_form, F0, F1)
     else:
         gamma = model.zero()
     omega = omega0 + tau_form + gamma
@@ -183,9 +178,8 @@ def make_family(cfg: FamilyConfig) -> SolutionCandidate:
         h = HermitianStructure(model, omega)
     except ValueError as exc:
         raise ValueError("deformation is not positive: %s" % exc) from exc
-    if cfg.alpha is not None:
-        alpha = cfg.alpha
-    else:
+    alpha = cfg.alpha
+    if alpha is None:
         alpha = alpha_solve(F0, F1, h)
     params = SystemParams(model=model, h=h, triple0=cfg.triple0,
                           triple1=cfg.triple1, F0=F0, F1=F1, alpha=alpha,
@@ -419,19 +413,26 @@ def _base_flags(triples):
     return flags
 
 
-def _sweep_record(t0, t1, s0, s1, base_flags, alphas):
-    """The record of the pair (t0, t1), None if s0 == s1.
+# json.dumps(record, sort_keys=True) of a sweep record, keys in sorted order
+_LINE = ('{"alpha": %s, "dbar_phi_23_nonzero": %s, "flags": '
+         '{"hermitian_einstein": true, "hs_solution": true}, '
+         '"harmonic": %s, "params": {"triple0": %s, "triple1": %s}}')
+_BOOL = (json.dumps(False), json.dumps(True))
 
-    s0 and s1 are the squared norms of t0 and t1, computed once per triple
-    by the caller.  alphas: s0 - s1 -> alpha, a per-sweep cache (the literal
-    depends on that difference alone).
+
+def _sweep_record(t0, t1, s0, s1, j0, j1, base_flags, alphas):
+    """(catalog line, harmonic) of the pair (t0, t1), None if s0 == s1.
+
+    s0, s1 are the squared norms of t0, t1 and j0, j1 their JSON texts, all
+    computed once per triple by the caller.  alphas: s0 - s1 -> JSON text of
+    alpha, a per-sweep cache (the literal depends on that difference alone).
     """
     if s0 == s1:
         return None
     alpha = alphas.get(s0 - s1)
     if alpha is None:
-        alpha = alphas[s0 - s1] = str(
-            Scalar.pi(-2, Fraction(1, 2 * (s0 - s1))))
+        alpha = alphas[s0 - s1] = json.dumps(
+            str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
     m0, n0, p0 = t0
     m1, n1, p1 = t1
     dot = m0 * m1 + n0 * n1 + p0 * p1
@@ -447,14 +448,9 @@ def _sweep_record(t0, t1, s0, s1, base_flags, alphas):
     # four components below is insensitive to the factor order
     e11 = (dot, p0 * n1 - n0 * p1)
     e12 = (m0 * n1 - m1 * n0, m0 * p1 - m1 * p0)
-    dphi_nonzero = any(v != 0 for v in e11 + e12)
-    return {
-        "params": {"triple0": list(t0), "triple1": list(t1)},
-        "alpha": alpha,
-        "flags": {"hs_solution": True, "hermitian_einstein": True},
-        "harmonic": harmonic,
-        "dbar_phi_23_nonzero": dphi_nonzero,
-    }
+    dphi_nonzero = any(e11 + e12)
+    return (_LINE % (alpha, _BOOL[dphi_nonzero], _BOOL[harmonic], j0, j1),
+            harmonic)
 
 
 def _ch2_holds():
@@ -471,10 +467,10 @@ def _ch2_holds():
 
 
 def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
-    """The records of sweep(), yielded one at a time in the same order.
+    """sweep()'s records as (catalog line, harmonic), one at a time.
 
     The engine flags of every triple come first (_base_flags); then each
-    record is yielded as it is made, never held in a list of all records.
+    line is yielded as it is made, never held in a list of all lines.
     """
     if max_abs < 0:
         raise ValueError("max_abs must be nonnegative")
@@ -483,15 +479,15 @@ def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     triples = _triples(max_abs)
     flags = _base_flags(triples)
     alphas = {}
-    norms = [sum(x * x for x in t) for t in triples]
-    for t0, s0 in zip(triples, norms):
+    cols = [(t, sum(x * x for x in t), json.dumps(list(t))) for t in triples]
+    for t0, s0, j0 in cols:
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
         if not raw and not t0 < tuple(-x for x in t0):
             continue
-        for t1, s1 in zip(triples, norms):
-            rec = _sweep_record(t0, t1, s0, s1, flags, alphas)
-            if rec is not None and (rec["harmonic"] or not require_harmonic):
+        for t1, s1, j1 in cols:
+            rec = _sweep_record(t0, t1, s0, s1, j0, j1, flags, alphas)
+            if rec is not None and (rec[1] or not require_harmonic):
                 yield rec
 
 
@@ -503,5 +499,6 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     raw is set), byte-stable for fixed arguments.  require_ch2 keeps only
     pairs whose F0^2 - F1^2 is dd^c-exact: every pair here (_ch2_holds).
     """
-    return list(iter_sweep(max_abs, require_harmonic=require_harmonic,
-                           require_ch2=require_ch2, raw=raw))
+    lines = iter_sweep(max_abs, require_harmonic=require_harmonic,
+                       require_ch2=require_ch2, raw=raw)
+    return [json.loads(line) for line, _ in lines]

@@ -162,7 +162,7 @@ def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
     out = str(tmp_path / "catalog.jsonl")
     assert main(["sweep", "--max", "1", "--out", out]) == 0  # warm-up
     peaks = []
-    for max_abs in (1, 2):
+    for max_abs in (1, 2, 3):
         tracemalloc.start()
         try:
             assert main(["sweep", "--max", str(max_abs), "--out", out]) == 0
@@ -170,10 +170,55 @@ def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
         finally:
             tracemalloc.stop()
     err = capsys.readouterr().err
-    assert "families: 216 " in err and "families: 6580 " in err
+    families = (216, 6580, 54228)
+    for n in families:
+        assert "families: %d " % n in err
     # a record held until the end costs about 1.4 kB; a streamed one is
-    # written and dropped, so 6,364 more records may add at most 100 B each
-    assert peaks[1] - peaks[0] < 100 * (6580 - 216)
+    # written and dropped, so each record past --max 1 may add at most 100 B
+    for peak, n in zip(peaks[1:], families[1:]):
+        assert peak - peaks[0] < 100 * (n - families[0])
+
+
+@pytest.mark.parametrize("at_flush", [False, True],
+                         ids=["mid-stream", "at-the-final-flush"])
+def test_closed_stdout_exits_three(at_flush):
+    # the reader of the catalog goes away early, as `| head -1` does: one
+    # error line and exit 3, no traceback and nothing ignored at exit
+    import subprocess
+    import sys
+    import hslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a shell
+    if not at_flush:
+        # about 1 MB of catalog, more than a pipe holds: the reader takes
+        # one line and leaves, and a later write fails
+        code = ("import sys; from hslab.cli import main; "
+                "sys.exit(main(['sweep', '--max', '2']))")
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = json.loads(proc.stdout.readline())
+        assert first["params"] == {"triple0": [-2, -2, -2],
+                                   "triple1": [-2, -2, -1]}
+        proc.stdout.close()
+    else:
+        # no reader at all, and every line stays in a 16 MB buffer until
+        # the sweep flushes it
+        code = ("import io, sys; from hslab.cli import main; "
+                "sys.stdout = io.TextIOWrapper(open(1, 'wb', closefd=False, "
+                "buffering=1 << 24)); "
+                "sys.exit(main(['sweep', '--max', '1']))")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 3
+    assert err.startswith("error: cannot write standard output: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_sweep_threads_env_override(tmp_path, monkeypatch, capsys):

@@ -227,8 +227,8 @@ def test_family_context_is_built_once(monkeypatch):
 
 def test_metric_forms_are_built_once(monkeypatch):
     from hslab.cealg import InvariantForm
-    wedges, dcs = [], []
-    wedge, dc = InvariantForm.wedge, InvariantForm.dc
+    wedges, dcs, ds = [], [], []
+    wedge, dc, d = InvariantForm.wedge, InvariantForm.dc, InvariantForm.d
 
     def counted_wedge(self, other):
         wedges.append((self, other))
@@ -238,15 +238,22 @@ def test_metric_forms_are_built_once(monkeypatch):
         dcs.append(self)
         return dc(self)
 
+    def counted_d(self):
+        ds.append(self)
+        return d(self)
+
     monkeypatch.setattr(InvariantForm, "wedge", counted_wedge)
     monkeypatch.setattr(InvariantForm, "dc", counted_dc)
+    monkeypatch.setattr(InvariantForm, "d", counted_d)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
     verify_family(cand)
-    # every verifier reads omega^2 and d^c omega off the one metric
-    omega = cand.params.h.omega
-    assert sum(1 for a, b in wedges if a is omega and b is omega) == 1
-    assert sum(1 for a in dcs if a is omega) == 1
+    # every verifier reads omega^2, d^c omega and dd^c omega off the one
+    # metric
+    h = cand.params.h
+    assert sum(1 for a, b in wedges if a is h.omega and b is h.omega) == 1
+    assert sum(1 for a in dcs if a is h.omega) == 1
+    assert sum(1 for a in ds if a is h.dc_omega) == 1
 
 
 def test_verify_family_negative_control():
@@ -390,20 +397,56 @@ def test_base_flags_check_the_samples_and_the_cross_term(monkeypatch):
         iwasawa._base_flags([(1, 2, 3)])
 
 
+def _replay(rec):
+    """Check one catalog record against full engine runs."""
+    t0 = tuple(rec["params"]["triple0"])
+    t1 = tuple(rec["params"]["triple1"])
+    cand = _family(t0, t1)
+    assert str(cand.params.alpha) == rec["alpha"]
+    assert all(r.is_zero() for r in hs_residuals(cand.params))
+    assert he_residual_G(cand.params).is_zero()
+    assert matrix_is_zero(harmonic_residual(cand.params)) == rec["harmonic"]
+    dphi = higgs_dbar(cand.params).entries[6][7]
+    assert (not dphi.is_zero()) == rec["dbar_phi_23_nonzero"]
+
+
 def test_sweep_records_match_engine(rng):
     # subsample the catalog and replay each record against full engine runs
     records = sweep(1)
-    sample = rng.sample(records, 10)
-    for rec in sample:
-        t0 = tuple(rec["params"]["triple0"])
-        t1 = tuple(rec["params"]["triple1"])
-        cand = _family(t0, t1)
-        assert str(cand.params.alpha) == rec["alpha"]
-        assert all(r.is_zero() for r in hs_residuals(cand.params))
-        assert he_residual_G(cand.params).is_zero()
-        assert matrix_is_zero(harmonic_residual(cand.params)) == rec["harmonic"]
-        dphi = higgs_dbar(cand.params).entries[6][7]
-        assert (not dphi.is_zero()) == rec["dbar_phi_23_nonzero"]
+    for rec in rng.sample(records, 10):
+        _replay(rec)
+
+
+def test_sweep_edge_records_match_engine():
+    # pairs on the edges of the closed forms, as the raw --max 2 catalog
+    # writes them: parallel (dot != 0), orthogonal (dot == 0, both plane
+    # triples) and axis/plane (an axis triple, whose base flag comes from
+    # the axis branch); an axis/plane pair of equal norms has no record
+    records = {(tuple(r["params"]["triple0"]), tuple(r["params"]["triple1"])): r
+               for r in sweep(2, raw=True)}
+    for pair in [((1, 1, 0), (2, 2, 0)), ((2, 2, 0), (1, 1, 0)),
+                 ((1, 2, 2), (2, -1, 0)), ((2, -1, 0), (1, 2, 2)),
+                 ((0, 0, 1), (2, 0, 0)), ((2, 0, 0), (0, 0, 1))]:
+        _replay(records[pair])
+    assert records[(1, 1, 0), (2, 2, 0)]["harmonic"] is False
+    assert records[(1, 2, 2), (2, -1, 0)]["harmonic"] is True
+    assert records[(0, 0, 1), (2, 0, 0)]["harmonic"] is True
+    assert ((0, 0, 1), (1, 0, 0)) not in records
+    with pytest.raises(DegenerateCoupling):
+        _family((0, 0, 1), (1, 0, 0))
+
+
+@pytest.mark.parametrize("options", [{}, {"raw": True},
+                                     {"require_harmonic": True}])
+def test_sweep_lines_are_the_stdlib_encoding(options):
+    # the hand-built line template against json.dumps(..., sort_keys=True)
+    signs = set()
+    for line, harmonic in iwasawa.iter_sweep(2, **options):
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True)
+        assert harmonic is rec["harmonic"]
+        signs.add(rec["alpha"].startswith("-"))
+    assert signs == {True, False}
 
 
 def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
@@ -427,5 +470,10 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
 def sweep_pair(t0, t1):
     from hslab.iwasawa import _base_flags, _sweep_record
     rec = _sweep_record(t0, t1, sum(x * x for x in t0), sum(x * x for x in t1),
+                        json.dumps(list(t0)), json.dumps(list(t1)),
                         _base_flags([t0, t1]), {})
-    return [rec] if rec is not None else []
+    if rec is None:
+        return []
+    line, harmonic = rec
+    assert json.loads(line)["harmonic"] is harmonic
+    return [json.loads(line)]
