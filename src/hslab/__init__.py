@@ -3,19 +3,18 @@ on invariant nilmanifold backgrounds."""
 
 from .scalars import Scalar, parse_scalar
 from .cealg import (NilmanifoldModel, InvariantForm, InvariantVector,
-                    build_iwasawa_model, parse_form)
+                    build_iwasawa_model)
 from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
-                      SystemParams, hs_residuals, omega_norm,
-                      conformally_balanced_residual, DegenerateCoupling)
+                      SystemParams, hs_residuals, DegenerateCoupling)
 from .algebroid import (QSection, QOperator, QFrame, connection_DG,
                         curvature, he_residual_G, dolbeault_Q,
                         transport_dolbeault, extension_class_gamma,
                         bismut_iso_matrix, subbundle_report)
 from .harmonic import (CompatibleMetricH, decompose_unitary, decompose_chern,
                        moment_residuals, harmonic_residual, harmonic_criteria,
-                       higgs_field, higgs_dbar, higgs_equation_residuals)
+                       higgs_dbar, higgs_equation_residuals)
 from .iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                       FamilyConfig, SolutionCandidate, make_family,
                       VerificationReport, verify_family, sweep)

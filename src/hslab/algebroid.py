@@ -20,7 +20,11 @@ cotangent components: c w_j ^ w_k' -> (-c w_k') (x) w_j.
 
 The verifiers here take a SystemParams and read its per-family objects,
 each built once: frame, metric_H, connection (D^G), connection_curvature
-and dolbeault (the Dolbeault operator in the extension frame).
+and dolbeault (the Dolbeault operator in the extension frame).  QFrame
+holds the C-bilinear pairing and the compatible positive metric H.  A
+QOperator's wedge, its action on a section and the pairing of sections
+are hermitian.matmul products, whose entries multiply with * (forms by
+wedge, a form and a Scalar by scaling).
 """
 
 from __future__ import annotations
@@ -54,12 +58,6 @@ class QSection:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, s):
-        return QSection(self.model, [a * s for a in self.coeffs])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, QSection):
@@ -98,21 +96,8 @@ class QOperator:
 
     def wedge(self, other):
         """Matrix product with entrywise wedge: (A ^ B)_ij = sum_k A_ik ^ B_kj."""
-        z = self.model.zero()
-        out = [[z for _ in range(QDIM)] for _ in range(QDIM)]
-        for i in range(QDIM):
-            rowi = self.entries[i]
-            for k in range(QDIM):
-                a = rowi[k]
-                if a.is_zero():
-                    continue
-                rowk = other.entries[k]
-                for j in range(QDIM):
-                    b = rowk[j]
-                    if b.is_zero():
-                        continue
-                    out[i][j] = out[i][j] + a.wedge(b)
-        return QOperator(self.model, out)
+        return QOperator(self.model, matmul(self.entries, other.entries,
+                                            self.model.zero()))
 
     def d(self):
         return QOperator(self.model, [[a.d() for a in row] for row in self.entries])
@@ -132,23 +117,13 @@ class QOperator:
         return rows
 
     def apply(self, section):
-        """Apply to a constant section; result is a tuple of 8 forms."""
-        out = []
-        for row in self.entries:
-            acc = self.model.zero()
-            for a, c in zip(row, section.coeffs):
-                if not a.is_zero() and not c.is_zero():
-                    acc = acc + a.scale(c)
-            out.append(acc)
-        return out
+        """Apply to a constant section; result is a list of 8 forms."""
+        column = [[c] for c in section.coeffs]
+        out = matmul(self.entries, column, self.model.zero())
+        return [row[0] for row in out]
 
     def is_zero(self):
         return all(a.is_zero() for row in self.entries for a in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, QOperator):
-            return NotImplemented
-        return self.model is other.model and self.entries == other.entries
 
     def dump(self):
         """JSON-ready 8x8 array of form literals (golden-file format)."""
@@ -160,8 +135,8 @@ class QOperator:
 
 
 def scalar_commutator(a, b):
-    ab = matmul(a, b)
-    ba = matmul(b, a)
+    ab = matmul(a, b, Scalar.zero())
+    ba = matmul(b, a, Scalar.zero())
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
@@ -183,50 +158,20 @@ class QFrame:
         P[6][6] = -alpha
         P[7][7] = alpha
         self.pairing = P
-        # Hermitian Gram of the underlying Riemannian metric: g_H[a][b] = g(Z_a, conj Z_b)
-        self.gH = [[h.G6[a][(b + 3) % 6] for b in range(6)] for a in range(6)]
 
     def pair(self, x, y):
-        """C-bilinear pairing of sections."""
-        out = Scalar.zero()
-        for a in range(QDIM):
-            xa = x.coeffs[a]
-            if xa.is_zero():
-                continue
-            for b in range(QDIM):
-                if not self.pairing[a][b].is_zero() and not y.coeffs[b].is_zero():
-                    out = out + xa * self.pairing[a][b] * y.coeffs[b]
-        return out
-
-    def sigma(self, x):
-        """The real structure s -> -conj(s) in frame coordinates."""
-        c = x.coeffs
-        out = [Scalar.zero()] * QDIM
-        for a in range(6):
-            out[a] = -c[(a + 3) % 6].conjugate()
-        out[6] = c[6].conjugate()
-        out[7] = c[7].conjugate()
-        return QSection(self.model, out)
-
-    def metric_G_matrix(self):
-        """G = <., sigma .> as a sesquilinear Gram matrix; signature (7,1) for alpha > 0."""
-        z = Scalar.zero()
-        G = [[z] * QDIM for _ in range(QDIM)]
-        for a in range(6):
-            for b in range(6):
-                G[a][b] = self.gH[a][b]
-        G[6][6] = -self.alpha
-        G[7][7] = self.alpha
-        return G
+        """C-bilinear pairing of sections: x^T . pairing . y."""
+        return sandwich([x.coeffs], self.pairing, [[c] for c in y.coeffs],
+                        Scalar.zero())[0][0]
 
     def metric_H_matrix(self):
-        """The compatible positive metric: g on T, |alpha| on both End blocks."""
+        """The compatible positive metric: g(Z_a, conj Z_b) on T, |alpha| on End."""
         aabs = self.alpha if self.alpha.sign() > 0 else -self.alpha
         z = Scalar.zero()
         H = [[z] * QDIM for _ in range(QDIM)]
         for a in range(6):
             for b in range(6):
-                H[a][b] = self.gH[a][b]
+                H[a][b] = self.h.G6[a][(b + 3) % 6]
         H[6][6] = aabs
         H[7][7] = aabs
         return H
@@ -405,9 +350,10 @@ def _span_slope(s, span, b_class):
     model = s.model
     k = len(span)
     S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
+    zero = Scalar.zero()
     SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
-                 s.metric_H.Hm)
-    ShS_inv = matrix_inverse(matmul(SdH, S))  # (S^dagger H S)^-1, k x k
+                 s.metric_H.Hm, zero)
+    ShS_inv = matrix_inverse(matmul(SdH, S, zero))  # (S^dagger H S)^-1, k x k
     # curvature of the induced connection on the subbundle: compress F_{D^G}
     SdHFS = sandwich(SdH, s.connection_curvature.entries, S, model.zero())
     trace = model.zero()

@@ -7,8 +7,8 @@ A triple (m,n,p) in Z^3 \\ {0} determines a purely imaginary invariant
 
 the curvature of a Hermitian holomorphic line bundle.  This module houses
 the curvature map, Hermitian-Yang-Mills and Bianchi residuals, the exact
-coupling constant solve, degree/slope pairings against balanced classes,
-the second-Chern-character constraint, and the holomorphic-volume-form norm.
+coupling constant solve, degree/slope pairings against balanced classes
+and the second-Chern-character constraint.
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
 its frame, compatible metric H, connection D^G, the curvature of D^G, the
@@ -20,15 +20,13 @@ them valid, and none of them refers back to the family.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import sqrt
 
-from .scalars import Scalar, parse_scalar
-from .cealg import InvariantForm, parse_form
-from .hermitian import HermitianStructure, solve
+from .scalars import Scalar
+from .cealg import InvariantForm
+from .hermitian import solve
 from .algebroid import QFrame, connection_DG, curvature, dolbeault_Q
 from .harmonic import CompatibleMetricH, decompose_chern, decompose_unitary
 
@@ -44,12 +42,6 @@ class LineBundleTriple:
     def __post_init__(self):
         if (self.m, self.n, self.p) == (0, 0, 0):
             raise ValueError("line bundle triple must be nonzero")
-
-    def norm_sq(self):
-        return self.m * self.m + self.n * self.n + self.p * self.p
-
-    def dot(self, other):
-        return self.m * other.m + self.n * other.n + self.p * other.p
 
     def hermitian_matrix(self):
         """The 2x2 Hermitian coefficient matrix M with F = pi sum M_{jk'} w_{jk'}."""
@@ -212,32 +204,6 @@ class SystemParams:
         """(C, phi): Chern-type part and (1,0)-form field of the connection."""
         return decompose_chern(self.connection, self.metric_H)
 
-    def to_json(self):
-        return {
-            "triple0": [self.triple0.m, self.triple0.n, self.triple0.p],
-            "triple1": [self.triple1.m, self.triple1.n, self.triple1.p],
-            "tau": [str(t) for t in self.tau_coeffs],
-            "alpha": str(self.alpha),
-            "omega": self.h.omega.literal(),
-            "Omega": self.Omega.literal(),
-        }
-
-    @classmethod
-    def from_json(cls, model, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        t0 = LineBundleTriple(*doc["triple0"], role="V0")
-        t1 = LineBundleTriple(*doc["triple1"], role="V1")
-        h = HermitianStructure(model, parse_form(model, doc["omega"]))
-        return cls(
-            model=model, h=h, triple0=t0, triple1=t1,
-            F0=curvature_from_triple(model, t0),
-            F1=curvature_from_triple(model, t1),
-            alpha=parse_scalar(doc["alpha"]),
-            Omega=parse_form(model, doc["Omega"]),
-            tau_coeffs=tuple(Fraction(t) for t in doc.get("tau", ["0"] * 4)),
-        )
-
 
 def hs_residuals(s: SystemParams):
     """The four Hull-Strominger residual forms.
@@ -254,30 +220,3 @@ def hs_residuals(s: SystemParams):
         - s.F0.wedge(s.F0).scale(s.alpha) + s.F1.wedge(s.F1).scale(s.alpha)
     return (h.wedge_omega_sq(s.F0), h.wedge_omega_sq(s.F1), h.omega_sq.d(),
             bianchi)
-
-
-def omega_norm(Omega, h):
-    """Norm of the holomorphic volume form from Omega ^ conj(Omega).
-
-    Returns the pair (|Omega|^2, |Omega|).  Convention: Omega ^ conj(Omega)
-    = -8 i |Omega|^2 omega^3/3!, calibrated so that |w_123| = 1 for the
-    standard structure.  The square is exact and its positivity is decided
-    exactly (Scalar.sign); the norm is a float, for display only, since the
-    square root is generally irrational.
-    """
-    if Omega.is_zero():
-        raise ValueError("volume form is zero")
-    c_n = Scalar.of(0, -8)
-    lhs = Omega.wedge(Omega.conjugate())
-    norm_sq = h.integrate(lhs) * c_n.inverse()
-    if not norm_sq.is_real():
-        raise ValueError("norm square is not real")
-    if norm_sq.sign() != 1:
-        raise ValueError("norm square is not positive")
-    return norm_sq, sqrt(norm_sq.evalf().real)
-
-
-def conformally_balanced_residual(Omega, h):
-    """d^c log |Omega| - d^* omega; the log term vanishes on invariant data."""
-    omega_norm(Omega, h)  # validates constancy/positivity conventions
-    return -h.codifferential(h.omega)

@@ -138,12 +138,6 @@ class NilmanifoldModel:
     def top_index(self):
         return tuple(range(self.dim))
 
-    def label_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError("unknown generator label %r" % label)
-
     def d_gen(self, a):
         return self.diff[a]
 
@@ -224,10 +218,14 @@ class InvariantForm:
         out.terms = {k: v * s for k, v in self.terms.items()}
         return out
 
-    def __mul__(self, s):
-        return self.scale(s)
+    def __mul__(self, other):
+        """self ^ other for a form, self scaled by other for anything else."""
+        if isinstance(other, InvariantForm):
+            return self.wedge(other)
+        return self.scale(other)
 
-    __rmul__ = __mul__
+    def __rmul__(self, s):
+        return self.scale(s)
 
     def is_zero(self):
         return not self.terms
@@ -302,9 +300,6 @@ class InvariantForm:
         out.model = self.model
         out.terms = t
         return out
-
-    def __xor__(self, other):
-        return self.wedge(other)
 
     def d(self):
         """Graded Leibniz extension of the structure differential."""
@@ -433,46 +428,6 @@ class InvariantForm:
         return "InvariantForm(%s)" % self.literal()
 
 
-def parse_form(model, text):
-    """Inverse of InvariantForm.literal()."""
-    text = text.strip()
-    if text == "0":
-        return model.zero()
-    out = model.zero()
-    depth = 0
-    start = 0
-    chunks = []
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            chunks.append(text[start:pos])
-            start = pos + 1
-    chunks.append(text[start:])
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk.startswith("("):
-            raise ValueError("bad form literal term %r" % chunk)
-        depth = 0
-        for pos, ch in enumerate(chunk):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        scalar = parse_scalar(chunk[1:pos])
-        rest = chunk[pos + 1:].strip()
-        if rest:
-            indices = tuple(model.label_index(lab) for lab in rest.split("^"))
-        else:
-            indices = ()
-        out = out + model.basis_form(indices, scalar)
-    return out
-
-
 class InvariantVector:
     """Invariant vector field over the frame Z_1..Z_n, Z_1'..Z_n'."""
 
@@ -496,22 +451,8 @@ class InvariantVector:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, s):
-        return InvariantVector(self.model, [a * s for a in self.coeffs])
-
-    def conjugate(self):
-        n = self.model.n
-        return InvariantVector(
-            self.model,
-            [self.coeffs[(a + n) % (2 * n)].conjugate() for a in range(2 * n)])
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, InvariantVector):
-            return NotImplemented
-        return self.model is other.model and self.coeffs == other.coeffs
 
     def __repr__(self):
         body = ", ".join("%s Z(%s)" % (c, self.model.labels[a])

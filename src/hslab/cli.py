@@ -4,9 +4,8 @@ Exit codes: 0 success (verify: the family solves the system and the
 associated connection is Hermitian-Einstein), 1 failed verification or
 selftest identity, 2 degenerate coupling, 3 malformed arguments (say a
 deformation that is not positive or a sweep thread count below 1) or an
-output that cannot be written (a --json or --out path, a sweep's closed
-stdout).  The sweep runs in one process: --threads and HS_LAB_THREADS are
-checked, but have no effect.
+output that cannot be written (a --json or --out path, a closed stdout).
+The sweep runs in one process: --threads is checked, but has no effect.
 """
 
 from __future__ import annotations
@@ -130,16 +129,8 @@ def cmd_verify(args):
 def cmd_sweep(args):
     if args.max < 0:
         raise _ArgumentError("--max must be nonnegative")
-    threads, source = args.threads, "--threads"
-    env = os.environ.get("HS_LAB_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise _ArgumentError("HS_LAB_THREADS must be an integer")
-        source = "HS_LAB_THREADS"
-    if threads < 1:
-        raise _ArgumentError("%s must be at least 1" % source)
+    if args.threads < 1:
+        raise _ArgumentError("--threads must be at least 1")
     families = harmonic = 0
     with _output(args.out, "--out") as write:
         write = write or sys.stdout.write
@@ -273,7 +264,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except _ArgumentError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

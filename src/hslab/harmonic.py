@@ -245,11 +245,6 @@ def harmonic_vs_moment_gap(s):
     return _add_matrices(moment_residuals(s)["J"], star_rows, sign=-1)
 
 
-def higgs_field(s):
-    """The Chern-type decomposition data (C, phi) of the connection."""
-    return s.chern_split
-
-
 def higgs_dbar(s):
     """dbar_Q phi = (d phi)^{(1,1)} + A^{0,1} ^ phi + phi ^ A^{0,1}."""
     C, phi = s.chern_split

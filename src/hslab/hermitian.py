@@ -8,8 +8,9 @@ and the Levi-Civita / Bismut connection coefficients on the invariant frame.
 The module also holds the package's one exact linear-algebra core over
 Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
 matrix_inverse built on it, matrix_det (forward elimination that stops at
-the first zero column), matmul, and sandwich (left . mid . right with a
-middle matrix of Scalars or forms).
+the first zero column), and matmul, one zero-skipping product whose
+entries multiply with * (Scalars, Scalar and form, or form and form by
+wedge), with sandwich (left . mid . right) as two of them.
 
 A HermitianStructure builds omega_sq = omega ^ omega, dc_omega = d^c omega
 and ddc_omega = dd^c omega at construction, for every verifier of its
@@ -140,12 +141,17 @@ def matrix_det(rows):
     return det
 
 
-def matmul(a, b):
-    """Product of two Scalar matrices, skipping zero factors."""
+def matmul(a, b, zero):
+    """Matrix product a . b, skipping zero factors; zero is the entries' zero.
+
+    Entries multiply with *: Scalars, a Scalar and a form (scale), or two
+    forms (wedge), so one product serves Scalar matrices and form-valued
+    operators alike.
+    """
     ncols = len(b[0]) if b else 0
     out = []
     for row in a:
-        acc = [Scalar.zero()] * ncols
+        acc = [zero] * ncols
         for k, x in enumerate(row):
             if x.is_zero():
                 continue
@@ -157,30 +163,8 @@ def matmul(a, b):
 
 
 def sandwich(left, mid, right, zero):
-    """left . mid . right for Scalar matrices left, right around any mid.
-
-    mid may hold Scalars or forms (anything with is_zero, + and * Scalar);
-    zero is its additive zero.  Each term is mid[k][l] * (left[i][k] *
-    right[l][j]): the two outer scalars multiply first, so every middle
-    entry is scaled once per term rather than once per factor.
-    """
-    ncols = len(right[0]) if right else 0
-    out = []
-    for lrow in left:
-        orow = []
-        for j in range(ncols):
-            acc = zero
-            for k, x in enumerate(lrow):
-                if x.is_zero():
-                    continue
-                for l, m in enumerate(mid[k]):
-                    y = right[l][j]
-                    if m.is_zero() or y.is_zero():
-                        continue
-                    acc = acc + m * (x * y)
-            orow.append(acc)
-        out.append(orow)
-    return out
+    """left . mid . right, with mid of Scalars or forms; zero is mid's zero."""
+    return matmul(matmul(left, mid, zero), right, zero)
 
 
 class HermitianStructure:
@@ -420,10 +404,11 @@ class HermitianStructure:
         if self._levi_civita is not None:
             return self._levi_civita
         dim = self.model.dim
-        # gb[a][b][c] = g([Z_a, Z_b], Z_c)
-        gb = [matmul([v.coeffs for v in row], self.G6) for row in self.brackets()]
-        half = Scalar.of(Fraction(1, 2))
         zero = Scalar.zero()
+        # gb[a][b][c] = g([Z_a, Z_b], Z_c)
+        gb = [matmul([v.coeffs for v in row], self.G6, zero)
+              for row in self.brackets()]
+        half = Scalar.of(Fraction(1, 2))
         koszul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for x in range(dim):
             for y in range(dim):
@@ -434,7 +419,7 @@ class HermitianStructure:
                     koszul[x][y][z] = koszul[x][y][z] + v
                     koszul[z][x][y] = koszul[z][x][y] - v
                     koszul[y][z][x] = koszul[y][z][x] + v
-        gamma = [matmul(kvals, self.Ginv6) for kvals in koszul]
+        gamma = [matmul(kvals, self.Ginv6, zero) for kvals in koszul]
         self._levi_civita = ConnectionCoefficients(self, gamma)
         return self._levi_civita
 
@@ -447,7 +432,8 @@ class HermitianStructure:
         half_T = self.dc_omega.scale(Fraction(1, 2))
         # row (a, b): the correction sum_c (1/2) T(Z_a, Z_b, Z_c) Ginv[c][d]
         corr = matmul([[half_T.at(a, b, c) for c in range(dim)]
-                       for a in range(dim) for b in range(dim)], self.Ginv6)
+                       for a in range(dim) for b in range(dim)], self.Ginv6,
+                      Scalar.zero())
         gamma = [[[x if y.is_zero() else x + y
                    for x, y in zip(lc.gamma[a][b], corr[a * dim + b])]
                   for b in range(dim)] for a in range(dim)]

@@ -101,9 +101,6 @@ class PicardPoint:
     a0: tuple = (Scalar.zero(), Scalar.zero())
     a1: tuple = (Scalar.zero(), Scalar.zero())
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.a0 + self.a1)
-
     def forms(self, model):
         out = []
         for pair in (self.a0, self.a1):
@@ -395,6 +392,7 @@ def _base_flags(triples):
         return [x for row in K for x in row]
 
     flags = dict.fromkeys(triples, True)
+    zero = Scalar.zero()
     for branch, (samples, guard) in _SAMPLES.items():
         todo = [t for t in flags if _branch(t) == branch]
         if not todo:
@@ -403,12 +401,13 @@ def _base_flags(triples):
         inv = matrix_inverse([_monomials(t) for t in samples])
         for aval in (Scalar.one(), Scalar.of(2)):
             # row k: the coefficient of monomial k in each entry of K
-            coeffs = matmul(inv, [engine_K(t, aval) for t in samples])
-            if engine_K(guard, aval) != matmul([_monomials(guard)], coeffs)[0]:
+            coeffs = matmul(inv, [engine_K(t, aval) for t in samples], zero)
+            if engine_K(guard, aval) != matmul([_monomials(guard)], coeffs,
+                                               zero)[0]:
                 raise AssertionError("K is not of degree <= 2 in the triple")
             if not matrix_is_zero(coeffs):
                 for t in todo:
-                    value = matmul([_monomials(t)], coeffs)[0]
+                    value = matmul([_monomials(t)], coeffs, zero)[0]
                     flags[t] = flags[t] and all(v.is_zero() for v in value)
     return flags
 

@@ -1,6 +1,5 @@
 """Line-bundle curvatures, coupling constant, characteristic constraints."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,7 @@ from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            hermitian_curvature, CohClass,
                            degree_and_slope, ch2_constraint, alpha_solve,
-                           DegenerateCoupling, SystemParams, hs_residuals,
-                           omega_norm, conformally_balanced_residual)
+                           DegenerateCoupling, SystemParams, hs_residuals)
 
 from conftest import make_params, random_pair, random_triple
 
@@ -18,9 +16,6 @@ from conftest import make_params, random_pair, random_triple
 def test_triple_validation():
     with pytest.raises(ValueError):
         LineBundleTriple(0, 0, 0)
-    t = LineBundleTriple(1, 2, 2)
-    assert t.norm_sq() == 9
-    assert t.dot(LineBundleTriple(2, -1, 0)) == 0
 
 
 def test_curvature_square(model, rng):
@@ -110,22 +105,6 @@ def test_degree_zero(model, h0, rng):
         F = curvature_from_triple(model, LineBundleTriple(*t, role="V0"))
         c = CohClass(F.scale(i_2pi))
         assert degree_and_slope(c, b, 1, h0).is_zero()
-
-
-def test_omega_norm_and_balanced(model, h0, Omega):
-    norm_sq, norm = omega_norm(Omega, h0)
-    assert norm_sq == Scalar.one()
-    assert norm == pytest.approx(1.0)
-    assert conformally_balanced_residual(Omega, h0).is_zero()
-
-
-def test_system_params_roundtrip(model, h0, Omega):
-    s = make_params(model, h0, Omega, (1, 2, 2), (2, -1, 0))
-    doc = json.dumps(s.to_json())
-    s2 = SystemParams.from_json(model, doc)
-    assert s2.alpha == s.alpha
-    assert (s2.h.omega - s.h.omega).is_zero()
-    assert s2.triple0 == s.triple0 and s2.triple1 == s.triple1
 
 
 def test_volume_form_validation(model, h0):

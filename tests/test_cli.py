@@ -137,19 +137,16 @@ def test_sweep_out_file_and_threads(tmp_path, capsys):
     assert path.read_text() == capsys.readouterr().out
 
 
-def test_sweep_threads_do_not_change_the_catalog(tmp_path, monkeypatch):
+def test_sweep_threads_do_not_change_the_catalog(tmp_path):
     # the sweep runs in one process; the thread count is only validated
-    monkeypatch.delenv("HS_LAB_THREADS", raising=False)
-    paths = [tmp_path / ("c%d.jsonl" % i) for i in range(3)]
+    paths = [tmp_path / ("c%d.jsonl" % i) for i in range(2)]
     assert main(["sweep", "--max", "1", "--threads", "1",
                  "--out", str(paths[0])]) == 0
     assert main(["sweep", "--max", "1", "--threads", "2",
                  "--out", str(paths[1])]) == 0
-    monkeypatch.setenv("HS_LAB_THREADS", "4")
-    assert main(["sweep", "--max", "1", "--out", str(paths[2])]) == 0
     catalog = paths[0].read_bytes()
     assert catalog.count(b"\n") == 216
-    assert paths[1].read_bytes() == catalog == paths[2].read_bytes()
+    assert paths[1].read_bytes() == catalog
 
 
 def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
@@ -179,11 +176,11 @@ def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
         assert peak - peaks[0] < 100 * (n - families[0])
 
 
-@pytest.mark.parametrize("at_flush", [False, True],
-                         ids=["mid-stream", "at-the-final-flush"])
-def test_closed_stdout_exits_three(at_flush):
-    # the reader of the catalog goes away early, as `| head -1` does: one
-    # error line and exit 3, no traceback and nothing ignored at exit
+@pytest.mark.parametrize("case", ["mid-stream", "at-the-final-flush",
+                                  "verify", "selftest"])
+def test_closed_stdout_exits_three(case):
+    # the reader of the output goes away early, as `| head -1` or `| true`
+    # does: one error line and exit 3, no traceback and nothing ignored at exit
     import subprocess
     import sys
     import hslab
@@ -191,7 +188,7 @@ def test_closed_stdout_exits_three(at_flush):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a shell
-    if not at_flush:
+    if case == "mid-stream":
         # about 1 MB of catalog, more than a pipe holds: the reader takes
         # one line and leaves, and a later write fails
         code = ("import sys; from hslab.cli import main; "
@@ -203,12 +200,17 @@ def test_closed_stdout_exits_three(at_flush):
                                    "triple1": [-2, -2, -1]}
         proc.stdout.close()
     else:
-        # no reader at all, and every line stays in a 16 MB buffer until
-        # the sweep flushes it
-        code = ("import io, sys; from hslab.cli import main; "
-                "sys.stdout = io.TextIOWrapper(open(1, 'wb', closefd=False, "
-                "buffering=1 << 24)); "
-                "sys.exit(main(['sweep', '--max', '1']))")
+        # no reader at all, and all output stays in stdout's buffer until
+        # it is flushed: the sweep's catalog in a 16 MB buffer, the
+        # report or the selftest line in the default one
+        code = "import io, sys; from hslab.cli import main; "
+        if case == "at-the-final-flush":
+            code += ("sys.stdout = io.TextIOWrapper(open(1, 'wb', "
+                     "closefd=False, buffering=1 << 24)); ")
+        argv = {"at-the-final-flush": ["sweep", "--max", "1"],
+                "verify": ["verify", "--triples", "1,2,2,2,-1,0"],
+                "selftest": ["selftest"]}[case]
+        code += "sys.exit(main(%r))" % argv
         read_end, write_end = os.pipe()
         os.close(read_end)
         proc = subprocess.Popen([sys.executable, "-c", code], env=env,
@@ -219,22 +221,6 @@ def test_closed_stdout_exits_three(at_flush):
     assert err.startswith("error: cannot write standard output: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
-
-
-def test_sweep_threads_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HS_LAB_THREADS", "2")
-    assert main(["sweep", "--max", "1"]) == 0
-    out = capsys.readouterr().out
-    monkeypatch.setenv("HS_LAB_THREADS", "not-a-number")
-    assert main(["sweep", "--max", "1"]) == 3
-    for bad in ("0", "-2"):
-        monkeypatch.setenv("HS_LAB_THREADS", bad)
-        assert main(["sweep", "--max", "1", "--threads", "2"]) == 3
-        assert "HS_LAB_THREADS must be at least 1" in capsys.readouterr().err
-    monkeypatch.delenv("HS_LAB_THREADS")
-    capsys.readouterr()
-    assert main(["sweep", "--max", "1"]) == 0
-    assert capsys.readouterr().out == out
 
 
 def test_selftest_passes(capsys):
@@ -256,8 +242,7 @@ def test_selftest_cli_failure_exit(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-def test_parser_rejects_bad_sweep_args(monkeypatch):
-    monkeypatch.delenv("HS_LAB_THREADS", raising=False)
+def test_parser_rejects_bad_sweep_args():
     assert main(["sweep", "--max", "-1"]) == 3
     assert main(["sweep"]) == 3
     assert main(["sweep", "--max", "1", "--threads", "0"]) == 3

@@ -11,7 +11,7 @@ from hslab.algebroid import QDIM, QFrame, connection_DG, curvature
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             decompose_chern, moment_residuals,
                             harmonic_residual, harmonic_criteria,
-                            harmonic_vs_moment_gap, higgs_field, higgs_dbar,
+                            harmonic_vs_moment_gap, higgs_dbar,
                             higgs_equation_residuals, higgs_obstruction,
                             matrix_is_zero)
 from hslab.bundles import LineBundleTriple
@@ -180,7 +180,7 @@ def test_codifferential_identity(model, h0, Omega, rng):
 
 
 def test_higgs_field_closed_form(std, model, h0):
-    C, phi = higgs_field(std)
+    C, phi = std.chern_split
     Z = [model.basis_vector(a) for a in range(6)]
     two = Scalar.of(2)
     for b in range(6):

@@ -1,0 +1,126 @@
+"""The one matrix product against the loops it replaced.
+
+matmul(a, b, zero) multiplies its entries with *: two Scalars, a Scalar and
+a form (scale) or two forms (wedge).  QOperator.wedge, sandwich and
+scalar_commutator go through it.  The references here are test-only copies
+of the entrywise-wedge triple loop and of the single-loop sandwich, each
+term mid[k][l] * (left[i][k] * right[l][j]), that it replaced.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hslab.scalars import Scalar
+from hslab.hermitian import matmul, sandwich
+from hslab.algebroid import QDIM, QOperator, scalar_commutator
+from hslab.bundles import LineBundleTriple
+from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
+
+from conftest import random_form, random_scalar
+
+
+def _wedge_reference(a, b, zero):
+    out = [[zero] * QDIM for _ in range(QDIM)]
+    for i in range(QDIM):
+        for k in range(QDIM):
+            x = a[i][k]
+            if x.is_zero():
+                continue
+            for j in range(QDIM):
+                y = b[k][j]
+                if not y.is_zero():
+                    out[i][j] = out[i][j] + x.wedge(y)
+    return out
+
+
+def _sandwich_reference(left, mid, right, zero):
+    out = []
+    for lrow in left:
+        orow = []
+        for j in range(len(right[0])):
+            acc = zero
+            for k, x in enumerate(lrow):
+                if x.is_zero():
+                    continue
+                for l, m in enumerate(mid[k]):
+                    y = right[l][j]
+                    if m.is_zero() or y.is_zero():
+                        continue
+                    acc = acc + m * (x * y)
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def _scalar_reference(a, b):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Scalar.zero())
+             for j in range(len(b[0]))] for row in a]
+
+
+def _forms(model, rng, nrows, ncols):
+    """Seeded form-valued matrix, about 40% of its entries zero."""
+    return [[model.zero() if rng.random() < 0.4
+             else random_form(model, rng, rng.choice((1, 2)), nterms=2)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _scalars(rng, nrows, ncols):
+    return [[Scalar.zero() if rng.random() < 0.4 else random_scalar(rng)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_of_operators_is_the_entrywise_wedge(model, seed):
+    rng = random.Random(seed)
+    a, b = _forms(model, rng, QDIM, QDIM), _forms(model, rng, QDIM, QDIM)
+    expect = _wedge_reference(a, b, model.zero())
+    assert sum(1 for row in expect for e in row if not e.is_zero()) >= 32
+    assert matmul(a, b, model.zero()) == expect
+    assert QOperator(model, a).wedge(QOperator(model, b)).entries == expect
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (1, 8, 1), (3, 5, 2)])
+def test_product_of_scalar_matrices(shape):
+    rng = random.Random(sum(shape))
+    n, k, m = shape
+    a, b = _scalars(rng, n, k), _scalars(rng, k, m)
+    assert matmul(a, b, Scalar.zero()) == _scalar_reference(a, b)
+    c = _scalars(rng, k, n)
+    mid = _scalars(rng, k, k)
+    assert sandwich(a, mid, c, Scalar.zero()) == \
+        _sandwich_reference(a, mid, c, Scalar.zero())
+    if n == k:
+        d = _scalars(rng, n, n)
+        ab, ba = _scalar_reference(a, d), _scalar_reference(d, a)
+        assert scalar_commutator(a, d) == [
+            [x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sandwich_of_forms_matches_the_single_loop(model, seed):
+    rng = random.Random(seed)
+    left, right = _scalars(rng, QDIM, QDIM), _scalars(rng, QDIM, QDIM)
+    mid = _forms(model, rng, QDIM, QDIM)
+    assert sandwich(left, mid, right, model.zero()) == \
+        _sandwich_reference(left, mid, right, model.zero())
+
+
+def test_sandwich_by_a_deformed_metric():
+    tau = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
+                         Fraction(0))
+    s = make_family(FamilyConfig(LineBundleTriple(1, 2, 2, role="V0"),
+                                 LineBundleTriple(2, -1, 0, role="V1"),
+                                 tau=tau)).params
+    H, zero = s.metric_H, s.model.zero()
+    # the outer factors are not diagonal at a deformed metric
+    assert any(not H.Hm[a][b].is_zero()
+               for a in range(6) for b in range(6) if a != b)
+    A = s.connection.entries
+    conj_t = [[e.conjugate() for e in col] for col in zip(*A)]
+    expect = _sandwich_reference(H.Hm_inv, conj_t, H.Hm, zero)
+    assert H.adjoint(s.connection).entries == expect
+    F = s.connection_curvature.entries
+    assert sandwich(H.Hm_inv, F, H.Hm, zero) == \
+        _sandwich_reference(H.Hm_inv, F, H.Hm, zero)
