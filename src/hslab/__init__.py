@@ -12,9 +12,9 @@ from .algebroid import (QSection, QOperator, QFrame, connection_DG,
                         curvature, he_residual_G, dolbeault_Q,
                         transport_dolbeault, extension_class_gamma,
                         bismut_iso_matrix, subbundle_report)
-from .harmonic import (CompatibleMetricH, decompose_unitary, decompose_chern,
+from .harmonic import (CompatibleMetricH, decompose_unitary,
                        moment_residuals, harmonic_residual, harmonic_criteria,
-                       higgs_dbar, higgs_equation_residuals)
+                       higgs_dbar_entry, higgs_equation_residuals)
 from .iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                       FamilyConfig, SolutionCandidate, make_family,
                       VerificationReport, verify_family, sweep)

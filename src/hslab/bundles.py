@@ -14,8 +14,9 @@ SystemParams is also the per-family context of the orthogonal bundle Q:
 its frame, compatible metric H, connection D^G, the curvature of D^G, the
 Dolbeault operator of Q and the unitary (B, Psi) and Chern (C, phi)
 splittings of D^G are built on first use and kept, so every verifier of
-one family reads the same objects.  The dataclass is frozen, which keeps
-them valid, and none of them refers back to the family.
+one family reads the same objects; the Chern split is read off the unitary
+one, phi = 2 Psi^{1,0}.  The dataclass is frozen, which keeps them valid,
+and none of them refers back to the family.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import solve
 from .algebroid import QFrame, connection_DG, curvature, dolbeault_Q
-from .harmonic import CompatibleMetricH, decompose_chern, decompose_unitary
+from .harmonic import CompatibleMetricH, decompose_unitary
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,13 @@ class SystemParams:
 
     @cached_property
     def chern_split(self):
-        """(C, phi): Chern-type part and (1,0)-form field of the connection."""
-        return decompose_chern(self.connection, self.metric_H)
+        """(C, phi) = (D^G - phi, 2 Psi^{1,0}), with Psi from unitary_split.
+
+        The adjoint conjugates form entries, so (A^{*H})^{1,0} = (A^{0,1})^{*H}:
+        no second adjoint, and C = A^{0,1} - (A^{0,1})^{*H} is unitary.
+        """
+        phi = self.unitary_split[1].part(1, 0).scale(Scalar.of(2))
+        return self.connection - phi, phi
 
 
 def hs_residuals(s: SystemParams):

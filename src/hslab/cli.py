@@ -3,9 +3,10 @@
 Exit codes: 0 success (verify: the family solves the system and the
 associated connection is Hermitian-Einstein), 1 failed verification or
 selftest identity, 2 degenerate coupling, 3 malformed arguments (say a
-deformation that is not positive or a sweep thread count below 1) or an
-output that cannot be written (a --json or --out path, a closed stdout).
-The sweep runs in one process: --threads is checked, but has no effect.
+deformation that is not positive, a sweep --threads below 1 or a --max
+outside 0..20, refused before any work) or an output that cannot be
+written (a --json or --out path, a closed stdout).  The sweep runs in one
+process: --threads is checked, but has no effect.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       DegenerateCoupling, SystemParams)
 from .harmonic import harmonic_vs_moment_gap, matrix_is_zero
 from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
-                      build_iwasawa, make_family, verify_family, iter_sweep)
+                      build_iwasawa, make_family, verify_family, iter_sweep,
+                      SWEEP_MAX_ABS)
 
 
 class _ArgumentError(Exception):
@@ -127,8 +129,8 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    if args.max < 0:
-        raise _ArgumentError("--max must be nonnegative")
+    if not 0 <= args.max <= SWEEP_MAX_ABS:
+        raise _ArgumentError("--max must be between 0 and %d" % SWEEP_MAX_ABS)
     if args.threads < 1:
         raise _ArgumentError("--threads must be at least 1")
     families = harmonic = 0

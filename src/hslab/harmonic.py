@@ -3,18 +3,18 @@
 A compatible positive metric on Q is fixed by the underlying Hermitian
 metric on tangent directions and |alpha| on both End directions.  Relative
 to it the connection splits into a unitary part and a self-adjoint 1-form
-(the second fundamental form), and separately into a Chern-type connection
-plus a (1,0)-form field.  The three moment-map residuals I, J, K and the
-harmonicity residual are computed exactly; the closed-form criteria (the
-pairing of one curvature against the torsion coclosure, plus the coupled
-frame contraction of the two curvatures) are exposed for cross-checks.
+(the second fundamental form), A = B + Psi, and separately into a
+Chern-type connection plus a (1,0)-form field, A = C + phi = C + 2 Psi^{1,0}.
+The three moment-map residuals I, J, K and the harmonicity residual are
+computed exactly; the closed-form criteria (the pairing of one curvature
+against the torsion coclosure, plus the coupled frame contraction of the
+two curvatures) are exposed for cross-checks.  dbar_Q phi is computed
+entry by entry (higgs_dbar_entry), so a caller builds only what it reads.
 
-Every residual here reads the per-family objects of its SystemParams
-(frame, compatible metric, connection, unitary and Chern splittings), which
-are built once per family; the metric-only objects they share (Levi-Civita,
-Bismut, Lee form) are built once per HermitianStructure.  Harmonicity reads
-K alone, so moment_residuals computes K and builds I and J only when they
-are first looked up.
+Every residual reads its SystemParams' per-family objects (frame, metric,
+connection, splittings) and the metric's shared ones (Levi-Civita, Bismut,
+Lee form), each built once.  Harmonicity reads K alone, so moment_residuals
+builds I and J only when they are first looked up.
 
 K and J both go through nabla_H_star, the codifferential of nabla^H.  It
 contracts with the inverse metric before taking commutators (one per row
@@ -60,20 +60,6 @@ def decompose_unitary(A: QOperator, H: CompatibleMetricH):
     B = (A - Astar).scale(half)
     Psi = (A + Astar).scale(half)
     return B, Psi
-
-
-def decompose_chern(A: QOperator, H: CompatibleMetricH):
-    """A = C + phi with C of Chern type and phi a (1,0)-form field.
-
-    C keeps the full (0,1)-part of A; its (1,0)-part is minus the adjoint of
-    that (0,1)-part, which makes C unitary.  The remainder phi is purely
-    (1,0) and self-adjointness of Psi forces phi^{*H} = 2 Psi^{0,1}.
-    """
-    A01 = A.part(0, 1)
-    A01_star = H.adjoint(A01)  # a (1,0)-form-valued matrix
-    C = A01 - A01_star
-    phi = A.part(1, 0) + A01_star
-    return C, phi
 
 
 def _j_vector(model, vec):
@@ -245,31 +231,26 @@ def harmonic_vs_moment_gap(s):
     return _add_matrices(moment_residuals(s)["J"], star_rows, sign=-1)
 
 
-def higgs_dbar(s):
-    """dbar_Q phi = (d phi)^{(1,1)} + A^{0,1} ^ phi + phi ^ A^{0,1}."""
-    C, phi = s.chern_split
-    A01 = C.part(0, 1)
-    return (phi.d() + A01.wedge(phi) + phi.wedge(A01)).part(1, 1)
+def higgs_dbar_entry(s, i, j):
+    """Entry (i, j) of dbar_Q phi = (d phi)^{1,1} + A^{0,1} ^ phi + phi ^ A^{0,1}.
 
-
-def higgs_obstruction(s, dbar_phi):
-    """dbar_Q phi ^ omega^2, from dbar_phi = higgs_dbar(s).
-
-    Each entry goes through h.wedge_omega_sq.  Its nonvanishing certifies
-    that the configuration is not of Higgs type.
+    A^{0,1} is the (0,1)-part of C (and of D^G: phi is of type (1,0)), so
+    both products are already of type (1,1).  The one formula of dbar_Q phi.
     """
-    return dbar_phi.map_entries(s.h.wedge_omega_sq)
-
-
-def _chern_d(C, a):
-    return a.d() + C.wedge(a) + a.wedge(C)
+    C, phi = s.chern_split
+    A, P = C.entries, phi.entries
+    out = P[i][j].d().part(1, 1)
+    for k in range(QDIM):
+        out = out + A[i][k].part(0, 1).wedge(P[k][j]) \
+            + P[i][k].wedge(A[k][j].part(0, 1))
+    return out
 
 
 def higgs_equation_residuals(s):
     """Residuals of the Higgs-bundle-type rewriting of the moment maps.
 
     Returns the curvature-type K residual (F_H + [phi ^ phi^{*H}]/2) ^ w^2,
-    the combined IJ residuals, the holomorphicity obstruction
+    the combined IJ residuals, dbar_Q phi, the holomorphicity obstruction
     dbar_Q phi ^ w^2 whose nonvanishing certifies that the configuration is
     not of Higgs type, and the integrability term del^H phi + phi ^ phi.
     """
@@ -279,8 +260,11 @@ def higgs_equation_residuals(s):
 
     FH = C.d() + C.wedge(C)
     phi_star = H.adjoint(phi)  # (0,1)-form valued
-    dbar_phi = higgs_dbar(s)
-    del_phi_star = _chern_d(C, phi_star).part(1, 1)
+    r = range(QDIM)
+    dbar_phi = QOperator(s.model, [[higgs_dbar_entry(s, i, j) for j in r]
+                                   for i in r])
+    del_phi_star = (phi_star.d() + C.wedge(phi_star)
+                    + phi_star.wedge(C)).part(1, 1)
     half = Scalar.of(Fraction(1, 2))
 
     bracket = phi.wedge(phi_star) + phi_star.wedge(phi)
@@ -288,12 +272,13 @@ def higgs_equation_residuals(s):
     IJ_first = (FH + dbar_phi.scale(half) - del_phi_star.scale(half)) \
         .map_entries(wedge_w2)
     IJ_second = (dbar_phi + del_phi_star).map_entries(wedge_w2)
-    integrability = _chern_d(C, phi).part(2, 0) + phi.wedge(phi)
+    integrability = (phi.d() + C.wedge(phi) + phi.wedge(C)).part(2, 0) \
+        + phi.wedge(phi)
     return {
         "K": K_res,
         "IJ_curvature": IJ_first,
         "IJ_mixed": IJ_second,
         "integrability": integrability,
-        "holomorphicity_obstruction": higgs_obstruction(s, dbar_phi),
+        "holomorphicity_obstruction": dbar_phi.map_entries(wedge_w2),
         "dbar_phi": dbar_phi,
     }

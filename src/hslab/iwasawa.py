@@ -39,8 +39,8 @@ from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       SystemParams, hs_residuals)
 from .algebroid import (QDIM, QSection, he_residual_G, extension_class_gamma,
                         bismut_iso_matrix, subbundle_report)
-from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar,
-                       higgs_obstruction, matrix_is_zero)
+from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
+                       matrix_is_zero)
 
 
 def su3_structure(model):
@@ -278,9 +278,12 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     residuals.append(_residual_entry("extension_class", gamma_ext.entries))
     gamma_nonzero = not residuals[-1]["zero"]
 
-    dbar_phi = higgs_dbar(s)
-    residuals.append(_residual_entry("dbar_phi_23", dbar_phi.entries[6][7]))
-    higgs_nonholomorphic = not higgs_obstruction(s, dbar_phi).is_zero()
+    # dbar_Q phi ^ omega^2 != 0?  Entry (6,7), the witness, nearly always decides
+    dbar_23 = higgs_dbar_entry(s, 6, 7)
+    residuals.append(_residual_entry("dbar_phi_23", dbar_23))
+    higgs_nonholomorphic = not h.wedge_omega_sq(dbar_23).is_zero() or any(
+        not h.wedge_omega_sq(higgs_dbar_entry(s, i, j)).is_zero()
+        for i in range(QDIM) for j in range(QDIM) if (i, j) != (6, 7))
 
     # slope of the cotangent subbundle and degrees of the two line bundles
     b = CohClass(h.omega_sq, flavor="aeppli")
@@ -321,6 +324,10 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
 
 
 # -- sweep ------------------------------------------------------------------
+
+# max_abs ceiling: at 20, 68,920 triples precede the first of ~2.4e9 lines
+SWEEP_MAX_ABS = 20
+
 
 def _triples(max_abs):
     rng = range(-max_abs, max_abs + 1)
@@ -471,8 +478,8 @@ def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     The engine flags of every triple come first (_base_flags); then each
     line is yielded as it is made, never held in a list of all lines.
     """
-    if max_abs < 0:
-        raise ValueError("max_abs must be nonnegative")
+    if not 0 <= max_abs <= SWEEP_MAX_ABS:
+        raise ValueError("max_abs must be between 0 and %d" % SWEEP_MAX_ABS)
     if require_ch2 and not _ch2_holds():
         return
     triples = _triples(max_abs)

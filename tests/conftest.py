@@ -52,6 +52,13 @@ def make_params(model, h, Omega, t0, t1, alpha=None):
                         F0=F0, F1=F1, alpha=alpha, Omega=Omega)
 
 
+def dbar_reference(s):
+    """The whole matrix dbar_Q phi of a family by two operator wedges."""
+    C, phi = s.chern_split
+    A01 = C.part(0, 1)
+    return (phi.d() + A01.wedge(phi) + phi.wedge(A01)).part(1, 1)
+
+
 def random_triple(rng, lo=-5, hi=5):
     while True:
         t = tuple(rng.randint(lo, hi) for _ in range(3))

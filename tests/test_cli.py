@@ -242,6 +242,22 @@ def test_selftest_cli_failure_exit(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_sweep_rejects_a_max_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    import hslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "iter_sweep", no_sweep)
+    out = tmp_path / "c.jsonl"
+    for value in ("21", "100000000000000000000"):
+        assert main(["sweep", "--max", value, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max must be between 0 and 20\n"
+        assert not out.exists()
+
+
 def test_parser_rejects_bad_sweep_args():
     assert main(["sweep", "--max", "-1"]) == 3
     assert main(["sweep"]) == 3

@@ -9,15 +9,15 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.algebroid import QDIM, QFrame, connection_DG, curvature
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
-                            decompose_chern, moment_residuals,
-                            harmonic_residual, harmonic_criteria,
-                            harmonic_vs_moment_gap, higgs_dbar,
-                            higgs_equation_residuals, higgs_obstruction,
+                            moment_residuals, harmonic_residual,
+                            harmonic_criteria, harmonic_vs_moment_gap,
+                            higgs_dbar_entry, higgs_equation_residuals,
                             matrix_is_zero)
 from hslab.bundles import LineBundleTriple
-from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
+from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
+                           make_family)
 
-from conftest import make_params, random_pair
+from conftest import dbar_reference, make_params, random_pair
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -76,19 +76,50 @@ def test_selfadjoint_block_localization(model, h0, Omega):
                 assert (i < 6) != (j < 6)
 
 
+def _chern_reference(A, H):
+    """(C, phi) by a second adjoint: C = A^{0,1} - (A^{0,1})^{*H} keeps the
+    (0,1)-part of A and is unitary; phi = A^{1,0} + (A^{0,1})^{*H}."""
+    A01 = A.part(0, 1)
+    A01_star = H.adjoint(A01)
+    return A01 - A01_star, A.part(1, 0) + A01_star
+
+
 def test_chern_decomposition(model, h0, Omega, rng):
     for _ in range(10):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
         H = _metric(s)
         A = connection_DG(s)
-        C, phi = decompose_chern(A, H)
+        C, phi = s.chern_split
         assert (A - C - phi).is_zero()
         assert (phi - phi.part(1, 0)).is_zero()
         assert (H.adjoint(C) + C).is_zero()
+        # C keeps the whole (0,1)-part of the connection
+        assert (C.part(0, 1) - A.part(0, 1)).is_zero()
         # the field is twice the (1,0)-part of the self-adjoint block
         _, Psi = decompose_unitary(A, H)
         assert (phi - Psi.part(1, 0).scale(Scalar.of(2))).is_zero()
+
+
+_DEFORMING_TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+
+
+@pytest.mark.parametrize("t0, t1, kw", [
+    ((1, 2, 2), (2, -1, 0), {}),
+    ((1, 2, 2), (2, -1, 0),
+     {"picard": PicardPoint(a0=(Scalar.of(Fraction(1, 3)), Scalar.of(0, 2)),
+                            a1=(Scalar.of(-1), Scalar.of(Fraction(1, 2), 1)))}),
+    ((1, 1, 0), (1, 0, 0), {"tau": _DEFORMING_TAU}),
+    ((1, 2, 2), (1, 1, 0), {"tau": _DEFORMING_TAU, "correct": False}),
+], ids=["flat", "picard", "deformed", "off-solution"])
+def test_chern_split_matches_adjoint_reference(t0, t1, kw):
+    s = make_family(FamilyConfig(LineBundleTriple(*t0, role="V0"),
+                                 LineBundleTriple(*t1, role="V1"), **kw)).params
+    C, phi = s.chern_split
+    C_ref, phi_ref = _chern_reference(s.connection, s.metric_H)
+    assert C.entries == C_ref.entries
+    assert phi.entries == phi_ref.entries
+    assert not phi.is_zero()
 
 
 def test_curvature_decomposition(model, h0, Omega, rng):
@@ -232,11 +263,24 @@ def test_dbar_phi_end_block_closed_form(model, h0, Omega, rng):
     for _ in range(10):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        dphi = higgs_dbar(s)
         expect = _dbar_phi_closed_form(model, t0, t1, s.alpha)
-        assert (dphi.entries[6][7] - expect).is_zero()
-        assert (dphi.entries[7][6] - expect).is_zero()
+        assert (higgs_dbar_entry(s, 6, 7) - expect).is_zero()
+        assert (higgs_dbar_entry(s, 7, 6) - expect).is_zero()
         assert not expect.is_zero()
+
+
+def test_dbar_phi_entries_match_the_whole_matrix(model, h0, Omega, rng):
+    families = [make_params(model, h0, Omega, *random_pair(rng))
+                for _ in range(3)]
+    families.append(make_family(FamilyConfig(
+        LineBundleTriple(1, 1, 0), LineBundleTriple(1, 0, 0),
+        tau=_DEFORMING_TAU)).params)
+    for s in families:
+        ref = dbar_reference(s)
+        got = [[higgs_dbar_entry(s, i, j) for j in range(QDIM)]
+               for i in range(QDIM)]
+        assert got == ref.entries
+        assert higgs_equation_residuals(s)["dbar_phi"].entries == ref.entries
 
 
 def test_higgs_equation_residuals(std):
@@ -272,7 +316,7 @@ def test_higgs_obstruction_pinned(t0, t1, tau, expected):
     s = make_family(FamilyConfig(LineBundleTriple(*t0, role="V0"),
                                  LineBundleTriple(*t1, role="V1"),
                                  tau=tau)).params
-    obstruction = higgs_obstruction(s, higgs_dbar(s))
+    obstruction = higgs_equation_residuals(s)["holomorphicity_obstruction"]
     top = s.model.top_index()
     got = {}
     for i, row in enumerate(obstruction.entries):

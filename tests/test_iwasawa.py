@@ -14,13 +14,14 @@ from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
                            hs_residuals)
 from hslab.algebroid import he_residual_G
-from hslab.harmonic import harmonic_residual, matrix_is_zero, higgs_dbar
+import hslab.harmonic as harmonic
+from hslab.harmonic import harmonic_residual, matrix_is_zero, higgs_dbar_entry
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, make_family, verify_family,
                            VerificationReport, sweep)
 
-from conftest import random_pair, random_scalar
+from conftest import dbar_reference, random_pair, random_scalar
 
 # sha256 of verify_family(...).to_json() for a flat, a Picard-twisted and a
 # deformed family, recorded from code whose verifiers each built their own
@@ -197,6 +198,10 @@ def test_family_context_is_built_once(monkeypatch):
             if modname.startswith("hslab") and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counting(name, original))
     monkeypatch.setattr(algebroid.QFrame, "__init__", counted_frame_init)
+    # one adjoint: the Chern split is read off the unitary one
+    calls["adjoint"] = 0
+    monkeypatch.setattr(harmonic.CompatibleMetricH, "adjoint",
+                        counting("adjoint", harmonic.CompatibleMetricH.adjoint))
     once = dict.fromkeys(calls, 1)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
@@ -223,6 +228,52 @@ def test_family_context_is_built_once(monkeypatch):
     finally:
         if enabled:
             gc.enable()
+
+
+def _higgs_outcome(cand):
+    report = verify_family(cand)
+    witness = next(r for r in report.residuals if r["name"] == "dbar_phi_23")
+    return report.verdicts["higgs_nonholomorphic"], witness
+
+
+def test_higgs_verdict_matches_the_whole_matrix(rng):
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    families = [_family((1, 2, 2), (2, -1, 0)),
+                _family((1, 1, 0), (1, 0, 0), tau=tau)]
+    families += [_family(*random_pair(rng, -3, 3)) for _ in range(3)]
+    for _ in range(2):
+        t = [Fraction(rng.randint(-5, 5), 20) for _ in range(4)]
+        families.append(_family(*random_pair(rng, -3, 3),
+                                tau=TauDeformation(*t)))
+    # on the standard flat family entry (6,7) wedges to zero, so the verdict
+    # comes from the scan of the other entries
+    s = families[0].params
+    assert s.h.wedge_omega_sq(higgs_dbar_entry(s, 6, 7)).is_zero()
+    for cand in families:
+        dbar = dbar_reference(cand.params)
+        verdict = not dbar.map_entries(cand.params.h.wedge_omega_sq).is_zero()
+        dbar_23 = dbar.entries[6][7]
+        expect = {"name": "dbar_phi_23", "zero": dbar_23.is_zero(),
+                  "witness": "" if dbar_23.is_zero() else dbar_23.literal()}
+        assert _higgs_outcome(cand) == (verdict, expect)
+
+
+def test_higgs_verdict_stops_at_the_first_nonzero_entry(monkeypatch):
+    built = []
+
+    def counted(s, i, j):
+        built.append((i, j))
+        return higgs_dbar_entry(s, i, j)
+
+    monkeypatch.setattr(iwasawa, "higgs_dbar_entry", counted)
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    # entry (6,7) decides the deformed family: one entry is built
+    assert _higgs_outcome(_family((1, 1, 0), (1, 0, 0), tau=tau))[0]
+    assert built == [(6, 7)]
+    # the flat family's first nonzero entry of dbar_Q phi ^ omega^2 is (0,0)
+    del built[:]
+    assert _higgs_outcome(_family((1, 2, 2), (2, -1, 0)))[0]
+    assert built == [(6, 7), (0, 0)]
 
 
 def test_metric_forms_are_built_once(monkeypatch):
@@ -277,6 +328,11 @@ def test_sweep_empty_and_validation():
     assert sweep(0) == []
     with pytest.raises(ValueError):
         sweep(-1)
+    # refused before any triple is enumerated
+    with pytest.raises(ValueError, match="between 0 and 20"):
+        sweep(iwasawa.SWEEP_MAX_ABS + 1)
+    with pytest.raises(ValueError):
+        sweep(10 ** 20)
 
 
 def test_sweep_max_one_catalog():
@@ -406,7 +462,7 @@ def _replay(rec):
     assert all(r.is_zero() for r in hs_residuals(cand.params))
     assert he_residual_G(cand.params).is_zero()
     assert matrix_is_zero(harmonic_residual(cand.params)) == rec["harmonic"]
-    dphi = higgs_dbar(cand.params).entries[6][7]
+    dphi = higgs_dbar_entry(cand.params, 6, 7)
     assert (not dphi.is_zero()) == rec["dbar_phi_23_nonzero"]
 
 

@@ -32,8 +32,6 @@ LIBRARY_ONLY = {
         "test read-out of connection differences and of a sharp",
     "cealg.InvariantForm.apply":
         "test oracle of InvariantForm.at and of d, by contractions",
-    "harmonic._chern_d":
-        "paper identity: the Chern-covariant d of higgs_equation_residuals",
     "harmonic.higgs_equation_residuals":
         "paper identity: the Higgs-type form of the moment maps",
     "hermitian.ConnectionCoefficients.nabla":
