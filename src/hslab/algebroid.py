@@ -19,12 +19,11 @@ the sign convention in splitting a (1,1)-form into (0,1)-form-valued
 cotangent components: c w_j ^ w_k' -> (-c w_k') (x) w_j.
 
 The verifiers here take a SystemParams and read its per-family objects,
-each built once: frame, metric_H, connection (D^G), connection_curvature
-and dolbeault (the Dolbeault operator in the extension frame).  QFrame
-holds the C-bilinear pairing and the compatible positive metric H.  A
-QOperator's wedge, its action on a section and the pairing of sections
-are hermitian.matmul products, whose entries multiply with * (forms by
-wedge, a form and a Scalar by scaling).
+each built once: frame, metric_H, connection (D^G), connection_curvature,
+dolbeault (the Dolbeault operator in the extension frame) and bismut_iso.
+QFrame holds the C-bilinear pairing.  A QOperator's wedge, its action on a
+section and the pairing of sections are hermitian.matmul products, whose
+entries multiply with * (forms by wedge, a form and a Scalar by scaling).
 """
 
 from __future__ import annotations
@@ -134,6 +133,12 @@ class QOperator:
         return "QOperator(%d nonzero entries)" % nz
 
 
+def _with_end(block, e0, e1):
+    """8x8 Scalar matrix: the 6x6 block on T, diag(e0, e1) on End."""
+    z = Scalar.zero()
+    return [row + [z, z] for row in block] + [[z] * 6 + [e0, z], [z] * 7 + [e1]]
+
+
 def scalar_commutator(a, b):
     ab = matmul(a, b, Scalar.zero())
     ba = matmul(b, a, Scalar.zero())
@@ -141,7 +146,7 @@ def scalar_commutator(a, b):
 
 
 class QFrame:
-    """Pairing and metric data of Q for a fixed (h, alpha)."""
+    """The C-bilinear pairing of Q for a fixed (h, alpha)."""
 
     def __init__(self, h, alpha):
         if alpha.is_zero() or not alpha.is_real():
@@ -149,32 +154,14 @@ class QFrame:
         self.h = h
         self.model = h.model
         self.alpha = alpha
-        z = Scalar.zero()
         # pairing in the complexified frame: -g_C on T, diag(-alpha, alpha) on End
-        P = [[z] * QDIM for _ in range(QDIM)]
-        for a in range(6):
-            for b in range(6):
-                P[a][b] = -h.G6[a][b]
-        P[6][6] = -alpha
-        P[7][7] = alpha
-        self.pairing = P
+        self.pairing = _with_end([[-x for x in row] for row in h.G6],
+                                 -alpha, alpha)
 
     def pair(self, x, y):
         """C-bilinear pairing of sections: x^T . pairing . y."""
         return sandwich([x.coeffs], self.pairing, [[c] for c in y.coeffs],
                         Scalar.zero())[0][0]
-
-    def metric_H_matrix(self):
-        """The compatible positive metric: g(Z_a, conj Z_b) on T, |alpha| on End."""
-        aabs = self.alpha if self.alpha.sign() > 0 else -self.alpha
-        z = Scalar.zero()
-        H = [[z] * QDIM for _ in range(QDIM)]
-        for a in range(6):
-            for b in range(6):
-                H[a][b] = self.h.G6[a][(b + 3) % 6]
-        H[6][6] = aabs
-        H[7][7] = aabs
-        return H
 
 
 def connection_DG(s):
@@ -280,7 +267,6 @@ def extension_class_gamma(cfg):
 
 def bismut_iso_matrix(h):
     """Scalar matrix of the isomorphism extension frame -> complexified frame."""
-    model = h.model
     z = Scalar.zero()
     P = [[z] * QDIM for _ in range(QDIM)]
     for j in range(3):
@@ -298,9 +284,14 @@ def bismut_iso_matrix(h):
 
 
 def transport_dolbeault(cfg):
-    """The Dolbeault operator conjugated into the complexified frame."""
-    P = bismut_iso_matrix(cfg.h)
-    Pinv = matrix_inverse(P)
+    """The Dolbeault operator conjugated into the complexified frame, P A P^-1.
+
+    P = cfg.bismut_iso is a 0/1 permutation but for its T* columns, -(1/2)
+    g^-1, so P^-1 is P^T but for its T* rows, -2 g (rows 0..2 of -2 G6).
+    """
+    P, z, m2 = cfg.bismut_iso, Scalar.zero(), Scalar.of(-2)
+    Pinv = [list(col) for col in zip(*P)][:5] \
+        + [[m2 * x for x in row] + [z, z] for row in cfg.h.G6[:3]]
     return QOperator(cfg.model, sandwich(P, cfg.dolbeault.entries, Pinv,
                                          cfg.model.zero()))
 
@@ -345,21 +336,26 @@ def _form_membership(img, span):
     return True
 
 
-def _span_slope(s, span, b_class):
-    """Chern-Weil slope of the spanned subbundle against a 4-class."""
-    model = s.model
-    k = len(span)
-    S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
+def _span_trace(s, span):
+    """Trace 2-form of the curvature of D^G compressed to the span.
+
+    With S the 8 x k matrix of the span, tr((S^dagger H S)^-1 S^dagger H F S)
+    is sum_ab Pr[b][a] F[a][b], Pr = S (S^dagger H S)^-1 S^dagger H.
+    """
     zero = Scalar.zero()
+    S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
     SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
                  s.metric_H.Hm, zero)
-    ShS_inv = matrix_inverse(matmul(SdH, S, zero))  # (S^dagger H S)^-1, k x k
-    # curvature of the induced connection on the subbundle: compress F_{D^G}
-    SdHFS = sandwich(SdH, s.connection_curvature.entries, S, model.zero())
-    trace = model.zero()
-    for i in range(k):
-        for j in range(k):
-            trace = trace + SdHFS[j][i].scale(ShS_inv[i][j])
-    c1 = trace.scale(Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1))
+    Pr = sandwich(S, matrix_inverse(matmul(SdH, S, zero)), SdH, zero)
+    return sum((f.scale(Pr[b][a])
+                for a, row in enumerate(s.connection_curvature.entries)
+                for b, f in enumerate(row) if not Pr[b][a].is_zero()),
+               s.model.zero())
+
+
+def _span_slope(s, span, b_class):
+    """Chern-Weil slope of the spanned subbundle against a 4-class:
+    the integral of (i/2pi) tr F_span ^ b (see _span_trace) over the rank."""
+    c1 = _span_trace(s, span).scale(Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1))
     top = c1.wedge(b_class.rep)
-    return s.h.integrate(top) * Scalar.of(Fraction(1, k))
+    return s.h.integrate(top) * Scalar.of(Fraction(1, len(span)))

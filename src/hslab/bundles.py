@@ -12,11 +12,11 @@ and the second-Chern-character constraint.
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
 its frame, compatible metric H, connection D^G, the curvature of D^G, the
-Dolbeault operator of Q and the unitary (B, Psi) and Chern (C, phi)
-splittings of D^G are built on first use and kept, so every verifier of
-one family reads the same objects; the Chern split is read off the unitary
-one, phi = 2 Psi^{1,0}.  The dataclass is frozen, which keeps them valid,
-and none of them refers back to the family.
+Dolbeault operator of Q, the Bismut isomorphism and the unitary (B, Psi)
+and Chern (C, phi) splittings of D^G are built on first use and kept, so
+every verifier of one family reads the same objects; the Chern split is
+read off the unitary one, phi = 2 Psi^{1,0}.  The dataclass is frozen,
+which keeps them valid, and none of them refers back to the family.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from functools import cached_property
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import solve
-from .algebroid import QFrame, connection_DG, curvature, dolbeault_Q
+from .algebroid import (QFrame, bismut_iso_matrix, connection_DG, curvature,
+                        dolbeault_Q)
 from .harmonic import CompatibleMetricH, decompose_unitary
 
 
@@ -196,6 +197,10 @@ class SystemParams:
         return dolbeault_Q(self)
 
     @cached_property
+    def bismut_iso(self):
+        return bismut_iso_matrix(self.h)
+
+    @cached_property
     def unitary_split(self):
         """(B, Psi): unitary part and self-adjoint 1-form of the connection."""
         return decompose_unitary(self.connection, self.metric_H)
@@ -218,11 +223,11 @@ def hs_residuals(s: SystemParams):
     + alpha F1^2).  The conformally-balanced residual d(|Omega| omega^2)
     equals the constant |Omega| times the third entry: |Omega| is constant
     on invariant data, so the zero locus is unchanged and the returned form
-    keeps exact coefficients.  The metric h gives omega^2, dd^c omega and
-    F_j ^ omega^2 (h.omega_sq, h.ddc_omega, h.wedge_omega_sq).
+    keeps exact coefficients.  The metric h gives d(omega^2), dd^c omega
+    and F_j ^ omega^2 (h.d_omega_sq, h.ddc_omega, h.wedge_omega_sq).
     """
     h = s.h
     bianchi = h.ddc_omega \
         - s.F0.wedge(s.F0).scale(s.alpha) + s.F1.wedge(s.F1).scale(s.alpha)
-    return (h.wedge_omega_sq(s.F0), h.wedge_omega_sq(s.F1), h.omega_sq.d(),
+    return (h.wedge_omega_sq(s.F0), h.wedge_omega_sq(s.F1), h.d_omega_sq,
             bianchi)

@@ -28,18 +28,25 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import matrix_inverse, sandwich
-from .algebroid import QDIM, QFrame, QOperator, scalar_commutator
+from .hermitian import sandwich
+from .algebroid import QDIM, QFrame, QOperator, _with_end, scalar_commutator
 
 
 class CompatibleMetricH:
-    """Positive Hermitian metric on Q and the induced adjoint operation."""
+    """Positive Hermitian metric on Q and the induced adjoint operation.
+
+    Hm is g(Z_a, conj Z_b) = G6[a][(b + 3) % 6] on T and |alpha| on End, so
+    row a of its inverse is Ginv6[(a + 3) % 6] on T, and 1/|alpha| on End.
+    """
 
     def __init__(self, frame: QFrame):
-        self.frame = frame
         self.model = frame.model
-        self.Hm = frame.metric_H_matrix()
-        self.Hm_inv = matrix_inverse(self.Hm)
+        G6, Ginv6, alpha = frame.h.G6, frame.h.Ginv6, frame.alpha
+        aabs = alpha if alpha.sign() > 0 else -alpha
+        inv = aabs.inverse()
+        self.Hm = _with_end([[row[(b + 3) % 6] for b in range(6)] for row in G6],
+                            aabs, aabs)
+        self.Hm_inv = _with_end([Ginv6[(a + 3) % 6] for a in range(6)], inv, inv)
 
     def adjoint(self, A: QOperator) -> QOperator:
         """A^{*H} on form-valued matrices.

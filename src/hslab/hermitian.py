@@ -1,9 +1,10 @@
 """Metric-dependent operators on invariant forms.
 
 Everything is driven by a Hermitian fundamental form omega: the complexified
-Gram matrix, its exact inverse, a C-bilinear Hodge star, the codifferential
-d^* = -*d*, the Lee form J d^* omega, double metric contractions of 2-forms,
-and the Levi-Civita / Bismut connection coefficients on the invariant frame.
+Gram matrix G6 = [[0, g], [g^T, 0]], its inverse from the 3x3 block inverse
+of g, a C-bilinear Hodge star, the Lee form J d^* omega from d(omega^2),
+double metric contractions of 2-forms, and the Levi-Civita / Bismut
+connection coefficients on the invariant frame.
 
 The module also holds the package's one exact linear-algebra core over
 Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
@@ -12,12 +13,12 @@ the first zero column), and matmul, one zero-skipping product whose
 entries multiply with * (Scalars, Scalar and form, or form and form by
 wedge), with sandwich (left . mid . right) as two of them.
 
-A HermitianStructure builds omega_sq = omega ^ omega, dc_omega = d^c omega
-and ddc_omega = dd^c omega at construction, for every verifier of its
-metric to read; its brackets, Levi-Civita and Bismut coefficients and Lee
-form at most once.  star and wedge_omega_sq (form -> form ^ omega^2) share
-one loop over tables of basis images e_J, each built on first use and kept
-by the structure; the metric a structure was built for never changes.
+A HermitianStructure builds omega^2, d(omega^2), d^c omega and dd^c omega
+(omega_sq, d_omega_sq, dc_omega, ddc_omega) at construction, for every
+verifier of its metric to read; its brackets, Levi-Civita and Bismut
+coefficients and Lee form at most once.  star and wedge_omega_sq (form ->
+form ^ omega^2) share one loop over tables of basis images e_J, each built
+on first use and kept by the structure, whose metric never changes.
 
 Values of forms on frame vectors (Gram entries, brackets, torsion) are read
 off the coefficients with InvariantForm.at, and the star's frame pairings
@@ -191,13 +192,16 @@ class HermitianStructure:
         self.g = [[mi * omega.at(j, k + n) for k in range(n)]
                   for j in range(n)]
         zero = Scalar.zero()
+        # G6 = [[0, g], [g^T, 0]], so Ginv6 = [[0, g^-T], [g^-1, 0]]
+        ginv = matrix_inverse(self.g)
         self.G6 = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
+        self.Ginv6 = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
         for j in range(n):
             for k in range(n):
-                self.G6[j][k + n] = self.g[j][k]
-                self.G6[k + n][j] = self.g[j][k]
-        self.Ginv6 = matrix_inverse(self.G6)
+                self.G6[j][k + n] = self.G6[k + n][j] = self.g[j][k]
+                self.Ginv6[j][k + n] = self.Ginv6[k + n][j] = ginv[k][j]
         self.omega_sq = omega.wedge(omega)
+        self.d_omega_sq = self.omega_sq.d()
         self.dc_omega = omega.dc()
         self.ddc_omega = self.dc_omega.d()
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
@@ -272,7 +276,7 @@ class HermitianStructure:
             out[b][a] = -v
         return out
 
-    # -- star, codifferential, Lee form ----------------------------------------
+    # -- star and Lee form -----------------------------------------------------
 
     def _through_images(self, form, cache, image):
         """sum_J v_J image(e_J) over the terms v_J e_J of form.
@@ -319,10 +323,6 @@ class HermitianStructure:
             form, self._wedge_omega_sq_cache,
             lambda J: self.model.basis_form(J).wedge(self.omega_sq).terms)
 
-    def codifferential(self, form):
-        """d^* = -*d* in real dimension six."""
-        return -self.star(self.star(form).d())
-
     def j_form(self, form):
         """(J a)(X,..) = a(JX,..): multiplies a (p,q) term by i^(p-q)."""
         n = self.model.n
@@ -341,9 +341,11 @@ class HermitianStructure:
         return InvariantForm(self.model, t)
 
     def lee_form(self):
-        """theta = J d^* omega; vanishes iff d(omega^2) = 0."""
+        """theta = J d^* omega = -J *d(omega^2)/2, as d^* = -*d* and *omega =
+        omega^2/2 in complex dimension 3 (Huybrechts, Complex Geometry, 1.2)."""
         if self._lee_form is None:
-            self._lee_form = self.j_form(self.codifferential(self.omega))
+            self._lee_form = self.j_form(
+                -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
         return self._lee_form
 
     def sharp(self, oneform):

@@ -38,7 +38,7 @@ from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals)
 from .algebroid import (QDIM, QSection, he_residual_G, extension_class_gamma,
-                        bismut_iso_matrix, subbundle_report)
+                        subbundle_report)
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
                        matrix_is_zero)
 
@@ -287,7 +287,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
 
     # slope of the cotangent subbundle and degrees of the two line bundles
     b = CohClass(h.omega_sq, flavor="aeppli")
-    P = bismut_iso_matrix(h)
+    P = s.bismut_iso
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]
     rep = subbundle_report(s, span, b_class=b)

@@ -236,6 +236,10 @@ class Scalar:
         return self._c == other._c
 
     def __hash__(self):
+        # zero and a real pi^0 monomial hash as the int or Fraction they equal
+        a, b, d = self._c.get(0, (0, 0, 1))
+        if not b and len(self._c) == (1 if a else 0):
+            return hash(Fraction(a, d))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self):

@@ -10,6 +10,12 @@ from hslab.cealg import build_iwasawa_model, NilmanifoldModel
 from hslab.hermitian import HermitianStructure
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
+from hslab.iwasawa import (FamilyConfig, TauDeformation, make_family,
+                           su3_structure)
+
+TAU_MENU = (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4))
+DEFORMED_TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
+                              Fraction(0))
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +45,31 @@ def abelian_model():
 def kt_model():
     # Kodaira-Thurston-style model: one torus (1,1) differential
     return NilmanifoldModel.from_json({"n": 3, "d": {"w3": [["w1", "w1'", "1"]]}})
+
+
+@pytest.fixture(scope="session")
+def oracle_metrics(model, h0, abelian_model, kt_model):
+    """Metrics on which structured inverses are checked against elimination.
+
+    omega_0; omega_0 + t tau_i for every t in TAU_MENU and each of the four
+    directions tau_i; the gamma-corrected metric of the deformed family
+    (1,1,0),(1,0,0) at DEFORMED_TAU; and omega_0 + DEFORMED_TAU on the
+    abelian and on the Kodaira-Thurston-style model (nonzero Lee form), last.
+    """
+    out = [h0]
+    for t in TAU_MENU:
+        for i in range(4):
+            coeffs = [Fraction(0)] * 4
+            coeffs[i] = t
+            tau = TauDeformation(*coeffs).form(model)
+            out.append(HermitianStructure(model, h0.omega + tau))
+    cfg = FamilyConfig(LineBundleTriple(1, 1, 0), LineBundleTriple(1, 0, 0),
+                       tau=DEFORMED_TAU)
+    out.append(make_family(cfg).params.h)
+    for m in (abelian_model, kt_model):
+        out.append(HermitianStructure(
+            m, su3_structure(m)[0] + DEFORMED_TAU.form(m)))
+    return out
 
 
 def make_params(model, h, Omega, t0, t1, alpha=None):

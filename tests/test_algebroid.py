@@ -1,16 +1,22 @@
 """Orthogonal bundle frame: pairing, connection, Dolbeault operator."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import (QDIM, QSection, QFrame,
+from hslab.hermitian import matmul, matrix_inverse, sandwich
+from hslab.algebroid import (QDIM, QSection, QFrame, QOperator,
                              connection_DG, curvature, he_residual_G,
                              dolbeault_Q, transport_dolbeault,
                              extension_class_gamma, bismut_iso_matrix,
-                             subbundle_report)
-from hslab.bundles import CohClass
+                             subbundle_report, _span_trace)
+from hslab.bundles import CohClass, LineBundleTriple
+from hslab.harmonic import CompatibleMetricH
+from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
 
-from conftest import make_params, random_pair, random_scalar
+from conftest import DEFORMED_TAU, make_params, random_pair, random_scalar
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +43,7 @@ def test_pairing_matrix(frame, std, h0):
     assert frame.pairing[6][6] == -std.alpha
     assert frame.pairing[7][7] == std.alpha
     # the compatible metric H is positive on every frame direction
-    H = frame.metric_H_matrix()
+    H = std.metric_H.Hm
     assert all(H[a][a].evalf().real > 0 for a in range(QDIM))
 
 
@@ -124,3 +130,64 @@ def test_dependent_span_rejected(model, std):
     secs = _basis_sections(model)
     with pytest.raises(ValueError):
         subbundle_report(std, [secs[0], secs[0]])
+
+
+def test_structured_inverse_of_the_compatible_metric(oracle_metrics):
+    # Hm is G6 with permuted columns on T and |alpha| on End
+    for h in oracle_metrics:
+        for alpha in (Scalar.of(3), Scalar.of(Fraction(-2, 7), k=-2)):
+            H = CompatibleMetricH(QFrame(h, alpha))
+            assert H.Hm_inv == matrix_inverse(H.Hm)
+
+
+def test_closed_form_inverse_of_the_bismut_iso(oracle_metrics):
+    # transport_dolbeault is P . D . P^-1 with its own closed-form P^-1; for
+    # D = Q e, with Q = matrix_inverse(P) and e a 1-form, it returns
+    # (P^-1) e, which must be Q e
+    for h in oracle_metrics:
+        P = bismut_iso_matrix(h)
+        e = h.model.basis_form((0,))
+        D = QOperator(h.model, [[e.scale(x) for x in row]
+                                for row in matrix_inverse(P)])
+        cfg = SimpleNamespace(model=h.model, h=h, bismut_iso=P, dolbeault=D)
+        assert transport_dolbeault(cfg).entries == D.entries
+
+
+def _compressed_trace(s, span):
+    """Trace of the k x k compression (S^dagger H S)^-1 S^dagger H F S."""
+    zero = Scalar.zero()
+    S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]
+    SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
+                 s.metric_H.Hm, zero)
+    ShS_inv = matrix_inverse(matmul(SdH, S, zero))
+    SdHFS = sandwich(SdH, s.connection_curvature.entries, S, s.model.zero())
+    trace = s.model.zero()
+    for i in range(len(span)):
+        for j in range(len(span)):
+            trace = trace + SdHFS[j][i].scale(ShS_inv[i][j])
+    return trace
+
+
+@pytest.mark.parametrize("kind", ["flat", "picard", "deformed"])
+def test_span_trace_is_the_trace_of_the_compression(kind):
+    # every catalog slope is 0, so the slope's trace 2-form is compared
+    triples = ((1, 2, 2), (2, -1, 0)) if kind != "deformed" \
+        else ((1, 1, 0), (1, 0, 0))
+    kw = {"deformed": {"tau": DEFORMED_TAU},
+          "picard": {"picard": PicardPoint((Scalar.of(1, 2), Scalar.zero()),
+                                           (Scalar.zero(), Scalar.of(0, -3)))},
+          "flat": {}}[kind]
+    s = make_family(FamilyConfig(*(LineBundleTriple(*t) for t in triples),
+                                 **kw)).params
+    P = s.bismut_iso
+    cotangent = [QSection(s.model, [P[a][5 + k] for a in range(QDIM)])
+                 for k in range(3)]
+    # Z_1 + Z_2', Z_2 + 2 Z_1', Z_3: at a deformed metric its projector is
+    # not symmetric, so a transposed projector gives another trace
+    tangent = [QSection(s.model, row) for row in
+               ([1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0, 0, 0])]
+    for span in (cotangent, tangent):
+        trace = _span_trace(s, span)
+        assert 3 <= len(trace.terms) <= 9
+        assert trace == _compressed_trace(s, span)

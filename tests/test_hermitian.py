@@ -87,8 +87,25 @@ def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
         assert fresh.wedge_omega_sq(f) == f.wedge(w2)
 
 
+def test_block_inverse_of_the_gram_matrix(oracle_metrics):
+    # G6 = [[0, g], [g^T, 0]]: Ginv6 comes from the 3x3 inverse of g alone
+    for h in oracle_metrics:
+        assert h.Ginv6 == matrix_inverse(h.G6)
+    assert any(not h.Ginv6[0][4].is_zero() for h in oracle_metrics)
+
+
+def test_star_of_omega_and_the_lee_form(oracle_metrics):
+    # *omega = omega^2/2 in complex dimension 3, so the Lee form J d^* omega
+    # = -J *d*omega equals -J *d(omega^2)/2
+    for h in oracle_metrics:
+        assert h.star(h.omega) == h.omega_sq.scale(Fraction(1, 2))
+        assert h.lee_form() == h.j_form(-h.star(h.star(h.omega).d()))
+    assert not oracle_metrics[-1].lee_form().is_zero()
+
+
 def test_codifferential_and_lee_zero(model, h0):
-    assert h0.codifferential(h0.omega).is_zero()
+    # d^* omega = -*d*omega
+    assert h0.star(h0.star(h0.omega).d()).is_zero()
     assert h0.lee_form().is_zero()
 
 

@@ -15,6 +15,7 @@ from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
                            hs_residuals)
 from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
+import hslab.hermitian as hermitian
 from hslab.harmonic import harmonic_residual, matrix_is_zero, higgs_dbar_entry
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
@@ -305,6 +306,32 @@ def test_metric_forms_are_built_once(monkeypatch):
     assert sum(1 for a, b in wedges if a is h.omega and b is h.omega) == 1
     assert sum(1 for a in dcs if a is h.omega) == 1
     assert sum(1 for a in ds if a is h.dc_omega) == 1
+    assert sum(1 for a in ds if a is h.omega_sq) == 1
+
+
+def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
+    real = hermitian.matrix_inverse
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    bindings = [name for name, mod in list(sys.modules.items())
+                if name.split(".")[0] == "hslab"
+                and getattr(mod, "matrix_inverse", None) is real]
+    assert {"hslab.hermitian", "hslab.algebroid", "hslab.iwasawa"} \
+        <= set(bindings)
+    for name in bindings:
+        monkeypatch.setattr(sys.modules[name], "matrix_inverse", counted)
+    verify_family(cand)
+    # the span Gram of the cotangent slope; no 6x6 or 8x8 elimination
+    assert len(sizes) <= 2 and all(n <= 3 for n in sizes)
+    # the Lee form comes from d(omega^2): no 2-form image of omega is built
+    keys = cand.params.h._star_cache
+    assert keys and all(len(J) == 3 for J in keys)
 
 
 def test_verify_family_negative_control():

@@ -85,6 +85,16 @@ def test_equality_and_hash_follow_the_value(a, b):
 
 
 @ORACLE
+@given(rationals)
+def test_hash_agrees_with_equal_ints_and_fractions(q):
+    a = Scalar.of(q)
+    assert a == q and hash(a) == hash(q)
+    n = q.numerator
+    assert Scalar.of(n) == n and hash(Scalar.of(n)) == hash(n)
+    assert len({Scalar.one(), 1, Fraction(1), Scalar.zero(), 0}) == 2
+
+
+@ORACLE
 @given(laurent)
 def test_str_parse_roundtrip(a):
     back = parse_scalar(str(a))
