@@ -1,7 +1,7 @@
 """Exact verification of Hull-Strominger and harmonic-metric identities
 on invariant nilmanifold backgrounds."""
 
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar
 from .cealg import (NilmanifoldModel, InvariantForm, InvariantVector,
                     build_iwasawa_model)
 from .hermitian import HermitianStructure

@@ -185,22 +185,16 @@ def connection_DG(s):
                 if not coef.is_zero():
                     acc = acc + model.gen(c, coef)
             E[a][b] = acc
-    Z = [model.basis_vector(a) for a in range(6)]
+    # iF[b] = (i_{Z_b} F0, i_{Z_b} F1)
+    iF = [[F.contract(model.basis_vector(b)) for F in (s.F0, s.F1)]
+          for b in range(6)]
+    cols = matmul(h.Ginv6, iF, model.zero())
     for a in range(6):
         # T <- End columns: g^{-1} alpha tr(i_V F0 .) and -g^{-1} alpha tr(i_V F1 .)
-        col0 = model.zero()
-        col1 = model.zero()
-        for b in range(6):
-            gab = h.Ginv6[a][b]
-            if gab.is_zero():
-                continue
-            col0 = col0 + s.F0.contract(Z[b]).scale(gab)
-            col1 = col1 + s.F1.contract(Z[b]).scale(gab)
-        E[a][6] = col0.scale(-s.alpha)
-        E[a][7] = col1.scale(s.alpha)
+        E[a][6] = cols[a][0].scale(-s.alpha)
+        E[a][7] = cols[a][1].scale(s.alpha)
         # End <- T rows: -F_j(V, .)
-        E[6][a] = s.F0.contract(Z[a])
-        E[7][a] = s.F1.contract(Z[a])
+        E[6][a], E[7][a] = iF[a]
     return A
 
 

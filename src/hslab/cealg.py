@@ -7,20 +7,16 @@ Forms are sparse maps from strictly increasing multi-indices to exact
 scalars; wedge, d, bidegree splitting, conjugation and contraction are all
 closed operations with zero numerical tolerance.
 
-Structure constants load from JSON documents of the shape
-
-    {"n": 3, "d": {"w3": [["w1", "w2", "1"]]}}
-
-listing, for each generator with nonzero differential, the terms
-[label, label, scalar-literal] of its image.
+A model is built from its structure constants: for each generator with a
+nonzero differential, the map from increasing index pairs to the Scalar
+coefficients of its image, as build_iwasawa_model does for d w3 = w1 ^ w2.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar
 
 
 def _merge_sign(left, right):
@@ -140,35 +136,6 @@ class NilmanifoldModel:
 
     def d_gen(self, a):
         return self.diff[a]
-
-    @classmethod
-    def from_json(cls, doc):
-        """Build a model from a JSON document or string (see module doc)."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        n = int(doc["n"])
-        labels = ["w%d" % (j + 1) for j in range(n)] + \
-                 ["w%d'" % (j + 1) for j in range(n)]
-
-        def lab2idx(lab):
-            if lab in labels:
-                return labels.index(lab)
-            raise ValueError("unknown generator label %r" % lab)
-
-        diff_terms = {}
-        for lab, terms in doc.get("d", {}).items():
-            a = lab2idx(lab)
-            acc = {}
-            for l1, l2, lit in terms:
-                s = parse_scalar(lit)
-                idx, sign = _sort_sign((lab2idx(l1), lab2idx(l2)))
-                if idx is None:
-                    continue
-                if sign < 0:
-                    s = -s
-                acc[idx] = acc.get(idx, Scalar.zero()) + s
-            diff_terms[a] = {k: v for k, v in acc.items() if not v.is_zero()}
-        return cls(n, diff_terms)
 
 
 class InvariantForm:
@@ -460,10 +427,6 @@ class InvariantVector:
         return "InvariantVector(%s)" % (body or "0")
 
 
-def iwasawa_json():
-    """Structure-constant document of the Iwasawa manifold."""
-    return {"n": 3, "d": {"w3": [["w1", "w2", "1"]]}}
-
-
 def build_iwasawa_model():
-    return NilmanifoldModel.from_json(iwasawa_json())
+    """The Iwasawa manifold: d w3 = w1 ^ w2, every other (1,0) generator closed."""
+    return NilmanifoldModel(3, {2: {(0, 1): Scalar.one()}})

@@ -40,10 +40,15 @@ def _parse_rationals(text, count, what):
     parts = text.split(",")
     if len(parts) != count:
         raise _ArgumentError("%s needs %d comma-separated values" % (what, count))
-    try:
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _ArgumentError("bad %s value: %s" % (what, exc))
+    out = []
+    for p in parts:
+        try:
+            out.append(Fraction(p))
+        except ZeroDivisionError:
+            raise _ArgumentError("bad %s value '%s': zero denominator" % (what, p))
+        except ValueError:
+            raise _ArgumentError("bad %s value '%s': not a rational" % (what, p))
+    return out
 
 
 def _parse_ints(text, count, what):

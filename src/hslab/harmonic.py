@@ -107,8 +107,8 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
     its one commutator instead of building S_a.  The trace g^c is
     tr ad_{Z_c}, zero on a unimodular (e.g. nilpotent) algebra (Milnor,
     Adv. Math. 21, 1976), so on the Iwasawa model the second sum adds
-    nothing; it is still computed, not assumed, so a model loaded from
-    JSON whose algebra is not unimodular gets the full codifferential.
+    nothing; it is still computed, not assumed, so any NilmanifoldModel
+    whose algebra is not unimodular gets the full codifferential.
     """
     gamma = s.h.levi_civita().gamma
     Tv = [_frame_values(T, a) for a in range(6)]

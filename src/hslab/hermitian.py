@@ -21,9 +21,8 @@ form ^ omega^2) share one loop over tables of basis images e_J, each built
 on first use and kept by the structure, whose metric never changes.
 
 Values of forms on frame vectors (Gram entries, brackets, torsion) are read
-off the coefficients with InvariantForm.at, and the star's frame pairings
-are minors of the inverse Gram matrix, memoized per structure so that all
-pairings share their sub-minors.
+off the coefficients with InvariantForm.at.  The star of e_J contracts the
+volume by the metric duals (sharp) of the factors of e_J, in order.
 
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is
@@ -34,10 +33,9 @@ each signed by Scalar.sign().
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .scalars import Scalar
-from .cealg import InvariantForm, InvariantVector, _merge_sign
+from .cealg import InvariantForm, InvariantVector
 
 
 def _pivot_row(a, col, start):
@@ -210,7 +208,6 @@ class HermitianStructure:
             raise ValueError("degenerate fundamental form: omega^3 = 0")
         self._star_cache = {}
         self._wedge_omega_sq_cache = {}
-        self._minors = {}
         self._brackets = None
         self._levi_civita = None
         self._bismut = None
@@ -231,40 +228,6 @@ class HermitianStructure:
                                  "(leading minor %d is %s)" % (k, minor))
 
     # -- frame pairing helpers -----------------------------------------------
-
-    def dual_pairing(self, I, J):
-        """C-bilinear dual metric <e_I, e_J> of increasing index tuples.
-
-        That is the (I, J) minor of Ginv6, det(Ginv6[a][b]) for a in I and
-        b in J, and zero when the lengths differ.  It is expanded along the
-        first row of I, skipping zero entries of Ginv6, and every minor met
-        on the way is memoized in this structure, keyed by (I, J): the
-        star's pairings of one degree share their sub-minors.
-        """
-        if len(I) != len(J):
-            return Scalar.zero()
-        return self._minor(I, J)
-
-    def _minor(self, I, J):
-        out = self._minors.get((I, J))
-        if out is not None:
-            return out
-        if not I:
-            out = Scalar.one()
-        else:
-            row = self.Ginv6[I[0]]
-            rest = I[1:]
-            out = Scalar.zero()
-            for j, b in enumerate(J):
-                x = row[b]
-                if x.is_zero():
-                    continue
-                m = self._minor(rest, J[:j] + J[j + 1:])
-                if m.is_zero():
-                    continue
-                out = out - x * m if j % 2 else out + x * m
-        self._minors[(I, J)] = out
-        return out
 
     def form_values(self, F):
         """Matrix F(Z_a, Z_b) of a 2-form over the complexified frame."""
@@ -298,24 +261,17 @@ class HermitianStructure:
     def star(self, form):
         """C-linear Hodge star with volume omega^3/3!.
 
-        The image of a basis form e_J is sum_I <e_I, e_J> c_vol
-        sign(I, I^c) e_{I^c} over the k-subsets I; its pairings come from
-        the memoized minors (dual_pairing).
+        The image of a basis form e_J = e_j1 ^ .. ^ e_jk is the volume
+        contracted by the metric duals of its factors, i_{#e_jk} .. i_{#e_j1}
+        vol: the form with e_I ^ *e_J = <e_I, e_J> vol for every e_I.
         """
         return self._through_images(form, self._star_cache, self._star_image)
 
     def _star_image(self, J):
-        dim = self.model.dim
-        terms = {}
-        for I in combinations(range(dim), len(J)):
-            pairing = self.dual_pairing(I, J)
-            if pairing.is_zero():
-                continue
-            Ic = tuple(x for x in range(dim) if x not in I)
-            _, sign = _merge_sign(I, Ic)
-            s = pairing * self.c_vol
-            terms[Ic] = -s if sign < 0 else s
-        return terms
+        out = self.volume
+        for a in J:
+            out = out.contract(self.sharp(self.model.gen(a)))
+        return out.terms
 
     def wedge_omega_sq(self, form):
         """form ^ omega^2, through the images e_J ^ omega^2 of this metric."""

@@ -21,7 +21,6 @@ monomials and refuses anything else.  Floating-point evaluation at pi
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 _gcd = math.gcd
@@ -292,120 +291,3 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return _new({0: (x.numerator, 0, x.denominator)} if x else {})
     return NotImplemented
-
-
-# -- parsing ----------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(\d+|pi|i|[()+\-*/^])")
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("bad scalar literal near %r" % text[pos:pos + 12])
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    """Sums of products of rationals, i, and pi^k, with implicit products.
-
-    Accepts both the compact input style "1/2+3/4*i*pi^2" and the canonical
-    report style "(1/2 - 3/4 i) pi^-1 + 2 pi".
-    """
-
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def parse(self):
-        v = self.expr()
-        if self.peek() is not None:
-            raise ValueError("trailing tokens in scalar literal")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            if self.next() == "+":
-                v = v + self.term()
-            else:
-                v = v - self.term()
-        return v
-
-    def term(self):
-        v = self.factor()
-        while True:
-            t = self.peek()
-            if t in ("*", "/"):
-                self.next()
-                rhs = self.factor()
-                v = v * rhs if t == "*" else v / rhs
-            elif t is not None and (t == "(" or t == "pi" or t == "i" or t.isdigit()):
-                v = v * self.factor()
-            else:
-                return v
-
-    def factor(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        v = self.atom()
-        if self.peek() == "^":
-            self.next()
-            esign = 1
-            if self.peek() == "-":
-                self.next()
-                esign = -1
-            t = self.next()
-            if t is None or not t.isdigit():
-                raise ValueError("bad exponent in scalar literal")
-            v = _ipow(v, esign * int(t))
-        return v if sign == 1 else -v
-
-    def atom(self):
-        t = self.next()
-        if t is None:
-            raise ValueError("unexpected end of scalar literal")
-        if t == "(":
-            v = self.expr()
-            if self.next() != ")":
-                raise ValueError("unbalanced parenthesis in scalar literal")
-            return v
-        if t == "pi":
-            return Scalar.pi()
-        if t == "i":
-            return Scalar.i()
-        if t.isdigit():
-            return Scalar.of(Fraction(int(t)))
-        raise ValueError("unexpected token %r in scalar literal" % t)
-
-
-def _ipow(v, e):
-    if e >= 0:
-        out = Scalar.one()
-        for _ in range(e):
-            out = out * v
-        return out
-    return _ipow(v, -e).inverse()
-
-
-def parse_scalar(text):
-    """Parse a scalar literal; inverse of str() on canonical output."""
-    tokens = _tokenize(text)
-    if not tokens:
-        return Scalar.zero()
-    return _Parser(tokens).parse()

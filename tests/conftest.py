@@ -38,13 +38,13 @@ def Omega(model):
 
 @pytest.fixture(scope="session")
 def abelian_model():
-    return NilmanifoldModel.from_json({"n": 3, "d": {}})
+    return NilmanifoldModel(3, {})
 
 
 @pytest.fixture(scope="session")
 def kt_model():
     # Kodaira-Thurston-style model: one torus (1,1) differential
-    return NilmanifoldModel.from_json({"n": 3, "d": {"w3": [["w1", "w1'", "1"]]}})
+    return NilmanifoldModel(3, {2: {(0, 3): Scalar.one()}})
 
 
 @pytest.fixture(scope="session")
@@ -111,6 +111,32 @@ def random_scalar(rng, allow_pi=True):
     re = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
     im = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
     return Scalar.pi(k, re, im)
+
+
+def to_sympy(a):
+    """The Scalar a as sum_k (re_k + im_k I) pi^k, pi a positive sympy symbol."""
+    sympy = pytest.importorskip("sympy")
+    pi = sympy.Symbol("pi", positive=True)
+    return sum(((sympy.Rational(re.numerator, re.denominator)
+                 + sympy.I * sympy.Rational(im.numerator, im.denominator))
+                * pi ** k for k, (re, im) in a.items()), sympy.Integer(0))
+
+
+def sympy_reads_str(a):
+    """Whether sympy's own parser reads str(a) as the value of a.
+
+    An oracle of Scalar.__str__ that shares no code with the package: the
+    report's exact strings are read with implicit products and ^ as power.
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (
+        convert_xor, implicit_multiplication_application, parse_expr,
+        standard_transformations)
+    back = parse_expr(str(a), local_dict={
+        "i": sympy.I, "pi": sympy.Symbol("pi", positive=True)},
+        transformations=standard_transformations + (
+            implicit_multiplication_application, convert_xor))
+    return sympy.expand(back - to_sympy(a)) == 0
 
 
 def random_form(model, rng, degree, nterms=3):

@@ -7,7 +7,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import (NilmanifoldModel, InvariantVector,
-                         build_iwasawa_model, iwasawa_json)
+                         build_iwasawa_model)
 
 from conftest import random_form, random_scalar
 
@@ -151,11 +151,6 @@ def test_dc_convention(model):
     assert (lhs - rhs).is_zero()
 
 
-def test_json_model_roundtrip(model):
-    clone = NilmanifoldModel.from_json(iwasawa_json())
-    assert (clone.d_gen(2) - clone.basis_form((0, 1))).is_zero()
-
-
 def test_abelian_and_kt_models(abelian_model, kt_model):
     for idx in range(6):
         assert abelian_model.d_gen(idx).is_zero()
@@ -168,14 +163,12 @@ def test_abelian_and_kt_models(abelian_model, kt_model):
 def test_non_integrable_model_rejected():
     # a (0,2) component in d of a (1,0) generator breaks integrability
     with pytest.raises(ValueError):
-        NilmanifoldModel.from_json({"n": 3, "d": {"w3": [["w1'", "w2'", "1"]]}})
+        NilmanifoldModel(3, {2: {(3, 4): Scalar.one()}})
 
 
 def test_d_squared_enforced():
     # structure constants violating the Jacobi identity give d^2 != 0
+    one = Scalar.one()
     with pytest.raises(ValueError):
-        NilmanifoldModel.from_json({"n": 3, "d": {
-            "w1": [["w1", "w2", "-1"]],
-            "w2": [["w2", "w3", "-1"]],
-            "w3": [["w2", "w3", "-1"]],
-        }})
+        NilmanifoldModel(3, {0: {(0, 1): -one}, 1: {(1, 2): -one},
+                             2: {(1, 2): -one}})

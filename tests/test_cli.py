@@ -42,6 +42,13 @@ def test_verify_exit_three_malformed(capsys):
     assert main(["verify", "--triples", "1,2,2,2,-1,0",
                  "--tau", "1/2,1/2,1/2,1/2"]) == 3
     assert main(["nonsense"]) == 3
+    capsys.readouterr()
+    # a zero denominator names the literal and the cause
+    for option in ("--picard", "--tau"):
+        assert main(["verify", "--triples", "1,2,2,2,-1,0",
+                     option, "1/0,0,0,0"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: bad %s value '1/0': zero denominator\n" % option
 
 
 def test_unwritable_output_path_exits_three(tmp_path, capsys):

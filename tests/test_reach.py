@@ -46,8 +46,6 @@ LIBRARY_ONLY = {
         "the catalog as a list of records, the reference of the CLI stream",
     "scalars.Scalar.items":
         "coefficient read-out of the sympy oracle tests",
-    "scalars._ipow":
-        "the power operator of scalar literals in a model's JSON",
 }
 
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from hslab.scalars import Scalar, parse_scalar
+from hslab.scalars import Scalar
 
-from conftest import random_scalar
+from conftest import random_scalar, sympy_reads_str
 
 
 def test_constructors_and_basics():
@@ -72,13 +72,14 @@ def test_str_parse_roundtrip():
     rng = random.Random(14)
     for _ in range(200):
         a = random_scalar(rng) + random_scalar(rng)
-        assert parse_scalar(str(a)) == a
+        assert sympy_reads_str(a)
 
 
 def test_parse_formats():
-    assert parse_scalar("1/2+3/4*i*pi^2") == Scalar.pi(2, 0, Fraction(3, 4)) + Scalar.of(Fraction(1, 2))
-    assert parse_scalar("(1/2 - 3/4 i) pi^-1") == Scalar.pi(-1, Fraction(1, 2), Fraction(-3, 4))
-    assert parse_scalar("0") == Scalar.zero()
+    a = Scalar.pi(-1, Fraction(1, 2), Fraction(-3, 4)) + Scalar.pi(1, 2)
+    assert str(a) == "(1/2 - 3/4 i) pi^-1 + 2 pi"
+    assert sympy_reads_str(a)
+    assert str(Scalar.zero()) == "0" and sympy_reads_str(Scalar.zero())
 
 
 def test_evalf():
@@ -105,4 +106,4 @@ def test_items_and_str_keep_fraction_parts():
     assert all(isinstance(x, Fraction)
                for _, pair in a.items() for x in pair)
     assert str(a) == "3/2 pi^-1 + -1/3 i pi^2"
-    assert a == parse_scalar(str(a))
+    assert sympy_reads_str(a)
