@@ -19,11 +19,17 @@ the sign convention in splitting a (1,1)-form into (0,1)-form-valued
 cotangent components: c w_j ^ w_k' -> (-c w_k') (x) w_j.
 
 The verifiers here take a SystemParams and read its per-family objects,
-each built once: frame, metric_H, connection (D^G), connection_curvature,
+each built once: frame, metric_H, connection (D^G), curvature_omega_sq,
 dolbeault (the Dolbeault operator in the extension frame) and bismut_iso.
 QFrame holds the C-bilinear pairing.  A QOperator's wedge, its action on a
 section and the pairing of sections are hermitian.matmul products, whose
 entries multiply with * (forms by wedge, a form and a Scalar by scaling).
+
+The HE residual and the slope read the curvature F of D^G only through
+F ^ omega^2, a multiple of the volume (Luebke & Teleman, The
+Kobayashi-Hitchin Correspondence, 1995, 1.1), whose coefficients
+curvature_wedge_omega_sq takes from the connection's scalar coefficients:
+the verify path builds no curvature 2-form.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
+from .cealg import InvariantForm
 from .hermitian import matmul, matrix_inverse, rref, sandwich, solve
 
 QDIM = 8
@@ -109,11 +116,9 @@ class QOperator:
 
     def value_at(self, vector):
         """Scalar 8x8 matrix of a 1-form-valued operator evaluated on a vector."""
-        rows = []
-        for row in self.entries:
-            rows.append([a.contract(vector).terms.get((), Scalar.zero())
-                         if not a.is_zero() else Scalar.zero() for a in row])
-        return rows
+        z = Scalar.zero()
+        return [[z if a.is_zero() else a.contract(vector).terms.get((), z)
+                 for a in row] for row in self.entries]
 
     def apply(self, section):
         """Apply to a constant section; result is a list of 8 forms."""
@@ -137,12 +142,6 @@ def _with_end(block, e0, e1):
     """8x8 Scalar matrix: the 6x6 block on T, diag(e0, e1) on End."""
     z = Scalar.zero()
     return [row + [z, z] for row in block] + [[z] * 6 + [e0, z], [z] * 7 + [e1]]
-
-
-def scalar_commutator(a, b):
-    ab = matmul(a, b, Scalar.zero())
-    ba = matmul(b, a, Scalar.zero())
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
 class QFrame:
@@ -171,20 +170,15 @@ def connection_DG(s):
     with the End directions weighted by alpha, and flat End diagonals (the
     Chern connections are trivial in the invariant unitary frame).
     """
-    model = s.model
-    h = s.h
+    model, h = s.model, s.h
     bi = h.bismut()
     A = QOperator(model)
     E = A.entries
     # T block: entry (a, b) = sum_c Gamma^a_{cb} w^c
     for a in range(6):
         for b in range(6):
-            acc = model.zero()
-            for c in range(6):
-                coef = bi.gamma[c][b][a]
-                if not coef.is_zero():
-                    acc = acc + model.gen(c, coef)
-            E[a][b] = acc
+            E[a][b] = InvariantForm(model, {(c,): bi.gamma[c][b][a]
+                                            for c in range(6)})
     # iF[b] = (i_{Z_b} F0, i_{Z_b} F1)
     iF = [[F.contract(model.basis_vector(b)) for F in (s.F0, s.F1)]
           for b in range(6)]
@@ -203,12 +197,44 @@ def curvature(A):
     return A.d() + A.wedge(A)
 
 
-def he_residual_G(s):
-    """F_{D^G} ^ omega^2, each entry through h.wedge_omega_sq.
+def curvature_wedge_omega_sq(s):
+    """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F the curvature of D^G.
 
-    Vanishes exactly on Hull-Strominger solutions.
+    With A_ij = sum_a A^a_ij e_a and W = h.omega_sq_table(), F = dA + A ^ A
+    gives c_ij = sum_k sum_a A^a_ik V^a_kj: V^a_kj = sum_b W[a][b] A^b_kj,
+    plus lam_a = (d e_a ^ omega^2)_top, read through W, when k = j (lam is
+    zero on Iwasawa, but computed).  No curvature 2-form is built.
     """
-    return s.connection_curvature.map_entries(s.h.wedge_omega_sq)
+    model, W, zero = s.model, s.h.omega_sq_table(), Scalar.zero()
+    lams = ((a, sum((v * W[b][c] for (b, c), v in da.terms.items()), zero))
+            for a, da in enumerate(model.diff))
+    lam = {a: x for a, x in lams if not x.is_zero()}
+    cols = [[(a, w[b]) for a, w in enumerate(W) if not w[b].is_zero()]
+            for b in range(model.dim)]
+    V = [[] for _ in range(QDIM)]  # V[k]: (j, {a: V^a_kj}) for V_kj != 0
+    for k, row in enumerate(s.connection.entries):
+        for j, e in enumerate(row):
+            acc = dict(lam) if k == j else {}
+            for (b,), v in e.terms.items():
+                for a, w in cols[b]:
+                    acc[a] = acc[a] + w * v if a in acc else w * v
+            if acc:
+                V[k].append((j, acc))
+    c = [[zero] * QDIM for _ in range(QDIM)]
+    for out, row in zip(c, s.connection.entries):
+        for e, Vk in zip(row, V):
+            for (a,), u in e.terms.items():
+                for j, acc in Vk:
+                    if a in acc:
+                        out[j] = out[j] + u * acc[a]
+    return c
+
+
+def he_residual_G(s):
+    """F_{D^G} ^ omega^2 = c e_top (c = s.curvature_omega_sq); zero on solutions."""
+    top = s.model.top_index()
+    return QOperator(s.model, [[InvariantForm(s.model, {top: x}) for x in row]
+                               for row in s.curvature_omega_sq])
 
 
 def _split_components(model, X):
@@ -251,29 +277,23 @@ def extension_class_gamma(cfg):
     Zero iff the extension splits at the invariant level (flat bundles and
     partial(omega) = 0).
     """
-    A = cfg.dolbeault
-    out = QOperator(cfg.model)
-    for l in range(3):
-        for c in range(5):
-            out.entries[5 + l][c] = A.entries[5 + l][c]
-    return out
+    z = cfg.model.zero()
+    return QOperator(cfg.model, [[e if i >= 5 and j < 5 else z
+                                  for j, e in enumerate(row)]
+                                 for i, row in enumerate(cfg.dolbeault.entries)])
 
 
 def bismut_iso_matrix(h):
     """Scalar matrix of the isomorphism extension frame -> complexified frame."""
-    z = Scalar.zero()
+    z, half = Scalar.zero(), Scalar.of(Fraction(1, 2))
     P = [[z] * QDIM for _ in range(QDIM)]
-    for j in range(3):
-        P[j][j] = Scalar.one()
-    P[6][3] = Scalar.one()
-    P[7][4] = Scalar.one()
-    half = Scalar.of(Fraction(1, 2))
+    for i, j in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4)):
+        P[i][j] = Scalar.one()
+    # xi_k = w_k maps to -(1/2) g^{-1} w_k
     for k in range(3):
-        # xi_k = w_k maps to -(1/2) g^{-1} w_k
         for a in range(6):
-            gi = h.Ginv6[a][k]
-            if not gi.is_zero():
-                P[a][5 + k] = -half * gi
+            if not h.Ginv6[a][k].is_zero():
+                P[a][5 + k] = -half * h.Ginv6[a][k]
     return P
 
 
@@ -290,14 +310,12 @@ def transport_dolbeault(cfg):
                                          cfg.model.zero()))
 
 
-def subbundle_report(s, span, b_class=None):
+def subbundle_report(s, span):
     """Isotropy / invariance / slope report for an invariant subbundle of s.
 
     span: list of QSections over the complexified frame.  Invariance is
-    checked against the transported Dolbeault matrix of s; the slope against
-    b_class uses the Chern-Weil trace of the induced connection, which
-    vanishes for constant isotropic frames paired against closed classes
-    whenever the induced curvature trace does.
+    checked against the transported Dolbeault matrix of s; the slope is the
+    Chern-Weil slope against [omega^2] (_span_slope).
     """
     # linear independence over the scalars (rational entries expected)
     mat = [[sec.coeffs[a] for a in range(QDIM)] for sec in span]
@@ -305,15 +323,13 @@ def subbundle_report(s, span, b_class=None):
         raise ValueError("subbundle span is linearly dependent")
     frame = s.frame
     dolbeault = transport_dolbeault(s)
-    out = {
+    return {
         "isotropic": all(frame.pair(x, y).is_zero() for x in span for y in span),
         # each image must be a combination of span with form coefficients
         "holomorphic_invariant": all(_form_membership(dolbeault.apply(sec), span)
                                      for sec in span),
+        "slope": _span_slope(s, span),
     }
-    if b_class is not None:
-        out["slope"] = _span_slope(s, span, b_class)
-    return out
 
 
 def _form_membership(img, span):
@@ -330,26 +346,20 @@ def _form_membership(img, span):
     return True
 
 
-def _span_trace(s, span):
-    """Trace 2-form of the curvature of D^G compressed to the span.
+def _span_slope(s, span):
+    """Chern-Weil slope of the spanned subbundle against [omega^2].
 
-    With S the 8 x k matrix of the span, tr((S^dagger H S)^-1 S^dagger H F S)
-    is sum_ab Pr[b][a] F[a][b], Pr = S (S^dagger H S)^-1 S^dagger H.
+    With S the 8 x k matrix of the span, the compressed curvature
+    (S^dagger H S)^-1 S^dagger H F S has trace sum_ab Pr[b][a] F[a][b],
+    Pr = S (S^dagger H S)^-1 S^dagger H, so with F ^ omega^2 = c e_top the
+    slope is (i/2pi) sum_ab Pr[b][a] c[a][b] / c_vol / k.
     """
     zero = Scalar.zero()
     S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
     SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
                  s.metric_H.Hm, zero)
     Pr = sandwich(S, matrix_inverse(matmul(SdH, S, zero)), SdH, zero)
-    return sum((f.scale(Pr[b][a])
-                for a, row in enumerate(s.connection_curvature.entries)
-                for b, f in enumerate(row) if not Pr[b][a].is_zero()),
-               s.model.zero())
-
-
-def _span_slope(s, span, b_class):
-    """Chern-Weil slope of the spanned subbundle against a 4-class:
-    the integral of (i/2pi) tr F_span ^ b (see _span_trace) over the rank."""
-    c1 = _span_trace(s, span).scale(Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1))
-    top = c1.wedge(b_class.rep)
-    return s.h.integrate(top) * Scalar.of(Fraction(1, len(span)))
+    trace = sum((Pr[b][a] * x for a, row in enumerate(s.curvature_omega_sq)
+                 for b, x in enumerate(row) if not x.is_zero()), zero)
+    return trace * Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1) \
+        * (s.h.c_vol * Scalar.of(len(span))).inverse()

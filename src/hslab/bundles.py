@@ -11,12 +11,13 @@ coupling constant solve, degree/slope pairings against balanced classes
 and the second-Chern-character constraint.
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
-its frame, compatible metric H, connection D^G, the curvature of D^G, the
+its frame, compatible metric H, connection D^G, F_{D^G} ^ omega^2, the
 Dolbeault operator of Q, the Bismut isomorphism and the unitary (B, Psi)
 and Chern (C, phi) splittings of D^G are built on first use and kept, so
 every verifier of one family reads the same objects; the Chern split is
-read off the unitary one, phi = 2 Psi^{1,0}.  The dataclass is frozen,
-which keeps them valid, and none of them refers back to the family.
+read off the unitary one, phi = 2 Psi^{1,0}.  Only the selftest and tests
+build the curvature 2-forms.  The dataclass is frozen, which keeps them
+valid, and none of them refers back to the family.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import solve
 from .algebroid import (QFrame, bismut_iso_matrix, connection_DG, curvature,
-                        dolbeault_Q)
+                        curvature_wedge_omega_sq, dolbeault_Q)
 from .harmonic import CompatibleMetricH, decompose_unitary
 
 
@@ -190,6 +191,11 @@ class SystemParams:
     def connection_curvature(self):
         """F = dA + A ^ A of the connection D^G."""
         return curvature(self.connection)
+
+    @cached_property
+    def curvature_omega_sq(self):
+        """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F as above."""
+        return curvature_wedge_omega_sq(self)
 
     @cached_property
     def dolbeault(self):

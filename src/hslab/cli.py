@@ -7,6 +7,11 @@ deformation that is not positive, a sweep --threads below 1 or a --max
 outside 0..20, refused before any work) or an output that cannot be
 written (a --json or --out path, a closed stdout).  The sweep runs in one
 process: --threads is checked, but has no effect.
+
+A --triples, --tau or --picard value is a signed integer, p/q or decimal
+in ASCII digits, of at most LITERAL_DIGITS = 50 digits, or it exits 3: a
+report prints numbers of up to about 66 times the digits of its longest
+literal, and Python prints no integer of more than 4300 digits.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -36,18 +42,25 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+_LITERAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+)")
+LITERAL_DIGITS = 50
+
+
 def _parse_rationals(text, count, what):
     parts = text.split(",")
     if len(parts) != count:
         raise _ArgumentError("%s needs %d comma-separated values" % (what, count))
     out = []
     for p in parts:
+        if not _LITERAL.fullmatch(p):
+            raise _ArgumentError("bad %s value '%s': not a rational" % (what, p))
+        if sum(c.isdigit() for c in p) > LITERAL_DIGITS:
+            raise _ArgumentError("bad %s value '%s': more than %d digits"
+                                 % (what, p, LITERAL_DIGITS))
         try:
             out.append(Fraction(p))
         except ZeroDivisionError:
             raise _ArgumentError("bad %s value '%s': zero denominator" % (what, p))
-        except ValueError:
-            raise _ArgumentError("bad %s value '%s': not a rational" % (what, p))
     return out
 
 

@@ -17,9 +17,9 @@ Lee form), each built once.  Harmonicity reads K alone, so moment_residuals
 builds I and J only when they are first looked up.
 
 K and J both go through nabla_H_star, the codifferential of nabla^H.  It
-contracts with the inverse metric before taking commutators (one per row
-of Ginv, not one per entry) and adds the contracted Levi-Civita trace as
-one term, which it computes rather than assumes to be zero.
+contracts with the inverse metric, sums the commutators as two stacked
+matrix products and adds the contracted Levi-Civita trace as one term,
+which it computes rather than assumes to be zero.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import sandwich
-from .algebroid import QDIM, QFrame, QOperator, _with_end, scalar_commutator
+from .hermitian import matmul, sandwich
+from .algebroid import QDIM, QFrame, QOperator, _with_end
 
 
 class CompatibleMetricH:
@@ -70,12 +70,8 @@ def decompose_unitary(A: QOperator, H: CompatibleMetricH):
 
 
 def _j_vector(model, vec):
-    n = model.n
-    coeffs = list(vec.coeffs)
-    out = []
-    for a, c in enumerate(coeffs):
-        out.append(c * (Scalar.of(0, 1) if a < n else Scalar.of(0, -1)))
-    return InvariantVector(model, out)
+    return InvariantVector(model, [c * Scalar.of(0, 1 if a < model.n else -1)
+                                   for a, c in enumerate(vec.coeffs)])
 
 
 def _accumulate(out, M, c):
@@ -99,39 +95,33 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
     - Gamma^c_{ab} T(Z_c)) with Gamma the Levi-Civita coefficients,
     contracted before any commutator is taken:
 
-        -sum_a [B(Z_a), S_a] + sum_c g^c T(Z_c),
-        S_a = sum_b Ginv[a][b] T(Z_b),  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
+        sum_a [B(Z_a), S_a] + sum_c g^c T(Z_c),
+        S_a = -sum_b Ginv[a][b] T(Z_b),  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
 
-    That is one commutator per row of Ginv instead of one per nonzero
-    entry.  A row with a single nonzero entry (every row at omega_0) scales
-    its one commutator instead of building S_a.  The trace g^c is
+    The six commutators are two stacked products, [B_0|..|B_5] . [S_0;..;S_5]
+    - [S_0|..|S_5] . [B_0;..;B_5], with B_a = B(Z_a).  The trace g^c is
     tr ad_{Z_c}, zero on a unimodular (e.g. nilpotent) algebra (Milnor,
     Adv. Math. 21, 1976), so on the Iwasawa model the second sum adds
     nothing; it is still computed, not assumed, so any NilmanifoldModel
     whose algebra is not unimodular gets the full codifferential.
     """
     gamma = s.h.levi_civita().gamma
+    zero = Scalar.zero()
     Tv = [_frame_values(T, a) for a in range(6)]
+    Bv = [_frame_values(B, a) for a in range(6)]
     # the nonzero entries (b, Ginv[a][b]) of each row a
     rows = [[(b, g) for b, g in enumerate(grow) if not g.is_zero()]
             for grow in s.h.Ginv6]
-    out = [[Scalar.zero()] * QDIM for _ in range(QDIM)]
-    for a, row in enumerate(rows):
-        if len(row) == 1:
-            b, g = row[0]
-            coeff, S = -g, Tv[b]
-        else:
-            coeff, S = Scalar.of(-1), [[Scalar.zero()] * QDIM for _ in range(QDIM)]
-            for b, g in row:
-                _accumulate(S, Tv[b], g)
-        _accumulate(out, scalar_commutator(_frame_values(B, a), S), coeff)
+    S = [[[zero] * QDIM for _ in range(QDIM)] for _ in rows]
+    for S_a, row in zip(S, rows):
+        for b, g in row:
+            _accumulate(S_a, Tv[b], -g)
+    out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(
+        matmul([sum(rs, []) for rs in zip(*Bv)], sum(S, []), zero),
+        matmul([sum(rs, []) for rs in zip(*S)], sum(Bv, []), zero))]
     for c in range(6):
-        trace = Scalar.zero()
-        for a, row in enumerate(rows):
-            for b, g in row:
-                gam = gamma[a][b][c]
-                if not gam.is_zero():
-                    trace = trace + g * gam
+        trace = sum((g * gamma[a][b][c] for a, row in enumerate(rows)
+                     for b, g in row if not gamma[a][b][c].is_zero()), zero)
         if not trace.is_zero():
             _accumulate(out, Tv[c], trace)
     return out

@@ -16,9 +16,10 @@ wedge), with sandwich (left . mid . right) as two of them.
 A HermitianStructure builds omega^2, d(omega^2), d^c omega and dd^c omega
 (omega_sq, d_omega_sq, dc_omega, ddc_omega) at construction, for every
 verifier of its metric to read; its brackets, Levi-Civita and Bismut
-coefficients and Lee form at most once.  star and wedge_omega_sq (form ->
-form ^ omega^2) share one loop over tables of basis images e_J, each built
-on first use and kept by the structure, whose metric never changes.
+coefficients, Lee form and the table (e_a ^ e_b ^ omega^2)_top at most
+once.  star and wedge_omega_sq (form -> form ^ omega^2) share one loop over
+tables of basis images e_J, each built on first use and kept by the
+structure, whose metric never changes.
 
 Values of forms on frame vectors (Gram entries, brackets, torsion) are read
 off the coefficients with InvariantForm.at.  The star of e_J contracts the
@@ -169,11 +170,11 @@ def sandwich(left, mid, right, zero):
 class HermitianStructure:
     """A Hermitian metric on an invariant complex model, given by omega.
 
-    brackets(), levi_civita(), bismut() and lee_form() are built on first
-    call and the same object is returned afterwards.  That is sound because
-    omega, the returned connection coefficients and the returned forms are
-    never modified after construction; code that changed them in place
-    would change every later caller's value too.
+    brackets(), levi_civita(), bismut(), lee_form() and omega_sq_table() are
+    built on first call and the same object is returned afterwards.  That is
+    sound because omega, the returned connection coefficients and the
+    returned forms are never modified after construction; code that changed
+    them in place would change every later caller's value too.
     """
 
     def __init__(self, model, omega):
@@ -212,6 +213,7 @@ class HermitianStructure:
         self._levi_civita = None
         self._bismut = None
         self._lee_form = None
+        self._omega_sq_table = None
         self._certify_positive()
 
     def _certify_positive(self):
@@ -278,6 +280,14 @@ class HermitianStructure:
         return self._through_images(
             form, self._wedge_omega_sq_cache,
             lambda J: self.model.basis_form(J).wedge(self.omega_sq).terms)
+
+    def omega_sq_table(self):
+        """W[a][b] = (e_a ^ e_b ^ omega^2)_top, from wedge_omega_sq's images."""
+        if self._omega_sq_table is None:
+            r, e = range(self.model.dim), self.model.basis_form
+            self._omega_sq_table = [[self.wedge_omega_sq(e((a, b))).top_coeff()
+                                     for b in r] for a in r]
+        return self._omega_sq_table
 
     def j_form(self, form):
         """(J a)(X,..) = a(JX,..): multiplies a (p,q) term by i^(p-q)."""

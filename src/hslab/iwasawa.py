@@ -290,7 +290,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     P = s.bismut_iso
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]
-    rep = subbundle_report(s, span, b_class=b)
+    rep = subbundle_report(s, span)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, 1, h)
     deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, 1, h)

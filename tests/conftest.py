@@ -113,6 +113,20 @@ def random_scalar(rng, allow_pi=True):
     return Scalar.pi(k, re, im)
 
 
+def scalar_commutator(a, b):
+    """ab - ba of square Scalar matrices by the defining sums.
+
+    A test oracle that shares no code with hermitian.matmul.
+    """
+    r = range(len(a))
+
+    def entry(x, y, i, j):
+        return sum((x[i][k] * y[k][j] for k in r
+                    if not x[i][k].is_zero() and not y[k][j].is_zero()),
+                   Scalar.zero())
+    return [[entry(a, b, i, j) - entry(b, a, i, j) for j in r] for i in r]
+
+
 def to_sympy(a):
     """The Scalar a as sum_k (re_k + im_k I) pi^k, pi a positive sympy symbol."""
     sympy = pytest.importorskip("sympy")

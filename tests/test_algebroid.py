@@ -1,22 +1,26 @@
 """Orthogonal bundle frame: pairing, connection, Dolbeault operator."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.hermitian import matmul, matrix_inverse, sandwich
+from hslab.hermitian import (HermitianStructure, matmul, matrix_inverse,
+                             sandwich)
 from hslab.algebroid import (QDIM, QSection, QFrame, QOperator,
-                             connection_DG, curvature, he_residual_G,
+                             connection_DG, curvature,
+                             curvature_wedge_omega_sq, he_residual_G,
                              dolbeault_Q, transport_dolbeault,
                              extension_class_gamma, bismut_iso_matrix,
-                             subbundle_report, _span_trace)
-from hslab.bundles import CohClass, LineBundleTriple
+                             subbundle_report)
+from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
-from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
+from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
-from conftest import DEFORMED_TAU, make_params, random_pair, random_scalar
+from conftest import (DEFORMED_TAU, make_params, random_form, random_pair,
+                      random_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +117,7 @@ def test_cotangent_subbundle(model, h0, std):
     P = bismut_iso_matrix(h0)
     span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
             for k in range(3)]
-    b = CohClass(h0.omega.wedge(h0.omega), flavor="aeppli")
-    rep = subbundle_report(std, span, b_class=b)
+    rep = subbundle_report(std, span)
     assert rep["isotropic"]
     assert rep["holomorphic_invariant"]
     assert rep["slope"].is_zero()
@@ -168,26 +171,76 @@ def _compressed_trace(s, span):
     return trace
 
 
-@pytest.mark.parametrize("kind", ["flat", "picard", "deformed"])
-def test_span_trace_is_the_trace_of_the_compression(kind):
-    # every catalog slope is 0, so the slope's trace 2-form is compared
-    triples = ((1, 2, 2), (2, -1, 0)) if kind != "deformed" \
+def _family(kind):
+    triples = ((1, 2, 2), (2, -1, 0)) if kind in ("flat", "picard") \
         else ((1, 1, 0), (1, 0, 0))
     kw = {"deformed": {"tau": DEFORMED_TAU},
+          "uncorrected": {"tau": DEFORMED_TAU, "correct": False},
           "picard": {"picard": PicardPoint((Scalar.of(1, 2), Scalar.zero()),
                                            (Scalar.zero(), Scalar.of(0, -3)))},
           "flat": {}}[kind]
-    s = make_family(FamilyConfig(*(LineBundleTriple(*t) for t in triples),
-                                 **kw)).params
+    return make_family(FamilyConfig(*(LineBundleTriple(*t) for t in triples),
+                                    **kw)).params
+
+
+def test_slope_is_the_trace_of_the_compression():
+    # every HE family has F ^ omega^2 = 0 entry by entry, so its slopes are
+    # 0; the uncorrected deformed family's are not
+    s = _family("uncorrected")
     P = s.bismut_iso
     cotangent = [QSection(s.model, [P[a][5 + k] for a in range(QDIM)])
                  for k in range(3)]
     # Z_1 + Z_2', Z_2 + 2 Z_1', Z_3: at a deformed metric its projector is
-    # not symmetric, so a transposed projector gives another trace
+    # not symmetric, so a transposed projector gives another slope
     tangent = [QSection(s.model, row) for row in
                ([1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
                 [0, 0, 1, 0, 0, 0, 0, 0])]
+    i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
+    slopes = []
     for span in (cotangent, tangent):
-        trace = _span_trace(s, span)
-        assert 3 <= len(trace.terms) <= 9
-        assert trace == _compressed_trace(s, span)
+        # (i/2pi) integral of the compressed trace ^ omega^2, over the rank
+        c1 = _compressed_trace(s, span).scale(i_2pi)
+        expect = s.h.integrate(c1.wedge(s.h.omega_sq)) \
+            * Scalar.of(Fraction(1, len(span)))
+        slopes.append(subbundle_report(s, span)["slope"])
+        assert slopes[-1] == expect
+        assert not expect.is_zero()
+    assert slopes[0] == Scalar.pi(-1, Fraction(-2480, 15123))
+
+
+@pytest.mark.parametrize("kind", ["flat", "picard", "deformed", "uncorrected"])
+def test_curvature_wedge_omega_sq_is_the_curvature_form(kind):
+    s = _family(kind)
+    F = _check_against_the_curvature(s.h, s.connection, s.curvature_omega_sq)
+    assert he_residual_G(s).entries == F.entries
+    # F ^ omega^2 = 0 entry by entry on the HE families only
+    assert F.is_zero() == (kind != "uncorrected")
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_curvature_wedge_omega_sq_with_a_nonzero_lambda(kt_model, seed):
+    # on the Kodaira-Thurston-style model d e_3 = e_1 ^ e_1' is of type
+    # (1,1), so lambda_3 = (d e_3 ^ omega^2)_top is not zero; a seeded
+    # connection has e_3 terms for it to act on
+    h = HermitianStructure(kt_model, su3_structure(kt_model)[0]
+                           + DEFORMED_TAU.form(kt_model))
+    W = h.omega_sq_table()
+    assert not sum((v * W[b][c] for (b, c), v in kt_model.diff[2].terms.items()),
+                   Scalar.zero()).is_zero()
+    rng = random.Random(seed)
+    A = QOperator(kt_model, [[kt_model.zero() if rng.random() < 0.4
+                              else random_form(kt_model, rng, 1, nterms=2)
+                              for _ in range(QDIM)] for _ in range(QDIM)])
+    s = SimpleNamespace(model=kt_model, h=h, connection=A)
+    F = _check_against_the_curvature(h, A, curvature_wedge_omega_sq(s))
+    assert not F.is_zero()
+
+
+def _check_against_the_curvature(h, A, c):
+    """Check c_ij e_top = F_ij ^ omega^2, F = dA + A ^ A; return F ^ omega^2."""
+    F = curvature(A).map_entries(h.wedge_omega_sq)
+    top = h.model.top_index()
+    for frow, crow in zip(F.entries, c):
+        for f, x in zip(frow, crow):
+            assert f.terms == ({} if x.is_zero() else {top: x})
+    return F

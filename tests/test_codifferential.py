@@ -15,12 +15,14 @@ from types import SimpleNamespace
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import QDIM, scalar_commutator
+from hslab.algebroid import QDIM
 from hslab.hermitian import HermitianStructure
 from hslab.harmonic import nabla_H_star
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            build_iwasawa, make_family)
+
+from conftest import scalar_commutator
 
 TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
 TAU_MENU = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4)]

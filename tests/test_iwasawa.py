@@ -177,7 +177,8 @@ def test_verify_family_reports_pinned():
 
 def test_family_context_is_built_once(monkeypatch):
     import hslab.algebroid as algebroid
-    counted = ("connection_DG", "curvature", "dolbeault_Q")
+    counted = ("connection_DG", "curvature", "curvature_wedge_omega_sq",
+               "dolbeault_Q")
     calls = dict.fromkeys(counted + ("QFrame",), 0)
     frame_init = algebroid.QFrame.__init__
 
@@ -203,18 +204,22 @@ def test_family_context_is_built_once(monkeypatch):
     calls["adjoint"] = 0
     monkeypatch.setattr(harmonic.CompatibleMetricH, "adjoint",
                         counting("adjoint", harmonic.CompatibleMetricH.adjoint))
-    once = dict.fromkeys(calls, 1)
+    # F ^ omega^2 comes from the connection's coefficients: no curvature
+    # 2-forms are built on the verify path
+    once = dict(dict.fromkeys(calls, 1), curvature=0)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
-    # every verifier reads the one connection, curvature, Dolbeault operator
-    # and frame of the family
+    # every verifier reads the one connection, F ^ omega^2, Dolbeault
+    # operator and frame of the family
     verify_family(cand)
     assert calls == once
     s = cand.params
-    for name in ("frame", "metric_H", "connection", "connection_curvature",
+    for name in ("frame", "metric_H", "connection", "curvature_omega_sq",
                  "dolbeault", "unitary_split", "chern_split"):
         assert getattr(s, name) is getattr(s, name)
     assert calls == once
+    assert s.connection_curvature is s.connection_curvature
+    assert calls == dict(once, curvature=1)
     # the objects are only valid for fixed fields
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.alpha = Scalar.one()

@@ -1,10 +1,11 @@
 """The one matrix product against the loops it replaced.
 
 matmul(a, b, zero) multiplies its entries with *: two Scalars, a Scalar and
-a form (scale) or two forms (wedge).  QOperator.wedge, sandwich and
-scalar_commutator go through it.  The references here are test-only copies
-of the entrywise-wedge triple loop and of the single-loop sandwich, each
-term mid[k][l] * (left[i][k] * right[l][j]), that it replaced.
+a form (scale) or two forms (wedge).  QOperator.wedge, sandwich and the
+stacked commutator sum of nabla_H_star go through it.  The references here
+are test-only copies of the entrywise-wedge triple loop and of the
+single-loop sandwich, each term mid[k][l] * (left[i][k] * right[l][j]),
+that it replaced, and the commutator oracle of conftest.
 """
 
 import random
@@ -14,11 +15,11 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.hermitian import matmul, sandwich
-from hslab.algebroid import QDIM, QOperator, scalar_commutator
+from hslab.algebroid import QDIM, QOperator
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
 
-from conftest import random_form, random_scalar
+from conftest import random_form, random_scalar, scalar_commutator
 
 
 def _wedge_reference(a, b, zero):
@@ -91,11 +92,29 @@ def test_product_of_scalar_matrices(shape):
     mid = _scalars(rng, k, k)
     assert sandwich(a, mid, c, Scalar.zero()) == \
         _sandwich_reference(a, mid, c, Scalar.zero())
-    if n == k:
-        d = _scalars(rng, n, n)
-        ab, ba = _scalar_reference(a, d), _scalar_reference(d, a)
-        assert scalar_commutator(a, d) == [
-            [x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_products_are_a_sum_of_commutators(seed):
+    # sum_a [B_a, S_a] = [B_0|..|B_5] . [S_0;..;S_5] - [S_0|..|S_5] . [B_0;..;B_5]
+    rng = random.Random(seed)
+    Bs = [_scalars(rng, QDIM, QDIM) for _ in range(6)]
+    Ss = [_scalars(rng, QDIM, QDIM) for _ in range(6)]
+    zero = Scalar.zero()
+
+    def hcat(blocks):
+        return [sum(rows, []) for rows in zip(*blocks)]
+
+    got = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(
+        matmul(hcat(Bs), sum(Ss, []), zero), matmul(hcat(Ss), sum(Bs, []), zero))]
+    expect = [[zero] * QDIM for _ in range(QDIM)]
+    for B, S in zip(Bs, Ss):
+        expect = [[x + y for x, y in zip(r1, r2)]
+                  for r1, r2 in zip(expect, scalar_commutator(B, S))]
+    assert got == expect
+    assert scalar_commutator(Bs[0], Ss[0]) == [
+        [x - y for x, y in zip(r1, r2)] for r1, r2 in
+        zip(_scalar_reference(Bs[0], Ss[0]), _scalar_reference(Ss[0], Bs[0]))]
 
 
 @pytest.mark.parametrize("seed", range(3))
