@@ -41,8 +41,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ArgumentError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """Joins --tau -1,.. to --tau=-1,..: argparse takes -1,.. for an option."""
+        out = []
+        for arg in sys.argv[1:] if args is None else args:
+            if out and out[-1] in _LITERAL_OPTIONS and re.match(r"-[0-9.]", arg):
+                arg = out.pop() + "=" + arg
+            out.append(arg)
+        return super().parse_args(out, namespace)
+
 
 _LITERAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+)")
+_LITERAL_OPTIONS = ("--triples", "--tau", "--picard")
 LITERAL_DIGITS = 50
 
 

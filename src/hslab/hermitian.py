@@ -15,14 +15,14 @@ wedge), with sandwich (left . mid . right) as two of them.
 
 A HermitianStructure builds omega^2, d(omega^2), d^c omega and dd^c omega
 (omega_sq, d_omega_sq, dc_omega, ddc_omega) at construction, for every
-verifier of its metric to read; its brackets, Levi-Civita and Bismut
-coefficients, Lee form and the table (e_a ^ e_b ^ omega^2)_top at most
-once.  star and wedge_omega_sq (form -> form ^ omega^2) share one loop over
-tables of basis images e_J, each built on first use and kept by the
-structure, whose metric never changes.
-
-Values of forms on frame vectors (Gram entries, brackets, torsion) are read
-off the coefficients with InvariantForm.at.  The star of e_J contracts the
+verifier of its metric to read, and its brackets, Levi-Civita and Bismut
+coefficients, Lee form and table (e_a ^ e_b ^ omega^2)_top at most once.
+The brackets, the Bismut torsion rows and that table are read off the
+nonzero terms of the d w_c, of d^c omega and of omega^2, and Levi-Civita
+pairs only the nonzero brackets with G6, so their cost follows the nonzero
+structure constants.  star and wedge_omega_sq (form -> form ^ omega^2)
+share one loop over basis images e_J, each built on first use and kept by
+the structure, whose metric never changes; the star of e_J contracts the
 volume by the metric duals (sharp) of the factors of e_J, in order.
 
 All operations stay in exact scalars; frame orthonormalization (which would
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .cealg import InvariantForm, InvariantVector
+from .cealg import InvariantForm, InvariantVector, _merge_sign
 
 
 def _pivot_row(a, col, start):
@@ -282,11 +282,17 @@ class HermitianStructure:
             lambda J: self.model.basis_form(J).wedge(self.omega_sq).terms)
 
     def omega_sq_table(self):
-        """W[a][b] = (e_a ^ e_b ^ omega^2)_top, from wedge_omega_sq's images."""
+        """W[a][b] = (e_a ^ e_b ^ omega^2)_top: a term v e_K of omega^2 sets
+        W[a][b] = -W[b][a] = s v, {a < b} the complement of K and s the sign
+        of e_a ^ e_b ^ e_K; a complement that is not a pair is a ValueError."""
         if self._omega_sq_table is None:
-            r, e = range(self.model.dim), self.model.basis_form
-            self._omega_sq_table = [[self.wedge_omega_sq(e((a, b))).top_coeff()
-                                     for b in r] for a in r]
+            dim = self.model.dim
+            W = [[Scalar.zero()] * dim for _ in range(dim)]
+            for K, v in self.omega_sq.terms.items():
+                a, b = ab = tuple(i for i in range(dim) if i not in K)
+                v = v if _merge_sign(ab, K)[1] > 0 else -v
+                W[a][b], W[b][a] = v, -v
+            self._omega_sq_table = W
         return self._omega_sq_table
 
     def j_form(self, form):
@@ -348,60 +354,59 @@ class HermitianStructure:
     # -- connections --------------------------------------------------------
 
     def brackets(self):
-        """Lie brackets [Z_a, Z_b] from the Maurer-Cartan equations."""
+        """Lie brackets by Maurer-Cartan: a term v e_a ^ e_b (a < b) of d w_c
+        sets [Z_a, Z_b]^c = -v and [Z_b, Z_a]^c = v; the rest are zero."""
         if self._brackets is not None:
             return self._brackets
-        model = self.model
-        dim = model.dim
-        out = [[None] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(dim):
-                coeffs = [-(model.diff[c].at(a, b)) for c in range(dim)]
-                out[a][b] = InvariantVector(model, coeffs)
-        self._brackets = out
-        return out
+        model, dim = self.model, self.model.dim
+        coeffs = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+        for c, dw in enumerate(model.diff):
+            for (a, b), v in dw.terms.items():
+                coeffs[a][b][c], coeffs[b][a][c] = -v, v
+        self._brackets = [[InvariantVector(model, row) for row in rows]
+                          for rows in coeffs]
+        return self._brackets
 
     def levi_civita(self):
         """Koszul formula on invariant fields (derivative terms vanish).
 
         g(nabla_{Z_a} Z_b, Z_c) = (1/2)(g([Z_a, Z_b], Z_c) - g([Z_b, Z_c], Z_a)
-        + g([Z_c, Z_a], Z_b)): each nonzero pairing g([Z_x, Z_y], Z_z) is
-        added into the three places it appears in, so the zero pairings (all
-        but a few on a nilpotent model) cost nothing.
+        + g([Z_c, Z_a], Z_b)): the nonzero brackets times G6 give every nonzero
+        g([Z_x, Z_y], Z_z), each added into the three places it appears in, so
+        the zero brackets (all but a few on a nilpotent model) cost nothing.
         """
         if self._levi_civita is not None:
             return self._levi_civita
-        dim = self.model.dim
-        zero = Scalar.zero()
-        # gb[a][b][c] = g([Z_a, Z_b], Z_c)
-        gb = [matmul([v.coeffs for v in row], self.G6, zero)
-              for row in self.brackets()]
+        dim, zero, br = self.model.dim, Scalar.zero(), self.brackets()
+        pairs = [(x, y) for x in range(dim) for y in range(dim)
+                 if any(br[x][y].coeffs)]
+        gb = matmul([br[x][y].coeffs for x, y in pairs], self.G6, zero)
         half = Scalar.of(Fraction(1, 2))
         koszul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for x in range(dim):
-            for y in range(dim):
-                for z, v in enumerate(gb[x][y]):
-                    if v.is_zero():
-                        continue
-                    v = half * v
-                    koszul[x][y][z] = koszul[x][y][z] + v
-                    koszul[z][x][y] = koszul[z][x][y] - v
-                    koszul[y][z][x] = koszul[y][z][x] + v
+        for (x, y), row in zip(pairs, gb):
+            for z, v in enumerate(row):
+                if v.is_zero():
+                    continue
+                v = half * v
+                koszul[x][y][z] = koszul[x][y][z] + v
+                koszul[z][x][y] = koszul[z][x][y] - v
+                koszul[y][z][x] = koszul[y][z][x] + v
         gamma = [matmul(kvals, self.Ginv6, zero) for kvals in koszul]
         self._levi_civita = ConnectionCoefficients(self, gamma)
         return self._levi_civita
 
     def bismut(self):
-        """nabla^- = nabla + (1/2) g^{-1} d^c omega (totally skew torsion)."""
+        """nabla^- = nabla + (1/2) g^{-1} d^c omega (totally skew torsion), the
+        rows T(Z_a, Z_b, .) filled in from the terms of (1/2) d^c omega."""
         if self._bismut is not None:
             return self._bismut
         lc = self.levi_civita()
         dim = self.model.dim
-        half_T = self.dc_omega.scale(Fraction(1, 2))
-        # row (a, b): the correction sum_c (1/2) T(Z_a, Z_b, Z_c) Ginv[c][d]
-        corr = matmul([[half_T.at(a, b, c) for c in range(dim)]
-                       for a in range(dim) for b in range(dim)], self.Ginv6,
-                      Scalar.zero())
+        T = [[Scalar.zero()] * dim for _ in range(dim * dim)]
+        for (i, j, k), v in self.dc_omega.scale(Fraction(1, 2)).terms.items():
+            T[i * dim + j][k] = T[j * dim + k][i] = T[k * dim + i][j] = v
+            T[j * dim + i][k] = T[k * dim + j][i] = T[i * dim + k][j] = -v
+        corr = matmul(T, self.Ginv6, Scalar.zero())
         gamma = [[[x if y.is_zero() else x + y
                    for x, y in zip(lc.gamma[a][b], corr[a * dim + b])]
                   for b in range(dim)] for a in range(dim)]

@@ -124,6 +124,22 @@ def test_verify_with_tau_and_picard(tmp_path):
     assert report.params["tau"] == ["1/10", "0", "-1/4", "0"]
 
 
+def test_negative_leading_literal_after_a_space(capsys):
+    # argparse alone reads -1,2,2,2,-1,0 as an option and exits 3; each
+    # space form gives the report of its '=' form
+    base = ["verify", "--triples", "1,2,2,2,-1,0"]
+    for option, value, prefix in (("--triples", "-1,2,2,2,-1,0", []),
+                                  ("--tau", "-1/10,0,0,0", base),
+                                  ("--picard", "-1,0,0,0", base)):
+        reports = []
+        for tail in ([option, value], ["%s=%s" % (option, value)]):
+            assert main((prefix or ["verify"]) + tail) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[0] == reports[1] and "hs_solution" in reports[0]
+
+
 def test_sweep_byte_determinism(capsys):
     assert main(["sweep", "--max", "1"]) == 0
     first = capsys.readouterr()

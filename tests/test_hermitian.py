@@ -1,12 +1,14 @@
 """Metric structures: Gram data, Hodge star, codifferential, connections."""
 
 import gc
+import types
 import weakref
 from fractions import Fraction
 
 import pytest
 
 from hslab.scalars import Scalar
+from hslab.cealg import NilmanifoldModel
 from hslab.hermitian import HermitianStructure, matrix_inverse, matrix_det
 from hslab.iwasawa import TauDeformation, su3_structure
 
@@ -130,7 +132,8 @@ def test_lee_nonzero_on_kt_model(kt_model):
 
 def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
-    for name in ("brackets", "levi_civita", "bismut", "lee_form"):
+    for name in ("brackets", "levi_civita", "bismut", "lee_form",
+                 "omega_sq_table"):
         method = getattr(h, name)
         assert method() is method()
     # a second structure on the same metric builds its own, equal, objects
@@ -162,22 +165,100 @@ def test_bismut_equals_levi_civita_on_torus(abelian_model):
             assert (lc.nabla(a, b) - bi.nabla(a, b)).is_zero()
 
 
-def test_bismut_torsion_is_skew_torsion(model, h0):
+def _metrics(model, h0, kt_model):
+    """omega_0, omega_0 + DEFORMED_TAU, and the same on the Kodaira-Thurston-
+    style model, whose d w3 is a (1,1) torus form."""
+    return [h0, _deformed(model), _deformed(kt_model)]
+
+
+def _frame_gram(h):
+    """g(Z_a, Z_b) from omega by contractions: g(Z_j, Z_k') = -i omega(Z_j,
+    Z_k') for (1,0) indices j and (0,1) indices k', symmetric, and zero on
+    two vectors of the same type."""
+    model, n = h.model, h.model.n
+    Z = [model.basis_vector(a) for a in range(model.dim)]
+    G = [[Scalar.zero()] * model.dim for _ in range(model.dim)]
+    for j in range(n):
+        for k in range(n, 2 * n):
+            G[j][k] = G[k][j] = Scalar.of(0, -1) * h.omega.apply(Z[j], Z[k])
+    return G
+
+
+def test_bismut_torsion_is_skew_torsion(model, h0, kt_model):
     # the torsion 3-form of the Bismut connection is d^c omega: checking
     # g(T(Z_a, Z_b), Z_c) antisymmetrized equals d^c omega(Z_a, Z_b, Z_c)
-    bi = h0.bismut()
-    dc = h0.omega.dc()
-    Z = [model.basis_vector(a) for a in range(6)]
-    for a in range(6):
-        for b in range(a + 1, 6):
-            t = bi.torsion(a, b)
-            for c in range(6):
-                pair = Scalar.zero()
-                for d in range(6):
-                    coef = t.coeffs[d]
-                    if not coef.is_zero():
-                        pair = pair + coef * h0.G6[d][c]
-                assert pair == dc.apply(Z[a], Z[b], Z[c])
+    for h in _metrics(model, h0, kt_model):
+        bi = h.bismut()
+        dc = h.omega.dc()
+        Z = [h.model.basis_vector(a) for a in range(6)]
+        G = _frame_gram(h)
+        for a in range(6):
+            for b in range(a + 1, 6):
+                t = bi.torsion(a, b)
+                for c in range(6):
+                    pair = Scalar.zero()
+                    for d in range(6):
+                        coef = t.coeffs[d]
+                        if not coef.is_zero():
+                            pair = pair + coef * G[d][c]
+                    assert pair == dc.apply(Z[a], Z[b], Z[c])
+        assert not dc.is_zero()
+
+
+def test_brackets_satisfy_maurer_cartan(model, h0, kt_model):
+    # d w^c(Z_a, Z_b) = -w^c([Z_a, Z_b]) on invariant fields, each side
+    # evaluated by contractions
+    for h in _metrics(model, h0, kt_model):
+        m = h.model
+        Z = [m.basis_vector(a) for a in range(6)]
+        br = h.brackets()
+        for a in range(6):
+            for b in range(6):
+                for c in range(6):
+                    assert m.diff[c].apply(Z[a], Z[b]) == \
+                        -m.gen(c).apply(br[a][b])
+        assert sum(not br[a][b].is_zero()
+                   for a in range(6) for b in range(6)) >= 2
+
+
+def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
+    # Gamma^c_ab - Gamma^c_ba = [Z_a, Z_b]^c = -d w^c(Z_a, Z_b), and on
+    # invariant fields Z_a g(Z_b, Z_c) = 0 = g(nabla_a Z_b, Z_c)
+    # + g(Z_b, nabla_a Z_c); the Bismut connection is metric as well
+    for h in _metrics(model, h0, kt_model):
+        m = h.model
+        Z = [m.basis_vector(a) for a in range(6)]
+        G = _frame_gram(h)
+        assert G == h.G6
+        lc, bi = h.levi_civita(), h.bismut()
+        r = range(6)
+        for a in r:
+            for b in r:
+                for c in r:
+                    assert lc.gamma[a][b][c] - lc.gamma[b][a][c] == \
+                        -m.diff[c].apply(Z[a], Z[b])
+                for conn in (lc, bi):
+                    g = conn.gamma[a]
+                    for c in r:
+                        assert sum((g[b][d] * G[d][c] + g[c][d] * G[b][d]
+                                    for d in r), Scalar.zero()).is_zero()
+        assert any(not x.is_zero() for row in lc.gamma for v in row for x in v)
+
+
+def test_omega_sq_table_is_the_wedge_with_omega_sq(model, h0, kt_model):
+    for h in _metrics(model, h0, kt_model):
+        e = h.model.basis_form
+        W = h.omega_sq_table()
+        for a in range(6):
+            for b in range(6):
+                assert W[a][b] == h.wedge_omega_sq(e((a, b))).top_coeff()
+        assert sum(not x.is_zero() for row in W for x in row) >= 6
+    # off a 6-dimensional model the complement of a 4-form is not a pair
+    big = NilmanifoldModel(4, {})
+    stand_in = types.SimpleNamespace(
+        model=big, omega_sq=big.basis_form((0, 1, 4, 5)), _omega_sq_table=None)
+    with pytest.raises(ValueError):
+        HermitianStructure.omega_sq_table(stand_in)
 
 
 def test_frame_contraction_norm(model, h0, rng):
