@@ -164,12 +164,12 @@ def cmd_sweep(args):
     families = harmonic = 0
     with _output(args.out, "--out") as write:
         write = write or sys.stdout.write
-        # each record is written as it arrives; the catalog is never held
-        for line, harm in iter_sweep(
+        # one write per row as it arrives; the catalog is never held
+        for text, records, harm in iter_sweep(
                 args.max, require_harmonic=args.require_harmonic,
                 require_ch2=args.require_ch2, raw=args.raw):
-            write(line + "\n")
-            families += 1
+            write(text)
+            families += records
             harmonic += harm
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     print("families: %d  harmonic: %d" % (families, harmonic),

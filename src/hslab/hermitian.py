@@ -170,6 +170,8 @@ def sandwich(left, mid, right, zero):
 class HermitianStructure:
     """A Hermitian metric on an invariant complex model, given by omega.
 
+    The model must have complex dimension n = 3; any other is a ValueError.
+
     brackets(), levi_civita(), bismut(), lee_form() and omega_sq_table() are
     built on first call and the same object is returned afterwards.  That is
     sound because omega, the returned connection coefficients and the
@@ -178,6 +180,10 @@ class HermitianStructure:
     """
 
     def __init__(self, model, omega):
+        if model.n != 3:
+            # star, omega_sq_table and the volume omega^3/6 assume n = 3
+            raise ValueError("Hermitian structures need complex dimension 3, "
+                             "got a model of dimension n = %d" % model.n)
         self.model = model
         self.omega = omega
         if omega.conjugate() != omega:

@@ -19,9 +19,11 @@ sweep enumerates integer pairs in one process (iter_sweep): per-triple
 engine flags of the moment-map residual K, then closed-form records, row
 by row.  K of a triple against its orthogonal partner is a polynomial of
 degree <= 2 in the triple, so _base_flags reads every flag off one exact
-interpolation: at most 30 engine runs at any --max.  iter_sweep yields
-catalog lines as they are made, so memory does not grow with the record
-count; sweep() parses them.
+interpolation: at most 30 engine runs at any --max.  A row is one triple
+t0 against every triple t1; _sweep_row makes its records in one loop and
+returns them as one text, which iter_sweep yields and the CLI writes with
+one write.  Memory is bounded by one row, not by the record count;
+sweep() splits the rows back into records.
 """
 
 from __future__ import annotations
@@ -419,44 +421,56 @@ def _base_flags(triples):
     return flags
 
 
-# json.dumps(record, sort_keys=True) of a sweep record, keys in sorted order
+# json.dumps(record, sort_keys=True) of a sweep record, keys in sorted
+# order, and the newline that ends its catalog line
 _LINE = ('{"alpha": %s, "dbar_phi_23_nonzero": %s, "flags": '
          '{"hermitian_einstein": true, "hs_solution": true}, '
-         '"harmonic": %s, "params": {"triple0": %s, "triple1": %s}}')
+         '"harmonic": %s, "params": {"triple0": %s, "triple1": %s}}\n')
 _BOOL = (json.dumps(False), json.dumps(True))
 
 
-def _sweep_record(t0, t1, s0, s1, j0, j1, base_flags, alphas):
-    """(catalog line, harmonic) of the pair (t0, t1), None if s0 == s1.
+def _sweep_row(t0, s0, j0, cols, base_flags, alphas, require_harmonic=False):
+    """(text, records, harmonic) of the row t0: its pairs (t0, t1), t1 in cols.
 
-    s0, s1 are the squared norms of t0, t1 and j0, j1 their JSON texts, all
-    computed once per triple by the caller.  alphas: s0 - s1 -> JSON text of
-    alpha, a per-sweep cache (the literal depends on that difference alone).
+    text is the row's catalog lines in cols order, each ending in a newline;
+    records counts them and harmonic counts those with a harmonic verdict.
+    A pair of equal squared norms has no line (its coupling is degenerate),
+    and with require_harmonic neither has a non-harmonic pair.  s0 and j0 are
+    the squared norm and JSON text of t0; cols holds (t1, s1, j1) likewise,
+    computed once per sweep.  alphas: s0 - s1 -> JSON text of alpha, a
+    per-sweep cache (the literal depends on that difference alone).
     """
-    if s0 == s1:
-        return None
-    alpha = alphas.get(s0 - s1)
-    if alpha is None:
-        alpha = alphas[s0 - s1] = json.dumps(
-            str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
     m0, n0, p0 = t0
-    m1, n1, p1 = t1
-    dot = m0 * m1 + n0 * n1 + p0 * p1
-    # cross term of the K residual: |alpha| times the frame contraction of
-    # the two curvatures, -16 pi^2 |alpha| dot, supported on the End
-    # off-diagonal entries; alpha != 0, so it vanishes iff dot == 0
-    psi_triple = t0 if s0 > s1 else t1
-    harmonic = base_flags[psi_triple] and dot == 0
-    # holomorphicity obstruction: the End-block entry of dbar phi in closed
-    # form is -4 pi^2 |alpha| (Mb Ms)_{jk} with Mb the heavier factor;
-    # nonzero iff the product is nonzero, which holds whenever both triples
-    # are nonzero (the matrices are invertible), and the zero locus of the
-    # four components below is insensitive to the factor order
-    e11 = (dot, p0 * n1 - n0 * p1)
-    e12 = (m0 * n1 - m1 * n0, m0 * p1 - m1 * p0)
-    dphi_nonzero = any(e11 + e12)
-    return (_LINE % (alpha, _BOOL[dphi_nonzero], _BOOL[harmonic], j0, j1),
-            harmonic)
+    flag0 = base_flags[t0]
+    lines = []
+    harmonic = 0
+    for t1, s1, j1 in cols:
+        if s0 == s1:
+            continue
+        m1, n1, p1 = t1
+        dot = m0 * m1 + n0 * n1 + p0 * p1
+        # cross term of the K residual: |alpha| times the frame contraction
+        # of the two curvatures, -16 pi^2 |alpha| dot, supported on the End
+        # off-diagonal entries; alpha != 0, so it vanishes iff dot == 0.  The
+        # base part is the flag of the heavier triple, the Psi block's
+        harm = dot == 0 and (flag0 if s0 > s1 else base_flags[t1])
+        if require_harmonic and not harm:
+            continue
+        alpha = alphas.get(s0 - s1)
+        if alpha is None:
+            alpha = alphas[s0 - s1] = json.dumps(
+                str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
+        # holomorphicity obstruction: the End-block entry of dbar phi in
+        # closed form is -4 pi^2 |alpha| (Mb Ms)_{jk} with Mb the heavier
+        # factor; nonzero iff the product is nonzero, which holds whenever
+        # both triples are nonzero (the matrices are invertible), and the
+        # zero locus of its four components e11 = (dot, p0 n1 - n0 p1),
+        # e12 = (m0 n1 - m1 n0, m0 p1 - m1 p0) is insensitive to the order
+        dphi_nonzero = (dot or p0 * n1 - n0 * p1 or m0 * n1 - m1 * n0
+                        or m0 * p1 - m1 * p0) != 0
+        lines.append(_LINE % (alpha, _BOOL[dphi_nonzero], _BOOL[harm], j0, j1))
+        harmonic += harm
+    return "".join(lines), len(lines), harmonic
 
 
 def _ch2_holds():
@@ -473,10 +487,13 @@ def _ch2_holds():
 
 
 def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
-    """sweep()'s records as (catalog line, harmonic), one at a time.
+    """sweep()'s catalog as (text, records, harmonic), one tuple per row.
 
-    The engine flags of every triple come first (_base_flags); then each
-    line is yielded as it is made, never held in a list of all lines.
+    A row is one triple t0 against every triple t1 (_sweep_row); rows come
+    in catalog order, and with raw unset only the canonical ones.  The
+    engine flags of every triple come first (_base_flags); then each row's
+    lines are yielded as one text as soon as they are made, so memory is
+    bounded by one row, at most (2 max_abs + 1)^3 - 1 lines.
     """
     if not 0 <= max_abs <= SWEEP_MAX_ABS:
         raise ValueError("max_abs must be between 0 and %d" % SWEEP_MAX_ABS)
@@ -489,12 +506,8 @@ def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     for t0, s0, j0 in cols:
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
-        if not raw and not t0 < tuple(-x for x in t0):
-            continue
-        for t1, s1, j1 in cols:
-            rec = _sweep_record(t0, t1, s0, s1, j0, j1, flags, alphas)
-            if rec is not None and (rec[1] or not require_harmonic):
-                yield rec
+        if raw or t0 < tuple(-x for x in t0):
+            yield _sweep_row(t0, s0, j0, cols, flags, alphas, require_harmonic)
 
 
 def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
@@ -505,6 +518,7 @@ def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     raw is set), byte-stable for fixed arguments.  require_ch2 keeps only
     pairs whose F0^2 - F1^2 is dd^c-exact: every pair here (_ch2_holds).
     """
-    lines = iter_sweep(max_abs, require_harmonic=require_harmonic,
-                       require_ch2=require_ch2, raw=raw)
-    return [json.loads(line) for line, _ in lines]
+    rows = iter_sweep(max_abs, require_harmonic=require_harmonic,
+                      require_ch2=require_ch2, raw=raw)
+    return [json.loads(line) for text, _, _ in rows
+            for line in text.splitlines()]

@@ -28,6 +28,9 @@ _gcd = math.gcd
 
 def _triple(re, im):
     """Reduced (a, b, d) with (a + b i)/d = re + im i, or None for zero."""
+    # exact ints (bool excluded) are already reduced over d = 1
+    if re.__class__ is int and im.__class__ is int:
+        return (re, im, 1) if re or im else None
     re = Fraction(re)
     im = Fraction(im)
     if not (re or im):
@@ -67,7 +70,7 @@ class Scalar:
 
     @classmethod
     def one(cls):
-        return cls({0: (1, 0)})
+        return _new({0: (1, 0, 1)})
 
     @classmethod
     def of(cls, re, im=0, k=0):

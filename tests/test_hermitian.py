@@ -278,6 +278,19 @@ def test_frame_contraction_norm(model, h0, rng):
     assert h0.frame_contraction(F1, F0) == Scalar.pi(2, -16 * dot)
 
 
+def test_only_complex_dimension_three_is_accepted():
+    # omega = (i/2) sum w_j ^ w_j' is positive in any dimension n, but star,
+    # omega_sq_table and the volume omega^3/6 are those of n = 3
+    half_i = Scalar.of(0, Fraction(1, 2))
+    for n in (1, 2, 4):
+        other = NilmanifoldModel(n, {})
+        omega = other.zero()
+        for j in range(n):
+            omega = omega + other.basis_form((j, j + n), half_i)
+        with pytest.raises(ValueError, match="dimension n = %d" % n):
+            HermitianStructure(other, omega)
+
+
 def test_positivity_certificate(model):
     bad = model.basis_form((0, 3), Scalar.of(0, Fraction(-1, 2))) \
         + model.basis_form((1, 4), Scalar.of(0, Fraction(1, 2))) \

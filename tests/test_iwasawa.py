@@ -527,14 +527,43 @@ def test_sweep_edge_records_match_engine():
 @pytest.mark.parametrize("options", [{}, {"raw": True},
                                      {"require_harmonic": True}])
 def test_sweep_lines_are_the_stdlib_encoding(options):
-    # the hand-built line template against json.dumps(..., sort_keys=True)
+    # the hand-built line template against json.dumps(..., sort_keys=True),
+    # line by line within each row's block, and the block's two counts
     signs = set()
-    for line, harmonic in iwasawa.iter_sweep(2, **options):
-        rec = json.loads(line)
-        assert line == json.dumps(rec, sort_keys=True)
-        assert harmonic is rec["harmonic"]
-        signs.add(rec["alpha"].startswith("-"))
+    for text, records, harmonic in iwasawa.iter_sweep(2, **options):
+        lines = text.splitlines(keepends=True)
+        assert "".join(lines) == text and len(lines) == records
+        recs = []
+        for line in lines:
+            rec = json.loads(line)
+            assert line == json.dumps(rec, sort_keys=True) + "\n"
+            recs.append(rec)
+            signs.add(rec["alpha"].startswith("-"))
+        assert harmonic == sum(rec["harmonic"] is True for rec in recs)
     assert signs == {True, False}
+
+
+def test_sweep_yields_one_block_per_canonical_row(tmp_path):
+    from hslab.cli import main
+    rows = [t for t in iwasawa._triples(2) if t < tuple(-x for x in t)]
+    blocks = list(iwasawa.iter_sweep(2))
+    assert len(blocks) == len(rows) == 62
+    for t0, (text, records, _) in zip(rows, blocks):
+        lines = text.splitlines()
+        assert 0 < records == len(lines)
+        assert all(json.loads(line)["params"]["triple0"] == list(t0)
+                   for line in lines)
+    out = tmp_path / "catalog.jsonl"
+    assert main(["sweep", "--max", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == "".join(b[0] for b in blocks).encode()
+
+
+def test_dbar_phi_23_is_nonzero_on_every_pair():
+    # e11 + e12 holds dot(t0, t1) and the components of t0 x t1 up to sign,
+    # and dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's identity)
+    records = sweep(2, raw=True)
+    assert len(records) > 10000
+    assert all(rec["dbar_phi_23_nonzero"] is True for rec in records)
 
 
 def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
@@ -556,12 +585,16 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
 
 
 def sweep_pair(t0, t1):
-    from hslab.iwasawa import _base_flags, _sweep_record
-    rec = _sweep_record(t0, t1, sum(x * x for x in t0), sum(x * x for x in t1),
-                        json.dumps(list(t0)), json.dumps(list(t1)),
-                        _base_flags([t0, t1]), {})
-    if rec is None:
+    """The record of the pair (t0, t1): _sweep_row on a one-column row."""
+    from hslab.iwasawa import _base_flags, _sweep_row
+    s0, s1 = sum(x * x for x in t0), sum(x * x for x in t1)
+    text, records, harmonic = _sweep_row(
+        t0, s0, json.dumps(list(t0)), [(t1, s1, json.dumps(list(t1)))],
+        _base_flags([t0, t1]), {})
+    if s0 == s1:
+        assert (text, records, harmonic) == ("", 0, 0)
         return []
-    line, harmonic = rec
-    assert json.loads(line)["harmonic"] is harmonic
-    return [json.loads(line)]
+    assert records == 1 and text.endswith("\n")
+    rec = json.loads(text)
+    assert rec["harmonic"] is bool(harmonic)
+    return [rec]

@@ -107,3 +107,23 @@ def test_items_and_str_keep_fraction_parts():
                for _, pair in a.items() for x in pair)
     assert str(a) == "3/2 pi^-1 + -1/3 i pi^2"
     assert sympy_reads_str(a)
+
+
+def test_int_built_constants_match_fraction_built_ones():
+    # exact ints skip Fraction in the constructor; bool still goes through it
+    big = 3 ** 90
+    for re, im, k in [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 2),
+                      (big, 0, 0), (-big, big + 1, -3), (6, -4, 1), (0, 7, -2)]:
+        a = Scalar.of(re, im, k)
+        b = Scalar.of(Fraction(re), Fraction(im), k)
+        assert a == b and hash(a) == hash(b)
+        assert a._c == b._c
+        for x, y, d in a._c.values():
+            assert d == 1 and math.gcd(x, y, d) == 1 and (x, y) != (0, 0)
+    assert Scalar.one() == Scalar.of(Fraction(1)) == 1
+    assert hash(Scalar.one()) == hash(1)
+    assert Scalar.one()._c == {0: (1, 0, 1)}
+    assert Scalar.of(0).is_zero() and hash(Scalar.of(0)) == hash(0)
+    assert Scalar.of(big) == big and hash(Scalar.of(big)) == hash(big)
+    assert Scalar.of(True, False) == Scalar.one()
+    assert all(type(x) is int for x in Scalar.of(True, False)._c[0])
