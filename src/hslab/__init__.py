@@ -17,6 +17,6 @@ from .harmonic import (CompatibleMetricH, decompose_unitary,
                        higgs_dbar_entry, higgs_equation_residuals)
 from .iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                       FamilyConfig, SolutionCandidate, make_family,
-                      VerificationReport, verify_family, sweep)
+                      VerificationReport, verify_family, iter_sweep)
 
 __version__ = "0.1.0"

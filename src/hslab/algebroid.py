@@ -56,20 +56,6 @@ class QSection:
         self.coeffs = [c if isinstance(c, Scalar) else Scalar.of(Fraction(c))
                        for c in coeffs]
 
-    def __add__(self, other):
-        return QSection(self.model, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return QSection(self.model, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSection):
-            return NotImplemented
-        return self.model is other.model and self.coeffs == other.coeffs
-
     def __repr__(self):
         return "QSection(%s)" % ", ".join(str(c) for c in self.coeffs)
 

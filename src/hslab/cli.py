@@ -125,13 +125,13 @@ def _output(path, option):
 def cmd_verify(args):
     ints = _parse_ints(args.triples, 6, "--triples")
     tau = TauDeformation()
-    if args.tau:
+    if args.tau is not None:
         try:
             tau = TauDeformation(*_parse_rationals(args.tau, 4, "--tau"))
         except ValueError as exc:
             raise _ArgumentError(str(exc))
     picard = PicardPoint()
-    if args.picard:
+    if args.picard is not None:
         vals = _parse_rationals(args.picard, 4, "--picard")
         sc = [Scalar.of(v) for v in vals]
         picard = PicardPoint(a0=(sc[0], sc[1]), a1=(sc[2], sc[3]))
@@ -177,18 +177,12 @@ def cmd_sweep(args):
     return 0
 
 
-def run_selftest(dc_sign=1, star_sign=1):
-    """Calibration identities; returns (ok, name of first failure or None).
-
-    dc_sign and star_sign flip the respective conventions for harness use:
-    the suite must then fail at the named identity.
-    """
+def run_selftest():
+    """Calibration identities; returns (ok, name of first failure or None)."""
     import random
     model, w0, Omega = build_iwasawa()
     h = HermitianStructure(model, w0)
     half_i = Scalar.of(0, Fraction(1, 2))
-    dsgn = Scalar.of(dc_sign)
-    ssgn = Scalar.of(star_sign)
     t0 = LineBundleTriple(1, 2, 2, role="V0")
     t1 = LineBundleTriple(2, -1, 0, role="V1")
     F0 = curvature_from_triple(model, t0)
@@ -201,11 +195,11 @@ def run_selftest(dc_sign=1, star_sign=1):
         return (model.d_gen(2) - model.basis_form((0, 1))).is_zero()
 
     def check_ddc():
-        lhs = w0.dc().scale(dsgn).d()
+        lhs = w0.dc().d()
         return (lhs - model.basis_form((0, 1, 3, 4))).is_zero()
 
     def check_star_dc():
-        lhs = h.star(w0.dc().scale(dsgn)).scale(ssgn)
+        lhs = h.star(w0.dc())
         rhs = (model.basis_form((0, 1, 5))
                - model.basis_form((2, 3, 4))).scale(half_i)
         return (lhs - rhs).is_zero()
@@ -224,7 +218,7 @@ def run_selftest(dc_sign=1, star_sign=1):
         return True
 
     def check_alpha():
-        anomaly = w0.dc().scale(dsgn).d() - (F0.wedge(F0) - F1.wedge(F1)).scale(alpha)
+        anomaly = w0.dc().d() - (F0.wedge(F0) - F1.wedge(F1)).scale(alpha)
         return anomaly.is_zero()
 
     def check_fd_decomp():
@@ -251,7 +245,7 @@ def run_selftest(dc_sign=1, star_sign=1):
 
 
 def cmd_selftest(args):
-    ok, name = run_selftest(dc_sign=args.dc_sign, star_sign=args.star_sign)
+    ok, name = run_selftest()
     if ok:
         print("selftest: all calibration identities exact")
         return 0
@@ -284,8 +278,6 @@ def build_parser():
     ps.set_defaults(func=cmd_sweep)
 
     pt = sub.add_parser("selftest", help="run the calibration identity suite")
-    pt.add_argument("--dc-sign", type=int, default=1, help=argparse.SUPPRESS)
-    pt.add_argument("--star-sign", type=int, default=1, help=argparse.SUPPRESS)
     pt.set_defaults(func=cmd_selftest)
     return parser
 

@@ -15,15 +15,15 @@ each of them once: the frame and compatible metric H, the connection D^G
 and its curvature, the Dolbeault operator, and the unitary (B, Psi) and
 Chern (C, phi) splittings of D^G.
 
-sweep enumerates integer pairs in one process (iter_sweep): per-triple
-engine flags of the moment-map residual K, then closed-form records, row
-by row.  K of a triple against its orthogonal partner is a polynomial of
-degree <= 2 in the triple, so _base_flags reads every flag off one exact
-interpolation: at most 30 engine runs at any --max.  A row is one triple
-t0 against every triple t1; _sweep_row makes its records in one loop and
-returns them as one text, which iter_sweep yields and the CLI writes with
-one write.  Memory is bounded by one row, not by the record count;
-sweep() splits the rows back into records.
+The sweep (iter_sweep) enumerates integer pairs in one process: one engine
+certificate of the moment-map residual K, then closed-form records, row by
+row.  K of a triple against its orthogonal partner is a polynomial of
+degree <= 2 in the triple, so _certify_base proves it zero on every triple
+from 30 exact engine runs on unisolvent samples and guards, at any --max.
+A row is one triple t0 against every triple t1; _sweep_row makes its
+records in one loop and returns them as one text, which iter_sweep yields
+and the CLI writes with one write.  Memory is bounded by one row, not by
+the record count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import product
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
-from .hermitian import HermitianStructure, matmul, matrix_inverse, solve
+from .hermitian import HermitianStructure, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals)
@@ -353,19 +353,15 @@ _SAMPLES = {
 }
 
 
-def _branch(t):
-    return "plane" if t[:2] != (0, 0) else "axis"
-
-
 def _monomials(t):
     """1, x_i and x_i x_j (i <= j), x the variables of t's branch."""
-    x = t if _branch(t) == "plane" else t[2:]
+    x = t if t[:2] != (0, 0) else t[2:]
     return [Scalar.of(v) for v in (1, *x)] + [
         Scalar.of(a * b) for i, a in enumerate(x) for b in x[i:]]
 
 
-def _base_flags(triples):
-    """Per-triple engine certification of the harmonicity base residual.
+def _certify_base():
+    """Engine certificate that the harmonicity base residual is zero.
 
     The moment-map residual of a pair is a part depending only on the
     triple of the self-adjoint block (linear in the coupling) plus a cross
@@ -377,17 +373,21 @@ def _base_flags(triples):
     triple, connection_DG is affine in them, the unitary split is linear
     and K = nabla_H_star(B, Psi) + i_{theta^sharp} Psi is bilinear in
     (B, Psi) plus linear in Psi: K is a polynomial of degree <= 2 in the
-    triple's branch variables.  So the engine runs on each branch's samples
-    and guard only (at most 30 runs), and each flag is read off the
-    interpolant.
+    triple's branch variables.  A polynomial of degree <= 2 that vanishes
+    on a unisolvent set is zero, so the engine runs on each branch's
+    samples only, at alpha = 1 and 2, and the guard checks the degree
+    bound: 30 runs certify the base part zero on every triple at any --max.
 
-    Returns {triple: base part is zero}.  Raises ValueError if a branch's
-    samples are not unisolvent and AssertionError if the guard disagrees.
+    Raises ValueError (singular) before any engine run if a branch's
+    samples are not unisolvent, and AssertionError if a sample's or a
+    guard's K is nonzero.
     """
+    for samples, _ in _SAMPLES.values():
+        matrix_inverse([_monomials(t) for t in samples])
     model, omega0, Omega = build_iwasawa()
     h = HermitianStructure(model, omega0)
 
-    def engine_K(triple, aval):
+    def engine_K_is_zero(triple, aval):
         t0 = LineBundleTriple(*triple, role="V0")
         t1 = LineBundleTriple(*_orthogonal_partner(triple), role="V1")
         s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
@@ -398,38 +398,29 @@ def _base_flags(triples):
         # the cross entries must vanish for the orthogonal partner
         if not (K[6][7].is_zero() and K[7][6].is_zero()):
             raise AssertionError("cross term leaked into base computation")
-        return [x for row in K for x in row]
+        return matrix_is_zero(K)
 
-    flags = dict.fromkeys(triples, True)
-    zero = Scalar.zero()
-    for branch, (samples, guard) in _SAMPLES.items():
-        todo = [t for t in flags if _branch(t) == branch]
-        if not todo:
-            continue
-        # raises ValueError (singular) unless the samples are unisolvent
-        inv = matrix_inverse([_monomials(t) for t in samples])
+    for samples, guard in _SAMPLES.values():
         for aval in (Scalar.one(), Scalar.of(2)):
-            # row k: the coefficient of monomial k in each entry of K
-            coeffs = matmul(inv, [engine_K(t, aval) for t in samples], zero)
-            if engine_K(guard, aval) != matmul([_monomials(guard)], coeffs,
-                                               zero)[0]:
+            for t in samples:
+                if not engine_K_is_zero(t, aval):
+                    raise AssertionError("base K is nonzero at %s" % (t,))
+            if not engine_K_is_zero(guard, aval):
                 raise AssertionError("K is not of degree <= 2 in the triple")
-            if not matrix_is_zero(coeffs):
-                for t in todo:
-                    value = matmul([_monomials(t)], coeffs, zero)[0]
-                    flags[t] = flags[t] and all(v.is_zero() for v in value)
-    return flags
 
 
 # json.dumps(record, sort_keys=True) of a sweep record, keys in sorted
-# order, and the newline that ends its catalog line
-_LINE = ('{"alpha": %s, "dbar_phi_23_nonzero": %s, "flags": '
+# order, and the newline that ends its catalog line.  dbar_phi_23 is nonzero
+# on every pair: its End-block entry is -4 pi^2 |alpha| times a product whose
+# components are dot(t0, t1) and those of t0 x t1 up to sign, and
+# dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's identity)
+_LINE = ('{"alpha": %s, "dbar_phi_23_nonzero": true, "flags": '
          '{"hermitian_einstein": true, "hs_solution": true}, '
          '"harmonic": %s, "params": {"triple0": %s, "triple1": %s}}\n')
 _BOOL = (json.dumps(False), json.dumps(True))
 
 
-def _sweep_row(t0, s0, j0, cols, base_flags, alphas, require_harmonic=False):
+def _sweep_row(t0, s0, j0, cols, alphas, require_harmonic=False):
     """(text, records, harmonic) of the row t0: its pairs (t0, t1), t1 in cols.
 
     text is the row's catalog lines in cols order, each ending in a newline;
@@ -441,34 +432,24 @@ def _sweep_row(t0, s0, j0, cols, base_flags, alphas, require_harmonic=False):
     per-sweep cache (the literal depends on that difference alone).
     """
     m0, n0, p0 = t0
-    flag0 = base_flags[t0]
     lines = []
     harmonic = 0
     for t1, s1, j1 in cols:
         if s0 == s1:
             continue
         m1, n1, p1 = t1
-        dot = m0 * m1 + n0 * n1 + p0 * p1
-        # cross term of the K residual: |alpha| times the frame contraction
-        # of the two curvatures, -16 pi^2 |alpha| dot, supported on the End
-        # off-diagonal entries; alpha != 0, so it vanishes iff dot == 0.  The
-        # base part is the flag of the heavier triple, the Psi block's
-        harm = dot == 0 and (flag0 if s0 > s1 else base_flags[t1])
+        # K is its base part, zero by _certify_base, plus the cross term:
+        # |alpha| times the frame contraction of the two curvatures,
+        # -16 pi^2 |alpha| dot, on the End off-diagonal entries; alpha != 0,
+        # so K vanishes iff dot == 0
+        harm = m0 * m1 + n0 * n1 + p0 * p1 == 0
         if require_harmonic and not harm:
             continue
         alpha = alphas.get(s0 - s1)
         if alpha is None:
             alpha = alphas[s0 - s1] = json.dumps(
                 str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
-        # holomorphicity obstruction: the End-block entry of dbar phi in
-        # closed form is -4 pi^2 |alpha| (Mb Ms)_{jk} with Mb the heavier
-        # factor; nonzero iff the product is nonzero, which holds whenever
-        # both triples are nonzero (the matrices are invertible), and the
-        # zero locus of its four components e11 = (dot, p0 n1 - n0 p1),
-        # e12 = (m0 n1 - m1 n0, m0 p1 - m1 p0) is insensitive to the order
-        dphi_nonzero = (dot or p0 * n1 - n0 * p1 or m0 * n1 - m1 * n0
-                        or m0 * p1 - m1 * p0) != 0
-        lines.append(_LINE % (alpha, _BOOL[dphi_nonzero], _BOOL[harm], j0, j1))
+        lines.append(_LINE % (alpha, _BOOL[harm], j0, j1))
         harmonic += harm
     return "".join(lines), len(lines), harmonic
 
@@ -487,38 +468,30 @@ def _ch2_holds():
 
 
 def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
-    """sweep()'s catalog as (text, records, harmonic), one tuple per row.
+    """The sweep catalog as (text, records, harmonic), one tuple per row.
 
-    A row is one triple t0 against every triple t1 (_sweep_row); rows come
-    in catalog order, and with raw unset only the canonical ones.  The
-    engine flags of every triple come first (_base_flags); then each row's
-    lines are yielded as one text as soon as they are made, so memory is
-    bounded by one row, at most (2 max_abs + 1)^3 - 1 lines.
+    Pairs of triples in [-max_abs, max_abs]^3 in deterministic lexicographic
+    parameter order, identified up to simultaneous sign flips unless raw is
+    set; byte-stable for fixed arguments.  require_ch2 keeps only pairs whose
+    F0^2 - F1^2 is dd^c-exact: every pair here (_ch2_holds).  A row is one
+    triple t0 against every triple t1 (_sweep_row); rows come in catalog
+    order, and with raw unset only the canonical ones.  The engine
+    certificate of the base residual comes first (_certify_base, skipped when
+    there are no triples); then each row's lines are yielded as one text as
+    soon as they are made, so memory is bounded by one row, at most
+    (2 max_abs + 1)^3 - 1 lines.
     """
     if not 0 <= max_abs <= SWEEP_MAX_ABS:
         raise ValueError("max_abs must be between 0 and %d" % SWEEP_MAX_ABS)
     if require_ch2 and not _ch2_holds():
         return
     triples = _triples(max_abs)
-    flags = _base_flags(triples)
+    if triples:
+        _certify_base()
     alphas = {}
     cols = [(t, sum(x * x for x in t), json.dumps(list(t))) for t in triples]
     for t0, s0, j0 in cols:
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
         if raw or t0 < tuple(-x for x in t0):
-            yield _sweep_row(t0, s0, j0, cols, flags, alphas, require_harmonic)
-
-
-def sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
-    """Enumerate integer families and report exact verdicts per pair.
-
-    Returns a list of JSON-ready records in deterministic lexicographic
-    parameter order (pairs identified up to simultaneous sign flips unless
-    raw is set), byte-stable for fixed arguments.  require_ch2 keeps only
-    pairs whose F0^2 - F1^2 is dd^c-exact: every pair here (_ch2_holds).
-    """
-    rows = iter_sweep(max_abs, require_harmonic=require_harmonic,
-                      require_ch2=require_ch2, raw=raw)
-    return [json.loads(line) for text, _, _ in rows
-            for line in text.splitlines()]
+            yield _sweep_row(t0, s0, j0, cols, alphas, require_harmonic)

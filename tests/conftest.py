@@ -1,5 +1,6 @@
 """Shared fixtures: the standard model, metric, and family builders."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hslab.hermitian import HermitianStructure
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
 from hslab.iwasawa import (FamilyConfig, TauDeformation, make_family,
-                           su3_structure)
+                           su3_structure, iter_sweep)
 
 TAU_MENU = (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4))
 DEFORMED_TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
@@ -81,6 +82,12 @@ def make_params(model, h, Omega, t0, t1, alpha=None):
         alpha = alpha_solve(F0, F1, h)
     return SystemParams(model=model, h=h, triple0=tt0, triple1=tt1,
                         F0=F0, F1=F1, alpha=alpha, Omega=Omega)
+
+
+def sweep_records(max_abs, **options):
+    """The sweep catalog as a list of records, read from iter_sweep."""
+    return [json.loads(line) for text, _, _ in iter_sweep(max_abs, **options)
+            for line in text.splitlines()]
 
 
 def dbar_reference(s):

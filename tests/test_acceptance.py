@@ -19,10 +19,10 @@ from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             harmonic_vs_moment_gap, matrix_is_zero,
                             higgs_dbar_entry)
 from hslab.iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
-                           make_family, verify_family, sweep)
+                           make_family, verify_family)
 from hslab.cli import main
 
-from conftest import make_params, random_pair, random_form
+from conftest import make_params, random_pair, random_form, sweep_records
 
 
 def _report(capsys, num, ok):
@@ -45,7 +45,7 @@ def _dot(t0, t1):
 @pytest.fixture(scope="module")
 def catalog3():
     start = time.perf_counter()
-    records = sweep(3)
+    records = sweep_records(3)
     return records, time.perf_counter() - start
 
 
@@ -247,7 +247,7 @@ def test_criterion_6_structural_identities(capsys, model, h0, Omega, rng):
 
 def test_criterion_7_slopes_and_extension_classes(capsys):
     ok = True
-    for rec in sweep(1):
+    for rec in sweep_records(1):
         t0 = tuple(rec["params"]["triple0"])
         t1 = tuple(rec["params"]["triple1"])
         cfg = FamilyConfig(LineBundleTriple(*t0, role="V0"),

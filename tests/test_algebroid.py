@@ -19,8 +19,7 @@ from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
-from conftest import (DEFORMED_TAU, make_params, random_form, random_pair,
-                      random_scalar)
+from conftest import DEFORMED_TAU, make_params, random_form, random_pair
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +103,6 @@ def test_extension_class(std):
             assert (g.entries[5 + l][c] - A.entries[5 + l][c]).is_zero()
         for c in range(5, QDIM):
             assert g.entries[5 + l][c].is_zero()
-
-
-def test_qsection_algebra(model, rng):
-    x = QSection(model, [random_scalar(rng) for _ in range(QDIM)])
-    y = QSection(model, [random_scalar(rng) for _ in range(QDIM)])
-    assert all(c.is_zero() for c in (x + y - y - x).coeffs)
-    assert (x - (-x)).coeffs == (x + x).coeffs
 
 
 def test_cotangent_subbundle(model, h0, std):

@@ -5,8 +5,12 @@ import os
 
 import pytest
 
+from hslab.cealg import InvariantForm
 from hslab.cli import main, run_selftest, build_parser
-from hslab.iwasawa import VerificationReport, sweep
+from hslab.hermitian import HermitianStructure
+from hslab.iwasawa import VerificationReport
+
+from conftest import sweep_records
 
 
 def test_verify_exit_zero(capsys):
@@ -51,6 +55,18 @@ def test_verify_exit_three_malformed(capsys):
         assert err == "error: bad %s value '1/0': zero denominator\n" % option
 
 
+def test_empty_tau_or_picard_exits_three(capsys):
+    # an empty value is malformed, not the undeformed family
+    base = ["verify", "--triples", "1,2,2,2,-1,0"]
+    for tail in (["--tau", ""], ["--tau="], ["--picard", ""], ["--picard="]):
+        assert main(base + tail) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        option = tail[0].rstrip("=")
+        assert captured.err == ("error: %s needs 4 comma-separated values\n"
+                                % option)
+
+
 def test_unwritable_output_path_exits_three(tmp_path, capsys):
     # a path in a missing directory is a bad argument, not a failed
     # verification: one error line and exit 3, no traceback
@@ -74,7 +90,7 @@ def test_output_path_is_opened_before_the_work(tmp_path, monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("the work started before the output was opened")
 
-    monkeypatch.setattr(hslab.iwasawa, "_base_flags", never)
+    monkeypatch.setattr(hslab.iwasawa, "_certify_base", never)
     monkeypatch.setattr(hslab.cli, "make_family", never)
     monkeypatch.setattr(hslab.cli, "verify_family", never)
     missing = tmp_path / "missing"
@@ -102,10 +118,10 @@ def test_failed_run_removes_only_the_file_it_created(tmp_path, monkeypatch,
                  "--json", str(report)]) == 2
     assert report.exists()
 
-    def broken(triples):
+    def broken():
         raise RuntimeError("engine failure")
 
-    monkeypatch.setattr(hslab.iwasawa, "_base_flags", broken)
+    monkeypatch.setattr(hslab.iwasawa, "_certify_base", broken)
     catalog = tmp_path / "c.jsonl"
     with pytest.raises(RuntimeError):
         main(["sweep", "--max", "1", "--out", str(catalog)])
@@ -148,7 +164,7 @@ def test_sweep_byte_determinism(capsys):
     assert first.out == second.out
     assert "families: 216  harmonic: 72" in first.err
     records = [json.loads(line) for line in first.out.splitlines()]
-    assert records == sweep(1)
+    assert records == sweep_records(1)
 
 
 def test_sweep_out_file_and_threads(tmp_path, capsys):
@@ -176,9 +192,8 @@ def test_streamed_sweep_memory_does_not_grow_with_records(tmp_path,
                                                          monkeypatch, capsys):
     import tracemalloc
     import hslab.iwasawa
-    # engine flags stubbed: the test measures the record stream alone
-    monkeypatch.setattr(hslab.iwasawa, "_base_flags",
-                        lambda triples: dict.fromkeys(triples, True))
+    # engine certificate stubbed: the test measures the record stream alone
+    monkeypatch.setattr(hslab.iwasawa, "_certify_base", lambda: None)
     out = str(tmp_path / "catalog.jsonl")
     assert main(["sweep", "--max", "1", "--out", out]) == 0  # warm-up
     peaks = []
@@ -251,17 +266,28 @@ def test_selftest_passes(capsys):
     assert "exact" in capsys.readouterr().out
 
 
-def test_selftest_flipped_conventions():
+def _negated(method):
+    def flipped(*args, **kwargs):
+        return -method(*args, **kwargs)
+    return flipped
+
+
+def test_selftest_flipped_conventions(monkeypatch):
     ok, name = run_selftest()
     assert ok and name is None
-    ok, name = run_selftest(dc_sign=-1)
+    with monkeypatch.context() as m:
+        m.setattr(InvariantForm, "dc", _negated(InvariantForm.dc))
+        ok, name = run_selftest()
     assert not ok and name == "dd^c omega_0"
-    ok, name = run_selftest(star_sign=-1)
+    with monkeypatch.context() as m:
+        m.setattr(HermitianStructure, "star", _negated(HermitianStructure.star))
+        ok, name = run_selftest()
     assert not ok and name == "*d^c omega_0"
 
 
-def test_selftest_cli_failure_exit(capsys):
-    assert main(["selftest", "--dc-sign", "-1"]) == 1
+def test_selftest_cli_failure_exit(capsys, monkeypatch):
+    monkeypatch.setattr(InvariantForm, "dc", _negated(InvariantForm.dc))
+    assert main(["selftest"]) == 1
     assert "FAILED" in capsys.readouterr().out
 
 

@@ -71,6 +71,7 @@ sweep = st.tuples(
                                       "\u0661", str(10 ** 2200)])),
     st.sampled_from([[], ["--raw"], ["--require-harmonic"],
                      ["--require-ch2"], ["--threads", "0"], ["--bogus"]]))
+# selftest takes no option: these two pieces are unknown options (exit 3)
 selftest = st.tuples(
     st.just(["selftest"]),
     _option("--dc-sign", st.sampled_from(["1", "-1", "0", "x"])),

@@ -20,9 +20,9 @@ from hslab.harmonic import harmonic_residual, matrix_is_zero, higgs_dbar_entry
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, make_family, verify_family,
-                           VerificationReport, sweep)
+                           VerificationReport)
 
-from conftest import dbar_reference, random_pair, random_scalar
+from conftest import dbar_reference, random_pair, random_scalar, sweep_records
 
 # sha256 of verify_family(...).to_json() for a flat, a Picard-twisted and a
 # deformed family, recorded from code whose verifiers each built their own
@@ -357,33 +357,33 @@ def test_picard_invariance(rng):
 
 
 def test_sweep_empty_and_validation():
-    assert sweep(0) == []
+    assert sweep_records(0) == []
     with pytest.raises(ValueError):
-        sweep(-1)
+        sweep_records(-1)
     # refused before any triple is enumerated
     with pytest.raises(ValueError, match="between 0 and 20"):
-        sweep(iwasawa.SWEEP_MAX_ABS + 1)
+        sweep_records(iwasawa.SWEEP_MAX_ABS + 1)
     with pytest.raises(ValueError):
-        sweep(10 ** 20)
+        sweep_records(10 ** 20)
 
 
 def test_sweep_max_one_catalog():
-    records = sweep(1)
+    records = sweep_records(1)
     assert len(records) == 216
     assert sum(1 for r in records if r["harmonic"]) == 72
     assert all(r["flags"] == {"hs_solution": True, "hermitian_einstein": True}
                for r in records)
     # canonical mode halves the raw enumeration exactly
-    assert len(sweep(1, raw=True)) == 432
-    assert sweep(1, require_harmonic=True) == [r for r in records
-                                               if r["harmonic"]]
+    assert len(sweep_records(1, raw=True)) == 432
+    assert sweep_records(1, require_harmonic=True) == [
+        r for r in records if r["harmonic"]]
     # F0^2 - F1^2 is always a multiple of dd^c omega_0 here
-    assert sweep(1, require_ch2=True) == records
+    assert sweep_records(1, require_ch2=True) == records
 
 
 def test_sweep_deterministic_and_threaded():
-    records = sweep(1)
-    assert sweep(1) == records
+    records = sweep_records(1)
+    assert sweep_records(1) == records
 
 
 def test_sweep_keeps_the_canonical_raw_pairs():
@@ -395,8 +395,8 @@ def test_sweep_keeps_the_canonical_raw_pairs():
     def flipped(p):
         return tuple(tuple(-x for x in t) for t in p)
 
-    raw = [pair(r) for r in sweep(2, raw=True)]
-    kept = [pair(r) for r in sweep(2)]
+    raw = [pair(r) for r in sweep_records(2, raw=True)]
+    kept = [pair(r) for r in sweep_records(2)]
     assert kept == [p for p in raw if p <= flipped(p)]
     assert len(raw) == 2 * len(kept)
 
@@ -413,11 +413,22 @@ def _engine_flags(triples, model, h0, Omega):
     return {t: flat(t, 1) and flat(t, 2) for t in triples}
 
 
-def test_base_flags_equal_engine_flags_at_max_3(model, h0, Omega):
+def test_engine_base_K_is_zero_on_every_triple_at_max_3(monkeypatch, model,
+                                                         h0, Omega):
+    # what _certify_base proves from 30 engine runs, run on all 342 triples
+    runs = []
+
+    def counted(s):
+        runs.append(s.triple0)
+        return harmonic_residual(s)
+
+    monkeypatch.setattr(iwasawa, "harmonic_residual", counted)
+    iwasawa._certify_base()
+    assert len(runs) == 30
     triples = iwasawa._triples(3)
     assert len(triples) == 342
-    assert iwasawa._base_flags(triples) == _engine_flags(triples, model, h0,
-                                                         Omega)
+    assert _engine_flags(triples, model, h0, Omega) == dict.fromkeys(
+        triples, True)
 
 
 def _stand_in_K(entries):
@@ -432,36 +443,49 @@ def _stand_in_K(entries):
     return residual
 
 
-def test_base_flags_interpolate_a_quadratic_residual(monkeypatch, model, h0,
-                                                     Omega):
-    calls = []
+@pytest.mark.parametrize("entries, calls", [
+    # nonzero at the first plane sample
+    (lambda m, n, p, alpha: {
+        (0, 1): Scalar.pi(1, m * n - p * p + 1, (m + n) * p),
+        (4, 4): (alpha - Scalar.of(2)) * Scalar.of((m - 1) * (p - 1))}, 1),
+    # zero at alpha = 1, so only the second coupling rules it out
+    (lambda m, n, p, alpha: {(3, 3): (alpha - Scalar.one()) * Scalar.of(m)},
+     12),
+], ids=["alpha-1", "alpha-2"])
+def test_certificate_rejects_a_nonzero_quadratic_residual(
+        monkeypatch, tmp_path, entries, calls):
+    from hslab.cli import main
+    seen = []
 
-    def entries(m, n, p, alpha):
-        calls.append((m, n, p))
-        # entry (3, 3) is zero at alpha = 1 and entry (4, 4) at alpha = 2,
-        # so each coupling rules out triples that the other does not
-        return {(0, 1): Scalar.pi(1, m * n - p * p + 1, (m + n) * p),
-                (3, 3): (alpha - Scalar.one()) * Scalar.of((m - n) * p),
-                (4, 4): (alpha - Scalar.of(2)) * Scalar.of((m - 1) * (p - 1))}
+    def counted(m, n, p, alpha):
+        seen.append((m, n, p))
+        return entries(m, n, p, alpha)
 
-    monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(entries))
-    triples = iwasawa._triples(3)
-    flags = iwasawa._base_flags(triples)
-    assert len(calls) == 30
-    assert flags == _engine_flags(triples, model, h0, Omega)
-    assert {t for t, ok in flags.items() if ok} == {(1, -1, 0), (0, 0, 1)}
+    monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(counted))
+    with pytest.raises(AssertionError, match=r"base K is nonzero at \(1, 0, 0\)"):
+        iwasawa._certify_base()
+    assert len(seen) == calls
+    # the sweep raises before its first row, and leaves no catalog behind
+    out = tmp_path / "catalog.jsonl"
+    with pytest.raises(AssertionError, match="base K is nonzero"):
+        main(["sweep", "--max", "1", "--out", str(out)])
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("cubic, triple", [
-    (lambda m, n, p: m * n * p, (1, 1, 1)),
-    (lambda m, n, p: p ** 3, (0, 0, 1)),
-], ids=["plane", "axis"])
+@pytest.mark.parametrize("cubic, match", [
+    # zero on every sample, the guards' own: only a guard sees it
+    (lambda m, n, p: m * n * p, "degree <= 2"),
+    (lambda m, n, p: (p - 1) * (p - 2) * (p + 1) if (m, n) == (0, 0) else 0,
+     "degree <= 2"),
+    # nonzero on a plane sample: the samples already see it
+    (lambda m, n, p: p ** 3, r"nonzero at \(1, 0, 1\)"),
+], ids=["plane", "axis", "on-a-sample"])
 def test_base_flags_guard_rejects_a_cubic_residual(monkeypatch, cubic,
-                                                   triple):
+                                                   match):
     monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(
         lambda m, n, p, alpha: {(2, 2): Scalar.of(cubic(m, n, p))}))
-    with pytest.raises(AssertionError, match="degree <= 2"):
-        iwasawa._base_flags([triple])
+    with pytest.raises(AssertionError, match=match):
+        iwasawa._certify_base()
 
 
 def test_base_flags_check_the_samples_and_the_cross_term(monkeypatch):
@@ -470,19 +494,20 @@ def test_base_flags_check_the_samples_and_the_cross_term(monkeypatch):
         raise AssertionError("engine ran")
 
     monkeypatch.setattr(iwasawa, "harmonic_residual", never)
-    assert iwasawa._base_flags([]) == {}
+    # no triples, no engine run
+    assert list(iwasawa.iter_sweep(0)) == []
     # ten plane samples on the quadric m n = 0: the monomial matrix has
     # rank 9, and the check comes before any engine run
     plane, guard = iwasawa._SAMPLES["plane"]
     on_quadric = [t for t in plane if t != (1, 1, 0)] + [(0, 2, 1)]
     monkeypatch.setitem(iwasawa._SAMPLES, "plane", (on_quadric, guard))
     with pytest.raises(ValueError, match="singular"):
-        iwasawa._base_flags([(1, 2, 3)])
+        iwasawa._certify_base()
     monkeypatch.setitem(iwasawa._SAMPLES, "plane", (plane, guard))
     monkeypatch.setattr(iwasawa, "harmonic_residual", _stand_in_K(
         lambda m, n, p, alpha: {(6, 7): Scalar.of(m)}))
     with pytest.raises(AssertionError, match="cross term leaked"):
-        iwasawa._base_flags([(1, 2, 3)])
+        iwasawa._certify_base()
 
 
 def _replay(rec):
@@ -500,7 +525,7 @@ def _replay(rec):
 
 def test_sweep_records_match_engine(rng):
     # subsample the catalog and replay each record against full engine runs
-    records = sweep(1)
+    records = sweep_records(1)
     for rec in rng.sample(records, 10):
         _replay(rec)
 
@@ -508,10 +533,10 @@ def test_sweep_records_match_engine(rng):
 def test_sweep_edge_records_match_engine():
     # pairs on the edges of the closed forms, as the raw --max 2 catalog
     # writes them: parallel (dot != 0), orthogonal (dot == 0, both plane
-    # triples) and axis/plane (an axis triple, whose base flag comes from
-    # the axis branch); an axis/plane pair of equal norms has no record
+    # triples) and axis/plane (an axis triple, whose base part the axis
+    # branch certifies); an axis/plane pair of equal norms has no record
     records = {(tuple(r["params"]["triple0"]), tuple(r["params"]["triple1"])): r
-               for r in sweep(2, raw=True)}
+               for r in sweep_records(2, raw=True)}
     for pair in [((1, 1, 0), (2, 2, 0)), ((2, 2, 0), (1, 1, 0)),
                  ((1, 2, 2), (2, -1, 0)), ((2, -1, 0), (1, 2, 2)),
                  ((0, 0, 1), (2, 0, 0)), ((2, 0, 0), (0, 0, 1))]:
@@ -559,17 +584,18 @@ def test_sweep_yields_one_block_per_canonical_row(tmp_path):
 
 
 def test_dbar_phi_23_is_nonzero_on_every_pair():
-    # e11 + e12 holds dot(t0, t1) and the components of t0 x t1 up to sign,
-    # and dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's identity)
-    records = sweep(2, raw=True)
+    # the End-block entry holds dot(t0, t1) and the components of t0 x t1
+    # up to sign, and dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's
+    # identity); _replay and the random pairs check it against the engine
+    records = sweep_records(2, raw=True)
     assert len(records) > 10000
     assert all(rec["dbar_phi_23_nonzero"] is True for rec in records)
 
 
 def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
     # the per-record harmonic verdict decomposes as base (triple-only) plus
-    # cross term; check it against the engine on pairs outside the catalog,
-    # covering both coupling signs
+    # cross term, and dbar_phi_23 is nonzero; check both against the engine
+    # on pairs outside the catalog, covering both coupling signs
     from conftest import make_params
     seen_neg = seen_pos = False
     for _ in range(8):
@@ -581,16 +607,17 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
             seen_neg = True
         rec = [r for r in sweep_pair(t0, t1)][0]
         assert rec["harmonic"] == matrix_is_zero(harmonic_residual(s))
+        assert rec["dbar_phi_23_nonzero"] == (
+            not higgs_dbar_entry(s, 6, 7).is_zero())
     assert seen_pos and seen_neg
 
 
 def sweep_pair(t0, t1):
     """The record of the pair (t0, t1): _sweep_row on a one-column row."""
-    from hslab.iwasawa import _base_flags, _sweep_row
+    from hslab.iwasawa import _sweep_row
     s0, s1 = sum(x * x for x in t0), sum(x * x for x in t1)
     text, records, harmonic = _sweep_row(
-        t0, s0, json.dumps(list(t0)), [(t1, s1, json.dumps(list(t1)))],
-        _base_flags([t0, t1]), {})
+        t0, s0, json.dumps(list(t0)), [(t1, s1, json.dumps(list(t1)))], {})
     if s0 == s1:
         assert (text, records, harmonic) == ("", 0, 0)
         return []

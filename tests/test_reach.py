@@ -42,8 +42,6 @@ LIBRARY_ONLY = {
         "report reader: a report without its parameter echo",
     "iwasawa.VerificationReport.from_json":
         "report reader of the --json output",
-    "iwasawa.sweep":
-        "the catalog as a list of records, the reference of the CLI stream",
     "scalars.Scalar.items":
         "coefficient read-out of the sympy oracle tests",
 }
