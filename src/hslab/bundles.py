@@ -23,7 +23,6 @@ valid, and none of them refers back to the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .scalars import Scalar
@@ -88,12 +87,13 @@ class CohClass:
         self.flavor = flavor
 
 
-def degree_and_slope(c, b, rank, h):
-    """Slope lambda(c ^ b) / rank under the unit-volume normalization."""
+def degree_and_slope(c, b, h):
+    """Degree lambda(c ^ b) under the unit-volume normalization: the slope
+    of a line bundle, whose rank is 1."""
     if c.rep.degree() not in (0, 2) or b.rep.degree() != 4:
         raise ValueError("slope pairing needs a 2-class against a 4-class")
     top = c.rep.wedge(b.rep)
-    return h.integrate(top) * Scalar.of(Fraction(1, rank))
+    return h.integrate(top)
 
 
 def ch2_constraint(model, F0, F1):
@@ -164,7 +164,6 @@ class SystemParams:
     F1: InvariantForm
     alpha: Scalar
     Omega: InvariantForm
-    tau_coeffs: tuple = (Fraction(0),) * 4
 
     def __post_init__(self):
         if not self.alpha.is_real():

@@ -10,6 +10,9 @@ closed operations with zero numerical tolerance.
 A model is built from its structure constants: for each generator with a
 nonzero differential, the map from increasing index pairs to the Scalar
 coefficients of its image, as build_iwasawa_model does for d w3 = w1 ^ w2.
+The model builds its brackets from them, and nothing writes to it after
+construction, so one model serves every metric and family on it.  d takes
+each term of a form apart by the graded Leibniz rule, with no cache.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ class NilmanifoldModel:
     indices n..2n-1 their conjugates.  Construction verifies d^2 = 0 on
     every generator, compatibility of d with conjugation, and integrability
     of the complex structure (d of a (1,0) generator has no (0,2) part).
+
+    brackets[a][b] is [Z_a, Z_b] by Maurer-Cartan: a term v e_a ^ e_b
+    (a < b) of d w_c sets [Z_a, Z_b]^c = -v and [Z_b, Z_a]^c = v, the rest
+    are zero.  A model is immutable after construction.
     """
 
     def __init__(self, n, diff_terms):
@@ -77,7 +84,6 @@ class NilmanifoldModel:
         self.dim = 2 * n
         self.labels = ["w%d" % (j + 1) for j in range(n)] + \
                       ["w%d'" % (j + 1) for j in range(n)]
-        self._dcache = {}
         full = []
         for a in range(2 * n):
             full.append(InvariantForm(self, diff_terms.get(a, {})))
@@ -90,6 +96,13 @@ class NilmanifoldModel:
             elif ca in diff_terms and a not in diff_terms:
                 self.diff[a] = self.diff[ca].conjugate()
         self._check()
+        dim = self.dim
+        coeffs = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+        for c, dw in enumerate(self.diff):
+            for (a, b), v in dw.terms.items():
+                coeffs[a][b][c], coeffs[b][a][c] = -v, v
+        self.brackets = [[InvariantVector(self, row) for row in rows]
+                         for rows in coeffs]
 
     def _check(self):
         for a in range(self.dim):
@@ -114,9 +127,6 @@ class NilmanifoldModel:
     def zero(self):
         return InvariantForm(self, {})
 
-    def gen(self, a, scalar=None):
-        return InvariantForm(self, {(a,): scalar if scalar is not None else Scalar.one()})
-
     def basis_form(self, indices, scalar=None):
         idx, sign = _sort_sign(tuple(indices))
         if idx is None:
@@ -133,9 +143,6 @@ class NilmanifoldModel:
 
     def top_index(self):
         return tuple(range(self.dim))
-
-    def d_gen(self, a):
-        return self.diff[a]
 
 
 class InvariantForm:
@@ -269,25 +276,16 @@ class InvariantForm:
         return out
 
     def d(self):
-        """Graded Leibniz extension of the structure differential."""
+        """Graded Leibniz extension of the structure differential: a term
+        v e_k1 ^ .. ^ e_kp goes to sum_j (-1)^j d(e_kj) ^ v e_{k without kj}."""
         model = self.model
         out = model.zero()
         for k, v in self.terms.items():
-            img = model._dcache.get(k)
-            if img is None:
-                img = model.zero()
-                for j, a in enumerate(k):
-                    da = model.diff[a]
-                    if da.is_zero():
-                        continue
-                    rest = model.basis_form(k[:j] + k[j + 1:])
-                    piece = da.wedge(rest)
-                    if j % 2:
-                        piece = -piece
-                    img = img + piece
-                model._dcache[k] = img
-            if not img.is_zero():
-                out = out + img.scale(v)
+            for j, a in enumerate(k):
+                da = model.diff[a]
+                if not da.is_zero():
+                    rest = model.basis_form(k[:j] + k[j + 1:], -v if j % 2 else v)
+                    out = out + da.wedge(rest)
         return out
 
     def dbar(self):

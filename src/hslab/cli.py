@@ -24,13 +24,10 @@ import sys
 from fractions import Fraction
 
 from .scalars import Scalar
-from .hermitian import HermitianStructure
-from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
-                      DegenerateCoupling, SystemParams)
+from .bundles import LineBundleTriple, curvature_from_triple, DegenerateCoupling
 from .harmonic import harmonic_vs_moment_gap, matrix_is_zero
-from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
-                      build_iwasawa, make_family, verify_family, iter_sweep,
-                      SWEEP_MAX_ABS)
+from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig, make_family,
+                      verify_family, iter_sweep, SWEEP_MAX_ABS)
 
 
 class _ArgumentError(Exception):
@@ -180,19 +177,13 @@ def cmd_sweep(args):
 def run_selftest():
     """Calibration identities; returns (ok, name of first failure or None)."""
     import random
-    model, w0, Omega = build_iwasawa()
-    h = HermitianStructure(model, w0)
+    s = make_family(FamilyConfig(LineBundleTriple(1, 2, 2, role="V0"),
+                                 LineBundleTriple(2, -1, 0, role="V1"))).params
+    model, h, w0 = s.model, s.h, s.h.omega
     half_i = Scalar.of(0, Fraction(1, 2))
-    t0 = LineBundleTriple(1, 2, 2, role="V0")
-    t1 = LineBundleTriple(2, -1, 0, role="V1")
-    F0 = curvature_from_triple(model, t0)
-    F1 = curvature_from_triple(model, t1)
-    alpha = alpha_solve(F0, F1, h)
-    s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
-                     F0=F0, F1=F1, alpha=alpha, Omega=Omega)
 
     def check_dw3():
-        return (model.d_gen(2) - model.basis_form((0, 1))).is_zero()
+        return (model.diff[2] - model.basis_form((0, 1))).is_zero()
 
     def check_ddc():
         lhs = w0.dc().d()
@@ -218,7 +209,8 @@ def run_selftest():
         return True
 
     def check_alpha():
-        anomaly = w0.dc().d() - (F0.wedge(F0) - F1.wedge(F1)).scale(alpha)
+        anomaly = w0.dc().d() - (s.F0.wedge(s.F0)
+                                 - s.F1.wedge(s.F1)).scale(s.alpha)
         return anomaly.is_zero()
 
     def check_fd_decomp():

@@ -15,12 +15,13 @@ wedge), with sandwich (left . mid . right) as two of them.
 
 A HermitianStructure builds omega^2, d(omega^2), d^c omega and dd^c omega
 (omega_sq, d_omega_sq, dc_omega, ddc_omega) at construction, for every
-verifier of its metric to read, and its brackets, Levi-Civita and Bismut
+verifier of its metric to read, and its Levi-Civita and Bismut
 coefficients, Lee form and table (e_a ^ e_b ^ omega^2)_top at most once.
-The brackets, the Bismut torsion rows and that table are read off the
-nonzero terms of the d w_c, of d^c omega and of omega^2, and Levi-Civita
-pairs only the nonzero brackets with G6, so their cost follows the nonzero
-structure constants.  star and wedge_omega_sq (form -> form ^ omega^2)
+The brackets are the model's (NilmanifoldModel.brackets), built once per
+model, not per metric.  The Bismut torsion rows and that table are read off
+the nonzero terms of d^c omega and of omega^2, and Levi-Civita pairs only
+the nonzero brackets with G6, so their cost follows the nonzero structure
+constants.  star and wedge_omega_sq (form -> form ^ omega^2)
 share one loop over basis images e_J, each built on first use and kept by
 the structure, whose metric never changes; the star of e_J contracts the
 volume by the metric duals (sharp) of the factors of e_J, in order.
@@ -172,7 +173,7 @@ class HermitianStructure:
 
     The model must have complex dimension n = 3; any other is a ValueError.
 
-    brackets(), levi_civita(), bismut(), lee_form() and omega_sq_table() are
+    levi_civita(), bismut(), lee_form() and omega_sq_table() are
     built on first call and the same object is returned afterwards.  That is
     sound because omega, the returned connection coefficients and the
     returned forms are never modified after construction; code that changed
@@ -196,6 +197,8 @@ class HermitianStructure:
         # g(Z_j, Z_k') = -i omega(Z_j, Z_k')
         self.g = [[mi * omega.at(j, k + n) for k in range(n)]
                   for j in range(n)]
+        # certified before g is inverted, so a degenerate g names its minor
+        self._certify_positive()
         zero = Scalar.zero()
         # G6 = [[0, g], [g^T, 0]], so Ginv6 = [[0, g^-T], [g^-1, 0]]
         ginv = matrix_inverse(self.g)
@@ -215,12 +218,10 @@ class HermitianStructure:
             raise ValueError("degenerate fundamental form: omega^3 = 0")
         self._star_cache = {}
         self._wedge_omega_sq_cache = {}
-        self._brackets = None
         self._levi_civita = None
         self._bismut = None
         self._lee_form = None
         self._omega_sq_table = None
-        self._certify_positive()
 
     def _certify_positive(self):
         """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
@@ -278,7 +279,7 @@ class HermitianStructure:
     def _star_image(self, J):
         out = self.volume
         for a in J:
-            out = out.contract(self.sharp(self.model.gen(a)))
+            out = out.contract(self.sharp(self.model.basis_form((a,))))
         return out.terms
 
     def wedge_omega_sq(self, form):
@@ -359,20 +360,6 @@ class HermitianStructure:
 
     # -- connections --------------------------------------------------------
 
-    def brackets(self):
-        """Lie brackets by Maurer-Cartan: a term v e_a ^ e_b (a < b) of d w_c
-        sets [Z_a, Z_b]^c = -v and [Z_b, Z_a]^c = v; the rest are zero."""
-        if self._brackets is not None:
-            return self._brackets
-        model, dim = self.model, self.model.dim
-        coeffs = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
-        for c, dw in enumerate(model.diff):
-            for (a, b), v in dw.terms.items():
-                coeffs[a][b][c], coeffs[b][a][c] = -v, v
-        self._brackets = [[InvariantVector(model, row) for row in rows]
-                          for rows in coeffs]
-        return self._brackets
-
     def levi_civita(self):
         """Koszul formula on invariant fields (derivative terms vanish).
 
@@ -383,7 +370,7 @@ class HermitianStructure:
         """
         if self._levi_civita is not None:
             return self._levi_civita
-        dim, zero, br = self.model.dim, Scalar.zero(), self.brackets()
+        dim, zero, br = self.model.dim, Scalar.zero(), self.model.brackets
         pairs = [(x, y) for x in range(dim) for y in range(dim)
                  if any(br[x][y].coeffs)]
         gb = matmul([br[x][y].coeffs for x, y in pairs], self.G6, zero)
@@ -398,7 +385,7 @@ class HermitianStructure:
                 koszul[z][x][y] = koszul[z][x][y] - v
                 koszul[y][z][x] = koszul[y][z][x] + v
         gamma = [matmul(kvals, self.Ginv6, zero) for kvals in koszul]
-        self._levi_civita = ConnectionCoefficients(self, gamma)
+        self._levi_civita = ConnectionCoefficients(self.model, gamma)
         return self._levi_civita
 
     def bismut(self):
@@ -416,22 +403,21 @@ class HermitianStructure:
         gamma = [[[x if y.is_zero() else x + y
                    for x, y in zip(lc.gamma[a][b], corr[a * dim + b])]
                   for b in range(dim)] for a in range(dim)]
-        self._bismut = ConnectionCoefficients(self, gamma)
+        self._bismut = ConnectionCoefficients(self.model, gamma)
         return self._bismut
 
 
 class ConnectionCoefficients:
     """Invariant connection coefficients: nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d.
 
-    Keeps the structure's model and brackets but not the structure itself:
-    the structure keeps its connections, and a reference back would make a
-    cycle that only the cyclic garbage collector frees, so every metric's
-    objects would outlive it.
+    Keeps the model, whose brackets the torsion reads, but not the metric's
+    structure: the structure keeps its connections, and a reference back
+    would make a cycle that only the cyclic garbage collector frees, so
+    every metric's objects would outlive it.
     """
 
-    def __init__(self, structure, gamma):
-        self.model = structure.model
-        self._brackets = structure.brackets()
+    def __init__(self, model, gamma):
+        self.model = model
         self.gamma = gamma
 
     def nabla(self, a, b):
@@ -440,4 +426,4 @@ class ConnectionCoefficients:
 
     def torsion(self, a, b):
         """T(Z_a, Z_b) = nabla_a Z_b - nabla_b Z_a - [Z_a, Z_b]."""
-        return self.nabla(a, b) - self.nabla(b, a) - self._brackets[a][b]
+        return self.nabla(a, b) - self.nabla(b, a) - self.model.brackets[a][b]

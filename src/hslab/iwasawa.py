@@ -9,6 +9,11 @@ solves the full system with zero remainder (the naive omega + tau family
 fails the instanton equations at second order in tau; gamma is the unique
 correction in the span of the two curvature directions).
 
+Every family lives on one Iwasawa model with one SU(3) structure
+(model, omega_0, Omega), built at import; build_iwasawa returns that tuple.
+The model is immutable, so sharing it across families, the sweep's
+certificate and the selftest leaves no state between calls.
+
 verify_family produces an exact report over every displayed condition.
 It reads one family's Q-bundle objects from the SystemParams that builds
 each of them once: the frame and compatible metric H, the connection D^G
@@ -54,11 +59,14 @@ def su3_structure(model):
     return omega0, Omega
 
 
+_MODEL = build_iwasawa_model()
+_IWASAWA = (_MODEL, *su3_structure(_MODEL))
+
+
 def build_iwasawa():
-    """Iwasawa model together with its SU(3) structure (model, omega_0, Omega)."""
-    model = build_iwasawa_model()
-    omega0, Omega = su3_structure(model)
-    return model, omega0, Omega
+    """The process's Iwasawa model and its SU(3) structure (model, omega_0,
+    Omega): the same immutable objects on every call."""
+    return _IWASAWA
 
 
 @dataclass(frozen=True)
@@ -182,8 +190,7 @@ def make_family(cfg: FamilyConfig) -> SolutionCandidate:
         alpha = alpha_solve(F0, F1, h)
     params = SystemParams(model=model, h=h, triple0=cfg.triple0,
                           triple1=cfg.triple1, F0=F0, F1=F1, alpha=alpha,
-                          Omega=Omega,
-                          tau_coeffs=tuple(Fraction(t) for t in cfg.tau.coeffs()))
+                          Omega=Omega)
     return SolutionCandidate(params=params, config=cfg,
                              tau_form=tau_form, gamma_form=gamma)
 
@@ -294,8 +301,8 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
             for k in range(3)]
     rep = subbundle_report(s, span)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
-    deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, 1, h)
-    deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, 1, h)
+    deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, h)
+    deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, h)
 
     verdicts = {
         "hs_solution": hs_ok,

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.cealg import build_iwasawa_model, NilmanifoldModel
+from hslab.cealg import NilmanifoldModel
 from hslab.hermitian import HermitianStructure
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
-from hslab.iwasawa import (FamilyConfig, TauDeformation, make_family,
-                           su3_structure, iter_sweep)
+from hslab.iwasawa import (FamilyConfig, TauDeformation, build_iwasawa,
+                           make_family, su3_structure, iter_sweep)
 
 TAU_MENU = (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4))
 DEFORMED_TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
@@ -21,7 +21,7 @@ DEFORMED_TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
 
 @pytest.fixture(scope="session")
 def model():
-    return build_iwasawa_model()
+    return build_iwasawa()[0]
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ def test_degree_zero(model, h0, rng):
         t = random_triple(rng)
         F = curvature_from_triple(model, LineBundleTriple(*t, role="V0"))
         c = CohClass(F.scale(i_2pi))
-        assert degree_and_slope(c, b, 1, h0).is_zero()
+        assert degree_and_slope(c, b, h0).is_zero()
 
 
 def test_volume_form_validation(model, h0):

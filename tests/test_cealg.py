@@ -14,11 +14,11 @@ from conftest import random_form, random_scalar
 
 def test_structure_equation(model):
     # d w3 = w1 ^ w2; the other generators are closed
-    assert (model.d_gen(2) - model.basis_form((0, 1))).is_zero()
+    assert (model.diff[2] - model.basis_form((0, 1))).is_zero()
     for idx in (0, 1):
-        assert model.d_gen(idx).is_zero()
+        assert model.diff[idx].is_zero()
     # conjugate structure equation follows by construction
-    assert (model.d_gen(5) - model.basis_form((3, 4))).is_zero()
+    assert (model.diff[5] - model.basis_form((3, 4))).is_zero()
 
 
 def test_d_squared_randomized(model, rng):
@@ -51,7 +51,7 @@ def _ce_d_value(model, a, idx):
 
 def test_d_matches_chevalley_eilenberg(model, abelian_model, kt_model, rng):
     # sign calibration: d w3 = w1 ^ w2 takes 1 on (Z_1, Z_2)
-    assert _ce_d_value(model, model.gen(2), (0, 1)) == Scalar.one()
+    assert _ce_d_value(model, model.basis_form((2,)), (0, 1)) == Scalar.one()
     nonzero = 0
     for m in (model, abelian_model, kt_model):
         for deg in range(6):
@@ -153,8 +153,8 @@ def test_dc_convention(model):
 
 def test_abelian_and_kt_models(abelian_model, kt_model):
     for idx in range(6):
-        assert abelian_model.d_gen(idx).is_zero()
-    assert (kt_model.d_gen(2) - kt_model.basis_form((0, 3))).is_zero()
+        assert abelian_model.diff[idx].is_zero()
+    assert (kt_model.diff[2] - kt_model.basis_form((0, 3))).is_zero()
     # d^2 = 0 holds in the Kodaira-Thurston-style model as well
     a = kt_model.basis_form((2,)) + kt_model.basis_form((5,))
     assert a.d().d().is_zero()

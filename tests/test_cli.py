@@ -47,6 +47,14 @@ def test_verify_exit_three_malformed(capsys):
                  "--tau", "1/2,1/2,1/2,1/2"]) == 3
     assert main(["nonsense"]) == 3
     capsys.readouterr()
+    # a degenerate deformation names its zero leading minor, not a singular
+    # matrix: the metric is certified before it is inverted
+    for tau in ("1/2,0,1/2,0", "1/2,1/2,0,0", "1/2,-1/2,0,0"):
+        assert main(["verify", "--triples", "1,0,0,1,1,0",
+                     "--tau", tau]) == 3
+        assert capsys.readouterr().err == (
+            "error: deformation is not positive: Gram matrix is not "
+            "positive definite (leading minor 2 is 0)\n")
     # a zero denominator names the literal and the cause
     for option in ("--picard", "--tau"):
         assert main(["verify", "--triples", "1,2,2,2,-1,0",

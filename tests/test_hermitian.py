@@ -132,8 +132,7 @@ def test_lee_nonzero_on_kt_model(kt_model):
 
 def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
-    for name in ("brackets", "levi_civita", "bismut", "lee_form",
-                 "omega_sq_table"):
+    for name in ("levi_civita", "bismut", "lee_form", "omega_sq_table"):
         method = getattr(h, name)
         assert method() is method()
     # a second structure on the same metric builds its own, equal, objects
@@ -211,12 +210,12 @@ def test_brackets_satisfy_maurer_cartan(model, h0, kt_model):
     for h in _metrics(model, h0, kt_model):
         m = h.model
         Z = [m.basis_vector(a) for a in range(6)]
-        br = h.brackets()
+        br = m.brackets
         for a in range(6):
             for b in range(6):
                 for c in range(6):
                     assert m.diff[c].apply(Z[a], Z[b]) == \
-                        -m.gen(c).apply(br[a][b])
+                        -m.basis_form((c,)).apply(br[a][b])
         assert sum(not br[a][b].is_zero()
                    for a in range(6) for b in range(6)) >= 2
 

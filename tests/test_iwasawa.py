@@ -1,5 +1,6 @@
 """Family construction, exact verification reports, and the integer sweep."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -21,6 +22,7 @@ import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, make_family, verify_family,
                            VerificationReport)
+from hslab.cli import run_selftest
 
 from conftest import dbar_reference, random_pair, random_scalar, sweep_records
 
@@ -234,6 +236,57 @@ def test_family_context_is_built_once(monkeypatch):
     finally:
         if enabled:
             gc.enable()
+
+
+def _cyclic_garbage(work):
+    """Type names and counts of what only the cyclic collector frees after
+    a second work(); the first may fill caches that outlive it."""
+    work()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return collections.Counter(type(x).__name__ for x in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _verified(t0, t1, **kw):
+    return lambda: verify_family(_family(t0, t1, **kw))
+
+
+@pytest.mark.parametrize("work", [
+    _verified((1, 2, 2), (2, -1, 0)),
+    _verified((1, 1, 0), (1, 0, 0),
+              tau=TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)),
+    _verified((1, 2, 2), (2, -1, 0), picard=PicardPoint(
+        a0=(Scalar.of(Fraction(1, 3)), Scalar.zero()),
+        a1=(Scalar.zero(), Scalar.of(Fraction(-2, 7))))),
+    _verified((1, 1, 0), (1, 0, 0)),  # not harmonic
+    lambda: list(iwasawa.iter_sweep(1)),
+    run_selftest,
+], ids=["flat", "deformed", "picard", "non-harmonic", "sweep", "selftest"])
+def test_calls_leave_no_cyclic_garbage(work):
+    # the model is shared and nothing refers back to a family or a metric,
+    # so reference counting frees every object a call makes
+    assert _cyclic_garbage(work) == {}
+
+
+def test_one_immutable_model_per_process():
+    model, omega0, Omega = build_iwasawa()
+    assert all(x is y for x, y in zip(build_iwasawa(), (model, omega0, Omega)))
+    before = {k: (id(v), v) for k, v in vars(model).items()}
+    cand = _family((1, 1, 0), (1, 0, 0),
+                   tau=TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0))
+    assert cand.params.model is model and cand.params.Omega is Omega
+    verify_family(cand)
+    assert {k: (id(v), v) for k, v in vars(model).items()} == before
 
 
 def _higgs_outcome(cand):

@@ -1,6 +1,7 @@
 """Every function in hslab is reached by a command, or named as library-only.
 
-The commands of the CLI run in process under sys.setprofile: verify on a
+The commands of the CLI run in a child interpreter under sys.setprofile,
+set before hslab is imported so that its import-time work counts: verify on a
 flat, a Picard-twisted, a deformed and a non-harmonic family, with a --json
 report; the degenerate and malformed exits; sweep with --require-ch2
 --require-harmonic and with --raw; and selftest.  Every non-dunder function
@@ -10,14 +11,15 @@ it.
 """
 
 import inspect
+import json
 import os
+import subprocess
 import sys
 import types
 
 import pytest
 
 import hslab
-from hslab.cli import main
 
 SRC = os.path.dirname(os.path.abspath(hslab.__file__))
 
@@ -70,14 +72,31 @@ def _defined():
     return out
 
 
+# Runs in a child interpreter, profiled from before `import hslab`, so that
+# what runs at import (the process's Iwasawa model) counts as reached.
+_CHILD = """
+import json, os, sys
+codes = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+sys.setprofile(profile)
+from hslab.cli import main
+exits = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+import hslab
+src = os.path.dirname(os.path.abspath(hslab.__file__))
+with open(sys.argv[2], "w") as fh:
+    json.dump({"exits": exits, "src": src, "reached": sorted(
+        "%s.%s" % (os.path.basename(c.co_filename)[:-3], c.co_qualname)
+        for c in codes if os.path.dirname(c.co_filename) == src)}, fh)
+"""
+
+
 def _reached(tmp_path):
     """module.qualname of every src/hslab function the commands call."""
-    codes = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
-
     report, catalog = str(tmp_path / "r.json"), str(tmp_path / "c.jsonl")
     pair = ["verify", "--triples", "1,2,2,2,-1,0"]
     commands = [
@@ -93,23 +112,23 @@ def _reached(tmp_path):
         (["sweep", "--max", "1", "--raw", "--out", catalog], 0),
         (["selftest"], 0),
     ]
-    exits = []
-    sys.setprofile(profile)
-    try:
-        for argv, _ in commands:
-            exits.append(main(argv))
-    finally:
-        sys.setprofile(None)
-    assert exits == [code for _, code in commands]
-    return {"%s.%s" % (os.path.basename(c.co_filename)[:-3], c.co_qualname)
-            for c in codes if os.path.dirname(c.co_filename) == SRC}
+    out = tmp_path / "reached.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _CHILD,
+                    json.dumps([argv for argv, _ in commands]), str(out)],
+                   env=env, check=True, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, timeout=600)
+    doc = json.loads(out.read_text())
+    assert doc["src"] == SRC
+    assert doc["exits"] == [code for _, code in commands]
+    return set(doc["reached"])
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
-def test_every_function_is_reached_or_library_only(tmp_path, capsys):
+def test_every_function_is_reached_or_library_only(tmp_path):
     defined = _defined()
     reached = _reached(tmp_path)
-    capsys.readouterr()
     unreached = defined - reached
     assert sorted(unreached - set(LIBRARY_ONLY)) == []
     # the list stays honest: each name exists and no command reaches it
