@@ -156,15 +156,9 @@ def connection_DG(s):
     with the End directions weighted by alpha, and flat End diagonals (the
     Chern connections are trivial in the invariant unitary frame).
     """
-    model, h = s.model, s.h
-    bi = h.bismut()
-    A = QOperator(model)
-    E = A.entries
-    # T block: entry (a, b) = sum_c Gamma^a_{cb} w^c
-    for a in range(6):
-        for b in range(6):
-            E[a][b] = InvariantForm(model, {(c,): bi.gamma[c][b][a]
-                                            for c in range(6)})
+    model, h, z = s.model, s.h, s.model.zero()
+    # T block: the metric's Bismut 1-forms, sum_c Gamma^a_{cb} w^c
+    E = [row + [z, z] for row in h.bismut_forms] + [[z] * QDIM, [z] * QDIM]
     # iF[b] = (i_{Z_b} F0, i_{Z_b} F1)
     iF = [[F.contract(model.basis_vector(b)) for F in (s.F0, s.F1)]
           for b in range(6)]
@@ -175,7 +169,7 @@ def connection_DG(s):
         E[a][7] = cols[a][1].scale(s.alpha)
         # End <- T rows: -F_j(V, .)
         E[6][a], E[7][a] = iF[a]
-    return A
+    return QOperator(model, E)
 
 
 def curvature(A):
@@ -186,12 +180,12 @@ def curvature(A):
 def curvature_wedge_omega_sq(s):
     """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F the curvature of D^G.
 
-    With A_ij = sum_a A^a_ij e_a and W = h.omega_sq_table(), F = dA + A ^ A
+    With A_ij = sum_a A^a_ij e_a and W = h.omega_sq_table, F = dA + A ^ A
     gives c_ij = sum_k sum_a A^a_ik V^a_kj: V^a_kj = sum_b W[a][b] A^b_kj,
     plus lam_a = (d e_a ^ omega^2)_top, read through W, when k = j (lam is
     zero on Iwasawa, but computed).  No curvature 2-form is built.
     """
-    model, W, zero = s.model, s.h.omega_sq_table(), Scalar.zero()
+    model, W, zero = s.model, s.h.omega_sq_table, Scalar.zero()
     lams = ((a, sum((v * W[b][c] for (b, c), v in da.terms.items()), zero))
             for a, da in enumerate(model.diff))
     lam = {a: x for a, x in lams if not x.is_zero()}

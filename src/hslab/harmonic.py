@@ -12,14 +12,16 @@ two curvatures) are exposed for cross-checks.  dbar_Q phi is computed
 entry by entry (higgs_dbar_entry), so a caller builds only what it reads.
 
 Every residual reads its SystemParams' per-family objects (frame, metric,
-connection, splittings) and the metric's shared ones (Levi-Civita, Bismut,
-Lee form), each built once.  Harmonicity reads K alone, so moment_residuals
-builds I and J only when they are first looked up.
+connection, splittings), each built once per family, and the metric's
+members (Lee form and its sharp, *d^c omega, the Levi-Civita trace), built
+once per metric when its HermitianStructure is.  Harmonicity reads K
+alone, so moment_residuals builds I and J only when they are first looked
+up.
 
 K and J both go through nabla_H_star, the codifferential of nabla^H.  It
 contracts with the inverse metric, sums the commutators as two stacked
-matrix products and adds the contracted Levi-Civita trace as one term,
-which it computes rather than assumes to be zero.
+matrix products and adds the contracted Levi-Civita trace (the metric's
+lc_trace) as one term, computed rather than assumed to be zero.
 """
 
 from __future__ import annotations
@@ -99,13 +101,13 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
         S_a = -sum_b Ginv[a][b] T(Z_b),  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
 
     The six commutators are two stacked products, [B_0|..|B_5] . [S_0;..;S_5]
-    - [S_0|..|S_5] . [B_0;..;B_5], with B_a = B(Z_a).  The trace g^c is
-    tr ad_{Z_c}, zero on a unimodular (e.g. nilpotent) algebra (Milnor,
-    Adv. Math. 21, 1976), so on the Iwasawa model the second sum adds
-    nothing; it is still computed, not assumed, so any NilmanifoldModel
-    whose algebra is not unimodular gets the full codifferential.
+    - [S_0|..|S_5] . [B_0;..;B_5], with B_a = B(Z_a).  The trace g^c
+    (h.lc_trace, built with the metric) is tr ad_{Z_c}, zero on a
+    unimodular (e.g. nilpotent) algebra (Milnor, Adv. Math. 21, 1976), so
+    on the Iwasawa model the second sum adds nothing; it is still computed,
+    not assumed, so any NilmanifoldModel whose algebra is not unimodular
+    gets the full codifferential.
     """
-    gamma = s.h.levi_civita().gamma
     zero = Scalar.zero()
     Tv = [_frame_values(T, a) for a in range(6)]
     Bv = [_frame_values(B, a) for a in range(6)]
@@ -119,9 +121,7 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
     out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(
         matmul([sum(rs, []) for rs in zip(*Bv)], sum(S, []), zero),
         matmul([sum(rs, []) for rs in zip(*S)], sum(Bv, []), zero))]
-    for c in range(6):
-        trace = sum((g * gamma[a][b][c] for a, row in enumerate(rows)
-                     for b, g in row if not gamma[a][b][c].is_zero()), zero)
+    for c, trace in enumerate(s.h.lc_trace):
         if not trace.is_zero():
             _accumulate(out, Tv[c], trace)
     return out
@@ -160,9 +160,8 @@ class _MomentResiduals(dict):
         elif key == "J":
             # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi
             JPsi = Psi.map_entries(h.j_form)
-            theta_sharp = h.sharp(h.lee_form())
             value = _add_matrices(nabla_H_star(s, B, JPsi),
-                                  Psi.value_at(_j_vector(s.model, theta_sharp)),
+                                  Psi.value_at(_j_vector(s.model, h.lee_sharp)),
                                   sign=-1)
         else:
             raise KeyError(key)
@@ -180,10 +179,9 @@ def moment_residuals(s):
     when first indexed, so a caller reading K alone pays for K alone.
     """
     B, Psi = s.unitary_split
-    theta_sharp = s.h.sharp(s.h.lee_form())
     # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
     K_res = _add_matrices(nabla_H_star(s, B, Psi),
-                          Psi.value_at(theta_sharp))
+                          Psi.value_at(s.h.lee_sharp))
     return _MomentResiduals(s, K_res)
 
 
@@ -202,7 +200,7 @@ def harmonic_criteria(s):
     vanish iff the compatible metric is harmonic.
     """
     h = s.h
-    torsion_pairing = s.F0.wedge(h.star(h.dc_omega))
+    torsion_pairing = s.F0.wedge(h.star_dc_omega)
     cross = s.alpha * h.frame_contraction(s.F1, s.F0)
     if s.alpha.sign() < 0:
         cross = -cross

@@ -13,18 +13,20 @@ the first zero column), and matmul, one zero-skipping product whose
 entries multiply with * (Scalars, Scalar and form, or form and form by
 wedge), with sandwich (left . mid . right) as two of them.
 
-A HermitianStructure builds omega^2, d(omega^2), d^c omega and dd^c omega
-(omega_sq, d_omega_sq, dc_omega, ddc_omega) at construction, for every
-verifier of its metric to read, and its Levi-Civita and Bismut
-coefficients, Lee form and table (e_a ^ e_b ^ omega^2)_top at most once.
-The brackets are the model's (NilmanifoldModel.brackets), built once per
-model, not per metric.  The Bismut torsion rows and that table are read off
-the nonzero terms of d^c omega and of omega^2, and Levi-Civita pairs only
-the nonzero brackets with G6, so their cost follows the nonzero structure
-constants.  star and wedge_omega_sq (form -> form ^ omega^2)
-share one loop over basis images e_J, each built on first use and kept by
-the structure, whose metric never changes; the star of e_J contracts the
-volume by the metric duals (sharp) of the factors of e_J, in order.
+A HermitianStructure is finished at construction: it builds everything
+that depends on the metric alone (omega^2, d(omega^2), d^c omega,
+dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top, the
+Levi-Civita and Bismut coefficients, the Bismut connection 1-forms, the Lee
+form and its sharp, *d^c omega and the Levi-Civita trace of the
+codifferential) and nothing is written to it afterwards, so one structure
+serves every verifier and family of its metric.  The brackets are the
+model's (NilmanifoldModel.brackets), built once per model.  The Bismut
+torsion rows and the table are read off the nonzero terms of d^c omega and
+of omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
+their cost follows the nonzero structure constants.  wedge_omega_sq reads
+each 2-form term through the table; star builds the image of each basis
+form e_J on every call: the volume contracted by the metric duals (sharp)
+of the factors of e_J, in order.
 
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is
@@ -173,16 +175,15 @@ class HermitianStructure:
 
     The model must have complex dimension n = 3; any other is a ValueError.
 
-    levi_civita(), bismut(), lee_form() and omega_sq_table() are
-    built on first call and the same object is returned afterwards.  That is
-    sound because omega, the returned connection coefficients and the
-    returned forms are never modified after construction; code that changed
-    them in place would change every later caller's value too.
+    Every member is a plain attribute built here, and nothing writes to the
+    structure, to omega or to any member afterwards, so one structure can
+    serve any number of families and callers at once; code that changed a
+    member in place would change every later caller's value too.
     """
 
     def __init__(self, model, omega):
         if model.n != 3:
-            # star, omega_sq_table and the volume omega^3/6 assume n = 3
+            # star, the omega^2 table and the volume omega^3/6 assume n = 3
             raise ValueError("Hermitian structures need complex dimension 3, "
                              "got a model of dimension n = %d" % model.n)
         self.model = model
@@ -192,18 +193,19 @@ class HermitianStructure:
         for pq in omega.bigrade():
             if pq != (1, 1):
                 raise ValueError("fundamental form is not of bidegree (1,1)")
-        n = model.n
+        n, dim = model.n, model.dim
         mi = Scalar.of(0, -1)
         # g(Z_j, Z_k') = -i omega(Z_j, Z_k')
         self.g = [[mi * omega.at(j, k + n) for k in range(n)]
                   for j in range(n)]
-        # certified before g is inverted, so a degenerate g names its minor
+        # certified before g is inverted, so a degenerate g names its minor;
+        # det g > 0 also makes the volume's coefficient c_vol nonzero
         self._certify_positive()
         zero = Scalar.zero()
         # G6 = [[0, g], [g^T, 0]], so Ginv6 = [[0, g^-T], [g^-1, 0]]
         ginv = matrix_inverse(self.g)
-        self.G6 = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
-        self.Ginv6 = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
+        self.G6 = [[zero for _ in range(dim)] for _ in range(dim)]
+        self.Ginv6 = [[zero for _ in range(dim)] for _ in range(dim)]
         for j in range(n):
             for k in range(n):
                 self.G6[j][k + n] = self.G6[k + n][j] = self.g[j][k]
@@ -214,14 +216,27 @@ class HermitianStructure:
         self.ddc_omega = self.dc_omega.d()
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()
-        if self.c_vol.is_zero():
-            raise ValueError("degenerate fundamental form: omega^3 = 0")
-        self._star_cache = {}
-        self._wedge_omega_sq_cache = {}
-        self._levi_civita = None
-        self._bismut = None
-        self._lee_form = None
-        self._omega_sq_table = None
+        self.omega_sq_table = self._omega_sq_table()
+        self.levi_civita = self._levi_civita()
+        self.bismut = self._bismut()
+        # the Bismut connection 1-forms: entry (a, b) = sum_c Gamma^a_{cb} w^c
+        bi = self.bismut.gamma
+        self.bismut_forms = [[InvariantForm(model, {(c,): bi[c][b][a]
+                                                    for c in range(dim)})
+                              for b in range(dim)] for a in range(dim)]
+        # theta = J d^* omega = -J *d(omega^2)/2, as d^* = -*d* and *omega =
+        # omega^2/2 in complex dimension 3 (Huybrechts, Complex Geometry, 1.2)
+        self.lee_form = self.j_form(
+            -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
+        self.lee_sharp = self.sharp(self.lee_form)
+        self.star_dc_omega = self.star(self.dc_omega)
+        # g^c = sum_{ab} Ginv6[a][b] Gamma^c_{ab}, Gamma the Levi-Civita one
+        gamma = self.levi_civita.gamma
+        self.lc_trace = [sum((g * gamma[a][b][c]
+                              for a, row in enumerate(self.Ginv6)
+                              for b, g in enumerate(row) if not g.is_zero()
+                              and not gamma[a][b][c].is_zero()), zero)
+                         for c in range(dim)]
 
     def _certify_positive(self):
         """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
@@ -250,23 +265,6 @@ class HermitianStructure:
 
     # -- star and Lee form -----------------------------------------------------
 
-    def _through_images(self, form, cache, image):
-        """sum_J v_J image(e_J) over the terms v_J e_J of form.
-
-        image(J) gives the terms of image(e_J), built on first use and kept
-        in cache.
-        """
-        terms = {}
-        for J, v in form.terms.items():
-            img = cache.get(J)
-            if img is None:
-                img = cache[J] = image(J)
-            for K, w in img.items():
-                x = w * v
-                u = terms.get(K)
-                terms[K] = x if u is None else u + x
-        return InvariantForm(self.model, terms)
-
     def star(self, form):
         """C-linear Hodge star with volume omega^3/3!.
 
@@ -274,7 +272,13 @@ class HermitianStructure:
         contracted by the metric duals of its factors, i_{#e_jk} .. i_{#e_j1}
         vol: the form with e_I ^ *e_J = <e_I, e_J> vol for every e_I.
         """
-        return self._through_images(form, self._star_cache, self._star_image)
+        terms = {}
+        for J, v in form.terms.items():
+            for K, w in self._star_image(J).items():
+                x = w * v
+                u = terms.get(K)
+                terms[K] = x if u is None else u + x
+        return InvariantForm(self.model, terms)
 
     def _star_image(self, J):
         out = self.volume
@@ -283,24 +287,30 @@ class HermitianStructure:
         return out.terms
 
     def wedge_omega_sq(self, form):
-        """form ^ omega^2, through the images e_J ^ omega^2 of this metric."""
-        return self._through_images(
-            form, self._wedge_omega_sq_cache,
-            lambda J: self.model.basis_form(J).wedge(self.omega_sq).terms)
+        """form ^ omega^2: a 2-form term v e_a ^ e_b is v W[a][b] e_top, W the
+        omega^2 table, and any other term is wedged with omega^2."""
+        W, top, rest = self.omega_sq_table, Scalar.zero(), {}
+        for J, v in form.terms.items():
+            if len(J) != 2:
+                rest[J] = v
+            elif not W[J[0]][J[1]].is_zero():
+                top = top + v * W[J[0]][J[1]]
+        out = InvariantForm(self.model, {self.model.top_index(): top})
+        if rest:
+            out = out + InvariantForm(self.model, rest).wedge(self.omega_sq)
+        return out
 
-    def omega_sq_table(self):
+    def _omega_sq_table(self):
         """W[a][b] = (e_a ^ e_b ^ omega^2)_top: a term v e_K of omega^2 sets
         W[a][b] = -W[b][a] = s v, {a < b} the complement of K and s the sign
         of e_a ^ e_b ^ e_K; a complement that is not a pair is a ValueError."""
-        if self._omega_sq_table is None:
-            dim = self.model.dim
-            W = [[Scalar.zero()] * dim for _ in range(dim)]
-            for K, v in self.omega_sq.terms.items():
-                a, b = ab = tuple(i for i in range(dim) if i not in K)
-                v = v if _merge_sign(ab, K)[1] > 0 else -v
-                W[a][b], W[b][a] = v, -v
-            self._omega_sq_table = W
-        return self._omega_sq_table
+        dim = self.model.dim
+        W = [[Scalar.zero()] * dim for _ in range(dim)]
+        for K, v in self.omega_sq.terms.items():
+            a, b = ab = tuple(i for i in range(dim) if i not in K)
+            v = v if _merge_sign(ab, K)[1] > 0 else -v
+            W[a][b], W[b][a] = v, -v
+        return W
 
     def j_form(self, form):
         """(J a)(X,..) = a(JX,..): multiplies a (p,q) term by i^(p-q)."""
@@ -318,14 +328,6 @@ class HermitianStructure:
                 v = v * Scalar.of(0, -1)
             t[k] = v
         return InvariantForm(self.model, t)
-
-    def lee_form(self):
-        """theta = J d^* omega = -J *d(omega^2)/2, as d^* = -*d* and *omega =
-        omega^2/2 in complex dimension 3 (Huybrechts, Complex Geometry, 1.2)."""
-        if self._lee_form is None:
-            self._lee_form = self.j_form(
-                -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
-        return self._lee_form
 
     def sharp(self, oneform):
         """Metric dual vector of a 1-form."""
@@ -360,7 +362,7 @@ class HermitianStructure:
 
     # -- connections --------------------------------------------------------
 
-    def levi_civita(self):
+    def _levi_civita(self):
         """Koszul formula on invariant fields (derivative terms vanish).
 
         g(nabla_{Z_a} Z_b, Z_c) = (1/2)(g([Z_a, Z_b], Z_c) - g([Z_b, Z_c], Z_a)
@@ -368,8 +370,6 @@ class HermitianStructure:
         g([Z_x, Z_y], Z_z), each added into the three places it appears in, so
         the zero brackets (all but a few on a nilpotent model) cost nothing.
         """
-        if self._levi_civita is not None:
-            return self._levi_civita
         dim, zero, br = self.model.dim, Scalar.zero(), self.model.brackets
         pairs = [(x, y) for x in range(dim) for y in range(dim)
                  if any(br[x][y].coeffs)]
@@ -385,15 +385,11 @@ class HermitianStructure:
                 koszul[z][x][y] = koszul[z][x][y] - v
                 koszul[y][z][x] = koszul[y][z][x] + v
         gamma = [matmul(kvals, self.Ginv6, zero) for kvals in koszul]
-        self._levi_civita = ConnectionCoefficients(self.model, gamma)
-        return self._levi_civita
+        return ConnectionCoefficients(self.model, gamma)
 
-    def bismut(self):
+    def _bismut(self):
         """nabla^- = nabla + (1/2) g^{-1} d^c omega (totally skew torsion), the
         rows T(Z_a, Z_b, .) filled in from the terms of (1/2) d^c omega."""
-        if self._bismut is not None:
-            return self._bismut
-        lc = self.levi_civita()
         dim = self.model.dim
         T = [[Scalar.zero()] * dim for _ in range(dim * dim)]
         for (i, j, k), v in self.dc_omega.scale(Fraction(1, 2)).terms.items():
@@ -401,10 +397,10 @@ class HermitianStructure:
             T[j * dim + i][k] = T[k * dim + j][i] = T[i * dim + k][j] = -v
         corr = matmul(T, self.Ginv6, Scalar.zero())
         gamma = [[[x if y.is_zero() else x + y
-                   for x, y in zip(lc.gamma[a][b], corr[a * dim + b])]
+                   for x, y in zip(self.levi_civita.gamma[a][b],
+                                   corr[a * dim + b])]
                   for b in range(dim)] for a in range(dim)]
-        self._bismut = ConnectionCoefficients(self.model, gamma)
-        return self._bismut
+        return ConnectionCoefficients(self.model, gamma)
 
 
 class ConnectionCoefficients:

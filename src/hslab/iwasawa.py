@@ -11,8 +11,11 @@ correction in the span of the two curvature directions).
 
 Every family lives on one Iwasawa model with one SU(3) structure
 (model, omega_0, Omega), built at import; build_iwasawa returns that tuple.
-The model is immutable, so sharing it across families, the sweep's
-certificate and the selftest leaves no state between calls.
+The HermitianStructure of omega_0 is built at import too: every family of
+metric omega_0 (tau = 0, with any Picard twist) and the sweep's certificate
+share it (omega0_structure).  The model and the structure are immutable,
+so sharing them across families, the certificate and the selftest leaves
+no state between calls.
 
 verify_family produces an exact report over every displayed condition.
 It reads one family's Q-bundle objects from the SystemParams that builds
@@ -61,12 +64,18 @@ def su3_structure(model):
 
 _MODEL = build_iwasawa_model()
 _IWASAWA = (_MODEL, *su3_structure(_MODEL))
+_OMEGA0_STRUCTURE = HermitianStructure(_MODEL, _IWASAWA[1])
 
 
 def build_iwasawa():
     """The process's Iwasawa model and its SU(3) structure (model, omega_0,
     Omega): the same immutable objects on every call."""
     return _IWASAWA
+
+
+def omega0_structure():
+    """The process's HermitianStructure of omega_0, the same on every call."""
+    return _OMEGA0_STRUCTURE
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,8 @@ def make_family(cfg: FamilyConfig) -> SolutionCandidate:
         gamma = model.zero()
     omega = omega0 + tau_form + gamma
     try:
-        h = HermitianStructure(model, omega)
+        h = (omega0_structure() if omega == omega0
+             else HermitianStructure(model, omega))
     except ValueError as exc:
         raise ValueError("deformation is not positive: %s" % exc) from exc
     alpha = cfg.alpha
@@ -391,8 +401,8 @@ def _certify_base():
     """
     for samples, _ in _SAMPLES.values():
         matrix_inverse([_monomials(t) for t in samples])
-    model, omega0, Omega = build_iwasawa()
-    h = HermitianStructure(model, omega0)
+    model, _, Omega = build_iwasawa()
+    h = omega0_structure()
 
     def engine_K_is_zero(triple, aval):
         t0 = LineBundleTriple(*triple, role="V0")

@@ -12,7 +12,8 @@ from hslab.hermitian import HermitianStructure
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
 from hslab.iwasawa import (FamilyConfig, TauDeformation, build_iwasawa,
-                           make_family, su3_structure, iter_sweep)
+                           make_family, omega0_structure, su3_structure,
+                           iter_sweep)
 
 TAU_MENU = (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4))
 DEFORMED_TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
@@ -25,11 +26,9 @@ def model():
 
 
 @pytest.fixture(scope="session")
-def h0(model):
-    half_i = Scalar.of(0, Fraction(1, 2))
-    omega0 = (model.basis_form((0, 3)) + model.basis_form((1, 4))
-              + model.basis_form((2, 5))).scale(half_i)
-    return HermitianStructure(model, omega0)
+def h0():
+    """The process's shared structure of omega_0."""
+    return omega0_structure()
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.cealg import build_iwasawa_model
-from hslab.hermitian import HermitianStructure
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
-                           alpha_solve, hs_residuals, CohClass,
-                           degree_and_slope)
+                           hs_residuals, CohClass, degree_and_slope)
 from hslab.algebroid import (QDIM, QFrame, connection_DG, curvature,
                              he_residual_G)
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,

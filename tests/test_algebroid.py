@@ -216,7 +216,7 @@ def test_curvature_wedge_omega_sq_with_a_nonzero_lambda(kt_model, seed):
     # connection has e_3 terms for it to act on
     h = HermitianStructure(kt_model, su3_structure(kt_model)[0]
                            + DEFORMED_TAU.form(kt_model))
-    W = h.omega_sq_table()
+    W = h.omega_sq_table
     assert not sum((v * W[b][c] for (b, c), v in kt_model.diff[2].terms.items()),
                    Scalar.zero()).is_zero()
     rng = random.Random(seed)

@@ -1,15 +1,13 @@
 """Invariant exterior calculus on nilmanifold models."""
 
 import itertools
-import random
 
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.cealg import (NilmanifoldModel, InvariantVector,
-                         build_iwasawa_model)
+from hslab.cealg import NilmanifoldModel, InvariantVector
 
-from conftest import random_form, random_scalar
+from conftest import random_form
 
 
 def test_structure_equation(model):

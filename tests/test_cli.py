@@ -6,7 +6,7 @@ import os
 import pytest
 
 from hslab.cealg import InvariantForm
-from hslab.cli import main, run_selftest, build_parser
+from hslab.cli import main, run_selftest
 from hslab.hermitian import HermitianStructure
 from hslab.iwasawa import VerificationReport
 

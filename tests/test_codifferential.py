@@ -1,7 +1,8 @@
 """The contracted codifferential nabla_H_star against the double sum it reorders.
 
 nabla_H_star contracts with Ginv before taking commutators and adds the
-Levi-Civita trace g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab} as one term.  The
+metric's Levi-Civita trace h.lc_trace, g^c = sum_{ab} Ginv[a][b]
+Gamma^c_{ab}, as one term.  The
 double sum below is the definition it must reproduce exactly: on real
 families, on a stand-in metric whose trace is nonzero (the Iwasawa trace is
 zero, so no real family exercises that term), and the Milnor identity that
@@ -31,7 +32,7 @@ TAU_MENU = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4)]
 def _reference(s, B, T):
     """-sum_{ab} Ginv[a][b] ([B(Z_a), T(Z_b)] - Gamma^c_{ab} T(Z_c)), term by term."""
     h = s.h
-    gamma = h.levi_civita().gamma
+    gamma = h.levi_civita.gamma
     Z = [s.model.basis_vector(a) for a in range(6)]
     Bv = [B.value_at(Z[a]) for a in range(6)]
     Tv = [T.value_at(Z[a]) for a in range(6)]
@@ -131,9 +132,9 @@ def test_stand_in_metric_with_a_nonzero_trace(seed, shape):
     terms = 1 if shape == "single" else 3
     assert all(sum(not g.is_zero() for g in row) >= terms for row in Ginv)
     assert any(not _trace(Ginv, gamma, c).is_zero() for c in range(6))
-    lc = SimpleNamespace(gamma=gamma)
-    s = SimpleNamespace(model=real.model,
-                        h=SimpleNamespace(Ginv6=Ginv, levi_civita=lambda: lc))
+    trace = [_trace(Ginv, gamma, c) for c in range(6)]
+    s = SimpleNamespace(model=real.model, h=SimpleNamespace(
+        Ginv6=Ginv, levi_civita=SimpleNamespace(gamma=gamma), lc_trace=trace))
     for T in (Psi, Psi.map_entries(real.h.j_form)):
         out = nabla_H_star(s, B, T)
         assert out == _reference(s, B, T)
@@ -161,7 +162,8 @@ def test_levi_civita_trace_vanishes():
     # and a corrected deformed metric (omega_0 + tau + the gamma correction)
     structures.append(FAMILIES["deformed"]().h)
     for h in structures:
-        gamma = h.levi_civita().gamma
+        gamma = h.levi_civita.gamma
         assert all(_trace(h.Ginv6, gamma, c).is_zero() for c in range(6))
+        assert all(g.is_zero() for g in h.lc_trace)
     # the Christoffel symbols themselves are not zero
     assert any(not x.is_zero() for plane in gamma for row in plane for x in row)

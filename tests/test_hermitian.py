@@ -80,13 +80,40 @@ def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
     forms = [random_form(model, rng, deg, nterms=4)
              for deg in range(7) for _ in range(3)]
     assert sum(1 for f in forms if not f.wedge(w2).is_zero()) >= 9
-    # a cold table, then the same forms through the kept images
-    for _ in range(2):
-        for f in forms:
-            assert h.wedge_omega_sq(f) == f.wedge(w2)
-    fresh = _deformed(model)
+    # 2-form terms go through the omega^2 table, the others are wedged
     for f in forms:
-        assert fresh.wedge_omega_sq(f) == f.wedge(w2)
+        assert h.wedge_omega_sq(f) == f.wedge(w2)
+
+
+def test_wedge_omega_sq_on_every_oracle_metric(oracle_metrics, rng):
+    # seeded forms of every degree 0-6, and two of mixed degree, per metric
+    nonzero = 0
+    for h in oracle_metrics:
+        forms = [random_form(h.model, rng, deg, nterms=4) for deg in range(7)]
+        forms += [forms[1] + forms[2], forms[0] + forms[2] + forms[4]]
+        for f in forms:
+            assert h.wedge_omega_sq(f) == f.wedge(h.omega_sq)
+            nonzero += not f.wedge(h.omega_sq).is_zero()
+    assert nonzero >= 3 * len(oracle_metrics)
+
+
+def test_members_are_their_definitions(oracle_metrics):
+    # the members built with the structure, against their definitions
+    for h in oracle_metrics:
+        dim, gamma = h.model.dim, h.levi_civita.gamma
+        assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
+        assert h.star_dc_omega == h.star(h.dc_omega)
+        assert h.lc_trace == [
+            sum((h.Ginv6[a][b] * gamma[a][b][c] for a in range(dim)
+                 for b in range(dim)), Scalar.zero()) for c in range(dim)]
+        for a in range(dim):
+            for b in range(dim):
+                expect = h.model.zero()
+                for c in range(dim):
+                    expect = expect + h.model.basis_form(
+                        (c,), h.bismut.gamma[c][b][a])
+                assert h.bismut_forms[a][b] == expect
+    assert any(not h.lee_sharp.is_zero() for h in oracle_metrics)
 
 
 def test_block_inverse_of_the_gram_matrix(oracle_metrics):
@@ -101,21 +128,21 @@ def test_star_of_omega_and_the_lee_form(oracle_metrics):
     # = -J *d*omega equals -J *d(omega^2)/2
     for h in oracle_metrics:
         assert h.star(h.omega) == h.omega_sq.scale(Fraction(1, 2))
-        assert h.lee_form() == h.j_form(-h.star(h.star(h.omega).d()))
-    assert not oracle_metrics[-1].lee_form().is_zero()
+        assert h.lee_form == h.j_form(-h.star(h.star(h.omega).d()))
+    assert not oracle_metrics[-1].lee_form.is_zero()
 
 
 def test_codifferential_and_lee_zero(model, h0):
     # d^* omega = -*d*omega
     assert h0.star(h0.star(h0.omega).d()).is_zero()
-    assert h0.lee_form().is_zero()
+    assert h0.lee_form.is_zero()
 
 
 def test_lee_zero_even_for_nonstandard_diagonal(model):
     # every invariant metric here is balanced, so the Lee form vanishes
     # identically, including for the anisotropic diagonal metric
     h = _diag_metric(model, (2, 1, 1))
-    assert h.lee_form().is_zero()
+    assert h.lee_form.is_zero()
     assert h.omega.wedge(h.omega).d().is_zero()
 
 
@@ -124,7 +151,7 @@ def test_lee_nonzero_on_kt_model(kt_model):
     omega = (kt_model.basis_form((0, 3)) + kt_model.basis_form((1, 4))
              + kt_model.basis_form((2, 5))).scale(half_i)
     h = HermitianStructure(kt_model, omega)
-    theta = h.lee_form()
+    theta = h.lee_form
     assert not theta.is_zero()
     # the sharp of a nonzero form is nonzero
     assert not h.sharp(theta).is_zero()
@@ -132,14 +159,16 @@ def test_lee_nonzero_on_kt_model(kt_model):
 
 def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
-    for name in ("levi_civita", "bismut", "lee_form", "omega_sq_table"):
-        method = getattr(h, name)
-        assert method() is method()
+    # every member is a plain attribute, built with the structure
+    members = ("omega_sq_table", "levi_civita", "bismut", "bismut_forms",
+               "lee_form", "lee_sharp", "star_dc_omega", "lc_trace")
+    assert set(members) <= set(vars(h))
+    assert not any(callable(getattr(h, name)) for name in members)
     # a second structure on the same metric builds its own, equal, objects
     other = _diag_metric(model, (1, 2, 3))
-    assert other.bismut() is not h.bismut()
-    assert other.bismut().gamma == h.bismut().gamma
-    assert other.lee_form() == h.lee_form()
+    assert other.bismut is not h.bismut
+    assert other.bismut.gamma == h.bismut.gamma
+    assert other.lee_form == h.lee_form
     # the connections do not point back at their structure, so dropping the
     # structure frees it at once, without the cyclic garbage collector
     ref = weakref.ref(other)
@@ -158,7 +187,7 @@ def test_bismut_equals_levi_civita_on_torus(abelian_model):
     omega = (abelian_model.basis_form((0, 3)) + abelian_model.basis_form((1, 4))
              + abelian_model.basis_form((2, 5))).scale(half_i)
     h = HermitianStructure(abelian_model, omega)
-    lc, bi = h.levi_civita(), h.bismut()
+    lc, bi = h.levi_civita, h.bismut
     for a in range(6):
         for b in range(6):
             assert (lc.nabla(a, b) - bi.nabla(a, b)).is_zero()
@@ -187,7 +216,7 @@ def test_bismut_torsion_is_skew_torsion(model, h0, kt_model):
     # the torsion 3-form of the Bismut connection is d^c omega: checking
     # g(T(Z_a, Z_b), Z_c) antisymmetrized equals d^c omega(Z_a, Z_b, Z_c)
     for h in _metrics(model, h0, kt_model):
-        bi = h.bismut()
+        bi = h.bismut
         dc = h.omega.dc()
         Z = [h.model.basis_vector(a) for a in range(6)]
         G = _frame_gram(h)
@@ -229,7 +258,7 @@ def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
         Z = [m.basis_vector(a) for a in range(6)]
         G = _frame_gram(h)
         assert G == h.G6
-        lc, bi = h.levi_civita(), h.bismut()
+        lc, bi = h.levi_civita, h.bismut
         r = range(6)
         for a in r:
             for b in r:
@@ -247,17 +276,17 @@ def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
 def test_omega_sq_table_is_the_wedge_with_omega_sq(model, h0, kt_model):
     for h in _metrics(model, h0, kt_model):
         e = h.model.basis_form
-        W = h.omega_sq_table()
+        W = h.omega_sq_table
         for a in range(6):
             for b in range(6):
-                assert W[a][b] == h.wedge_omega_sq(e((a, b))).top_coeff()
+                assert W[a][b] == e((a, b)).wedge(h.omega_sq).top_coeff()
         assert sum(not x.is_zero() for row in W for x in row) >= 6
     # off a 6-dimensional model the complement of a 4-form is not a pair
     big = NilmanifoldModel(4, {})
     stand_in = types.SimpleNamespace(
-        model=big, omega_sq=big.basis_form((0, 1, 4, 5)), _omega_sq_table=None)
+        model=big, omega_sq=big.basis_form((0, 1, 4, 5)))
     with pytest.raises(ValueError):
-        HermitianStructure.omega_sq_table(stand_in)
+        HermitianStructure._omega_sq_table(stand_in)
 
 
 def test_frame_contraction_norm(model, h0, rng):
@@ -296,6 +325,19 @@ def test_positivity_certificate(model):
         + model.basis_form((2, 5), Scalar.of(0, Fraction(1, 2)))
     with pytest.raises(ValueError):
         HermitianStructure(model, bad)
+
+
+def test_degenerate_omega_is_refused_by_its_leading_minor(model):
+    # a degenerate omega stops at the first zero leading minor of g, so the
+    # volume omega^3/6, a unit multiple of det g, is never zero
+    half_i = Scalar.of(0, Fraction(1, 2))
+    e = model.basis_form
+    no_third = (e((0, 3)) + e((1, 4))).scale(half_i)
+    rank_one = (e((0, 3)) + e((0, 4)) + e((1, 3)) + e((1, 4))
+                + e((2, 5))).scale(half_i)
+    for omega, k in ((no_third, 3), (rank_one, 2)):
+        with pytest.raises(ValueError, match="leading minor %d is 0" % k):
+            HermitianStructure(model, omega)
 
 
 def test_matrix_inverse_roundtrip(rng):

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import sys
 import weakref
@@ -12,16 +13,18 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
+from hslab.cealg import InvariantForm, InvariantVector
 from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
                            hs_residuals)
 from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
 import hslab.hermitian as hermitian
-from hslab.harmonic import harmonic_residual, matrix_is_zero, higgs_dbar_entry
+from hslab.harmonic import (harmonic_residual, harmonic_vs_moment_gap,
+                            matrix_is_zero, higgs_dbar_entry)
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, make_family, verify_family,
-                           VerificationReport)
+                           VerificationReport, omega0_structure)
 from hslab.cli import run_selftest
 
 from conftest import dbar_reference, random_pair, random_scalar, sweep_records
@@ -271,7 +274,9 @@ def _verified(t0, t1, **kw):
     _verified((1, 1, 0), (1, 0, 0)),  # not harmonic
     lambda: list(iwasawa.iter_sweep(1)),
     run_selftest,
-], ids=["flat", "deformed", "picard", "non-harmonic", "sweep", "selftest"])
+    lambda: hermitian.HermitianStructure(*build_iwasawa()[:2]),
+], ids=["flat", "deformed", "picard", "non-harmonic", "sweep", "selftest",
+        "structure"])
 def test_calls_leave_no_cyclic_garbage(work):
     # the model is shared and nothing refers back to a family or a metric,
     # so reference counting frees every object a call makes
@@ -287,6 +292,71 @@ def test_one_immutable_model_per_process():
     assert cand.params.model is model and cand.params.Omega is Omega
     verify_family(cand)
     assert {k: (id(v), v) for k, v in vars(model).items()} == before
+
+
+_PICARD = PicardPoint(a0=(Scalar.of(Fraction(1, 3)), Scalar.of(0, 2)),
+                      a1=(Scalar.of(-1), Scalar.of(Fraction(1, 2), 1)))
+
+
+def test_flat_families_share_the_omega0_structure(monkeypatch):
+    h = omega0_structure()
+    assert omega0_structure() is h and h.omega is build_iwasawa()[1]
+    built = []
+    init = hermitian.HermitianStructure.__init__
+
+    def counted_init(self, model, omega):
+        built.append(omega)
+        init(self, model, omega)
+
+    monkeypatch.setattr(hermitian.HermitianStructure, "__init__", counted_init)
+    # tau = 0, with and without a Picard twist, and the sweep's certificate
+    # build no structure
+    for kw in ({}, {"picard": _PICARD}, {"correct": False}):
+        assert _family((1, 2, 2), (2, -1, 0), **kw).params.h is h
+    list(iwasawa.iter_sweep(1))
+    assert built == []
+    # a deformed metric gets its own
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    assert _family((1, 1, 0), (1, 0, 0), tau=tau).params.h is not h
+    assert len(built) == 1
+
+
+def _frozen(v):
+    """A deep copy of v's value as nested tuples and strings."""
+    if isinstance(v, (list, tuple)):
+        return tuple(_frozen(x) for x in v)
+    if isinstance(v, (Scalar, InvariantForm)):
+        return (type(v).__name__, str(v))
+    if isinstance(v, InvariantVector):
+        return ("vector", id(v.model), _frozen(v.coeffs))
+    if isinstance(v, hermitian.ConnectionCoefficients):
+        return ("connection", id(v.model), _frozen(v.gamma))
+    return v
+
+
+def _star_every_basis_form():
+    h = omega0_structure()
+    for k in range(7):
+        for J in itertools.combinations(range(6), k):
+            h.star(h.model.basis_form(J))
+
+
+@pytest.mark.parametrize("work", [
+    _verified((1, 2, 2), (2, -1, 0)),
+    _verified((1, 1, 0), (1, 0, 0),
+              tau=TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)),
+    _verified((1, 2, 2), (2, -1, 0), picard=_PICARD),
+    lambda: harmonic_vs_moment_gap(_family((1, 2, 2), (2, -1, 0)).params),
+    _star_every_basis_form,
+    run_selftest,
+], ids=["flat", "deformed", "picard", "gap", "star", "selftest"])
+def test_one_immutable_omega0_structure_per_process(work):
+    # the shared structure's members keep their identity and their value
+    h = omega0_structure()
+    before = {k: (id(v), _frozen(v)) for k, v in vars(h).items()}
+    work()
+    assert omega0_structure() is h
+    assert {k: (id(v), _frozen(v)) for k, v in vars(h).items()} == before
 
 
 def _higgs_outcome(cand):
@@ -368,6 +438,15 @@ def test_metric_forms_are_built_once(monkeypatch):
 
 
 def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
+    degrees = []
+    star_image = hermitian.HermitianStructure._star_image
+
+    def counted_image(self, J):
+        degrees.append(len(J))
+        return star_image(self, J)
+
+    monkeypatch.setattr(hermitian.HermitianStructure, "_star_image",
+                        counted_image)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
     real = hermitian.matrix_inverse
@@ -387,9 +466,9 @@ def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
     verify_family(cand)
     # the span Gram of the cotangent slope; no 6x6 or 8x8 elimination
     assert len(sizes) <= 2 and all(n <= 3 for n in sizes)
-    # the Lee form comes from d(omega^2): no 2-form image of omega is built
-    keys = cand.params.h._star_cache
-    assert keys and all(len(J) == 3 for J in keys)
+    # the Lee form comes from d(omega^2): no 2-form image of omega is
+    # starred, only those of the 3-form d^c omega
+    assert degrees and all(k == 3 for k in degrees)
 
 
 def test_verify_family_negative_control():
