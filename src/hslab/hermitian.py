@@ -23,10 +23,10 @@ serves every verifier and family of its metric.  The brackets are the
 model's (NilmanifoldModel.brackets), built once per model.  The Bismut
 torsion rows and the table are read off the nonzero terms of d^c omega and
 of omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
-their cost follows the nonzero structure constants.  wedge_omega_sq reads
-each 2-form term through the table; star builds the image of each basis
-form e_J on every call: the volume contracted by the metric duals (sharp)
-of the factors of e_J, in order.
+their cost follows the nonzero structure constants.  wedge_omega_sq is the
+wedge with omega^2; star builds the image of each basis form e_J on every
+call: the volume contracted by the metric duals (sharp) of the factors of
+e_J, in order.
 
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is
@@ -170,6 +170,15 @@ def sandwich(left, mid, right, zero):
     return matmul(matmul(left, mid, zero), right, zero)
 
 
+def metric_trace(Ginv, gamma):
+    """g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab} for every c, skipping zeros."""
+    zero = Scalar.zero()
+    return [sum((g * gamma[a][b][c] for a, row in enumerate(Ginv)
+                 for b, g in enumerate(row) if not g.is_zero()
+                 and not gamma[a][b][c].is_zero()), zero)
+            for c in range(len(Ginv))]
+
+
 class HermitianStructure:
     """A Hermitian metric on an invariant complex model, given by omega.
 
@@ -230,13 +239,7 @@ class HermitianStructure:
             -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
         self.lee_sharp = self.sharp(self.lee_form)
         self.star_dc_omega = self.star(self.dc_omega)
-        # g^c = sum_{ab} Ginv6[a][b] Gamma^c_{ab}, Gamma the Levi-Civita one
-        gamma = self.levi_civita.gamma
-        self.lc_trace = [sum((g * gamma[a][b][c]
-                              for a, row in enumerate(self.Ginv6)
-                              for b, g in enumerate(row) if not g.is_zero()
-                              and not gamma[a][b][c].is_zero()), zero)
-                         for c in range(dim)]
+        self.lc_trace = metric_trace(self.Ginv6, self.levi_civita.gamma)
 
     def _certify_positive(self):
         """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
@@ -287,18 +290,8 @@ class HermitianStructure:
         return out.terms
 
     def wedge_omega_sq(self, form):
-        """form ^ omega^2: a 2-form term v e_a ^ e_b is v W[a][b] e_top, W the
-        omega^2 table, and any other term is wedged with omega^2."""
-        W, top, rest = self.omega_sq_table, Scalar.zero(), {}
-        for J, v in form.terms.items():
-            if len(J) != 2:
-                rest[J] = v
-            elif not W[J[0]][J[1]].is_zero():
-                top = top + v * W[J[0]][J[1]]
-        out = InvariantForm(self.model, {self.model.top_index(): top})
-        if rest:
-            out = out + InvariantForm(self.model, rest).wedge(self.omega_sq)
-        return out
+        """form ^ omega^2."""
+        return form.wedge(self.omega_sq)
 
     def _omega_sq_table(self):
         """W[a][b] = (e_a ^ e_b ^ omega^2)_top: a term v e_K of omega^2 sets

@@ -17,7 +17,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.algebroid import QDIM
-from hslab.hermitian import HermitianStructure
+from hslab.hermitian import HermitianStructure, metric_trace
 from hslab.harmonic import nabla_H_star
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
@@ -131,8 +131,10 @@ def test_stand_in_metric_with_a_nonzero_trace(seed, shape):
              for _ in range(6)]
     terms = 1 if shape == "single" else 3
     assert all(sum(not g.is_zero() for g in row) >= terms for row in Ginv)
-    assert any(not _trace(Ginv, gamma, c).is_zero() for c in range(6))
-    trace = [_trace(Ginv, gamma, c) for c in range(6)]
+    # the structure's own trace sum, against the definition, and nonzero
+    trace = metric_trace(Ginv, gamma)
+    assert trace == [_trace(Ginv, gamma, c) for c in range(6)]
+    assert any(not x.is_zero() for x in trace)
     s = SimpleNamespace(model=real.model, h=SimpleNamespace(
         Ginv6=Ginv, levi_civita=SimpleNamespace(gamma=gamma), lc_trace=trace))
     for T in (Psi, Psi.map_entries(real.h.j_form)):

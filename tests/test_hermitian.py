@@ -72,34 +72,34 @@ def _deformed(model):
     return HermitianStructure(model, omega0 + tau.form(model))
 
 
-@pytest.mark.parametrize("name", ["model", "abelian_model", "kt_model"])
+@pytest.mark.parametrize("name", ["model", "abelian_model", "kt_model",
+                                  "oracle_metrics"])
 def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
-    model = request.getfixturevalue(name)
-    h = _deformed(model)
-    w2 = h.omega.wedge(h.omega)
-    forms = [random_form(model, rng, deg, nterms=4)
-             for deg in range(7) for _ in range(3)]
-    assert sum(1 for f in forms if not f.wedge(w2).is_zero()) >= 9
-    # 2-form terms go through the omega^2 table, the others are wedged
-    for f in forms:
-        assert h.wedge_omega_sq(f) == f.wedge(w2)
-
-
-def test_wedge_omega_sq_on_every_oracle_metric(oracle_metrics, rng):
-    # seeded forms of every degree 0-6, and two of mixed degree, per metric
+    # a deformed metric of each model, and every oracle metric; seeded forms
+    # of every degree 0-6 and two of mixed degree
+    fixture = request.getfixturevalue(name)
+    metrics = fixture if name == "oracle_metrics" else [_deformed(fixture)]
     nonzero = 0
-    for h in oracle_metrics:
-        forms = [random_form(h.model, rng, deg, nterms=4) for deg in range(7)]
-        forms += [forms[1] + forms[2], forms[0] + forms[2] + forms[4]]
+    for h in metrics:
+        w2 = h.omega.wedge(h.omega)
+        forms = [random_form(h.model, rng, deg, nterms=4)
+                 for deg in range(7) for _ in range(3)]
+        forms += [forms[3] + forms[6], forms[0] + forms[6] + forms[12]]
+        nonzero += sum(1 for f in forms if not f.wedge(w2).is_zero())
         for f in forms:
-            assert h.wedge_omega_sq(f) == f.wedge(h.omega_sq)
-            nonzero += not f.wedge(h.omega_sq).is_zero()
-    assert nonzero >= 3 * len(oracle_metrics)
+            assert h.wedge_omega_sq(f) == f.wedge(w2)
+    assert nonzero >= 9 * len(metrics)
 
 
 def test_members_are_their_definitions(oracle_metrics):
-    # the members built with the structure, against their definitions
-    for h in oracle_metrics:
+    # the members built with the structure, against their definitions; the
+    # Levi-Civita trace is zero on every nilpotent model (Milnor), so a
+    # non-unimodular algebra ([Z_1, Z_3] = -Z_1, d w1 = w1 ^ w3) gives one
+    # metric whose trace is not
+    solvable = NilmanifoldModel(3, {0: {(0, 2): Scalar.one()}})
+    h1 = HermitianStructure(solvable, su3_structure(solvable)[0])
+    assert any(not x.is_zero() for x in h1.lc_trace)
+    for h in oracle_metrics + [h1]:
         dim, gamma = h.model.dim, h.levi_civita.gamma
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.star_dc_omega == h.star(h.dc_omega)
