@@ -8,9 +8,8 @@ from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals, DegenerateCoupling)
-from .algebroid import (QSection, QOperator, QFrame, connection_DG,
-                        curvature, he_residual_G, dolbeault_Q,
-                        transport_dolbeault, extension_class_gamma,
+from .algebroid import (QOperator, pairing_matrix, connection_DG, curvature,
+                        he_residual_G, dolbeault_Q, extension_class_gamma,
                         bismut_iso_matrix, subbundle_report)
 from .harmonic import (CompatibleMetricH, decompose_unitary,
                        moment_residuals, harmonic_residual, harmonic_criteria,

@@ -16,14 +16,16 @@ The two frames are identified by the Bismut isomorphism
 V + xi -> V - (1/2) g^{-1} xi, and the equality of the (0,1)-part of D^G
 with the transported Dolbeault operator is a pinned test, which calibrates
 the sign convention in splitting a (1,1)-form into (0,1)-form-valued
-cotangent components: c w_j ^ w_k' -> (-c w_k') (x) w_j.
+cotangent components: c w_j ^ w_k' -> (-c w_k') (x) w_j.  The verifiers
+never transport the operator: the cotangent subbundle's verdicts are read
+in the extension frame, where T* is the span of e_5..e_7 (subbundle_report).
 
 The verifiers here take a SystemParams and read its per-family objects,
-each built once: frame, metric_H, connection (D^G), curvature_omega_sq,
-dolbeault (the Dolbeault operator in the extension frame) and bismut_iso.
-QFrame holds the C-bilinear pairing.  A QOperator's wedge, its action on a
-section and the pairing of sections are hermitian.matmul products, whose
-entries multiply with * (forms by wedge, a form and a Scalar by scaling).
+each built once: metric_H, connection (D^G), curvature_omega_sq and
+dolbeault (the Dolbeault operator in the extension frame).  pairing_matrix
+is the C-bilinear pairing of a metric and coupling.  A QOperator's wedge is
+a hermitian.matmul product, whose entries multiply with * (forms by wedge,
+a form and a Scalar by scaling).
 
 The HE residual and the slope read the curvature F of D^G only through
 F ^ omega^2, a multiple of the volume (Luebke & Teleman, The
@@ -38,26 +40,9 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantForm
-from .hermitian import matmul, matrix_inverse, rref, sandwich, solve
+from .hermitian import matmul, matrix_inverse, sandwich
 
 QDIM = 8
-
-
-class QSection:
-    """Constant-coefficient section of Q over the complexified frame."""
-
-    __slots__ = ("model", "coeffs")
-
-    def __init__(self, model, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) != QDIM:
-            raise ValueError("Q sections have 8 components")
-        self.model = model
-        self.coeffs = [c if isinstance(c, Scalar) else Scalar.of(Fraction(c))
-                       for c in coeffs]
-
-    def __repr__(self):
-        return "QSection(%s)" % ", ".join(str(c) for c in self.coeffs)
 
 
 class QOperator:
@@ -106,18 +91,8 @@ class QOperator:
         return [[z if a.is_zero() else a.contract(vector).terms.get((), z)
                  for a in row] for row in self.entries]
 
-    def apply(self, section):
-        """Apply to a constant section; result is a list of 8 forms."""
-        column = [[c] for c in section.coeffs]
-        out = matmul(self.entries, column, self.model.zero())
-        return [row[0] for row in out]
-
     def is_zero(self):
         return all(a.is_zero() for row in self.entries for a in row)
-
-    def dump(self):
-        """JSON-ready 8x8 array of form literals (golden-file format)."""
-        return [[a.literal() for a in row] for row in self.entries]
 
     def __repr__(self):
         nz = sum(1 for row in self.entries for a in row if not a.is_zero())
@@ -130,23 +105,10 @@ def _with_end(block, e0, e1):
     return [row + [z, z] for row in block] + [[z] * 6 + [e0, z], [z] * 7 + [e1]]
 
 
-class QFrame:
-    """The C-bilinear pairing of Q for a fixed (h, alpha)."""
-
-    def __init__(self, h, alpha):
-        if alpha.is_zero() or not alpha.is_real():
-            raise ValueError("coupling constant must be real and nonzero")
-        self.h = h
-        self.model = h.model
-        self.alpha = alpha
-        # pairing in the complexified frame: -g_C on T, diag(-alpha, alpha) on End
-        self.pairing = _with_end([[-x for x in row] for row in h.G6],
-                                 -alpha, alpha)
-
-    def pair(self, x, y):
-        """C-bilinear pairing of sections: x^T . pairing . y."""
-        return sandwich([x.coeffs], self.pairing, [[c] for c in y.coeffs],
-                        Scalar.zero())[0][0]
+def pairing_matrix(h, alpha):
+    """The C-bilinear pairing of Q in the complexified frame: -g_C on T,
+    diag(-alpha, alpha) on End."""
+    return _with_end([[-x for x in row] for row in h.G6], -alpha, alpha)
 
 
 def connection_DG(s):
@@ -277,69 +239,47 @@ def bismut_iso_matrix(h):
     return P
 
 
-def transport_dolbeault(cfg):
-    """The Dolbeault operator conjugated into the complexified frame, P A P^-1.
+def subbundle_report(s):
+    """Isotropy / invariance / slope report of the cotangent subbundle T*.
 
-    P = cfg.bismut_iso is a 0/1 permutation but for its T* columns, -(1/2)
-    g^-1, so P^-1 is P^T but for its T* rows, -2 g (rows 0..2 of -2 G6).
+    In the extension frame T* is the span of e_5, e_6, e_7; the Bismut
+    isomorphism P (bismut_iso_matrix) carries it to the span of the columns
+    S = P[:, 5:] in the complexified frame, where the pairing lives.
+
+    * isotropic: S^T . pairing . S = 0.
+    * holomorphic_invariant: P is a constant invertible matrix, so the
+      transported operator P A P^-1 maps P T* into P T* (x) forms exactly
+      when the Dolbeault matrix A maps e_5..e_7 into their span (x) forms,
+      that is when rows 0..4 of columns 5..7 of s.dolbeault are zero: one
+      block read, the mirror of extension_class_gamma (rows 5..7 of columns
+      0..4).  No P^-1 and no solve is needed.
+    * slope: the Chern-Weil slope against [omega^2] (_span_slope).
     """
-    P, z, m2 = cfg.bismut_iso, Scalar.zero(), Scalar.of(-2)
-    Pinv = [list(col) for col in zip(*P)][:5] \
-        + [[m2 * x for x in row] + [z, z] for row in cfg.h.G6[:3]]
-    return QOperator(cfg.model, sandwich(P, cfg.dolbeault.entries, Pinv,
-                                         cfg.model.zero()))
-
-
-def subbundle_report(s, span):
-    """Isotropy / invariance / slope report for an invariant subbundle of s.
-
-    span: list of QSections over the complexified frame.  Invariance is
-    checked against the transported Dolbeault matrix of s; the slope is the
-    Chern-Weil slope against [omega^2] (_span_slope).
-    """
-    # linear independence over the scalars (rational entries expected)
-    mat = [[sec.coeffs[a] for a in range(QDIM)] for sec in span]
-    if len(rref(mat, QDIM)[1]) != len(span):
-        raise ValueError("subbundle span is linearly dependent")
-    frame = s.frame
-    dolbeault = transport_dolbeault(s)
+    S = [row[5:] for row in bismut_iso_matrix(s.h)]  # 8 x 3
+    gram = sandwich([list(col) for col in zip(*S)],
+                    pairing_matrix(s.h, s.alpha), S, Scalar.zero())
     return {
-        "isotropic": all(frame.pair(x, y).is_zero() for x in span for y in span),
-        # each image must be a combination of span with form coefficients
-        "holomorphic_invariant": all(_form_membership(dolbeault.apply(sec), span)
-                                     for sec in span),
-        "slope": _span_slope(s, span),
+        "isotropic": all(x.is_zero() for row in gram for x in row),
+        "holomorphic_invariant": all(e.is_zero() for row in
+                                     s.dolbeault.entries[:5] for e in row[5:]),
+        "slope": _span_slope(s, S),
     }
 
 
-def _form_membership(img, span):
-    """Whether the 8-vector of forms img lies in span (x) forms, exactly."""
-    # collect all (generator-index-tuple) keys appearing
-    keys = set()
-    for f in img:
-        keys.update(f.terms)
-    mat = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]
-    for key in keys:
-        rhs = [f.terms.get(key, Scalar.zero()) for f in img]
-        if solve(mat, rhs) is None:
-            return False
-    return True
+def _span_slope(s, S):
+    """Chern-Weil slope against [omega^2] of the subbundle spanned by the
+    columns of the 8 x k Scalar matrix S.
 
-
-def _span_slope(s, span):
-    """Chern-Weil slope of the spanned subbundle against [omega^2].
-
-    With S the 8 x k matrix of the span, the compressed curvature
-    (S^dagger H S)^-1 S^dagger H F S has trace sum_ab Pr[b][a] F[a][b],
-    Pr = S (S^dagger H S)^-1 S^dagger H, so with F ^ omega^2 = c e_top the
-    slope is (i/2pi) sum_ab Pr[b][a] c[a][b] / c_vol / k.
+    The compressed curvature (S^dagger H S)^-1 S^dagger H F S has trace
+    sum_ab Pr[b][a] F[a][b], Pr = S (S^dagger H S)^-1 S^dagger H, so with
+    F ^ omega^2 = c e_top the slope is (i/2pi) sum_ab Pr[b][a] c[a][b] /
+    c_vol / k.
     """
     zero = Scalar.zero()
-    S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]  # 8 x k
-    SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
+    SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)],
                  s.metric_H.Hm, zero)
     Pr = sandwich(S, matrix_inverse(matmul(SdH, S, zero)), SdH, zero)
     trace = sum((Pr[b][a] * x for a, row in enumerate(s.curvature_omega_sq)
                  for b, x in enumerate(row) if not x.is_zero()), zero)
     return trace * Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1) \
-        * (s.h.c_vol * Scalar.of(len(span))).inverse()
+        * (s.h.c_vol * Scalar.of(len(S[0]))).inverse()

@@ -11,13 +11,14 @@ coupling constant solve, degree/slope pairings against balanced classes
 and the second-Chern-character constraint.
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
-its frame, compatible metric H, connection D^G, F_{D^G} ^ omega^2, the
-Dolbeault operator of Q, the Bismut isomorphism and the unitary (B, Psi)
-and Chern (C, phi) splittings of D^G are built on first use and kept, so
-every verifier of one family reads the same objects; the Chern split is
-read off the unitary one, phi = 2 Psi^{1,0}.  Only the selftest and tests
-build the curvature 2-forms.  The dataclass is frozen, which keeps them
-valid, and none of them refers back to the family.
+its compatible metric H, connection D^G, F_{D^G} ^ omega^2, the Dolbeault
+operator of Q and the unitary (B, Psi) and Chern (C, phi) splittings of
+D^G are built on first use and kept, so every verifier of one family reads
+the same objects; the Chern split is read off the unitary one,
+phi = 2 Psi^{1,0}.  Only the selftest and tests build the curvature
+2-forms.  The dataclass is frozen, which keeps them valid, and none of
+them refers back to the family.  The coupling alpha is checked once, at
+construction: it must be real and nonzero.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from functools import cached_property
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import solve
-from .algebroid import (QFrame, bismut_iso_matrix, connection_DG, curvature,
-                        curvature_wedge_omega_sq, dolbeault_Q)
+from .algebroid import (connection_DG, curvature, curvature_wedge_omega_sq,
+                        dolbeault_Q)
 from .harmonic import CompatibleMetricH, decompose_unitary
 
 
@@ -75,7 +76,7 @@ class CohClass:
     """A cohomology class by invariant representative, closedness-checked."""
 
     def __init__(self, rep, flavor="bottChern"):
-        if flavor not in ("deRham", "bottChern", "aeppli"):
+        if flavor not in ("bottChern", "aeppli"):
             raise ValueError("unknown cohomology flavor %r" % flavor)
         if flavor == "aeppli":
             if not rep.dc().d().is_zero():
@@ -166,8 +167,8 @@ class SystemParams:
     Omega: InvariantForm
 
     def __post_init__(self):
-        if not self.alpha.is_real():
-            raise ValueError("coupling constant must be real")
+        if self.alpha.is_zero() or not self.alpha.is_real():
+            raise ValueError("coupling constant must be real and nonzero")
         if not self.Omega.d().is_zero():
             raise ValueError("holomorphic volume form must be closed")
         for pq in self.Omega.bigrade():
@@ -175,12 +176,8 @@ class SystemParams:
                 raise ValueError("volume form must have bidegree (3,0)")
 
     @cached_property
-    def frame(self):
-        return QFrame(self.h, self.alpha)
-
-    @cached_property
     def metric_H(self):
-        return CompatibleMetricH(self.frame)
+        return CompatibleMetricH(self.h, self.alpha)
 
     @cached_property
     def connection(self):
@@ -200,10 +197,6 @@ class SystemParams:
     def dolbeault(self):
         """The Dolbeault operator of Q in the extension frame."""
         return dolbeault_Q(self)
-
-    @cached_property
-    def bismut_iso(self):
-        return bismut_iso_matrix(self.h)
 
     @cached_property
     def unitary_split(self):

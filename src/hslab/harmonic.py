@@ -11,7 +11,7 @@ against the torsion coclosure, plus the coupled frame contraction of the
 two curvatures) are exposed for cross-checks.  dbar_Q phi is computed
 entry by entry (higgs_dbar_entry), so a caller builds only what it reads.
 
-Every residual reads its SystemParams' per-family objects (frame, metric,
+Every residual reads its SystemParams' per-family objects (metric,
 connection, splittings), each built once per family, and the metric's
 members (Lee form and its sharp, *d^c omega, the Levi-Civita trace), built
 once per metric when its HermitianStructure is.  Harmonicity reads K
@@ -31,7 +31,7 @@ from fractions import Fraction
 from .scalars import Scalar
 from .cealg import InvariantVector
 from .hermitian import matmul, sandwich
-from .algebroid import QDIM, QFrame, QOperator, _with_end
+from .algebroid import QDIM, QOperator, _with_end
 
 
 class CompatibleMetricH:
@@ -41,9 +41,9 @@ class CompatibleMetricH:
     row a of its inverse is Ginv6[(a + 3) % 6] on T, and 1/|alpha| on End.
     """
 
-    def __init__(self, frame: QFrame):
-        self.model = frame.model
-        G6, Ginv6, alpha = frame.h.G6, frame.h.Ginv6, frame.alpha
+    def __init__(self, h, alpha):
+        self.model = h.model
+        G6, Ginv6 = h.G6, h.Ginv6
         aabs = alpha if alpha.sign() > 0 else -alpha
         inv = aabs.inverse()
         self.Hm = _with_end([[row[(b + 3) % 6] for b in range(6)] for row in G6],

@@ -19,9 +19,9 @@ no state between calls.
 
 verify_family produces an exact report over every displayed condition.
 It reads one family's Q-bundle objects from the SystemParams that builds
-each of them once: the frame and compatible metric H, the connection D^G
-and its curvature, the Dolbeault operator, and the unitary (B, Psi) and
-Chern (C, phi) splittings of D^G.
+each of them once: the compatible metric H, the connection D^G and its
+curvature, the Dolbeault operator, and the unitary (B, Psi) and Chern
+(C, phi) splittings of D^G.
 
 The sweep (iter_sweep) enumerates integer pairs in one process: one engine
 certificate of the moment-map residual K, then closed-form records, row by
@@ -47,7 +47,7 @@ from .hermitian import HermitianStructure, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals)
-from .algebroid import (QDIM, QSection, he_residual_G, extension_class_gamma,
+from .algebroid import (QDIM, he_residual_G, extension_class_gamma,
                         subbundle_report)
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
                        matrix_is_zero)
@@ -271,7 +271,7 @@ def _scalar_entry(value):
 def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     """Run every exact verifier on an assembled family."""
     s = candidate.params
-    model, h = s.model, s.h
+    h = s.h
     cfg = candidate.config
 
     residuals = []
@@ -306,10 +306,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
 
     # slope of the cotangent subbundle and degrees of the two line bundles
     b = CohClass(h.omega_sq, flavor="aeppli")
-    P = s.bismut_iso
-    span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
-            for k in range(3)]
-    rep = subbundle_report(s, span)
+    rep = subbundle_report(s)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, h)
     deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, h)

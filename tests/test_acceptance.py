@@ -9,8 +9,8 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            hs_residuals, CohClass, degree_and_slope)
-from hslab.algebroid import (QDIM, QFrame, connection_DG, curvature,
-                             he_residual_G)
+from hslab.algebroid import (QDIM, connection_DG, curvature, he_residual_G,
+                             pairing_matrix)
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             harmonic_residual, harmonic_criteria,
                             harmonic_vs_moment_gap, matrix_is_zero,
@@ -188,8 +188,7 @@ def test_criterion_6_structural_identities(capsys, model, h0, Omega, rng):
     for _ in range(100):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        frame = QFrame(s.h, s.alpha)
-        H = CompatibleMetricH(frame)
+        H = CompatibleMetricH(s.h, s.alpha)
         A = connection_DG(s)
         B, Psi = decompose_unitary(A, H)
         # curvature consistency across the unitary splitting
@@ -204,7 +203,7 @@ def test_criterion_6_structural_identities(capsys, model, h0, Omega, rng):
         phi = Psi.part(1, 0).scale(Scalar.of(2))
         ok = ok and (phi - phi.part(1, 0)).is_zero()
         # pairing-orthogonality Leibniz rule for the connection
-        P = frame.pairing
+        P = pairing_matrix(s.h, s.alpha)
         for i in range(QDIM):
             for j in range(QDIM):
                 acc = model.zero()

@@ -8,13 +8,12 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.hermitian import (HermitianStructure, matmul, matrix_inverse,
-                             sandwich)
-from hslab.algebroid import (QDIM, QSection, QFrame, QOperator,
-                             connection_DG, curvature,
+                             sandwich, solve)
+from hslab.algebroid import (QDIM, QOperator, connection_DG, curvature,
                              curvature_wedge_omega_sq, he_residual_G,
-                             dolbeault_Q, transport_dolbeault,
-                             extension_class_gamma, bismut_iso_matrix,
-                             subbundle_report)
+                             dolbeault_Q, extension_class_gamma,
+                             bismut_iso_matrix, pairing_matrix,
+                             subbundle_report, _span_slope)
 from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
@@ -28,45 +27,45 @@ def std(model, h0, Omega):
 
 
 @pytest.fixture(scope="module")
-def frame(h0, std):
-    return QFrame(h0, std.alpha)
+def pairing(h0, std):
+    return pairing_matrix(h0, std.alpha)
 
 
-def _basis_sections(model):
-    z, o = Scalar.zero(), Scalar.one()
-    return [QSection(model, [o if a == j else z for a in range(QDIM)])
-            for j in range(QDIM)]
-
-
-def test_pairing_matrix(frame, std, h0):
+def test_pairing_matrix(pairing, std, h0):
     # -g_C on tangent directions, diag(-alpha, alpha) on the End directions
     for a in range(6):
         for b in range(6):
-            assert frame.pairing[a][b] == -h0.G6[a][b]
-    assert frame.pairing[6][6] == -std.alpha
-    assert frame.pairing[7][7] == std.alpha
+            assert pairing[a][b] == -h0.G6[a][b]
+    assert pairing[6][6] == -std.alpha
+    assert pairing[7][7] == std.alpha
     # the compatible metric H is positive on every frame direction
     H = std.metric_H.Hm
     assert all(H[a][a].evalf().real > 0 for a in range(QDIM))
 
 
-def test_connection_pairing_compatibility(model, frame, std):
+def test_connection_pairing_compatibility(model, pairing, std):
     A = connection_DG(std)
-    P = frame.pairing
     for i in range(QDIM):
         for j in range(QDIM):
             acc = model.zero()
             for k in range(QDIM):
-                if not P[i][k].is_zero():
-                    acc = acc + A.entries[k][j].scale(P[i][k])
-                if not P[k][j].is_zero():
-                    acc = acc + A.entries[k][i].scale(P[k][j])
+                if not pairing[i][k].is_zero():
+                    acc = acc + A.entries[k][j].scale(pairing[i][k])
+                if not pairing[k][j].is_zero():
+                    acc = acc + A.entries[k][i].scale(pairing[k][j])
             assert acc.is_zero()
+
+
+def _transported(s):
+    """The Dolbeault matrix in the complexified frame, P A P^-1, with the
+    generic elimination inverse of the Bismut isomorphism P."""
+    P = bismut_iso_matrix(s.h)
+    return sandwich(P, s.dolbeault.entries, matrix_inverse(P), s.model.zero())
 
 
 def test_connection_01_part_is_dolbeault(std):
     A = connection_DG(std)
-    T = transport_dolbeault(std)
+    T = QOperator(std.model, _transported(std))
     assert (A.part(0, 1) - T).is_zero()
 
 
@@ -105,60 +104,82 @@ def test_extension_class(std):
             assert g.entries[5 + l][c].is_zero()
 
 
-def test_cotangent_subbundle(model, h0, std):
-    P = bismut_iso_matrix(h0)
-    span = [QSection(model, [P[a][5 + k] for a in range(QDIM)])
-            for k in range(3)]
-    rep = subbundle_report(std, span)
+def test_cotangent_subbundle(std):
+    rep = subbundle_report(std)
     assert rep["isotropic"]
     assert rep["holomorphic_invariant"]
     assert rep["slope"].is_zero()
-
-
-def test_tangent_span_not_invariant(model, std):
-    secs = _basis_sections(model)[:3]
-    rep = subbundle_report(std, secs)
-    assert not rep["holomorphic_invariant"]
-
-
-def test_dependent_span_rejected(model, std):
-    secs = _basis_sections(model)
-    with pytest.raises(ValueError):
-        subbundle_report(std, [secs[0], secs[0]])
 
 
 def test_structured_inverse_of_the_compatible_metric(oracle_metrics):
     # Hm is G6 with permuted columns on T and |alpha| on End
     for h in oracle_metrics:
         for alpha in (Scalar.of(3), Scalar.of(Fraction(-2, 7), k=-2)):
-            H = CompatibleMetricH(QFrame(h, alpha))
+            H = CompatibleMetricH(h, alpha)
             assert H.Hm_inv == matrix_inverse(H.Hm)
 
 
-def test_closed_form_inverse_of_the_bismut_iso(oracle_metrics):
-    # transport_dolbeault is P . D . P^-1 with its own closed-form P^-1; for
-    # D = Q e, with Q = matrix_inverse(P) and e a 1-form, it returns
-    # (P^-1) e, which must be Q e
+def _transported_invariant(s):
+    """Reference verdict: P A P^-1 maps each cotangent section P e_{5+k}
+    into the span of the three, with form coefficients, decided by one
+    exact solve per form key of each image."""
+    P, zero = bismut_iso_matrix(s.h), Scalar.zero()
+    span = [row[5:] for row in P]  # 8 x 3
+    images = matmul(_transported(s), span, s.model.zero())
+    for k in range(3):
+        img = [row[k] for row in images]
+        for key in set().union(*(f.terms for f in img)):
+            if solve(span, [f.terms.get(key, zero) for f in img]) is None:
+                return False
+    return True
+
+
+def _stand_ins(oracle_metrics, rng):
+    """Seeded Dolbeault matrices on each oracle metric: dense 1-forms with
+    the block rows 0..4 of columns 5..7 left zero, then the same with one
+    form planted at each position of that block in turn."""
+    alpha, zero = Scalar.of(Fraction(3, 2)), Scalar.zero()
     for h in oracle_metrics:
-        P = bismut_iso_matrix(h)
-        e = h.model.basis_form((0,))
-        D = QOperator(h.model, [[e.scale(x) for x in row]
-                                for row in matrix_inverse(P)])
-        cfg = SimpleNamespace(model=h.model, h=h, bismut_iso=P, dolbeault=D)
-        assert transport_dolbeault(cfg).entries == D.entries
+        m = h.model
+        base = [[random_form(m, rng, 1, nterms=2) if i >= 5 or j < 5
+                 else m.zero() for j in range(QDIM)] for i in range(QDIM)]
+        plants = [None] + [(i, j) for i in range(5) for j in range(5, QDIM)]
+        for plant in plants:
+            D = [list(row) for row in base]
+            if plant is not None:
+                D[plant[0]][plant[1]] = random_form(m, rng, 1, nterms=2)
+            yield SimpleNamespace(
+                model=m, h=h, alpha=alpha, dolbeault=QOperator(m, D),
+                metric_H=CompatibleMetricH(h, alpha),
+                curvature_omega_sq=[[zero] * QDIM for _ in range(QDIM)])
 
 
-def _compressed_trace(s, span):
+def test_holomorphic_invariance_matches_the_transported_check(oracle_metrics):
+    # on every family T* is invariant, and the block read agrees with the
+    # transported operator's per-key membership solves
+    for kind in ("flat", "picard", "deformed", "uncorrected"):
+        s = _family(kind)
+        assert subbundle_report(s)["holomorphic_invariant"]
+        assert _transported_invariant(s)
+    # stand-ins on every oracle metric, where P is not a permutation
+    verdicts = []
+    for s in _stand_ins(oracle_metrics, random.Random(5)):
+        verdicts.append(subbundle_report(s)["holomorphic_invariant"])
+        assert verdicts[-1] == _transported_invariant(s)
+    assert verdicts.count(True) == len(oracle_metrics)
+    assert verdicts.count(False) == 15 * len(oracle_metrics)
+
+
+def _compressed_trace(s, S):
     """Trace of the k x k compression (S^dagger H S)^-1 S^dagger H F S."""
-    zero = Scalar.zero()
-    S = [[sec.coeffs[a] for sec in span] for a in range(QDIM)]
-    SdH = matmul([[c.conjugate() for c in sec.coeffs] for sec in span],
+    zero, k = Scalar.zero(), len(S[0])
+    SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)],
                  s.metric_H.Hm, zero)
     ShS_inv = matrix_inverse(matmul(SdH, S, zero))
     SdHFS = sandwich(SdH, s.connection_curvature.entries, S, s.model.zero())
     trace = s.model.zero()
-    for i in range(len(span)):
-        for j in range(len(span)):
+    for i in range(k):
+        for j in range(k):
             trace = trace + SdHFS[j][i].scale(ShS_inv[i][j])
     return trace
 
@@ -179,25 +200,25 @@ def test_slope_is_the_trace_of_the_compression():
     # every HE family has F ^ omega^2 = 0 entry by entry, so its slopes are
     # 0; the uncorrected deformed family's are not
     s = _family("uncorrected")
-    P = s.bismut_iso
-    cotangent = [QSection(s.model, [P[a][5 + k] for a in range(QDIM)])
-                 for k in range(3)]
-    # Z_1 + Z_2', Z_2 + 2 Z_1', Z_3: at a deformed metric its projector is
-    # not symmetric, so a transposed projector gives another slope
-    tangent = [QSection(s.model, row) for row in
-               ([1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
-                [0, 0, 1, 0, 0, 0, 0, 0])]
+    cotangent = [row[5:] for row in bismut_iso_matrix(s.h)]
+    # columns Z_1 + Z_2', Z_2 + 2 Z_1', Z_3: at a deformed metric its
+    # projector is not symmetric, so a transposed projector gives another
+    # slope
+    tangent = [[Scalar.of(x) for x in row] for row in zip(
+        [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0])]
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     slopes = []
-    for span in (cotangent, tangent):
+    for S in (cotangent, tangent):
         # (i/2pi) integral of the compressed trace ^ omega^2, over the rank
-        c1 = _compressed_trace(s, span).scale(i_2pi)
+        c1 = _compressed_trace(s, S).scale(i_2pi)
         expect = s.h.integrate(c1.wedge(s.h.omega_sq)) \
-            * Scalar.of(Fraction(1, len(span)))
-        slopes.append(subbundle_report(s, span)["slope"])
+            * Scalar.of(Fraction(1, len(S[0])))
+        slopes.append(_span_slope(s, S))
         assert slopes[-1] == expect
         assert not expect.is_zero()
     assert slopes[0] == Scalar.pi(-1, Fraction(-2480, 15123))
+    assert subbundle_report(s)["slope"] == slopes[0]
 
 
 @pytest.mark.parametrize("kind", ["flat", "picard", "deformed", "uncorrected"])

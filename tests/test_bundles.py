@@ -90,7 +90,7 @@ def test_ch2_constraint(model, h0):
 
 def test_cohclass_validation(model, h0):
     with pytest.raises(ValueError):
-        CohClass(model.basis_form((2,)), flavor="deRham")  # d w3 != 0
+        CohClass(model.basis_form((2,)))  # d w3 != 0
     with pytest.raises(ValueError):
         CohClass(model.zero(), flavor="hodge")
     c = CohClass(h0.omega.wedge(h0.omega), flavor="aeppli")
@@ -114,3 +114,10 @@ def test_volume_form_validation(model, h0):
                      triple1=LineBundleTriple(1, 1, 0, role="V1"),
                      F0=model.zero(), F1=model.zero(),
                      alpha=Scalar.one(), Omega=model.basis_form((2, 4, 5)))
+
+
+@pytest.mark.parametrize("alpha", [Scalar.zero(), Scalar.of(1, 1)])
+def test_coupling_must_be_real_and_nonzero(model, h0, Omega, alpha):
+    # refused when the family is built, before any Q-bundle object is
+    with pytest.raises(ValueError, match="real and nonzero"):
+        make_params(model, h0, Omega, (1, 0, 0), (1, 1, 0), alpha=alpha)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import QDIM, QFrame, connection_DG, curvature
+from hslab.algebroid import QDIM, connection_DG, curvature
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             moment_residuals, harmonic_residual,
                             harmonic_criteria, harmonic_vs_moment_gap,
@@ -37,7 +37,7 @@ def std(model, h0, Omega):
 
 
 def _metric(std):
-    return CompatibleMetricH(QFrame(std.h, std.alpha))
+    return CompatibleMetricH(std.h, std.alpha)
 
 
 def test_unitary_decomposition(model, h0, Omega, rng):
@@ -143,7 +143,8 @@ def test_moment_residuals_on_solution(std):
 
 
 def _moment_digest(I, J, K):
-    text = json.dumps([I.dump(), [[str(x) for x in r] for r in J],
+    text = json.dumps([[[a.literal() for a in r] for r in I.entries],
+                       [[str(x) for x in r] for r in J],
                        [[str(x) for x in r] for r in K]])
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -184,8 +184,8 @@ def test_family_context_is_built_once(monkeypatch):
     import hslab.algebroid as algebroid
     counted = ("connection_DG", "curvature", "curvature_wedge_omega_sq",
                "dolbeault_Q")
-    calls = dict.fromkeys(counted + ("QFrame",), 0)
-    frame_init = algebroid.QFrame.__init__
+    calls = dict.fromkeys(counted + ("CompatibleMetricH",), 0)
+    metric_init = harmonic.CompatibleMetricH.__init__
 
     def counting(name, original):
         def counted_call(*args, **kwargs):
@@ -193,18 +193,19 @@ def test_family_context_is_built_once(monkeypatch):
             return original(*args, **kwargs)
         return counted_call
 
-    def counted_frame_init(self, h, alpha):
-        calls["QFrame"] += 1
-        frame_init(self, h, alpha)
+    def counted_metric_init(self, h, alpha):
+        calls["CompatibleMetricH"] += 1
+        metric_init(self, h, alpha)
 
-    # every module binding of the counted functions, and every QFrame however
-    # reached
+    # every module binding of the counted functions, and every compatible
+    # metric however reached
     for name in counted:
         original = getattr(algebroid, name)
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("hslab") and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counting(name, original))
-    monkeypatch.setattr(algebroid.QFrame, "__init__", counted_frame_init)
+    monkeypatch.setattr(harmonic.CompatibleMetricH, "__init__",
+                        counted_metric_init)
     # one adjoint: the Chern split is read off the unitary one
     calls["adjoint"] = 0
     monkeypatch.setattr(harmonic.CompatibleMetricH, "adjoint",
@@ -215,11 +216,11 @@ def test_family_context_is_built_once(monkeypatch):
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
     # every verifier reads the one connection, F ^ omega^2, Dolbeault
-    # operator and frame of the family
+    # operator and compatible metric of the family
     verify_family(cand)
     assert calls == once
     s = cand.params
-    for name in ("frame", "metric_H", "connection", "curvature_omega_sq",
+    for name in ("metric_H", "connection", "curvature_omega_sq",
                  "dolbeault", "unitary_split", "chern_split"):
         assert getattr(s, name) is getattr(s, name)
     assert calls == once

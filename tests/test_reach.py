@@ -24,8 +24,6 @@ import hslab
 SRC = os.path.dirname(os.path.abspath(hslab.__file__))
 
 LIBRARY_ONLY = {
-    "algebroid.QOperator.dump":
-        "golden format of the pinned moment-residual digest (test_harmonic)",
     "bundles.LineBundleTriple.hermitian_matrix":
         "test oracle: the coefficient matrix behind curvature_from_triple",
     "bundles.hermitian_curvature":
