@@ -13,7 +13,8 @@ from .algebroid import (QOperator, pairing_matrix, connection_DG, curvature,
                         bismut_iso_matrix, subbundle_report)
 from .harmonic import (CompatibleMetricH, decompose_unitary,
                        moment_residuals, harmonic_residual, harmonic_criteria,
-                       higgs_dbar_entry, higgs_equation_residuals)
+                       higgs_dbar_entry, higgs_obstruction_entry,
+                       higgs_equation_residuals)
 from .iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                       FamilyConfig, SolutionCandidate, make_family,
                       VerificationReport, verify_family, iter_sweep)

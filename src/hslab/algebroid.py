@@ -23,15 +23,16 @@ in the extension frame, where T* is the span of e_5..e_7 (subbundle_report).
 The verifiers here take a SystemParams and read its per-family objects,
 each built once: metric_H, connection (D^G), curvature_omega_sq and
 dolbeault (the Dolbeault operator in the extension frame).  pairing_matrix
-is the C-bilinear pairing of a metric and coupling.  A QOperator's wedge is
-a hermitian.matmul product, whose entries multiply with * (forms by wedge,
-a form and a Scalar by scaling).
+is the C-bilinear pairing of a metric and coupling.
 
-The HE residual and the slope read the curvature F of D^G only through
-F ^ omega^2, a multiple of the volume (Luebke & Teleman, The
-Kobayashi-Hitchin Correspondence, 1995, 1.1), whose coefficients
-curvature_wedge_omega_sq takes from the connection's scalar coefficients:
-the verify path builds no curvature 2-form.
+A 1-form-valued operator A = sum_a A^a e_a is a QOperator, six Scalar
+matrices A^a, filled from coefficients and combined component by
+component; only witnesses, the 2-form identities (curvature, through
+hermitian.matmul) and tests read its entries as 1-forms.  Every top-degree
+residual reads through one pairing, wedge_omega_sq_top: the HE residual
+and the slope read the curvature of D^G only through F ^ omega^2 (Luebke &
+Teleman, The Kobayashi-Hitchin Correspondence, 1995, 1.1), so the verify
+path builds no curvature 2-form.
 """
 
 from __future__ import annotations
@@ -45,58 +46,135 @@ from .hermitian import matmul, matrix_inverse, sandwich
 QDIM = 8
 
 
+def _zeros():
+    return [[Scalar.zero()] * QDIM for _ in range(QDIM)]
+
+
+def matrix_is_zero(rows):
+    return all(x.is_zero() for row in rows for x in row)
+
+
+def _sparse(M):
+    """The nonzero entries {(i, j): M[i][j]} of a Scalar matrix."""
+    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
+            if not v.is_zero()}
+
+
+def _dense(m):
+    """The 8x8 Scalar matrix of a sparse one."""
+    out = _zeros()
+    for (i, j), v in m.items():
+        out[i][j] = v
+    return out
+
+
+def _nonzero(m):
+    return {k: v for k, v in m.items() if not v.is_zero()}
+
+
+def _plus(x, y):
+    """x + y of two sparse matrices (a sum may leave a zero entry)."""
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def _combination(coeffs, mats):
+    """sum_a coeffs[a] M^a of sparse matrices, skipping zero coefficients."""
+    out = {}
+    for c, m in zip(coeffs, mats):
+        if m and not c.is_zero():
+            for k, v in m.items():
+                out[k] = out[k] + c * v if k in out else c * v
+    return _nonzero(out)
+
+
+def _product_sum(pairs):
+    """sum X . Y over the pairs (X, Y) of sparse matrices, as a sparse matrix:
+    each nonzero X_il meets the nonzero entries of row l of Y."""
+    out = {}
+    for X, Y in pairs:
+        rows = {}
+        for (l, j), y in Y.items():
+            rows.setdefault(l, []).append((j, y))
+        for (i, l), x in X.items():
+            for j, y in rows.get(l, ()):
+                k, v = (i, j), x * y
+                out[k] = out[k] + v if k in out else v
+    return _nonzero(out)
+
+
 class QOperator:
-    """8x8 matrix of invariant forms acting on the frame of Q."""
+    """A 1-form-valued operator A = sum_a A^a e_a on Q: six Scalar matrices.
 
-    __slots__ = ("model", "entries")
+    comps[a] is the 8x8 matrix A^a = A(Z_a), held sparse as its nonzero
+    entries {(i, j): A^a_ij} (empty for a zero component), so every
+    operation visits only nonzero entries.
+    """
 
-    def __init__(self, model, entries=None):
+    __slots__ = ("model", "comps")
+
+    def __init__(self, model, comps):
         self.model = model
-        if entries is None:
-            z = model.zero()
-            entries = [[z for _ in range(QDIM)] for _ in range(QDIM)]
-        self.entries = entries
+        self.comps = [_nonzero(m) for m in comps]
 
     def __add__(self, other):
-        return QOperator(self.model,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+        return QOperator(self.model, [_plus(x, y) for x, y in
+                                      zip(self.comps, other.comps)])
 
     def __neg__(self):
-        return QOperator(self.model, [[-a for a in row] for row in self.entries])
+        return QOperator(self.model, [{k: -v for k, v in m.items()}
+                                      for m in self.comps])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
-        return QOperator(self.model, [[a.scale(s) for a in row] for row in self.entries])
-
-    def wedge(self, other):
-        """Matrix product with entrywise wedge: (A ^ B)_ij = sum_k A_ik ^ B_kj."""
-        return QOperator(self.model, matmul(self.entries, other.entries,
-                                            self.model.zero()))
-
-    def d(self):
-        return QOperator(self.model, [[a.d() for a in row] for row in self.entries])
+        return QOperator(self.model, [{k: v * s for k, v in m.items()}
+                                      for m in self.comps])
 
     def part(self, p, q):
-        return QOperator(self.model, [[a.part(p, q) for a in row] for row in self.entries])
-
-    def map_entries(self, fn):
-        return QOperator(self.model, [[fn(a) for a in row] for row in self.entries])
+        """The (1,0) components (e_a, a < n) or the (0,1) ones (a >= n)."""
+        n = self.model.n
+        return QOperator(self.model, [m if (p, q) == (int(a < n), int(a >= n))
+                                      else {} for a, m in enumerate(self.comps)])
 
     def value_at(self, vector):
-        """Scalar 8x8 matrix of a 1-form-valued operator evaluated on a vector."""
-        z = Scalar.zero()
-        return [[z if a.is_zero() else a.contract(vector).terms.get((), z)
-                 for a in row] for row in self.entries]
+        """sum_a v^a A^a, the Scalar matrix of A on the vector v."""
+        return _dense(_combination(vector.coeffs, self.comps))
 
-    def is_zero(self):
-        return all(a.is_zero() for row in self.entries for a in row)
+    def restricted(self, rows, cols):
+        """The operator with its entries outside rows x cols set to zero."""
+        return QOperator(self.model, [
+            {k: v for k, v in m.items() if k[0] in rows and k[1] in cols}
+            for m in self.comps])
 
-    def __repr__(self):
-        nz = sum(1 for row in self.entries for a in row if not a.is_zero())
-        return "QOperator(%d nonzero entries)" % nz
+    def form(self, i, j):
+        """The 1-form sum_a A^a_ij e_a at entry (i, j)."""
+        return InvariantForm(self.model, {(a,): m[(i, j)] for a, m in
+                                          enumerate(self.comps) if (i, j) in m})
+
+    def forms(self):
+        """The 8x8 matrix of 1-forms, for matmul and the 2-form identities."""
+        return [[self.form(i, j) for j in range(QDIM)] for i in range(QDIM)]
+
+
+def wedge_omega_sq_top(h, L, pairs):
+    """8x8 Scalars c with (dL + sum X ^ Y) ^ omega^2 = c e_top, over the
+    (X, Y) in pairs.
+
+    c = sum_a lam_a L^a + sum_ab W[a][b] X^a Y^b, W = h.omega_sq_table and
+    lam = h.omega_sq_lambda (zero on the Iwasawa model, but computed): the
+    products X^a V^a, V^a = sum_b W[a][b] Y^b.  W is zero off the mixed
+    pairs, so only the (1,1) part of X ^ Y counts.
+    """
+    products = []
+    for X, Y in pairs:
+        products += zip(X.comps, [_combination(row, Y.comps)
+                                  for row in h.omega_sq_table])
+    return _dense(_plus(_product_sum(products),
+                        _combination(h.omega_sq_lambda, L.comps)))
 
 
 def _with_end(block, e0, e1):
@@ -112,123 +190,75 @@ def pairing_matrix(h, alpha):
 
 
 def connection_DG(s):
-    """The orthogonal connection of the solution, as a 1-form-valued matrix.
+    """The orthogonal connection of the solution, as a QOperator.
 
-    Blocks: Bismut connection on T (x) C, curvature contractions coupling T
-    with the End directions weighted by alpha, and flat End diagonals (the
+    Component c, on Z_c: the Bismut coefficients A^c_ab = Gamma^a_{cb} on
+    T (x) C, the columns -alpha g^{-1} F0(., Z_c) and alpha g^{-1} F1(., Z_c)
+    coupling T to the End directions, and the End rows F_j(., Z_c) (the
     Chern connections are trivial in the invariant unitary frame).
     """
-    model, h, z = s.model, s.h, s.model.zero()
-    # T block: the metric's Bismut 1-forms, sum_c Gamma^a_{cb} w^c
-    E = [row + [z, z] for row in h.bismut_forms] + [[z] * QDIM, [z] * QDIM]
-    # iF[b] = (i_{Z_b} F0, i_{Z_b} F1)
-    iF = [[F.contract(model.basis_vector(b)) for F in (s.F0, s.F1)]
-          for b in range(6)]
-    cols = matmul(h.Ginv6, iF, model.zero())
-    for a in range(6):
-        # T <- End columns: g^{-1} alpha tr(i_V F0 .) and -g^{-1} alpha tr(i_V F1 .)
-        E[a][6] = cols[a][0].scale(-s.alpha)
-        E[a][7] = cols[a][1].scale(s.alpha)
-        # End <- T rows: -F_j(V, .)
-        E[6][a], E[7][a] = iF[a]
-    return QOperator(model, E)
+    h = s.h
+    gamma, G = h.bismut.gamma, _sparse(h.Ginv6)
+    comps = [{(a, b): gamma[c][b][a] for a in range(6) for b in range(6)}
+             for c in range(6)]
+    for e, F, r in ((6, s.F0, -s.alpha), (7, s.F1, s.alpha)):
+        Fv = _sparse(h.form_values(F))  # F(Z_b, Z_c)
+        for (a, c), v in _product_sum([(G, Fv)]).items():
+            comps[c][a, e] = v * r
+        for (b, c), v in Fv.items():
+            comps[c][e, b] = v
+    return QOperator(s.model, comps)
 
 
 def curvature(A):
-    """F = dA + A ^ A of a connection matrix."""
-    return A.d() + A.wedge(A)
-
-
-def curvature_wedge_omega_sq(s):
-    """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F the curvature of D^G.
-
-    With A_ij = sum_a A^a_ij e_a and W = h.omega_sq_table, F = dA + A ^ A
-    gives c_ij = sum_k sum_a A^a_ik V^a_kj: V^a_kj = sum_b W[a][b] A^b_kj,
-    plus lam_a = (d e_a ^ omega^2)_top, read through W, when k = j (lam is
-    zero on Iwasawa, but computed).  No curvature 2-form is built.
-    """
-    model, W, zero = s.model, s.h.omega_sq_table, Scalar.zero()
-    lams = ((a, sum((v * W[b][c] for (b, c), v in da.terms.items()), zero))
-            for a, da in enumerate(model.diff))
-    lam = {a: x for a, x in lams if not x.is_zero()}
-    cols = [[(a, w[b]) for a, w in enumerate(W) if not w[b].is_zero()]
-            for b in range(model.dim)]
-    V = [[] for _ in range(QDIM)]  # V[k]: (j, {a: V^a_kj}) for V_kj != 0
-    for k, row in enumerate(s.connection.entries):
-        for j, e in enumerate(row):
-            acc = dict(lam) if k == j else {}
-            for (b,), v in e.terms.items():
-                for a, w in cols[b]:
-                    acc[a] = acc[a] + w * v if a in acc else w * v
-            if acc:
-                V[k].append((j, acc))
-    c = [[zero] * QDIM for _ in range(QDIM)]
-    for out, row in zip(c, s.connection.entries):
-        for e, Vk in zip(row, V):
-            for (a,), u in e.terms.items():
-                for j, acc in Vk:
-                    if a in acc:
-                        out[j] = out[j] + u * acc[a]
-    return c
+    """F = dA + A ^ A of a connection, as an 8x8 list of 2-forms."""
+    E = A.forms()
+    return [[e.d() + x for e, x in zip(r1, r2)]
+            for r1, r2 in zip(E, matmul(E, E, A.model.zero()))]
 
 
 def he_residual_G(s):
-    """F_{D^G} ^ omega^2 = c e_top (c = s.curvature_omega_sq); zero on solutions."""
+    """F_{D^G} ^ omega^2 = c e_top (c = s.curvature_omega_sq), as 8x8 top
+    forms; zero on solutions."""
     top = s.model.top_index()
-    return QOperator(s.model, [[InvariantForm(s.model, {top: x}) for x in row]
-                               for row in s.curvature_omega_sq])
-
-
-def _split_components(model, X):
-    """(1,1)-form X -> list of 3 (0,1)-forms: X = sum_j w_j ^ (-component_j)."""
-    Z = [model.basis_vector(j) for j in range(3)]
-    return [-X.contract(Z[j]) for j in range(3)]
+    return [[InvariantForm(s.model, {top: x}) for x in row]
+            for row in s.curvature_omega_sq]
 
 
 def dolbeault_Q(cfg):
-    """Dolbeault operator of Q in the extension frame, as a (0,1)-matrix.
+    """Dolbeault operator of Q in the extension frame, as a (0,1)-QOperator.
 
-    cfg is a SystemParams; the cotangent coupling is 2i partial(omega).
-    The returned matrix is the connection part; the coframe itself is
-    holomorphic, so this is the whole operator on invariant sections.
-    Verifiers read it as cfg.dolbeault, built once per family.
+    Component c: column V_j holds F_k(Z_j, Z_c) in the End rows and
+    T(Z_j, Z_l, Z_c), T = 2i partial(omega), in cotangent row l; the End
+    columns hold the pairing 2<F^{1,1}, r>, 2 alpha F0(Z_l, Z_c) and
+    -2 alpha F1(Z_l, Z_c).  The coframe is holomorphic, so this is the whole
+    operator on invariant sections.  Verifiers read it as cfg.dolbeault.
     """
-    model = cfg.model
-    two_i_del = cfg.h.omega.partial().scale(Scalar.of(0, 2))
-    Z = [model.basis_vector(j) for j in range(3)]
-    A = QOperator(model)
-    E = A.entries
-    for j in range(3):
-        # column V_j
-        E[3][j] = cfg.F0.contract(Z[j])
-        E[4][j] = cfg.F1.contract(Z[j])
-        X = -two_i_del.contract(Z[j])
-        for l, comp in enumerate(_split_components(model, X)):
-            E[5 + l][j] = comp
-    # columns r0, r1: 2<F^{1,1}, r> with pairing (-alpha, +alpha)
-    for l, comp in enumerate(_split_components(model, cfg.F0.scale(Scalar.of(-2) * cfg.alpha))):
-        E[5 + l][3] = comp
-    for l, comp in enumerate(_split_components(model, cfg.F1.scale(Scalar.of(2) * cfg.alpha))):
-        E[5 + l][4] = comp
-    return A
+    n = cfg.model.n
+    T = cfg.h.omega.partial().scale(Scalar.of(0, 2))
+    comps = [{(5 + l, j): T.at(j, l, c) for j in range(n) for l in range(n)}
+             for c in range(2 * n)]
+    for e, F, r in ((3, cfg.F0, Scalar.of(2) * cfg.alpha),
+                    (4, cfg.F1, Scalar.of(-2) * cfg.alpha)):
+        for (j, c), v in _sparse(cfg.h.form_values(F)).items():
+            if j < n:
+                comps[c][e, j], comps[c][5 + j, e] = v, v * r
+    return QOperator(cfg.model, comps)
 
 
 def extension_class_gamma(cfg):
-    """The Hom(A_P, T*)-valued extension-class block of the Dolbeault operator.
-
-    Zero iff the extension splits at the invariant level (flat bundles and
-    partial(omega) = 0).
+    """The Hom(A_P, T*)-valued extension-class block of the Dolbeault
+    operator (rows 5..7 of columns 0..4) as 8x8 1-forms: zero iff the
+    extension splits at the invariant level (flat bundles, partial(omega) = 0).
     """
-    z = cfg.model.zero()
-    return QOperator(cfg.model, [[e if i >= 5 and j < 5 else z
-                                  for j, e in enumerate(row)]
-                                 for i, row in enumerate(cfg.dolbeault.entries)])
+    D, z = cfg.dolbeault, cfg.model.zero()
+    return [[D.form(i, j) if i >= 5 and j < 5 else z for j in range(QDIM)]
+            for i in range(QDIM)]
 
 
 def bismut_iso_matrix(h):
     """Scalar matrix of the isomorphism extension frame -> complexified frame."""
-    z, half = Scalar.zero(), Scalar.of(Fraction(1, 2))
-    P = [[z] * QDIM for _ in range(QDIM)]
+    half, P = Scalar.of(Fraction(1, 2)), _zeros()
     for i, j in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4)):
         P[i][j] = Scalar.one()
     # xi_k = w_k maps to -(1/2) g^{-1} w_k
@@ -260,8 +290,8 @@ def subbundle_report(s):
                     pairing_matrix(s.h, s.alpha), S, Scalar.zero())
     return {
         "isotropic": all(x.is_zero() for row in gram for x in row),
-        "holomorphic_invariant": all(e.is_zero() for row in
-                                     s.dolbeault.entries[:5] for e in row[5:]),
+        "holomorphic_invariant": not any(i < 5 <= j for m in s.dolbeault.comps
+                                         for i, j in m),
         "slope": _span_slope(s, S),
     }
 

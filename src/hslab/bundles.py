@@ -15,10 +15,11 @@ its compatible metric H, connection D^G, F_{D^G} ^ omega^2, the Dolbeault
 operator of Q and the unitary (B, Psi) and Chern (C, phi) splittings of
 D^G are built on first use and kept, so every verifier of one family reads
 the same objects; the Chern split is read off the unitary one,
-phi = 2 Psi^{1,0}.  Only the selftest and tests build the curvature
-2-forms.  The dataclass is frozen, which keeps them valid, and none of
-them refers back to the family.  The coupling alpha is checked once, at
-construction: it must be real and nonzero.
+phi = 2 Psi^{1,0}.  F_{D^G} ^ omega^2 is read off the connection's
+components; only the selftest and tests build the curvature 2-forms.  The
+dataclass is frozen, which keeps them valid, and none of them refers back
+to the family.  The coupling alpha is checked once, at construction: a
+nonzero real monomial q pi^k, whose sign is decided exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from functools import cached_property
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import solve
-from .algebroid import (connection_DG, curvature, curvature_wedge_omega_sq,
-                        dolbeault_Q)
+from .algebroid import (connection_DG, curvature, dolbeault_Q,
+                        wedge_omega_sq_top)
 from .harmonic import CompatibleMetricH, decompose_unitary
 
 
@@ -46,12 +47,6 @@ class LineBundleTriple:
         if (self.m, self.n, self.p) == (0, 0, 0):
             raise ValueError("line bundle triple must be nonzero")
 
-    def hermitian_matrix(self):
-        """The 2x2 Hermitian coefficient matrix M with F = pi sum M_{jk'} w_{jk'}."""
-        m, n, p = self.m, self.n, self.p
-        return [[Scalar.of(m), Scalar.of(n, p)],
-                [Scalar.of(n, -p), Scalar.of(-m)]]
-
 
 def curvature_from_triple(model, triple):
     """Invariant curvature form of the line bundle L(m,n,p)."""
@@ -61,15 +56,6 @@ def curvature_from_triple(model, triple):
         + (B((0, 4)) + B((1, 3))).scale(n) \
         + (B((0, 4)) - B((1, 3))).scale(Scalar.of(0, p))
     return f.scale(Scalar.pi())
-
-
-def hermitian_curvature(model, M):
-    """Curvature pi sum_{jk} M_{jk'} w_j ^ w_{k'} of a 2x2 Hermitian matrix."""
-    out = model.zero()
-    for j in range(2):
-        for k in range(2):
-            out = out + model.basis_form((j, k + 3), M[j][k])
-    return out.scale(Scalar.pi())
 
 
 class CohClass:
@@ -167,8 +153,10 @@ class SystemParams:
     Omega: InvariantForm
 
     def __post_init__(self):
-        if self.alpha.is_zero() or not self.alpha.is_real():
-            raise ValueError("coupling constant must be real and nonzero")
+        a = self.alpha  # the metric needs its sign, exact on monomials only
+        if a.is_zero() or not (a.is_real() and a.is_monomial()):
+            raise ValueError("coupling constant must be real and nonzero, "
+                             "a monomial q pi^k: got %s" % a)
         if not self.Omega.d().is_zero():
             raise ValueError("holomorphic volume form must be closed")
         for pq in self.Omega.bigrade():
@@ -185,13 +173,15 @@ class SystemParams:
 
     @cached_property
     def connection_curvature(self):
-        """F = dA + A ^ A of the connection D^G."""
+        """F = dA + A ^ A of the connection D^G, an 8x8 list of 2-forms."""
         return curvature(self.connection)
 
     @cached_property
     def curvature_omega_sq(self):
-        """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F as above."""
-        return curvature_wedge_omega_sq(self)
+        """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F as above, read
+        off the connection's components (the pairing with L = X = Y = A)."""
+        A = self.connection
+        return wedge_omega_sq_top(self.h, A, [(A, A)])
 
     @cached_property
     def dolbeault(self):
@@ -207,8 +197,9 @@ class SystemParams:
     def chern_split(self):
         """(C, phi) = (D^G - phi, 2 Psi^{1,0}), with Psi from unitary_split.
 
-        The adjoint conjugates form entries, so (A^{*H})^{1,0} = (A^{0,1})^{*H}:
-        no second adjoint, and C = A^{0,1} - (A^{0,1})^{*H} is unitary.
+        The adjoint conjugates the form directions, so (A^{*H})^{1,0} =
+        (A^{0,1})^{*H}: no second adjoint, and C = A^{0,1} - (A^{0,1})^{*H}
+        is unitary.
         """
         phi = self.unitary_split[1].part(1, 0).scale(Scalar.of(2))
         return self.connection - phi, phi

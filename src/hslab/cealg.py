@@ -136,11 +136,6 @@ class NilmanifoldModel:
             s = -s
         return InvariantForm(self, {idx: s})
 
-    def basis_vector(self, a):
-        coeffs = [Scalar.zero()] * self.dim
-        coeffs[a] = Scalar.one()
-        return InvariantVector(self, coeffs)
-
     def top_index(self):
         return tuple(range(self.dim))
 
@@ -346,19 +341,10 @@ class InvariantForm:
         out.terms = t
         return out
 
-    def apply(self, *vectors):
-        """Evaluate a k-form on k vectors: a(v1, .., vk) as a Scalar."""
-        f = self
-        for v in vectors:
-            f = f.contract(v)
-        if f.is_zero():
-            return Scalar.zero()
-        return f.terms.get((), Scalar.zero())
-
     def at(self, *indices):
         """a(Z_i1, .., Z_ik) on frame vectors, as one signed coefficient lookup.
 
-        Equals apply(basis_vector(i1), .., basis_vector(ik)): the permutation
+        Equals the contractions by Z_i1, .., Z_ik in turn: the permutation
         sign of the indices times the coefficient of their sorted tuple, and
         zero when an index repeats.
         """
@@ -415,9 +401,6 @@ class InvariantVector:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
 
     def __repr__(self):
         body = ", ".join("%s Z(%s)" % (c, self.model.labels[a])

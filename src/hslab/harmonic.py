@@ -8,8 +8,13 @@ Chern-type connection plus a (1,0)-form field, A = C + phi = C + 2 Psi^{1,0}.
 The three moment-map residuals I, J, K and the harmonicity residual are
 computed exactly; the closed-form criteria (the pairing of one curvature
 against the torsion coclosure, plus the coupled frame contraction of the
-two curvatures) are exposed for cross-checks.  dbar_Q phi is computed
-entry by entry (higgs_dbar_entry), so a caller builds only what it reads.
+two curvatures) are exposed for cross-checks.
+
+The adjoint, the splittings and the contraction with a vector act on the
+components of QOperators.  The top-degree residuals (I, the gap's star
+term, dbar_Q phi ^ omega^2) read through the pairing wedge_omega_sq_top;
+the Higgs obstruction is read entry by entry (higgs_obstruction_entry), and
+only the dbar_phi_23 witness builds a 2-form (higgs_dbar_entry).
 
 Every residual reads its SystemParams' per-family objects (metric,
 connection, splittings), each built once per family, and the metric's
@@ -19,8 +24,8 @@ alone, so moment_residuals builds I and J only when they are first looked
 up.
 
 K and J both go through nabla_H_star, the codifferential of nabla^H.  It
-contracts with the inverse metric, sums the commutators as two stacked
-matrix products and adds the contracted Levi-Civita trace (the metric's
+contracts with the inverse metric, sums the commutators as sparse products
+of components and adds the contracted Levi-Civita trace (the metric's
 lc_trace) as one term, computed rather than assumed to be zero.
 """
 
@@ -30,8 +35,9 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import matmul, sandwich
-from .algebroid import QDIM, QOperator, _with_end
+from .hermitian import matmul
+from .algebroid import (QDIM, QOperator, _combination, _dense, _plus,
+                        _product_sum, _sparse, _with_end, wedge_omega_sq_top)
 
 
 class CompatibleMetricH:
@@ -51,15 +57,20 @@ class CompatibleMetricH:
         self.Hm_inv = _with_end([Ginv6[(a + 3) % 6] for a in range(6)], inv, inv)
 
     def adjoint(self, A: QOperator) -> QOperator:
-        """A^{*H} on form-valued matrices.
+        """A^{*H}: component a is Hm_inv . conj(A^{sigma(a)})^T . Hm.
 
-        Conjugation acts on the matrix entries and on the form directions
-        (generator indices swap with their conjugates), then the result is
-        transposed and sandwiched by the metric.
+        Conjugation maps e_a to e_{sigma(a)}, sigma swapping an index with
+        its conjugate, so the conjugate of A = sum_a A^a e_a has component
+        a equal to conj(A^{sigma(a)}); it is then transposed and sandwiched
+        by the metric.
         """
-        conj_t = [[e.conjugate() for e in col] for col in zip(*A.entries)]
-        return QOperator(self.model,
-                         sandwich(self.Hm_inv, conj_t, self.Hm, self.model.zero()))
+        n, left, right = self.model.n, _sparse(self.Hm_inv), _sparse(self.Hm)
+        comps = []
+        for a in range(2 * n):
+            conj_t = {(j, i): x.conjugate()
+                      for (i, j), x in A.comps[(a + n) % (2 * n)].items()}
+            comps.append(_product_sum([(_product_sum([(left, conj_t)]), right)]))
+        return QOperator(self.model, comps)
 
 
 def decompose_unitary(A: QOperator, H: CompatibleMetricH):
@@ -76,64 +87,34 @@ def _j_vector(model, vec):
                                    for a, c in enumerate(vec.coeffs)])
 
 
-def _accumulate(out, M, c):
-    """out += c * M, touching only the nonzero entries of M."""
-    for orow, mrow in zip(out, M):
-        for j, v in enumerate(mrow):
-            if not v.is_zero():
-                orow[j] = orow[j] + c * v
-
-
-def _frame_values(A: QOperator, a):
-    """A.value_at(Z_a) for a 1-form-valued operator: each entry's Z_a coefficient."""
-    zero = Scalar.zero()
-    return [[e.terms.get((a,), zero) for e in row] for row in A.entries]
-
-
 def nabla_H_star(s, B: QOperator, T: QOperator):
     """Codifferential of a 1-form-valued endomorphism T for nabla^H = d + B.
 
-    Returns the scalar matrix -sum_{ab} Ginv[a][b] ([B(Z_a), T(Z_b)]
-    - Gamma^c_{ab} T(Z_c)) with Gamma the Levi-Civita coefficients,
-    contracted before any commutator is taken:
+    Returns the scalar matrix -sum_{ab} Ginv[a][b] ([B^a, T^b]
+    - Gamma^c_{ab} T^c) with Gamma the Levi-Civita coefficients and B^a =
+    B(Z_a), T^b = T(Z_b) the components, contracted before any commutator
+    is taken:
 
-        sum_a [B(Z_a), S_a] + sum_c g^c T(Z_c),
-        S_a = -sum_b Ginv[a][b] T(Z_b),  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
+        sum_a [V^a, B^a] + sum_c g^c T^c,
+        V^a = sum_b Ginv[a][b] T^b,  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
 
-    The six commutators are two stacked products, [B_0|..|B_5] . [S_0;..;S_5]
-    - [S_0|..|S_5] . [B_0;..;B_5], with B_a = B(Z_a).  The trace g^c
-    (h.lc_trace, built with the metric) is tr ad_{Z_c}, zero on a
-    unimodular (e.g. nilpotent) algebra (Milnor, Adv. Math. 21, 1976), so
-    on the Iwasawa model the second sum adds nothing; it is still computed,
-    not assumed, so any NilmanifoldModel whose algebra is not unimodular
-    gets the full codifferential.
+    The commutators are one sum of sparse products, V^a B^a and B^a (-V^a).
+    The trace g^c (h.lc_trace, built with the metric) is tr ad_{Z_c}, zero
+    on a unimodular (e.g. nilpotent) algebra (Milnor, Adv. Math. 21, 1976),
+    so on the Iwasawa model the second sum adds nothing; it is still
+    computed, not assumed, so any NilmanifoldModel whose algebra is not
+    unimodular gets the full codifferential.
     """
-    zero = Scalar.zero()
-    Tv = [_frame_values(T, a) for a in range(6)]
-    Bv = [_frame_values(B, a) for a in range(6)]
-    # the nonzero entries (b, Ginv[a][b]) of each row a
-    rows = [[(b, g) for b, g in enumerate(grow) if not g.is_zero()]
-            for grow in s.h.Ginv6]
-    S = [[[zero] * QDIM for _ in range(QDIM)] for _ in rows]
-    for S_a, row in zip(S, rows):
-        for b, g in row:
-            _accumulate(S_a, Tv[b], -g)
-    out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(
-        matmul([sum(rs, []) for rs in zip(*Bv)], sum(S, []), zero),
-        matmul([sum(rs, []) for rs in zip(*S)], sum(Bv, []), zero))]
-    for c, trace in enumerate(s.h.lc_trace):
-        if not trace.is_zero():
-            _accumulate(out, Tv[c], trace)
-    return out
+    V = [_combination(row, T.comps) for row in s.h.Ginv6]
+    neg_V = [{k: -v for k, v in m.items()} for m in V]
+    return _dense(_plus(_product_sum([*zip(V, B.comps), *zip(B.comps, neg_V)]),
+                        _combination(s.h.lc_trace, T.comps)))
 
 
-def _add_matrices(a, b, sign=1):
-    s = Scalar.of(sign)
-    return [[x + s * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def matrix_is_zero(rows):
-    return all(x.is_zero() for row in rows for x in row)
+def _add_matrices(a, b, c=Scalar.one()):
+    """a + c b of 8x8 Scalar matrices, skipping the zero entries of b."""
+    return [[x if y.is_zero() else x + c * y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(a, b)]
 
 
 class _MomentResiduals(dict):
@@ -155,14 +136,14 @@ class _MomentResiduals(dict):
         B, Psi = s.unitary_split
         if key == "I":
             # (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
-            FB = B.d() + B.wedge(B)
-            value = (FB + Psi.wedge(Psi)).map_entries(h.wedge_omega_sq)
+            value = wedge_omega_sq_top(h, B, [(B, B), (Psi, Psi)])
         elif key == "J":
-            # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi
-            JPsi = Psi.map_entries(h.j_form)
+            # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi, J Psi = i Psi^{1,0}
+            # - i Psi^{0,1}
+            JPsi = (Psi.part(1, 0) - Psi.part(0, 1)).scale(Scalar.i())
             value = _add_matrices(nabla_H_star(s, B, JPsi),
                                   Psi.value_at(_j_vector(s.model, h.lee_sharp)),
-                                  sign=-1)
+                                  Scalar.of(-1))
         else:
             raise KeyError(key)
         self[key] = value
@@ -172,16 +153,15 @@ class _MomentResiduals(dict):
 def moment_residuals(s):
     """The three moment-map residuals of the canonical connection.
 
-    I and J are form-valued matrices (top-degree and scalar respectively
-    after the stated contractions), K a scalar matrix.  All vanish exactly
-    iff the connection is a critical point compatible with the full
-    hyperkaehler-type system.  Only K is computed here; I and J are built
-    when first indexed, so a caller reading K alone pays for K alone.
+    Each is an 8x8 Scalar matrix, I that of its top-form coefficients.
+    All vanish exactly iff the connection is a critical point compatible
+    with the full hyperkaehler-type system.  Only K is computed here; I and
+    J are built when first indexed, so a caller reading K alone pays for K
+    alone.
     """
     B, Psi = s.unitary_split
     # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
-    K_res = _add_matrices(nabla_H_star(s, B, Psi),
-                          Psi.value_at(s.h.lee_sharp))
+    K_res = _add_matrices(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))
     return _MomentResiduals(s, K_res)
 
 
@@ -211,69 +191,81 @@ def harmonic_vs_moment_gap(s):
     """Difference between the J-type codifferential and its moment-map form.
 
     Computes (nabla^H)^*(J Psi) - *((nabla^H Psi) ^ omega^2)/2
-    - i_{J theta^sharp} Psi, that is the J residual minus the star term.
+    - i_{J theta^sharp} Psi, the J residual minus the star term, where
+    (d Psi + B ^ Psi + Psi ^ B) ^ omega^2 = c e_top: one star, of e_top.
     The gap vanishes on solutions (not off them); exposed so the identity
     can be pinned by tests.
     """
     B, Psi = s.unitary_split
-    h = s.h
-    nabla_Psi = Psi.d() + B.wedge(Psi) + Psi.wedge(B)
-    half = Scalar.of(Fraction(1, 2))
-    star_term = nabla_Psi.map_entries(
-        lambda f: h.star(h.wedge_omega_sq(f)).scale(half))
-    star_rows = [[e.terms.get((), Scalar.zero()) for e in row]
-                 for row in star_term.entries]
-    return _add_matrices(moment_residuals(s)["J"], star_rows, sign=-1)
+    h, zero = s.h, Scalar.zero()
+    c = wedge_omega_sq_top(h, Psi, [(B, Psi), (Psi, B)])
+    unit = h.star(s.model.basis_form(s.model.top_index())).terms.get((), zero) \
+        * Scalar.of(Fraction(1, 2))
+    return _add_matrices(moment_residuals(s)["J"], c, -unit)
 
 
 def higgs_dbar_entry(s, i, j):
-    """Entry (i, j) of dbar_Q phi = (d phi)^{1,1} + A^{0,1} ^ phi + phi ^ A^{0,1}.
+    """Entry (i, j) of dbar_Q phi = (d phi)^{1,1} + A^{0,1} ^ phi + phi ^ A^{0,1},
+    as a 2-form (the dbar_phi_23 witness).
 
     A^{0,1} is the (0,1)-part of C (and of D^G: phi is of type (1,0)), so
-    both products are already of type (1,1).  The one formula of dbar_Q phi.
+    both products are already of type (1,1).
     """
     C, phi = s.chern_split
-    A, P = C.entries, phi.entries
-    out = P[i][j].d().part(1, 1)
+    A = C.part(0, 1)
+    out = phi.form(i, j).d().part(1, 1)
     for k in range(QDIM):
-        out = out + A[i][k].part(0, 1).wedge(P[k][j]) \
-            + P[i][k].wedge(A[k][j].part(0, 1))
+        out = out + A.form(i, k).wedge(phi.form(k, j)) \
+            + phi.form(i, k).wedge(A.form(k, j))
     return out
+
+
+def higgs_obstruction_entry(s, i, j):
+    """c with (dbar_Q phi)_ij ^ omega^2 = c e_top, through the pairing.
+
+    Only the mixed pairs survive ^ omega^2, so the (1,1) projection drops
+    out: the pairing on row i of the left factors and column j of the
+    right ones builds no 2-form.
+    """
+    C, phi = s.chern_split
+    A, r = C.part(0, 1), range(QDIM)
+    return wedge_omega_sq_top(s.h, phi.restricted([i], [j]), [
+        (A.restricted([i], r), phi.restricted(r, [j])),
+        (phi.restricted([i], r), A.restricted(r, [j]))])[i][j]
 
 
 def higgs_equation_residuals(s):
     """Residuals of the Higgs-bundle-type rewriting of the moment maps.
 
     Returns the curvature-type K residual (F_H + [phi ^ phi^{*H}]/2) ^ w^2,
-    the combined IJ residuals, dbar_Q phi, the holomorphicity obstruction
+    the combined IJ residuals, the holomorphicity obstruction
     dbar_Q phi ^ w^2 whose nonvanishing certifies that the configuration is
-    not of Higgs type, and the integrability term del^H phi + phi ^ phi.
+    not of Higgs type (each an 8x8 Scalar matrix of top coefficients,
+    through the pairing), dbar_Q phi, and the integrability term
+    del^H phi + phi ^ phi (8x8 matrices of 2-forms).
     """
     C, phi = s.chern_split
-    H = s.metric_H
-    wedge_w2 = s.h.wedge_omega_sq
-
-    FH = C.d() + C.wedge(C)
-    phi_star = H.adjoint(phi)  # (0,1)-form valued
-    r = range(QDIM)
-    dbar_phi = QOperator(s.model, [[higgs_dbar_entry(s, i, j) for j in r]
-                                   for i in r])
-    del_phi_star = (phi_star.d() + C.wedge(phi_star)
-                    + phi_star.wedge(C)).part(1, 1)
+    h, A = s.h, C.part(0, 1)
+    phi_star = s.metric_H.adjoint(phi)  # (0,1)-form valued
     half = Scalar.of(Fraction(1, 2))
-
-    bracket = phi.wedge(phi_star) + phi_star.wedge(phi)
-    K_res = (FH + bracket.scale(half)).map_entries(wedge_w2)
-    IJ_first = (FH + dbar_phi.scale(half) - del_phi_star.scale(half)) \
-        .map_entries(wedge_w2)
-    IJ_second = (dbar_phi + del_phi_star).map_entries(wedge_w2)
-    integrability = (phi.d() + C.wedge(phi) + phi.wedge(C)).part(2, 0) \
-        + phi.wedge(phi)
+    hphi, hstar = phi.scale(half), phi_star.scale(half)
+    r = range(QDIM)
+    Cf, Pf, zero = C.forms(), phi.forms(), s.model.zero()
+    CP, PC, PP = matmul(Cf, Pf, zero), matmul(Pf, Cf, zero), matmul(Pf, Pf, zero)
     return {
-        "K": K_res,
-        "IJ_curvature": IJ_first,
-        "IJ_mixed": IJ_second,
-        "integrability": integrability,
-        "holomorphicity_obstruction": dbar_phi.map_entries(wedge_w2),
-        "dbar_phi": dbar_phi,
+        "K": wedge_omega_sq_top(h, C, [(C, C), (hphi, phi_star),
+                                       (hstar, phi)]),
+        # (F_H + dbar_Q phi / 2 - del^H phi^* / 2) ^ w^2
+        "IJ_curvature": wedge_omega_sq_top(
+            h, C + hphi - hstar, [(C, C), (A, hphi), (hphi, A),
+                                  (C, -hstar), (-hstar, C)]),
+        # (dbar_Q phi + del^H phi^*) ^ w^2
+        "IJ_mixed": wedge_omega_sq_top(
+            h, phi + phi_star, [(A, phi), (phi, A), (C, phi_star),
+                                (phi_star, C)]),
+        "integrability": [[(Pf[i][j].d() + CP[i][j] + PC[i][j]).part(2, 0)
+                           + PP[i][j] for j in r] for i in r],
+        "holomorphicity_obstruction": wedge_omega_sq_top(
+            h, phi, [(A, phi), (phi, A)]),
+        "dbar_phi": [[higgs_dbar_entry(s, i, j) for j in r] for i in r],
     }

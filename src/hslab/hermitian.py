@@ -11,13 +11,14 @@ Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
 matrix_inverse built on it, matrix_det (forward elimination that stops at
 the first zero column), and matmul, one zero-skipping product whose
 entries multiply with * (Scalars, Scalar and form, or form and form by
-wedge), with sandwich (left . mid . right) as two of them.
+wedge), with sandwich (left . mid . right) as two of them; for
+curvatures it multiplies matrices of forms.
 
 A HermitianStructure is finished at construction: it builds everything
 that depends on the metric alone (omega^2, d(omega^2), d^c omega,
-dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top, the
-Levi-Civita and Bismut coefficients, the Bismut connection 1-forms, the Lee
-form and its sharp, *d^c omega and the Levi-Civita trace of the
+dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top and its
+companion (d e_a ^ omega^2)_top, the Levi-Civita and Bismut coefficients,
+the Lee form and its sharp, *d^c omega and the Levi-Civita trace of the
 codifferential) and nothing is written to it afterwards, so one structure
 serves every verifier and family of its metric.  The brackets are the
 model's (NilmanifoldModel.brackets), built once per model.  The Bismut
@@ -148,8 +149,8 @@ def matmul(a, b, zero):
     """Matrix product a . b, skipping zero factors; zero is the entries' zero.
 
     Entries multiply with *: Scalars, a Scalar and a form (scale), or two
-    forms (wedge), so one product serves Scalar matrices and form-valued
-    operators alike.
+    forms (wedge), so one product serves Scalar matrices and matrices of
+    forms alike.
     """
     ncols = len(b[0]) if b else 0
     out = []
@@ -228,11 +229,11 @@ class HermitianStructure:
         self.omega_sq_table = self._omega_sq_table()
         self.levi_civita = self._levi_civita()
         self.bismut = self._bismut()
-        # the Bismut connection 1-forms: entry (a, b) = sum_c Gamma^a_{cb} w^c
-        bi = self.bismut.gamma
-        self.bismut_forms = [[InvariantForm(model, {(c,): bi[c][b][a]
-                                                    for c in range(dim)})
-                              for b in range(dim)] for a in range(dim)]
+        # lam[a] = (d e_a ^ omega^2)_top, read through the table
+        W = self.omega_sq_table
+        self.omega_sq_lambda = [sum((v * W[b][c] for (b, c), v in
+                                     da.terms.items()), zero)
+                                for da in model.diff]
         # theta = J d^* omega = -J *d(omega^2)/2, as d^* = -*d* and *omega =
         # omega^2/2 in complex dimension 3 (Huybrechts, Complex Geometry, 1.2)
         self.lee_form = self.j_form(
@@ -399,20 +400,12 @@ class HermitianStructure:
 class ConnectionCoefficients:
     """Invariant connection coefficients: nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d.
 
-    Keeps the model, whose brackets the torsion reads, but not the metric's
-    structure: the structure keeps its connections, and a reference back
-    would make a cycle that only the cyclic garbage collector frees, so
-    every metric's objects would outlive it.
+    Keeps the model but not the metric's structure: the structure keeps its
+    connections, and a reference back would make a cycle that only the
+    cyclic garbage collector frees, so every metric's objects would outlive
+    it.
     """
 
     def __init__(self, model, gamma):
         self.model = model
         self.gamma = gamma
-
-    def nabla(self, a, b):
-        """The vector nabla_{Z_a} Z_b."""
-        return InvariantVector(self.model, list(self.gamma[a][b]))
-
-    def torsion(self, a, b):
-        """T(Z_a, Z_b) = nabla_a Z_b - nabla_b Z_a - [Z_a, Z_b]."""
-        return self.nabla(a, b) - self.nabla(b, a) - self.model.brackets[a][b]

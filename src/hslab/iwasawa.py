@@ -48,9 +48,9 @@ from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals)
 from .algebroid import (QDIM, he_residual_G, extension_class_gamma,
-                        subbundle_report)
+                        matrix_is_zero, subbundle_report)
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
-                       matrix_is_zero)
+                       higgs_obstruction_entry)
 
 
 def su3_structure(model):
@@ -281,8 +281,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
         residuals.append(_residual_entry(name, form))
     hs_ok = all(r["zero"] for r in residuals)
 
-    he = he_residual_G(s)
-    residuals.append(_residual_entry("hermitian_einstein_G", he.entries))
+    residuals.append(_residual_entry("hermitian_einstein_G", he_residual_G(s)))
     he_ok = residuals[-1]["zero"]
 
     kres = harmonic_residual(s)
@@ -293,16 +292,17 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     residuals.append(_residual_entry("cross_coupling",
                                      [[crit["cross"]]]))
 
-    gamma_ext = extension_class_gamma(s)
-    residuals.append(_residual_entry("extension_class", gamma_ext.entries))
+    residuals.append(_residual_entry("extension_class",
+                                     extension_class_gamma(s)))
     gamma_nonzero = not residuals[-1]["zero"]
 
-    # dbar_Q phi ^ omega^2 != 0?  Entry (6,7), the witness, nearly always decides
-    dbar_23 = higgs_dbar_entry(s, 6, 7)
-    residuals.append(_residual_entry("dbar_phi_23", dbar_23))
-    higgs_nonholomorphic = not h.wedge_omega_sq(dbar_23).is_zero() or any(
-        not h.wedge_omega_sq(higgs_dbar_entry(s, i, j)).is_zero()
-        for i in range(QDIM) for j in range(QDIM) if (i, j) != (6, 7))
+    # dbar_Q phi ^ omega^2 != 0?  Entry (6,7), the witness, nearly always
+    # decides; the rest are scanned in row order until one is nonzero
+    residuals.append(_residual_entry("dbar_phi_23", higgs_dbar_entry(s, 6, 7)))
+    scan = [(6, 7)] + [(i, j) for i in range(QDIM) for j in range(QDIM)
+                       if (i, j) != (6, 7)]
+    higgs_nonholomorphic = any(not higgs_obstruction_entry(s, i, j).is_zero()
+                               for i, j in scan)
 
     # slope of the cotangent subbundle and degrees of the two line bundles
     b = CohClass(h.omega_sq, flavor="aeppli")

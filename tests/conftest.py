@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.cealg import NilmanifoldModel
-from hslab.hermitian import HermitianStructure
+from hslab.cealg import InvariantVector, NilmanifoldModel
+from hslab.hermitian import HermitianStructure, matmul
+from hslab.algebroid import QOperator
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
 from hslab.iwasawa import (FamilyConfig, TauDeformation, build_iwasawa,
@@ -89,11 +90,73 @@ def sweep_records(max_abs, **options):
             for line in text.splitlines()]
 
 
+def apply(form, *vectors):
+    """form(v1, .., vk) by contracting v1, .., vk in turn: the 0-form left."""
+    for v in vectors:
+        form = form.contract(v)
+    return form.terms.get((), Scalar.zero())
+
+
+def vector_is_zero(v):
+    return all(c.is_zero() for c in v.coeffs)
+
+
+def nabla(conn, a, b):
+    """The vector nabla_{Z_a} Z_b of connection coefficients."""
+    return InvariantVector(conn.model, conn.gamma[a][b])
+
+
+def torsion(conn, a, b):
+    """T(Z_a, Z_b) = nabla_a Z_b - nabla_b Z_a - [Z_a, Z_b]."""
+    return nabla(conn, a, b) - nabla(conn, b, a) - conn.model.brackets[a][b]
+
+
+def hermitian_matrix(t):
+    """The 2x2 Hermitian coefficient matrix M of a triple, with
+    F = pi sum M_{jk'} w_j ^ w_k'."""
+    return [[Scalar.of(t.m), Scalar.of(t.n, t.p)],
+            [Scalar.of(t.n, -t.p), Scalar.of(-t.m)]]
+
+
+def hermitian_curvature(model, M):
+    """Curvature pi sum_{jk} M_{jk'} w_j ^ w_{k'} of a 2x2 Hermitian matrix."""
+    out = model.zero()
+    for j in range(2):
+        for k in range(2):
+            out = out + model.basis_form((j, k + 3), M[j][k])
+    return out.scale(Scalar.pi())
+
+
+def frame_vector(model, a):
+    """The frame vector Z_a of a model."""
+    return InvariantVector(model, [int(b == a) for b in range(model.dim)])
+
+
+def operator_of(model, E):
+    """The QOperator whose entry (i, j) is the 1-form E[i][j]."""
+    return QOperator(model, [{(i, j): e.terms[(a,)] for i, row in enumerate(E)
+                              for j, e in enumerate(row) if (a,) in e.terms}
+                             for a in range(model.dim)])
+
+
 def dbar_reference(s):
-    """The whole matrix dbar_Q phi of a family by two operator wedges."""
+    """The whole matrix dbar_Q phi of a family, (d phi + A01 ^ phi + phi ^
+    A01)^{1,1}, by two products of its 8x8 matrices of 1-forms."""
     C, phi = s.chern_split
-    A01 = C.part(0, 1)
-    return (phi.d() + A01.wedge(phi) + phi.wedge(A01)).part(1, 1)
+    A01 = [[e.part(0, 1) for e in row] for row in C.forms()]
+    P, zero = phi.forms(), s.model.zero()
+    return [[(p.d() + x + y).part(1, 1) for p, x, y in zip(*rows)]
+            for rows in zip(P, matmul(A01, P, zero), matmul(P, A01, zero))]
+
+
+def split_curvature(B, Psi):
+    """F_B + Psi ^ Psi + (d Psi + B ^ Psi + Psi ^ B), by products of the 8x8
+    matrices of 1-forms of B and Psi."""
+    Bf, Pf, zero = B.forms(), Psi.forms(), B.model.zero()
+    products = [matmul(x, y, zero)
+                for x, y in ((Bf, Bf), (Pf, Pf), (Bf, Pf), (Pf, Bf))]
+    return [[b.d() + p.d() + w + x + y + z for b, p, w, x, y, z in zip(*rows)]
+            for rows in zip(Bf, Pf, *products)]
 
 
 def random_triple(rng, lo=-5, hi=5):

@@ -10,16 +10,16 @@ from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            hs_residuals, CohClass, degree_and_slope)
 from hslab.algebroid import (QDIM, connection_DG, curvature, he_residual_G,
-                             pairing_matrix)
+                             matrix_is_zero, pairing_matrix)
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             harmonic_residual, harmonic_criteria,
-                            harmonic_vs_moment_gap, matrix_is_zero,
-                            higgs_dbar_entry)
+                            harmonic_vs_moment_gap, higgs_dbar_entry)
 from hslab.iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
                            make_family, verify_family)
 from hslab.cli import main
 
-from conftest import make_params, random_pair, random_form, sweep_records
+from conftest import (make_params, random_pair, random_form, split_curvature,
+                      sweep_records)
 
 
 def _report(capsys, num, ok):
@@ -76,8 +76,9 @@ def test_criterion_2_alpha_round_trip(capsys, model, h0, Omega, rng):
         q = Fraction(rng.randint(1, 5), rng.randint(1, 7))
         if rng.random() < 0.5:
             q = -q
+        # a wrong coupling, still a real monomial (alpha + q is refused)
         bad = make_params(model, h0, Omega, t0, t1,
-                          alpha=s.alpha + Scalar.of(q))
+                          alpha=s.alpha * Scalar.of(1 + q if q > 0 else q - 1))
         flags = [r.is_zero() for r in hs_residuals(bad)]
         ok = ok and flags == [True, True, True, False]
     ok = ok and time.perf_counter() - start < 5.0
@@ -90,7 +91,7 @@ def test_criterion_3_hermitian_einstein(capsys, model, h0, Omega, rng):
     for _ in range(50):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        ok = ok and he_residual_G(s).is_zero()
+        ok = ok and matrix_is_zero(he_residual_G(s))
     menu = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4)]
     for _ in range(6):
         t0, t1 = random_pair(rng)
@@ -101,7 +102,7 @@ def test_criterion_3_hermitian_einstein(capsys, model, h0, Omega, rng):
                            tau=TauDeformation(*coeffs))
         cand = make_family(cfg)
         ok = ok and all(r.is_zero() for r in hs_residuals(cand.params))
-        ok = ok and he_residual_G(cand.params).is_zero()
+        ok = ok and matrix_is_zero(he_residual_G(cand.params))
     ok = ok and time.perf_counter() - start < 10.0
     _report(capsys, 3, ok)
 
@@ -192,26 +193,23 @@ def test_criterion_6_structural_identities(capsys, model, h0, Omega, rng):
         A = connection_DG(s)
         B, Psi = decompose_unitary(A, H)
         # curvature consistency across the unitary splitting
-        lhs = curvature(A)
-        rhs = (B.d() + B.wedge(B) + Psi.wedge(Psi)
-               + Psi.d() + B.wedge(Psi) + Psi.wedge(B))
-        ok = ok and (lhs - rhs).is_zero()
+        ok = ok and curvature(A) == split_curvature(B, Psi)
         # codifferential vs moment-map identity
         ok = ok and matrix_is_zero(harmonic_vs_moment_gap(s))
         # self-adjointness of Psi and bidegree purity of the Higgs field
-        ok = ok and (H.adjoint(Psi) - Psi).is_zero()
+        ok = ok and H.adjoint(Psi).comps == Psi.comps
         phi = Psi.part(1, 0).scale(Scalar.of(2))
-        ok = ok and (phi - phi.part(1, 0)).is_zero()
+        ok = ok and phi.comps == phi.part(1, 0).comps
         # pairing-orthogonality Leibniz rule for the connection
-        P = pairing_matrix(s.h, s.alpha)
+        P, E = pairing_matrix(s.h, s.alpha), A.forms()
         for i in range(QDIM):
             for j in range(QDIM):
                 acc = model.zero()
                 for k in range(QDIM):
                     if not P[i][k].is_zero():
-                        acc = acc + A.entries[k][j].scale(P[i][k])
+                        acc = acc + E[k][j].scale(P[i][k])
                     if not P[k][j].is_zero():
-                        acc = acc + A.entries[k][i].scale(P[k][j])
+                        acc = acc + E[k][i].scale(P[k][j])
                 ok = ok and acc.is_zero()
     for _ in range(100):
         deg = rng.choice((1, 2, 3))

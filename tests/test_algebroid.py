@@ -9,16 +9,17 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.hermitian import (HermitianStructure, matmul, matrix_inverse,
                              sandwich, solve)
-from hslab.algebroid import (QDIM, QOperator, connection_DG, curvature,
-                             curvature_wedge_omega_sq, he_residual_G,
+from hslab.algebroid import (QDIM, connection_DG, curvature, he_residual_G,
                              dolbeault_Q, extension_class_gamma,
                              bismut_iso_matrix, pairing_matrix,
-                             subbundle_report, _span_slope)
+                             matrix_is_zero, subbundle_report,
+                             wedge_omega_sq_top, _span_slope)
 from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
-from conftest import DEFORMED_TAU, make_params, random_form, random_pair
+from conftest import (DEFORMED_TAU, make_params, operator_of, random_form,
+                      random_pair)
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +45,15 @@ def test_pairing_matrix(pairing, std, h0):
 
 
 def test_connection_pairing_compatibility(model, pairing, std):
-    A = connection_DG(std)
+    A = connection_DG(std).forms()
     for i in range(QDIM):
         for j in range(QDIM):
             acc = model.zero()
             for k in range(QDIM):
                 if not pairing[i][k].is_zero():
-                    acc = acc + A.entries[k][j].scale(pairing[i][k])
+                    acc = acc + A[k][j].scale(pairing[i][k])
                 if not pairing[k][j].is_zero():
-                    acc = acc + A.entries[k][i].scale(pairing[k][j])
+                    acc = acc + A[k][i].scale(pairing[k][j])
             assert acc.is_zero()
 
 
@@ -60,26 +61,24 @@ def _transported(s):
     """The Dolbeault matrix in the complexified frame, P A P^-1, with the
     generic elimination inverse of the Bismut isomorphism P."""
     P = bismut_iso_matrix(s.h)
-    return sandwich(P, s.dolbeault.entries, matrix_inverse(P), s.model.zero())
+    return sandwich(P, s.dolbeault.forms(), matrix_inverse(P), s.model.zero())
 
 
 def test_connection_01_part_is_dolbeault(std):
-    A = connection_DG(std)
-    T = QOperator(std.model, _transported(std))
-    assert (A.part(0, 1) - T).is_zero()
+    assert connection_DG(std).part(0, 1).forms() == _transported(std)
 
 
 def test_dolbeault_squares_to_zero(std):
-    Aq = dolbeault_Q(std)
-    assert (Aq.d() + Aq.wedge(Aq)).part(0, 2).is_zero()
+    assert all(f.part(0, 2).is_zero() for row in curvature(dolbeault_Q(std))
+               for f in row)
 
 
 def test_he_residual_randomized(model, h0, Omega, rng):
     for _ in range(8):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        assert he_residual_G(s).is_zero()
-        assert not curvature(connection_DG(s)).is_zero()
+        assert matrix_is_zero(he_residual_G(s))
+        assert not matrix_is_zero(curvature(connection_DG(s)))
 
 
 def test_bismut_iso_columns(model, h0):
@@ -94,14 +93,15 @@ def test_bismut_iso_columns(model, h0):
 
 def test_extension_class(std):
     g = extension_class_gamma(std)
-    assert not g.is_zero()
+    assert not matrix_is_zero(g)
     # the class sits in the coframe rows of the Dolbeault matrix
     A = dolbeault_Q(std)
     for l in range(3):
         for c in range(5):
-            assert (g.entries[5 + l][c] - A.entries[5 + l][c]).is_zero()
+            assert g[5 + l][c] == A.form(5 + l, c)
         for c in range(5, QDIM):
-            assert g.entries[5 + l][c].is_zero()
+            assert g[5 + l][c].is_zero()
+    assert matrix_is_zero(g[:5])
 
 
 def test_cotangent_subbundle(std):
@@ -149,7 +149,7 @@ def _stand_ins(oracle_metrics, rng):
             if plant is not None:
                 D[plant[0]][plant[1]] = random_form(m, rng, 1, nterms=2)
             yield SimpleNamespace(
-                model=m, h=h, alpha=alpha, dolbeault=QOperator(m, D),
+                model=m, h=h, alpha=alpha, dolbeault=operator_of(m, D),
                 metric_H=CompatibleMetricH(h, alpha),
                 curvature_omega_sq=[[zero] * QDIM for _ in range(QDIM)])
 
@@ -176,7 +176,7 @@ def _compressed_trace(s, S):
     SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)],
                  s.metric_H.Hm, zero)
     ShS_inv = matrix_inverse(matmul(SdH, S, zero))
-    SdHFS = sandwich(SdH, s.connection_curvature.entries, S, s.model.zero())
+    SdHFS = sandwich(SdH, s.connection_curvature, S, s.model.zero())
     trace = s.model.zero()
     for i in range(k):
         for j in range(k):
@@ -225,9 +225,9 @@ def test_slope_is_the_trace_of_the_compression():
 def test_curvature_wedge_omega_sq_is_the_curvature_form(kind):
     s = _family(kind)
     F = _check_against_the_curvature(s.h, s.connection, s.curvature_omega_sq)
-    assert he_residual_G(s).entries == F.entries
+    assert he_residual_G(s) == F
     # F ^ omega^2 = 0 entry by entry on the HE families only
-    assert F.is_zero() == (kind != "uncorrected")
+    assert matrix_is_zero(F) == (kind != "uncorrected")
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -238,22 +238,22 @@ def test_curvature_wedge_omega_sq_with_a_nonzero_lambda(kt_model, seed):
     h = HermitianStructure(kt_model, su3_structure(kt_model)[0]
                            + DEFORMED_TAU.form(kt_model))
     W = h.omega_sq_table
-    assert not sum((v * W[b][c] for (b, c), v in kt_model.diff[2].terms.items()),
-                   Scalar.zero()).is_zero()
+    lam = sum((v * W[b][c] for (b, c), v in kt_model.diff[2].terms.items()),
+              Scalar.zero())
+    assert not lam.is_zero() and h.omega_sq_lambda[2] == lam
     rng = random.Random(seed)
-    A = QOperator(kt_model, [[kt_model.zero() if rng.random() < 0.4
-                              else random_form(kt_model, rng, 1, nterms=2)
-                              for _ in range(QDIM)] for _ in range(QDIM)])
-    s = SimpleNamespace(model=kt_model, h=h, connection=A)
-    F = _check_against_the_curvature(h, A, curvature_wedge_omega_sq(s))
-    assert not F.is_zero()
+    A = operator_of(kt_model, [[kt_model.zero() if rng.random() < 0.4
+                                else random_form(kt_model, rng, 1, nterms=2)
+                                for _ in range(QDIM)] for _ in range(QDIM)])
+    F = _check_against_the_curvature(h, A, wedge_omega_sq_top(h, A, [(A, A)]))
+    assert not matrix_is_zero(F)
 
 
 def _check_against_the_curvature(h, A, c):
     """Check c_ij e_top = F_ij ^ omega^2, F = dA + A ^ A; return F ^ omega^2."""
-    F = curvature(A).map_entries(h.wedge_omega_sq)
+    F = [[h.wedge_omega_sq(f) for f in row] for row in curvature(A)]
     top = h.model.top_index()
-    for frow, crow in zip(F.entries, c):
+    for frow, crow in zip(F, c):
         for f, x in zip(frow, crow):
             assert f.terms == ({} if x.is_zero() else {top: x})
     return F

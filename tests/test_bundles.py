@@ -6,11 +6,14 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
-                           hermitian_curvature, CohClass,
+                           CohClass,
                            degree_and_slope, ch2_constraint, alpha_solve,
                            DegenerateCoupling, SystemParams, hs_residuals)
 
-from conftest import make_params, random_pair, random_triple
+from hslab.iwasawa import FamilyConfig, make_family
+
+from conftest import (hermitian_curvature, hermitian_matrix, make_params,
+                      random_pair, random_triple)
 
 
 def test_triple_validation():
@@ -31,7 +34,7 @@ def test_curvature_matches_hermitian_matrix(model, rng):
     t = random_triple(rng)
     trip = LineBundleTriple(*t, role="V0")
     assert (curvature_from_triple(model, trip)
-            - hermitian_curvature(model, trip.hermitian_matrix())).is_zero()
+            - hermitian_curvature(model, hermitian_matrix(trip))).is_zero()
 
 
 def test_curvature_closed_antireal(model, rng):
@@ -66,9 +69,10 @@ def test_hs_residuals_and_alpha_perturbation(model, h0, Omega, rng):
         s = make_params(model, h0, Omega, t0, t1)
         res = hs_residuals(s)
         assert all(r.is_zero() for r in res)
-        # perturbing alpha breaks exactly the anomaly residual
+        # perturbing alpha (to another real monomial; alpha + 1/7 is
+        # refused) breaks exactly the anomaly residual
         s_bad = make_params(model, h0, Omega, t0, t1,
-                            alpha=s.alpha + Scalar.of(Fraction(1, 7)))
+                            alpha=s.alpha * Scalar.of(Fraction(8, 7)))
         res_bad = hs_residuals(s_bad)
         assert [r.is_zero() for r in res_bad] == [True, True, True, False]
 
@@ -116,8 +120,15 @@ def test_volume_form_validation(model, h0):
                      alpha=Scalar.one(), Omega=model.basis_form((2, 4, 5)))
 
 
-@pytest.mark.parametrize("alpha", [Scalar.zero(), Scalar.of(1, 1)])
+@pytest.mark.parametrize("alpha", [Scalar.zero(), Scalar.of(1, 1),
+                                   Scalar.one() + Scalar.pi()])
 def test_coupling_must_be_real_and_nonzero(model, h0, Omega, alpha):
-    # refused when the family is built, before any Q-bundle object is
-    with pytest.raises(ValueError, match="real and nonzero"):
+    # refused when the family is built, before any Q-bundle object is; a
+    # real sum of pi powers has no exactly decided sign, so the compatible
+    # metric could not be built
+    with pytest.raises(ValueError, match="real and nonzero") as err:
         make_params(model, h0, Omega, (1, 0, 0), (1, 1, 0), alpha=alpha)
+    assert str(alpha) in str(err.value)
+    with pytest.raises(ValueError, match="real and nonzero"):
+        make_family(FamilyConfig(LineBundleTriple(1, 2, 2),
+                                 LineBundleTriple(2, -1, 0), alpha=alpha))

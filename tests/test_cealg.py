@@ -7,7 +7,7 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.cealg import NilmanifoldModel, InvariantVector
 
-from conftest import random_form
+from conftest import apply, frame_vector, random_form
 
 
 def test_structure_equation(model):
@@ -34,15 +34,15 @@ def _ce_d_value(model, a, idx):
     the structure differential, [Z_a, Z_b] = -sum_c (d w_c)(Z_a, Z_b) Z_c,
     and every value is taken by contraction (apply).
     """
-    Z = [model.basis_vector(c) for c in range(model.dim)]
+    Z = [frame_vector(model, c) for c in range(model.dim)]
     out = Scalar.zero()
     for p in range(len(idx)):
         for q in range(p + 1, len(idx)):
             x, y = Z[idx[p]], Z[idx[q]]
             bracket = InvariantVector(
-                model, [-model.diff[c].apply(x, y) for c in range(model.dim)])
+                model, [-apply(model.diff[c], x, y) for c in range(model.dim)])
             rest = [Z[i] for j, i in enumerate(idx) if j not in (p, q)]
-            value = a.apply(bracket, *rest)
+            value = apply(a, bracket, *rest)
             out = out - value if (p + q) % 2 else out + value
     return out
 
@@ -94,7 +94,7 @@ def test_contract_antiderivation(model, rng):
     for _ in range(40):
         a = random_form(model, rng, 2)
         b = random_form(model, rng, 1)
-        v = model.basis_vector(rng.randrange(6))
+        v = frame_vector(model, rng.randrange(6))
         lhs = a.wedge(b).contract(v)
         rhs = a.contract(v).wedge(b) + a.wedge(b.contract(v))
         assert (lhs - rhs).is_zero()
@@ -102,9 +102,9 @@ def test_contract_antiderivation(model, rng):
 
 def test_apply_contraction_order(model):
     a = model.basis_form((0, 1))
-    v1, v2 = model.basis_vector(0), model.basis_vector(1)
-    assert a.apply(v1, v2) == Scalar.one()
-    assert a.apply(v2, v1) == -Scalar.one()
+    v1, v2 = frame_vector(model, 0), frame_vector(model, 1)
+    assert apply(a, v1, v2) == Scalar.one()
+    assert apply(a, v2, v1) == -Scalar.one()
 
 
 def test_at_is_apply_on_frame_vectors(model, abelian_model, kt_model, rng):
@@ -112,7 +112,7 @@ def test_at_is_apply_on_frame_vectors(model, abelian_model, kt_model, rng):
     # oracle, with the permutation sign of unsorted indices and zero on a
     # repeated index; a mixed-degree form is read in degree k only
     for m in (model, abelian_model, kt_model):
-        Z = [m.basis_vector(a) for a in range(6)]
+        Z = [frame_vector(m, a) for a in range(6)]
         for deg in range(7):
             a = random_form(m, rng, deg) + random_form(m, rng, (deg + 1) % 7)
             cases = [rng.sample(key, len(key)) for key in a.terms if len(key) == deg]
@@ -120,7 +120,7 @@ def test_at_is_apply_on_frame_vectors(model, abelian_model, kt_model, rng):
             if deg >= 2:
                 cases += [idx[:-1] + [idx[0]] for idx in cases[:3]]
             for idx in cases:
-                assert a.at(*idx) == a.apply(*(Z[i] for i in idx)), (deg, idx)
+                assert a.at(*idx) == apply(a, *(Z[i] for i in idx)), (deg, idx)
             for key, v in a.terms.items():
                 assert a.at(*key) == v
     assert model.basis_form((0, 1, 2)).at(2, 0, 1) == Scalar.one()

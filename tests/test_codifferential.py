@@ -21,9 +21,9 @@ from hslab.hermitian import HermitianStructure, metric_trace
 from hslab.harmonic import nabla_H_star
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
-                           build_iwasawa, make_family)
+                           build_iwasawa, make_family, omega0_structure)
 
-from conftest import scalar_commutator
+from conftest import frame_vector, operator_of, scalar_commutator
 
 TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
 TAU_MENU = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4)]
@@ -33,9 +33,10 @@ def _reference(s, B, T):
     """-sum_{ab} Ginv[a][b] ([B(Z_a), T(Z_b)] - Gamma^c_{ab} T(Z_c)), term by term."""
     h = s.h
     gamma = h.levi_civita.gamma
-    Z = [s.model.basis_vector(a) for a in range(6)]
-    Bv = [B.value_at(Z[a]) for a in range(6)]
-    Tv = [T.value_at(Z[a]) for a in range(6)]
+    Z = [frame_vector(s.model, a) for a in range(6)]
+    # A(Z_a) by contracting each 1-form entry
+    Bv, Tv = ([[[e.contract(z).terms.get((), Scalar.zero()) for e in row]
+                for row in X.forms()] for z in Z] for X in (B, T))
     out = [[Scalar.zero()] * QDIM for _ in range(QDIM)]
     for a in range(6):
         for b in range(6):
@@ -52,6 +53,12 @@ def _reference(s, B, T):
             out = [[o - gab * v for o, v in zip(r1, r2)]
                    for r1, r2 in zip(out, term)]
     return out
+
+
+def _j(T):
+    """J T by the Hodge j_form of each 1-form entry."""
+    h = omega0_structure()
+    return operator_of(T.model, [[h.j_form(e) for e in row] for row in T.forms()])
 
 
 def _family(t0, t1, **kw):
@@ -80,7 +87,7 @@ def _trace(Ginv, gamma, c):
 def test_contracted_equals_double_sum(name):
     s = FAMILIES[name]()
     B, Psi = s.unitary_split
-    JPsi = Psi.map_entries(s.h.j_form)
+    JPsi = _j(Psi)
     # both are zero on the flat and Picard families (omega_0, every row of
     # Ginv with one entry); the stand-ins below give that path nonzero values
     for T in (Psi, JPsi):
@@ -137,7 +144,7 @@ def test_stand_in_metric_with_a_nonzero_trace(seed, shape):
     assert any(not x.is_zero() for x in trace)
     s = SimpleNamespace(model=real.model, h=SimpleNamespace(
         Ginv6=Ginv, levi_civita=SimpleNamespace(gamma=gamma), lc_trace=trace))
-    for T in (Psi, Psi.map_entries(real.h.j_form)):
+    for T in (Psi, _j(Psi)):
         out = nabla_H_star(s, B, T)
         assert out == _reference(s, B, T)
         assert any(not x.is_zero() for row in out for x in row)

@@ -1,9 +1,8 @@
 """The one matrix product against the loops it replaced.
 
 matmul(a, b, zero) multiplies its entries with *: two Scalars, a Scalar and
-a form (scale) or two forms (wedge).  QOperator.wedge, sandwich and the
-stacked commutator sum of nabla_H_star go through it.  The references here
-are test-only copies of the entrywise-wedge triple loop and of the
+a form (scale) or two forms (wedge).  The A ^ A of curvature and sandwich
+go through it.  The references here are test-only copies of the entrywise-wedge triple loop and of the
 single-loop sandwich, each term mid[k][l] * (left[i][k] * right[l][j]),
 that it replaced, and the commutator oracle of conftest.
 """
@@ -15,7 +14,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.hermitian import matmul, sandwich
-from hslab.algebroid import QDIM, QOperator
+from hslab.algebroid import QDIM
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
 
@@ -79,7 +78,6 @@ def test_product_of_operators_is_the_entrywise_wedge(model, seed):
     expect = _wedge_reference(a, b, model.zero())
     assert sum(1 for row in expect for e in row if not e.is_zero()) >= 32
     assert matmul(a, b, model.zero()) == expect
-    assert QOperator(model, a).wedge(QOperator(model, b)).entries == expect
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 8), (1, 8, 1), (3, 5, 2)])
@@ -136,10 +134,12 @@ def test_sandwich_by_a_deformed_metric():
     # the outer factors are not diagonal at a deformed metric
     assert any(not H.Hm[a][b].is_zero()
                for a in range(6) for b in range(6) if a != b)
-    A = s.connection.entries
+    # the adjoint of the connection's components against the conjugate
+    # transpose of its 1-form entries, sandwiched by the single loop
+    A = s.connection.forms()
     conj_t = [[e.conjugate() for e in col] for col in zip(*A)]
     expect = _sandwich_reference(H.Hm_inv, conj_t, H.Hm, zero)
-    assert H.adjoint(s.connection).entries == expect
-    F = s.connection_curvature.entries
+    assert H.adjoint(s.connection).forms() == expect
+    F = s.connection_curvature
     assert sandwich(H.Hm_inv, F, H.Hm, zero) == \
         _sandwich_reference(H.Hm_inv, F, H.Hm, zero)

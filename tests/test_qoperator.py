@@ -1,0 +1,131 @@
+"""The component operator against the form-entry algorithms it replaced.
+
+A QOperator holds the six Scalar matrices A^a of A = sum_a A^a e_a.  The
+references here work on its 8x8 matrix of 1-form entries, as the engine
+did before: the adjoint as the conjugate transpose of the entries
+sandwiched by the metric, the bidegree part and the contraction with a
+vector entry by entry, and every top-degree coefficient as the wedge of a
+2-form with omega^2.  They are checked on four families and on seeded
+operators on every oracle metric, the last of which (the
+Kodaira-Thurston-style stand-in) has a nonzero lam_a = (d e_a ^ omega^2)_top.
+"""
+
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from hslab.scalars import Scalar
+from hslab.cealg import InvariantVector
+from hslab.hermitian import matmul, sandwich
+from hslab.algebroid import QDIM, wedge_omega_sq_top
+from hslab.harmonic import (CompatibleMetricH, higgs_dbar_entry,
+                            higgs_obstruction_entry)
+from hslab.bundles import LineBundleTriple
+from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
+
+from conftest import (DEFORMED_TAU, dbar_reference, operator_of, random_form,
+                      random_scalar)
+
+
+def _adjoint_reference(H, E):
+    conj_t = [[e.conjugate() for e in col] for col in zip(*E)]
+    return sandwich(H.Hm_inv, conj_t, H.Hm, E[0][0].model.zero())
+
+
+def _value_reference(E, vector):
+    zero = Scalar.zero()
+    return [[e.contract(vector).terms.get((), zero) for e in row] for row in E]
+
+
+def _top_reference(h, L, pairs):
+    """(dL + sum X ^ Y) ^ omega^2, entry by entry, on the 1-form matrices."""
+    zero, out = h.model.zero(), [[e.d() for e in row] for row in L.forms()]
+    for X, Y in pairs:
+        out = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
+               zip(out, matmul(X.forms(), Y.forms(), zero))]
+    return [[h.wedge_omega_sq(f).top_coeff() for f in row] for row in out]
+
+
+def _family(kind):
+    triples = ((1, 2, 2), (2, -1, 0)) if kind in ("flat", "picard") \
+        else ((1, 1, 0), (1, 0, 0))
+    kw = {"deformed": {"tau": DEFORMED_TAU},
+          "uncorrected": {"tau": DEFORMED_TAU, "correct": False},
+          "picard": {"picard": PicardPoint((Scalar.of(1, 2), Scalar.zero()),
+                                           (Scalar.zero(), Scalar.of(0, -3)))},
+          "flat": {}}[kind]
+    return make_family(FamilyConfig(*(LineBundleTriple(*t) for t in triples),
+                                    **kw)).params
+
+
+def _check_operator(A, H, vectors):
+    """Form view, adjoint, parts and values of A against the references."""
+    E = A.forms()
+    assert operator_of(A.model, E).comps == A.comps
+    assert H.adjoint(A).forms() == _adjoint_reference(H, E)
+    for p, q in ((1, 0), (0, 1)):
+        assert A.part(p, q).forms() == [[e.part(p, q) for e in row]
+                                        for row in E]
+    for v in vectors:
+        assert A.value_at(v) == _value_reference(E, v)
+
+
+def _check_obstruction(s):
+    """Every entry of dbar_Q phi ^ omega^2 against the 2-form entry wedged
+    with omega^2, and against the whole-matrix reference; returns the
+    number of nonzero entries."""
+    whole = dbar_reference(s)
+    nonzero = 0
+    for i in range(QDIM):
+        for j in range(QDIM):
+            c = higgs_obstruction_entry(s, i, j)
+            assert c == s.h.wedge_omega_sq(higgs_dbar_entry(s, i, j)).top_coeff()
+            assert c == s.h.wedge_omega_sq(whole[i][j]).top_coeff()
+            nonzero += not c.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("kind", ["flat", "picard", "deformed", "uncorrected"])
+def test_families_match_the_form_entry_algorithms(kind):
+    s = _family(kind)
+    B, Psi = s.unitary_split
+    C, phi = s.chern_split
+    vectors = [s.h.lee_sharp, InvariantVector(s.model, [1, 2, 0, -1, 0, 3])]
+    for A in (s.connection, Psi, phi):
+        _check_operator(A, s.metric_H, vectors)
+    assert _check_obstruction(s) >= 4
+    # the top-degree pairings of the verify path and of I
+    assert s.curvature_omega_sq == _top_reference(
+        s.h, s.connection, [(s.connection, s.connection)])
+    assert wedge_omega_sq_top(s.h, B, [(B, B), (Psi, Psi)]) == \
+        _top_reference(s.h, B, [(B, B), (Psi, Psi)])
+
+
+def _random_operator(m, rng):
+    return operator_of(m, [[m.zero() if rng.random() < 0.4
+                            else random_form(m, rng, 1, nterms=2)
+                            for _ in range(QDIM)] for _ in range(QDIM)])
+
+
+def test_seeded_operators_on_every_oracle_metric(oracle_metrics):
+    rng = random.Random(23)
+    lam_seen = 0
+    for h in oracle_metrics:
+        m = h.model
+        L, X, Y, C = (_random_operator(m, rng) for _ in range(4))
+        phi = _random_operator(m, rng).part(1, 0)
+        vectors = [InvariantVector(m, [random_scalar(rng) for _ in range(6)])]
+        for alpha in (Scalar.of(Fraction(3, 2)), Scalar.pi(-2, Fraction(-2, 7))):
+            _check_operator(X, CompatibleMetricH(h, alpha), vectors)
+        pairs = [(X, Y), (Y, C)]
+        c = wedge_omega_sq_top(h, L, pairs)
+        assert c == _top_reference(h, L, pairs)
+        assert any(not x.is_zero() for row in c for x in row)
+        s = SimpleNamespace(model=m, h=h, chern_split=(C, phi))
+        assert _check_obstruction(s) >= 16
+        lam_seen += any(not x.is_zero() for x in h.omega_sq_lambda)
+    # the stand-in's lam term is exercised, and it is the last metric
+    assert lam_seen == 1
+    assert any(not x.is_zero() for x in oracle_metrics[-1].omega_sq_lambda)

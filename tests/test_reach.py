@@ -24,20 +24,8 @@ import hslab
 SRC = os.path.dirname(os.path.abspath(hslab.__file__))
 
 LIBRARY_ONLY = {
-    "bundles.LineBundleTriple.hermitian_matrix":
-        "test oracle: the coefficient matrix behind curvature_from_triple",
-    "bundles.hermitian_curvature":
-        "test oracle: curvature of a Hermitian matrix, against the triple's",
-    "cealg.InvariantVector.is_zero":
-        "test read-out of connection differences and of a sharp",
-    "cealg.InvariantForm.apply":
-        "test oracle of InvariantForm.at and of d, by contractions",
     "harmonic.higgs_equation_residuals":
         "paper identity: the Higgs-type form of the moment maps",
-    "hermitian.ConnectionCoefficients.nabla":
-        "test oracle: Bismut equals Levi-Civita on the torus; torsion",
-    "hermitian.ConnectionCoefficients.torsion":
-        "test oracle: the Bismut torsion is d^c omega",
     "iwasawa.VerificationReport.comparable":
         "report reader: a report without its parameter echo",
     "iwasawa.VerificationReport.from_json":
