@@ -82,27 +82,27 @@ def _plus(x, y):
 
 def _combination(coeffs, mats):
     """sum_a coeffs[a] M^a of sparse matrices, skipping zero coefficients."""
-    out = {}
+    terms = {}
     for c, m in zip(coeffs, mats):
         if m and not c.is_zero():
             for k, v in m.items():
-                out[k] = out[k] + c * v if k in out else c * v
-    return _nonzero(out)
+                terms.setdefault(k, []).append((c, v, 1))
+    return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
 
 
 def _product_sum(pairs):
-    """sum X . Y over the pairs (X, Y) of sparse matrices, as a sparse matrix:
-    each nonzero X_il meets the nonzero entries of row l of Y."""
-    out = {}
-    for X, Y in pairs:
+    """sum sign X . Y over the (X, Y, sign) in pairs, of sparse matrices, as
+    a sparse matrix: each nonzero X_il meets the nonzero entries of row l
+    of Y."""
+    terms = {}
+    for X, Y, sign in pairs:
         rows = {}
         for (l, j), y in Y.items():
             rows.setdefault(l, []).append((j, y))
         for (i, l), x in X.items():
             for j, y in rows.get(l, ()):
-                k, v = (i, j), x * y
-                out[k] = out[k] + v if k in out else v
-    return _nonzero(out)
+                terms.setdefault((i, j), []).append((x, y, sign))
+    return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
 
 
 class QOperator:
@@ -171,8 +171,8 @@ def wedge_omega_sq_top(h, L, pairs):
     """
     products = []
     for X, Y in pairs:
-        products += zip(X.comps, [_combination(row, Y.comps)
-                                  for row in h.omega_sq_table])
+        products += [(x, _combination(row, Y.comps), 1)
+                     for x, row in zip(X.comps, h.omega_sq_table)]
     return _dense(_plus(_product_sum(products),
                         _combination(h.omega_sq_lambda, L.comps)))
 
@@ -203,7 +203,7 @@ def connection_DG(s):
              for c in range(6)]
     for e, F, r in ((6, s.F0, -s.alpha), (7, s.F1, s.alpha)):
         Fv = _sparse(h.form_values(F))  # F(Z_b, Z_c)
-        for (a, c), v in _product_sum([(G, Fv)]).items():
+        for (a, c), v in _product_sum([(G, Fv, 1)]).items():
             comps[c][a, e] = v * r
         for (b, c), v in Fv.items():
             comps[c][e, b] = v
@@ -229,15 +229,19 @@ def dolbeault_Q(cfg):
     """Dolbeault operator of Q in the extension frame, as a (0,1)-QOperator.
 
     Component c: column V_j holds F_k(Z_j, Z_c) in the End rows and
-    T(Z_j, Z_l, Z_c), T = 2i partial(omega), in cotangent row l; the End
-    columns hold the pairing 2<F^{1,1}, r>, 2 alpha F0(Z_l, Z_c) and
-    -2 alpha F1(Z_l, Z_c).  The coframe is holomorphic, so this is the whole
-    operator on invariant sections.  Verifiers read it as cfg.dolbeault.
+    T(Z_j, Z_l, Z_c), T = h.two_i_partial_omega, in cotangent row l (from
+    the orderings of each term of T); the End columns hold the pairing
+    2<F^{1,1}, r>, 2 alpha F0(Z_l, Z_c) and -2 alpha F1(Z_l, Z_c).  The
+    coframe is holomorphic, so this is the whole operator on invariant
+    sections.  Verifiers read it as cfg.dolbeault.
     """
     n = cfg.model.n
-    T = cfg.h.omega.partial().scale(Scalar.of(0, 2))
-    comps = [{(5 + l, j): T.at(j, l, c) for j in range(n) for l in range(n)}
-             for c in range(2 * n)]
+    comps = [{} for _ in range(2 * n)]
+    for (a, b, c), v in cfg.h.two_i_partial_omega.terms.items():
+        for j, l, k, x in ((a, b, c, v), (b, c, a, v), (c, a, b, v),
+                           (b, a, c, -v), (a, c, b, -v), (c, b, a, -v)):
+            if j < n and l < n:
+                comps[k][5 + l, j] = x
     for e, F, r in ((3, cfg.F0, Scalar.of(2) * cfg.alpha),
                     (4, cfg.F1, Scalar.of(-2) * cfg.alpha)):
         for (j, c), v in _sparse(cfg.h.form_values(F)).items():

@@ -247,28 +247,17 @@ class InvariantForm:
     # -- multiplicative structure ----------------------------------------------
 
     def wedge(self, other):
+        """self ^ other: each key sums the coefficient products that merge
+        into it, with their Koszul signs, as one Scalar.sum_of_products."""
         self._same_model(other)
-        t = {}
+        terms = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k, sign = _merge_sign(k1, k2)
-                if k is None:
-                    continue
-                v = v1 * v2
-                if sign < 0:
-                    v = -v
-                if k in t:
-                    s = t[k] + v
-                    if s.is_zero():
-                        del t[k]
-                    else:
-                        t[k] = s
-                else:
-                    t[k] = v
-        out = InvariantForm.__new__(InvariantForm)
-        out.model = self.model
-        out.terms = t
-        return out
+                if k is not None:
+                    terms.setdefault(k, []).append((v1, v2, sign))
+        return InvariantForm(self.model, {k: Scalar.sum_of_products(t)
+                                          for k, t in terms.items()})
 
     def d(self):
         """Graded Leibniz extension of the structure differential: a term

@@ -69,16 +69,17 @@ class CompatibleMetricH:
         for a in range(2 * n):
             conj_t = {(j, i): x.conjugate()
                       for (i, j), x in A.comps[(a + n) % (2 * n)].items()}
-            comps.append(_product_sum([(_product_sum([(left, conj_t)]), right)]))
+            comps.append(_product_sum([(_product_sum([(left, conj_t, 1)]),
+                                        right, 1)]))
         return QOperator(self.model, comps)
 
 
 def decompose_unitary(A: QOperator, H: CompatibleMetricH):
     """A = B + Psi with B anti-self-adjoint (unitary part) and Psi self-adjoint."""
     half = Scalar.of(Fraction(1, 2))
-    Astar = H.adjoint(A)
-    B = (A - Astar).scale(half)
-    Psi = (A + Astar).scale(half)
+    pairs = list(zip(A.comps, H.adjoint(A).comps))
+    B, Psi = (QOperator(A.model, [_combination(c, m) for m in pairs])
+              for c in ((half, -half), (half, half)))
     return B, Psi
 
 
@@ -98,16 +99,18 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
         sum_a [V^a, B^a] + sum_c g^c T^c,
         V^a = sum_b Ginv[a][b] T^b,  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
 
-    The commutators are one sum of sparse products, V^a B^a and B^a (-V^a).
+    The commutators are one sum of sparse products, V^a B^a with sign +1
+    and B^a V^a with sign -1.
     The trace g^c (h.lc_trace, built with the metric) is tr ad_{Z_c}, zero
     on a unimodular (e.g. nilpotent) algebra (Milnor, Adv. Math. 21, 1976),
     so on the Iwasawa model the second sum adds nothing; it is still
     computed, not assumed, so any NilmanifoldModel whose algebra is not
     unimodular gets the full codifferential.
     """
-    V = [_combination(row, T.comps) for row in s.h.Ginv6]
-    neg_V = [{k: -v for k, v in m.items()} for m in V]
-    return _dense(_plus(_product_sum([*zip(V, B.comps), *zip(B.comps, neg_V)]),
+    VB = [(_combination(row, T.comps), b)
+          for row, b in zip(s.h.Ginv6, B.comps)]
+    return _dense(_plus(_product_sum([(v, b, 1) for v, b in VB]
+                                     + [(b, v, -1) for v, b in VB]),
                         _combination(s.h.lc_trace, T.comps)))
 
 
@@ -115,6 +118,16 @@ def _add_matrices(a, b, c=Scalar.one()):
     """a + c b of 8x8 Scalar matrices, skipping the zero entries of b."""
     return [[x if y.is_zero() else x + c * y for x, y in zip(r1, r2)]
             for r1, r2 in zip(a, b)]
+
+
+def _j_residual(s):
+    """J: (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi, J Psi = i Psi^{1,0}
+    - i Psi^{0,1}."""
+    B, Psi = s.unitary_split
+    JPsi = (Psi.part(1, 0) - Psi.part(0, 1)).scale(Scalar.i())
+    return _add_matrices(nabla_H_star(s, B, JPsi),
+                         Psi.value_at(_j_vector(s.model, s.h.lee_sharp)),
+                         Scalar.of(-1))
 
 
 class _MomentResiduals(dict):
@@ -132,18 +145,12 @@ class _MomentResiduals(dict):
 
     def __missing__(self, key):
         s = self._s
-        h = s.h
-        B, Psi = s.unitary_split
         if key == "I":
             # (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
-            value = wedge_omega_sq_top(h, B, [(B, B), (Psi, Psi)])
+            B, Psi = s.unitary_split
+            value = wedge_omega_sq_top(s.h, B, [(B, B), (Psi, Psi)])
         elif key == "J":
-            # (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi, J Psi = i Psi^{1,0}
-            # - i Psi^{0,1}
-            JPsi = (Psi.part(1, 0) - Psi.part(0, 1)).scale(Scalar.i())
-            value = _add_matrices(nabla_H_star(s, B, JPsi),
-                                  Psi.value_at(_j_vector(s.model, h.lee_sharp)),
-                                  Scalar.of(-1))
+            value = _j_residual(s)
         else:
             raise KeyError(key)
         self[key] = value
@@ -201,7 +208,7 @@ def harmonic_vs_moment_gap(s):
     c = wedge_omega_sq_top(h, Psi, [(B, Psi), (Psi, B)])
     unit = h.star(s.model.basis_form(s.model.top_index())).terms.get((), zero) \
         * Scalar.of(Fraction(1, 2))
-    return _add_matrices(moment_residuals(s)["J"], c, -unit)
+    return _add_matrices(_j_residual(s), c, -unit)
 
 
 def higgs_dbar_entry(s, i, j):

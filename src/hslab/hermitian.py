@@ -9,21 +9,22 @@ connection coefficients on the invariant frame.
 The module also holds the package's one exact linear-algebra core over
 Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
 matrix_inverse built on it, matrix_det (forward elimination that stops at
-the first zero column), and matmul, one zero-skipping product whose
-entries multiply with * (Scalars, Scalar and form, or form and form by
-wedge), with sandwich (left . mid . right) as two of them; for
-curvatures it multiplies matrices of forms.
+the first zero column), and matmul, one zero-skipping product, with
+sandwich (left . mid . right) as two of them: a Scalar entry is one
+Scalar.sum_of_products, and for curvatures it multiplies matrices of
+forms with * (a wedge, itself one sum of products per key).
 
 A HermitianStructure is finished at construction: it builds everything
 that depends on the metric alone (omega^2, d(omega^2), d^c omega,
-dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top and its
-companion (d e_a ^ omega^2)_top, the Levi-Civita and Bismut coefficients,
-the Lee form and its sharp, *d^c omega and the Levi-Civita trace of the
-codifferential) and nothing is written to it afterwards, so one structure
-serves every verifier and family of its metric.  The brackets are the
-model's (NilmanifoldModel.brackets), built once per model.  The Bismut
-torsion rows and the table are read off the nonzero terms of d^c omega and
-of omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
+2i partial(omega), dd^c omega, the volume, the table
+(e_a ^ e_b ^ omega^2)_top and its companion (d e_a ^ omega^2)_top, the
+Levi-Civita and Bismut coefficients, the Lee form and its sharp,
+*d^c omega and the Levi-Civita trace of the codifferential) and nothing
+is written to it afterwards, so one structure serves every verifier and
+family of its metric.  The brackets are the model's
+(NilmanifoldModel.brackets), built once per model.  The Bismut torsion
+rows and the table are read off the nonzero terms of d^c omega and of
+omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
 their cost follows the nonzero structure constants.  wedge_omega_sq is the
 wedge with omega^2; star builds the image of each basis form e_J on every
 call: the volume contracted by the metric duals (sharp) of the factors of
@@ -148,21 +149,29 @@ def matrix_det(rows):
 def matmul(a, b, zero):
     """Matrix product a . b, skipping zero factors; zero is the entries' zero.
 
-    Entries multiply with *: Scalars, a Scalar and a form (scale), or two
-    forms (wedge), so one product serves Scalar matrices and matrices of
-    forms alike.
+    Each entry gathers the products its nonzero factors meet.  Over Scalars
+    it is one Scalar.sum_of_products; otherwise the products are taken with
+    * (a Scalar and a form scale, two forms wedge) and added, so one product
+    serves Scalar matrices and matrices of forms alike.
     """
     ncols = len(b[0]) if b else 0
+    if zero.__class__ is Scalar:
+        total = Scalar.sum_of_products
+    else:
+        def total(t):
+            return sum((x * y for x, y, _ in t), zero)
     out = []
     for row in a:
-        acc = [zero] * ncols
+        terms = [None] * ncols
         for k, x in enumerate(row):
             if x.is_zero():
                 continue
             for j, y in enumerate(b[k]):
                 if not y.is_zero():
-                    acc[j] = acc[j] + x * y
-        out.append(acc)
+                    if terms[j] is None:
+                        terms[j] = []
+                    terms[j].append((x, y, 1))
+        out.append([zero if t is None else total(t) for t in terms])
     return out
 
 
@@ -223,6 +232,8 @@ class HermitianStructure:
         self.omega_sq = omega.wedge(omega)
         self.d_omega_sq = self.omega_sq.d()
         self.dc_omega = omega.dc()
+        # omega is (1,1), so (d^c omega)^{2,1} = -i partial(omega)
+        self.two_i_partial_omega = self.dc_omega.part(2, 1).scale(-2)
         self.ddc_omega = self.dc_omega.d()
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()

@@ -10,6 +10,8 @@ equal values have equal dicts.  Each sum or product of two coefficients is
 brought back to that form by one three-argument math.gcd; no Fraction is
 built on the hot path.  Mixed Laurent polynomials and single pi-powers go
 through the same code, with a shortcut for the product of two monomials.
+sum_of_products, the kernel of every matrix product and wedge, reduces
+each pi-power of a sum sign x y once at the end, not once per term.
 
 Addition, multiplication and conjugation are closed; division is defined
 only by monomials q pi^k with q != 0, which is all the geometry ever needs
@@ -40,6 +42,36 @@ def _triple(re, im):
     d = q * s // _gcd(q, s)
     # lcm of reduced denominators: gcd(a, b, d) = 1 already
     return (p * (d // q), r * (d // s), d)
+
+
+def _accumulate(terms):
+    """sum sign x y over the terms (x, y, sign): unreduced numerators per
+    pi-power over a common denominator (added directly when denominators
+    are equal), each pi-power reduced by one math.gcd at the end."""
+    acc = {}
+    for x, y, sign in terms:
+        for k1, (a, b, d) in x._c.items():
+            if sign < 0:
+                a, b = -a, -b
+            for k2, (p, q, e) in y._c.items():
+                k = k1 + k2
+                re = a * p - b * q
+                im = a * q + b * p
+                de = d * e
+                u = acc.get(k)
+                if u is None:
+                    acc[k] = (re, im, de)
+                elif u[2] == de:
+                    acc[k] = (u[0] + re, u[1] + im, de)
+                else:
+                    r, i, f = u
+                    acc[k] = (r * de + re * f, i * de + im * f, f * de)
+    c = {}
+    for k, (re, im, d) in acc.items():
+        if re or im:
+            g = _gcd(re, im, d)
+            c[k] = (re // g, im // g, d // g) if g != 1 else (re, im, d)
+    return _new(c)
 
 
 def _new(c):
@@ -181,27 +213,19 @@ class Scalar:
             if g != 1:
                 return _new({k1 + k2: (re // g, im // g, d // g)})
             return _new({k1 + k2: (re, im, d)})
-        acc = {}
-        for k1, (a, b, d) in sc.items():
-            for k2, (x, y, e) in oc.items():
-                k = k1 + k2
-                re = a * x - b * y
-                im = a * y + b * x
-                de = d * e
-                u = acc.get(k)
-                if u is None:
-                    acc[k] = (re, im, de)
-                else:
-                    p, q, f = u
-                    acc[k] = (p * de + re * f, q * de + im * f, f * de)
-        c = {}
-        for k, (re, im, d) in acc.items():
-            if re or im:
-                g = _gcd(re, im, d)
-                c[k] = (re // g, im // g, d // g)
-        return _new(c)
+        return _accumulate([(self, other, 1)])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(terms):
+        """sum sign x y over a list of Scalar terms (x, y, sign), sign +-1:
+        the canonical Scalar that folding + and * gives, with one reduction
+        per pi-power instead of two per term.  One term is x * y."""
+        if len(terms) == 1:
+            ((x, y, sign),) = terms
+            return x * y if sign > 0 else -(x * y)
+        return _accumulate(terms)
 
     def inverse(self):
         """Inverse of a monomial q pi^k; error on general sums."""

@@ -104,6 +104,21 @@ def test_extension_class(std):
     assert matrix_is_zero(g[:5])
 
 
+def test_cotangent_rows_read_2i_partial_omega(std, oracle_metrics):
+    # the cotangent block, filled from the terms of T = 2i partial(omega),
+    # against the coefficient reads T(Z_j, Z_l, Z_c) it replaced
+    for h in oracle_metrics:
+        zero = h.model.zero()
+        A = dolbeault_Q(SimpleNamespace(model=h.model, h=h, F0=zero,
+                                        F1=zero, alpha=std.alpha))
+        T = h.omega.partial().scale(Scalar.of(0, 2))
+        assert [[[A.comps[c].get((5 + l, j), Scalar.zero())
+                  for j in range(3)] for l in range(3)] for c in range(6)] \
+            == [[[T.at(j, l, c) for j in range(3)] for l in range(3)]
+                for c in range(6)]
+    assert any(not h.two_i_partial_omega.is_zero() for h in oracle_metrics)
+
+
 def test_cotangent_subbundle(std):
     rep = subbundle_report(std)
     assert rep["isotropic"]

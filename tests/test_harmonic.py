@@ -177,6 +177,24 @@ def test_moment_residuals_off_solution_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_GAP_DIGEST
 
 
+def test_gap_builds_only_the_J_codifferential(monkeypatch, model, h0,
+                                              Omega):
+    # the gap reads J alone: one codifferential, and no K residual
+    import hslab.harmonic as harmonic
+    s = make_params(model, h0, Omega, (1, 2, 2), (2, -1, 0))
+    s.unitary_split  # built before counting
+    calls = []
+    real = harmonic.nabla_H_star
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harmonic, "nabla_H_star", counted)
+    assert matrix_is_zero(harmonic_vs_moment_gap(s))
+    assert len(calls) == 1
+
+
 def test_harmonic_three_way_equivalence(model, h0, Omega, rng):
     for _ in range(12):
         t0, t1 = random_pair(rng)

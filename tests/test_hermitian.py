@@ -104,6 +104,8 @@ def test_members_are_their_definitions(oracle_metrics):
         dim, gamma = h.model.dim, h.levi_civita.gamma
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.star_dc_omega == h.star(h.dc_omega)
+        assert h.two_i_partial_omega == h.omega.partial().scale(
+            Scalar.of(0, 2))
         assert h.lc_trace == [
             sum((h.Ginv6[a][b] * gamma[a][b][c] for a in range(dim)
                  for b in range(dim)), Scalar.zero()) for c in range(dim)]

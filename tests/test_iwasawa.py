@@ -450,6 +450,35 @@ def test_metric_forms_are_built_once(monkeypatch):
     assert sum(1 for a in ds if a is h.omega_sq) == 1
 
 
+# Scalar.__mul__ + __add__ calls that verify_family makes on the deformed
+# family below when every matrix product and wedge sums its entries with
+# Scalar.sum_of_products (2,335 when they added and multiplied term by
+# term), and a ceiling a quarter above it: a hot product moved back onto
+# per-term arithmetic fails the test
+KERNEL_REACH_BASE = 513
+KERNEL_REACH_CEILING = KERNEL_REACH_BASE * 5 // 4
+
+
+def test_verify_family_sums_products_in_the_kernel(monkeypatch):
+    calls = []
+    mul, add = Scalar.__mul__, Scalar.__add__
+
+    def counted_mul(self, other):
+        calls.append("*")
+        return mul(self, other)
+
+    def counted_add(self, other):
+        calls.append("+")
+        return add(self, other)
+
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(Scalar, "__add__", counted_add)
+    verify_family(cand)
+    assert 0 < len(calls) <= KERNEL_REACH_CEILING
+
+
 def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
     degrees = []
     star_image = hermitian.HermitianStructure._star_image

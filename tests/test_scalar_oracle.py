@@ -2,7 +2,8 @@
 
 Each Scalar is mapped to the sympy expression sum_k (re_k + im_k I) pi^k
 with a symbolic positive pi; sums, products, negation, conjugation, monomial
-inverses, str -> parse_scalar and evalf must agree with sympy's.
+inverses, the sum-of-products kernel, str -> parse_scalar and evalf must
+agree with sympy's.
 """
 
 import math
@@ -54,6 +55,61 @@ def test_sum_difference_product(a, b):
                       (-a, -x)):
         assert canonical(got)
         assert same(got, want)
+
+
+# the kernel's terms: mostly monomials, as in the matrix products, with
+# small denominators so that equal and unequal ones both occur
+factors = st.one_of(monomials, laurent)
+term_lists = st.lists(st.tuples(factors, factors, st.sampled_from((1, -1))),
+                      max_size=6)
+
+
+def fold(terms):
+    """sum sign x y by + and *, one reduction per operation."""
+    out = Scalar.zero()
+    for x, y, sign in terms:
+        out = out + x * y if sign > 0 else out - x * y
+    return out
+
+
+@ORACLE
+@given(term_lists)
+def test_sum_of_products(terms):
+    got = Scalar.sum_of_products(terms)
+    assert canonical(got)
+    assert got._c == fold(terms)._c
+    assert same(got, sum((sign * to_sympy(x) * to_sympy(y)
+                          for x, y, sign in terms), sympy.Integer(0)))
+
+
+@ORACLE
+@given(term_lists)
+def test_sum_of_products_cancels_to_zero(terms):
+    # each product once with its sign and once, factors swapped, against it
+    back = [(y, x, -sign) for x, y, sign in reversed(terms)]
+    assert Scalar.sum_of_products(terms + back)._c == {}
+
+
+def test_sum_of_products_cases():
+    q = Scalar.of
+    half, third, quarter = q(Fraction(1, 2)), q(Fraction(1, 3)), \
+        q(Fraction(1, 4))
+    assert Scalar.sum_of_products([]) == 0
+    assert Scalar.sum_of_products([(half, third, -1)]) == Fraction(-1, 6)
+    # unequal denominators: 1/4 + 1/6 = 5/12, and 1/6 + 1/6 reduces to 1/3
+    assert Scalar.sum_of_products([(half, half, 1), (half, third, 1)]) \
+        == Fraction(5, 12)
+    assert Scalar.sum_of_products([(half, third, 1), (third, half, 1)]) \
+        == Fraction(1, 3)
+    # equal denominators add numerators, then reduce: 1/4 + 1/4 = 1/2
+    assert Scalar.sum_of_products([(half, half, 1), (quarter, q(1), 1)]) \
+        == half
+    # pi-powers are kept apart and each cancels or survives on its own
+    x = Scalar({0: (1, 2), 1: (Fraction(1, 3), 0)})
+    got = Scalar.sum_of_products([(x, half, 1), (q(0, 1), q(0, 1, k=1), 1),
+                                  (half, q(1), -1)])
+    assert got == Scalar({0: (0, 1), 1: (Fraction(-5, 6), 0)})
+    assert canonical(got)
 
 
 @ORACLE
