@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantForm
-from .hermitian import matmul, matrix_inverse, sandwich
+from .hermitian import _sparse, matmul, matrix_inverse, sandwich
 
 QDIM = 8
 
@@ -52,12 +52,6 @@ def _zeros():
 
 def matrix_is_zero(rows):
     return all(x.is_zero() for row in rows for x in row)
-
-
-def _sparse(M):
-    """The nonzero entries {(i, j): M[i][j]} of a Scalar matrix."""
-    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
-            if not v.is_zero()}
 
 
 def _dense(m):
@@ -193,17 +187,16 @@ def connection_DG(s):
     """The orthogonal connection of the solution, as a QOperator.
 
     Component c, on Z_c: the Bismut coefficients A^c_ab = Gamma^a_{cb} on
-    T (x) C, the columns -alpha g^{-1} F0(., Z_c) and alpha g^{-1} F1(., Z_c)
-    coupling T to the End directions, and the End rows F_j(., Z_c) (the
-    Chern connections are trivial in the invariant unitary frame).
+    T (x) C (h.bismut_sparse[c]), the columns -alpha g^{-1} F0(., Z_c) and
+    alpha g^{-1} F1(., Z_c) coupling T to the End directions, and the End
+    rows F_j(., Z_c) (the Chern connections are trivial in the invariant
+    unitary frame).
     """
     h = s.h
-    gamma, G = h.bismut.gamma, _sparse(h.Ginv6)
-    comps = [{(a, b): gamma[c][b][a] for a in range(6) for b in range(6)}
-             for c in range(6)]
+    comps = [dict(m) for m in h.bismut_sparse]
     for e, F, r in ((6, s.F0, -s.alpha), (7, s.F1, s.alpha)):
         Fv = _sparse(h.form_values(F))  # F(Z_b, Z_c)
-        for (a, c), v in _product_sum([(G, Fv, 1)]).items():
+        for (a, c), v in _product_sum([(h.Ginv6_sparse, Fv, 1)]).items():
             comps[c][a, e] = v * r
         for (b, c), v in Fv.items():
             comps[c][e, b] = v
@@ -218,11 +211,9 @@ def curvature(A):
 
 
 def he_residual_G(s):
-    """F_{D^G} ^ omega^2 = c e_top (c = s.curvature_omega_sq), as 8x8 top
-    forms; zero on solutions."""
-    top = s.model.top_index()
-    return [[InvariantForm(s.model, {top: x}) for x in row]
-            for row in s.curvature_omega_sq]
+    """The 8x8 Scalars c with F_{D^G} ^ omega^2 = c e_top
+    (s.curvature_omega_sq); zero on solutions."""
+    return s.curvature_omega_sq
 
 
 def dolbeault_Q(cfg):
@@ -305,15 +296,17 @@ def _span_slope(s, S):
     columns of the 8 x k Scalar matrix S.
 
     The compressed curvature (S^dagger H S)^-1 S^dagger H F S has trace
-    sum_ab Pr[b][a] F[a][b], Pr = S (S^dagger H S)^-1 S^dagger H, so with
-    F ^ omega^2 = c e_top the slope is (i/2pi) sum_ab Pr[b][a] c[a][b] /
-    c_vol / k.
+    tr(inv M), inv = (S^dagger H S)^-1 and M = S^dagger H F S, so with
+    F ^ omega^2 = c e_top the slope is (i/2pi) tr(inv M_c) / c_vol / k,
+    M_c = S^dagger H c S: two k x k matrices, no 8x8 projector.
     """
     zero = Scalar.zero()
     SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)],
                  s.metric_H.Hm, zero)
-    Pr = sandwich(S, matrix_inverse(matmul(SdH, S, zero)), SdH, zero)
-    trace = sum((Pr[b][a] * x for a, row in enumerate(s.curvature_omega_sq)
-                 for b, x in enumerate(row) if not x.is_zero()), zero)
+    inv = matrix_inverse(matmul(SdH, S, zero))
+    M = sandwich(SdH, s.curvature_omega_sq, S, zero)
+    trace = Scalar.sum_of_products([
+        (x, y, 1) for row, col in zip(inv, zip(*M)) for x, y in zip(row, col)
+        if not (x.is_zero() or y.is_zero())])
     return trace * Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1) \
         * (s.h.c_vol * Scalar.of(len(S[0]))).inverse()

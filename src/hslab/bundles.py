@@ -50,12 +50,11 @@ class LineBundleTriple:
 
 def curvature_from_triple(model, triple):
     """Invariant curvature form of the line bundle L(m,n,p)."""
-    B = model.basis_form
     m, n, p = triple.m, triple.n, triple.p
-    f = (B((0, 3)) - B((1, 4))).scale(m) \
-        + (B((0, 4)) + B((1, 3))).scale(n) \
-        + (B((0, 4)) - B((1, 3))).scale(Scalar.of(0, p))
-    return f.scale(Scalar.pi())
+    return InvariantForm(model, {(0, 3): Scalar.pi(1, m),
+                                 (1, 4): Scalar.pi(1, -m),
+                                 (0, 4): Scalar.pi(1, n, p),
+                                 (1, 3): Scalar.pi(1, n, -p)})
 
 
 class CohClass:

@@ -35,9 +35,9 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import matmul
+from .hermitian import _sparse, matmul
 from .algebroid import (QDIM, QOperator, _combination, _dense, _plus,
-                        _product_sum, _sparse, _with_end, wedge_omega_sq_top)
+                        _product_sum, _with_end, wedge_omega_sq_top)
 
 
 class CompatibleMetricH:

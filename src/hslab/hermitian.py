@@ -14,17 +14,18 @@ sandwich (left . mid . right) as two of them: a Scalar entry is one
 Scalar.sum_of_products, and for curvatures it multiplies matrices of
 forms with * (a wedge, itself one sum of products per key).
 
-A HermitianStructure is finished at construction: it builds everything
-that depends on the metric alone (omega^2, d(omega^2), d^c omega,
-2i partial(omega), dd^c omega, the volume, the table
-(e_a ^ e_b ^ omega^2)_top and its companion (d e_a ^ omega^2)_top, the
-Levi-Civita and Bismut coefficients, the Lee form and its sharp,
-*d^c omega and the Levi-Civita trace of the codifferential) and nothing
-is written to it afterwards, so one structure serves every verifier and
-family of its metric.  The brackets are the model's
-(NilmanifoldModel.brackets), built once per model.  The Bismut torsion
-rows and the table are read off the nonzero terms of d^c omega and of
-omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
+A HermitianStructure is finished at construction: it builds everything that
+depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
+partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
+and its companion (d e_a ^ omega^2)_top, the Levi-Civita and Bismut
+coefficients, the Bismut matrices of nabla^-_{Z_c} and Ginv6 as sparse
+matrices (bismut_sparse, Ginv6_sparse: what connection_DG reads), the Lee
+form and its sharp, *d^c omega and the Levi-Civita trace of the
+codifferential) and nothing is written to it afterwards, so one structure
+serves every verifier and family of its metric.  The brackets are the
+model's (NilmanifoldModel.brackets), built once per model.  The Bismut
+torsion rows and the table are read off the nonzero terms of d^c omega and
+of omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
 their cost follows the nonzero structure constants.  wedge_omega_sq is the
 wedge with omega^2; star builds the image of each basis form e_J on every
 call: the volume contracted by the metric duals (sharp) of the factors of
@@ -68,7 +69,9 @@ def rref(rows, ncols):
     Returns (reduced, pivots): the reduced rows, each pivot scaled to one and
     cleared from every other row, and the pivot columns in order.  Columns
     from ncols on (an augmented block) are carried along but never pivoted.
-    Raises ValueError when a column offers only non-monomial pivots.
+    Zero entries are kept as they are when a row is scaled or subtracted, so
+    no product has a zero factor.  Raises ValueError when a column offers
+    only non-monomial pivots.
     """
     a = [list(row) for row in rows]
     pivots = []
@@ -79,11 +82,12 @@ def rref(rows, ncols):
             continue
         a[row], a[piv] = a[piv], a[row]
         s = a[row][col].inverse()
-        a[row] = [x * s for x in a[row]]
+        a[row] = [x if x.is_zero() else x * s for x in a[row]]
         for r in range(len(a)):
             f = a[r][col]
             if r != row and not f.is_zero():
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+                a[r] = [x if y.is_zero() else x - f * y
+                        for x, y in zip(a[r], a[row])]
         pivots.append(col)
     return a, pivots
 
@@ -144,6 +148,12 @@ def matrix_det(rows):
             f = a[r][col] * s
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def _sparse(M):
+    """The nonzero entries {(i, j): M[i][j]} of a Scalar matrix."""
+    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
+            if not v.is_zero()}
 
 
 def matmul(a, b, zero):
@@ -240,6 +250,8 @@ class HermitianStructure:
         self.omega_sq_table = self._omega_sq_table()
         self.levi_civita = self._levi_civita()
         self.bismut = self._bismut()
+        self.Ginv6_sparse = _sparse(self.Ginv6)
+        self.bismut_sparse = [_sparse(zip(*g)) for g in self.bismut.gamma]
         # lam[a] = (d e_a ^ omega^2)_top, read through the table
         W = self.omega_sq_table
         self.omega_sq_lambda = [sum((v * W[b][c] for (b, c), v in

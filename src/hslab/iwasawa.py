@@ -28,10 +28,11 @@ certificate of the moment-map residual K, then closed-form records, row by
 row.  K of a triple against its orthogonal partner is a polynomial of
 degree <= 2 in the triple, so _certify_base proves it zero on every triple
 from 30 exact engine runs on unisolvent samples and guards, at any --max.
-A row is one triple t0 against every triple t1; _sweep_row makes its
-records in one loop and returns them as one text, which iter_sweep yields
-and the CLI writes with one write.  Memory is bounded by one row, not by
-the record count.
+A row is one triple t0 against every triple t1; _sweep_row builds its
+record heads once per squared norm of t1 and verdict, makes each line as a
+head plus t1's tail (precomputed once per sweep) in one list comprehension,
+and returns them as one text, which iter_sweep yields and the CLI writes
+with one write.  Memory is bounded by one row, not by the record count.
 """
 
 from __future__ import annotations
@@ -246,10 +247,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _residual_entry(name, form_or_matrix):
+def _residual_entry(name, form_or_matrix, shown=str):
     """Zero flag and witness of a residual form or matrix (of scalars or forms).
 
-    The witness of a matrix is its first nonzero entry in row order.
+    A matrix's witness is shown(v), v its first nonzero entry in row order.
     """
     if isinstance(form_or_matrix, list):
         zero = matrix_is_zero(form_or_matrix)
@@ -257,7 +258,7 @@ def _residual_entry(name, form_or_matrix):
         if not zero:
             i, j, v = next((i, j, v) for i, row in enumerate(form_or_matrix)
                            for j, v in enumerate(row) if not v.is_zero())
-            witness = "entry (%d,%d): %s" % (i, j, v)
+            witness = "entry (%d,%d): %s" % (i, j, shown(v))
     else:
         zero = form_or_matrix.is_zero()
         witness = "" if zero else form_or_matrix.literal()
@@ -281,7 +282,9 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
         residuals.append(_residual_entry(name, form))
     hs_ok = all(r["zero"] for r in residuals)
 
-    residuals.append(_residual_entry("hermitian_einstein_G", he_residual_G(s)))
+    top = s.model.top_index()  # an entry c is shown as the form c e_top
+    residuals.append(_residual_entry("hermitian_einstein_G", he_residual_G(s),
+                                     lambda c: s.model.basis_form(top, c)))
     he_ok = residuals[-1]["zero"]
 
     kres = harmonic_residual(s)
@@ -423,49 +426,49 @@ def _certify_base():
                 raise AssertionError("K is not of degree <= 2 in the triple")
 
 
-# json.dumps(record, sort_keys=True) of a sweep record, keys in sorted
-# order, and the newline that ends its catalog line.  dbar_phi_23 is nonzero
-# on every pair: its End-block entry is -4 pi^2 |alpha| times a product whose
+# json.dumps(record, sort_keys=True) of a sweep record up to the text of
+# triple1, keys in sorted order; a catalog line is a row's head and the
+# column's tail, json.dumps(triple1) + "}}\n".  dbar_phi_23 is nonzero on
+# every pair: its End-block entry is -4 pi^2 |alpha| times a product whose
 # components are dot(t0, t1) and those of t0 x t1 up to sign, and
 # dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's identity)
-_LINE = ('{"alpha": %s, "dbar_phi_23_nonzero": true, "flags": '
+_HEAD = ('{"alpha": %s, "dbar_phi_23_nonzero": true, "flags": '
          '{"hermitian_einstein": true, "hs_solution": true}, '
-         '"harmonic": %s, "params": {"triple0": %s, "triple1": %s}}\n')
-_BOOL = (json.dumps(False), json.dumps(True))
+         '"harmonic": %s, "params": {"triple0": %s, "triple1": ')
 
 
-def _sweep_row(t0, s0, j0, cols, alphas, require_harmonic=False):
+def _sweep_row(t0, s0, j0, cols, norms, alphas, require_harmonic=False):
     """(text, records, harmonic) of the row t0: its pairs (t0, t1), t1 in cols.
 
     text is the row's catalog lines in cols order, each ending in a newline;
     records counts them and harmonic counts those with a harmonic verdict.
     A pair of equal squared norms has no line (its coupling is degenerate),
     and with require_harmonic neither has a non-harmonic pair.  s0 and j0 are
-    the squared norm and JSON text of t0; cols holds (t1, s1, j1) likewise,
-    computed once per sweep.  alphas: s0 - s1 -> JSON text of alpha, a
-    per-sweep cache (the literal depends on that difference alone).
+    the squared norm and JSON text of t0.  Per sweep: cols holds (t1, s1,
+    tail), tail the end of t1's lines after _HEAD, norms every s1, and alphas
+    maps s0 - s1 to the JSON text of alpha (the literal depends on that
+    difference alone).  A line is heads[s1][verdict] + tail, with the heads
+    built once per row (None: no line).
     """
+    heads = {s0: (None, None)}
+    for s1 in norms:
+        if s1 != s0:
+            alpha = alphas.get(s0 - s1)
+            if alpha is None:
+                alpha = alphas[s0 - s1] = json.dumps(
+                    str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
+            heads[s1] = (None if require_harmonic
+                         else _HEAD % (alpha, "false", j0),
+                         _HEAD % (alpha, "true", j0))
+    # K is its base part, zero by _certify_base, plus the cross term:
+    # |alpha| times the frame contraction of the two curvatures,
+    # -16 pi^2 |alpha| dot, on the End off-diagonal entries; alpha != 0,
+    # so K vanishes iff dot == 0
     m0, n0, p0 = t0
-    lines = []
-    harmonic = 0
-    for t1, s1, j1 in cols:
-        if s0 == s1:
-            continue
-        m1, n1, p1 = t1
-        # K is its base part, zero by _certify_base, plus the cross term:
-        # |alpha| times the frame contraction of the two curvatures,
-        # -16 pi^2 |alpha| dot, on the End off-diagonal entries; alpha != 0,
-        # so K vanishes iff dot == 0
-        harm = m0 * m1 + n0 * n1 + p0 * p1 == 0
-        if require_harmonic and not harm:
-            continue
-        alpha = alphas.get(s0 - s1)
-        if alpha is None:
-            alpha = alphas[s0 - s1] = json.dumps(
-                str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
-        lines.append(_LINE % (alpha, _BOOL[harm], j0, j1))
-        harmonic += harm
-    return "".join(lines), len(lines), harmonic
+    lines = [head + tail for (m1, n1, p1), s1, tail in cols
+             if (head := heads[s1][m0 * m1 + n0 * n1 + p0 * p1 == 0])]
+    text = "".join(lines)
+    return text, len(lines), text.count('"harmonic": true')
 
 
 def _ch2_holds():
@@ -503,9 +506,12 @@ def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
     if triples:
         _certify_base()
     alphas = {}
-    cols = [(t, sum(x * x for x in t), json.dumps(list(t))) for t in triples]
-    for t0, s0, j0 in cols:
+    cols = [(t, sum(x * x for x in t), json.dumps(list(t)) + "}}\n")
+            for t in triples]
+    norms = {s for _, s, _ in cols}
+    for t0, s0, _ in cols:
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
         if raw or t0 < tuple(-x for x in t0):
-            yield _sweep_row(t0, s0, j0, cols, alphas, require_harmonic)
+            yield _sweep_row(t0, s0, json.dumps(list(t0)), cols, norms,
+                             alphas, require_harmonic)

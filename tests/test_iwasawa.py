@@ -105,6 +105,10 @@ def test_uncorrected_tau_family_fails_instanton_equations():
     zero_flags = [r.is_zero() for r in hs_residuals(cand.params)]
     # the two instanton equations fail; balanced and anomaly still hold
     assert zero_flags == [False, False, True, True]
+    # the report shows the HE residual's first nonzero entry as a top form
+    by_name = {r["name"]: r for r in verify_family(cand).residuals}
+    assert by_name["hermitian_einstein_G"]["witness"] == (
+        "entry (0,0): ((33/11360 + 61/2840 i)) w1^w2^w3^w1'^w2'^w3'")
 
 
 def test_gamma_correction_properties(rng):
@@ -555,6 +559,22 @@ def test_sweep_max_one_catalog():
     assert sweep_records(1, require_ch2=True) == records
 
 
+# sha256 of the `hslab sweep --max 3` catalog, as perfbench/golden.json
+# records it, and its record and harmonic counts
+GOLDEN_SWEEP_MAX_3 = (
+    "e35d12310be8ee14606c2771df23d1258c25f37db8d4712f62a7c44e862ebb79",
+    54228, 3912)
+
+
+def test_sweep_max_three_catalog_is_the_golden_one():
+    digest, records, harmonic = hashlib.sha256(), 0, 0
+    for text, n, k in iwasawa.iter_sweep(3):
+        digest.update(text.encode())
+        records += n
+        harmonic += k
+    assert (digest.hexdigest(), records, harmonic) == GOLDEN_SWEEP_MAX_3
+
+
 def test_sweep_deterministic_and_threaded():
     records = sweep_records(1)
     assert sweep_records(1) == records
@@ -603,6 +623,32 @@ def test_engine_base_K_is_zero_on_every_triple_at_max_3(monkeypatch, model,
     assert len(triples) == 342
     assert _engine_flags(triples, model, h0, Omega) == dict.fromkeys(
         triples, True)
+
+
+def test_unisolvence_inverses_take_no_zero_product(monkeypatch):
+    # rref keeps zero entries as they are when it scales and eliminates, so
+    # the mostly-zero monomial matrices of the samples reach no product
+    # with a zero factor
+    mul, real = Scalar.__mul__, iwasawa.matrix_inverse
+    inverting, products = [], []
+
+    def counted_mul(self, other):
+        if inverting:
+            products.append((self, other))
+        return mul(self, other)
+
+    def inverse(rows):
+        inverting.append(rows)
+        try:
+            return real(rows)
+        finally:
+            inverting.pop()
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(iwasawa, "matrix_inverse", inverse)
+    iwasawa._certify_base()
+    assert products and not any(x.is_zero() or y.is_zero()
+                                for x, y in products)
 
 
 def _stand_in_K(entries):
@@ -790,8 +836,9 @@ def sweep_pair(t0, t1):
     """The record of the pair (t0, t1): _sweep_row on a one-column row."""
     from hslab.iwasawa import _sweep_row
     s0, s1 = sum(x * x for x in t0), sum(x * x for x in t1)
+    tail = json.dumps(list(t1)) + "}}\n"
     text, records, harmonic = _sweep_row(
-        t0, s0, json.dumps(list(t0)), [(t1, s1, json.dumps(list(t1)))], {})
+        t0, s0, json.dumps(list(t0)), [(t1, s1, tail)], [s1], {})
     if s0 == s1:
         assert (text, records, harmonic) == ("", 0, 0)
         return []
