@@ -559,20 +559,39 @@ def test_sweep_max_one_catalog():
     assert sweep_records(1, require_ch2=True) == records
 
 
-# sha256 of the `hslab sweep --max 3` catalog, as perfbench/golden.json
-# records it, and its record and harmonic counts
-GOLDEN_SWEEP_MAX_3 = (
-    "e35d12310be8ee14606c2771df23d1258c25f37db8d4712f62a7c44e862ebb79",
-    54228, 3912)
+# sha256 of sweep catalogs and their record and harmonic counts: the
+# `hslab sweep --max 3` one as perfbench/golden.json records it, and the
+# --max 2 options and --max 4 as the per-record builder wrote them
+GOLDEN_SWEEPS = [
+    ((3, {}), (
+        "e35d12310be8ee14606c2771df23d1258c25f37db8d4712f62a7c44e862ebb79",
+        54228, 3912)),
+    ((2, {"raw": True}), (
+        "74541721b130c22974d05ecb21280b85665fcb51dee56fff1b11b1525d73bd8e",
+        13160, 1824)),
+    ((2, {"require_harmonic": True}), (
+        "b0d45f6706008a092a65487ef102170935e532d2c18612f69fff04229fbc2f3f",
+        912, 912)),
+    ((2, {"raw": True, "require_harmonic": True}), (
+        "82e53cbecdfae10ce611fbffce1951ca4cbed7b84e0b252cf09ca99dd072dcd9",
+        1824, 1824)),
+    ((4, {}), (
+        "a706585b74b4d96f1bd40741c2fb0e10b9d6ee8b1b437cfb3192325d082bfc72",
+        253704, 11904)),
+]
 
 
-def test_sweep_max_three_catalog_is_the_golden_one():
+@pytest.mark.parametrize("args, golden", GOLDEN_SWEEPS,
+                         ids=["max3", "max2-raw", "max2-harmonic",
+                              "max2-raw-harmonic", "max4"])
+def test_sweep_max_three_catalog_is_the_golden_one(args, golden):
+    max_abs, options = args
     digest, records, harmonic = hashlib.sha256(), 0, 0
-    for text, n, k in iwasawa.iter_sweep(3):
+    for text, n, k in iwasawa.iter_sweep(max_abs, **options):
         digest.update(text.encode())
         records += n
         harmonic += k
-    assert (digest.hexdigest(), records, harmonic) == GOLDEN_SWEEP_MAX_3
+    assert (digest.hexdigest(), records, harmonic) == golden
 
 
 def test_sweep_deterministic_and_threaded():
