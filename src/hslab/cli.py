@@ -166,7 +166,7 @@ def cmd_sweep(args):
         # one write per row as it arrives; the catalog is never held
         for text, records, harm in iter_sweep(
                 args.max, require_harmonic=args.require_harmonic,
-                require_ch2=args.require_ch2, raw=args.raw):
+                raw=args.raw):
             write(text)
             families += records
             harmonic += harm
@@ -266,7 +266,6 @@ def build_parser():
     ps = sub.add_parser("sweep", help="enumerate families to a JSON-lines catalog")
     ps.add_argument("--max", type=int, required=True)
     ps.add_argument("--require-harmonic", action="store_true")
-    ps.add_argument("--require-ch2", action="store_true")
     ps.add_argument("--raw", action="store_true",
                     help="do not identify pairs under simultaneous sign flips")
     ps.add_argument("--threads", type=int, default=1, help="has no effect")

@@ -27,12 +27,16 @@ The sweep (iter_sweep) enumerates integer pairs in one process: one engine
 certificate of the moment-map residual K, then closed-form records, row by
 row.  K of a triple against its orthogonal partner is a polynomial of
 degree <= 2 in the triple, so _certify_base proves it zero on every triple
-from 30 exact engine runs on unisolvent samples and guards, at any --max.
+from 30 exact engine runs on unisolvent samples and guards, at any --max,
+and checks that F0^2 - F1^2 is dd^c-exact (one pair decides every pair).
 A row is one triple t0 against every triple t1; _sweep_row builds its
-record heads once per squared norm of t1 and verdict, makes each line as a
-head plus t1's tail (precomputed once per sweep) in one list comprehension,
-and returns them as one text, which iter_sweep yields and the CLI writes
-with one write.  Memory is bounded by one row, not by the record count.
+record heads once per squared norm of t1 and verdict, takes the
+non-harmonic head of each column by its norm, and puts in the harmonic
+heads only at the columns on the plane t0 . t1 = 0, which it enumerates
+(_orthogonal) instead of testing every column.  Each line is a head plus
+t1's tail (precomputed once per sweep), joined into one text, which
+iter_sweep yields and the CLI writes with one write.  Memory is bounded by
+one row and the per-sweep columns, not by the record count.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, product
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
@@ -394,10 +398,11 @@ def _certify_base():
     on a unisolvent set is zero, so the engine runs on each branch's
     samples only, at alpha = 1 and 2, and the guard checks the degree
     bound: 30 runs certify the base part zero on every triple at any --max.
+    Last, _ch2_holds checks that F0^2 - F1^2 is dd^c-exact for every pair.
 
     Raises ValueError (singular) before any engine run if a branch's
     samples are not unisolvent, and AssertionError if a sample's or a
-    guard's K is nonzero.
+    guard's K is nonzero or the dd^c check fails.
     """
     for samples, _ in _SAMPLES.values():
         matrix_inverse([_monomials(t) for t in samples])
@@ -424,51 +429,92 @@ def _certify_base():
                     raise AssertionError("base K is nonzero at %s" % (t,))
             if not engine_K_is_zero(guard, aval):
                 raise AssertionError("K is not of degree <= 2 in the triple")
+    if not _ch2_holds():
+        raise AssertionError("F0^2 - F1^2 is not dd^c-exact")
 
 
 # json.dumps(record, sort_keys=True) of a sweep record up to the text of
-# triple1, keys in sorted order; a catalog line is a row's head and the
-# column's tail, json.dumps(triple1) + "}}\n".  dbar_phi_23 is nonzero on
+# triple0, keys in sorted order; a catalog line is this prefix, the row's
+# json.dumps(triple0) + ', "triple1": ' and the column's tail,
+# json.dumps(triple1) + "}}\n".  dbar_phi_23 is nonzero on
 # every pair: its End-block entry is -4 pi^2 |alpha| times a product whose
 # components are dot(t0, t1) and those of t0 x t1 up to sign, and
 # dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's identity)
 _HEAD = ('{"alpha": %s, "dbar_phi_23_nonzero": true, "flags": '
          '{"hermitian_einstein": true, "hs_solution": true}, '
-         '"harmonic": %s, "params": {"triple0": %s, "triple1": ')
+         '"harmonic": %s, "params": {"triple0": ')
 
 
-def _sweep_row(t0, s0, j0, cols, norms, alphas, require_harmonic=False):
+def _orthogonal(t0, max_abs):
+    """The triples t1 of _triples(max_abs) with t0 . t1 = 0, for a nonzero t0.
+
+    One coordinate k of t0 is nonzero: the other two coordinates of t1 range
+    over [-max_abs, max_abs] and fix t1[k], kept when it is an integer in
+    range and t1 is nonzero, so (2 max_abs + 1)^2 candidates are tried, not
+    (2 max_abs + 1)^3.  Ordered by those two coordinates.
+    """
+    k = next(i for i, x in enumerate(t0) if x)
+    c, (i, j) = t0[k], [x for x in range(3) if x != k]
+    a, b = t0[i], t0[j]
+    rng = range(-max_abs, max_abs + 1)
+    out = []
+    for x in rng:
+        for y in rng:
+            z, r = divmod(-(a * x + b * y), c)
+            if not r and -max_abs <= z <= max_abs and (x or y or z):
+                t1 = [0, 0, 0]
+                t1[i], t1[j], t1[k] = x, y, z
+                out.append(tuple(t1))
+    return out
+
+
+def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     """(text, records, harmonic) of the row t0: its pairs (t0, t1), t1 in cols.
 
-    text is the row's catalog lines in cols order, each ending in a newline;
-    records counts them and harmonic counts those with a harmonic verdict.
-    A pair of equal squared norms has no line (its coupling is degenerate),
-    and with require_harmonic neither has a non-harmonic pair.  s0 and j0 are
-    the squared norm and JSON text of t0.  Per sweep: cols holds (t1, s1,
-    tail), tail the end of t1's lines after _HEAD, norms every s1, and alphas
-    maps s0 - s1 to the JSON text of alpha (the literal depends on that
-    difference alone).  A line is heads[s1][verdict] + tail, with the heads
-    built once per row (None: no line).
+    text is the row's catalog lines in column order, each ending in a
+    newline; records counts them and harmonic counts those with a harmonic
+    verdict.  A pair of equal squared norms has no line (its coupling is
+    degenerate), and with require_harmonic neither has a non-harmonic pair.
+    s0 and j0 are the squared norm and JSON text of t0.  cols, built once per
+    sweep, is (norms, tails, position, max_abs): column i is a t1 of squared
+    norm norms[i] whose lines end in tails[i], position maps each t1 to its
+    column, and every t1 lies in [-max_abs, max_abs]^3.  prefixes, filled
+    per sweep, maps s0 - s1 to the _HEAD texts of the non-harmonic and the
+    harmonic verdict (alpha's literal depends on that difference alone).
+
+    A line is a head, everything before tails[i], and a tail.  The row
+    builds its heads once per squared norm and verdict (None: no line) and
+    takes each column's non-harmonic head by its norm.  Only the harmonic
+    columns, the plane t0 . t1 = 0 (_orthogonal), are then visited to put
+    in their harmonic heads, and harmonic counts the heads put in.  The
+    lines are the (head, tail) pairs with a head, joined in one pass.
     """
-    heads = {s0: (None, None)}
-    for s1 in norms:
+    norms, tails, position, max_abs = cols
+    mid = j0 + ', "triple1": '
+    plain, harmonic = {s0: None}, {s0: None}
+    for s1 in set(norms):
         if s1 != s0:
-            alpha = alphas.get(s0 - s1)
-            if alpha is None:
-                alpha = alphas[s0 - s1] = json.dumps(
+            pair = prefixes.get(s0 - s1)
+            if pair is None:
+                alpha = json.dumps(
                     str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
-            heads[s1] = (None if require_harmonic
-                         else _HEAD % (alpha, "false", j0),
-                         _HEAD % (alpha, "true", j0))
+                pair = prefixes[s0 - s1] = (_HEAD % (alpha, "false"),
+                                            _HEAD % (alpha, "true"))
+            plain[s1] = None if require_harmonic else pair[0] + mid
+            harmonic[s1] = pair[1] + mid
+    heads = list(map(plain.__getitem__, norms))
     # K is its base part, zero by _certify_base, plus the cross term:
     # |alpha| times the frame contraction of the two curvatures,
     # -16 pi^2 |alpha| dot, on the End off-diagonal entries; alpha != 0,
     # so K vanishes iff dot == 0
-    m0, n0, p0 = t0
-    lines = [head + tail for (m1, n1, p1), s1, tail in cols
-             if (head := heads[s1][m0 * m1 + n0 * n1 + p0 * p1 == 0])]
-    text = "".join(lines)
-    return text, len(lines), text.count('"harmonic": true')
+    found = 0
+    for t1 in _orthogonal(t0, max_abs):
+        i = position.get(t1)
+        if i is not None and (head := harmonic[norms[i]]):
+            heads[i] = head
+            found += 1
+    text = "".join(chain.from_iterable(compress(zip(heads, tails), heads)))
+    return text, len(heads) - heads.count(None), found
 
 
 def _ch2_holds():
@@ -484,34 +530,33 @@ def _ch2_holds():
     return ch2_constraint(model, F0, F1)[0]
 
 
-def iter_sweep(max_abs, require_harmonic=False, require_ch2=False, raw=False):
+def iter_sweep(max_abs, require_harmonic=False, raw=False):
     """The sweep catalog as (text, records, harmonic), one tuple per row.
 
     Pairs of triples in [-max_abs, max_abs]^3 in deterministic lexicographic
     parameter order, identified up to simultaneous sign flips unless raw is
-    set; byte-stable for fixed arguments.  require_ch2 keeps only pairs whose
-    F0^2 - F1^2 is dd^c-exact: every pair here (_ch2_holds).  A row is one
-    triple t0 against every triple t1 (_sweep_row); rows come in catalog
-    order, and with raw unset only the canonical ones.  The engine
-    certificate of the base residual comes first (_certify_base, skipped when
-    there are no triples); then each row's lines are yielded as one text as
-    soon as they are made, so memory is bounded by one row, at most
-    (2 max_abs + 1)^3 - 1 lines.
+    set; byte-stable for fixed arguments.  A row is one triple t0 against
+    every triple t1 (_sweep_row): the columns' squared norms, tails and
+    positions are built once per sweep, and each row enumerates its harmonic
+    columns from the plane t0 . t1 = 0 and counts them from that
+    enumeration.  Rows come in catalog order, and with raw unset only the
+    canonical ones.  The engine certificate comes first (_certify_base,
+    skipped when there are no triples); then each row's lines are yielded
+    as one text as soon as they are made, so memory is bounded by one row,
+    at most (2 max_abs + 1)^3 - 1 lines, and the per-sweep columns.
     """
     if not 0 <= max_abs <= SWEEP_MAX_ABS:
         raise ValueError("max_abs must be between 0 and %d" % SWEEP_MAX_ABS)
-    if require_ch2 and not _ch2_holds():
-        return
     triples = _triples(max_abs)
     if triples:
         _certify_base()
-    alphas = {}
-    cols = [(t, sum(x * x for x in t), json.dumps(list(t)) + "}}\n")
-            for t in triples]
-    norms = {s for _, s, _ in cols}
-    for t0, s0, _ in cols:
+    prefixes = {}
+    norms = [sum(x * x for x in t) for t in triples]
+    cols = (norms, [json.dumps(list(t)) + "}}\n" for t in triples],
+            {t: i for i, t in enumerate(triples)}, max_abs)
+    for t0, s0 in zip(triples, norms):
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
         if raw or t0 < tuple(-x for x in t0):
-            yield _sweep_row(t0, s0, json.dumps(list(t0)), cols, norms,
-                             alphas, require_harmonic)
+            yield _sweep_row(t0, s0, json.dumps(list(t0)), cols, prefixes,
+                             require_harmonic)

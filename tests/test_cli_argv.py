@@ -70,7 +70,7 @@ sweep = st.tuples(
     _option("--max", st.sampled_from(["0", "1", "-1", "21", "1e3", "",
                                       "\u0661", str(10 ** 2200)])),
     st.sampled_from([[], ["--raw"], ["--require-harmonic"],
-                     ["--require-ch2"], ["--threads", "0"], ["--bogus"]]))
+                     ["--threads", "0"], ["--bogus"]]))
 # selftest takes no option: these two pieces are unknown options (exit 3)
 selftest = st.tuples(
     st.just(["selftest"]),

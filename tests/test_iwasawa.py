@@ -555,8 +555,6 @@ def test_sweep_max_one_catalog():
     assert len(sweep_records(1, raw=True)) == 432
     assert sweep_records(1, require_harmonic=True) == [
         r for r in records if r["harmonic"]]
-    # F0^2 - F1^2 is always a multiple of dd^c omega_0 here
-    assert sweep_records(1, require_ch2=True) == records
 
 
 # sha256 of sweep catalogs and their record and harmonic counts: the
@@ -749,6 +747,20 @@ def test_base_flags_check_the_samples_and_the_cross_term(monkeypatch):
         iwasawa._certify_base()
 
 
+def test_certificate_checks_the_ch2_condition(monkeypatch, tmp_path):
+    from hslab.cli import main
+    assert iwasawa._ch2_holds()
+    monkeypatch.setattr(iwasawa, "ch2_constraint",
+                        lambda model, F0, F1: (False, None))
+    with pytest.raises(AssertionError, match="dd\\^c-exact"):
+        iwasawa._certify_base()
+    # the sweep raises before its first row, and leaves no catalog behind
+    out = tmp_path / "catalog.jsonl"
+    with pytest.raises(AssertionError, match="dd\\^c-exact"):
+        main(["sweep", "--max", "1", "--out", str(out)])
+    assert not out.exists()
+
+
 def _replay(rec):
     """Check one catalog record against full engine runs."""
     t0 = tuple(rec["params"]["triple0"])
@@ -807,6 +819,17 @@ def test_sweep_lines_are_the_stdlib_encoding(options):
     assert signs == {True, False}
 
 
+@pytest.mark.parametrize("max_abs", [1, 2, 3])
+def test_orthogonal_columns_are_the_plane_of_the_row(max_abs):
+    # every nonzero t0, among them those with zero coordinates, which
+    # decide the coordinate that is solved for
+    triples = iwasawa._triples(max_abs)
+    for t0 in triples:
+        plane = [t1 for t1 in triples
+                 if sum(x * y for x, y in zip(t0, t1)) == 0]
+        assert sorted(iwasawa._orthogonal(t0, max_abs)) == plane
+
+
 def test_sweep_yields_one_block_per_canonical_row(tmp_path):
     from hslab.cli import main
     rows = [t for t in iwasawa._triples(2) if t < tuple(-x for x in t)]
@@ -855,9 +878,10 @@ def sweep_pair(t0, t1):
     """The record of the pair (t0, t1): _sweep_row on a one-column row."""
     from hslab.iwasawa import _sweep_row
     s0, s1 = sum(x * x for x in t0), sum(x * x for x in t1)
-    tail = json.dumps(list(t1)) + "}}\n"
+    cols = ([s1], [json.dumps(list(t1)) + "}}\n"], {t1: 0},
+            max(map(abs, t1)))
     text, records, harmonic = _sweep_row(
-        t0, s0, json.dumps(list(t0)), [(t1, s1, tail)], [s1], {})
+        t0, s0, json.dumps(list(t0)), cols, {})
     if s0 == s1:
         assert (text, records, harmonic) == ("", 0, 0)
         return []

@@ -3,8 +3,8 @@
 The commands of the CLI run in a child interpreter under sys.setprofile,
 set before hslab is imported so that its import-time work counts: verify on a
 flat, a Picard-twisted, a deformed and a non-harmonic family, with a --json
-report; the degenerate and malformed exits; sweep with --require-ch2
---require-harmonic and with --raw; and selftest.  Every non-dunder function
+report; the degenerate and malformed exits; sweep with --require-harmonic
+and with --raw; and selftest.  Every non-dunder function
 and method defined in src/hslab/*.py must then have been called, or be
 named in LIBRARY_ONLY with the reason it stays although no command reaches
 it.
@@ -93,8 +93,7 @@ def _reached(tmp_path):
         (["verify", "--triples", "1,2,2,2,2,1"], 2),
         (pair + ["--tau", "1/2,1/2,1/2,1/2"], 3),  # not positive
         (["nonsense"], 3),
-        (["sweep", "--max", "1", "--require-ch2", "--require-harmonic",
-          "--out", catalog], 0),
+        (["sweep", "--max", "1", "--require-harmonic", "--out", catalog], 0),
         (["sweep", "--max", "1", "--raw", "--out", catalog], 0),
         (["selftest"], 0),
     ]
