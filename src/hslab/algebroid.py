@@ -41,7 +41,8 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantForm
-from .hermitian import _sparse, matmul, matrix_inverse, sandwich
+from .hermitian import (_form_entries, _nonzero, _product_sum, matmul,
+                        matrix_inverse, sandwich)
 
 QDIM = 8
 
@@ -62,10 +63,6 @@ def _dense(m):
     return out
 
 
-def _nonzero(m):
-    return {k: v for k, v in m.items() if not v.is_zero()}
-
-
 def _plus(x, y):
     """x + y of two sparse matrices (a sum may leave a zero entry)."""
     out = dict(x)
@@ -81,21 +78,6 @@ def _combination(coeffs, mats):
         if m and not c.is_zero():
             for k, v in m.items():
                 terms.setdefault(k, []).append((c, v, 1))
-    return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
-
-
-def _product_sum(pairs):
-    """sum sign X . Y over the (X, Y, sign) in pairs, of sparse matrices, as
-    a sparse matrix: each nonzero X_il meets the nonzero entries of row l
-    of Y."""
-    terms = {}
-    for X, Y, sign in pairs:
-        rows = {}
-        for (l, j), y in Y.items():
-            rows.setdefault(l, []).append((j, y))
-        for (i, l), x in X.items():
-            for j, y in rows.get(l, ()):
-                terms.setdefault((i, j), []).append((x, y, sign))
     return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
 
 
@@ -195,7 +177,7 @@ def connection_DG(s):
     h = s.h
     comps = [dict(m) for m in h.bismut_sparse]
     for e, F, r in ((6, s.F0, -s.alpha), (7, s.F1, s.alpha)):
-        Fv = _sparse(h.form_values(F))  # F(Z_b, Z_c)
+        Fv = _form_entries(F)  # F(Z_b, Z_c)
         for (a, c), v in _product_sum([(h.Ginv6_sparse, Fv, 1)]).items():
             comps[c][a, e] = v * r
         for (b, c), v in Fv.items():
@@ -235,7 +217,7 @@ def dolbeault_Q(cfg):
                 comps[k][5 + l, j] = x
     for e, F, r in ((3, cfg.F0, Scalar.of(2) * cfg.alpha),
                     (4, cfg.F1, Scalar.of(-2) * cfg.alpha)):
-        for (j, c), v in _sparse(cfg.h.form_values(F)).items():
+        for (j, c), v in _form_entries(F).items():
             if j < n:
                 comps[c][e, j], comps[c][5 + j, e] = v, v * r
     return QOperator(cfg.model, comps)

@@ -35,9 +35,9 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import _sparse, matmul
+from .hermitian import _product_sum, matmul
 from .algebroid import (QDIM, QOperator, _combination, _dense, _plus,
-                        _product_sum, _with_end, wedge_omega_sq_top)
+                        _with_end, wedge_omega_sq_top)
 
 
 class CompatibleMetricH:
@@ -45,6 +45,8 @@ class CompatibleMetricH:
 
     Hm is g(Z_a, conj Z_b) = G6[a][(b + 3) % 6] on T and |alpha| on End, so
     row a of its inverse is Ginv6[(a + 3) % 6] on T, and 1/|alpha| on End.
+    The nonzero entries of each column of Hm_inv and each row of Hm, which
+    the adjoint's weights read, are listed once, at construction.
     """
 
     def __init__(self, h, alpha):
@@ -55,6 +57,10 @@ class CompatibleMetricH:
         self.Hm = _with_end([[row[(b + 3) % 6] for b in range(6)] for row in G6],
                             aabs, aabs)
         self.Hm_inv = _with_end([Ginv6[(a + 3) % 6] for a in range(6)], inv, inv)
+        self._inv_cols = [[(p, x) for p, x in enumerate(col) if not x.is_zero()]
+                          for col in zip(*self.Hm_inv)]
+        self._rows = [[(q, x) for q, x in enumerate(row) if not x.is_zero()]
+                      for row in self.Hm]
 
     def adjoint(self, A: QOperator) -> QOperator:
         """A^{*H}: component a is Hm_inv . conj(A^{sigma(a)})^T . Hm.
@@ -62,15 +68,27 @@ class CompatibleMetricH:
         Conjugation maps e_a to e_{sigma(a)}, sigma swapping an index with
         its conjugate, so the conjugate of A = sum_a A^a e_a has component
         a equal to conj(A^{sigma(a)}); it is then transposed and sandwiched
-        by the metric.
+        by the metric, in one pass: entry (s, r) of A^{sigma(a)} lands,
+        conjugated, on each (p, q) with weight Hm_inv[p][r] Hm[s][q], and
+        each output entry is one sum of products.  The weights of an (s, r)
+        are built when a component first holds it, one per pair of nonzero
+        factors: one at omega_0, where both factors are diagonal, and up to
+        nine in the 3x3 blocks of a deformed metric.
         """
-        n, left, right = self.model.n, _sparse(self.Hm_inv), _sparse(self.Hm)
-        comps = []
+        n, cols, rows = self.model.n, self._inv_cols, self._rows
+        weights, comps = {}, []
         for a in range(2 * n):
-            conj_t = {(j, i): x.conjugate()
-                      for (i, j), x in A.comps[(a + n) % (2 * n)].items()}
-            comps.append(_product_sum([(_product_sum([(left, conj_t, 1)]),
-                                        right, 1)]))
+            terms = {}
+            for (s, r), x in A.comps[(a + n) % (2 * n)].items():
+                w = weights.get((s, r))
+                if w is None:
+                    w = weights[s, r] = [((p, q), y * z) for p, y in cols[r]
+                                         for q, z in rows[s]]
+                x = x.conjugate()
+                for k, c in w:
+                    terms.setdefault(k, []).append((c, x, 1))
+            comps.append({k: Scalar.sum_of_products(t)
+                          for k, t in terms.items()})
         return QOperator(self.model, comps)
 
 

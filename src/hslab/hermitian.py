@@ -13,13 +13,17 @@ the first zero column), and matmul, one zero-skipping product, with
 sandwich (left . mid . right) as two of them: a Scalar entry is one
 Scalar.sum_of_products, and for curvatures it multiplies matrices of
 forms with * (a wedge, itself one sum of products per key).
+_product_sum multiplies sparse matrices, dicts of their nonzero entries,
+with one sum of products per entry; _form_entries reads a 2-form as such
+a matrix.
 
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
 partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
 and its companion (d e_a ^ omega^2)_top, the Levi-Civita and Bismut
 coefficients, the Bismut matrices of nabla^-_{Z_c} and Ginv6 as sparse
-matrices (bismut_sparse, Ginv6_sparse: what connection_DG reads), the Lee
+matrices (bismut_sparse, Ginv6_sparse: what connection_DG and
+frame_contraction read), the Lee
 form and its sharp, *d^c omega and the Levi-Civita trace of the
 codifferential) and nothing is written to it afterwards, so one structure
 serves every verifier and family of its metric.  The brackets are the
@@ -156,6 +160,34 @@ def _sparse(M):
             if not v.is_zero()}
 
 
+def _nonzero(m):
+    return {k: v for k, v in m.items() if not v.is_zero()}
+
+
+def _product_sum(pairs):
+    """sum sign X . Y over the (X, Y, sign) in pairs, of sparse matrices, as
+    a sparse matrix: each nonzero X_il meets the nonzero entries of row l
+    of Y."""
+    terms = {}
+    for X, Y, sign in pairs:
+        rows = {}
+        for (l, j), y in Y.items():
+            rows.setdefault(l, []).append((j, y))
+        for (i, l), x in X.items():
+            for j, y in rows.get(l, ()):
+                terms.setdefault((i, j), []).append((x, y, sign))
+    return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
+
+
+def _form_entries(F):
+    """The nonzero entries {(a, b): F(Z_a, Z_b)} of a 2-form, as a sparse
+    matrix read off its terms: v at (a, b) and -v at (b, a) for each."""
+    out = {}
+    for (a, b), v in F.terms.items():
+        out[a, b], out[b, a] = v, -v
+    return out
+
+
 def matmul(a, b, zero):
     """Matrix product a . b, skipping zero factors; zero is the entries' zero.
 
@@ -278,18 +310,6 @@ class HermitianStructure:
                 raise ValueError("Gram matrix is not positive definite "
                                  "(leading minor %d is %s)" % (k, minor))
 
-    # -- frame pairing helpers -----------------------------------------------
-
-    def form_values(self, F):
-        """Matrix F(Z_a, Z_b) of a 2-form over the complexified frame."""
-        dim = self.model.dim
-        zero = Scalar.zero()
-        out = [[zero for _ in range(dim)] for _ in range(dim)]
-        for (a, b), v in F.terms.items():
-            out[a][b] = v
-            out[b][a] = -v
-        return out
-
     # -- star and Lee form -----------------------------------------------------
 
     def star(self, form):
@@ -367,15 +387,13 @@ class HermitianStructure:
         Equals the orthonormal-frame sum sum_{ij} F(e_i,e_j) G(e_i,e_j)
         without leaving exact arithmetic.
         """
-        zero = Scalar.zero()
-        # M = Ginv . F . Ginv (Ginv6 is symmetric), then contract with G
-        M = sandwich(self.Ginv6, self.form_values(F), self.Ginv6, zero)
-        out = zero
-        for mrow, grow in zip(M, self.form_values(G)):
-            for m, g in zip(mrow, grow):
-                if not m.is_zero() and not g.is_zero():
-                    out = out + m * g
-        return out
+        # M = Ginv . F . Ginv (Ginv6 is symmetric), then contract with G,
+        # both over the nonzero entries only
+        Ginv, Gv = self.Ginv6_sparse, _form_entries(G)
+        M = _product_sum([(_product_sum([(Ginv, _form_entries(F), 1)]),
+                           Ginv, 1)])
+        return Scalar.sum_of_products([(m, Gv[k], 1) for k, m in M.items()
+                                       if k in Gv])
 
     # -- connections --------------------------------------------------------
 

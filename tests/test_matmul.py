@@ -16,7 +16,8 @@ from hslab.scalars import Scalar
 from hslab.hermitian import matmul, sandwich
 from hslab.algebroid import QDIM
 from hslab.bundles import LineBundleTriple
-from hslab.iwasawa import FamilyConfig, TauDeformation, make_family
+from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
+                           make_family)
 
 from conftest import random_form, random_scalar, scalar_commutator
 
@@ -124,16 +125,29 @@ def test_sandwich_of_forms_matches_the_single_loop(model, seed):
         _sandwich_reference(left, mid, right, model.zero())
 
 
-def test_sandwich_by_a_deformed_metric():
-    tau = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
-                         Fraction(0))
-    s = make_family(FamilyConfig(LineBundleTriple(1, 2, 2, role="V0"),
-                                 LineBundleTriple(2, -1, 0, role="V1"),
-                                 tau=tau)).params
+_TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
+                      Fraction(0))
+_TWIST = PicardPoint(a0=(Scalar.of(Fraction(1, 3)), Scalar.zero()),
+                     a1=(Scalar.zero(), Scalar.of(Fraction(-2, 7))))
+
+
+@pytest.mark.parametrize("t0, t1, tau, picard", [
+    ((1, 2, 2), (2, -1, 0), _TAU, PicardPoint()),
+    # omega_0, where both factors are diagonal, and alpha < 0
+    ((1, 0, 0), (0, 1, 1), TauDeformation(), PicardPoint()),
+    ((1, 2, 2), (2, -1, 0), _TAU, _TWIST),
+], ids=["deformed", "omega0-negative-alpha", "deformed-picard"])
+def test_sandwich_by_a_deformed_metric(t0, t1, tau, picard):
+    s = make_family(FamilyConfig(LineBundleTriple(*t0, role="V0"),
+                                 LineBundleTriple(*t1, role="V1"),
+                                 tau=tau, picard=picard)).params
     H, zero = s.metric_H, s.model.zero()
+    off_diagonal = any(not H.Hm[a][b].is_zero()
+                       for a in range(6) for b in range(6) if a != b)
     # the outer factors are not diagonal at a deformed metric
-    assert any(not H.Hm[a][b].is_zero()
-               for a in range(6) for b in range(6) if a != b)
+    assert off_diagonal == (not tau.is_zero())
+    if tau.is_zero():
+        assert s.alpha.sign() < 0
     # the adjoint of the connection's components against the conjugate
     # transpose of its 1-form entries, sandwiched by the single loop
     A = s.connection.forms()
