@@ -23,17 +23,16 @@ partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
 and its companion (d e_a ^ omega^2)_top, the Levi-Civita and Bismut
 coefficients, the Bismut matrices of nabla^-_{Z_c} and Ginv6 as sparse
 matrices (bismut_sparse, Ginv6_sparse: what connection_DG and
-frame_contraction read), the Lee
-form and its sharp, *d^c omega and the Levi-Civita trace of the
-codifferential) and nothing is written to it afterwards, so one structure
-serves every verifier and family of its metric.  The brackets are the
-model's (NilmanifoldModel.brackets), built once per model.  The Bismut
-torsion rows and the table are read off the nonzero terms of d^c omega and
-of omega^2, and Levi-Civita pairs only the nonzero brackets with G6, so
-their cost follows the nonzero structure constants.  wedge_omega_sq is the
-wedge with omega^2; star builds the image of each basis form e_J on every
-call: the volume contracted by the metric duals (sharp) of the factors of
-e_J, in order.
+frame_contraction read), the Lee form and its sharp, *d^c omega and the
+Levi-Civita trace of the codifferential) and nothing is written to it
+afterwards, so one structure serves every verifier and family of its
+metric.  The brackets are the model's (NilmanifoldModel.brackets), built
+once per model.  The Bismut torsion rows and the table are read off the
+nonzero terms of d^c omega and of omega^2, and Levi-Civita pairs only the
+nonzero brackets with G6, so their cost follows the nonzero structure
+constants.  wedge_omega_sq is the wedge with omega^2; star builds the image
+of each basis form e_J on every call: the volume contracted by the metric
+duals (sharp) of the factors of e_J, in order.
 
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is

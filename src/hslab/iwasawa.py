@@ -491,7 +491,7 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     """
     norms, tails, position, max_abs = cols
     mid = j0 + ', "triple1": '
-    plain, harmonic = {s0: None}, {s0: None}
+    plain, on_plane = {s0: None}, {s0: None}
     for s1 in set(norms):
         if s1 != s0:
             pair = prefixes.get(s0 - s1)
@@ -501,7 +501,7 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
                 pair = prefixes[s0 - s1] = (_HEAD % (alpha, "false"),
                                             _HEAD % (alpha, "true"))
             plain[s1] = None if require_harmonic else pair[0] + mid
-            harmonic[s1] = pair[1] + mid
+            on_plane[s1] = pair[1] + mid
     heads = list(map(plain.__getitem__, norms))
     # K is its base part, zero by _certify_base, plus the cross term:
     # |alpha| times the frame contraction of the two curvatures,
@@ -510,7 +510,7 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     found = 0
     for t1 in _orthogonal(t0, max_abs):
         i = position.get(t1)
-        if i is not None and (head := harmonic[norms[i]]):
+        if i is not None and (head := on_plane[norms[i]]):
             heads[i] = head
             found += 1
     text = "".join(chain.from_iterable(compress(zip(heads, tails), heads)))
