@@ -558,8 +558,8 @@ def test_sweep_max_one_catalog():
 
 
 # sha256 of sweep catalogs and their record and harmonic counts: the
-# `hslab sweep --max 3` one as perfbench/golden.json records it, and the
-# --max 2 options and --max 4 as the per-record builder wrote them
+# `hslab sweep --max 3` one as perfbench/golden.json records it, the
+# --max 2 ones with raw and require_harmonic, and the --max 4 one
 GOLDEN_SWEEPS = [
     ((3, {}), (
         "e35d12310be8ee14606c2771df23d1258c25f37db8d4712f62a7c44e862ebb79",

@@ -144,7 +144,7 @@ def test_sandwich_by_a_deformed_metric(t0, t1, tau, picard):
     H, zero = s.metric_H, s.model.zero()
     off_diagonal = any(not H.Hm[a][b].is_zero()
                        for a in range(6) for b in range(6) if a != b)
-    # the outer factors are not diagonal at a deformed metric
+    # the outer factors are diagonal at omega_0, not at a deformed metric
     assert off_diagonal == (not tau.is_zero())
     if tau.is_zero():
         assert s.alpha.sign() < 0
