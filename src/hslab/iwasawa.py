@@ -476,9 +476,10 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     verdict.  A pair of equal squared norms has no line (its coupling is
     degenerate), and with require_harmonic neither has a non-harmonic pair.
     s0 and j0 are the squared norm and JSON text of t0.  cols, built once per
-    sweep, is (norms, tails, position, max_abs): column i is a t1 of squared
-    norm norms[i] whose lines end in tails[i], position maps each t1 to its
-    column, and every t1 lies in [-max_abs, max_abs]^3.  prefixes, filled
+    sweep, is (norms, distinct, tails, position, max_abs): column i is a t1
+    of squared norm norms[i] whose lines end in tails[i], distinct holds
+    each squared norm once, position maps each t1 to its column, and every
+    t1 lies in [-max_abs, max_abs]^3.  prefixes, filled
     per sweep, maps s0 - s1 to the _HEAD texts of the non-harmonic and the
     harmonic verdict (alpha's literal depends on that difference alone).
 
@@ -489,10 +490,10 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     in their harmonic heads, and harmonic counts the heads put in.  The
     lines are the (head, tail) pairs with a head, joined in one pass.
     """
-    norms, tails, position, max_abs = cols
+    norms, distinct, tails, position, max_abs = cols
     mid = j0 + ', "triple1": '
     plain, on_plane = {s0: None}, {s0: None}
-    for s1 in set(norms):
+    for s1 in distinct:
         if s1 != s0:
             pair = prefixes.get(s0 - s1)
             if pair is None:
@@ -537,7 +538,7 @@ def iter_sweep(max_abs, require_harmonic=False, raw=False):
     parameter order, identified up to simultaneous sign flips unless raw is
     set; byte-stable for fixed arguments.  A row is one triple t0 against
     every triple t1 (_sweep_row): the columns' squared norms, tails and
-    positions are built once per sweep, and each row enumerates its harmonic
+    positions, and the set of squared norms, are built once per sweep, and each row enumerates its harmonic
     columns from the plane t0 . t1 = 0 and counts them from that
     enumeration.  Rows come in catalog order, and with raw unset only the
     canonical ones.  The engine certificate comes first (_certify_base,
@@ -552,8 +553,9 @@ def iter_sweep(max_abs, require_harmonic=False, raw=False):
         _certify_base()
     prefixes = {}
     norms = [sum(x * x for x in t) for t in triples]
-    cols = (norms, [json.dumps(list(t)) + "}}\n" for t in triples],
-            {t: i for i, t in enumerate(triples)}, max_abs)
+    tails = [json.dumps(list(t)) + "}}\n" for t in triples]
+    cols = (norms, set(norms), tails, {t: i for i, t in enumerate(triples)},
+            max_abs)
     for t0, s0 in zip(triples, norms):
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row

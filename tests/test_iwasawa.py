@@ -878,7 +878,7 @@ def sweep_pair(t0, t1):
     """The record of the pair (t0, t1): _sweep_row on a one-column row."""
     from hslab.iwasawa import _sweep_row
     s0, s1 = sum(x * x for x in t0), sum(x * x for x in t1)
-    cols = ([s1], [json.dumps(list(t1)) + "}}\n"], {t1: 0},
+    cols = ([s1], {s1}, [json.dumps(list(t1)) + "}}\n"], {t1: 0},
             max(map(abs, t1)))
     text, records, harmonic = _sweep_row(
         t0, s0, json.dumps(list(t0)), cols, {})
