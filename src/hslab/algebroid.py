@@ -169,13 +169,13 @@ def connection_DG(s):
     """The orthogonal connection of the solution, as a QOperator.
 
     Component c, on Z_c: the Bismut coefficients A^c_ab = Gamma^a_{cb} on
-    T (x) C (h.bismut_sparse[c]), the columns -alpha g^{-1} F0(., Z_c) and
+    T (x) C (h.bismut[c]), the columns -alpha g^{-1} F0(., Z_c) and
     alpha g^{-1} F1(., Z_c) coupling T to the End directions, and the End
     rows F_j(., Z_c) (the Chern connections are trivial in the invariant
     unitary frame).
     """
     h = s.h
-    comps = [dict(m) for m in h.bismut_sparse]
+    comps = [dict(m) for m in h.bismut]
     for e, F, r in ((6, s.F0, -s.alpha), (7, s.F1, s.alpha)):
         Fv = _form_entries(F)  # F(Z_b, Z_c)
         for (a, c), v in _product_sum([(h.Ginv6_sparse, Fv, 1)]).items():

@@ -10,9 +10,11 @@ closed operations with zero numerical tolerance.
 A model is built from its structure constants: for each generator with a
 nonzero differential, the map from increasing index pairs to the Scalar
 coefficients of its image, as build_iwasawa_model does for d w3 = w1 ^ w2.
-The model builds its brackets from them, and nothing writes to it after
-construction, so one model serves every metric and family on it.  d takes
-each term of a form apart by the graded Leibniz rule, with no cache.
+The model keeps them as the forms diff[c] = d w_c, which also give the
+brackets of the dual frame ([Z_a, Z_b]^c = -d w_c(Z_a, Z_b)), and nothing
+writes to it after construction, so one model serves every metric and
+family on it.  d takes each term of a form apart by the graded Leibniz
+rule, with no cache.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ class NilmanifoldModel:
     every generator, compatibility of d with conjugation, and integrability
     of the complex structure (d of a (1,0) generator has no (0,2) part).
 
-    brackets[a][b] is [Z_a, Z_b] by Maurer-Cartan: a term v e_a ^ e_b
-    (a < b) of d w_c sets [Z_a, Z_b]^c = -v and [Z_b, Z_a]^c = v, the rest
-    are zero.  A model is immutable after construction.
+    The differentials are the structure constants: by Maurer-Cartan a term
+    v e_a ^ e_b (a < b) of d w_c is [Z_a, Z_b]^c = -v, which is how the
+    metric layer reads brackets.  A model is immutable after construction.
     """
 
     def __init__(self, n, diff_terms):
@@ -96,13 +98,6 @@ class NilmanifoldModel:
             elif ca in diff_terms and a not in diff_terms:
                 self.diff[a] = self.diff[ca].conjugate()
         self._check()
-        dim = self.dim
-        coeffs = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
-        for c, dw in enumerate(self.diff):
-            for (a, b), v in dw.terms.items():
-                coeffs[a][b][c], coeffs[b][a][c] = -v, v
-        self.brackets = [[InvariantVector(self, row) for row in rows]
-                         for rows in coeffs]
 
     def _check(self):
         for a in range(self.dim):

@@ -20,19 +20,18 @@ a matrix.
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
 partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
-and its companion (d e_a ^ omega^2)_top, the Levi-Civita and Bismut
-coefficients, the Bismut matrices of nabla^-_{Z_c} and Ginv6 as sparse
-matrices (bismut_sparse, Ginv6_sparse: what connection_DG and
-frame_contraction read), the Lee form and its sharp, *d^c omega and the
-Levi-Civita trace of the codifferential) and nothing is written to it
-afterwards, so one structure serves every verifier and family of its
-metric.  The brackets are the model's (NilmanifoldModel.brackets), built
-once per model.  The Bismut torsion rows and the table are read off the
-nonzero terms of d^c omega and of omega^2, and Levi-Civita pairs only the
-nonzero brackets with G6, so their cost follows the nonzero structure
-constants.  wedge_omega_sq is the wedge with omega^2; star builds the image
-of each basis form e_J on every call: the volume contracted by the metric
-duals (sharp) of the factors of e_J, in order.
+and its companion (d e_a ^ omega^2)_top, Ginv6 as a sparse matrix
+(Ginv6_sparse), the Levi-Civita and Bismut connections as one sparse matrix
+per frame direction (what connection_DG reads), the Lee form and its sharp,
+*d^c omega and the Levi-Civita trace of the codifferential) and nothing is
+written to it afterwards, so one structure serves every verifier and family
+of its metric.  The connections come from the terms of the model's d w_c
+(the brackets) paired with G6 and, for Bismut, the terms of d^c omega,
+raised by Ginv6 in one sparse product each; the table is read off the terms
+of omega^2, so their cost follows the nonzero structure constants.
+wedge_omega_sq is the wedge with omega^2; star builds the image of each
+basis form e_J on every call: the volume contracted by the metric duals
+(sharp) of the factors of e_J, in order.
 
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is
@@ -221,19 +220,15 @@ def sandwich(left, mid, right, zero):
     return matmul(matmul(left, mid, zero), right, zero)
 
 
-def metric_trace(Ginv, gamma):
-    """g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab} for every c, skipping zeros."""
-    zero = Scalar.zero()
-    return [sum((g * gamma[a][b][c] for a, row in enumerate(Ginv)
-                 for b, g in enumerate(row) if not g.is_zero()
-                 and not gamma[a][b][c].is_zero()), zero)
-            for c in range(len(Ginv))]
-
-
 class HermitianStructure:
     """A Hermitian metric on an invariant complex model, given by omega.
 
     The model must have complex dimension n = 3; any other is a ValueError.
+
+    The connections levi_civita and bismut hold, for each frame direction
+    a, the sparse matrix {(d, b): Gamma^d_{ab}} of nabla_{Z_a} (so
+    nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d): the components connection_DG puts
+    on T.  They are their only form.
 
     Every member is a plain attribute built here, and nothing writes to the
     structure, to omega or to any member afterwards, so one structure can
@@ -279,10 +274,8 @@ class HermitianStructure:
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()
         self.omega_sq_table = self._omega_sq_table()
-        self.levi_civita = self._levi_civita()
-        self.bismut = self._bismut()
         self.Ginv6_sparse = _sparse(self.Ginv6)
-        self.bismut_sparse = [_sparse(zip(*g)) for g in self.bismut.gamma]
+        self.levi_civita, self.bismut = self._connections()
         # lam[a] = (d e_a ^ omega^2)_top, read through the table
         W = self.omega_sq_table
         self.omega_sq_lambda = [sum((v * W[b][c] for (b, c), v in
@@ -294,7 +287,14 @@ class HermitianStructure:
             -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
         self.lee_sharp = self.sharp(self.lee_form)
         self.star_dc_omega = self.star(self.dc_omega)
-        self.lc_trace = metric_trace(self.Ginv6, self.levi_civita.gamma)
+        # g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}, over the nonzero Gamma^c_{ab}
+        trace = [[] for _ in range(dim)]
+        for a, m in enumerate(self.levi_civita):
+            for (c, b), v in m.items():
+                g = self.Ginv6_sparse.get((a, b))
+                if g is not None:
+                    trace[c].append((g, v, 1))
+        self.lc_trace = [Scalar.sum_of_products(t) for t in trace]
 
     def _certify_positive(self):
         """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
@@ -396,56 +396,42 @@ class HermitianStructure:
 
     # -- connections --------------------------------------------------------
 
-    def _levi_civita(self):
-        """Koszul formula on invariant fields (derivative terms vanish).
+    def _connections(self):
+        """The Levi-Civita and Bismut connections, each as one product.
 
-        g(nabla_{Z_a} Z_b, Z_c) = (1/2)(g([Z_a, Z_b], Z_c) - g([Z_b, Z_c], Z_a)
-        + g([Z_c, Z_a], Z_b)): the nonzero brackets times G6 give every nonzero
-        g([Z_x, Z_y], Z_z), each added into the three places it appears in, so
-        the zero brackets (all but a few on a nilpotent model) cost nothing.
+        Koszul's formula on invariant fields (derivative terms vanish) reads
+        g(nabla_{Z_a} Z_b, Z_z) = P_abz - P_bza + P_zab with P_xyz =
+        (1/2) g([Z_x, Z_y], Z_z), and [Z_x, Z_y]^c = -d w^c(Z_x, Z_y): the
+        terms of the d w^c paired with G6 give every nonzero P_xyz, and the
+        three Koszul terms are P with its keys permuted, each raised by
+        Ginv6.  The Bismut connection nabla^- = nabla + (1/2) g^{-1} d^c
+        omega (totally skew torsion) adds the rows (1/2) d^c omega(Z_a, Z_b,
+        Z_z), read off the terms of d^c omega, to the same product.  So the
+        cost follows the nonzero structure constants and torsion terms.
         """
-        dim, zero, br = self.model.dim, Scalar.zero(), self.model.brackets
-        pairs = [(x, y) for x in range(dim) for y in range(dim)
-                 if any(br[x][y].coeffs)]
-        gb = matmul([br[x][y].coeffs for x, y in pairs], self.G6, zero)
         half = Scalar.of(Fraction(1, 2))
-        koszul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (x, y), row in zip(pairs, gb):
-            for z, v in enumerate(row):
-                if v.is_zero():
-                    continue
+        brackets = {}  # ((x, y), c): (1/2) [Z_x, Z_y]^c
+        for c, dw in enumerate(self.model.diff):
+            for (x, y), v in dw.terms.items():
                 v = half * v
-                koszul[x][y][z] = koszul[x][y][z] + v
-                koszul[z][x][y] = koszul[z][x][y] - v
-                koszul[y][z][x] = koszul[y][z][x] + v
-        gamma = [matmul(kvals, self.Ginv6, zero) for kvals in koszul]
-        return ConnectionCoefficients(self.model, gamma)
+                brackets[(x, y), c], brackets[(y, x), c] = -v, v
+        P = _product_sum([(brackets, _sparse(self.G6), 1)])
+        Ginv = self.Ginv6_sparse
+        # the matrices below hold the entry for nabla_{Z_a} Z_b at (z, (a, b))
+        koszul = [(Ginv, {(z, (x, y)): v for ((x, y), z), v in P.items()}, 1),
+                  (Ginv, {(y, (z, x)): v for ((x, y), z), v in P.items()}, -1),
+                  (Ginv, {(x, (y, z)): v for ((x, y), z), v in P.items()}, 1)]
+        torsion = {}
+        for (i, j, k), v in self.dc_omega.terms.items():
+            v = half * v
+            for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                torsion[z, (a, b)], torsion[z, (b, a)] = v, -v
+        return (self._by_direction(_product_sum(koszul)),
+                self._by_direction(_product_sum(koszul + [(Ginv, torsion, 1)])))
 
-    def _bismut(self):
-        """nabla^- = nabla + (1/2) g^{-1} d^c omega (totally skew torsion), the
-        rows T(Z_a, Z_b, .) filled in from the terms of (1/2) d^c omega."""
-        dim = self.model.dim
-        T = [[Scalar.zero()] * dim for _ in range(dim * dim)]
-        for (i, j, k), v in self.dc_omega.scale(Fraction(1, 2)).terms.items():
-            T[i * dim + j][k] = T[j * dim + k][i] = T[k * dim + i][j] = v
-            T[j * dim + i][k] = T[k * dim + j][i] = T[i * dim + k][j] = -v
-        corr = matmul(T, self.Ginv6, Scalar.zero())
-        gamma = [[[x if y.is_zero() else x + y
-                   for x, y in zip(self.levi_civita.gamma[a][b],
-                                   corr[a * dim + b])]
-                  for b in range(dim)] for a in range(dim)]
-        return ConnectionCoefficients(self.model, gamma)
-
-
-class ConnectionCoefficients:
-    """Invariant connection coefficients: nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d.
-
-    Keeps the model but not the metric's structure: the structure keeps its
-    connections, and a reference back would make a cycle that only the
-    cyclic garbage collector frees, so every metric's objects would outlive
-    it.
-    """
-
-    def __init__(self, model, gamma):
-        self.model = model
-        self.gamma = gamma
+    def _by_direction(self, gamma):
+        """{(d, (a, b)): Gamma^d_ab} as one matrix {(d, b): Gamma^d_ab} per a."""
+        out = [{} for _ in range(self.model.dim)]
+        for (d, (a, b)), v in gamma.items():
+            out[a][d, b] = v
+        return out

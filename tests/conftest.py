@@ -101,14 +101,11 @@ def vector_is_zero(v):
     return all(c.is_zero() for c in v.coeffs)
 
 
-def nabla(conn, a, b):
-    """The vector nabla_{Z_a} Z_b of connection coefficients."""
-    return InvariantVector(conn.model, conn.gamma[a][b])
-
-
-def torsion(conn, a, b):
-    """T(Z_a, Z_b) = nabla_a Z_b - nabla_b Z_a - [Z_a, Z_b]."""
-    return nabla(conn, a, b) - nabla(conn, b, a) - conn.model.brackets[a][b]
+def christoffel(conn):
+    """Dense Gamma[a][b][d] = Gamma^d_{ab} of a connection held as one sparse
+    matrix {(d, b): Gamma^d_{ab}} of nabla_{Z_a} per frame direction a."""
+    r, zero = range(len(conn)), Scalar.zero()
+    return [[[m.get((d, b), zero) for d in r] for b in r] for m in conn]
 
 
 def hermitian_matrix(t):

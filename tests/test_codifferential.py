@@ -17,22 +17,22 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.algebroid import QDIM
-from hslab.hermitian import HermitianStructure, metric_trace
+from hslab.hermitian import HermitianStructure
 from hslab.harmonic import nabla_H_star
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            build_iwasawa, make_family, omega0_structure)
 
-from conftest import frame_vector, operator_of, scalar_commutator
+from conftest import christoffel, frame_vector, operator_of, scalar_commutator
 
 TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
 TAU_MENU = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4)]
 
 
-def _reference(s, B, T):
-    """-sum_{ab} Ginv[a][b] ([B(Z_a), T(Z_b)] - Gamma^c_{ab} T(Z_c)), term by term."""
+def _reference(s, B, T, gamma):
+    """-sum_{ab} Ginv[a][b] ([B(Z_a), T(Z_b)] - Gamma^c_{ab} T(Z_c)), term by
+    term, with Gamma[a][b][c] = Gamma^c_{ab} dense."""
     h = s.h
-    gamma = h.levi_civita.gamma
     Z = [frame_vector(s.model, a) for a in range(6)]
     # A(Z_a) by contracting each 1-form entry
     Bv, Tv = ([[[e.contract(z).terms.get((), Scalar.zero()) for e in row]
@@ -90,8 +90,9 @@ def test_contracted_equals_double_sum(name):
     JPsi = _j(Psi)
     # both are zero on the flat and Picard families (omega_0, every row of
     # Ginv with one entry); the stand-ins below give that path nonzero values
+    gamma = christoffel(s.h.levi_civita)
     for T in (Psi, JPsi):
-        assert nabla_H_star(s, B, T) == _reference(s, B, T)
+        assert nabla_H_star(s, B, T) == _reference(s, B, T, gamma)
 
 
 def test_deformed_metrics_have_multi_term_rows():
@@ -138,15 +139,14 @@ def test_stand_in_metric_with_a_nonzero_trace(seed, shape):
              for _ in range(6)]
     terms = 1 if shape == "single" else 3
     assert all(sum(not g.is_zero() for g in row) >= terms for row in Ginv)
-    # the structure's own trace sum, against the definition, and nonzero
-    trace = metric_trace(Ginv, gamma)
-    assert trace == [_trace(Ginv, gamma, c) for c in range(6)]
+    # the trace by its definition, nonzero
+    trace = [_trace(Ginv, gamma, c) for c in range(6)]
     assert any(not x.is_zero() for x in trace)
     s = SimpleNamespace(model=real.model, h=SimpleNamespace(
-        Ginv6=Ginv, levi_civita=SimpleNamespace(gamma=gamma), lc_trace=trace))
+        Ginv6=Ginv, lc_trace=trace))
     for T in (Psi, _j(Psi)):
         out = nabla_H_star(s, B, T)
-        assert out == _reference(s, B, T)
+        assert out == _reference(s, B, T, gamma)
         assert any(not x.is_zero() for row in out for x in row)
 
 
@@ -171,7 +171,7 @@ def test_levi_civita_trace_vanishes():
     # and a corrected deformed metric (omega_0 + tau + the gamma correction)
     structures.append(FAMILIES["deformed"]().h)
     for h in structures:
-        gamma = h.levi_civita.gamma
+        gamma = christoffel(h.levi_civita)
         assert all(_trace(h.Ginv6, gamma, c).is_zero() for c in range(6))
         assert all(g.is_zero() for g in h.lc_trace)
     # the Christoffel symbols themselves are not zero

@@ -12,8 +12,8 @@ from hslab.cealg import NilmanifoldModel
 from hslab.hermitian import HermitianStructure, matrix_inverse, matrix_det
 from hslab.iwasawa import TauDeformation, su3_structure
 
-from conftest import (apply, frame_vector, nabla, random_form, random_scalar,
-                      torsion, vector_is_zero)
+from conftest import (apply, christoffel, frame_vector, random_form,
+                      random_scalar, vector_is_zero)
 
 
 def _diag_metric(model, coeffs):
@@ -101,7 +101,7 @@ def test_members_are_their_definitions(oracle_metrics):
     h1 = HermitianStructure(solvable, su3_structure(solvable)[0])
     assert any(not x.is_zero() for x in h1.lc_trace)
     for h in oracle_metrics + [h1]:
-        dim, gamma = h.model.dim, h.levi_civita.gamma
+        dim, gamma = h.model.dim, christoffel(h.levi_civita)
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.star_dc_omega == h.star(h.dc_omega)
         assert h.two_i_partial_omega == h.omega.partial().scale(
@@ -168,7 +168,7 @@ def test_metric_objects_are_built_once(model):
     # a second structure on the same metric builds its own, equal, objects
     other = _diag_metric(model, (1, 2, 3))
     assert other.bismut is not h.bismut
-    assert other.bismut.gamma == h.bismut.gamma
+    assert other.bismut == h.bismut
     assert other.lee_form == h.lee_form
     # the connections do not point back at their structure, so dropping the
     # structure frees it at once, without the cyclic garbage collector
@@ -188,10 +188,7 @@ def test_bismut_equals_levi_civita_on_torus(abelian_model):
     omega = (abelian_model.basis_form((0, 3)) + abelian_model.basis_form((1, 4))
              + abelian_model.basis_form((2, 5))).scale(half_i)
     h = HermitianStructure(abelian_model, omega)
-    lc, bi = h.levi_civita, h.bismut
-    for a in range(6):
-        for b in range(6):
-            assert vector_is_zero(nabla(lc, a, b) - nabla(bi, a, b))
+    assert christoffel(h.bismut) == christoffel(h.levi_civita)
 
 
 def _metrics(model, h0, kt_model):
@@ -215,39 +212,25 @@ def _frame_gram(h):
 
 def test_bismut_torsion_is_skew_torsion(model, h0, kt_model):
     # the torsion 3-form of the Bismut connection is d^c omega: checking
-    # g(T(Z_a, Z_b), Z_c) antisymmetrized equals d^c omega(Z_a, Z_b, Z_c)
+    # g(T(Z_a, Z_b), Z_c) antisymmetrized equals d^c omega(Z_a, Z_b, Z_c),
+    # with T(Z_a, Z_b)^d = Gamma^d_ab - Gamma^d_ba - [Z_a, Z_b]^d and the
+    # bracket [Z_a, Z_b]^d = -d w^d(Z_a, Z_b) by contractions
     for h in _metrics(model, h0, kt_model):
-        bi = h.bismut
+        m, bi = h.model, christoffel(h.bismut)
         dc = h.omega.dc()
-        Z = [frame_vector(h.model, a) for a in range(6)]
+        Z = [frame_vector(m, a) for a in range(6)]
         G = _frame_gram(h)
         for a in range(6):
             for b in range(a + 1, 6):
-                t = torsion(bi, a, b)
+                t = [bi[a][b][d] - bi[b][a][d] + apply(m.diff[d], Z[a], Z[b])
+                     for d in range(6)]
                 for c in range(6):
                     pair = Scalar.zero()
                     for d in range(6):
-                        coef = t.coeffs[d]
-                        if not coef.is_zero():
-                            pair = pair + coef * G[d][c]
+                        if not t[d].is_zero():
+                            pair = pair + t[d] * G[d][c]
                     assert pair == apply(dc, Z[a], Z[b], Z[c])
         assert not dc.is_zero()
-
-
-def test_brackets_satisfy_maurer_cartan(model, h0, kt_model):
-    # d w^c(Z_a, Z_b) = -w^c([Z_a, Z_b]) on invariant fields, each side
-    # evaluated by contractions
-    for h in _metrics(model, h0, kt_model):
-        m = h.model
-        Z = [frame_vector(m, a) for a in range(6)]
-        br = m.brackets
-        for a in range(6):
-            for b in range(6):
-                for c in range(6):
-                    assert apply(m.diff[c], Z[a], Z[b]) == \
-                        -apply(m.basis_form((c,)), br[a][b])
-        assert sum(not vector_is_zero(br[a][b])
-                   for a in range(6) for b in range(6)) >= 2
 
 
 def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
@@ -259,19 +242,19 @@ def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
         Z = [frame_vector(m, a) for a in range(6)]
         G = _frame_gram(h)
         assert G == h.G6
-        lc, bi = h.levi_civita, h.bismut
+        lc, bi = christoffel(h.levi_civita), christoffel(h.bismut)
         r = range(6)
         for a in r:
             for b in r:
                 for c in r:
-                    assert lc.gamma[a][b][c] - lc.gamma[b][a][c] == \
+                    assert lc[a][b][c] - lc[b][a][c] == \
                         -apply(m.diff[c], Z[a], Z[b])
                 for conn in (lc, bi):
-                    g = conn.gamma[a]
+                    g = conn[a]
                     for c in r:
                         assert sum((g[b][d] * G[d][c] + g[c][d] * G[b][d]
                                     for d in r), Scalar.zero()).is_zero()
-        assert any(not x.is_zero() for row in lc.gamma for v in row for x in v)
+        assert any(not x.is_zero() for row in lc for v in row for x in v)
 
 
 def test_omega_sq_table_is_the_wedge_with_omega_sq(model, h0, kt_model):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.cealg import InvariantForm, InvariantVector
+from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
 from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
                            hs_residuals)
 from hslab.algebroid import he_residual_G, matrix_is_zero
@@ -331,16 +331,42 @@ def test_flat_families_share_the_omega0_structure(monkeypatch):
 
 
 def _frozen(v):
-    """A deep copy of v's value as nested tuples and strings."""
+    """A deep copy of v's value as nested tuples and strings.
+
+    A dict freezes as its sorted items.  The model freezes as its identity:
+    test_one_immutable_model_per_process holds its members.  Any other type
+    that is not a known immutable one raises TypeError, since passing a
+    mutable object through by reference would hide in-place writes to it.
+    """
     if isinstance(v, (list, tuple)):
         return tuple(_frozen(x) for x in v)
+    if isinstance(v, dict):
+        return tuple((k, _frozen(x)) for k, x in sorted(v.items()))
     if isinstance(v, (Scalar, InvariantForm)):
         return (type(v).__name__, str(v))
     if isinstance(v, InvariantVector):
         return ("vector", id(v.model), _frozen(v.coeffs))
-    if isinstance(v, hermitian.ConnectionCoefficients):
-        return ("connection", id(v.model), _frozen(v.gamma))
-    return v
+    if isinstance(v, NilmanifoldModel):
+        return ("model", id(v))
+    if v is None or isinstance(v, (bool, int, str, Fraction)):
+        return v
+    raise TypeError("cannot freeze a %s" % type(v).__name__)
+
+
+def test_frozen_sees_in_place_writes_to_dict_members():
+    # on a fresh deformed structure, never the shared omega_0 one: a write
+    # into a dict member, or into a dict held in a list member, changes the
+    # frozen value of the structure's members
+    model, omega0, _ = build_iwasawa()
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    h = hermitian.HermitianStructure(model, omega0 + tau.form(model))
+    for target in (h.Ginv6_sparse, h.levi_civita[0], h.bismut[0]):
+        before = _frozen(vars(h))
+        key = next(iter(target))
+        target[key] = target[key] + Scalar.one()
+        assert _frozen(vars(h)) != before
+    with pytest.raises(TypeError):
+        _frozen(set())
 
 
 def _star_every_basis_form():
