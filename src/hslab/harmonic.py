@@ -45,22 +45,20 @@ class CompatibleMetricH:
 
     Hm is g(Z_a, conj Z_b) = G6[a][(b + 3) % 6] on T and |alpha| on End, so
     row a of its inverse is Ginv6[(a + 3) % 6] on T, and 1/|alpha| on End.
-    The nonzero entries of each column of Hm_inv and each row of Hm, which
-    the adjoint's weights read, are listed once, at construction.
+    The T blocks and the nonzero entries of each column of Hm_inv and each
+    row of Hm there, which the adjoint's weights read, are members of the
+    HermitianStructure (Hm_T, Hm_inv_T, Hm_T_rows, Hm_inv_T_cols), built
+    once per metric; a coupling adds only the End diagonal.
     """
 
     def __init__(self, h, alpha):
         self.model = h.model
-        G6, Ginv6 = h.G6, h.Ginv6
         aabs = alpha if alpha.sign() > 0 else -alpha
         inv = aabs.inverse()
-        self.Hm = _with_end([[row[(b + 3) % 6] for b in range(6)] for row in G6],
-                            aabs, aabs)
-        self.Hm_inv = _with_end([Ginv6[(a + 3) % 6] for a in range(6)], inv, inv)
-        self._inv_cols = [[(p, x) for p, x in enumerate(col) if not x.is_zero()]
-                          for col in zip(*self.Hm_inv)]
-        self._rows = [[(q, x) for q, x in enumerate(row) if not x.is_zero()]
-                      for row in self.Hm]
+        self.Hm = _with_end(h.Hm_T, aabs, aabs)
+        self.Hm_inv = _with_end(h.Hm_inv_T, inv, inv)
+        self._inv_cols = h.Hm_inv_T_cols + [[(6, inv)], [(7, inv)]]
+        self._rows = h.Hm_T_rows + [[(6, aabs)], [(7, aabs)]]
 
     def adjoint(self, A: QOperator) -> QOperator:
         """A^{*H}: component a is Hm_inv . conj(A^{sigma(a)})^T . Hm.
@@ -93,12 +91,34 @@ class CompatibleMetricH:
 
 
 def decompose_unitary(A: QOperator, H: CompatibleMetricH):
-    """A = B + Psi with B anti-self-adjoint (unitary part) and Psi self-adjoint."""
+    """A = B + Psi with B anti-self-adjoint (unitary part) and Psi self-adjoint.
+
+    Psi = (A + A^{*H})/2 and B = (A - A^{*H})/2, formed entry by entry
+    with no term list: where both A and A^{*H} hold an entry, a and s,
+    Psi = (a + s)/2 and B = a - Psi (B = a where a + s = 0, as for most
+    entries at omega_0); where only one does, one halving gives both,
+    Psi = B = a/2 or Psi = -B = s/2.
+    """
     half = Scalar.of(Fraction(1, 2))
-    pairs = list(zip(A.comps, H.adjoint(A).comps))
-    B, Psi = (QOperator(A.model, [_combination(c, m) for m in pairs])
-              for c in ((half, -half), (half, half)))
-    return B, Psi
+    Bc, Pc = [], []
+    for a_comp, s_comp in zip(A.comps, H.adjoint(A).comps):
+        b, p = {}, {}
+        for k, a in a_comp.items():
+            s = s_comp.get(k)
+            if s is None:
+                b[k] = p[k] = a * half
+            elif (t := a + s):
+                p[k] = psi = t * half
+                b[k] = a - psi
+            else:
+                b[k] = a
+        for k, s in s_comp.items():
+            if k not in a_comp:
+                p[k] = psi = s * half
+                b[k] = -psi
+        Bc.append(b)
+        Pc.append(p)
+    return QOperator(A.model, Bc), QOperator(A.model, Pc)
 
 
 def _j_vector(model, vec):

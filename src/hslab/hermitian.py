@@ -21,9 +21,12 @@ A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
 partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
 and its companion (d e_a ^ omega^2)_top, Ginv6 as a sparse matrix
-(Ginv6_sparse), the Levi-Civita and Bismut connections as one sparse matrix
-per frame direction (what connection_DG reads), the Lee form and its sharp,
-*d^c omega and the Levi-Civita trace of the codifferential) and nothing is
+(Ginv6_sparse), the T blocks Hm_T and Hm_inv_T of the metric on Q and of
+its inverse with the nonzero entries of each row of Hm_T (Hm_T_rows) and
+each column of Hm_inv_T (Hm_inv_T_cols), what CompatibleMetricH reads,
+the Levi-Civita and Bismut connections as one sparse matrix per frame
+direction (what connection_DG reads), the Lee form and its sharp, *d^c
+omega and the Levi-Civita trace of the codifferential) and nothing is
 written to it afterwards, so one structure serves every verifier and family
 of its metric.  The connections come from the terms of the model's d w_c
 (the brackets) paired with G6 and, for Bismut, the terms of d^c omega,
@@ -265,6 +268,17 @@ class HermitianStructure:
             for k in range(n):
                 self.G6[j][k + n] = self.G6[k + n][j] = self.g[j][k]
                 self.Ginv6[j][k + n] = self.Ginv6[k + n][j] = ginv[k][j]
+        # the T block of the metric on Q and of its inverse
+        # (harmonic.CompatibleMetricH), with the nonzero entries of each
+        # row of Hm_T and each column of Hm_inv_T that its adjoint reads
+        self.Hm_T = [[row[(b + n) % dim] for b in range(dim)]
+                     for row in self.G6]
+        self.Hm_inv_T = [list(self.Ginv6[(a + n) % dim]) for a in range(dim)]
+        self.Hm_T_rows = [[(q, x) for q, x in enumerate(row)
+                           if not x.is_zero()] for row in self.Hm_T]
+        self.Hm_inv_T_cols = [[(p, x) for p, x in enumerate(col)
+                               if not x.is_zero()]
+                              for col in zip(*self.Hm_inv_T)]
         self.omega_sq = omega.wedge(omega)
         self.d_omega_sq = self.omega_sq.d()
         self.dc_omega = omega.dc()

@@ -30,13 +30,14 @@ degree <= 2 in the triple, so _certify_base proves it zero on every triple
 from 30 exact engine runs on unisolvent samples and guards, at any --max,
 and checks that F0^2 - F1^2 is dd^c-exact (one pair decides every pair).
 A row is one triple t0 against every triple t1; _sweep_row builds its
-record heads once per squared norm of t1 and verdict, takes the
-non-harmonic head of each column by its norm, and puts in the harmonic
-heads only at the columns on the plane t0 . t1 = 0, which it enumerates
-(_orthogonal) instead of testing every column.  Each line is a head plus
-t1's tail (precomputed once per sweep), joined into one text, which
-iter_sweep yields and the CLI writes with one write.  Memory is bounded by
-one row and the per-sweep columns, not by the record count.
+record heads once per squared norm of t1 and verdict, puts the
+non-harmonic head of each column by its norm into a per-sweep list that
+alternates head slots with t1's tails (_columns, built once per sweep),
+and puts in the harmonic heads only at the columns on the plane
+t0 . t1 = 0, which it enumerates (_orthogonal) instead of testing every
+column.  The list is joined once into the row's text, which iter_sweep
+yields and the CLI writes with one write.  Memory is bounded by one row
+and the per-sweep columns, not by the record count.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from itertools import chain, compress, product
+from itertools import product
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
@@ -468,6 +469,26 @@ def _orthogonal(t0, max_abs):
     return out
 
 
+def _columns(triples, max_abs):
+    """The per-sweep columns (norms, by_norm, pieces, position, max_abs) of
+    the triples, every one in [-max_abs, max_abs]^3.
+
+    Column i is the triple t1 = triples[i]: norms[i] is its squared norm,
+    position maps t1 to i, and by_norm lists the columns of each squared
+    norm.  pieces holds two strings per column: a head slot at 2 i, empty
+    here and filled by _sweep_row row by row, and at 2 i + 1 the tail
+    json.dumps(t1) + "}}\n" that ends each of the column's lines.
+    """
+    norms = [sum(x * x for x in t) for t in triples]
+    by_norm = {}
+    for i, s in enumerate(norms):
+        by_norm.setdefault(s, []).append(i)
+    pieces = [""] * (2 * len(triples))
+    pieces[1::2] = [json.dumps(list(t)) + "}}\n" for t in triples]
+    return (norms, by_norm, pieces, {t: i for i, t in enumerate(triples)},
+            max_abs)
+
+
 def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     """(text, records, harmonic) of the row t0: its pairs (t0, t1), t1 in cols.
 
@@ -475,25 +496,25 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
     newline; records counts them and harmonic counts those with a harmonic
     verdict.  A pair of equal squared norms has no line (its coupling is
     degenerate), and with require_harmonic neither has a non-harmonic pair.
-    s0 and j0 are the squared norm and JSON text of t0.  cols, built once per
-    sweep, is (norms, distinct, tails, position, max_abs): column i is a t1
-    of squared norm norms[i] whose lines end in tails[i], distinct holds
-    each squared norm once, position maps each t1 to its column, and every
-    t1 lies in [-max_abs, max_abs]^3.  prefixes, filled
-    per sweep, maps s0 - s1 to the _HEAD texts of the non-harmonic and the
-    harmonic verdict (alpha's literal depends on that difference alone).
+    s0 and j0 are the squared norm and JSON text of t0; cols is the
+    sweep's _columns.  prefixes, filled per sweep, maps s0 - s1 to the
+    _HEAD texts of the non-harmonic and the harmonic verdict (alpha's
+    literal depends on that difference alone).
 
-    A line is a head, everything before tails[i], and a tail.  The row
-    builds its heads once per squared norm and verdict (None: no line) and
-    takes each column's non-harmonic head by its norm.  Only the harmonic
-    columns, the plane t0 . t1 = 0 (_orthogonal), are then visited to put
-    in their harmonic heads, and harmonic counts the heads put in.  The
-    lines are the (head, tail) pairs with a head, joined in one pass.
+    A line is a head, everything before its column's tail, and the tail.
+    The row builds its heads once per squared norm and verdict (s0's head
+    is empty) and fills every head slot of pieces with one slice
+    assignment, each column's non-harmonic head by its norm.  Only the
+    harmonic columns, the plane t0 . t1 = 0 (_orthogonal), are then
+    visited to put in their harmonic heads, and harmonic counts them.  The
+    tails of s0's columns are blanked, pieces is joined once and those
+    tails are put back, so the next row finds every tail in place.  With
+    require_harmonic only the plane's lines are joined, in column order.
     """
-    norms, distinct, tails, position, max_abs = cols
+    norms, by_norm, pieces, position, max_abs = cols
     mid = j0 + ', "triple1": '
-    plain, on_plane = {s0: None}, {s0: None}
-    for s1 in distinct:
+    plain, on_plane = {s0: ""}, {s0: None}
+    for s1 in by_norm:
         if s1 != s0:
             pair = prefixes.get(s0 - s1)
             if pair is None:
@@ -501,21 +522,30 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
                     str(Scalar.pi(-2, Fraction(1, 2 * (s0 - s1)))))
                 pair = prefixes[s0 - s1] = (_HEAD % (alpha, "false"),
                                             _HEAD % (alpha, "true"))
-            plain[s1] = None if require_harmonic else pair[0] + mid
+            plain[s1] = pair[0] + mid
             on_plane[s1] = pair[1] + mid
-    heads = list(map(plain.__getitem__, norms))
     # K is its base part, zero by _certify_base, plus the cross term:
     # |alpha| times the frame contraction of the two curvatures,
     # -16 pi^2 |alpha| dot, on the End off-diagonal entries; alpha != 0,
     # so K vanishes iff dot == 0
-    found = 0
-    for t1 in _orthogonal(t0, max_abs):
-        i = position.get(t1)
-        if i is not None and (head := on_plane[norms[i]]):
-            heads[i] = head
-            found += 1
-    text = "".join(chain.from_iterable(compress(zip(heads, tails), heads)))
-    return text, len(heads) - heads.count(None), found
+    harmonic = [(i, head) for t1 in _orthogonal(t0, max_abs)
+                if (i := position.get(t1)) is not None
+                and (head := on_plane[norms[i]])]
+    if require_harmonic:
+        harmonic.sort()
+        text = "".join(head + pieces[2 * i + 1] for i, head in harmonic)
+        return text, len(harmonic), len(harmonic)
+    pieces[0::2] = map(plain.__getitem__, norms)
+    for i, head in harmonic:
+        pieces[2 * i] = head
+    own = [2 * i + 1 for i in by_norm.get(s0, ())]
+    tails = [pieces[k] for k in own]
+    for k in own:
+        pieces[k] = ""
+    text = "".join(pieces)
+    for k, tail in zip(own, tails):
+        pieces[k] = tail
+    return text, len(norms) - len(own), len(harmonic)
 
 
 def _ch2_holds():
@@ -537,14 +567,17 @@ def iter_sweep(max_abs, require_harmonic=False, raw=False):
     Pairs of triples in [-max_abs, max_abs]^3 in deterministic lexicographic
     parameter order, identified up to simultaneous sign flips unless raw is
     set; byte-stable for fixed arguments.  A row is one triple t0 against
-    every triple t1 (_sweep_row): the columns' squared norms, tails and
-    positions, and the set of squared norms, are built once per sweep, and each row enumerates its harmonic
-    columns from the plane t0 . t1 = 0 and counts them from that
+    every triple t1 (_sweep_row).  The columns (_columns: each triple's
+    squared norm, position and line tail, the columns of each squared norm,
+    and the list of pieces a row's text is joined from) are built once per
+    sweep; each row fills the head slots of the pieces, enumerates its
+    harmonic columns from the plane t0 . t1 = 0 and counts them from that
     enumeration.  Rows come in catalog order, and with raw unset only the
     canonical ones.  The engine certificate comes first (_certify_base,
     skipped when there are no triples); then each row's lines are yielded
     as one text as soon as they are made, so memory is bounded by one row,
-    at most (2 max_abs + 1)^3 - 1 lines, and the per-sweep columns.
+    at most (2 max_abs + 1)^3 - 1 lines, and the per-sweep columns.  The
+    pieces belong to this one generator: another sweep builds its own.
     """
     if not 0 <= max_abs <= SWEEP_MAX_ABS:
         raise ValueError("max_abs must be between 0 and %d" % SWEEP_MAX_ABS)
@@ -552,11 +585,8 @@ def iter_sweep(max_abs, require_harmonic=False, raw=False):
     if triples:
         _certify_base()
     prefixes = {}
-    norms = [sum(x * x for x in t) for t in triples]
-    tails = [json.dumps(list(t)) + "}}\n" for t in triples]
-    cols = (norms, set(norms), tails, {t: i for i, t in enumerate(triples)},
-            max_abs)
-    for t0, s0 in zip(triples, norms):
+    cols = _columns(triples, max_abs)
+    for t0, s0 in zip(triples, cols[0]):
         # (t0, t1) is canonical iff (t0, t1) <= (-t0, -t1); t0 != -t0 for a
         # nonzero t0, so that is t0 < -t0, decided once per row
         if raw or t0 < tuple(-x for x in t0):

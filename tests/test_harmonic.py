@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import QDIM, connection_DG, curvature, matrix_is_zero
+from hslab.algebroid import (QDIM, QOperator, _combination, connection_DG,
+                             curvature, matrix_is_zero)
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             moment_residuals, harmonic_residual,
                             harmonic_criteria, harmonic_vs_moment_gap,
                             higgs_dbar_entry, higgs_equation_residuals)
 from hslab.bundles import LineBundleTriple
+from hslab.hermitian import matmul
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
@@ -40,16 +42,58 @@ def _metric(std):
     return CompatibleMetricH(std.h, std.alpha)
 
 
-def test_unitary_decomposition(model, h0, Omega, rng):
-    for _ in range(10):
-        t0, t1 = random_pair(rng)
-        s = make_params(model, h0, Omega, t0, t1)
-        H = _metric(s)
-        A = connection_DG(s)
+def _unitary_reference(A, H):
+    """(B, Psi) = ((A - A^*)/2, (A + A^*)/2), each a _combination per
+    component."""
+    half = Scalar.of(Fraction(1, 2))
+    pairs = list(zip(A.comps, H.adjoint(A).comps))
+    return tuple(QOperator(A.model, [_combination(c, m) for m in pairs])
+                 for c in ((half, -half), (half, half)))
+
+
+def _check_unitary_split(s):
+    # on D^G and on its (1,0)-part, whose adjoint is of type (0,1), so that
+    # no entry of the one is held by the other
+    H = _metric(s)
+    DG = connection_DG(s)
+    for A in (DG, DG.part(1, 0)):
         B, Psi = decompose_unitary(A, H)
         assert A.comps == (B + Psi).comps
         assert H.adjoint(B).comps == (-B).comps
         assert H.adjoint(Psi).comps == Psi.comps
+        B_ref, Psi_ref = _unitary_reference(A, H)
+        assert B.comps == B_ref.comps
+        assert Psi.comps == Psi_ref.comps
+
+
+def test_unitary_decomposition(model, h0, Omega, rng):
+    for _ in range(10):
+        t0, t1 = random_pair(rng)
+        _check_unitary_split(make_params(model, h0, Omega, t0, t1))
+
+
+def test_compatible_metric_is_its_definition(oracle_metrics):
+    # Hm is g(Z_a, conj Z_b) = G6[a][(b + 3) % 6] on T and |alpha| on End,
+    # row a of Hm_inv is Ginv6[(a + 3) % 6] on T and 1/|alpha| on End, and
+    # the two are inverse, on omega_0 and deformed metrics at both signs
+    zero, one = Scalar.zero(), Scalar.one()
+    eye = [[one if i == j else zero for j in range(QDIM)]
+           for i in range(QDIM)]
+    for h in oracle_metrics:
+        for alpha in (Scalar.pi(-2, Fraction(1, 6)),
+                      Scalar.pi(-2, Fraction(-5, 2))):
+            H = CompatibleMetricH(h, alpha)
+            aabs = alpha if alpha.sign() > 0 else -alpha
+            for a in range(QDIM):
+                for b in range(QDIM):
+                    if a < 6 and b < 6:
+                        hm, inv = h.G6[a][(b + 3) % 6], h.Ginv6[(a + 3) % 6][b]
+                    elif a == b:
+                        hm, inv = aabs, aabs.inverse()
+                    else:
+                        hm = inv = zero
+                    assert (H.Hm[a][b], H.Hm_inv[a][b]) == (hm, inv)
+            assert matmul(H.Hm, H.Hm_inv, zero) == eye
 
 
 def test_adjoint_involution(std, rng, model, h0, Omega):
@@ -103,18 +147,38 @@ def test_chern_decomposition(model, h0, Omega, rng):
 
 _DEFORMING_TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
 
+# (t0, t1, FamilyConfig options): omega_0 at both coupling signs, a Picard
+# twist, a deformed metric, and an uncorrected deformed one off solutions
+_SPLIT_FAMILIES = [
+    pytest.param((1, 2, 2), (2, -1, 0), {}, id="flat"),
+    pytest.param((2, -1, 0), (1, 2, 2), {}, id="negative-alpha"),
+    pytest.param((1, 2, 2), (2, -1, 0), {"picard": PicardPoint(
+        a0=(Scalar.of(Fraction(1, 3)), Scalar.of(0, 2)),
+        a1=(Scalar.of(-1), Scalar.of(Fraction(1, 2), 1)))}, id="picard"),
+    pytest.param((1, 1, 0), (1, 0, 0), {"tau": _DEFORMING_TAU},
+                 id="deformed"),
+    pytest.param((1, 2, 2), (1, 1, 0),
+                 {"tau": _DEFORMING_TAU, "correct": False},
+                 id="off-solution"),
+]
 
-@pytest.mark.parametrize("t0, t1, kw", [
-    ((1, 2, 2), (2, -1, 0), {}),
-    ((1, 2, 2), (2, -1, 0),
-     {"picard": PicardPoint(a0=(Scalar.of(Fraction(1, 3)), Scalar.of(0, 2)),
-                            a1=(Scalar.of(-1), Scalar.of(Fraction(1, 2), 1)))}),
-    ((1, 1, 0), (1, 0, 0), {"tau": _DEFORMING_TAU}),
-    ((1, 2, 2), (1, 1, 0), {"tau": _DEFORMING_TAU, "correct": False}),
-], ids=["flat", "picard", "deformed", "off-solution"])
+
+def _split_family(t0, t1, kw):
+    return make_family(FamilyConfig(LineBundleTriple(*t0, role="V0"),
+                                    LineBundleTriple(*t1, role="V1"),
+                                    **kw)).params
+
+
+@pytest.mark.parametrize("t0, t1, kw", _SPLIT_FAMILIES)
+def test_unitary_decomposition_on_each_family(t0, t1, kw):
+    # the entry-by-entry split against the two-_combination reference, on
+    # every metric class and both coupling signs
+    _check_unitary_split(_split_family(t0, t1, kw))
+
+
+@pytest.mark.parametrize("t0, t1, kw", _SPLIT_FAMILIES)
 def test_chern_split_matches_adjoint_reference(t0, t1, kw):
-    s = make_family(FamilyConfig(LineBundleTriple(*t0, role="V0"),
-                                 LineBundleTriple(*t1, role="V1"), **kw)).params
+    s = _split_family(t0, t1, kw)
     C, phi = s.chern_split
     C_ref, phi_ref = _chern_reference(s.connection, s.metric_H)
     assert C.comps == C_ref.comps

@@ -109,6 +109,17 @@ def test_members_are_their_definitions(oracle_metrics):
         assert h.lc_trace == [
             sum((h.Ginv6[a][b] * gamma[a][b][c] for a in range(dim)
                  for b in range(dim)), Scalar.zero()) for c in range(dim)]
+        # the T blocks of the metric on Q and of its inverse, and the
+        # nonzero entries of each row of the one and column of the other
+        assert h.Hm_T == [[h.G6[a][(b + 3) % dim] for b in range(dim)]
+                          for a in range(dim)]
+        assert h.Hm_inv_T == [h.Ginv6[(a + 3) % dim] for a in range(dim)]
+        assert h.Hm_T_rows == [
+            [(b, h.Hm_T[a][b]) for b in range(dim)
+             if not h.Hm_T[a][b].is_zero()] for a in range(dim)]
+        assert h.Hm_inv_T_cols == [
+            [(a, h.Hm_inv_T[a][b]) for a in range(dim)
+             if not h.Hm_inv_T[a][b].is_zero()] for b in range(dim)]
         # lam_a = (d e_a ^ omega^2)_top, by the wedge itself
         assert h.omega_sq_lambda == [
             da.wedge(h.omega_sq).top_coeff() for da in h.model.diff]
@@ -162,7 +173,8 @@ def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
     # every member is a plain attribute, built with the structure
     members = ("omega_sq_table", "omega_sq_lambda", "levi_civita", "bismut",
-               "lee_form", "lee_sharp", "star_dc_omega", "lc_trace")
+               "lee_form", "lee_sharp", "star_dc_omega", "lc_trace", "Hm_T",
+               "Hm_inv_T", "Hm_T_rows", "Hm_inv_T_cols")
     assert set(members) <= set(vars(h))
     assert not any(callable(getattr(h, name)) for name in members)
     # a second structure on the same metric builds its own, equal, objects

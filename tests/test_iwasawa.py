@@ -389,6 +389,8 @@ def test_one_immutable_omega0_structure_per_process(work):
     # the shared structure's members keep their identity and their value
     h = omega0_structure()
     before = {k: (id(v), _frozen(v)) for k, v in vars(h).items()}
+    # among them the metric on Q that every CompatibleMetricH reads
+    assert {"Hm_T", "Hm_inv_T", "Hm_T_rows", "Hm_inv_T_cols"} <= set(before)
     work()
     assert omega0_structure() is h
     assert {k: (id(v), _frozen(v)) for k, v in vars(h).items()} == before
@@ -871,6 +873,28 @@ def test_sweep_yields_one_block_per_canonical_row(tmp_path):
     assert out.read_bytes() == "".join(b[0] for b in blocks).encode()
 
 
+def test_sweeps_in_alternation_keep_their_own_pieces():
+    # each sweep fills, blanks and restores slots of its own per-sweep
+    # piece list: two sweeps advanced in turn yield the bytes each yields
+    # alone, and a row's text stays as it was when the next row is made
+    alone = {raw: [text for text, _, _ in iwasawa.iter_sweep(2, raw=raw)]
+             for raw in (False, True)}
+    sweeps = {raw: iwasawa.iter_sweep(2, raw=raw) for raw in (False, True)}
+    got = {False: [], True: []}
+    while sweeps:
+        for raw in sorted(sweeps):
+            row = next(sweeps[raw], None)
+            if row is None:
+                del sweeps[raw]
+            else:
+                got[raw].append(row[0])
+    assert got == alone
+    sweep = iwasawa.iter_sweep(2)
+    held = next(sweep)[0]
+    next(sweep)
+    assert held == alone[False][0]
+
+
 def test_dbar_phi_23_is_nonzero_on_every_pair():
     # the End-block entry holds dot(t0, t1) and the components of t0 x t1
     # up to sign, and dot^2 + |t0 x t1|^2 = |t0|^2 |t1|^2 > 0 (Lagrange's
@@ -904,8 +928,7 @@ def sweep_pair(t0, t1):
     """The record of the pair (t0, t1): _sweep_row on a one-column row."""
     from hslab.iwasawa import _sweep_row
     s0, s1 = sum(x * x for x in t0), sum(x * x for x in t1)
-    cols = ([s1], {s1}, [json.dumps(list(t1)) + "}}\n"], {t1: 0},
-            max(map(abs, t1)))
+    cols = iwasawa._columns([t1], max(map(abs, t1)))
     text, records, harmonic = _sweep_row(
         t0, s0, json.dumps(list(t0)), cols, {})
     if s0 == s1:
