@@ -153,16 +153,12 @@ def wedge_omega_sq_top(h, L, pairs):
                         _combination(h.omega_sq_lambda, L.comps)))
 
 
-def _with_end(block, e0, e1):
-    """8x8 Scalar matrix: the 6x6 block on T, diag(e0, e1) on End."""
-    z = Scalar.zero()
-    return [row + [z, z] for row in block] + [[z] * 6 + [e0, z], [z] * 7 + [e1]]
-
-
 def pairing_matrix(h, alpha):
     """The C-bilinear pairing of Q in the complexified frame: -g_C on T,
     diag(-alpha, alpha) on End."""
-    return _with_end([[-x for x in row] for row in h.G6], -alpha, alpha)
+    P = _dense({k: -x for k, x in h.G6.items()})
+    P[6][6], P[7][7] = -alpha, alpha
+    return P
 
 
 def connection_DG(s):
@@ -178,7 +174,7 @@ def connection_DG(s):
     comps = [dict(m) for m in h.bismut]
     for e, F, r in ((6, s.F0, -s.alpha), (7, s.F1, s.alpha)):
         Fv = _form_entries(F)  # F(Z_b, Z_c)
-        for (a, c), v in _product_sum([(h.Ginv6_sparse, Fv, 1)]).items():
+        for (a, c), v in _product_sum([(h.Ginv6, Fv, 1)]).items():
             comps[c][a, e] = v * r
         for (b, c), v in Fv.items():
             comps[c][e, b] = v
@@ -239,10 +235,9 @@ def bismut_iso_matrix(h):
     for i, j in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4)):
         P[i][j] = Scalar.one()
     # xi_k = w_k maps to -(1/2) g^{-1} w_k
-    for k in range(3):
-        for a in range(6):
-            if not h.Ginv6[a][k].is_zero():
-                P[a][5 + k] = -half * h.Ginv6[a][k]
+    for (a, k), x in h.Ginv6.items():
+        if k < 3:
+            P[a][5 + k] = -half * x
     return P
 
 
@@ -283,8 +278,9 @@ def _span_slope(s, S):
     M_c = S^dagger H c S: two k x k matrices, no 8x8 projector.
     """
     zero = Scalar.zero()
-    SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)],
-                 s.metric_H.Hm, zero)
+    Hm = _dense({(p, q): x for p, row in enumerate(s.metric_H.Hm_rows)
+                 for q, x in row})
+    SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)], Hm, zero)
     inv = matrix_inverse(matmul(SdH, S, zero))
     M = sandwich(SdH, s.curvature_omega_sq, S, zero)
     trace = Scalar.sum_of_products([

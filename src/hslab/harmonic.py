@@ -37,7 +37,7 @@ from .scalars import Scalar
 from .cealg import InvariantVector
 from .hermitian import _product_sum, matmul
 from .algebroid import (QDIM, QOperator, _combination, _dense, _plus,
-                        _with_end, wedge_omega_sq_top)
+                        wedge_omega_sq_top)
 
 
 class CompatibleMetricH:
@@ -45,20 +45,19 @@ class CompatibleMetricH:
 
     Hm is g(Z_a, conj Z_b) = G6[a][(b + 3) % 6] on T and |alpha| on End, so
     row a of its inverse is Ginv6[(a + 3) % 6] on T, and 1/|alpha| on End.
-    The T blocks and the nonzero entries of each column of Hm_inv and each
-    row of Hm there, which the adjoint's weights read, are members of the
-    HermitianStructure (Hm_T, Hm_inv_T, Hm_T_rows, Hm_inv_T_cols), built
-    once per metric; a coupling adds only the End diagonal.
+    Both are held only as the adjoint reads them: Hm_rows[a] lists the
+    nonzero entries (b, Hm[a][b]) of row a of Hm and Hm_inv_cols[b] those
+    (a, Hm_inv[a][b]) of column b of Hm_inv.  On T these are members of
+    the HermitianStructure (Hm_T_rows, Hm_inv_T_cols), built once per
+    metric; a coupling appends only the End diagonal.
     """
 
     def __init__(self, h, alpha):
         self.model = h.model
         aabs = alpha if alpha.sign() > 0 else -alpha
         inv = aabs.inverse()
-        self.Hm = _with_end(h.Hm_T, aabs, aabs)
-        self.Hm_inv = _with_end(h.Hm_inv_T, inv, inv)
-        self._inv_cols = h.Hm_inv_T_cols + [[(6, inv)], [(7, inv)]]
-        self._rows = h.Hm_T_rows + [[(6, aabs)], [(7, aabs)]]
+        self.Hm_rows = h.Hm_T_rows + [[(6, aabs)], [(7, aabs)]]
+        self.Hm_inv_cols = h.Hm_inv_T_cols + [[(6, inv)], [(7, inv)]]
 
     def adjoint(self, A: QOperator) -> QOperator:
         """A^{*H}: component a is Hm_inv . conj(A^{sigma(a)})^T . Hm.
@@ -73,7 +72,7 @@ class CompatibleMetricH:
         factors: one at omega_0, where both factors are diagonal, and up to
         nine in the 3x3 blocks of a deformed metric.
         """
-        n, cols, rows = self.model.n, self._inv_cols, self._rows
+        n, cols, rows = self.model.n, self.Hm_inv_cols, self.Hm_rows
         weights, comps = {}, []
         for a in range(2 * n):
             terms = {}
@@ -137,16 +136,17 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
         sum_a [V^a, B^a] + sum_c g^c T^c,
         V^a = sum_b Ginv[a][b] T^b,  g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}.
 
-    The commutators are one sum of sparse products, V^a B^a with sign +1
-    and B^a V^a with sign -1.
+    V^a reads row a of the sparse h.Ginv6, and the commutators are one sum
+    of sparse products, V^a B^a with sign +1 and B^a V^a with sign -1.
     The trace g^c (h.lc_trace, built with the metric) is tr ad_{Z_c}, zero
     on a unimodular (e.g. nilpotent) algebra (Milnor, Adv. Math. 21, 1976),
     so on the Iwasawa model the second sum adds nothing; it is still
     computed, not assumed, so any NilmanifoldModel whose algebra is not
     unimodular gets the full codifferential.
     """
-    VB = [(_combination(row, T.comps), b)
-          for row, b in zip(s.h.Ginv6, B.comps)]
+    Ginv, zero, r = s.h.Ginv6, Scalar.zero(), range(len(T.comps))
+    VB = [(_combination([Ginv.get((a, b), zero) for b in r], T.comps), Ba)
+          for a, Ba in enumerate(B.comps)]
     return _dense(_plus(_product_sum([(v, b, 1) for v, b in VB]
                                      + [(b, v, -1) for v, b in VB]),
                         _combination(s.h.lc_trace, T.comps)))

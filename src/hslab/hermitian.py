@@ -1,10 +1,11 @@
 """Metric-dependent operators on invariant forms.
 
 Everything is driven by a Hermitian fundamental form omega: the complexified
-Gram matrix G6 = [[0, g], [g^T, 0]], its inverse from the 3x3 block inverse
-of g, a C-bilinear Hodge star, the Lee form J d^* omega from d(omega^2),
-double metric contractions of 2-forms, and the Levi-Civita / Bismut
-connection coefficients on the invariant frame.
+Gram matrix G6 = [[0, g], [g^T, 0]] and its inverse Ginv6 from the 3x3
+inverse of g, each held once as a sparse matrix, a C-bilinear Hodge star,
+the Lee form J d^* omega from d(omega^2), double metric contractions of
+2-forms, and the Levi-Civita / Bismut connection coefficients on the
+invariant frame.
 
 The module also holds the package's one exact linear-algebra core over
 Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
@@ -20,11 +21,10 @@ a matrix.
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
 partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
-and its companion (d e_a ^ omega^2)_top, Ginv6 as a sparse matrix
-(Ginv6_sparse), the T blocks Hm_T and Hm_inv_T of the metric on Q and of
-its inverse with the nonzero entries of each row of Hm_T (Hm_T_rows) and
-each column of Hm_inv_T (Hm_inv_T_cols), what CompatibleMetricH reads,
-the Levi-Civita and Bismut connections as one sparse matrix per frame
+and its companion (d e_a ^ omega^2)_top, G6 and Ginv6, the nonzero
+entries of each row of the metric on Q and of each column of its inverse
+on T (Hm_T_rows, Hm_inv_T_cols), what CompatibleMetricH reads, the
+Levi-Civita and Bismut connections as one sparse matrix per frame
 direction (what connection_DG reads), the Lee form and its sharp, *d^c
 omega and the Levi-Civita trace of the codifferential) and nothing is
 written to it afterwards, so one structure serves every verifier and family
@@ -155,12 +155,6 @@ def matrix_det(rows):
     return det
 
 
-def _sparse(M):
-    """The nonzero entries {(i, j): M[i][j]} of a Scalar matrix."""
-    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
-            if not v.is_zero()}
-
-
 def _nonzero(m):
     return {k: v for k, v in m.items() if not v.is_zero()}
 
@@ -233,6 +227,11 @@ class HermitianStructure:
     nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d): the components connection_DG puts
     on T.  They are their only form.
 
+    So is the metric: G6 and Ginv6 are sparse matrices {(a, b): v} of
+    their nonzero entries (g stays for Sylvester's criterion), and
+    Hm_T_rows[a] and Hm_inv_T_cols[b] list the nonzero (index, value) of
+    row a of the metric on Q and of column b of its inverse on T.
+
     Every member is a plain attribute built here, and nothing writes to the
     structure, to omega or to any member afterwards, so one structure can
     serve any number of families and callers at once; code that changed a
@@ -260,25 +259,24 @@ class HermitianStructure:
         # det g > 0 also makes the volume's coefficient c_vol nonzero
         self._certify_positive()
         zero = Scalar.zero()
-        # G6 = [[0, g], [g^T, 0]], so Ginv6 = [[0, g^-T], [g^-1, 0]]
+        # G6 = [[0, g], [g^T, 0]], so Ginv6 = [[0, g^-T], [g^-1, 0]]: the
+        # nonzero entries of the mixed blocks, row by row
         ginv = matrix_inverse(self.g)
-        self.G6 = [[zero for _ in range(dim)] for _ in range(dim)]
-        self.Ginv6 = [[zero for _ in range(dim)] for _ in range(dim)]
-        for j in range(n):
-            for k in range(n):
-                self.G6[j][k + n] = self.G6[k + n][j] = self.g[j][k]
-                self.Ginv6[j][k + n] = self.Ginv6[k + n][j] = ginv[k][j]
-        # the T block of the metric on Q and of its inverse
-        # (harmonic.CompatibleMetricH), with the nonzero entries of each
-        # row of Hm_T and each column of Hm_inv_T that its adjoint reads
-        self.Hm_T = [[row[(b + n) % dim] for b in range(dim)]
-                     for row in self.G6]
-        self.Hm_inv_T = [list(self.Ginv6[(a + n) % dim]) for a in range(dim)]
-        self.Hm_T_rows = [[(q, x) for q, x in enumerate(row)
-                           if not x.is_zero()] for row in self.Hm_T]
-        self.Hm_inv_T_cols = [[(p, x) for p, x in enumerate(col)
-                               if not x.is_zero()]
-                              for col in zip(*self.Hm_inv_T)]
+        mixed = [(a, b) for a in range(dim) for b in range(dim)
+                 if (a < n) != (b < n)]
+        self.G6 = _nonzero({(a, b): self.g[a][b - n] if a < n
+                            else self.g[b][a - n] for a, b in mixed})
+        self.Ginv6 = _nonzero({(a, b): ginv[b - n][a] if a < n
+                               else ginv[a - n][b] for a, b in mixed})
+        # Hm[a][b] = G6[a][sigma(b)] and Hm^-1[a][b] = Ginv6[sigma(a)][b] on
+        # T, sigma(a) = (a + 3) % 6: the rows and columns the adjoint of
+        # harmonic.CompatibleMetricH reads, each in index order
+        self.Hm_T_rows = [[] for _ in range(dim)]
+        self.Hm_inv_T_cols = [[] for _ in range(dim)]
+        for (a, b), x in self.G6.items():
+            self.Hm_T_rows[a].append(((b + n) % dim, x))
+        for (a, b), x in self.Ginv6.items():
+            self.Hm_inv_T_cols[b].append(((a + n) % dim, x))
         self.omega_sq = omega.wedge(omega)
         self.d_omega_sq = self.omega_sq.d()
         self.dc_omega = omega.dc()
@@ -288,7 +286,6 @@ class HermitianStructure:
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()
         self.omega_sq_table = self._omega_sq_table()
-        self.Ginv6_sparse = _sparse(self.Ginv6)
         self.levi_civita, self.bismut = self._connections()
         # lam[a] = (d e_a ^ omega^2)_top, read through the table
         W = self.omega_sq_table
@@ -305,7 +302,7 @@ class HermitianStructure:
         trace = [[] for _ in range(dim)]
         for a, m in enumerate(self.levi_civita):
             for (c, b), v in m.items():
-                g = self.Ginv6_sparse.get((a, b))
+                g = self.Ginv6.get((a, b))
                 if g is not None:
                     trace[c].append((g, v, 1))
         self.lc_trace = [Scalar.sum_of_products(t) for t in trace]
@@ -381,13 +378,11 @@ class HermitianStructure:
 
     def sharp(self, oneform):
         """Metric dual vector of a 1-form."""
-        dim = self.model.dim
-        coeffs = [Scalar.zero()] * dim
-        for (a,), v in oneform.terms.items():
-            for b in range(dim):
-                gi = self.Ginv6[b][a]
-                if not gi.is_zero():
-                    coeffs[b] = coeffs[b] + gi * v
+        coeffs = [Scalar.zero()] * self.model.dim
+        for (b, a), gi in self.Ginv6.items():
+            v = oneform.terms.get((a,))
+            if v is not None:
+                coeffs[b] = coeffs[b] + gi * v
         return InvariantVector(self.model, coeffs)
 
     def integrate(self, form):
@@ -402,7 +397,7 @@ class HermitianStructure:
         """
         # M = Ginv . F . Ginv (Ginv6 is symmetric), then contract with G,
         # both over the nonzero entries only
-        Ginv, Gv = self.Ginv6_sparse, _form_entries(G)
+        Ginv, Gv = self.Ginv6, _form_entries(G)
         M = _product_sum([(_product_sum([(Ginv, _form_entries(F), 1)]),
                            Ginv, 1)])
         return Scalar.sum_of_products([(m, Gv[k], 1) for k, m in M.items()
@@ -429,8 +424,8 @@ class HermitianStructure:
             for (x, y), v in dw.terms.items():
                 v = half * v
                 brackets[(x, y), c], brackets[(y, x), c] = -v, v
-        P = _product_sum([(brackets, _sparse(self.G6), 1)])
-        Ginv = self.Ginv6_sparse
+        P = _product_sum([(brackets, self.G6, 1)])
+        Ginv = self.Ginv6
         # the matrices below hold the entry for nabla_{Z_a} Z_b at (z, (a, b))
         koszul = [(Ginv, {(z, (x, y)): v for ((x, y), z), v in P.items()}, 1),
                   (Ginv, {(y, (z, x)): v for ((x, y), z), v in P.items()}, -1),

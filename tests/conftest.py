@@ -108,6 +108,33 @@ def christoffel(conn):
     return [[[m.get((d, b), zero) for d in r] for b in r] for m in conn]
 
 
+def dense(m, n):
+    """The n x n Scalar matrix of a sparse one {(i, j): v} of nonzero entries."""
+    zero = Scalar.zero()
+    return [[m.get((i, j), zero) for j in range(n)] for i in range(n)]
+
+
+def q_metric(h, alpha):
+    """Dense Hm and Hm^-1 of the metric on Q, by their definition.
+
+    Hm[a][b] = g(Z_a, conj Z_b) = G6[a][sigma(b)] and Hm^-1[a][b] =
+    Ginv6[sigma(a)][b] on T, sigma(a) = (a + 3) % 6, and |alpha| and
+    1/|alpha| on the two End directions: an oracle of CompatibleMetricH
+    that reads only the Gram matrices of h.
+    """
+    G, Ginv, zero = dense(h.G6, 6), dense(h.Ginv6, 6), Scalar.zero()
+    aabs = -alpha if alpha.sign() < 0 else alpha
+    Hm = [[zero] * 8 for _ in range(8)]
+    Hm_inv = [[zero] * 8 for _ in range(8)]
+    for a in range(6):
+        for b in range(6):
+            Hm[a][b] = G[a][(b + 3) % 6]
+            Hm_inv[a][b] = Ginv[(a + 3) % 6][b]
+    for e in (6, 7):
+        Hm[e][e], Hm_inv[e][e] = aabs, Scalar.one() / aabs
+    return Hm, Hm_inv
+
+
 def hermitian_matrix(t):
     """The 2x2 Hermitian coefficient matrix M of a triple, with
     F = pi sum M_{jk'} w_j ^ w_k'."""

@@ -18,8 +18,8 @@ from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
-from conftest import (DEFORMED_TAU, make_params, operator_of, random_form,
-                      random_pair)
+from conftest import (DEFORMED_TAU, dense, make_params, operator_of, q_metric,
+                      random_form, random_pair)
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +34,16 @@ def pairing(h0, std):
 
 def test_pairing_matrix(pairing, std, h0):
     # -g_C on tangent directions, diag(-alpha, alpha) on the End directions
+    G = dense(h0.G6, 6)
     for a in range(6):
         for b in range(6):
-            assert pairing[a][b] == -h0.G6[a][b]
+            assert pairing[a][b] == -G[a][b]
     assert pairing[6][6] == -std.alpha
     assert pairing[7][7] == std.alpha
     # the compatible metric H is positive on every frame direction
-    H = std.metric_H.Hm
-    assert all(H[a][a].evalf().real > 0 for a in range(QDIM))
+    diag = [dict(row).get(a, Scalar.zero())
+            for a, row in enumerate(std.metric_H.Hm_rows)]
+    assert len(diag) == QDIM and all(x.evalf().real > 0 for x in diag)
 
 
 def test_connection_pairing_compatibility(model, pairing, std):
@@ -127,11 +129,16 @@ def test_cotangent_subbundle(std):
 
 
 def test_structured_inverse_of_the_compatible_metric(oracle_metrics):
-    # Hm is G6 with permuted columns on T and |alpha| on End
+    # Hm is G6 with permuted columns on T and |alpha| on End; its rows and
+    # the columns of Hm_inv, as the metric holds them, are inverse matrices
     for h in oracle_metrics:
         for alpha in (Scalar.of(3), Scalar.of(Fraction(-2, 7), k=-2)):
             H = CompatibleMetricH(h, alpha)
-            assert H.Hm_inv == matrix_inverse(H.Hm)
+            Hm = dense({(a, b): x for a, row in enumerate(H.Hm_rows)
+                        for b, x in row}, QDIM)
+            Hm_inv = dense({(a, b): x for b, col in enumerate(H.Hm_inv_cols)
+                            for a, x in col}, QDIM)
+            assert Hm_inv == matrix_inverse(Hm)
 
 
 def _transported_invariant(s):
@@ -189,7 +196,7 @@ def _compressed_trace(s, S):
     """Trace of the k x k compression (S^dagger H S)^-1 S^dagger H F S."""
     zero, k = Scalar.zero(), len(S[0])
     SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)],
-                 s.metric_H.Hm, zero)
+                 q_metric(s.h, s.alpha)[0], zero)
     ShS_inv = matrix_inverse(matmul(SdH, S, zero))
     SdHFS = sandwich(SdH, s.connection_curvature, S, s.model.zero())
     trace = s.model.zero()

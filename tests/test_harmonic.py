@@ -18,8 +18,8 @@ from hslab.hermitian import matmul
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
-from conftest import (dbar_reference, frame_vector, make_params, random_pair,
-                      split_curvature)
+from conftest import (dbar_reference, dense, frame_vector, make_params,
+                      q_metric, random_pair, split_curvature)
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -74,8 +74,10 @@ def test_unitary_decomposition(model, h0, Omega, rng):
 
 def test_compatible_metric_is_its_definition(oracle_metrics):
     # Hm is g(Z_a, conj Z_b) = G6[a][(b + 3) % 6] on T and |alpha| on End,
-    # row a of Hm_inv is Ginv6[(a + 3) % 6] on T and 1/|alpha| on End, and
-    # the two are inverse, on omega_0 and deformed metrics at both signs
+    # row a of Hm_inv is Ginv6[(a + 3) % 6] on T and 1/|alpha| on End (the
+    # oracle q_metric), and the two are inverse, on omega_0 and deformed
+    # metrics at both signs; the metric holds exactly the nonzero entries
+    # of each row of Hm and each column of Hm_inv, in index order
     zero, one = Scalar.zero(), Scalar.one()
     eye = [[one if i == j else zero for j in range(QDIM)]
            for i in range(QDIM)]
@@ -83,17 +85,13 @@ def test_compatible_metric_is_its_definition(oracle_metrics):
         for alpha in (Scalar.pi(-2, Fraction(1, 6)),
                       Scalar.pi(-2, Fraction(-5, 2))):
             H = CompatibleMetricH(h, alpha)
-            aabs = alpha if alpha.sign() > 0 else -alpha
-            for a in range(QDIM):
-                for b in range(QDIM):
-                    if a < 6 and b < 6:
-                        hm, inv = h.G6[a][(b + 3) % 6], h.Ginv6[(a + 3) % 6][b]
-                    elif a == b:
-                        hm, inv = aabs, aabs.inverse()
-                    else:
-                        hm = inv = zero
-                    assert (H.Hm[a][b], H.Hm_inv[a][b]) == (hm, inv)
-            assert matmul(H.Hm, H.Hm_inv, zero) == eye
+            Hm, Hm_inv = q_metric(h, alpha)
+            assert H.Hm_rows == [[(b, x) for b, x in enumerate(row)
+                                  if not x.is_zero()] for row in Hm]
+            assert H.Hm_inv_cols == [[(a, x) for a, x in enumerate(col)
+                                      if not x.is_zero()]
+                                     for col in zip(*Hm_inv)]
+            assert matmul(Hm, Hm_inv, zero) == eye
 
 
 def test_adjoint_involution(std, rng, model, h0, Omega):
@@ -302,10 +300,11 @@ def test_higgs_field_closed_form(std, model, h0):
         expect = std.F0.contract(Z[b]).part(1, 0).scale(two)
         assert phi.form(6, b) == expect
         assert phi.form(7, b).is_zero()
+    Ginv = dense(h0.Ginv6, 6)
     for a in range(6):
         acc = model.zero()
         for b in range(6):
-            g = h0.Ginv6[a][b]
+            g = Ginv[a][b]
             if not g.is_zero():
                 acc = acc + std.F0.contract(Z[b]).part(1, 0).scale(g)
         expect = acc.scale(-two * std.alpha)

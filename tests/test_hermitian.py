@@ -12,8 +12,8 @@ from hslab.cealg import NilmanifoldModel
 from hslab.hermitian import HermitianStructure, matrix_inverse, matrix_det
 from hslab.iwasawa import TauDeformation, su3_structure
 
-from conftest import (apply, christoffel, frame_vector, random_form,
-                      random_scalar, vector_is_zero)
+from conftest import (apply, christoffel, dense, frame_vector, q_metric,
+                      random_form, random_scalar, vector_is_zero)
 
 
 def _diag_metric(model, coeffs):
@@ -102,24 +102,23 @@ def test_members_are_their_definitions(oracle_metrics):
     assert any(not x.is_zero() for x in h1.lc_trace)
     for h in oracle_metrics + [h1]:
         dim, gamma = h.model.dim, christoffel(h.levi_civita)
+        Ginv = dense(h.Ginv6, dim)
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.star_dc_omega == h.star(h.dc_omega)
         assert h.two_i_partial_omega == h.omega.partial().scale(
             Scalar.of(0, 2))
         assert h.lc_trace == [
-            sum((h.Ginv6[a][b] * gamma[a][b][c] for a in range(dim)
+            sum((Ginv[a][b] * gamma[a][b][c] for a in range(dim)
                  for b in range(dim)), Scalar.zero()) for c in range(dim)]
-        # the T blocks of the metric on Q and of its inverse, and the
-        # nonzero entries of each row of the one and column of the other
-        assert h.Hm_T == [[h.G6[a][(b + 3) % dim] for b in range(dim)]
-                          for a in range(dim)]
-        assert h.Hm_inv_T == [h.Ginv6[(a + 3) % dim] for a in range(dim)]
+        # the nonzero entries of each row of the metric on Q and of each
+        # column of its inverse on T, against their definition (q_metric)
+        Hm, Hm_inv = q_metric(h, Scalar.one())
         assert h.Hm_T_rows == [
-            [(b, h.Hm_T[a][b]) for b in range(dim)
-             if not h.Hm_T[a][b].is_zero()] for a in range(dim)]
+            [(b, Hm[a][b]) for b in range(dim) if not Hm[a][b].is_zero()]
+            for a in range(dim)]
         assert h.Hm_inv_T_cols == [
-            [(a, h.Hm_inv_T[a][b]) for a in range(dim)
-             if not h.Hm_inv_T[a][b].is_zero()] for b in range(dim)]
+            [(a, Hm_inv[a][b]) for a in range(dim)
+             if not Hm_inv[a][b].is_zero()] for b in range(dim)]
         # lam_a = (d e_a ^ omega^2)_top, by the wedge itself
         assert h.omega_sq_lambda == [
             da.wedge(h.omega_sq).top_coeff() for da in h.model.diff]
@@ -131,8 +130,23 @@ def test_members_are_their_definitions(oracle_metrics):
 def test_block_inverse_of_the_gram_matrix(oracle_metrics):
     # G6 = [[0, g], [g^T, 0]]: Ginv6 comes from the 3x3 inverse of g alone
     for h in oracle_metrics:
-        assert h.Ginv6 == matrix_inverse(h.G6)
-    assert any(not h.Ginv6[0][4].is_zero() for h in oracle_metrics)
+        assert dense(h.Ginv6, 6) == matrix_inverse(dense(h.G6, 6))
+    assert any(not dense(h.Ginv6, 6)[0][4].is_zero() for h in oracle_metrics)
+
+
+def test_sparse_gram_matrices_hold_no_zero_entries(oracle_metrics, model):
+    # G6 and Ginv6 hold exactly the nonzero entries of the Gram matrix read
+    # off omega by contractions (_frame_gram) and of its inverse, and no
+    # zero; the diagonal metric (1, 2, 3) has zeros in its T^{1,0} x
+    # T^{0,1} blocks, which must not be keys
+    diag = _diag_metric(model, (1, 2, 3))
+    for h in oracle_metrics + [diag]:
+        G = _frame_gram(h)
+        for m, full in ((h.G6, G), (h.Ginv6, matrix_inverse(G))):
+            assert not any(v.is_zero() for v in m.values())
+            assert m == {(a, b): x for a, row in enumerate(full)
+                         for b, x in enumerate(row) if not x.is_zero()}
+    assert len(diag.G6) == len(diag.Ginv6) == 6
 
 
 def test_star_of_omega_and_the_lee_form(oracle_metrics):
@@ -173,8 +187,8 @@ def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
     # every member is a plain attribute, built with the structure
     members = ("omega_sq_table", "omega_sq_lambda", "levi_civita", "bismut",
-               "lee_form", "lee_sharp", "star_dc_omega", "lc_trace", "Hm_T",
-               "Hm_inv_T", "Hm_T_rows", "Hm_inv_T_cols")
+               "lee_form", "lee_sharp", "star_dc_omega", "lc_trace", "G6",
+               "Ginv6", "Hm_T_rows", "Hm_inv_T_cols")
     assert set(members) <= set(vars(h))
     assert not any(callable(getattr(h, name)) for name in members)
     # a second structure on the same metric builds its own, equal, objects
@@ -253,7 +267,7 @@ def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
         m = h.model
         Z = [frame_vector(m, a) for a in range(6)]
         G = _frame_gram(h)
-        assert G == h.G6
+        assert G == dense(h.G6, 6)
         lc, bi = christoffel(h.levi_civita), christoffel(h.bismut)
         r = range(6)
         for a in r:

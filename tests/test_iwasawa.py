@@ -360,7 +360,7 @@ def test_frozen_sees_in_place_writes_to_dict_members():
     model, omega0, _ = build_iwasawa()
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     h = hermitian.HermitianStructure(model, omega0 + tau.form(model))
-    for target in (h.Ginv6_sparse, h.levi_civita[0], h.bismut[0]):
+    for target in (h.G6, h.Ginv6, h.levi_civita[0], h.bismut[0]):
         before = _frozen(vars(h))
         key = next(iter(target))
         target[key] = target[key] + Scalar.one()
@@ -389,8 +389,9 @@ def test_one_immutable_omega0_structure_per_process(work):
     # the shared structure's members keep their identity and their value
     h = omega0_structure()
     before = {k: (id(v), _frozen(v)) for k, v in vars(h).items()}
-    # among them the metric on Q that every CompatibleMetricH reads
-    assert {"Hm_T", "Hm_inv_T", "Hm_T_rows", "Hm_inv_T_cols"} <= set(before)
+    # among them the Gram matrices and the metric on Q that every
+    # CompatibleMetricH reads
+    assert {"G6", "Ginv6", "Hm_T_rows", "Hm_inv_T_cols"} <= set(before)
     work()
     assert omega0_structure() is h
     assert {k: (id(v), _frozen(v)) for k, v in vars(h).items()} == before

@@ -19,7 +19,7 @@ from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
-from conftest import random_form, random_scalar, scalar_commutator
+from conftest import q_metric, random_form, random_scalar, scalar_commutator
 
 
 def _wedge_reference(a, b, zero):
@@ -142,7 +142,8 @@ def test_sandwich_by_a_deformed_metric(t0, t1, tau, picard):
                                  LineBundleTriple(*t1, role="V1"),
                                  tau=tau, picard=picard)).params
     H, zero = s.metric_H, s.model.zero()
-    off_diagonal = any(not H.Hm[a][b].is_zero()
+    Hm, Hm_inv = q_metric(s.h, s.alpha)
+    off_diagonal = any(not Hm[a][b].is_zero()
                        for a in range(6) for b in range(6) if a != b)
     # the outer factors are diagonal at omega_0, not at a deformed metric
     assert off_diagonal == (not tau.is_zero())
@@ -152,8 +153,8 @@ def test_sandwich_by_a_deformed_metric(t0, t1, tau, picard):
     # transpose of its 1-form entries, sandwiched by the single loop
     A = s.connection.forms()
     conj_t = [[e.conjugate() for e in col] for col in zip(*A)]
-    expect = _sandwich_reference(H.Hm_inv, conj_t, H.Hm, zero)
+    expect = _sandwich_reference(Hm_inv, conj_t, Hm, zero)
     assert H.adjoint(s.connection).forms() == expect
     F = s.connection_curvature
-    assert sandwich(H.Hm_inv, F, H.Hm, zero) == \
-        _sandwich_reference(H.Hm_inv, F, H.Hm, zero)
+    assert sandwich(Hm_inv, F, Hm, zero) == \
+        _sandwich_reference(Hm_inv, F, Hm, zero)

@@ -25,13 +25,15 @@ from hslab.harmonic import (CompatibleMetricH, higgs_dbar_entry,
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
 
-from conftest import (DEFORMED_TAU, dbar_reference, operator_of, random_form,
-                      random_scalar)
+from conftest import (DEFORMED_TAU, dbar_reference, operator_of, q_metric,
+                      random_form, random_scalar)
 
 
-def _adjoint_reference(H, E):
+def _adjoint_reference(Q, E):
+    """Hm^-1 . conj(E)^T . Hm, with (Hm, Hm^-1) = Q dense (q_metric)."""
+    Hm, Hm_inv = Q
     conj_t = [[e.conjugate() for e in col] for col in zip(*E)]
-    return sandwich(H.Hm_inv, conj_t, H.Hm, E[0][0].model.zero())
+    return sandwich(Hm_inv, conj_t, Hm, E[0][0].model.zero())
 
 
 def _value_reference(E, vector):
@@ -60,11 +62,12 @@ def _family(kind):
                                     **kw)).params
 
 
-def _check_operator(A, H, vectors):
-    """Form view, adjoint, parts and values of A against the references."""
+def _check_operator(A, H, Q, vectors):
+    """Form view, adjoint, parts and values of A against the references;
+    Q is the dense metric on Q of H, from q_metric."""
     E = A.forms()
     assert operator_of(A.model, E).comps == A.comps
-    assert H.adjoint(A).forms() == _adjoint_reference(H, E)
+    assert H.adjoint(A).forms() == _adjoint_reference(Q, E)
     for p, q in ((1, 0), (0, 1)):
         assert A.part(p, q).forms() == [[e.part(p, q) for e in row]
                                         for row in E]
@@ -94,7 +97,7 @@ def test_families_match_the_form_entry_algorithms(kind):
     C, phi = s.chern_split
     vectors = [s.h.lee_sharp, InvariantVector(s.model, [1, 2, 0, -1, 0, 3])]
     for A in (s.connection, Psi, phi):
-        _check_operator(A, s.metric_H, vectors)
+        _check_operator(A, s.metric_H, q_metric(s.h, s.alpha), vectors)
     assert _check_obstruction(s) >= 4
     # the top-degree pairings of the verify path and of I
     assert s.curvature_omega_sq == _top_reference(
@@ -118,7 +121,8 @@ def test_seeded_operators_on_every_oracle_metric(oracle_metrics):
         phi = _random_operator(m, rng).part(1, 0)
         vectors = [InvariantVector(m, [random_scalar(rng) for _ in range(6)])]
         for alpha in (Scalar.of(Fraction(3, 2)), Scalar.pi(-2, Fraction(-2, 7))):
-            _check_operator(X, CompatibleMetricH(h, alpha), vectors)
+            _check_operator(X, CompatibleMetricH(h, alpha),
+                            q_metric(h, alpha), vectors)
         pairs = [(X, Y), (Y, C)]
         c = wedge_omega_sq_top(h, L, pairs)
         assert c == _top_reference(h, L, pairs)

@@ -21,6 +21,8 @@ from hslab.cealg import InvariantForm
 from hslab.hermitian import HermitianStructure
 from hslab.iwasawa import TauDeformation, build_iwasawa
 
+from conftest import dense
+
 TAU_MENU = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 4), Fraction(-1, 4)]
 
 
@@ -80,7 +82,8 @@ def _kt_structure(kt_model):
 
 @pytest.fixture(scope="module")
 def structures(kt_model):
-    return [(h, sympy.Matrix([[_to_sympy(x) for x in row] for row in h.G6]).inv())
+    return [(h, sympy.Matrix([[_to_sympy(x) for x in row]
+                              for row in dense(h.G6, 6)]).inv())
             for h in _structures() + [_kt_structure(kt_model)]]
 
 
@@ -91,8 +94,8 @@ def test_star_of_every_basis_form_matches_sympy(structures, kt_model):
     for h, ginv in structures:
         # the off-diagonal blocks make some minors nonzero and the deformed
         # metric makes them more than products of diagonal entries
-        assert any(not h.Ginv6[a][b].is_zero()
-                   for a in range(3) for b in range(3, 6) if b != a + 3)
+        Ginv = dense(h.Ginv6, 6)
+        assert any(not Ginv[a][b].is_zero() for a in range(3) for b in range(3, 6) if b != a + 3)
         for k in range(7):
             for J in combinations(range(6), k):
                 e_J = h.model.basis_form(J)
