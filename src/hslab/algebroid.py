@@ -33,6 +33,12 @@ residual reads through one pairing, wedge_omega_sq_top: the HE residual
 and the slope read the curvature of D^G only through F ^ omega^2 (Luebke &
 Teleman, The Kobayashi-Hitchin Correspondence, 1995, 1.1), so the verify
 path builds no curvature 2-form.
+
+Every Scalar matrix on Q here (a component A^a, value_at, the top-degree
+residuals, the pairing and the Bismut isomorphism) is held in hermitian's
+sparse form, the dict {(i, j): v} of its nonzero entries, and the
+extension class is the dict {(i, j): form} of its nonzero 1-forms: a
+matrix is zero iff its dict is empty.
 """
 
 from __future__ import annotations
@@ -41,44 +47,10 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantForm
-from .hermitian import (_form_entries, _nonzero, _product_sum, matmul,
-                        matrix_inverse, sandwich)
+from .hermitian import (_combination, _form_entries, _nonzero, _plus,
+                        _product_sum, matmul, matrix_inverse)
 
 QDIM = 8
-
-
-def _zeros():
-    return [[Scalar.zero()] * QDIM for _ in range(QDIM)]
-
-
-def matrix_is_zero(rows):
-    return all(x.is_zero() for row in rows for x in row)
-
-
-def _dense(m):
-    """The 8x8 Scalar matrix of a sparse one."""
-    out = _zeros()
-    for (i, j), v in m.items():
-        out[i][j] = v
-    return out
-
-
-def _plus(x, y):
-    """x + y of two sparse matrices (a sum may leave a zero entry)."""
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out[k] + v if k in out else v
-    return out
-
-
-def _combination(coeffs, mats):
-    """sum_a coeffs[a] M^a of sparse matrices, skipping zero coefficients."""
-    terms = {}
-    for c, m in zip(coeffs, mats):
-        if m and not c.is_zero():
-            for k, v in m.items():
-                terms.setdefault(k, []).append((c, v, 1))
-    return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
 
 
 class QOperator:
@@ -118,7 +90,7 @@ class QOperator:
 
     def value_at(self, vector):
         """sum_a v^a A^a, the Scalar matrix of A on the vector v."""
-        return _dense(_combination(vector.coeffs, self.comps))
+        return _combination(vector.coeffs, self.comps)
 
     def restricted(self, rows, cols):
         """The operator with its entries outside rows x cols set to zero."""
@@ -137,8 +109,8 @@ class QOperator:
 
 
 def wedge_omega_sq_top(h, L, pairs):
-    """8x8 Scalars c with (dL + sum X ^ Y) ^ omega^2 = c e_top, over the
-    (X, Y) in pairs.
+    """The Scalar matrix c with (dL + sum X ^ Y) ^ omega^2 = c e_top, over
+    the (X, Y) in pairs.
 
     c = sum_a lam_a L^a + sum_ab W[a][b] X^a Y^b, W = h.omega_sq_table and
     lam = h.omega_sq_lambda (zero on the Iwasawa model, but computed): the
@@ -149,16 +121,15 @@ def wedge_omega_sq_top(h, L, pairs):
     for X, Y in pairs:
         products += [(x, _combination(row, Y.comps), 1)
                      for x, row in zip(X.comps, h.omega_sq_table)]
-    return _dense(_plus(_product_sum(products),
-                        _combination(h.omega_sq_lambda, L.comps)))
+    return _plus(_product_sum(products),
+                 _combination(h.omega_sq_lambda, L.comps))
 
 
 def pairing_matrix(h, alpha):
     """The C-bilinear pairing of Q in the complexified frame: -g_C on T,
     diag(-alpha, alpha) on End."""
-    P = _dense({k: -x for k, x in h.G6.items()})
-    P[6][6], P[7][7] = -alpha, alpha
-    return P
+    return _nonzero({**{k: -x for k, x in h.G6.items()},
+                     (6, 6): -alpha, (7, 7): alpha})
 
 
 def connection_DG(s):
@@ -189,7 +160,7 @@ def curvature(A):
 
 
 def he_residual_G(s):
-    """The 8x8 Scalars c with F_{D^G} ^ omega^2 = c e_top
+    """The Scalar matrix c with F_{D^G} ^ omega^2 = c e_top
     (s.curvature_omega_sq); zero on solutions."""
     return s.curvature_omega_sq
 
@@ -221,23 +192,23 @@ def dolbeault_Q(cfg):
 
 def extension_class_gamma(cfg):
     """The Hom(A_P, T*)-valued extension-class block of the Dolbeault
-    operator (rows 5..7 of columns 0..4) as 8x8 1-forms: zero iff the
-    extension splits at the invariant level (flat bundles, partial(omega) = 0).
+    operator (rows 5..7 of columns 0..4), as the 1-forms {(i, j): D_ij} of
+    its nonzero entries: empty iff the extension splits at the invariant
+    level (flat bundles, partial(omega) = 0).
     """
-    D, z = cfg.dolbeault, cfg.model.zero()
-    return [[D.form(i, j) if i >= 5 and j < 5 else z for j in range(QDIM)]
-            for i in range(QDIM)]
+    D = cfg.dolbeault
+    block = {k for m in D.comps for k in m if k[0] >= 5 and k[1] < 5}
+    return {k: D.form(*k) for k in block}
 
 
 def bismut_iso_matrix(h):
     """Scalar matrix of the isomorphism extension frame -> complexified frame."""
-    half, P = Scalar.of(Fraction(1, 2)), _zeros()
-    for i, j in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4)):
-        P[i][j] = Scalar.one()
+    half, one = Scalar.of(Fraction(1, 2)), Scalar.one()
+    P = {k: one for k in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4))}
     # xi_k = w_k maps to -(1/2) g^{-1} w_k
     for (a, k), x in h.Ginv6.items():
         if k < 3:
-            P[a][5 + k] = -half * x
+            P[a, 5 + k] = -half * x
     return P
 
 
@@ -246,9 +217,10 @@ def subbundle_report(s):
 
     In the extension frame T* is the span of e_5, e_6, e_7; the Bismut
     isomorphism P (bismut_iso_matrix) carries it to the span of the columns
-    S = P[:, 5:] in the complexified frame, where the pairing lives.
+    S = P[:, 5:] in the complexified frame, where the pairing lives; S is
+    the sparse 8 x 3 matrix of those columns, renumbered 0..2.
 
-    * isotropic: S^T . pairing . S = 0.
+    * isotropic: S^T . pairing . S = 0, two sparse products.
     * holomorphic_invariant: P is a constant invertible matrix, so the
       transported operator P A P^-1 maps P T* into P T* (x) forms exactly
       when the Dolbeault matrix A maps e_5..e_7 into their span (x) forms,
@@ -257,11 +229,13 @@ def subbundle_report(s):
       0..4).  No P^-1 and no solve is needed.
     * slope: the Chern-Weil slope against [omega^2] (_span_slope).
     """
-    S = [row[5:] for row in bismut_iso_matrix(s.h)]  # 8 x 3
-    gram = sandwich([list(col) for col in zip(*S)],
-                    pairing_matrix(s.h, s.alpha), S, Scalar.zero())
+    S = {(i, j - 5): v for (i, j), v in bismut_iso_matrix(s.h).items()
+         if j >= 5}
+    St = {(j, i): v for (i, j), v in S.items()}
+    gram = _product_sum([(_product_sum([(St, pairing_matrix(s.h, s.alpha),
+                                         1)]), S, 1)])
     return {
-        "isotropic": all(x.is_zero() for row in gram for x in row),
+        "isotropic": not gram,
         "holomorphic_invariant": not any(i < 5 <= j for m in s.dolbeault.comps
                                          for i, j in m),
         "slope": _span_slope(s, S),
@@ -270,21 +244,28 @@ def subbundle_report(s):
 
 def _span_slope(s, S):
     """Chern-Weil slope against [omega^2] of the subbundle spanned by the
-    columns of the 8 x k Scalar matrix S.
+    columns of S, a sparse 8 x k Scalar matrix whose k columns are nonzero.
 
     The compressed curvature (S^dagger H S)^-1 S^dagger H F S has trace
     tr(inv M), inv = (S^dagger H S)^-1 and M = S^dagger H F S, so with
     F ^ omega^2 = c e_top the slope is (i/2pi) tr(inv M_c) / c_vol / k,
-    M_c = S^dagger H c S: two k x k matrices, no 8x8 projector.
+    M_c = S^dagger H c S: sparse products to two k x k matrices, no 8x8
+    projector.  Only the k x k Gram matrix is made dense, for
+    matrix_inverse.
     """
     zero = Scalar.zero()
-    Hm = _dense({(p, q): x for p, row in enumerate(s.metric_H.Hm_rows)
-                 for q, x in row})
-    SdH = matmul([[c.conjugate() for c in col] for col in zip(*S)], Hm, zero)
-    inv = matrix_inverse(matmul(SdH, S, zero))
-    M = sandwich(SdH, s.curvature_omega_sq, S, zero)
-    trace = Scalar.sum_of_products([
-        (x, y, 1) for row, col in zip(inv, zip(*M)) for x, y in zip(row, col)
-        if not (x.is_zero() or y.is_zero())])
+    k = len({j for _, j in S})
+    Hm = {(p, q): x for p, row in enumerate(s.metric_H.Hm_rows)
+          for q, x in row}
+    SdH = _product_sum([({(j, i): v.conjugate() for (i, j), v in S.items()},
+                         Hm, 1)])
+    gram = _product_sum([(SdH, S, 1)])
+    inv = matrix_inverse([[gram.get((a, b), zero) for b in range(k)]
+                          for a in range(k)])
+    M = _product_sum([(_product_sum([(SdH, s.curvature_omega_sq, 1)]), S, 1)])
+    # tr(inv M) = sum_ab inv[a][b] M[b][a]
+    trace = Scalar.sum_of_products([(inv[a][b], y, 1)
+                                    for (b, a), y in M.items()
+                                    if not inv[a][b].is_zero()])
     return trace * Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1) \
-        * (s.h.c_vol * Scalar.of(len(S[0]))).inverse()
+        * (s.h.c_vol * Scalar.of(k)).inverse()

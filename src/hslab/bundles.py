@@ -177,8 +177,9 @@ class SystemParams:
 
     @cached_property
     def curvature_omega_sq(self):
-        """8x8 Scalars c with F_ij ^ omega^2 = c_ij e_top, F as above, read
-        off the connection's components (the pairing with L = X = Y = A)."""
+        """The sparse Scalar matrix c with F_ij ^ omega^2 = c_ij e_top, F as
+        above, read off the connection's components (the pairing with
+        L = X = Y = A)."""
         A = self.connection
         return wedge_omega_sq_top(self.h, A, [(A, A)])
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .scalars import Scalar
 from .bundles import LineBundleTriple, curvature_from_triple, DegenerateCoupling
 from .hermitian import matmul
-from .algebroid import curvature, matrix_is_zero
+from .algebroid import curvature
 from .harmonic import harmonic_vs_moment_gap
 from .iwasawa import (TauDeformation, PicardPoint, FamilyConfig, make_family,
                       verify_family, iter_sweep, SWEEP_MAX_ABS)
@@ -232,7 +232,7 @@ def run_selftest():
         ("alpha round-trip", check_alpha),
         ("curvature decomposition", check_fd_decomp),
         ("codifferential vs moment-map identity",
-         lambda: matrix_is_zero(harmonic_vs_moment_gap(s))),
+         lambda: not harmonic_vs_moment_gap(s)),
     ]
     for name, fn in checks:
         if not fn():

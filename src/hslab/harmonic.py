@@ -35,9 +35,8 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import _product_sum, matmul
-from .algebroid import (QDIM, QOperator, _combination, _dense, _plus,
-                        wedge_omega_sq_top)
+from .hermitian import _combination, _plus, _product_sum, matmul
+from .algebroid import QDIM, QOperator, wedge_omega_sq_top
 
 
 class CompatibleMetricH:
@@ -64,13 +63,14 @@ class CompatibleMetricH:
 
         Conjugation maps e_a to e_{sigma(a)}, sigma swapping an index with
         its conjugate, so the conjugate of A = sum_a A^a e_a has component
-        a equal to conj(A^{sigma(a)}); it is then transposed and sandwiched
-        by the metric, in one pass: entry (s, r) of A^{sigma(a)} lands,
-        conjugated, on each (p, q) with weight Hm_inv[p][r] Hm[s][q], and
-        each output entry is one sum of products.  The weights of an (s, r)
-        are built when a component first holds it, one per pair of nonzero
-        factors: one at omega_0, where both factors are diagonal, and up to
-        nine in the 3x3 blocks of a deformed metric.
+        a equal to conj(A^{sigma(a)}); it is then transposed and multiplied
+        by the metric on both sides, in one pass: entry (s, r) of
+        A^{sigma(a)} lands, conjugated, on each (p, q) with weight
+        Hm_inv[p][r] Hm[s][q], and each output entry is one sum of
+        products.  The weights of an (s, r) are built when a component
+        first holds it, one per pair of nonzero factors: one at omega_0,
+        where both factors are diagonal, and up to nine in the 3x3 blocks
+        of a deformed metric.
         """
         n, cols, rows = self.model.n, self.Hm_inv_cols, self.Hm_rows
         weights, comps = {}, []
@@ -128,7 +128,7 @@ def _j_vector(model, vec):
 def nabla_H_star(s, B: QOperator, T: QOperator):
     """Codifferential of a 1-form-valued endomorphism T for nabla^H = d + B.
 
-    Returns the scalar matrix -sum_{ab} Ginv[a][b] ([B^a, T^b]
+    Returns the sparse Scalar matrix -sum_{ab} Ginv[a][b] ([B^a, T^b]
     - Gamma^c_{ab} T^c) with Gamma the Levi-Civita coefficients and B^a =
     B(Z_a), T^b = T(Z_b) the components, contracted before any commutator
     is taken:
@@ -147,15 +147,9 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
     Ginv, zero, r = s.h.Ginv6, Scalar.zero(), range(len(T.comps))
     VB = [(_combination([Ginv.get((a, b), zero) for b in r], T.comps), Ba)
           for a, Ba in enumerate(B.comps)]
-    return _dense(_plus(_product_sum([(v, b, 1) for v, b in VB]
-                                     + [(b, v, -1) for v, b in VB]),
-                        _combination(s.h.lc_trace, T.comps)))
-
-
-def _add_matrices(a, b, c=Scalar.one()):
-    """a + c b of 8x8 Scalar matrices, skipping the zero entries of b."""
-    return [[x if y.is_zero() else x + c * y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(a, b)]
+    return _plus(_product_sum([(v, b, 1) for v, b in VB]
+                              + [(b, v, -1) for v, b in VB]),
+                 _combination(s.h.lc_trace, T.comps))
 
 
 def _j_residual(s):
@@ -163,9 +157,8 @@ def _j_residual(s):
     - i Psi^{0,1}."""
     B, Psi = s.unitary_split
     JPsi = (Psi.part(1, 0) - Psi.part(0, 1)).scale(Scalar.i())
-    return _add_matrices(nabla_H_star(s, B, JPsi),
-                         Psi.value_at(_j_vector(s.model, s.h.lee_sharp)),
-                         Scalar.of(-1))
+    iota = Psi.value_at(_j_vector(s.model, s.h.lee_sharp))
+    return _plus(nabla_H_star(s, B, JPsi), {k: -v for k, v in iota.items()})
 
 
 class _MomentResiduals(dict):
@@ -198,7 +191,8 @@ class _MomentResiduals(dict):
 def moment_residuals(s):
     """The three moment-map residuals of the canonical connection.
 
-    Each is an 8x8 Scalar matrix, I that of its top-form coefficients.
+    Each is a sparse 8x8 Scalar matrix {(i, j): v} of its nonzero entries,
+    I that of its top-form coefficients.
     All vanish exactly iff the connection is a critical point compatible
     with the full hyperkaehler-type system.  Only K is computed here; I and
     J are built when first indexed, so a caller reading K alone pays for K
@@ -206,7 +200,7 @@ def moment_residuals(s):
     """
     B, Psi = s.unitary_split
     # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
-    K_res = _add_matrices(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))
+    K_res = _plus(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))
     return _MomentResiduals(s, K_res)
 
 
@@ -246,7 +240,7 @@ def harmonic_vs_moment_gap(s):
     c = wedge_omega_sq_top(h, Psi, [(B, Psi), (Psi, B)])
     unit = h.star(s.model.basis_form(s.model.top_index())).terms.get((), zero) \
         * Scalar.of(Fraction(1, 2))
-    return _add_matrices(_j_residual(s), c, -unit)
+    return _plus(_j_residual(s), _combination([-unit], [c]))
 
 
 def higgs_dbar_entry(s, i, j):
@@ -274,9 +268,10 @@ def higgs_obstruction_entry(s, i, j):
     """
     C, phi = s.chern_split
     A, r = C.part(0, 1), range(QDIM)
-    return wedge_omega_sq_top(s.h, phi.restricted([i], [j]), [
+    c = wedge_omega_sq_top(s.h, phi.restricted([i], [j]), [
         (A.restricted([i], r), phi.restricted(r, [j])),
-        (phi.restricted([i], r), A.restricted(r, [j]))])[i][j]
+        (phi.restricted([i], r), A.restricted(r, [j]))])
+    return c.get((i, j), Scalar.zero())
 
 
 def higgs_equation_residuals(s):
@@ -285,9 +280,9 @@ def higgs_equation_residuals(s):
     Returns the curvature-type K residual (F_H + [phi ^ phi^{*H}]/2) ^ w^2,
     the combined IJ residuals, the holomorphicity obstruction
     dbar_Q phi ^ w^2 whose nonvanishing certifies that the configuration is
-    not of Higgs type (each an 8x8 Scalar matrix of top coefficients,
+    not of Higgs type (each a sparse Scalar matrix of top coefficients,
     through the pairing), dbar_Q phi, and the integrability term
-    del^H phi + phi ^ phi (8x8 matrices of 2-forms).
+    del^H phi + phi ^ phi (dense 8x8 matrices of 2-forms).
     """
     C, phi = s.chern_split
     h, A = s.h, C.part(0, 1)

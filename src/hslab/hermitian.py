@@ -7,16 +7,17 @@ the Lee form J d^* omega from d(omega^2), double metric contractions of
 2-forms, and the Levi-Civita / Bismut connection coefficients on the
 invariant frame.
 
-The module also holds the package's one exact linear-algebra core over
-Scalar matrices: rref (Gauss-Jordan with monomial pivots) with solve and
-matrix_inverse built on it, matrix_det (forward elimination that stops at
-the first zero column), and matmul, one zero-skipping product, with
-sandwich (left . mid . right) as two of them: a Scalar entry is one
-Scalar.sum_of_products, and for curvatures it multiplies matrices of
-forms with * (a wedge, itself one sum of products per key).
-_product_sum multiplies sparse matrices, dicts of their nonzero entries,
-with one sum of products per entry; _form_entries reads a 2-form as such
-a matrix.
+The module also holds the package's one exact linear-algebra core.  A
+Scalar matrix is held sparse, as the dict {(i, j): v} of its nonzero
+entries, from the metric to every residual: _nonzero drops zero entries,
+_plus adds two such matrices, _combination forms sum_a c_a M^a, and
+_product_sum multiplies them with one Scalar.sum_of_products per entry;
+_form_entries reads a 2-form as such a matrix.  Dense rows are kept only
+for elimination: rref (Gauss-Jordan with monomial pivots) with solve and
+matrix_inverse built on it, and matrix_det (forward elimination that stops
+at the first zero column).  matmul, a zero-skipping product, multiplies
+the dense matrices of forms of the curvature identities with * (a wedge,
+itself one sum of products per key).
 
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
@@ -159,6 +160,29 @@ def _nonzero(m):
     return {k: v for k, v in m.items() if not v.is_zero()}
 
 
+def _plus(x, y):
+    """x + y of two sparse matrices, without the entries that cancel."""
+    out = dict(x)
+    for k, v in y.items():
+        if k not in out:
+            out[k] = v
+        elif (t := out[k] + v):
+            out[k] = t
+        else:
+            del out[k]
+    return out
+
+
+def _combination(coeffs, mats):
+    """sum_a coeffs[a] M^a of sparse matrices, skipping zero coefficients."""
+    terms = {}
+    for c, m in zip(coeffs, mats):
+        if m and not c.is_zero():
+            for k, v in m.items():
+                terms.setdefault(k, []).append((c, v, 1))
+    return _nonzero({k: Scalar.sum_of_products(t) for k, t in terms.items()})
+
+
 def _product_sum(pairs):
     """sum sign X . Y over the (X, Y, sign) in pairs, of sparse matrices, as
     a sparse matrix: each nonzero X_il meets the nonzero entries of row l
@@ -184,37 +208,25 @@ def _form_entries(F):
 
 
 def matmul(a, b, zero):
-    """Matrix product a . b, skipping zero factors; zero is the entries' zero.
+    """Product a . b of two dense matrices of forms, skipping zero factors;
+    zero is the entries' zero.
 
-    Each entry gathers the products its nonzero factors meet.  Over Scalars
-    it is one Scalar.sum_of_products; otherwise the products are taken with
-    * (a Scalar and a form scale, two forms wedge) and added, so one product
-    serves Scalar matrices and matrices of forms alike.
+    Each entry adds the products x * y its nonzero factors meet, * scaling
+    a form by a Scalar or wedging two forms.  Scalar matrices are sparse
+    and multiply by _product_sum instead.
     """
     ncols = len(b[0]) if b else 0
-    if zero.__class__ is Scalar:
-        total = Scalar.sum_of_products
-    else:
-        def total(t):
-            return sum((x * y for x, y, _ in t), zero)
     out = []
     for row in a:
-        terms = [None] * ncols
+        sums = [zero] * ncols
         for k, x in enumerate(row):
             if x.is_zero():
                 continue
             for j, y in enumerate(b[k]):
                 if not y.is_zero():
-                    if terms[j] is None:
-                        terms[j] = []
-                    terms[j].append((x, y, 1))
-        out.append([zero if t is None else total(t) for t in terms])
+                    sums[j] = sums[j] + x * y
+        out.append(sums)
     return out
-
-
-def sandwich(left, mid, right, zero):
-    """left . mid . right, with mid of Scalars or forms; zero is mid's zero."""
-    return matmul(matmul(left, mid, zero), right, zero)
 
 
 class HermitianStructure:

@@ -49,12 +49,12 @@ from itertools import product
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
-from .hermitian import HermitianStructure, matrix_inverse, solve
+from .hermitian import HermitianStructure, _nonzero, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals)
 from .algebroid import (QDIM, he_residual_G, extension_class_gamma,
-                        matrix_is_zero, subbundle_report)
+                        subbundle_report)
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
                        higgs_obstruction_entry)
 
@@ -253,17 +253,18 @@ class VerificationReport:
 
 
 def _residual_entry(name, form_or_matrix, shown=str):
-    """Zero flag and witness of a residual form or matrix (of scalars or forms).
+    """Zero flag and witness of a residual form or sparse matrix.
 
-    A matrix's witness is shown(v), v its first nonzero entry in row order.
+    A matrix is the dict {(i, j): v} of its nonzero entries (Scalars or
+    forms), zero iff empty; its witness is shown(v) at min(keys), the
+    first nonzero entry in row order whatever the dict's insertion order.
     """
-    if isinstance(form_or_matrix, list):
-        zero = matrix_is_zero(form_or_matrix)
+    if isinstance(form_or_matrix, dict):
+        zero = not form_or_matrix
         witness = ""
         if not zero:
-            i, j, v = next((i, j, v) for i, row in enumerate(form_or_matrix)
-                           for j, v in enumerate(row) if not v.is_zero())
-            witness = "entry (%d,%d): %s" % (i, j, shown(v))
+            i, j = min(form_or_matrix)
+            witness = "entry (%d,%d): %s" % (i, j, shown(form_or_matrix[i, j]))
     else:
         zero = form_or_matrix.is_zero()
         witness = "" if zero else form_or_matrix.literal()
@@ -298,7 +299,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     crit = harmonic_criteria(s)
     residuals.append(_residual_entry("torsion_pairing", crit["torsion_pairing"]))
     residuals.append(_residual_entry("cross_coupling",
-                                     [[crit["cross"]]]))
+                                     _nonzero({(0, 0): crit["cross"]})))
 
     residuals.append(_residual_entry("extension_class",
                                      extension_class_gamma(s)))
@@ -419,9 +420,9 @@ def _certify_base():
                          alpha=aval, Omega=Omega)
         K = harmonic_residual(s)
         # the cross entries must vanish for the orthogonal partner
-        if not (K[6][7].is_zero() and K[7][6].is_zero()):
+        if (6, 7) in K or (7, 6) in K:
             raise AssertionError("cross term leaked into base computation")
-        return matrix_is_zero(K)
+        return not K
 
     for samples, guard in _SAMPLES.values():
         for aval in (Scalar.one(), Scalar.of(2)):

@@ -108,10 +108,22 @@ def christoffel(conn):
     return [[[m.get((d, b), zero) for d in r] for b in r] for m in conn]
 
 
-def dense(m, n):
-    """The n x n Scalar matrix of a sparse one {(i, j): v} of nonzero entries."""
+def dense(m, n=8):
+    """The n x n Scalar matrix of a sparse one {(i, j): v} of nonzero entries
+    (n = 8 for a matrix on Q)."""
     zero = Scalar.zero()
     return [[m.get((i, j), zero) for j in range(n)] for i in range(n)]
+
+
+def sparse(rows):
+    """The dict {(i, j): v} of the nonzero entries of a dense matrix."""
+    return {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)
+            if not x.is_zero()}
+
+
+def matrix_is_zero(rows):
+    """Whether every entry of a dense matrix (of Scalars or forms) is zero."""
+    return all(x.is_zero() for row in rows for x in row)
 
 
 def q_metric(h, alpha):
@@ -206,18 +218,22 @@ def random_scalar(rng, allow_pi=True):
     return Scalar.pi(k, re, im)
 
 
-def scalar_commutator(a, b):
-    """ab - ba of square Scalar matrices by the defining sums.
+def scalar_product(a, b):
+    """a . b of dense Scalar matrices by the defining sums.
 
-    A test oracle that shares no code with hermitian.matmul.
+    A test oracle that shares no code with the package's products.
     """
-    r = range(len(a))
+    r = range(len(b))
+    return [[sum((row[k] * b[k][j] for k in r
+                  if not row[k].is_zero() and not b[k][j].is_zero()),
+                 Scalar.zero()) for j in range(len(b[0]))] for row in a]
 
-    def entry(x, y, i, j):
-        return sum((x[i][k] * y[k][j] for k in r
-                    if not x[i][k].is_zero() and not y[k][j].is_zero()),
-                   Scalar.zero())
-    return [[entry(a, b, i, j) - entry(b, a, i, j) for j in r] for i in r]
+
+def scalar_commutator(a, b):
+    """ab - ba of square Scalar matrices by the defining sums
+    (scalar_product)."""
+    return [[x - y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(scalar_product(a, b), scalar_product(b, a))]
 
 
 def to_sympy(a):

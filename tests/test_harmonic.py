@@ -7,19 +7,19 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import (QDIM, QOperator, _combination, connection_DG,
-                             curvature, matrix_is_zero)
+from hslab.algebroid import QDIM, QOperator, connection_DG, curvature
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             moment_residuals, harmonic_residual,
                             harmonic_criteria, harmonic_vs_moment_gap,
                             higgs_dbar_entry, higgs_equation_residuals)
 from hslab.bundles import LineBundleTriple
-from hslab.hermitian import matmul
+from hslab.hermitian import _combination, _plus
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
 from conftest import (dbar_reference, dense, frame_vector, make_params,
-                      q_metric, random_pair, split_curvature)
+                      matrix_is_zero, q_metric, random_pair, scalar_product,
+                      split_curvature)
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -91,7 +91,7 @@ def test_compatible_metric_is_its_definition(oracle_metrics):
             assert H.Hm_inv_cols == [[(a, x) for a, x in enumerate(col)
                                       if not x.is_zero()]
                                      for col in zip(*Hm_inv)]
-            assert matmul(Hm, Hm_inv, zero) == eye
+            assert scalar_product(Hm, Hm_inv) == eye
 
 
 def test_adjoint_involution(std, rng, model, h0, Omega):
@@ -107,7 +107,7 @@ def test_selfadjoint_block_localization(model, h0, Omega):
     for pair, block in ((((1, 2, 2), (2, -1, 0)), 6),
                         (((2, -1, 0), (1, 2, 2)), 7)):
         s = make_params(model, h0, Omega, *pair)
-        assert (s.alpha.evalf().real > 0) == (block == 6)
+        assert (s.alpha.sign() > 0) == (block == 6)
         H = _metric(s)
         _, Psi = decompose_unitary(connection_DG(s), H)
         for i in range(QDIM):
@@ -197,18 +197,19 @@ def test_curvature_decomposition(model, h0, Omega, rng):
 
 def test_moment_residuals_on_solution(std):
     res = moment_residuals(std)
-    assert matrix_is_zero(res["I"])
-    assert matrix_is_zero(res["J"])
-    assert matrix_is_zero(res["K"])
+    assert res["I"] == {}
+    assert res["J"] == {}
+    assert res["K"] == {}
 
 
 def _moment_digest(I, J, K):
-    # I as the literals of its top forms x e_top, as recorded
+    # the dense views; I as the literals of its top forms x e_top, as
+    # recorded
     top = "w1^w2^w3^w1'^w2'^w3'"
     text = json.dumps([[["0" if x.is_zero() else "(%s) %s" % (x, top)
-                         for x in r] for r in I],
-                       [[str(x) for x in r] for r in J],
-                       [[str(x) for x in r] for r in K]])
+                         for x in r] for r in dense(I)],
+                       [[str(x) for x in r] for r in dense(J)],
+                       [[str(x) for x in r] for r in dense(K)]])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -222,8 +223,7 @@ def test_moment_residuals_off_solution_pinned():
     first = moment_residuals(s)
     K = first["K"]
     I, J = first["I"], first["J"]
-    assert not matrix_is_zero(I)
-    assert not matrix_is_zero(J) and not matrix_is_zero(K)
+    assert I and J and K
     assert _moment_digest(I, J, K) == PINNED_MOMENT_DIGEST
     # the order of lookup does not change any value
     later = moment_residuals(s)
@@ -234,8 +234,8 @@ def test_moment_residuals_off_solution_pinned():
         first["L"]
     # the codifferential gap is not zero off a solution either
     gap = harmonic_vs_moment_gap(s)
-    assert not matrix_is_zero(gap)
-    text = json.dumps([[str(x) for x in r] for r in gap])
+    assert gap
+    text = json.dumps([[str(x) for x in r] for r in dense(gap)])
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_GAP_DIGEST
 
 
@@ -253,7 +253,7 @@ def test_gap_builds_only_the_J_codifferential(monkeypatch, model, h0,
         return real(*args)
 
     monkeypatch.setattr(harmonic, "nabla_H_star", counted)
-    assert matrix_is_zero(harmonic_vs_moment_gap(s))
+    assert harmonic_vs_moment_gap(s) == {}
     assert len(calls) == 1
 
 
@@ -265,7 +265,7 @@ def test_harmonic_three_way_equivalence(model, h0, Omega, rng):
         K = harmonic_residual(s)
         crit = harmonic_criteria(s)
         assert crit["torsion_pairing"].is_zero()
-        assert matrix_is_zero(K) == (dot == 0)
+        assert (K == {}) == (dot == 0)
         assert crit["cross"].is_zero() == (dot == 0)
 
 
@@ -275,9 +275,9 @@ def test_cross_term_closed_form(model, h0, Omega, rng):
     for _ in range(8):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        K = harmonic_residual(s)
+        K = dense(harmonic_residual(s))
         cross = s.alpha * h0.frame_contraction(s.F1, s.F0)
-        if s.alpha.evalf().real < 0:
+        if s.alpha.sign() < 0:
             cross = -cross
         for i in range(QDIM):
             for j in range(QDIM):
@@ -289,7 +289,7 @@ def test_codifferential_identity(model, h0, Omega, rng):
     for _ in range(8):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        assert matrix_is_zero(harmonic_vs_moment_gap(s))
+        assert harmonic_vs_moment_gap(s) == {}
 
 
 def test_higgs_field_closed_form(std, model, h0):
@@ -325,7 +325,7 @@ def _dbar_phi_closed_form(model, t0, t1, alpha):
     m1 = [[(r[0], r[1]), (r[2], r[3])] for r in mmat(t1)]
     # the product order follows the sign of the coupling: the heavier
     # curvature factor acts first, with overall weight -4 pi^2 |alpha|
-    if alpha.evalf().real > 0:
+    if alpha.sign() > 0:
         left, right, factor = m0, m1, Scalar.pi(2, -4) * alpha
     else:
         left, right, factor = m1, m0, Scalar.pi(2, 4) * alpha
@@ -366,11 +366,45 @@ def test_dbar_phi_entries_match_the_whole_matrix(model, h0, Omega, rng):
         assert higgs_equation_residuals(s)["dbar_phi"] == ref
 
 
+# (t0, t1, FamilyConfig options): three uncorrected deformed families, one
+# Picard-twisted, a flat non-harmonic family and a corrected deformed one
+_HIGGS_FAMILIES = [
+    ((1, 2, 2), (1, 1, 0), {"tau": _DEFORMING_TAU, "correct": False}),
+    ((1, 1, 0), (1, 0, 0), {"tau": TauDeformation(
+        0, Fraction(1, 4), 0, Fraction(-1, 10)), "correct": False}),
+    ((2, -1, 1), (1, 0, 1), {"tau": _DEFORMING_TAU, "correct": False,
+                             "picard": PicardPoint(
+        a0=(Scalar.of(Fraction(1, 3)), Scalar.of(0, 2)),
+        a1=(Scalar.of(-1), Scalar.of(Fraction(1, 2), 1)))}),
+    ((1, 1, 0), (1, 0, 0), {}),
+    ((1, 1, 0), (1, 0, 0), {"tau": _DEFORMING_TAU}),
+]
+
+
+def test_higgs_identities_relate_the_moment_residuals():
+    # the Higgs-type rewriting against the moment maps, as sparse matrices,
+    # c the volume coefficient: IJ_curvature = I, IJ_mixed = -4c J and the
+    # curvature-type K = 2i c K + I
+    seen = set()
+    for t0, t1, kw in _HIGGS_FAMILIES:
+        s = _split_family(t0, t1, kw)
+        m, res, c = moment_residuals(s), higgs_equation_residuals(s), s.h.c_vol
+        I, J, K = m["I"], m["J"], m["K"]
+        assert res["IJ_curvature"] == I
+        assert res["IJ_mixed"] == _combination([Scalar.of(-4) * c], [J])
+        assert res["K"] == _plus(_combination([Scalar.of(0, 2) * c], [K]), I)
+        seen.update(name for name, x in zip("IJK", (I, J, K)) if x)
+    # I, J and K are each nonzero on some family, so no identity holds
+    # only as 0 == 0
+    assert seen == set("IJK")
+
+
 def test_higgs_equation_residuals(std):
     res = higgs_equation_residuals(std)
-    for key in ("K", "IJ_curvature", "IJ_mixed", "integrability"):
-        assert matrix_is_zero(res[key])
-    assert not matrix_is_zero(res["holomorphicity_obstruction"])
+    for key in ("K", "IJ_curvature", "IJ_mixed"):
+        assert res[key] == {}
+    assert matrix_is_zero(res["integrability"])
+    assert res["holomorphicity_obstruction"]
 
 
 # dbar_Q phi ^ omega^2 of two families: the nonzero entries of the 8x8
@@ -398,6 +432,4 @@ def test_higgs_obstruction_pinned(t0, t1, tau, expected):
                                  LineBundleTriple(*t1, role="V1"),
                                  tau=tau)).params
     obstruction = higgs_equation_residuals(s)["holomorphicity_obstruction"]
-    got = {(i, j): str(x) for i, row in enumerate(obstruction)
-           for j, x in enumerate(row) if not x.is_zero()}
-    assert got == expected
+    assert {k: str(x) for k, x in obstruction.items()} == expected

@@ -16,7 +16,7 @@ from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
 from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
                            hs_residuals)
-from hslab.algebroid import he_residual_G, matrix_is_zero
+from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
 import hslab.hermitian as hermitian
 from hslab.harmonic import (harmonic_residual, harmonic_vs_moment_gap,
@@ -95,7 +95,7 @@ def test_tau_family_exactness():
     assert not cand.gamma_form.is_zero()
     for res in hs_residuals(cand.params):
         assert res.is_zero()
-    assert matrix_is_zero(he_residual_G(cand.params))
+    assert he_residual_G(cand.params) == {}
 
 
 def test_uncorrected_tau_family_fails_instanton_equations():
@@ -157,6 +157,16 @@ def test_verify_family_nonorthogonal_pair_not_harmonic():
     assert not by_name["harmonic_K"]["zero"]
     assert not by_name["cross_coupling"]["zero"]
     assert by_name["torsion_pairing"]["zero"]
+
+
+def test_residual_witness_is_the_first_entry_in_row_order():
+    # a dict's insertion order is not row order: the witness is min(keys)
+    a, b = Scalar.of(3), Scalar.pi(-1, Fraction(1, 2), 1)
+    entry = iwasawa._residual_entry("K", {(7, 0): a, (2, 5): b})
+    assert entry == {"name": "K", "zero": False,
+                     "witness": "entry (2,5): %s" % b}
+    assert iwasawa._residual_entry("K", {}) == {"name": "K", "zero": True,
+                                                "witness": ""}
 
 
 def test_verify_family_repeat_on_one_candidate():
@@ -649,7 +659,7 @@ def _engine_flags(triples, model, h0, Omega):
     def flat(t, alpha):
         s = make_params(model, h0, Omega, t, iwasawa._orthogonal_partner(t),
                         alpha=Scalar.of(alpha))
-        return matrix_is_zero(iwasawa.harmonic_residual(s))
+        return iwasawa.harmonic_residual(s) == {}
     return {t: flat(t, 1) and flat(t, 2) for t in triples}
 
 
@@ -698,14 +708,12 @@ def test_unisolvence_inverses_take_no_zero_product(monkeypatch):
 
 
 def _stand_in_K(entries):
-    """A harmonic_residual stand-in: the 8x8 zero matrix with the entries
-    entries(m, n, p, alpha) -> {(i, j): Scalar} set."""
+    """A harmonic_residual stand-in: the sparse matrix of the nonzero
+    entries of entries(m, n, p, alpha) -> {(i, j): Scalar}."""
     def residual(s):
         t = s.triple0
-        K = [[Scalar.zero()] * 8 for _ in range(8)]
-        for (i, j), v in entries(t.m, t.n, t.p, s.alpha).items():
-            K[i][j] = v
-        return K
+        return {k: v for k, v in entries(t.m, t.n, t.p, s.alpha).items()
+                if not v.is_zero()}
     return residual
 
 
@@ -797,8 +805,8 @@ def _replay(rec):
     cand = _family(t0, t1)
     assert str(cand.params.alpha) == rec["alpha"]
     assert all(r.is_zero() for r in hs_residuals(cand.params))
-    assert matrix_is_zero(he_residual_G(cand.params))
-    assert matrix_is_zero(harmonic_residual(cand.params)) == rec["harmonic"]
+    assert he_residual_G(cand.params) == {}
+    assert (harmonic_residual(cand.params) == {}) == rec["harmonic"]
     dphi = higgs_dbar_entry(cand.params, 6, 7)
     assert (not dphi.is_zero()) == rec["dbar_phi_23_nonzero"]
 
@@ -914,12 +922,12 @@ def test_sweep_decomposition_on_random_pairs(rng, model, h0, Omega):
     for _ in range(8):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        if s.alpha.evalf().real > 0:
+        if s.alpha.sign() > 0:
             seen_pos = True
         else:
             seen_neg = True
         rec = [r for r in sweep_pair(t0, t1)][0]
-        assert rec["harmonic"] == matrix_is_zero(harmonic_residual(s))
+        assert rec["harmonic"] == (harmonic_residual(s) == {})
         assert rec["dbar_phi_23_nonzero"] == (
             not higgs_dbar_entry(s, 6, 7).is_zero())
     assert seen_pos and seen_neg

@@ -1,10 +1,12 @@
-"""The one matrix product against the loops it replaced.
+"""The matrix products against the loops they replaced.
 
-matmul(a, b, zero) multiplies its entries with *: two Scalars, a Scalar and
-a form (scale) or two forms (wedge).  The A ^ A of curvature and sandwich
-go through it.  The references here are test-only copies of the entrywise-wedge triple loop and of the
-single-loop sandwich, each term mid[k][l] * (left[i][k] * right[l][j]),
-that it replaced, and the commutator oracle of conftest.
+matmul(a, b, zero) multiplies dense matrices of forms with *: a Scalar and
+a form (scale) or two forms (wedge).  The A ^ A of curvature goes through
+it, and left . mid . right is two of them.  Sparse Scalar matrices
+multiply by _product_sum.  The references here are test-only copies of the
+entrywise-wedge triple loop and of the single-loop sandwich, each term
+mid[k][l] * (left[i][k] * right[l][j]), that they replaced, and the
+commutator oracle of conftest.
 """
 
 import random
@@ -13,13 +15,14 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.hermitian import matmul, sandwich
+from hslab.hermitian import _product_sum, matmul
 from hslab.algebroid import QDIM
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
-from conftest import q_metric, random_form, random_scalar, scalar_commutator
+from conftest import (q_metric, random_form, random_scalar, scalar_commutator,
+                      sparse)
 
 
 def _wedge_reference(a, b, zero):
@@ -86,11 +89,13 @@ def test_product_of_scalar_matrices(shape):
     rng = random.Random(sum(shape))
     n, k, m = shape
     a, b = _scalars(rng, n, k), _scalars(rng, k, m)
-    assert matmul(a, b, Scalar.zero()) == _scalar_reference(a, b)
+    assert _product_sum([(sparse(a), sparse(b), 1)]) == \
+        sparse(_scalar_reference(a, b))
     c = _scalars(rng, k, n)
     mid = _scalars(rng, k, k)
-    assert sandwich(a, mid, c, Scalar.zero()) == \
-        _sandwich_reference(a, mid, c, Scalar.zero())
+    assert _product_sum([(_product_sum([(sparse(a), sparse(mid), 1)]),
+                          sparse(c), 1)]) == \
+        sparse(_sandwich_reference(a, mid, c, Scalar.zero()))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -104,13 +109,13 @@ def test_stacked_products_are_a_sum_of_commutators(seed):
     def hcat(blocks):
         return [sum(rows, []) for rows in zip(*blocks)]
 
-    got = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(
-        matmul(hcat(Bs), sum(Ss, []), zero), matmul(hcat(Ss), sum(Bs, []), zero))]
+    got = _product_sum([(sparse(hcat(Bs)), sparse(sum(Ss, [])), 1),
+                        (sparse(hcat(Ss)), sparse(sum(Bs, [])), -1)])
     expect = [[zero] * QDIM for _ in range(QDIM)]
     for B, S in zip(Bs, Ss):
         expect = [[x + y for x, y in zip(r1, r2)]
                   for r1, r2 in zip(expect, scalar_commutator(B, S))]
-    assert got == expect
+    assert got == sparse(expect)
     assert scalar_commutator(Bs[0], Ss[0]) == [
         [x - y for x, y in zip(r1, r2)] for r1, r2 in
         zip(_scalar_reference(Bs[0], Ss[0]), _scalar_reference(Ss[0], Bs[0]))]
@@ -121,8 +126,9 @@ def test_sandwich_of_forms_matches_the_single_loop(model, seed):
     rng = random.Random(seed)
     left, right = _scalars(rng, QDIM, QDIM), _scalars(rng, QDIM, QDIM)
     mid = _forms(model, rng, QDIM, QDIM)
-    assert sandwich(left, mid, right, model.zero()) == \
-        _sandwich_reference(left, mid, right, model.zero())
+    zero = model.zero()
+    assert matmul(matmul(left, mid, zero), right, zero) == \
+        _sandwich_reference(left, mid, right, zero)
 
 
 _TAU = TauDeformation(Fraction(1, 10), Fraction(0), Fraction(-1, 4),
@@ -156,5 +162,5 @@ def test_sandwich_by_a_deformed_metric(t0, t1, tau, picard):
     expect = _sandwich_reference(Hm_inv, conj_t, Hm, zero)
     assert H.adjoint(s.connection).forms() == expect
     F = s.connection_curvature
-    assert sandwich(Hm_inv, F, Hm, zero) == \
+    assert matmul(matmul(Hm_inv, F, zero), Hm, zero) == \
         _sandwich_reference(Hm_inv, F, Hm, zero)

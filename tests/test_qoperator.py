@@ -3,7 +3,7 @@
 A QOperator holds the six Scalar matrices A^a of A = sum_a A^a e_a.  The
 references here work on its 8x8 matrix of 1-form entries, as the engine
 did before: the adjoint as the conjugate transpose of the entries
-sandwiched by the metric, the bidegree part and the contraction with a
+multiplied by the metric on both sides, the bidegree part and the contraction with a
 vector entry by entry, and every top-degree coefficient as the wedge of a
 2-form with omega^2.  They are checked on four families and on seeded
 operators on every oracle metric, the last of which (the
@@ -18,7 +18,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantVector
-from hslab.hermitian import matmul, sandwich
+from hslab.hermitian import matmul
 from hslab.algebroid import QDIM, wedge_omega_sq_top
 from hslab.harmonic import (CompatibleMetricH, higgs_dbar_entry,
                             higgs_obstruction_entry)
@@ -26,14 +26,15 @@ from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
 
 from conftest import (DEFORMED_TAU, dbar_reference, operator_of, q_metric,
-                      random_form, random_scalar)
+                      random_form, random_scalar, sparse)
 
 
 def _adjoint_reference(Q, E):
     """Hm^-1 . conj(E)^T . Hm, with (Hm, Hm^-1) = Q dense (q_metric)."""
     Hm, Hm_inv = Q
     conj_t = [[e.conjugate() for e in col] for col in zip(*E)]
-    return sandwich(Hm_inv, conj_t, Hm, E[0][0].model.zero())
+    zero = E[0][0].model.zero()
+    return matmul(matmul(Hm_inv, conj_t, zero), Hm, zero)
 
 
 def _value_reference(E, vector):
@@ -72,7 +73,7 @@ def _check_operator(A, H, Q, vectors):
         assert A.part(p, q).forms() == [[e.part(p, q) for e in row]
                                         for row in E]
     for v in vectors:
-        assert A.value_at(v) == _value_reference(E, v)
+        assert A.value_at(v) == sparse(_value_reference(E, v))
 
 
 def _check_obstruction(s):
@@ -100,10 +101,10 @@ def test_families_match_the_form_entry_algorithms(kind):
         _check_operator(A, s.metric_H, q_metric(s.h, s.alpha), vectors)
     assert _check_obstruction(s) >= 4
     # the top-degree pairings of the verify path and of I
-    assert s.curvature_omega_sq == _top_reference(
-        s.h, s.connection, [(s.connection, s.connection)])
+    assert s.curvature_omega_sq == sparse(_top_reference(
+        s.h, s.connection, [(s.connection, s.connection)]))
     assert wedge_omega_sq_top(s.h, B, [(B, B), (Psi, Psi)]) == \
-        _top_reference(s.h, B, [(B, B), (Psi, Psi)])
+        sparse(_top_reference(s.h, B, [(B, B), (Psi, Psi)]))
 
 
 def _random_operator(m, rng):
@@ -125,8 +126,8 @@ def test_seeded_operators_on_every_oracle_metric(oracle_metrics):
                             q_metric(h, alpha), vectors)
         pairs = [(X, Y), (Y, C)]
         c = wedge_omega_sq_top(h, L, pairs)
-        assert c == _top_reference(h, L, pairs)
-        assert any(not x.is_zero() for row in c for x in row)
+        assert c == sparse(_top_reference(h, L, pairs))
+        assert c
         s = SimpleNamespace(model=m, h=h, chern_split=(C, phi))
         assert _check_obstruction(s) >= 16
         lam_seen += any(not x.is_zero() for x in h.omega_sq_lambda)

@@ -25,7 +25,7 @@ SRC = os.path.dirname(os.path.abspath(hslab.__file__))
 
 LIBRARY_ONLY = {
     "harmonic.higgs_equation_residuals":
-        "paper identity: the Higgs-type form of the moment maps",
+        "tier-1 oracle of K, I and J",
     "iwasawa.VerificationReport.comparable":
         "report reader: a report without its parameter echo",
     "iwasawa.VerificationReport.from_json":
