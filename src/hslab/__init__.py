@@ -8,13 +8,12 @@ from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, degree_and_slope,
                       SystemParams, hs_residuals, DegenerateCoupling)
-from .algebroid import (QOperator, pairing_matrix, connection_DG, curvature,
+from .algebroid import (QOperator, pairing_matrix, connection_DG,
                         he_residual_G, dolbeault_Q, extension_class_gamma,
                         bismut_iso_matrix, subbundle_report)
 from .harmonic import (CompatibleMetricH, decompose_unitary,
                        moment_residuals, harmonic_residual, harmonic_criteria,
-                       higgs_dbar_entry, higgs_obstruction_entry,
-                       higgs_equation_residuals)
+                       higgs_dbar_entry, higgs_obstruction_entry)
 from .iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                       FamilyConfig, SolutionCandidate, make_family,
                       VerificationReport, verify_family, iter_sweep)

@@ -27,12 +27,12 @@ is the C-bilinear pairing of a metric and coupling.
 
 A 1-form-valued operator A = sum_a A^a e_a is a QOperator, six Scalar
 matrices A^a, filled from coefficients and combined component by
-component; only witnesses, the 2-form identities (curvature, through
-hermitian.matmul) and tests read its entries as 1-forms.  Every top-degree
-residual reads through one pairing, wedge_omega_sq_top: the HE residual
-and the slope read the curvature of D^G only through F ^ omega^2 (Luebke &
-Teleman, The Kobayashi-Hitchin Correspondence, 1995, 1.1), so the verify
-path builds no curvature 2-form.
+component; only the witnesses (the extension class and the dbar_phi_23
+entry) and tests read its entries as 1-forms.  Every top-degree residual
+reads through one pairing, wedge_omega_sq_top: the HE residual and the
+slope read the curvature of D^G only through F ^ omega^2 (Luebke &
+Teleman, The Kobayashi-Hitchin Correspondence, 1995, 1.1), so no
+curvature 2-form is built.
 
 Every Scalar matrix on Q here (a component A^a, value_at, the top-degree
 residuals, the pairing and the Bismut isomorphism) is held in hermitian's
@@ -48,7 +48,7 @@ from fractions import Fraction
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import (_combination, _form_entries, _nonzero, _plus,
-                        _product_sum, matmul, matrix_inverse)
+                        _product_sum, matrix_inverse)
 
 QDIM = 8
 
@@ -103,10 +103,6 @@ class QOperator:
         return InvariantForm(self.model, {(a,): m[(i, j)] for a, m in
                                           enumerate(self.comps) if (i, j) in m})
 
-    def forms(self):
-        """The 8x8 matrix of 1-forms, for matmul and the 2-form identities."""
-        return [[self.form(i, j) for j in range(QDIM)] for i in range(QDIM)]
-
 
 def wedge_omega_sq_top(h, L, pairs):
     """The Scalar matrix c with (dL + sum X ^ Y) ^ omega^2 = c e_top, over
@@ -150,13 +146,6 @@ def connection_DG(s):
         for (b, c), v in Fv.items():
             comps[c][e, b] = v
     return QOperator(s.model, comps)
-
-
-def curvature(A):
-    """F = dA + A ^ A of a connection, as an 8x8 list of 2-forms."""
-    E = A.forms()
-    return [[e.d() + x for e, x in zip(r1, r2)]
-            for r1, r2 in zip(E, matmul(E, E, A.model.zero()))]
 
 
 def he_residual_G(s):

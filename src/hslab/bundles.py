@@ -16,10 +16,10 @@ operator of Q and the unitary (B, Psi) and Chern (C, phi) splittings of
 D^G are built on first use and kept, so every verifier of one family reads
 the same objects; the Chern split is read off the unitary one,
 phi = 2 Psi^{1,0}.  F_{D^G} ^ omega^2 is read off the connection's
-components; only the selftest and tests build the curvature 2-forms.  The
-dataclass is frozen, which keeps them valid, and none of them refers back
-to the family.  The coupling alpha is checked once, at construction: a
-nonzero real monomial q pi^k, whose sign is decided exactly.
+components, so no curvature 2-form is built.  The dataclass is frozen,
+which keeps them valid, and none of them refers back to the family.  The
+coupling alpha is checked once, at construction: a nonzero real monomial
+q pi^k, whose sign is decided exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from functools import cached_property
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import solve
-from .algebroid import (connection_DG, curvature, dolbeault_Q,
-                        wedge_omega_sq_top)
+from .algebroid import connection_DG, dolbeault_Q, wedge_omega_sq_top
 from .harmonic import CompatibleMetricH, decompose_unitary
 
 
@@ -171,15 +170,10 @@ class SystemParams:
         return connection_DG(self)
 
     @cached_property
-    def connection_curvature(self):
-        """F = dA + A ^ A of the connection D^G, an 8x8 list of 2-forms."""
-        return curvature(self.connection)
-
-    @cached_property
     def curvature_omega_sq(self):
-        """The sparse Scalar matrix c with F_ij ^ omega^2 = c_ij e_top, F as
-        above, read off the connection's components (the pairing with
-        L = X = Y = A)."""
+        """The sparse Scalar matrix c with F_ij ^ omega^2 = c_ij e_top, F =
+        dA + A ^ A the curvature of D^G, read off the connection's
+        components (the pairing with L = X = Y = A)."""
         A = self.connection
         return wedge_omega_sq_top(self.h, A, [(A, A)])
 

@@ -182,15 +182,6 @@ class InvariantForm:
         out.terms = {k: v * s for k, v in self.terms.items()}
         return out
 
-    def __mul__(self, other):
-        """self ^ other for a form, self scaled by other for anything else."""
-        if isinstance(other, InvariantForm):
-            return self.wedge(other)
-        return self.scale(other)
-
-    def __rmul__(self, s):
-        return self.scale(s)
-
     def is_zero(self):
         return not self.terms
 

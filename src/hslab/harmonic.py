@@ -23,6 +23,13 @@ once per metric when its HermitianStructure is.  Harmonicity reads K
 alone, so moment_residuals builds I and J only when they are first looked
 up.
 
+K adds the Lee-form term i_{theta^sharp} Psi and J subtracts
+i_{J theta^sharp} Psi.  Both are zero on every family a command builds:
+every invariant (2,2)-form of the Iwasawa model is closed (a test checks
+the nine basis forms), so d(omega^2) = 0 and every invariant metric is
+balanced, theta = 0.  They are still computed, like lc_trace below, so a
+model with a nonzero Lee form gets the full residuals.
+
 K and J both go through nabla_H_star, the codifferential of nabla^H.  It
 contracts with the inverse metric, sums the commutators as sparse products
 of components and adds the contracted Levi-Civita trace (the metric's
@@ -35,7 +42,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantVector
-from .hermitian import _combination, _plus, _product_sum, matmul
+from .hermitian import _combination, _plus, _product_sum
 from .algebroid import QDIM, QOperator, wedge_omega_sq_top
 
 
@@ -272,40 +279,3 @@ def higgs_obstruction_entry(s, i, j):
         (A.restricted([i], r), phi.restricted(r, [j])),
         (phi.restricted([i], r), A.restricted(r, [j]))])
     return c.get((i, j), Scalar.zero())
-
-
-def higgs_equation_residuals(s):
-    """Residuals of the Higgs-bundle-type rewriting of the moment maps.
-
-    Returns the curvature-type K residual (F_H + [phi ^ phi^{*H}]/2) ^ w^2,
-    the combined IJ residuals, the holomorphicity obstruction
-    dbar_Q phi ^ w^2 whose nonvanishing certifies that the configuration is
-    not of Higgs type (each a sparse Scalar matrix of top coefficients,
-    through the pairing), dbar_Q phi, and the integrability term
-    del^H phi + phi ^ phi (dense 8x8 matrices of 2-forms).
-    """
-    C, phi = s.chern_split
-    h, A = s.h, C.part(0, 1)
-    phi_star = s.metric_H.adjoint(phi)  # (0,1)-form valued
-    half = Scalar.of(Fraction(1, 2))
-    hphi, hstar = phi.scale(half), phi_star.scale(half)
-    r = range(QDIM)
-    Cf, Pf, zero = C.forms(), phi.forms(), s.model.zero()
-    CP, PC, PP = matmul(Cf, Pf, zero), matmul(Pf, Cf, zero), matmul(Pf, Pf, zero)
-    return {
-        "K": wedge_omega_sq_top(h, C, [(C, C), (hphi, phi_star),
-                                       (hstar, phi)]),
-        # (F_H + dbar_Q phi / 2 - del^H phi^* / 2) ^ w^2
-        "IJ_curvature": wedge_omega_sq_top(
-            h, C + hphi - hstar, [(C, C), (A, hphi), (hphi, A),
-                                  (C, -hstar), (-hstar, C)]),
-        # (dbar_Q phi + del^H phi^*) ^ w^2
-        "IJ_mixed": wedge_omega_sq_top(
-            h, phi + phi_star, [(A, phi), (phi, A), (C, phi_star),
-                                (phi_star, C)]),
-        "integrability": [[(Pf[i][j].d() + CP[i][j] + PC[i][j]).part(2, 0)
-                           + PP[i][j] for j in r] for i in r],
-        "holomorphicity_obstruction": wedge_omega_sq_top(
-            h, phi, [(A, phi), (phi, A)]),
-        "dbar_phi": [[higgs_dbar_entry(s, i, j) for j in r] for i in r],
-    }

@@ -15,9 +15,7 @@ _product_sum multiplies them with one Scalar.sum_of_products per entry;
 _form_entries reads a 2-form as such a matrix.  Dense rows are kept only
 for elimination: rref (Gauss-Jordan with monomial pivots) with solve and
 matrix_inverse built on it, and matrix_det (forward elimination that stops
-at the first zero column).  matmul, a zero-skipping product, multiplies
-the dense matrices of forms of the curvature identities with * (a wedge,
-itself one sum of products per key).
+at the first zero column).
 
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
@@ -204,28 +202,6 @@ def _form_entries(F):
     out = {}
     for (a, b), v in F.terms.items():
         out[a, b], out[b, a] = v, -v
-    return out
-
-
-def matmul(a, b, zero):
-    """Product a . b of two dense matrices of forms, skipping zero factors;
-    zero is the entries' zero.
-
-    Each entry adds the products x * y its nonzero factors meet, * scaling
-    a form by a Scalar or wedging two forms.  Scalar matrices are sparse
-    and multiply by _product_sum instead.
-    """
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        sums = [zero] * ncols
-        for k, x in enumerate(row):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b[k]):
-                if not y.is_zero():
-                    sums[j] = sums[j] + x * y
-        out.append(sums)
     return out
 
 

@@ -20,7 +20,7 @@ no state between calls.
 verify_family produces an exact report over every displayed condition.
 It reads one family's Q-bundle objects from the SystemParams that builds
 each of them once: the compatible metric H, the connection D^G and its
-curvature, the Dolbeault operator, and the unitary (B, Psi) and Chern
+F ^ omega^2, the Dolbeault operator, and the unitary (B, Psi) and Chern
 (C, phi) splittings of D^G.
 
 The sweep (iter_sweep) enumerates integer pairs in one process: one engine

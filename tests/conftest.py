@@ -1,4 +1,10 @@
-"""Shared fixtures: the standard model, metric, and family builders."""
+"""Shared fixtures: the standard model, metric, and family builders.
+
+Also the test oracles, among them the dense 8x8 matrices of forms of a Q
+operator (forms, matmul, curvature) and the Higgs-type form of the moment
+maps (higgs_equation_residuals): the package holds each Q operator only as
+its sparse components.
+"""
 
 import json
 import random
@@ -7,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.cealg import InvariantVector, NilmanifoldModel
-from hslab.hermitian import HermitianStructure, matmul
-from hslab.algebroid import QOperator
+from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
+from hslab.hermitian import HermitianStructure
+from hslab.algebroid import QDIM, QOperator, wedge_omega_sq_top
+from hslab.harmonic import higgs_dbar_entry
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
 from hslab.iwasawa import (FamilyConfig, TauDeformation, build_iwasawa,
@@ -175,12 +182,87 @@ def operator_of(model, E):
                              for a in range(model.dim)])
 
 
+def matmul(a, b, zero):
+    """a . b of dense matrices whose entries are forms or Scalars, skipping
+    zero factors; zero is the product entries' zero.
+
+    Each product has a form among its factors: two forms wedge, and a
+    Scalar scales the form.
+    """
+    def times(x, y):
+        if isinstance(x, InvariantForm):
+            return x.wedge(y) if isinstance(y, InvariantForm) else x.scale(y)
+        return y.scale(x)
+
+    out = []
+    for row in a:
+        sums = [zero] * len(b[0])
+        for k, x in enumerate(row):
+            if not x.is_zero():
+                for j, y in enumerate(b[k]):
+                    if not y.is_zero():
+                        sums[j] = sums[j] + times(x, y)
+        out.append(sums)
+    return out
+
+
+def forms(A):
+    """The 8x8 matrix of 1-forms of a QOperator: entry (i, j) is A.form(i, j)."""
+    return [[A.form(i, j) for j in range(QDIM)] for i in range(QDIM)]
+
+
+def curvature(A):
+    """F = dA + A ^ A of a QOperator, as an 8x8 list of 2-forms."""
+    E = forms(A)
+    return [[e.d() + x for e, x in zip(r1, r2)]
+            for r1, r2 in zip(E, matmul(E, E, A.model.zero()))]
+
+
+def higgs_equation_residuals(s):
+    """Residuals of the Higgs-bundle-type rewriting of the moment maps.
+
+    An oracle of K, I and J along a second code path: the Chern split
+    (C, phi) and the adjoint phi^{*H}, where moment_residuals reads the
+    unitary split and the codifferential.  Returns the curvature-type K
+    residual (F_H + [phi ^ phi^{*H}]/2) ^ w^2, the combined IJ residuals
+    and the holomorphicity obstruction dbar_Q phi ^ w^2 (each a sparse
+    Scalar matrix of top coefficients, through the pairing), dbar_Q phi,
+    and the integrability term del^H phi + phi ^ phi (dense 8x8 matrices
+    of 2-forms).
+    """
+    C, phi = s.chern_split
+    h, A = s.h, C.part(0, 1)
+    phi_star = s.metric_H.adjoint(phi)  # (0,1)-form valued
+    half = Scalar.of(Fraction(1, 2))
+    hphi, hstar = phi.scale(half), phi_star.scale(half)
+    r = range(QDIM)
+    Cf, Pf, zero = forms(C), forms(phi), s.model.zero()
+    CP, PC, PP = matmul(Cf, Pf, zero), matmul(Pf, Cf, zero), matmul(Pf, Pf, zero)
+    return {
+        "K": wedge_omega_sq_top(h, C, [(C, C), (hphi, phi_star),
+                                       (hstar, phi)]),
+        # (F_H + dbar_Q phi / 2 - del^H phi^* / 2) ^ w^2
+        "IJ_curvature": wedge_omega_sq_top(
+            h, C + hphi - hstar, [(C, C), (A, hphi), (hphi, A),
+                                  (C, -hstar), (-hstar, C)]),
+        # (dbar_Q phi + del^H phi^*) ^ w^2
+        "IJ_mixed": wedge_omega_sq_top(
+            h, phi + phi_star, [(A, phi), (phi, A), (C, phi_star),
+                                (phi_star, C)]),
+        "integrability": [[(Pf[i][j].d() + CP[i][j] + PC[i][j]).part(2, 0)
+                           + PP[i][j] for j in r] for i in r],
+        "holomorphicity_obstruction": wedge_omega_sq_top(
+            h, phi, [(A, phi), (phi, A)]),
+        "dbar_phi": [[higgs_dbar_entry(s, i, j) for j in r] for i in r],
+    }
+
+
 def dbar_reference(s):
     """The whole matrix dbar_Q phi of a family, (d phi + A01 ^ phi + phi ^
     A01)^{1,1}, by two products of its 8x8 matrices of 1-forms."""
     C, phi = s.chern_split
-    A01 = [[e.part(0, 1) for e in row] for row in C.forms()]
-    P, zero = phi.forms(), s.model.zero()
+    A01 = [[e.part(0, 1) for e in row] for row in forms(C)]
+    P, zero = forms(phi), s.model.zero()
     return [[(p.d() + x + y).part(1, 1) for p, x, y in zip(*rows)]
             for rows in zip(P, matmul(A01, P, zero), matmul(P, A01, zero))]
 
@@ -188,7 +270,7 @@ def dbar_reference(s):
 def split_curvature(B, Psi):
     """F_B + Psi ^ Psi + (d Psi + B ^ Psi + Psi ^ B), by products of the 8x8
     matrices of 1-forms of B and Psi."""
-    Bf, Pf, zero = B.forms(), Psi.forms(), B.model.zero()
+    Bf, Pf, zero = forms(B), forms(Psi), B.model.zero()
     products = [matmul(x, y, zero)
                 for x, y in ((Bf, Bf), (Pf, Pf), (Bf, Pf), (Pf, Bf))]
     return [[b.d() + p.d() + w + x + y + z for b, p, w, x, y, z in zip(*rows)]

@@ -9,8 +9,7 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            hs_residuals, CohClass, degree_and_slope)
-from hslab.algebroid import (QDIM, connection_DG, curvature, he_residual_G,
-                             pairing_matrix)
+from hslab.algebroid import QDIM, connection_DG, he_residual_G, pairing_matrix
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             harmonic_residual, harmonic_criteria,
                             harmonic_vs_moment_gap, higgs_dbar_entry)
@@ -18,8 +17,8 @@ from hslab.iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
                            make_family, verify_family)
 from hslab.cli import main
 
-from conftest import (dense, make_params, random_pair, random_form,
-                      split_curvature, sweep_records)
+from conftest import (curvature, dense, forms, make_params, random_pair,
+                      random_form, split_curvature, sweep_records)
 
 
 def _report(capsys, num, ok):
@@ -201,7 +200,7 @@ def test_criterion_6_structural_identities(capsys, model, h0, Omega, rng):
         phi = Psi.part(1, 0).scale(Scalar.of(2))
         ok = ok and phi.comps == phi.part(1, 0).comps
         # pairing-orthogonality Leibniz rule for the connection
-        P, E = dense(pairing_matrix(s.h, s.alpha)), A.forms()
+        P, E = dense(pairing_matrix(s.h, s.alpha)), forms(A)
         for i in range(QDIM):
             for j in range(QDIM):
                 acc = model.zero()

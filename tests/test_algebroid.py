@@ -7,9 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.hermitian import (HermitianStructure, matmul, matrix_inverse,
-                             solve)
-from hslab.algebroid import (QDIM, connection_DG, curvature, he_residual_G,
+from hslab.hermitian import HermitianStructure, matrix_inverse, solve
+from hslab.algebroid import (QDIM, connection_DG, he_residual_G,
                              dolbeault_Q, extension_class_gamma,
                              bismut_iso_matrix, pairing_matrix,
                              subbundle_report, wedge_omega_sq_top,
@@ -18,9 +17,9 @@ from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
-from conftest import (DEFORMED_TAU, dense, make_params, matrix_is_zero,
-                      operator_of, q_metric, random_form, random_pair,
-                      scalar_product, sparse)
+from conftest import (DEFORMED_TAU, curvature, dense, forms, make_params,
+                      matmul, matrix_is_zero, operator_of, q_metric,
+                      random_form, random_pair, scalar_product, sparse)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def test_pairing_matrix(pairing, std, h0):
 
 
 def test_connection_pairing_compatibility(model, pairing, std):
-    A = connection_DG(std).forms()
+    A = forms(connection_DG(std))
     for i in range(QDIM):
         for j in range(QDIM):
             acc = model.zero()
@@ -65,12 +64,12 @@ def _transported(s):
     """The Dolbeault matrix in the complexified frame, P A P^-1, with the
     generic elimination inverse of the Bismut isomorphism P."""
     P, zero = dense(bismut_iso_matrix(s.h)), s.model.zero()
-    return matmul(matmul(P, s.dolbeault.forms(), zero), matrix_inverse(P),
+    return matmul(matmul(P, forms(s.dolbeault), zero), matrix_inverse(P),
                   zero)
 
 
 def test_connection_01_part_is_dolbeault(std):
-    assert connection_DG(std).part(0, 1).forms() == _transported(std)
+    assert forms(connection_DG(std).part(0, 1)) == _transported(std)
 
 
 def test_dolbeault_squares_to_zero(std):
@@ -199,7 +198,7 @@ def _compressed_trace(s, S):
     SdH = scalar_product([[c.conjugate() for c in col] for col in zip(*S)],
                          q_metric(s.h, s.alpha)[0])
     ShS_inv = matrix_inverse(scalar_product(SdH, S))
-    SdHFS = matmul(matmul(SdH, s.connection_curvature, zero), S, zero)
+    SdHFS = matmul(matmul(SdH, curvature(s.connection), zero), S, zero)
     trace = s.model.zero()
     for i in range(k):
         for j in range(k):

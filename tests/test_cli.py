@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+import hslab.bundles as bundles
+from hslab.algebroid import QOperator, connection_DG
 from hslab.cealg import InvariantForm
 from hslab.cli import main, run_selftest
 from hslab.hermitian import HermitianStructure
@@ -291,6 +293,17 @@ def test_selftest_flipped_conventions(monkeypatch):
         m.setattr(HermitianStructure, "star", _negated(HermitianStructure.star))
         ok, name = run_selftest()
     assert not ok and name == "*d^c omega_0"
+    with monkeypatch.context() as m:
+        m.setattr(bundles, "connection_DG", _flipped_coupling)
+        ok, name = run_selftest()
+    assert not ok and name == "F_{D^G} ^ omega^2"
+
+
+def _flipped_coupling(s):
+    """D^G with the sign of its T -> End coupling columns flipped."""
+    A = connection_DG(s)
+    return QOperator(A.model, [{k: -v if k[0] < 6 <= k[1] else v
+                                for k, v in m.items()} for m in A.comps])
 
 
 def test_selftest_cli_failure_exit(capsys, monkeypatch):

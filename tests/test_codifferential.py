@@ -23,7 +23,7 @@ from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            build_iwasawa, make_family, omega0_structure)
 
-from conftest import (christoffel, dense, frame_vector, operator_of,
+from conftest import (christoffel, dense, forms, frame_vector, operator_of,
                       scalar_commutator, sparse)
 
 TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
@@ -37,7 +37,7 @@ def _reference(s, B, T, gamma):
     Z = [frame_vector(s.model, a) for a in range(6)]
     # A(Z_a) by contracting each 1-form entry
     Bv, Tv = ([[[e.contract(z).terms.get((), Scalar.zero()) for e in row]
-                for row in X.forms()] for z in Z] for X in (B, T))
+                for row in forms(X)] for z in Z] for X in (B, T))
     out = [[Scalar.zero()] * QDIM for _ in range(QDIM)]
     for a in range(6):
         for b in range(6):
@@ -59,7 +59,7 @@ def _reference(s, B, T, gamma):
 def _j(T):
     """J T by the Hodge j_form of each 1-form entry."""
     h = omega0_structure()
-    return operator_of(T.model, [[h.j_form(e) for e in row] for row in T.forms()])
+    return operator_of(T.model, [[h.j_form(e) for e in row] for row in forms(T)])
 
 
 def _family(t0, t1, **kw):

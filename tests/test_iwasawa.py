@@ -197,7 +197,7 @@ def test_verify_family_reports_pinned():
 def test_family_context_is_built_once(monkeypatch):
     import hslab.algebroid as algebroid
     import hslab.bundles as bundles
-    counted = ("connection_DG", "curvature", "dolbeault_Q")
+    counted = ("connection_DG", "dolbeault_Q")
     calls = dict.fromkeys(counted + ("CompatibleMetricH",), 0)
     metric_init = harmonic.CompatibleMetricH.__init__
 
@@ -228,9 +228,7 @@ def test_family_context_is_built_once(monkeypatch):
     calls["adjoint"] = 0
     monkeypatch.setattr(harmonic.CompatibleMetricH, "adjoint",
                         counting("adjoint", harmonic.CompatibleMetricH.adjoint))
-    # F ^ omega^2 comes from the connection's coefficients: no curvature
-    # 2-forms are built on the verify path
-    once = dict(dict.fromkeys(calls, 1), curvature=0)
+    once = dict.fromkeys(calls, 1)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
     # every verifier reads the one connection, F ^ omega^2, Dolbeault
@@ -242,8 +240,6 @@ def test_family_context_is_built_once(monkeypatch):
                  "dolbeault", "unitary_split", "chern_split"):
         assert getattr(s, name) is getattr(s, name)
     assert calls == once
-    assert s.connection_curvature is s.connection_curvature
-    assert calls == dict(once, curvature=1)
     # the objects are only valid for fixed fields
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.alpha = Scalar.one()

@@ -1,12 +1,12 @@
 """The matrix products against the loops they replaced.
 
-matmul(a, b, zero) multiplies dense matrices of forms with *: a Scalar and
-a form (scale) or two forms (wedge).  The A ^ A of curvature goes through
-it, and left . mid . right is two of them.  Sparse Scalar matrices
-multiply by _product_sum.  The references here are test-only copies of the
-entrywise-wedge triple loop and of the single-loop sandwich, each term
-mid[k][l] * (left[i][k] * right[l][j]), that they replaced, and the
-commutator oracle of conftest.
+The test oracle matmul(a, b, zero) of conftest multiplies dense matrices
+of forms: a Scalar and a form (scale) or two forms (wedge).  The A ^ A of
+the oracle curvature goes through it, and left . mid . right is two of
+them.  Sparse Scalar matrices multiply by the package's _product_sum.  The
+references here are test-only copies of the entrywise-wedge triple loop
+and of the single-loop sandwich, each term mid[k][l] (left[i][k]
+right[l][j]), that they replaced, and the commutator oracle of conftest.
 """
 
 import random
@@ -15,14 +15,14 @@ from fractions import Fraction
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.hermitian import _product_sum, matmul
+from hslab.hermitian import _product_sum
 from hslab.algebroid import QDIM
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
-from conftest import (q_metric, random_form, random_scalar, scalar_commutator,
-                      sparse)
+from conftest import (curvature, forms, matmul, q_metric, random_form,
+                      random_scalar, scalar_commutator, sparse)
 
 
 def _wedge_reference(a, b, zero):
@@ -52,7 +52,9 @@ def _sandwich_reference(left, mid, right, zero):
                     y = right[l][j]
                     if m.is_zero() or y.is_zero():
                         continue
-                    acc = acc + m * (x * y)
+                    xy = x * y
+                    acc = acc + (m * xy if isinstance(m, Scalar)
+                                 else m.scale(xy))
             orow.append(acc)
         out.append(orow)
     return out
@@ -157,10 +159,10 @@ def test_sandwich_by_a_deformed_metric(t0, t1, tau, picard):
         assert s.alpha.sign() < 0
     # the adjoint of the connection's components against the conjugate
     # transpose of its 1-form entries, sandwiched by the single loop
-    A = s.connection.forms()
+    A = forms(s.connection)
     conj_t = [[e.conjugate() for e in col] for col in zip(*A)]
     expect = _sandwich_reference(Hm_inv, conj_t, Hm, zero)
-    assert H.adjoint(s.connection).forms() == expect
-    F = s.connection_curvature
+    assert forms(H.adjoint(s.connection)) == expect
+    F = curvature(s.connection)
     assert matmul(matmul(Hm_inv, F, zero), Hm, zero) == \
         _sandwich_reference(Hm_inv, F, Hm, zero)

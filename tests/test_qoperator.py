@@ -18,15 +18,15 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantVector
-from hslab.hermitian import matmul
 from hslab.algebroid import QDIM, wedge_omega_sq_top
 from hslab.harmonic import (CompatibleMetricH, higgs_dbar_entry,
                             higgs_obstruction_entry)
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
 
-from conftest import (DEFORMED_TAU, dbar_reference, operator_of, q_metric,
-                      random_form, random_scalar, sparse)
+from conftest import (DEFORMED_TAU, dbar_reference, forms, matmul,
+                      operator_of, q_metric, random_form, random_scalar,
+                      sparse)
 
 
 def _adjoint_reference(Q, E):
@@ -44,10 +44,10 @@ def _value_reference(E, vector):
 
 def _top_reference(h, L, pairs):
     """(dL + sum X ^ Y) ^ omega^2, entry by entry, on the 1-form matrices."""
-    zero, out = h.model.zero(), [[e.d() for e in row] for row in L.forms()]
+    zero, out = h.model.zero(), [[e.d() for e in row] for row in forms(L)]
     for X, Y in pairs:
         out = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
-               zip(out, matmul(X.forms(), Y.forms(), zero))]
+               zip(out, matmul(forms(X), forms(Y), zero))]
     return [[h.wedge_omega_sq(f).top_coeff() for f in row] for row in out]
 
 
@@ -66,11 +66,11 @@ def _family(kind):
 def _check_operator(A, H, Q, vectors):
     """Form view, adjoint, parts and values of A against the references;
     Q is the dense metric on Q of H, from q_metric."""
-    E = A.forms()
+    E = forms(A)
     assert operator_of(A.model, E).comps == A.comps
-    assert H.adjoint(A).forms() == _adjoint_reference(Q, E)
+    assert forms(H.adjoint(A)) == _adjoint_reference(Q, E)
     for p, q in ((1, 0), (0, 1)):
-        assert A.part(p, q).forms() == [[e.part(p, q) for e in row]
+        assert forms(A.part(p, q)) == [[e.part(p, q) for e in row]
                                         for row in E]
     for v in vectors:
         assert A.value_at(v) == sparse(_value_reference(E, v))

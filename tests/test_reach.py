@@ -24,8 +24,6 @@ import hslab
 SRC = os.path.dirname(os.path.abspath(hslab.__file__))
 
 LIBRARY_ONLY = {
-    "harmonic.higgs_equation_residuals":
-        "tier-1 oracle of K, I and J",
     "iwasawa.VerificationReport.comparable":
         "report reader: a report without its parameter echo",
     "iwasawa.VerificationReport.from_json":

@@ -18,10 +18,11 @@ from hslab.algebroid import (QDIM, bismut_iso_matrix, extension_class_gamma,
                              he_residual_G, pairing_matrix,
                              wedge_omega_sq_top)
 from hslab.bundles import LineBundleTriple
-from hslab.harmonic import (harmonic_vs_moment_gap, higgs_equation_residuals,
-                            moment_residuals, nabla_H_star)
+from hslab.harmonic import harmonic_vs_moment_gap, moment_residuals, nabla_H_star
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
+
+from conftest import higgs_equation_residuals
 
 TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
 
