@@ -6,11 +6,10 @@ from .cealg import (NilmanifoldModel, InvariantForm, InvariantVector,
                     build_iwasawa_model)
 from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
-                      ch2_constraint, CohClass, degree_and_slope,
-                      SystemParams, hs_residuals, DegenerateCoupling)
-from .algebroid import (QOperator, pairing_matrix, connection_DG,
-                        he_residual_G, dolbeault_Q, extension_class_gamma,
-                        bismut_iso_matrix, subbundle_report)
+                      ch2_constraint, CohClass, SystemParams, hs_residuals,
+                      DegenerateCoupling)
+from .algebroid import (QOperator, connection_DG, he_residual_G,
+                        dolbeault_Q, extension_class_gamma, subbundle_report)
 from .harmonic import (CompatibleMetricH, decompose_unitary,
                        moment_residuals, harmonic_residual, harmonic_criteria,
                        higgs_dbar_entry, higgs_obstruction_entry)

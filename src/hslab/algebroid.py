@@ -22,8 +22,10 @@ in the extension frame, where T* is the span of e_5..e_7 (subbundle_report).
 
 The verifiers here take a SystemParams and read its per-family objects,
 each built once: metric_H, connection (D^G), curvature_omega_sq and
-dolbeault (the Dolbeault operator in the extension frame).  pairing_matrix
-is the C-bilinear pairing of a metric and coupling.
+dolbeault (the Dolbeault operator in the extension frame).  What depends
+on the metric alone is read off the HermitianStructure, built once per
+metric: among it the cotangent span h.cotangent, with its Gram inverse and
+its isotropy verdict under the pairing.
 
 A 1-form-valued operator A = sum_a A^a e_a is a QOperator, six Scalar
 matrices A^a, filled from coefficients and combined component by
@@ -35,7 +37,7 @@ Teleman, The Kobayashi-Hitchin Correspondence, 1995, 1.1), so no
 curvature 2-form is built.
 
 Every Scalar matrix on Q here (a component A^a, value_at, the top-degree
-residuals, the pairing and the Bismut isomorphism) is held in hermitian's
+residuals and the cotangent span) is held in hermitian's
 sparse form, the dict {(i, j): v} of its nonzero entries, and the
 extension class is the dict {(i, j): form} of its nonzero 1-forms: a
 matrix is zero iff its dict is empty.
@@ -48,7 +50,7 @@ from fractions import Fraction
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .hermitian import (_combination, _form_entries, _nonzero, _plus,
-                        _product_sum, matrix_inverse)
+                        _product_sum)
 
 QDIM = 8
 
@@ -121,13 +123,6 @@ def wedge_omega_sq_top(h, L, pairs):
                  _combination(h.omega_sq_lambda, L.comps))
 
 
-def pairing_matrix(h, alpha):
-    """The C-bilinear pairing of Q in the complexified frame: -g_C on T,
-    diag(-alpha, alpha) on End."""
-    return _nonzero({**{k: -x for k, x in h.G6.items()},
-                     (6, 6): -alpha, (7, 7): alpha})
-
-
 def connection_DG(s):
     """The orthogonal connection of the solution, as a QOperator.
 
@@ -190,68 +185,48 @@ def extension_class_gamma(cfg):
     return {k: D.form(*k) for k in block}
 
 
-def bismut_iso_matrix(h):
-    """Scalar matrix of the isomorphism extension frame -> complexified frame."""
-    half, one = Scalar.of(Fraction(1, 2)), Scalar.one()
-    P = {k: one for k in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4))}
-    # xi_k = w_k maps to -(1/2) g^{-1} w_k
-    for (a, k), x in h.Ginv6.items():
-        if k < 3:
-            P[a, 5 + k] = -half * x
-    return P
-
-
 def subbundle_report(s):
     """Isotropy / invariance / slope report of the cotangent subbundle T*.
 
     In the extension frame T* is the span of e_5, e_6, e_7; the Bismut
-    isomorphism P (bismut_iso_matrix) carries it to the span of the columns
-    S = P[:, 5:] in the complexified frame, where the pairing lives; S is
-    the sparse 8 x 3 matrix of those columns, renumbered 0..2.
+    isomorphism P carries it to the span of the columns S = P[:, 5:] in the
+    complexified frame, where the pairing lives.  S has rows in T only, so
+    its metric part is s.h.cotangent (hermitian.metric_span), built once per
+    metric: S, S^dagger H, the Gram inverse and the isotropy verdict.
 
-    * isotropic: S^T . pairing . S = 0, two sparse products.
+    * isotropic: S^T . pairing . S = 0, read off s.h.cotangent.
     * holomorphic_invariant: P is a constant invertible matrix, so the
       transported operator P A P^-1 maps P T* into P T* (x) forms exactly
       when the Dolbeault matrix A maps e_5..e_7 into their span (x) forms,
       that is when rows 0..4 of columns 5..7 of s.dolbeault are zero: one
       block read, the mirror of extension_class_gamma (rows 5..7 of columns
       0..4).  No P^-1 and no solve is needed.
-    * slope: the Chern-Weil slope against [omega^2] (_span_slope).
+    * slope: the Chern-Weil slope against [omega^2] (_span_slope), whose
+      only per-family product is the compressed curvature.
     """
-    S = {(i, j - 5): v for (i, j), v in bismut_iso_matrix(s.h).items()
-         if j >= 5}
-    St = {(j, i): v for (i, j), v in S.items()}
-    gram = _product_sum([(_product_sum([(St, pairing_matrix(s.h, s.alpha),
-                                         1)]), S, 1)])
+    span = s.h.cotangent
     return {
-        "isotropic": not gram,
+        "isotropic": span.isotropic,
         "holomorphic_invariant": not any(i < 5 <= j for m in s.dolbeault.comps
                                          for i, j in m),
-        "slope": _span_slope(s, S),
+        "slope": _span_slope(s, span),
     }
 
 
-def _span_slope(s, S):
-    """Chern-Weil slope against [omega^2] of the subbundle spanned by the
-    columns of S, a sparse 8 x k Scalar matrix whose k columns are nonzero.
+def _span_slope(s, span):
+    """Chern-Weil slope against [omega^2] of the subbundle spanned by the k
+    columns of span.S, a hermitian.MetricSpan (metric_span).
 
     The compressed curvature (S^dagger H S)^-1 S^dagger H F S has trace
     tr(inv M), inv = (S^dagger H S)^-1 and M = S^dagger H F S, so with
     F ^ omega^2 = c e_top the slope is (i/2pi) tr(inv M_c) / c_vol / k,
-    M_c = S^dagger H c S: sparse products to two k x k matrices, no 8x8
-    projector.  Only the k x k Gram matrix is made dense, for
-    matrix_inverse.
+    M_c = S^dagger H c S.  span holds S^dagger H and inv, which depend on
+    the metric alone; per family only M_c is formed, by two sparse
+    products to a k x k matrix, with no 8x8 projector.
     """
-    zero = Scalar.zero()
-    k = len({j for _, j in S})
-    Hm = {(p, q): x for p, row in enumerate(s.metric_H.Hm_rows)
-          for q, x in row}
-    SdH = _product_sum([({(j, i): v.conjugate() for (i, j), v in S.items()},
-                         Hm, 1)])
-    gram = _product_sum([(SdH, S, 1)])
-    inv = matrix_inverse([[gram.get((a, b), zero) for b in range(k)]
-                          for a in range(k)])
-    M = _product_sum([(_product_sum([(SdH, s.curvature_omega_sq, 1)]), S, 1)])
+    inv, k = span.inv, len(span.inv)
+    M = _product_sum([(_product_sum([(span.SdH, s.curvature_omega_sq, 1)]),
+                       span.S, 1)])
     # tr(inv M) = sum_ab inv[a][b] M[b][a]
     trace = Scalar.sum_of_products([(inv[a][b], y, 1)
                                     for (b, a), y in M.items()

@@ -7,8 +7,10 @@ A triple (m,n,p) in Z^3 \\ {0} determines a purely imaginary invariant
 
 the curvature of a Hermitian holomorphic line bundle.  This module houses
 the curvature map, Hermitian-Yang-Mills and Bianchi residuals, the exact
-coupling constant solve, degree/slope pairings against balanced classes
-and the second-Chern-character constraint.
+coupling constant solve, closedness-checked cohomology classes and the
+second-Chern-character constraint.  A line bundle's degree against the
+balanced class [omega^2] is read off its HYM residual F ^ omega^2
+(iwasawa.verify_family).
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
 its compatible metric H, connection D^G, F_{D^G} ^ omega^2, the Dolbeault
@@ -70,15 +72,6 @@ class CohClass:
                 raise ValueError("%s representative is not closed" % flavor)
         self.rep = rep
         self.flavor = flavor
-
-
-def degree_and_slope(c, b, h):
-    """Degree lambda(c ^ b) under the unit-volume normalization: the slope
-    of a line bundle, whose rank is 1."""
-    if c.rep.degree() not in (0, 2) or b.rep.degree() != 4:
-        raise ValueError("slope pairing needs a 2-class against a 4-class")
-    top = c.rep.wedge(b.rep)
-    return h.integrate(top)
 
 
 def ch2_constraint(model, F0, F1):

@@ -18,11 +18,13 @@ matrix_inverse built on it, and matrix_det (forward elimination that stops
 at the first zero column).
 
 A HermitianStructure is finished at construction: it builds everything that
-depends on the metric alone (omega^2, d(omega^2), d^c omega, 2i
-partial(omega), dd^c omega, the volume, the table (e_a ^ e_b ^ omega^2)_top
-and its companion (d e_a ^ omega^2)_top, G6 and Ginv6, the nonzero
-entries of each row of the metric on Q and of each column of its inverse
-on T (Hm_T_rows, Hm_inv_T_cols), what CompatibleMetricH reads, the
+depends on the metric alone (omega^2, d(omega^2), dd^c(omega^2) for the
+Aeppli check of [omega^2], d^c omega, 2i partial(omega), dd^c omega, the
+volume, the table (e_a ^ e_b ^ omega^2)_top and its companion (d e_a ^
+omega^2)_top, G6 and Ginv6, the nonzero entries of each row of the metric
+on Q and of each column of its inverse on T (Hm_T_rows, Hm_inv_T_cols),
+what CompatibleMetricH reads, the cotangent span with its Gram inverse and
+isotropy verdict (a MetricSpan, what subbundle_report reads), the
 Levi-Civita and Bismut connections as one sparse matrix per frame
 direction (what connection_DG reads), the Lee form and its sharp, *d^c
 omega and the Levi-Civita trace of the codifferential) and nothing is
@@ -44,6 +46,7 @@ each signed by Scalar.sign().
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import Scalar
 from .cealg import InvariantForm, InvariantVector, _merge_sign
@@ -205,6 +208,39 @@ def _form_entries(F):
     return out
 
 
+class MetricSpan(NamedTuple):
+    """The metric part of a span of k columns in T (x) C (metric_span)."""
+    S: dict          # the sparse 8 x k matrix of the columns
+    SdH: dict        # S^dagger H, k x 8
+    inv: list        # (S^dagger H S)^-1, dense k x k
+    isotropic: bool  # S^T . pairing . S = 0
+
+
+def metric_span(h, S):
+    """The MetricSpan of the columns of S, a sparse 8 x k Scalar matrix whose
+    k columns are nonzero and whose rows are all in T (indices 0..5).
+
+    H is the metric on Q and the pairing its C-bilinear form, -g_C on T.
+    Neither the |alpha| block of H nor the End block of the pairing meets
+    a row in T, so the span depends on the metric alone: H is read as
+    Hm_T_rows and the pairing as -G6, in sparse products.  Only the k x k
+    Gram matrix is made dense, for matrix_inverse.  A row outside T is a
+    ValueError.
+    """
+    if any(i >= h.model.dim for i, _ in S):
+        raise ValueError("a metric span has rows in T only")
+    zero, k = Scalar.zero(), len({j for _, j in S})
+    Hm = {(p, q): x for p, row in enumerate(h.Hm_T_rows) for q, x in row}
+    SdH = _product_sum([({(j, i): v.conjugate() for (i, j), v in S.items()},
+                         Hm, 1)])
+    gram = _product_sum([(SdH, S, 1)])
+    inv = matrix_inverse([[gram.get((a, b), zero) for b in range(k)]
+                          for a in range(k)])
+    St = {(j, i): v for (i, j), v in S.items()}
+    pairing = _product_sum([(_product_sum([(St, h.G6, -1)]), S, 1)])
+    return MetricSpan(S, SdH, inv, not pairing)
+
+
 class HermitianStructure:
     """A Hermitian metric on an invariant complex model, given by omega.
 
@@ -219,6 +255,12 @@ class HermitianStructure:
     their nonzero entries (g stays for Sylvester's criterion), and
     Hm_T_rows[a] and Hm_inv_T_cols[b] list the nonzero (index, value) of
     row a of the metric on Q and of column b of its inverse on T.
+
+    cotangent is the metric_span of T*, carried to the complexified frame
+    by the Bismut isomorphism: the columns S = -(1/2) g^{-1} w_k, S^dagger
+    H, the 3x3 Gram inverse and the isotropy verdict S^T . pairing . S = 0,
+    none of which meets the coupling.  ddc_omega_sq = dd^c(omega^2) is the
+    Aeppli check of the class [omega^2] that degrees and slopes pair with.
 
     Every member is a plain attribute built here, and nothing writes to the
     structure, to omega or to any member afterwards, so one structure can
@@ -265,8 +307,16 @@ class HermitianStructure:
             self.Hm_T_rows[a].append(((b + n) % dim, x))
         for (a, b), x in self.Ginv6.items():
             self.Hm_inv_T_cols[b].append(((a + n) % dim, x))
+        # T* of the extension frame, carried by the Bismut isomorphism V + xi
+        # -> V - (1/2) g^-1 xi to the columns S[a][k] = -(1/2) Ginv6[a][k],
+        # k < 3, of the complexified frame (algebroid.subbundle_report)
+        m_half = Scalar.of(Fraction(-1, 2))
+        self.cotangent = metric_span(self, {(a, k): m_half * x for (a, k), x
+                                            in self.Ginv6.items() if k < n})
         self.omega_sq = omega.wedge(omega)
         self.d_omega_sq = self.omega_sq.d()
+        # the Aeppli check of the balanced class [omega^2]
+        self.ddc_omega_sq = self.omega_sq.dc().d()
         self.dc_omega = omega.dc()
         # omega is (1,1), so (d^c omega)^{2,1} = -i partial(omega)
         self.two_i_partial_omega = self.dc_omega.part(2, 1).scale(-2)

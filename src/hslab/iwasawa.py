@@ -51,8 +51,7 @@ from .scalars import Scalar
 from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure, _nonzero, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
-                      ch2_constraint, CohClass, degree_and_slope,
-                      SystemParams, hs_residuals)
+                      ch2_constraint, CohClass, SystemParams, hs_residuals)
 from .algebroid import (QDIM, he_residual_G, extension_class_gamma,
                         subbundle_report)
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
@@ -275,8 +274,23 @@ def _scalar_entry(value):
     return {"exact": str(value), "display": repr(value.evalf())}
 
 
+def _degree(h, F, F_omega_sq, i_2pi):
+    """(i/2pi) lambda(F ^ omega^2) of a closed 2-form F, given F ^ omega^2."""
+    CohClass(F)
+    if F.degree() not in (0, 2) or h.omega_sq.degree() != 4:
+        raise ValueError("slope pairing needs a 2-class against a 4-class")
+    return h.integrate(F_omega_sq) * i_2pi
+
+
 def verify_family(candidate: SolutionCandidate) -> VerificationReport:
-    """Run every exact verifier on an assembled family."""
+    """Run every exact verifier on an assembled family.
+
+    What depends on the metric alone is read off s.h, built once per
+    metric: the Aeppli check of [omega^2] (h.ddc_omega_sq, a nonzero one a
+    ValueError) and the cotangent span of subbundle_report.  The degrees
+    of the line bundles are (i/2pi) lambda(F_j ^ omega^2), read off the
+    HYM residuals of hs_residuals, with no second wedge.
+    """
     s = candidate.params
     h = s.h
     cfg = candidate.config
@@ -313,12 +327,16 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     higgs_nonholomorphic = any(not higgs_obstruction_entry(s, i, j).is_zero()
                                for i, j in scan)
 
-    # slope of the cotangent subbundle and degrees of the two line bundles
-    b = CohClass(h.omega_sq, flavor="aeppli")
+    # slope of the cotangent subbundle and degrees of the two line bundles,
+    # all against the balanced class [omega^2], Aeppli-checked once per
+    # metric (h.ddc_omega_sq); a degree is (i/2pi) lambda(F_j ^ omega^2),
+    # read off the HYM residual, with F_j checked to be a closed 2-form
+    if not h.ddc_omega_sq.is_zero():
+        raise ValueError("Aeppli representative is not dd^c-closed")
     rep = subbundle_report(s)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
-    deg0 = degree_and_slope(CohClass(s.F0.scale(i_2pi)), b, h)
-    deg1 = degree_and_slope(CohClass(s.F1.scale(i_2pi)), b, h)
+    deg0, deg1 = (_degree(h, F, F_omega_sq, i_2pi)
+                  for F, F_omega_sq in zip((s.F0, s.F1), hs))
 
     verdicts = {
         "hs_solution": hs_ok,

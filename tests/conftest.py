@@ -3,7 +3,10 @@
 Also the test oracles, among them the dense 8x8 matrices of forms of a Q
 operator (forms, matmul, curvature) and the Higgs-type form of the moment
 maps (higgs_equation_residuals): the package holds each Q operator only as
-its sparse components.
+its sparse components.  The pairing of Q (pairing_matrix), the Bismut
+isomorphism (bismut_iso_matrix) and the degree pairing of two classes
+(degree_and_slope) are oracles of what the package reads off the metric
+(h.cotangent) and off the HYM residuals (the report's degrees).
 """
 
 import json
@@ -14,7 +17,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
-from hslab.hermitian import HermitianStructure
+from hslab.hermitian import HermitianStructure, _nonzero
 from hslab.algebroid import QDIM, QOperator, wedge_omega_sq_top
 from hslab.harmonic import higgs_dbar_entry
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
@@ -152,6 +155,34 @@ def q_metric(h, alpha):
     for e in (6, 7):
         Hm[e][e], Hm_inv[e][e] = aabs, Scalar.one() / aabs
     return Hm, Hm_inv
+
+
+def pairing_matrix(h, alpha):
+    """The C-bilinear pairing of Q in the complexified frame, sparse: -g_C
+    on T, diag(-alpha, alpha) on End."""
+    return _nonzero({**{k: -x for k, x in h.G6.items()},
+                     (6, 6): -alpha, (7, 7): alpha})
+
+
+def bismut_iso_matrix(h):
+    """The sparse Scalar matrix P of the Bismut isomorphism, extension frame
+    -> complexified frame: V + xi -> V - (1/2) g^{-1} xi."""
+    half, one = Scalar.of(Fraction(1, 2)), Scalar.one()
+    P = {k: one for k in ((0, 0), (1, 1), (2, 2), (6, 3), (7, 4))}
+    # xi_k = w_k maps to -(1/2) g^{-1} w_k
+    for (a, k), x in h.Ginv6.items():
+        if k < 3:
+            P[a, 5 + k] = -half * x
+    return P
+
+
+def degree_and_slope(c, b, h):
+    """Degree lambda(c ^ b) of a 2-class c against a 4-class b under the
+    unit-volume normalization, by its own wedge: the slope of a line
+    bundle, whose rank is 1."""
+    if c.rep.degree() not in (0, 2) or b.rep.degree() != 4:
+        raise ValueError("slope pairing needs a 2-class against a 4-class")
+    return h.integrate(c.rep.wedge(b.rep))
 
 
 def hermitian_matrix(t):

@@ -8,8 +8,8 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
-                           hs_residuals, CohClass, degree_and_slope)
-from hslab.algebroid import QDIM, connection_DG, he_residual_G, pairing_matrix
+                           hs_residuals, CohClass)
+from hslab.algebroid import QDIM, connection_DG, he_residual_G
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
                             harmonic_residual, harmonic_criteria,
                             harmonic_vs_moment_gap, higgs_dbar_entry)
@@ -17,8 +17,9 @@ from hslab.iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
                            make_family, verify_family)
 from hslab.cli import main
 
-from conftest import (curvature, dense, forms, make_params, random_pair,
-                      random_form, split_curvature, sweep_records)
+from conftest import (curvature, degree_and_slope, dense, forms,
+                      make_params, pairing_matrix, random_pair, random_form,
+                      split_curvature, sweep_records)
 
 
 def _report(capsys, num, ok):

@@ -7,19 +7,20 @@ from types import SimpleNamespace
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.hermitian import HermitianStructure, matrix_inverse, solve
+from hslab.hermitian import (HermitianStructure, matrix_inverse,
+                             metric_span, solve)
 from hslab.algebroid import (QDIM, connection_DG, he_residual_G,
                              dolbeault_Q, extension_class_gamma,
-                             bismut_iso_matrix, pairing_matrix,
                              subbundle_report, wedge_omega_sq_top,
                              _span_slope)
 from hslab.bundles import LineBundleTriple
 from hslab.harmonic import CompatibleMetricH
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
-from conftest import (DEFORMED_TAU, curvature, dense, forms, make_params,
-                      matmul, matrix_is_zero, operator_of, q_metric,
-                      random_form, random_pair, scalar_product, sparse)
+from conftest import (DEFORMED_TAU, bismut_iso_matrix, curvature, dense,
+                      forms, make_params, matmul, matrix_is_zero, operator_of,
+                      pairing_matrix, q_metric, random_form, random_pair,
+                      scalar_product, sparse)
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +87,54 @@ def test_he_residual_randomized(model, h0, Omega, rng):
 
 
 def test_bismut_iso_columns(model, h0):
-    P = dense(bismut_iso_matrix(h0))
     # for the standard metric, the coframe directions map to -Z_{k'}
-    for k in range(3):
-        col = [P[a][5 + k] for a in range(QDIM)]
-        expect = [Scalar.zero()] * QDIM
-        expect[3 + k] = -Scalar.one()
-        assert col == expect
+    assert h0.cotangent.S == {(3 + k, k): -Scalar.one() for k in range(3)}
+
+
+def _cotangent_columns(h):
+    """The dense 8 x 3 columns P[:, 5:] of the Bismut isomorphism oracle."""
+    return [row[5:] for row in dense(bismut_iso_matrix(h))]
+
+
+def test_cotangent_span_is_built_with_the_metric(oracle_metrics):
+    # S, S^dagger H and the Gram inverse, held by the structure, against
+    # the Bismut isomorphism and the metric on Q by their definitions; the
+    # |alpha| of H never meets S, so any coupling gives the same values
+    for h in oracle_metrics:
+        S = _cotangent_columns(h)
+        assert h.cotangent.S == sparse(S)
+        Sd = [[c.conjugate() for c in col] for col in zip(*S)]
+        for alpha in (Scalar.of(3), Scalar.of(Fraction(-2, 7), k=-2)):
+            SdH = scalar_product(Sd, q_metric(h, alpha)[0])
+            assert h.cotangent.SdH == sparse(SdH)
+            assert h.cotangent.inv == matrix_inverse(scalar_product(SdH, S))
+
+
+def _isotropic_oracle(h, S, alpha):
+    """S^T . pairing . S = 0, with the End block of the pairing included."""
+    St = [list(col) for col in zip(*S)]
+    return matrix_is_zero(scalar_product(
+        scalar_product(St, dense(pairing_matrix(h, alpha))), S))
+
+
+@pytest.mark.parametrize("kind", ["flat", "picard", "deformed"])
+def test_isotropy_is_decided_once_per_metric(kind):
+    s = _family(kind)
+    # a span that is not isotropic: Z_1 + Z_1', Z_2
+    tangent = [[Scalar.of(x) for x in row] for row in zip(
+        [1, 0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0])]
+    for alpha in (s.alpha, -s.alpha):
+        assert s.h.cotangent.isotropic == _isotropic_oracle(
+            s.h, _cotangent_columns(s.h), alpha) is True
+        assert metric_span(s.h, sparse(tangent)).isotropic \
+            == _isotropic_oracle(s.h, tangent, alpha) is False
+    assert subbundle_report(s)["isotropic"] is s.h.cotangent.isotropic
+
+
+def test_a_metric_span_has_rows_in_t_only(h0):
+    # a column with an End entry would meet |alpha|: not a metric object
+    with pytest.raises(ValueError):
+        metric_span(h0, {(0, 0): Scalar.one(), (6, 0): Scalar.one()})
 
 
 def test_extension_class(std):
@@ -236,7 +278,7 @@ def test_slope_is_the_trace_of_the_compression():
         c1 = _compressed_trace(s, S).scale(i_2pi)
         expect = s.h.integrate(c1.wedge(s.h.omega_sq)) \
             * Scalar.of(Fraction(1, len(S[0])))
-        slopes.append(_span_slope(s, sparse(S)))
+        slopes.append(_span_slope(s, metric_span(s.h, sparse(S))))
         assert slopes[-1] == expect
         assert not expect.is_zero()
     assert slopes[0] == Scalar.pi(-1, Fraction(-2480, 15123))

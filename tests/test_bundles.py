@@ -6,14 +6,14 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
-                           CohClass,
-                           degree_and_slope, ch2_constraint, alpha_solve,
+                           CohClass, ch2_constraint, alpha_solve,
                            DegenerateCoupling, SystemParams, hs_residuals)
 
 from hslab.iwasawa import FamilyConfig, make_family
 
-from conftest import (hermitian_curvature, hermitian_matrix, make_params,
-                      random_pair, random_triple)
+from conftest import (degree_and_slope, hermitian_curvature,
+                      hermitian_matrix, make_params, random_pair,
+                      random_triple)
 
 
 def test_triple_validation():

@@ -188,7 +188,8 @@ def test_metric_objects_are_built_once(model):
     # every member is a plain attribute, built with the structure
     members = ("omega_sq_table", "omega_sq_lambda", "levi_civita", "bismut",
                "lee_form", "lee_sharp", "star_dc_omega", "lc_trace", "G6",
-               "Ginv6", "Hm_T_rows", "Hm_inv_T_cols")
+               "Ginv6", "Hm_T_rows", "Hm_inv_T_cols", "cotangent",
+               "ddc_omega_sq")
     assert set(members) <= set(vars(h))
     assert not any(callable(getattr(h, name)) for name in members)
     # a second structure on the same metric builds its own, equal, objects

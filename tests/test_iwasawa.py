@@ -14,7 +14,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
-from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
+from hslab.bundles import (LineBundleTriple, CohClass, DegenerateCoupling,
                            hs_residuals)
 from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
@@ -27,7 +27,8 @@ from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            VerificationReport, omega0_structure)
 from hslab.cli import run_selftest
 
-from conftest import dbar_reference, random_pair, random_scalar, sweep_records
+from conftest import (dbar_reference, degree_and_slope, random_pair,
+                      random_scalar, sweep_records)
 
 # sha256 of verify_family(...).to_json() for a flat, a Picard-twisted and a
 # deformed family, recorded from code whose verifiers each built their own
@@ -518,6 +519,59 @@ def test_verify_family_sums_products_in_the_kernel(monkeypatch):
     assert 0 < len(calls) <= KERNEL_REACH_CEILING
 
 
+def _count_inverses(monkeypatch):
+    """Patch matrix_inverse at every hslab binding; the list of the sizes
+    of the matrices it is then called on."""
+    real = hermitian.matrix_inverse
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    bindings = [name for name, mod in list(sys.modules.items())
+                if name.split(".")[0] == "hslab"
+                and getattr(mod, "matrix_inverse", None) is real]
+    assert {"hslab.hermitian", "hslab.iwasawa"} <= set(bindings)
+    for name in bindings:
+        monkeypatch.setattr(sys.modules[name], "matrix_inverse", counted)
+    return sizes
+
+
+def test_flat_verify_family_reads_the_metric_parts_off_omega0(monkeypatch):
+    # the cotangent span's Gram inverse and the dd^c check of omega^2 are
+    # members of the shared omega_0 structure: verifying a flat family
+    # inverts no matrix and takes no d^c
+    cand = _family((1, 2, 2), (2, -1, 0))
+    assert cand.params.h is omega0_structure()
+    sizes, dc_calls = _count_inverses(monkeypatch), []
+    dc = InvariantForm.dc
+
+    def counted_dc(self):
+        dc_calls.append(self)
+        return dc(self)
+
+    monkeypatch.setattr(InvariantForm, "dc", counted_dc)
+    verify_family(cand)
+    assert sizes == [] and dc_calls == []
+
+
+def test_degrees_are_read_off_the_hym_residuals():
+    # on the uncorrected deformed family F_j ^ omega^2 != 0, so the degrees
+    # read off hs_residuals are checked on nonzero values against the
+    # pairing of the two classes by its own wedge
+    tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
+    cand = _family((1, 1, 0), (1, 0, 0), tau=tau, correct=False)
+    s, scalars = cand.params, verify_family(cand).scalars
+    b = CohClass(s.h.omega_sq, flavor="aeppli")
+    i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
+    for name, F in (("degree_L0", s.F0), ("degree_L1", s.F1)):
+        expect = degree_and_slope(CohClass(F.scale(i_2pi)), b, s.h)
+        assert not expect.is_zero()
+        assert scalars[name] == {"exact": str(expect),
+                                 "display": repr(expect.evalf())}
+
+
 def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
     degrees = []
     star_image = hermitian.HermitianStructure._star_image
@@ -530,23 +584,11 @@ def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
                         counted_image)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
-    real = hermitian.matrix_inverse
-    sizes = []
-
-    def counted(rows):
-        sizes.append(len(rows))
-        return real(rows)
-
-    bindings = [name for name, mod in list(sys.modules.items())
-                if name.split(".")[0] == "hslab"
-                and getattr(mod, "matrix_inverse", None) is real]
-    assert {"hslab.hermitian", "hslab.algebroid", "hslab.iwasawa"} \
-        <= set(bindings)
-    for name in bindings:
-        monkeypatch.setattr(sys.modules[name], "matrix_inverse", counted)
+    sizes = _count_inverses(monkeypatch)
     verify_family(cand)
-    # the span Gram of the cotangent slope; no 6x6 or 8x8 elimination
-    assert len(sizes) <= 2 and all(n <= 3 for n in sizes)
+    # the cotangent span's Gram inverse is built with the metric: verify
+    # runs no elimination at all
+    assert sizes == []
     # the Lee form comes from d(omega^2): no 2-form image of omega is
     # starred, only those of the 3-form d^c omega
     assert degrees and all(k == 3 for k in degrees)

@@ -14,8 +14,7 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantVector
 from hslab.hermitian import _plus
-from hslab.algebroid import (QDIM, bismut_iso_matrix, extension_class_gamma,
-                             he_residual_G, pairing_matrix,
+from hslab.algebroid import (QDIM, extension_class_gamma, he_residual_G,
                              wedge_omega_sq_top)
 from hslab.bundles import LineBundleTriple
 from hslab.harmonic import harmonic_vs_moment_gap, moment_residuals, nabla_H_star
@@ -57,8 +56,8 @@ def _scalar_matrices(s):
         out["value_at_%d" % k] = Psi.value_at(v)
     out["wedge_omega_sq_top"] = wedge_omega_sq_top(s.h, Psi, [(B, Psi),
                                                              (Psi, B)])
-    out["pairing_matrix"] = pairing_matrix(s.h, s.alpha)
-    out["bismut_iso_matrix"] = bismut_iso_matrix(s.h)
+    out["cotangent_S"] = s.h.cotangent.S
+    out["cotangent_SdH"] = s.h.cotangent.SdH
     higgs = higgs_equation_residuals(s)
     for name in ("K", "IJ_curvature", "IJ_mixed",
                  "holomorphicity_obstruction"):
@@ -76,7 +75,7 @@ def test_scalar_matrices_hold_only_nonzero_entries(kind):
     for name, m in matrices.items():
         assert _is_sparse(m), name
     # a nonzero residual is a nonempty dict, on every family
-    assert matrices["pairing_matrix"] and matrices["bismut_iso_matrix"]
+    assert matrices["cotangent_S"] and matrices["cotangent_SdH"]
     assert matrices["higgs_holomorphicity_obstruction"]
     gamma = extension_class_gamma(s)
     assert gamma and _is_sparse(gamma, lambda f: not f.is_zero())
