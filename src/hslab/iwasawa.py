@@ -327,10 +327,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     higgs_nonholomorphic = any(not higgs_obstruction_entry(s, i, j).is_zero()
                                for i, j in scan)
 
-    # slope of the cotangent subbundle and degrees of the two line bundles,
-    # all against the balanced class [omega^2], Aeppli-checked once per
-    # metric (h.ddc_omega_sq); a degree is (i/2pi) lambda(F_j ^ omega^2),
-    # read off the HYM residual, with F_j checked to be a closed 2-form
+    # slope of the cotangent subbundle and degrees of the two line bundles
     if not h.ddc_omega_sq.is_zero():
         raise ValueError("Aeppli representative is not dd^c-closed")
     rep = subbundle_report(s)

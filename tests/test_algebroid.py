@@ -118,7 +118,7 @@ def _isotropic_oracle(h, S, alpha):
 
 
 @pytest.mark.parametrize("kind", ["flat", "picard", "deformed"])
-def test_isotropy_is_decided_once_per_metric(kind):
+def test_isotropy_flag_matches_the_full_pairing(kind):
     s = _family(kind)
     # a span that is not isotropic: Z_1 + Z_1', Z_2
     tangent = [[Scalar.of(x) for x in row] for row in zip(
