@@ -34,7 +34,8 @@ entry) and tests read its entries as 1-forms.  Every top-degree residual
 reads through one pairing, wedge_omega_sq_top: the HE residual and the
 slope read the curvature of D^G only through F ^ omega^2 (Luebke &
 Teleman, The Kobayashi-Hitchin Correspondence, 1995, 1.1), so no
-curvature 2-form is built.
+curvature 2-form is built, and the whole Higgs obstruction dbar_Q phi ^
+omega^2 is one call (harmonic.higgs_obstruction).
 
 Every Scalar matrix on Q here (a component A^a, value_at, the top-degree
 residuals and the cotangent span) is held in hermitian's
@@ -93,12 +94,6 @@ class QOperator:
     def value_at(self, vector):
         """sum_a v^a A^a, the Scalar matrix of A on the vector v."""
         return _combination(vector.coeffs, self.comps)
-
-    def restricted(self, rows, cols):
-        """The operator with its entries outside rows x cols set to zero."""
-        return QOperator(self.model, [
-            {k: v for k, v in m.items() if k[0] in rows and k[1] in cols}
-            for m in self.comps])
 
     def form(self, i, j):
         """The 1-form sum_a A^a_ij e_a at entry (i, j)."""

@@ -11,10 +11,10 @@ A model is built from its structure constants: for each generator with a
 nonzero differential, the map from increasing index pairs to the Scalar
 coefficients of its image, as build_iwasawa_model does for d w3 = w1 ^ w2.
 The model keeps them as the forms diff[c] = d w_c, which also give the
-brackets of the dual frame ([Z_a, Z_b]^c = -d w_c(Z_a, Z_b)), and nothing
-writes to it after construction, so one model serves every metric and
-family on it.  d takes each term of a form apart by the graded Leibniz
-rule, with no cache.
+brackets of the dual frame ([Z_a, Z_b]^c = -d w_c(Z_a, Z_b)) and the
+1-form ad_trace, and nothing writes to it after construction, so one model
+serves every metric and family on it.  d takes each term of a form apart
+by the graded Leibniz rule, with no cache.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ class NilmanifoldModel:
 
     The differentials are the structure constants: by Maurer-Cartan a term
     v e_a ^ e_b (a < b) of d w_c is [Z_a, Z_b]^c = -v, which is how the
-    metric layer reads brackets.  A model is immutable after construction.
+    metric layer reads brackets.  ad_trace is the metric-free 1-form W ->
+    tr ad_W = -sum_a d w_a(W, Z_a), zero on a unimodular (e.g. nilpotent)
+    algebra.  A model is immutable after construction.
     """
 
     def __init__(self, n, diff_terms):
@@ -98,6 +100,15 @@ class NilmanifoldModel:
             elif ca in diff_terms and a not in diff_terms:
                 self.diff[a] = self.diff[ca].conjugate()
         self._check()
+        # a term v e_x ^ e_y of d w_a adds -d w_a(Z_c, Z_a) to tr ad_{Z_c}:
+        # -v at c = x when y = a, and v at c = y when x = a
+        trace = {}
+        for a, dw in enumerate(self.diff):
+            for (x, y), v in dw.terms.items():
+                if a in (x, y):
+                    c, v = ((x,), -v) if y == a else ((y,), v)
+                    trace[c] = trace[c] + v if c in trace else v
+        self.ad_trace = InvariantForm(self, trace)
 
     def _check(self):
         for a in range(self.dim):

@@ -12,16 +12,16 @@ two curvatures) are exposed for cross-checks.
 
 The adjoint, the splittings and the contraction with a vector act on the
 components of QOperators.  The top-degree residuals (I, the gap's star
-term, dbar_Q phi ^ omega^2) read through the pairing wedge_omega_sq_top;
-the Higgs obstruction is read entry by entry (higgs_obstruction_entry), and
-only the dbar_phi_23 witness builds a 2-form (higgs_dbar_entry).
+term, the whole Higgs obstruction dbar_Q phi ^ omega^2) read through the
+pairing wedge_omega_sq_top; only the dbar_phi_23 witness builds a 2-form
+(higgs_dbar_entry).
 
 Every residual reads its SystemParams' per-family objects (metric,
 connection, splittings), each built once per family, and the metric's
 members (Lee form and its sharp, *d^c omega, the Levi-Civita trace), built
 once per metric when its HermitianStructure is.  Harmonicity reads K
-alone, so moment_residuals builds I and J only when they are first looked
-up.
+alone, so moment_residuals builds K alone; moment_I and moment_J build
+the other two, each on its own call.
 
 K adds the Lee-form term i_{theta^sharp} Psi and J subtracts
 i_{J theta^sharp} Psi.  Both are zero on every family a command builds:
@@ -33,7 +33,8 @@ model with a nonzero Lee form gets the full residuals.
 K and J both go through nabla_H_star, the codifferential of nabla^H.  It
 contracts with the inverse metric, sums the commutators as sparse products
 of components and adds the contracted Levi-Civita trace (the metric's
-lc_trace) as one term, computed rather than assumed to be zero.
+lc_trace, the sharp of tr ad) as one term, computed rather than assumed to
+be zero.
 """
 
 from __future__ import annotations
@@ -145,11 +146,13 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
 
     V^a reads row a of the sparse h.Ginv6, and the commutators are one sum
     of sparse products, V^a B^a with sign +1 and B^a V^a with sign -1.
-    The trace g^c (h.lc_trace, built with the metric) is tr ad_{Z_c}, zero
-    on a unimodular (e.g. nilpotent) algebra (Milnor, Adv. Math. 21, 1976),
-    so on the Iwasawa model the second sum adds nothing; it is still
-    computed, not assumed, so any NilmanifoldModel whose algebra is not
-    unimodular gets the full codifferential.
+    The trace g^c needs no Gamma: by Koszul's formula on invariant fields
+    g(sum_{ab} Ginv[a][b] nabla_{Z_a} Z_b, W) = tr ad_W (Milnor, Adv.
+    Math. 21, 1976), so g^c is h.lc_trace, the sharp of the model's
+    ad_trace.  It is zero on a unimodular (e.g. nilpotent) algebra, so on
+    the Iwasawa model the second sum adds nothing; it is still computed,
+    not assumed, so any NilmanifoldModel whose algebra is not unimodular
+    gets the full codifferential.
     """
     Ginv, zero, r = s.h.Ginv6, Scalar.zero(), range(len(T.comps))
     VB = [(_combination([Ginv.get((a, b), zero) for b in r], T.comps), Ba)
@@ -159,7 +162,14 @@ def nabla_H_star(s, B: QOperator, T: QOperator):
                  _combination(s.h.lc_trace, T.comps))
 
 
-def _j_residual(s):
+def moment_I(s):
+    """I: (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B, the sparse
+    matrix of its top-form coefficients."""
+    B, Psi = s.unitary_split
+    return wedge_omega_sq_top(s.h, B, [(B, B), (Psi, Psi)])
+
+
+def moment_J(s):
     """J: (nabla^H)^* (J Psi) - i_{J theta^sharp} Psi, J Psi = i Psi^{1,0}
     - i Psi^{0,1}."""
     B, Psi = s.unitary_split
@@ -168,47 +178,17 @@ def _j_residual(s):
     return _plus(nabla_H_star(s, B, JPsi), {k: -v for k, v in iota.items()})
 
 
-class _MomentResiduals(dict):
-    """The moment-map residuals, with I and J built on first lookup.
-
-    K is stored at construction.  Indexing "I" or "J" builds that residual
-    from the family's unitary decomposition, stores it and returns it.  A
-    residual not yet indexed is not a key, so len(), iteration and get()
-    see only what has been built.
-    """
-
-    def __init__(self, s, K):
-        super().__init__(K=K)
-        self._s = s
-
-    def __missing__(self, key):
-        s = self._s
-        if key == "I":
-            # (F_B + Psi ^ Psi) ^ omega^2 with F_B = dB + B ^ B
-            B, Psi = s.unitary_split
-            value = wedge_omega_sq_top(s.h, B, [(B, B), (Psi, Psi)])
-        elif key == "J":
-            value = _j_residual(s)
-        else:
-            raise KeyError(key)
-        self[key] = value
-        return value
-
-
 def moment_residuals(s):
-    """The three moment-map residuals of the canonical connection.
+    """{"K": K}, K the moment-map residual of the canonical connection, a
+    sparse 8x8 Scalar matrix {(i, j): v} of its nonzero entries.
 
-    Each is a sparse 8x8 Scalar matrix {(i, j): v} of its nonzero entries,
-    I that of its top-form coefficients.
-    All vanish exactly iff the connection is a critical point compatible
-    with the full hyperkaehler-type system.  Only K is computed here; I and
-    J are built when first indexed, so a caller reading K alone pays for K
-    alone.
+    With I (moment_I) and J (moment_J) it vanishes exactly iff the
+    connection is a critical point compatible with the full
+    hyperkaehler-type system; harmonicity reads K alone.
     """
     B, Psi = s.unitary_split
     # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
-    K_res = _plus(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))
-    return _MomentResiduals(s, K_res)
+    return {"K": _plus(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))}
 
 
 def harmonic_residual(s):
@@ -247,7 +227,7 @@ def harmonic_vs_moment_gap(s):
     c = wedge_omega_sq_top(h, Psi, [(B, Psi), (Psi, B)])
     unit = h.star(s.model.basis_form(s.model.top_index())).terms.get((), zero) \
         * Scalar.of(Fraction(1, 2))
-    return _plus(_j_residual(s), _combination([-unit], [c]))
+    return _plus(moment_J(s), _combination([-unit], [c]))
 
 
 def higgs_dbar_entry(s, i, j):
@@ -266,16 +246,13 @@ def higgs_dbar_entry(s, i, j):
     return out
 
 
-def higgs_obstruction_entry(s, i, j):
-    """c with (dbar_Q phi)_ij ^ omega^2 = c e_top, through the pairing.
+def higgs_obstruction(s):
+    """The sparse Scalar matrix c with dbar_Q phi ^ omega^2 = c e_top,
+    through the pairing.
 
     Only the mixed pairs survive ^ omega^2, so the (1,1) projection drops
-    out: the pairing on row i of the left factors and column j of the
-    right ones builds no 2-form.
+    out and no 2-form is built.
     """
     C, phi = s.chern_split
-    A, r = C.part(0, 1), range(QDIM)
-    c = wedge_omega_sq_top(s.h, phi.restricted([i], [j]), [
-        (A.restricted([i], r), phi.restricted(r, [j])),
-        (phi.restricted([i], r), A.restricted(r, [j]))])
-    return c.get((i, j), Scalar.zero())
+    A = C.part(0, 1)
+    return wedge_omega_sq_top(s.h, phi, [(A, phi), (phi, A)])

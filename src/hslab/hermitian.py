@@ -4,8 +4,7 @@ Everything is driven by a Hermitian fundamental form omega: the complexified
 Gram matrix G6 = [[0, g], [g^T, 0]] and its inverse Ginv6 from the 3x3
 inverse of g, each held once as a sparse matrix, a C-bilinear Hodge star,
 the Lee form J d^* omega from d(omega^2), double metric contractions of
-2-forms, and the Levi-Civita / Bismut connection coefficients on the
-invariant frame.
+2-forms, and the Bismut connection coefficients on the invariant frame.
 
 The module also holds the package's one exact linear-algebra core.  A
 Scalar matrix is held sparse, as the dict {(i, j): v} of its nonzero
@@ -24,15 +23,15 @@ volume, the table (e_a ^ e_b ^ omega^2)_top and its companion (d e_a ^
 omega^2)_top, G6 and Ginv6, the nonzero entries of each row of the metric
 on Q and of each column of its inverse on T (Hm_T_rows, Hm_inv_T_cols),
 what CompatibleMetricH reads, the cotangent span with its Gram inverse and
-isotropy verdict (a MetricSpan, what subbundle_report reads), the
-Levi-Civita and Bismut connections as one sparse matrix per frame
-direction (what connection_DG reads), the Lee form and its sharp, *d^c
-omega and the Levi-Civita trace of the codifferential) and nothing is
+isotropy verdict (a MetricSpan, what subbundle_report reads), the Bismut
+connection as one sparse matrix per frame direction (what connection_DG
+reads), the Lee form and its sharp, *d^c omega and the Levi-Civita trace
+of the codifferential, the sharp of the model's ad_trace) and nothing is
 written to it afterwards, so one structure serves every verifier and family
-of its metric.  The connections come from the terms of the model's d w_c
-(the brackets) paired with G6 and, for Bismut, the terms of d^c omega,
-raised by Ginv6 in one sparse product each; the table is read off the terms
-of omega^2, so their cost follows the nonzero structure constants.
+of its metric.  The connection comes from the terms of the model's d w_c
+(the brackets) paired with G6 and the terms of d^c omega, raised by Ginv6
+in one sparse product; the table is read off the terms of omega^2, so
+their cost follows the nonzero structure constants.
 wedge_omega_sq is the wedge with omega^2; star builds the image of each
 basis form e_J on every call: the volume contracted by the metric duals
 (sharp) of the factors of e_J, in order.
@@ -246,15 +245,22 @@ class HermitianStructure:
 
     The model must have complex dimension n = 3; any other is a ValueError.
 
-    The connections levi_civita and bismut hold, for each frame direction
-    a, the sparse matrix {(d, b): Gamma^d_{ab}} of nabla_{Z_a} (so
-    nabla_{Z_a} Z_b = Gamma^d_{ab} Z_d): the components connection_DG puts
-    on T.  They are their only form.
+    The Bismut connection bismut holds, for each frame direction a, the
+    sparse matrix {(d, b): Gamma^d_{ab}} of nabla_{Z_a} (so nabla_{Z_a} Z_b
+    = Gamma^d_{ab} Z_d): the components connection_DG puts on T.  It is
+    its only form.
 
     So is the metric: G6 and Ginv6 are sparse matrices {(a, b): v} of
     their nonzero entries (g stays for Sylvester's criterion), and
     Hm_T_rows[a] and Hm_inv_T_cols[b] list the nonzero (index, value) of
     row a of the metric on Q and of column b of its inverse on T.
+
+    No Levi-Civita connection is built.  Its one reader is the trace
+    lc_trace = sum_{ab} g^{ab} nabla_{Z_a} Z_b of the codifferential, and
+    by Koszul's formula on invariant fields g(lc_trace, W) = tr ad_W
+    (Milnor, Curvatures of left invariant metrics on Lie groups, Adv.
+    Math. 21, 1976), so lc_trace is the sharp of the model's metric-free
+    1-form ad_trace.
 
     cotangent is the metric_span of T*, carried to the complexified frame
     by the Bismut isomorphism: the columns S = -(1/2) g^{-1} w_k, S^dagger
@@ -324,7 +330,7 @@ class HermitianStructure:
         self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
         self.c_vol = self.volume.top_coeff()
         self.omega_sq_table = self._omega_sq_table()
-        self.levi_civita, self.bismut = self._connections()
+        self.bismut = self._bismut()
         # lam[a] = (d e_a ^ omega^2)_top, read through the table
         W = self.omega_sq_table
         self.omega_sq_lambda = [sum((v * W[b][c] for (b, c), v in
@@ -336,14 +342,8 @@ class HermitianStructure:
             -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
         self.lee_sharp = self.sharp(self.lee_form)
         self.star_dc_omega = self.star(self.dc_omega)
-        # g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab}, over the nonzero Gamma^c_{ab}
-        trace = [[] for _ in range(dim)]
-        for a, m in enumerate(self.levi_civita):
-            for (c, b), v in m.items():
-                g = self.Ginv6.get((a, b))
-                if g is not None:
-                    trace[c].append((g, v, 1))
-        self.lc_trace = [Scalar.sum_of_products(t) for t in trace]
+        # g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab} of Levi-Civita, by Koszul
+        self.lc_trace = self.sharp(model.ad_trace).coeffs
 
     def _certify_positive(self):
         """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
@@ -441,20 +441,21 @@ class HermitianStructure:
         return Scalar.sum_of_products([(m, Gv[k], 1) for k, m in M.items()
                                        if k in Gv])
 
-    # -- connections --------------------------------------------------------
+    # -- connection ---------------------------------------------------------
 
-    def _connections(self):
-        """The Levi-Civita and Bismut connections, each as one product.
+    def _bismut(self):
+        """The Bismut connection nabla^- = nabla + (1/2) g^{-1} d^c omega
+        (Levi-Civita nabla plus a totally skew torsion), as one product.
 
         Koszul's formula on invariant fields (derivative terms vanish) reads
         g(nabla_{Z_a} Z_b, Z_z) = P_abz - P_bza + P_zab with P_xyz =
         (1/2) g([Z_x, Z_y], Z_z), and [Z_x, Z_y]^c = -d w^c(Z_x, Z_y): the
         terms of the d w^c paired with G6 give every nonzero P_xyz, and the
         three Koszul terms are P with its keys permuted, each raised by
-        Ginv6.  The Bismut connection nabla^- = nabla + (1/2) g^{-1} d^c
-        omega (totally skew torsion) adds the rows (1/2) d^c omega(Z_a, Z_b,
-        Z_z), read off the terms of d^c omega, to the same product.  So the
-        cost follows the nonzero structure constants and torsion terms.
+        Ginv6.  The torsion adds the rows (1/2) d^c omega(Z_a, Z_b, Z_z),
+        read off the terms of d^c omega, to the same product, whose entry
+        (d, (a, b)) goes to the matrix of direction a.  So the cost follows
+        the nonzero structure constants and torsion terms.
         """
         half = Scalar.of(Fraction(1, 2))
         brackets = {}  # ((x, y), c): (1/2) [Z_x, Z_y]^c
@@ -473,11 +474,7 @@ class HermitianStructure:
             v = half * v
             for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
                 torsion[z, (a, b)], torsion[z, (b, a)] = v, -v
-        return (self._by_direction(_product_sum(koszul)),
-                self._by_direction(_product_sum(koszul + [(Ginv, torsion, 1)])))
-
-    def _by_direction(self, gamma):
-        """{(d, (a, b)): Gamma^d_ab} as one matrix {(d, b): Gamma^d_ab} per a."""
+        gamma = _product_sum(koszul + [(Ginv, torsion, 1)])
         out = [{} for _ in range(self.model.dim)]
         for (d, (a, b)), v in gamma.items():
             out[a][d, b] = v

@@ -52,10 +52,9 @@ from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure, _nonzero, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
                       ch2_constraint, CohClass, SystemParams, hs_residuals)
-from .algebroid import (QDIM, he_residual_G, extension_class_gamma,
-                        subbundle_report)
+from .algebroid import he_residual_G, extension_class_gamma, subbundle_report
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
-                       higgs_obstruction_entry)
+                       higgs_obstruction)
 
 
 def su3_structure(model):
@@ -289,7 +288,9 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     metric: the Aeppli check of [omega^2] (h.ddc_omega_sq, a nonzero one a
     ValueError) and the cotangent span of subbundle_report.  The degrees
     of the line bundles are (i/2pi) lambda(F_j ^ omega^2), read off the
-    HYM residuals of hs_residuals, with no second wedge.
+    HYM residuals of hs_residuals, with no second wedge.  The Higgs verdict
+    reads entry (6,7) of dbar_Q phi ^ omega^2 off the dbar_phi_23 witness
+    and builds the whole matrix (higgs_obstruction) only when it is zero.
     """
     s = candidate.params
     h = s.h
@@ -319,13 +320,11 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
                                      extension_class_gamma(s)))
     gamma_nonzero = not residuals[-1]["zero"]
 
-    # dbar_Q phi ^ omega^2 != 0?  Entry (6,7), the witness, nearly always
-    # decides; the rest are scanned in row order until one is nonzero
-    residuals.append(_residual_entry("dbar_phi_23", higgs_dbar_entry(s, 6, 7)))
-    scan = [(6, 7)] + [(i, j) for i in range(QDIM) for j in range(QDIM)
-                       if (i, j) != (6, 7)]
-    higgs_nonholomorphic = any(not higgs_obstruction_entry(s, i, j).is_zero()
-                               for i, j in scan)
+    # dbar_Q phi ^ omega^2 != 0?  Its entry (6,7) is witness ^ omega^2
+    witness = higgs_dbar_entry(s, 6, 7)
+    residuals.append(_residual_entry("dbar_phi_23", witness))
+    higgs_nonholomorphic = (not h.wedge_omega_sq(witness).is_zero()
+                            or bool(higgs_obstruction(s)))
 
     # slope of the cotangent subbundle and degrees of the two line bundles
     if not h.ddc_omega_sq.is_zero():

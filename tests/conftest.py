@@ -6,7 +6,9 @@ maps (higgs_equation_residuals): the package holds each Q operator only as
 its sparse components.  The pairing of Q (pairing_matrix), the Bismut
 isomorphism (bismut_iso_matrix) and the degree pairing of two classes
 (degree_and_slope) are oracles of what the package reads off the metric
-(h.cotangent) and off the HYM residuals (the report's degrees).
+(h.cotangent) and off the HYM residuals (the report's degrees), and the
+Levi-Civita connection (levi_civita) is the oracle of the metric's trace
+h.lc_trace, the package's only use of it.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
-from hslab.hermitian import HermitianStructure, _nonzero
+from hslab.hermitian import HermitianStructure, _nonzero, matrix_inverse
 from hslab.algebroid import QDIM, QOperator, wedge_omega_sq_top
 from hslab.harmonic import higgs_dbar_entry
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
@@ -116,6 +118,25 @@ def christoffel(conn):
     matrix {(d, b): Gamma^d_{ab}} of nabla_{Z_a} per frame direction a."""
     r, zero = range(len(conn)), Scalar.zero()
     return [[[m.get((d, b), zero) for d in r] for b in r] for m in conn]
+
+
+def levi_civita(h):
+    """Dense Gamma[a][b][c] = Gamma^c_{ab} of the Levi-Civita connection of
+    h, as christoffel gives it, by Koszul's formula on invariant fields:
+    g(nabla_{Z_a} Z_b, Z_z) = (L_abz - L_bza + L_zab) / 2 with L_xyz =
+    g([Z_x, Z_y], Z_z) and [Z_x, Z_y]^c = -d w^c(Z_x, Z_y) by contractions,
+    raised by the inverse of dense(h.G6), every sum over the whole frame."""
+    m = h.model
+    r, zero, half = range(m.dim), Scalar.zero(), Scalar.of(Fraction(1, 2))
+    Z = [frame_vector(m, a) for a in r]
+    G = dense(h.G6, m.dim)
+    Ginv = matrix_inverse(G)
+    bracket = [[[-apply(m.diff[c], Z[x], Z[y]) for c in r] for y in r]
+               for x in r]
+    L = [[[sum((bracket[x][y][c] * G[c][z] for c in r), zero) for z in r]
+          for y in r] for x in r]
+    return [[[sum(((L[a][b][z] - L[b][z][a] + L[z][a][b]) * half * Ginv[c][z]
+                   for z in r), zero) for c in r] for b in r] for a in r]
 
 
 def dense(m, n=8):

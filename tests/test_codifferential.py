@@ -2,11 +2,13 @@
 
 nabla_H_star contracts with Ginv before taking commutators and adds the
 metric's Levi-Civita trace h.lc_trace, g^c = sum_{ab} Ginv[a][b]
-Gamma^c_{ab}, as one term.  The
-double sum below is the definition it must reproduce exactly: on real
-families, on a stand-in metric whose trace is nonzero (the Iwasawa trace is
-zero, so no real family exercises that term), and the Milnor identity that
-makes the trace vanish on the Iwasawa model is checked on its own.
+Gamma^c_{ab}, as one term; the package reads it as the sharp of tr ad and
+builds no Gamma.  The double sum below, with Gamma from the oracle
+connection of conftest (levi_civita), is the definition it must reproduce
+exactly: on real families, on a stand-in metric whose trace is nonzero
+(the Iwasawa trace is zero, so no real family exercises that term), and
+the Milnor identity that makes the trace vanish on the Iwasawa model is
+checked on its own.
 """
 
 import random
@@ -23,7 +25,7 @@ from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            build_iwasawa, make_family, omega0_structure)
 
-from conftest import (christoffel, dense, forms, frame_vector, operator_of,
+from conftest import (dense, forms, frame_vector, levi_civita, operator_of,
                       scalar_commutator, sparse)
 
 TAU = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
@@ -91,7 +93,7 @@ def test_contracted_equals_double_sum(name):
     JPsi = _j(Psi)
     # both are zero on the flat and Picard families (omega_0, every row of
     # Ginv with one entry); the stand-ins below give that path nonzero values
-    gamma = christoffel(s.h.levi_civita)
+    gamma = levi_civita(s.h)
     for T in (Psi, JPsi):
         assert nabla_H_star(s, B, T) == sparse(_reference(s, B, T, gamma))
 
@@ -175,7 +177,7 @@ def test_levi_civita_trace_vanishes():
     # and a corrected deformed metric (omega_0 + tau + the gamma correction)
     structures.append(FAMILIES["deformed"]().h)
     for h in structures:
-        gamma = christoffel(h.levi_civita)
+        gamma = levi_civita(h)
         assert all(_trace(dense(h.Ginv6, 6), gamma, c).is_zero()
                    for c in range(6))
         assert all(g.is_zero() for g in h.lc_trace)

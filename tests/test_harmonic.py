@@ -12,7 +12,8 @@ from hslab.cealg import InvariantVector, NilmanifoldModel
 from hslab.hermitian import HermitianStructure
 from hslab.algebroid import QDIM, QOperator, connection_DG
 from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
-                            moment_residuals, harmonic_residual,
+                            moment_I, moment_J, moment_residuals,
+                            harmonic_residual,
                             harmonic_criteria, harmonic_vs_moment_gap,
                             higgs_dbar_entry)
 from hslab.bundles import LineBundleTriple
@@ -199,10 +200,9 @@ def test_curvature_decomposition(model, h0, Omega, rng):
 
 
 def test_moment_residuals_on_solution(std):
-    res = moment_residuals(std)
-    assert res["I"] == {}
-    assert res["J"] == {}
-    assert res["K"] == {}
+    assert moment_I(std) == {}
+    assert moment_J(std) == {}
+    assert moment_residuals(std) == {"K": {}}
 
 
 def _moment_digest(I, J, K):
@@ -223,18 +223,17 @@ def test_moment_residuals_off_solution_pinned():
                        tau=TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0),
                        correct=False)
     s = make_family(cfg).params
-    first = moment_residuals(s)
-    K = first["K"]
-    I, J = first["I"], first["J"]
+    K = moment_residuals(s)["K"]
+    I, J = moment_I(s), moment_J(s)
     assert I and J and K
     assert _moment_digest(I, J, K) == PINNED_MOMENT_DIGEST
-    # the order of lookup does not change any value
-    later = moment_residuals(s)
-    J2, I2, K2 = later["J"], later["I"], later["K"]
+    # the order of the calls does not change any value
+    J2, I2, K2 = moment_J(s), moment_I(s), moment_residuals(s)["K"]
     assert _moment_digest(I2, J2, K2) == PINNED_MOMENT_DIGEST
     assert moment_residuals(s)["K"] == harmonic_residual(s) == K
+    # moment_residuals holds K alone
     with pytest.raises(KeyError):
-        first["L"]
+        moment_residuals(s)["I"]
     # the codifferential gap is not zero off a solution either
     gap = harmonic_vs_moment_gap(s)
     assert gap
@@ -391,8 +390,8 @@ def test_higgs_identities_relate_the_moment_residuals():
     seen = set()
     for t0, t1, kw in _HIGGS_FAMILIES:
         s = _split_family(t0, t1, kw)
-        m, res, c = moment_residuals(s), higgs_equation_residuals(s), s.h.c_vol
-        I, J, K = m["I"], m["J"], m["K"]
+        res, c = higgs_equation_residuals(s), s.h.c_vol
+        I, J, K = moment_I(s), moment_J(s), moment_residuals(s)["K"]
         assert res["IJ_curvature"] == I
         assert res["IJ_mixed"] == _combination([Scalar.of(-4) * c], [J])
         assert res["K"] == _plus(_combination([Scalar.of(0, 2) * c], [K]), I)
@@ -443,8 +442,9 @@ def test_higgs_identities_where_the_lee_form_is_not_zero():
                 Psi = s.unitary_split[1]
                 lee_K, lee_J = Psi.value_at(h.lee_sharp), Psi.value_at(j_lee)
                 assert lee_K and lee_J
-                mo, res = moment_residuals(s), higgs_equation_residuals(s)
-                I, J, K = mo["I"], mo["J"], mo["K"]
+                res = higgs_equation_residuals(s)
+                I, J = moment_I(s), moment_J(s)
+                K = moment_residuals(s)["K"]
                 assert res["IJ_curvature"] == I
                 assert res["IJ_mixed"] == _combination([Scalar.of(-4) * c],
                                                        [J])

@@ -12,8 +12,8 @@ from hslab.cealg import NilmanifoldModel
 from hslab.hermitian import HermitianStructure, matrix_inverse, matrix_det
 from hslab.iwasawa import TauDeformation, su3_structure
 
-from conftest import (apply, christoffel, dense, frame_vector, q_metric,
-                      random_form, random_scalar, vector_is_zero)
+from conftest import (apply, christoffel, dense, frame_vector, levi_civita,
+                      q_metric, random_form, random_scalar, vector_is_zero)
 
 
 def _diag_metric(model, coeffs):
@@ -94,14 +94,15 @@ def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
 
 def test_members_are_their_definitions(oracle_metrics):
     # the members built with the structure, against their definitions; the
-    # Levi-Civita trace is zero on every nilpotent model (Milnor), so a
+    # Levi-Civita trace, the sharp of tr ad, against the contraction of the
+    # oracle connection: it is zero on every nilpotent model (Milnor), so a
     # non-unimodular algebra ([Z_1, Z_3] = -Z_1, d w1 = w1 ^ w3) gives one
     # metric whose trace is not
     solvable = NilmanifoldModel(3, {0: {(0, 2): Scalar.one()}})
     h1 = HermitianStructure(solvable, su3_structure(solvable)[0])
     assert any(not x.is_zero() for x in h1.lc_trace)
     for h in oracle_metrics + [h1]:
-        dim, gamma = h.model.dim, christoffel(h.levi_civita)
+        dim, gamma = h.model.dim, levi_civita(h)
         Ginv = dense(h.Ginv6, dim)
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.star_dc_omega == h.star(h.dc_omega)
@@ -186,10 +187,9 @@ def test_lee_nonzero_on_kt_model(kt_model):
 def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
     # every member is a plain attribute, built with the structure
-    members = ("omega_sq_table", "omega_sq_lambda", "levi_civita", "bismut",
-               "lee_form", "lee_sharp", "star_dc_omega", "lc_trace", "G6",
-               "Ginv6", "Hm_T_rows", "Hm_inv_T_cols", "cotangent",
-               "ddc_omega_sq")
+    members = ("omega_sq_table", "omega_sq_lambda", "bismut", "lee_form",
+               "lee_sharp", "star_dc_omega", "lc_trace", "G6", "Ginv6",
+               "Hm_T_rows", "Hm_inv_T_cols", "cotangent", "ddc_omega_sq")
     assert set(members) <= set(vars(h))
     assert not any(callable(getattr(h, name)) for name in members)
     # a second structure on the same metric builds its own, equal, objects
@@ -215,7 +215,7 @@ def test_bismut_equals_levi_civita_on_torus(abelian_model):
     omega = (abelian_model.basis_form((0, 3)) + abelian_model.basis_form((1, 4))
              + abelian_model.basis_form((2, 5))).scale(half_i)
     h = HermitianStructure(abelian_model, omega)
-    assert christoffel(h.bismut) == christoffel(h.levi_civita)
+    assert christoffel(h.bismut) == levi_civita(h)
 
 
 def _metrics(model, h0, kt_model):
@@ -269,7 +269,7 @@ def test_levi_civita_is_torsion_free_and_metric(model, h0, kt_model):
         Z = [frame_vector(m, a) for a in range(6)]
         G = _frame_gram(h)
         assert G == dense(h.G6, 6)
-        lc, bi = christoffel(h.levi_civita), christoffel(h.bismut)
+        lc, bi = levi_civita(h), christoffel(h.bismut)
         r = range(6)
         for a in r:
             for b in r:

@@ -20,7 +20,7 @@ from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
 import hslab.hermitian as hermitian
 from hslab.harmonic import (harmonic_residual, harmonic_vs_moment_gap,
-                            higgs_dbar_entry, higgs_obstruction_entry)
+                            higgs_dbar_entry, higgs_obstruction)
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, make_family, verify_family,
@@ -367,7 +367,7 @@ def test_frozen_sees_in_place_writes_to_dict_members():
     model, omega0, _ = build_iwasawa()
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     h = hermitian.HermitianStructure(model, omega0 + tau.form(model))
-    for target in (h.G6, h.Ginv6, h.levi_civita[0], h.bismut[0]):
+    for target in (h.G6, h.Ginv6, h.bismut[0]):
         before = _frozen(vars(h))
         key = next(iter(target))
         target[key] = target[key] + Scalar.one()
@@ -420,7 +420,7 @@ def test_higgs_verdict_matches_the_whole_matrix(rng):
         families.append(_family(*random_pair(rng, -3, 3),
                                 tau=TauDeformation(*t)))
     # on the standard flat family entry (6,7) wedges to zero, so the verdict
-    # comes from the scan of the other entries
+    # comes from the whole matrix
     s = families[0].params
     assert s.h.wedge_omega_sq(higgs_dbar_entry(s, 6, 7)).is_zero()
     for cand in families:
@@ -433,27 +433,28 @@ def test_higgs_verdict_matches_the_whole_matrix(rng):
         assert _higgs_outcome(cand) == (verdict, expect)
 
 
-def test_higgs_verdict_stops_at_the_first_nonzero_entry(monkeypatch):
-    built, read = [], []
+def test_higgs_verdict_builds_the_whole_matrix_only_if_the_witness_is_zero(
+        monkeypatch):
+    built, whole = [], []
 
     def counted(log, original):
-        def call(s, i, j):
-            log.append((i, j))
-            return original(s, i, j)
+        def call(s, *entry):
+            log.append(entry)
+            return original(s, *entry)
         return call
 
     monkeypatch.setattr(iwasawa, "higgs_dbar_entry",
                         counted(built, higgs_dbar_entry))
-    monkeypatch.setattr(iwasawa, "higgs_obstruction_entry",
-                        counted(read, higgs_obstruction_entry))
+    monkeypatch.setattr(iwasawa, "higgs_obstruction",
+                        counted(whole, higgs_obstruction))
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
-    # entry (6,7) decides the deformed family: one entry is read
+    # the witness's entry (6,7) decides the deformed family
     assert _higgs_outcome(_family((1, 1, 0), (1, 0, 0), tau=tau))[0]
-    assert read == [(6, 7)]
-    # the flat family's first nonzero entry of dbar_Q phi ^ omega^2 is (0,0)
-    del read[:]
+    assert whole == []
+    # the flat family's witness wedges to zero, so the whole matrix of
+    # dbar_Q phi ^ omega^2 is built, once
     assert _higgs_outcome(_family((1, 2, 2), (2, -1, 0)))[0]
-    assert read == [(6, 7), (0, 0)]
+    assert whole == [()]
     # only the witness builds a 2-form
     assert built == [(6, 7), (6, 7)]
 

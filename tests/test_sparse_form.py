@@ -17,7 +17,8 @@ from hslab.hermitian import _plus
 from hslab.algebroid import (QDIM, extension_class_gamma, he_residual_G,
                              wedge_omega_sq_top)
 from hslab.bundles import LineBundleTriple
-from hslab.harmonic import harmonic_vs_moment_gap, moment_residuals, nabla_H_star
+from hslab.harmonic import (harmonic_vs_moment_gap, moment_I, moment_J,
+                            moment_residuals, nabla_H_star)
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family)
 
@@ -45,8 +46,7 @@ def _is_sparse(m, nonzero=lambda v: not v.is_zero()):
 def _scalar_matrices(s):
     """name -> each Scalar matrix on Q the engine returns for s."""
     B, Psi = s.unitary_split
-    moment = moment_residuals(s)
-    out = {name: moment[name] for name in ("K", "I", "J")}
+    out = {"K": moment_residuals(s)["K"], "I": moment_I(s), "J": moment_J(s)}
     out["gap"] = harmonic_vs_moment_gap(s)
     out["curvature_omega_sq"] = s.curvature_omega_sq
     out["he_residual_G"] = he_residual_G(s)
