@@ -201,9 +201,6 @@ class InvariantForm:
             return NotImplemented
         return self.model is other.model and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def _same_model(self, other):
         if self.model is not other.model:
             raise ValueError("forms live on different models")
@@ -377,16 +374,6 @@ class InvariantVector:
         self.model = model
         self.coeffs = [c if isinstance(c, Scalar) else Scalar.of(Fraction(c))
                        for c in coeffs]
-
-    def __add__(self, other):
-        return InvariantVector(self.model,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return InvariantVector(self.model, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __repr__(self):
         body = ", ".join("%s Z(%s)" % (c, self.model.labels[a])

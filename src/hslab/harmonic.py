@@ -218,15 +218,14 @@ def harmonic_vs_moment_gap(s):
 
     Computes (nabla^H)^*(J Psi) - *((nabla^H Psi) ^ omega^2)/2
     - i_{J theta^sharp} Psi, the J residual minus the star term, where
-    (d Psi + B ^ Psi + Psi ^ B) ^ omega^2 = c e_top: one star, of e_top.
-    The gap vanishes on solutions (not off them); exposed so the identity
-    can be pinned by tests.
+    (d Psi + B ^ Psi + Psi ^ B) ^ omega^2 = c e_top and *e_top = 1/c_vol,
+    as vol = c_vol e_top and *vol = 1.  The gap vanishes on solutions (not
+    off them); exposed so the identity can be pinned by tests.
     """
     B, Psi = s.unitary_split
-    h, zero = s.h, Scalar.zero()
+    h = s.h
     c = wedge_omega_sq_top(h, Psi, [(B, Psi), (Psi, B)])
-    unit = h.star(s.model.basis_form(s.model.top_index())).terms.get((), zero) \
-        * Scalar.of(Fraction(1, 2))
+    unit = (h.c_vol * Scalar.of(2)).inverse()
     return _plus(moment_J(s), _combination([-unit], [c]))
 
 

@@ -13,8 +13,8 @@ _plus adds two such matrices, _combination forms sum_a c_a M^a, and
 _product_sum multiplies them with one Scalar.sum_of_products per entry;
 _form_entries reads a 2-form as such a matrix.  Dense rows are kept only
 for elimination: rref (Gauss-Jordan with monomial pivots) with solve and
-matrix_inverse built on it, and matrix_det (forward elimination that stops
-at the first zero column).
+matrix_inverse built on it, and the positivity certificate's one forward
+elimination of g.
 
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), dd^c(omega^2) for the
@@ -39,7 +39,9 @@ basis form e_J on every call: the volume contracted by the metric duals
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is
 certified exactly: Sylvester's criterion on its leading principal minors,
-each signed by Scalar.sign().
+read as running products of the pivots of one elimination without row
+exchanges (Golub & Van Loan, Matrix Computations, section 4.2), each
+signed by Scalar.sign().
 """
 
 from __future__ import annotations
@@ -128,32 +130,6 @@ def matrix_inverse(rows):
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced]
-
-
-def matrix_det(rows):
-    """Exact determinant by forward elimination on Scalars.
-
-    Kept apart from rref: it needs no reduced form and stops at the first
-    zero column.  The positivity certificate's leading minors use it.
-    """
-    n = len(rows)
-    a = [list(row) for row in rows]
-    det = Scalar.one()
-    for col in range(n):
-        piv = _pivot_row(a, col, col)
-        if piv is None:
-            return Scalar.zero()
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        s = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            f = a[r][col] * s
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def _nonzero(m):
@@ -348,15 +324,26 @@ class HermitianStructure:
     def _certify_positive(self):
         """Exact Sylvester certificate that the Hermitian Gram matrix is positive.
 
-        Each leading minor must be real with sign +1; a minor whose sign is
-        not decided exactly (Scalar.sign) raises ValueError as well.
+        One elimination of g without row exchanges: its k-th pivot is
+        minor_k / minor_{k-1} (Golub & Van Loan, Matrix Computations,
+        section 4.2), so the running product of the pivots is each leading
+        minor exactly.  Each must be real with sign +1, or ValueError names
+        the first that is not; a minor whose sign is not decided exactly
+        (Scalar.sign) raises ValueError as well.  Positive minor_k and
+        minor_{k-1} make the pivot a monomial, so it inverts exactly.
         """
-        n = self.model.n
-        for k in range(1, n + 1):
-            minor = matrix_det([[self.g[i][j] for j in range(k)] for i in range(k)])
+        a = [list(row) for row in self.g]
+        minor = Scalar.one()
+        for k in range(len(a)):
+            row = a[k]
+            minor = minor * row[k]
             if not minor.is_real() or minor.sign() != 1:
                 raise ValueError("Gram matrix is not positive definite "
-                                 "(leading minor %d is %s)" % (k, minor))
+                                 "(leading minor %d is %s)" % (k + 1, minor))
+            s = row[k].inverse()
+            for r in range(k + 1, len(a)):
+                f = a[r][k] * s
+                a[r] = [x - f * y for x, y in zip(a[r], row)]
 
     # -- star and Lee form -----------------------------------------------------
 

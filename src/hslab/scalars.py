@@ -13,6 +13,9 @@ through the same code, with a shortcut for the product of two monomials.
 sum_of_products, the kernel of every matrix product and wedge, reduces
 each pi-power of a sum sign x y once at the end, not once per term.
 
+A Scalar combines only with Scalars: +, -, *, / and == with an int, a
+Fraction or anything else is Python's TypeError (== is False), so every
+constant enters through a constructor (Scalar.of, Scalar.pi, ...).
 Addition, multiplication and conjugation are closed; division is defined
 only by monomials q pi^k with q != 0, which is all the geometry ever needs
 (metric normalizations, alpha, volume factors).  sign() is exact on real
@@ -153,9 +156,7 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         c = dict(self._c)
         for k, t in other._c.items():
             u = c.get(k)
@@ -178,28 +179,15 @@ class Scalar:
                 del c[k]
         return _new(c)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _new({k: (-a, -b, d) for k, (a, b, d) in self._c.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         sc = self._c
         oc = other._c
         if len(sc) == 1 and len(oc) == 1:
@@ -214,8 +202,6 @@ class Scalar:
                 return _new({k1 + k2: (re // g, im // g, d // g)})
             return _new({k1 + k2: (re, im, d)})
         return _accumulate([(self, other, 1)])
-
-    __rmul__ = __mul__
 
     @staticmethod
     def sum_of_products(terms):
@@ -239,16 +225,9 @@ class Scalar:
         return _new({-k: (re // g, im // g, n // g)})
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def conjugate(self):
         return _new({k: (a, -b, d) for k, (a, b, d) in self._c.items()})
@@ -256,16 +235,11 @@ class Scalar:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar:
             return NotImplemented
         return self._c == other._c
 
     def __hash__(self):
-        # zero and a real pi^0 monomial hash as the int or Fraction they equal
-        a, b, d = self._c.get(0, (0, 0, 1))
-        if not b and len(self._c) == (1 if a else 0):
-            return hash(Fraction(a, d))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self):
@@ -308,13 +282,3 @@ class Scalar:
 
     def __repr__(self):
         return "Scalar(%s)" % self
-
-
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, int):
-        return _new({0: (int(x), 0, 1)} if x else {})
-    if isinstance(x, Fraction):
-        return _new({0: (x.numerator, 0, x.denominator)} if x else {})
-    return NotImplemented

@@ -1,8 +1,9 @@
 """The exact linear-algebra core checked against sympy as an independent oracle.
 
-rref, solve, matrix_inverse and matrix_det run on seeded random
-Gaussian-rational matrices (square, rectangular, singular, inconsistent)
-and are compared entry by entry with sympy.Matrix.
+rref, solve and matrix_inverse run on seeded random Gaussian-rational
+matrices (square, rectangular, singular, inconsistent) and are compared
+entry by entry with sympy.Matrix; HermitianStructure's positivity
+certificate is compared with sympy's leading minors.
 """
 
 import random
@@ -13,7 +14,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from hslab.scalars import Scalar
-from hslab.hermitian import rref, solve, matrix_inverse, matrix_det
+from hslab.cealg import build_iwasawa_model
+from hslab.hermitian import HermitianStructure, rref, solve, matrix_inverse
 
 SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 5), (5, 3)]
 SEEDS = range(4)
@@ -88,6 +90,18 @@ def test_rref_and_rank_match_sympy():
                 assert len(pivots) == _sym(rows).rank()
 
 
+def _hermitian(rng):
+    """A 3 x 3 Hermitian matrix: rational diagonal, Gaussian-rational
+    entries above it and their conjugates below."""
+    g = [[None] * 3 for _ in range(3)]
+    for j in range(3):
+        g[j][j] = Scalar.of(Fraction(rng.randint(-1, 6), rng.randint(1, 3)))
+        for k in range(j + 1, 3):
+            g[j][k] = _entry(rng)
+            g[k][j] = g[j][k].conjugate()
+    return g
+
+
 def test_inverse_and_det_match_sympy():
     singular = invertible = 0
     for seed in SEEDS:
@@ -95,9 +109,7 @@ def test_inverse_and_det_match_sympy():
         for n in range(1, 5):
             for rows in _cases(rng, n, n):
                 m = _sym(rows)
-                det = matrix_det(rows)
-                assert det == _from_sympy(m.det())
-                if det.is_zero():
+                if m.det() == 0:
                     singular += 1
                     with pytest.raises(ValueError):
                         matrix_inverse(rows)
@@ -105,6 +117,33 @@ def test_inverse_and_det_match_sympy():
                     invertible += 1
                     assert matrix_inverse(rows) == _from_sym(m.inv())
     assert singular and invertible
+    # positivity: omega with omega(Z_j, Z_k') = i g_jk is accepted exactly
+    # when sympy's three leading minors of g are positive; otherwise the
+    # message names the first that is not, with its value
+    model, i = build_iwasawa_model(), Scalar.i()
+    positive = refused = 0
+    for seed in SEEDS:
+        rng = random.Random(400 + seed)
+        for _ in range(6):
+            g = _hermitian(rng)
+            omega = model.zero()
+            for j in range(3):
+                for k in range(3):
+                    omega = omega + model.basis_form((j, k + 3), i * g[j][k])
+            m = _sym(g)
+            minors = [m[:k, :k].det() for k in (1, 2, 3)]
+            bad = [k for k, v in enumerate(minors, 1) if not v > 0]
+            if not bad:
+                positive += 1
+                assert HermitianStructure(model, omega).g == g
+                continue
+            refused += 1
+            k = bad[0]
+            text = "leading minor %d is %s)" % (k, _from_sympy(minors[k - 1]))
+            with pytest.raises(ValueError) as err:
+                HermitianStructure(model, omega)
+            assert str(err.value).endswith(text)
+    assert positive and refused
 
 
 def test_solve_pi_bearing_rhs_per_power():
@@ -155,8 +194,6 @@ def test_non_monomial_pivot():
     with pytest.raises(ValueError):
         matrix_inverse(rows)
     with pytest.raises(ValueError):
-        matrix_det(rows)
-    with pytest.raises(ValueError):
         solve(rows, [one, one])
     # a monomial lower in the same column is taken as the pivot instead
     rows = [[one_plus_pi, one], [one, zero]]
@@ -164,5 +201,4 @@ def test_non_monomial_pivot():
     expect, expect_pivots = _sym(rows).rref()
     assert pivots == list(expect_pivots)
     assert reduced == _from_sym(expect)
-    assert matrix_det(rows) == _from_sympy(_sym(rows).det())
     assert matrix_inverse(rows) == [[zero, one], [one, -one_plus_pi]]

@@ -18,17 +18,15 @@ def test_constructors_and_basics():
     assert Scalar.pi(-2).evalf() == pytest.approx(math.pi ** -2)
 
 
-def test_reflected_operators():
-    # ints and Fractions coerce on either side
-    assert 2 - Scalar.one() == Scalar.one()
-    assert Fraction(1, 2) - Scalar.one() == Scalar.of(Fraction(-1, 2))
-    assert 1 / Scalar.of(2) == Scalar.of(Fraction(1, 2))
-    assert Fraction(3) / Scalar.i() == Scalar.of(0, -3)
-    # anything else is Python's own TypeError naming both operand types
-    with pytest.raises(TypeError, match=r"for -: 'float' and 'Scalar'"):
-        1.5 - Scalar.one()
-    with pytest.raises(TypeError, match=r"for /: 'float' and 'Scalar'"):
-        1.5 / Scalar.one()
+def test_a_scalar_combines_only_with_scalars():
+    # an int or a Fraction is not coerced on either side
+    with pytest.raises(TypeError):
+        Scalar.of(1) + 1
+    with pytest.raises(TypeError):
+        2 * Scalar.of(1)
+    with pytest.raises(TypeError):
+        Scalar.of(1) - Fraction(1, 2)
+    assert (Scalar.zero() == 0) is False
 
 
 def test_ring_axioms_randomized():
@@ -120,10 +118,8 @@ def test_int_built_constants_match_fraction_built_ones():
         assert a._c == b._c
         for x, y, d in a._c.values():
             assert d == 1 and math.gcd(x, y, d) == 1 and (x, y) != (0, 0)
-    assert Scalar.one() == Scalar.of(Fraction(1)) == 1
-    assert hash(Scalar.one()) == hash(1)
+    assert Scalar.one() == Scalar.of(Fraction(1))
     assert Scalar.one()._c == {0: (1, 0, 1)}
-    assert Scalar.of(0).is_zero() and hash(Scalar.of(0)) == hash(0)
-    assert Scalar.of(big) == big and hash(Scalar.of(big)) == hash(big)
+    assert Scalar.of(0).is_zero()
     assert Scalar.of(True, False) == Scalar.one()
     assert all(type(x) is int for x in Scalar.of(True, False)._c[0])
