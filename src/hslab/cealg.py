@@ -266,22 +266,21 @@ class InvariantForm:
                     out = out + da.wedge(rest)
         return out
 
-    def dbar(self):
-        """(0,1)-part of d on a (p,q)-homogeneous form; sums over components."""
-        out = self.model.zero()
-        for (p, q), comp in self.bigrade().items():
-            out = out + comp.d().part(p, q + 1)
-        return out
-
-    def partial(self):
-        out = self.model.zero()
-        for (p, q), comp in self.bigrade().items():
-            out = out + comp.d().part(p + 1, q)
-        return out
-
     def dc(self):
-        """d^c = i (dbar - partial); calibrated by dd^c w_0 = w_{12 1'2'}."""
-        return (self.dbar() - self.partial()).scale(Scalar.i())
+        """d^c = i (dbar - partial); calibrated by dd^c w_0 = w_{12 1'2'}.
+        d of each (p, q) component is taken once and split: its (p, q+1)
+        part is dbar's, its (p+1, q) part partial's."""
+        n = self.model.n
+        i = Scalar.i()
+        terms = {}
+        for (p, q), comp in self.bigrade().items():
+            for k, v in comp.d().terms.items():
+                kp = sum(1 for a in k if a < n)
+                if kp == p or kp == p + 1:
+                    terms.setdefault(k, []).append(
+                        (v, i, 1 if kp == p else -1))
+        return InvariantForm(self.model, {k: Scalar.sum_of_products(t)
+                                          for k, t in terms.items()})
 
     def conjugate(self):
         n = self.model.n

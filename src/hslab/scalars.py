@@ -4,14 +4,16 @@ Every coefficient manipulated by the engine is a finite sum
 
     sum_k (a_k + b_k i)/d_k pi^k,   a_k, b_k, d_k integers, d_k > 0, k integer,
 
-stored sparsely by exponent: a Scalar keeps one dict {k: (a, b, d)} of
-reduced Gaussian-integer triples (gcd(a, b, d) = 1, (a, b) != (0, 0)), so
-equal values have equal dicts.  Each sum or product of two coefficients is
-brought back to that form by one three-argument math.gcd; no Fraction is
-built on the hot path.  Mixed Laurent polynomials and single pi-powers go
-through the same code, with a shortcut for the product of two monomials.
-sum_of_products, the kernel of every matrix product and wedge, reduces
-each pi-power of a sum sign x y once at the end, not once per term.
+stored sparsely by exponent: a Scalar keeps one tuple of (k, a, b, d)
+terms, strictly increasing in k, each reduced (gcd(a, b, d) = 1) and
+nonzero ((a, b) != (0, 0)), zero being (), so == and hash are the tuple's.
+A sum or product of two coefficients is brought back to that form by one
+three-argument math.gcd; no Fraction is built on the hot path.  Every
+value the engine builds is one pi-power, so +, *, negation, conjugation
+and inverse unpack the one term; mixed Laurent polynomials take a general
+path.  sum_of_products, the kernel of every matrix product and wedge,
+keeps one running sum until a second pi-power appears and reduces each
+pi-power once at the end, not once per term.
 
 A Scalar combines only with Scalars: +, -, *, / and == with an int, a
 Fraction or anything else is Python's TypeError (== is False), so every
@@ -31,11 +33,11 @@ from fractions import Fraction
 _gcd = math.gcd
 
 
-def _triple(re, im):
-    """Reduced (a, b, d) with (a + b i)/d = re + im i, or None for zero."""
+def _term(k, re, im):
+    """Reduced (k, a, b, d) with (a + b i)/d = re + im i, or None for zero."""
     # exact ints (bool excluded) are already reduced over d = 1
     if re.__class__ is int and im.__class__ is int:
-        return (re, im, 1) if re or im else None
+        return (k, re, im, 1) if re or im else None
     re = Fraction(re)
     im = Fraction(im)
     if not (re or im):
@@ -44,42 +46,64 @@ def _triple(re, im):
     r, s = im.numerator, im.denominator
     d = q * s // _gcd(q, s)
     # lcm of reduced denominators: gcd(a, b, d) = 1 already
-    return (p * (d // q), r * (d // s), d)
+    return (k, p * (d // q), r * (d // s), d)
 
 
 def _accumulate(terms):
-    """sum sign x y over the terms (x, y, sign): unreduced numerators per
-    pi-power over a common denominator (added directly when denominators
-    are equal), each pi-power reduced by one math.gcd at the end."""
-    acc = {}
-    for x, y, sign in terms:
-        for k1, (a, b, d) in x._c.items():
-            if sign < 0:
-                a, b = -a, -b
-            for k2, (p, q, e) in y._c.items():
-                k = k1 + k2
-                re = a * p - b * q
-                im = a * q + b * p
-                de = d * e
-                u = acc.get(k)
-                if u is None:
-                    acc[k] = (re, im, de)
-                elif u[2] == de:
-                    acc[k] = (u[0] + re, u[1] + im, de)
-                else:
-                    r, i, f = u
-                    acc[k] = (r * de + re * f, i * de + im * f, f * de)
-    c = {}
-    for k, (re, im, d) in acc.items():
+    """sum sign x y over the terms (x, y, sign): unreduced numerators over a
+    common denominator (added directly when denominators are equal), in one
+    running sum while every product lands on one pi-power, and in one sum
+    per pi-power from the first product on another power (or with a
+    Laurent factor) on; each sum is reduced by one math.gcd at the end."""
+    k0 = None
+    re = im = 0
+    de = 1
+    rest = iter(terms)
+    for x, y, sign in rest:
+        xc = x._c
+        yc = y._c
+        if len(xc) != 1 or len(yc) != 1:
+            if xc and yc:
+                break
+            continue  # a zero factor
+        ((k, a, b, d),) = xc
+        ((j, p, q, e),) = yc
+        if k + j != k0:
+            if k0 is not None:
+                break
+            k0 = k + j
+        r = sign * (a * p - b * q)
+        i = sign * (a * q + b * p)
+        e *= d
+        if e == de:
+            re += r
+            im += i
+        else:
+            re, im, de = re * e + r * de, im * e + i * de, de * e
+    else:
+        out = object.__new__(Scalar)
         if re or im:
-            g = _gcd(re, im, d)
-            c[k] = (re // g, im // g, d // g) if g != 1 else (re, im, d)
-    return _new(c)
-
-
-def _new(c):
-    out = Scalar.__new__(Scalar)
-    out._c = c
+            g = _gcd(re, im, de)
+            out._c = ((k0, re // g, im // g, de // g),)
+        else:
+            out._c = ()
+        return out
+    acc = {} if k0 is None else {k0: (re, im, de)}
+    for x, y, sign in [(x, y, sign), *rest]:
+        for k, a, b, d in x._c:
+            for j, p, q, e in y._c:
+                r, i, f = acc.get(k + j, (0, 0, 1))
+                e *= d
+                acc[k + j] = (r * e + sign * (a * p - b * q) * f,
+                              i * e + sign * (a * q + b * p) * f, f * e)
+    c = []
+    for k in sorted(acc):
+        r, i, e = acc[k]
+        if r or i:
+            g = _gcd(r, i, e)
+            c.append((k, r // g, i // g, e // g))
+    out = object.__new__(Scalar)
+    out._c = tuple(c)
     return out
 
 
@@ -89,13 +113,10 @@ class Scalar:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for k, (re, im) in coeffs.items():
-                t = _triple(re, im)
-                if t is not None:
-                    c[int(k)] = t
-        self._c = c
+        c = [t for k, (re, im) in (coeffs or {}).items()
+             if (t := _term(int(k), re, im)) is not None]
+        c.sort()
+        self._c = tuple(c)
 
     # -- constructors ------------------------------------------------------
 
@@ -105,7 +126,9 @@ class Scalar:
 
     @classmethod
     def one(cls):
-        return _new({0: (1, 0, 1)})
+        out = object.__new__(Scalar)
+        out._c = ((0, 1, 0, 1),)
+        return out
 
     @classmethod
     def of(cls, re, im=0, k=0):
@@ -125,13 +148,13 @@ class Scalar:
     def items(self):
         """(k, (re, im)) per pi-power, with Fraction real and imaginary parts."""
         return {k: (Fraction(a, d), Fraction(b, d))
-                for k, (a, b, d) in self._c.items()}.items()
+                for k, a, b, d in self._c}.items()
 
     def is_zero(self):
         return not self._c
 
     def is_real(self):
-        return all(not b for _, b, _ in self._c.values())
+        return all(not b for _, _, b, _ in self._c)
 
     def is_monomial(self):
         return len(self._c) == 1
@@ -146,7 +169,7 @@ class Scalar:
         if not c:
             return 0
         if len(c) == 1:
-            ((a, b, _),) = c.values()
+            ((_, a, b, _),) = c
             if not b:
                 return 1 if a > 0 else -1
         raise ValueError("sign is decided only for real monomials, got %s"
@@ -157,30 +180,43 @@ class Scalar:
     def __add__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented
-        c = dict(self._c)
-        for k, t in other._c.items():
-            u = c.get(k)
-            if u is None:
-                c[k] = t
-                continue
-            a, b, d = u
-            x, y, e = t
-            if d == e:
-                a += x
-                b += y
-            else:
-                a = a * e + x * d
-                b = b * e + y * d
-                d *= e
-            if a or b:
-                g = _gcd(a, b, d)
-                c[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
-            else:
-                del c[k]
-        return _new(c)
+        sc = self._c
+        oc = other._c
+        if len(sc) == 1 and len(oc) == 1:
+            ((k, a, b, d),) = sc
+            ((j, x, y, e),) = oc
+            if k == j:
+                if d == e:
+                    a += x
+                    b += y
+                else:
+                    a = a * e + x * d
+                    b = b * e + y * d
+                    d *= e
+                out = object.__new__(Scalar)
+                if a or b:
+                    g = _gcd(a, b, d)
+                    out._c = ((k, a // g, b // g, d // g),) if g != 1 \
+                        else ((k, a, b, d),)
+                else:
+                    out._c = ()
+                return out
+        if not oc:
+            return self
+        if not sc:
+            return other
+        one = Scalar.one()  # mixed powers: x 1 + y 1 through the kernel
+        return _accumulate(((self, one, 1), (other, one, 1)))
 
     def __neg__(self):
-        return _new({k: (-a, -b, d) for k, (a, b, d) in self._c.items()})
+        out = object.__new__(Scalar)
+        c = self._c
+        if len(c) == 1:
+            ((k, a, b, d),) = c
+            out._c = ((k, -a, -b, d),)
+        else:
+            out._c = tuple([(k, -a, -b, d) for k, a, b, d in c])
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -191,17 +227,18 @@ class Scalar:
         sc = self._c
         oc = other._c
         if len(sc) == 1 and len(oc) == 1:
-            ((k1, (a, b, d)),) = sc.items()
-            ((k2, (x, y, e)),) = oc.items()
+            ((k, a, b, d),) = sc
+            ((j, x, y, e),) = oc
             # a product of nonzero Gaussian rationals is nonzero
             re = a * x - b * y
             im = a * y + b * x
             d *= e
             g = _gcd(re, im, d)
-            if g != 1:
-                return _new({k1 + k2: (re // g, im // g, d // g)})
-            return _new({k1 + k2: (re, im, d)})
-        return _accumulate([(self, other, 1)])
+            out = object.__new__(Scalar)
+            out._c = ((k + j, re // g, im // g, d // g),) if g != 1 \
+                else ((k + j, re, im, d),)
+            return out
+        return _accumulate(((self, other, 1),))
 
     @staticmethod
     def sum_of_products(terms):
@@ -215,14 +252,17 @@ class Scalar:
 
     def inverse(self):
         """Inverse of a monomial q pi^k; error on general sums."""
-        if len(self._c) != 1:
+        c = self._c
+        if len(c) != 1:
             raise ZeroDivisionError(
                 "scalar division is defined only by nonzero monomials, got %s" % self)
-        ((k, (a, b, d)),) = self._c.items()
+        ((k, a, b, d),) = c
         # d / (a + b i) = d (a - b i) / (a^2 + b^2)
         re, im, n = a * d, -b * d, a * a + b * b
         g = _gcd(re, im, n)
-        return _new({-k: (re // g, im // g, n // g)})
+        out = object.__new__(Scalar)
+        out._c = ((-k, re // g, im // g, n // g),)
+        return out
 
     def __truediv__(self, other):
         if other.__class__ is not Scalar:
@@ -230,7 +270,14 @@ class Scalar:
         return self * other.inverse()
 
     def conjugate(self):
-        return _new({k: (a, -b, d) for k, (a, b, d) in self._c.items()})
+        out = object.__new__(Scalar)
+        c = self._c
+        if len(c) == 1:
+            ((k, a, b, d),) = c
+            out._c = ((k, a, -b, d),)
+        else:
+            out._c = tuple([(k, a, -b, d) for k, a, b, d in c])
+        return out
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -240,7 +287,7 @@ class Scalar:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash(self._c)
 
     def __bool__(self):
         return bool(self._c)
@@ -251,7 +298,7 @@ class Scalar:
         """Float value at pi = math.pi (display only)."""
         re = 0.0
         im = 0.0
-        for k, (a, b, d) in self._c.items():
+        for k, a, b, d in self._c:
             w = math.pi ** k
             re += (a / d) * w
             im += (b / d) * w
@@ -261,8 +308,7 @@ class Scalar:
         if not self._c:
             return "0"
         parts = []
-        for k in sorted(self._c):
-            a, b, d = self._c[k]
+        for k, a, b, d in self._c:
             re, im = Fraction(a, d), Fraction(b, d)
             if im == 0:
                 body = str(re)

@@ -109,6 +109,23 @@ def apply(form, *vectors):
     return form.terms.get((), Scalar.zero())
 
 
+def dbar(form):
+    """(0,1)-part of d on each (p,q) component, summed: the oracle of the
+    split that InvariantForm.dc makes of one d per component."""
+    out = form.model.zero()
+    for (p, q), comp in form.bigrade().items():
+        out = out + comp.d().part(p, q + 1)
+    return out
+
+
+def partial(form):
+    """(1,0)-part of d on each (p,q) component, summed."""
+    out = form.model.zero()
+    for (p, q), comp in form.bigrade().items():
+        out = out + comp.d().part(p + 1, q)
+    return out
+
+
 def vector_is_zero(v):
     return all(c.is_zero() for c in v.coeffs)
 

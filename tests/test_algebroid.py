@@ -19,8 +19,8 @@ from hslab.iwasawa import FamilyConfig, PicardPoint, make_family, su3_structure
 
 from conftest import (DEFORMED_TAU, bismut_iso_matrix, curvature, dense,
                       forms, make_params, matmul, matrix_is_zero, operator_of,
-                      pairing_matrix, q_metric, random_form, random_pair,
-                      scalar_product, sparse)
+                      pairing_matrix, partial, q_metric, random_form,
+                      random_pair, scalar_product, sparse)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ def test_cotangent_rows_read_2i_partial_omega(std, oracle_metrics):
         zero = h.model.zero()
         A = dolbeault_Q(SimpleNamespace(model=h.model, h=h, F0=zero,
                                         F1=zero, alpha=std.alpha))
-        T = h.omega.partial().scale(Scalar.of(0, 2))
+        T = partial(h.omega).scale(Scalar.of(0, 2))
         assert [[[A.comps[c].get((5 + l, j), Scalar.zero())
                   for j in range(3)] for l in range(3)] for c in range(6)] \
             == [[[T.at(j, l, c) for j in range(3)] for l in range(3)]

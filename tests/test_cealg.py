@@ -7,7 +7,7 @@ import pytest
 from hslab.scalars import Scalar
 from hslab.cealg import NilmanifoldModel, InvariantVector
 
-from conftest import apply, frame_vector, random_form
+from conftest import apply, dbar, frame_vector, partial, random_form
 
 
 def test_structure_equation(model):
@@ -138,15 +138,19 @@ def test_bigrade_partition(model, rng):
     # dbar/partial split d on the bidegree components
     for _ in range(20):
         a = random_form(model, rng, 2)
-        assert (a.d() - a.partial() - a.dbar()).is_zero()
+        assert (a.d() - partial(a) - dbar(a)).is_zero()
 
 
-def test_dc_convention(model):
-    # d^c = i (dbar - partial)
-    a = model.basis_form((0, 3))
-    lhs = a.dc()
-    rhs = (a.dbar() - a.partial()).scale(Scalar.of(0, 1))
-    assert (lhs - rhs).is_zero()
+def test_dc_convention(model, kt_model, rng):
+    # d^c = i (dbar - partial), from one d per bidegree component, on forms
+    # of mixed bidegree and on a model whose d is not of type (2,0)
+    for m in (model, kt_model):
+        cases = [model.basis_form((0, 3))] if m is model else []
+        cases += [random_form(m, rng, rng.choice((1, 2, 3, 4)), nterms=5)
+                  for _ in range(20)]
+        for a in cases:
+            rhs = (dbar(a) - partial(a)).scale(Scalar.of(0, 1))
+            assert a.dc() == rhs
 
 
 def test_abelian_and_kt_models(abelian_model, kt_model):

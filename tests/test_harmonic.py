@@ -21,9 +21,10 @@ from hslab.hermitian import _combination, _plus
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family, su3_structure)
 
-from conftest import (curvature, dbar_reference, dense, frame_vector,
-                      higgs_equation_residuals, make_params, matrix_is_zero,
-                      q_metric, random_pair, scalar_product, split_curvature)
+from conftest import (DEFORMED_TAU, christoffel, curvature, dbar_reference,
+                      dense, frame_vector, higgs_equation_residuals,
+                      make_params, matrix_is_zero, q_metric, random_pair,
+                      scalar_product, split_curvature)
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -102,6 +103,48 @@ def test_adjoint_involution(std, rng, model, h0, Omega):
     H = _metric(std)
     A = connection_DG(std)
     assert H.adjoint(H.adjoint(A)).comps == A.comps
+
+
+def _deformed_metric(model, h0):
+    return HermitianStructure(model, h0.omega + DEFORMED_TAU.form(model))
+
+
+def test_bismut_block_is_real_and_skew_for_the_hermitian_form(model, h0):
+    # the Bismut connection is real, Gamma^{s(d)}_{s(a)s(b)} = conj
+    # Gamma^d_{ab} with s(a) = (a + 3) % 6, and metric, so on T it is
+    # anti-self-adjoint for the Hermitian form u^T Hm conj(v), Hm[a][b] =
+    # g(Z_a, conj Z_b): component a of the adjoint of a 1-form A is
+    # (Hm^T)^-1 conj(A^{s(a)})^T Hm^T, since Hm is Hermitian
+    s = [(a + 3) % 6 for a in range(6)]
+    for h in (h0, _deformed_metric(model, h0)):
+        gamma = christoffel(h.bismut)
+        assert all(gamma[s[a]][s[b]][s[d]] == gamma[a][b][d].conjugate()
+                   for a in range(6) for b in range(6) for d in range(6))
+        Hm, Hm_inv = q_metric(h, Scalar.one())
+        HmT, Hm_invT = [list(c) for c in zip(*Hm)], \
+            [list(c) for c in zip(*Hm_inv)]
+        for a in range(6):
+            conj_T = [[x.conjugate() for x in c]
+                      for c in zip(*dense(h.bismut[s[a]]))]
+            adj = scalar_product(scalar_product(Hm_invT, conj_T), HmT)
+            assert adj == [[-x for x in row] for row in dense(h.bismut[a])]
+    # where g is real, as at omega_0, CompatibleMetricH agrees
+    _, Psi = decompose_unitary(QOperator(model, h0.bismut),
+                               CompatibleMetricH(h0, Scalar.one()))
+    assert Psi.comps == [{}] * 6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CompatibleMetricH takes Hm[a][b] = G6[a][s(b)] = g(Z_a, conj Z_b), but "
+    "its adjoint Hm^-1 conj(A^{s(a)})^T Hm is the one of the form with "
+    "matrix Hm^T = G6[s(a)][b]; the two agree only where g is real, as on "
+    "every flat family. The fix changes the deformed report digests, pinned "
+    "in tests/test_iwasawa.py and perfbench/golden.json."))
+def test_bismut_block_is_unitary_at_a_deformed_metric(model, h0):
+    h = _deformed_metric(model, h0)
+    _, Psi = decompose_unitary(QOperator(model, h.bismut),
+                               CompatibleMetricH(h, Scalar.one()))
+    assert Psi.comps == [{}] * 6
 
 
 def test_selfadjoint_block_localization(model, h0, Omega):

@@ -13,7 +13,8 @@ from hslab.hermitian import HermitianStructure, matrix_inverse
 from hslab.iwasawa import TauDeformation, su3_structure
 
 from conftest import (apply, christoffel, dense, frame_vector, levi_civita,
-                      q_metric, random_form, random_scalar, vector_is_zero)
+                      partial, q_metric, random_form, random_scalar,
+                      vector_is_zero)
 
 
 def _diag_metric(model, coeffs):
@@ -106,7 +107,7 @@ def test_members_are_their_definitions(oracle_metrics):
         Ginv = dense(h.Ginv6, dim)
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.star_dc_omega == h.star(h.dc_omega)
-        assert h.two_i_partial_omega == h.omega.partial().scale(
+        assert h.two_i_partial_omega == partial(h.omega).scale(
             Scalar.of(0, 2))
         assert h.lc_trace == [
             sum((Ginv[a][b] * gamma[a][b][c] for a in range(dim)

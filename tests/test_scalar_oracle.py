@@ -3,7 +3,8 @@
 Each Scalar is mapped to the sympy expression sum_k (re_k + im_k I) pi^k
 with a symbolic positive pi; sums, products, negation, conjugation, monomial
 inverses, the sum-of-products kernel, str -> parse_scalar and evalf must
-agree with sympy's.
+agree with sympy's, and every result must hold its terms in the canonical
+order that == and hash read.
 """
 
 import math
@@ -42,9 +43,16 @@ def same(a, expr):
 
 
 def canonical(a):
-    """Each stored (a, b, d): d > 0, gcd(a, b, d) = 1, not both a, b zero."""
-    return all(d > 0 and math.gcd(x, y, d) == 1 and (x or y)
-               for x, y, d in a._c.values())
+    """The stored tuple of (k, a, b, d) terms, == and hash's key: k strictly
+    increasing, exact ints, d > 0, gcd(a, b, d) = 1 and not both a, b zero
+    (so zero is ())."""
+    c = a._c
+    return (c.__class__ is tuple
+            and all(t.__class__ is tuple and len(t) == 4
+                    and all(x.__class__ is int for x in t)
+                    and t[3] > 0 and math.gcd(*t[1:]) == 1 and (t[1] or t[2])
+                    for t in c)
+            and all(s[0] < t[0] for s, t in zip(c, c[1:])))
 
 
 @ORACLE
@@ -78,8 +86,7 @@ def test_sum_of_products(terms):
     got = Scalar.sum_of_products(terms)
     assert canonical(got)
     assert got._c == fold(terms)._c
-    assert same(got, sum((sign * to_sympy(x) * to_sympy(y)
-                          for x, y, sign in terms), sympy.Integer(0)))
+    assert same(got, sympy_sum(terms))
 
 
 @ORACLE
@@ -87,7 +94,7 @@ def test_sum_of_products(terms):
 def test_sum_of_products_cancels_to_zero(terms):
     # each product once with its sign and once, factors swapped, against it
     back = [(y, x, -sign) for x, y, sign in reversed(terms)]
-    assert Scalar.sum_of_products(terms + back)._c == {}
+    assert Scalar.sum_of_products(terms + back)._c == ()
 
 
 def test_sum_of_products_cases():
@@ -110,6 +117,73 @@ def test_sum_of_products_cases():
                                   (half, q(1), -1)])
     assert got == Scalar({0: (0, 1), 1: (Fraction(-5, 6), 0)})
     assert canonical(got)
+
+
+def sympy_sum(terms):
+    return sum((sign * to_sympy(x) * to_sympy(y) for x, y, sign in terms),
+               sympy.Integer(0))
+
+
+def on_power(n):
+    """A term (x, y, sign) whose product, if nonzero, is on pi^n."""
+    return st.builds(lambda k, c, e, sign: (Scalar({k: c}),
+                                            Scalar({n - k: e}), sign),
+                     st.integers(-3, 3), coefficients, coefficients,
+                     st.sampled_from((1, -1)))
+
+
+# every product on one pi-power, zero factors included: the running sum
+one_power_lists = st.integers(-2, 2).flatmap(
+    lambda n: st.lists(on_power(n), max_size=8))
+# products of monomials whose power changes along the list
+monomial_lists = st.lists(st.tuples(monomials, monomials,
+                                    st.sampled_from((1, -1))),
+                          min_size=2, max_size=8)
+
+
+@ORACLE
+@given(one_power_lists, monomial_lists)
+def test_sum_of_products_of_monomials(one_power, mixed):
+    for terms in (one_power, mixed):
+        got = Scalar.sum_of_products(terms)
+        assert canonical(got)
+        assert got._c == fold(terms)._c
+        assert same(got, sympy_sum(terms))
+    assert len(Scalar.sum_of_products(one_power)._c) <= 1
+
+
+@ORACLE
+@given(laurent, laurent, monomials, term_lists)
+def test_every_result_is_canonical(a, b, m, terms):
+    # == and hash are the stored tuple's, so every result keeps its terms
+    # in increasing k, reduced and nonzero
+    for got in (a, a + b, a - b, a * b, -a, a.conjugate(), m.inverse(),
+                a / m, Scalar.sum_of_products(terms)):
+        assert canonical(got)
+
+
+def test_sum_of_products_where_the_power_changes():
+    q = Scalar.of
+    x, y = q(Fraction(1, 2), Fraction(-1, 3)), q(Fraction(5, 6), 0, k=-1)
+    third, pi = q(Fraction(1, 3), 1), q(Fraction(-2, 7), 0, k=1)
+    laurent_x = Scalar({0: (1, 2), 2: (Fraction(1, 3), 0)})
+    on_0 = [(x, third, 1), (third, x, -1), (y, pi, 1), (x, x, 1),
+            (pi, y, -1), (third, third, 1)]
+    odd = [(pi, pi, 1), (y, y, -1), (laurent_x, third, 1), (q(0), pi, 1)]
+    # the empty list, one power, and one power that cancels to zero
+    cases = [[], on_0, on_0 + [(b, a, -sign) for a, b, sign in on_0]]
+    for t in odd:  # one term off pi^0 (or zero) first, in the middle, last
+        cases += [[t] + on_0, on_0[:3] + [t] + on_0[3:], on_0 + [t]]
+    # second powers that cancel later: pi^0 is left, then nothing is
+    cases.append([(pi, pi, 1)] + on_0 + [(pi, pi, -1)])
+    cases.append([(pi, pi, 1), (x, y, 1)] + [(pi, pi, -1), (y, x, -1)])
+    for terms in cases:
+        got = Scalar.sum_of_products(terms)
+        assert canonical(got)
+        assert got == fold(terms)
+        assert same(got, sympy_sum(terms))
+    assert Scalar.sum_of_products(cases[2]) == Scalar.zero()
+    assert Scalar.sum_of_products(cases[-1]) == Scalar.zero()
 
 
 @ORACLE

@@ -116,10 +116,12 @@ def test_int_built_constants_match_fraction_built_ones():
         b = Scalar.of(Fraction(re), Fraction(im), k)
         assert a == b and hash(a) == hash(b)
         assert a._c == b._c
-        for x, y, d in a._c.values():
+        for t in a._c:
+            assert all(type(x) is int for x in t)
+            _, x, y, d = t
             assert d == 1 and math.gcd(x, y, d) == 1 and (x, y) != (0, 0)
     assert Scalar.one() == Scalar.of(Fraction(1))
-    assert Scalar.one()._c == {0: (1, 0, 1)}
-    assert Scalar.of(0).is_zero()
+    assert Scalar.one()._c == ((0, 1, 0, 1),)
+    assert Scalar.of(0).is_zero() and Scalar.of(0)._c == ()
     assert Scalar.of(True, False) == Scalar.one()
     assert all(type(x) is int for x in Scalar.of(True, False)._c[0])
