@@ -14,14 +14,15 @@ balanced class [omega^2] is read off its HYM residual F ^ omega^2
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
 its compatible metric H, connection D^G, F_{D^G} ^ omega^2, the Dolbeault
-operator of Q and the unitary (B, Psi) and Chern (C, phi) splittings of
-D^G are built on first use and kept, so every verifier of one family reads
-the same objects; the Chern split is read off the unitary one,
-phi = 2 Psi^{1,0}.  F_{D^G} ^ omega^2 is read off the connection's
-components, so no curvature 2-form is built.  The dataclass is frozen,
-which keeps them valid, and none of them refers back to the family.  The
-coupling alpha is checked once, at construction: a nonzero real monomial
-q pi^k, whose sign is decided exactly.
+operator of Q, the unitary split (B, Psi) of D^G and the Higgs field
+phi = 2 Psi^{1,0} read off it are built on first use and kept, so every
+verifier of one family reads the same objects.  The Chern-type connection
+C = D^G - phi is not built: phi has type (1,0), so C^{0,1} = (D^G)^{0,1},
+and that is all of C the Higgs verdict reads.  F_{D^G} ^ omega^2 is read
+off the connection's components, so no curvature 2-form is built.  The
+dataclass is frozen, which keeps them valid, and none of them refers back
+to the family.  The coupling alpha is checked once, at construction: a
+nonzero real monomial q pi^k, whose sign is decided exactly.
 """
 
 from __future__ import annotations
@@ -181,15 +182,10 @@ class SystemParams:
         return decompose_unitary(self.connection, self.metric_H)
 
     @cached_property
-    def chern_split(self):
-        """(C, phi) = (D^G - phi, 2 Psi^{1,0}), with Psi from unitary_split.
-
-        The adjoint conjugates the form directions, so (A^{*H})^{1,0} =
-        (A^{0,1})^{*H}: no second adjoint, and C = A^{0,1} - (A^{0,1})^{*H}
-        is unitary.
-        """
-        phi = self.unitary_split[1].part(1, 0).scale(Scalar.of(2))
-        return self.connection - phi, phi
+    def higgs_field(self):
+        """phi = 2 Psi^{1,0}, with Psi from unitary_split: a (1,0)-form
+        valued endomorphism, D^G = C + phi with C of Chern type."""
+        return self.unitary_split[1].part(1, 0).scale(Scalar.of(2))
 
 
 def hs_residuals(s: SystemParams):

@@ -4,7 +4,7 @@ A compatible positive metric on Q is fixed by the underlying Hermitian
 metric on tangent directions and |alpha| on both End directions.  Relative
 to it the connection splits into a unitary part and a self-adjoint 1-form
 (the second fundamental form), A = B + Psi, and separately into a
-Chern-type connection plus a (1,0)-form field, A = C + phi = C + 2 Psi^{1,0}.
+Chern-type connection plus the Higgs field, A = C + phi = C + 2 Psi^{1,0}.
 The three moment-map residuals I, J, K and the harmonicity residual are
 computed exactly; the closed-form criteria (the pairing of one curvature
 against the torsion coclosure, plus the coupled frame contraction of the
@@ -14,14 +14,15 @@ The adjoint, the splittings and the contraction with a vector act on the
 components of QOperators.  The top-degree residuals (I, the gap's star
 term, the whole Higgs obstruction dbar_Q phi ^ omega^2) read through the
 pairing wedge_omega_sq_top; only the dbar_phi_23 witness builds a 2-form
-(higgs_dbar_entry).
+(higgs_dbar_entry).  C is never built: the Higgs verdict reads it only as
+C^{0,1} = (D^G)^{0,1}, phi being of type (1,0) (Simpson, Publ. IHES 1992).
 
 Every residual reads its SystemParams' per-family objects (metric,
-connection, splittings), each built once per family, and the metric's
-members (Lee form and its sharp, *d^c omega, the Levi-Civita trace), built
-once per metric when its HermitianStructure is.  Harmonicity reads K
-alone, so moment_residuals builds K alone; moment_I and moment_J build
-the other two, each on its own call.
+connection, unitary split, Higgs field), each built once per family, and
+the metric's members (Lee form and its sharp, *d^c omega, the Levi-Civita
+trace), built once per metric when its HermitianStructure is.  Harmonicity
+reads K alone, so moment_residuals builds K alone; moment_I and moment_J
+build the other two, each on its own call.
 
 K adds the Lee-form term i_{theta^sharp} Psi and J subtracts
 i_{J theta^sharp} Psi.  Both are zero on every family a command builds:
@@ -42,9 +43,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .cealg import InvariantVector
+from .cealg import InvariantForm, InvariantVector
 from .hermitian import _combination, _plus, _product_sum
-from .algebroid import QDIM, QOperator, wedge_omega_sq_top
+from .algebroid import QOperator, wedge_omega_sq_top
 
 
 class CompatibleMetricH:
@@ -231,27 +232,40 @@ def harmonic_vs_moment_gap(s):
 
 def higgs_dbar_entry(s, i, j):
     """Entry (i, j) of dbar_Q phi = (d phi)^{1,1} + A^{0,1} ^ phi + phi ^ A^{0,1},
-    as a 2-form (the dbar_phi_23 witness).
+    as a 2-form (the dbar_phi_23 witness), built in one pass.
 
-    A^{0,1} is the (0,1)-part of C (and of D^G: phi is of type (1,0)), so
-    both products are already of type (1,1).
+    A^{0,1} is the (0,1) part of D^G (and of C = D^G - phi, as phi has type
+    (1,0)), so both products are of type (1,1): the coefficient of
+    e_b ^ e_a, b < n <= a, is sum_k (phi^b_ik A^a_kj - A^a_ik phi^b_kj),
+    one sum of products per key.  (d phi_ij)^{1,1} adds phi^b_ij times
+    the (1,1) part of d e_b: zero on the Iwasawa model, not on every model.
     """
-    C, phi = s.chern_split
-    A = C.part(0, 1)
-    out = phi.form(i, j).d().part(1, 1)
-    for k in range(QDIM):
-        out = out + A.form(i, k).wedge(phi.form(k, j)) \
-            + phi.form(i, k).wedge(A.form(k, j))
-    return out
+    n, phi, A = s.model.n, s.higgs_field.comps, s.connection.comps
+    terms = {}
+    for b in range(n):
+        Pi = {k: x for (r, k), x in phi[b].items() if r == i}
+        Pj = {k: y for (k, c), y in phi[b].items() if c == j}
+        if not (Pi or Pj):
+            continue
+        for key, v in s.model.diff[b].terms.items():
+            if j in Pi and key[0] < n <= key[1]:  # (d phi_ij)^{1,1}
+                terms.setdefault(key, []).append((Pi[j], v, 1))
+        for a in range(n, 2 * n):
+            for (r, c), x in A[a].items():
+                if c == j and r in Pi:
+                    terms.setdefault((b, a), []).append((Pi[r], x, 1))
+                if r == i and c in Pj:
+                    terms.setdefault((b, a), []).append((x, Pj[c], -1))
+    return InvariantForm(s.model, {k: Scalar.sum_of_products(t)
+                                   for k, t in terms.items()})
 
 
 def higgs_obstruction(s):
     """The sparse Scalar matrix c with dbar_Q phi ^ omega^2 = c e_top,
-    through the pairing.
+    through the pairing, from phi and the (0,1) part of D^G.
 
     Only the mixed pairs survive ^ omega^2, so the (1,1) projection drops
     out and no 2-form is built.
     """
-    C, phi = s.chern_split
-    A = C.part(0, 1)
+    A, phi = s.connection.part(0, 1), s.higgs_field
     return wedge_omega_sq_top(s.h, phi, [(A, phi), (phi, A)])

@@ -20,8 +20,8 @@ no state between calls.
 verify_family produces an exact report over every displayed condition.
 It reads one family's Q-bundle objects from the SystemParams that builds
 each of them once: the compatible metric H, the connection D^G and its
-F ^ omega^2, the Dolbeault operator, and the unitary (B, Psi) and Chern
-(C, phi) splittings of D^G.
+F ^ omega^2, the Dolbeault operator, the unitary split (B, Psi) of D^G and
+the Higgs field phi = 2 Psi^{1,0}.
 
 The sweep (iter_sweep) enumerates integer pairs in one process: one engine
 certificate of the moment-map residual K, then closed-form records, row by
@@ -102,15 +102,15 @@ class TauDeformation:
         return all(t == 0 for t in self.coeffs())
 
     def form(self, model):
-        i = Scalar.of(0, 1)
-        tau1 = model.basis_form((0, 5)) - model.basis_form((2, 3))
-        tau2 = (model.basis_form((0, 5)) + model.basis_form((2, 3))).scale(i)
-        tau3 = model.basis_form((1, 5)) - model.basis_form((2, 4))
-        tau4 = (model.basis_form((1, 5)) + model.basis_form((2, 4))).scale(i)
+        """sum t_k tau_k over the t_k != 0: tau_1 = w1^w3' - w3^w1', tau_2 =
+        i (w1^w3' + w3^w1'), and tau_3, tau_4 the same with w2 for w1."""
         out = model.zero()
-        for t, basis in zip(self.coeffs(), (tau1, tau2, tau3, tau4)):
+        for k, t in enumerate(self.coeffs()):
             if t:
-                out = out + basis.scale(Scalar.of(Fraction(t)))
+                c = Scalar.of(0, t) if k % 2 else Scalar.of(t)
+                x, y = ((0, 5), (2, 3)) if k < 2 else ((1, 5), (2, 4))
+                out = out + model.basis_form(x, c) \
+                    + model.basis_form(y, c if k % 2 else -c)
         return out
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures: the standard model, metric, and family builders.
 
 Also the test oracles, among them the dense 8x8 matrices of forms of a Q
-operator (forms, matmul, curvature) and the Higgs-type form of the moment
-maps (higgs_equation_residuals): the package holds each Q operator only as
-its sparse components.  The pairing of Q (pairing_matrix), the Bismut
-isomorphism (bismut_iso_matrix) and the degree pairing of two classes
+operator (forms, matmul, curvature), the Chern-type connection
+(chern_split) and the Higgs-type form of the moment maps
+(higgs_equation_residuals): the package holds each Q operator only as its
+sparse components and reads C = D^G - phi only through its (0,1) part.
+The pairing of Q (pairing_matrix), the Bismut isomorphism
+(bismut_iso_matrix) and the degree pairing of two classes
 (degree_and_slope) are oracles of what the package reads off the metric
 (h.cotangent) and off the HYM residuals (the report's degrees), and the
 Levi-Civita connection (levi_civita) is the oracle of the metric's trace
@@ -287,6 +289,17 @@ def curvature(A):
             for r1, r2 in zip(E, matmul(E, E, A.model.zero()))]
 
 
+def chern_split(s):
+    """(C, phi) = (D^G - phi, phi), phi = s.higgs_field = 2 Psi^{1,0}: the
+    Chern-type connection, which the package never builds.
+
+    The adjoint conjugates the form directions, so (A^{*H})^{1,0} =
+    (A^{0,1})^{*H}: no second adjoint, and C = A^{0,1} - (A^{0,1})^{*H}
+    is unitary.  phi has type (1,0), so C^{0,1} = (D^G)^{0,1}.
+    """
+    return s.connection - s.higgs_field, s.higgs_field
+
+
 def higgs_equation_residuals(s):
     """Residuals of the Higgs-bundle-type rewriting of the moment maps.
 
@@ -299,7 +312,7 @@ def higgs_equation_residuals(s):
     and the integrability term del^H phi + phi ^ phi (dense 8x8 matrices
     of 2-forms).
     """
-    C, phi = s.chern_split
+    C, phi = chern_split(s)
     h, A = s.h, C.part(0, 1)
     phi_star = s.metric_H.adjoint(phi)  # (0,1)-form valued
     half = Scalar.of(Fraction(1, 2))
@@ -329,7 +342,7 @@ def higgs_equation_residuals(s):
 def dbar_reference(s):
     """The whole matrix dbar_Q phi of a family, (d phi + A01 ^ phi + phi ^
     A01)^{1,1}, by two products of its 8x8 matrices of 1-forms."""
-    C, phi = s.chern_split
+    C, phi = chern_split(s)
     A01 = [[e.part(0, 1) for e in row] for row in forms(C)]
     P, zero = forms(phi), s.model.zero()
     return [[(p.d() + x + y).part(1, 1) for p, x, y in zip(*rows)]

@@ -21,10 +21,10 @@ from hslab.hermitian import _combination, _plus
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family, su3_structure)
 
-from conftest import (DEFORMED_TAU, christoffel, curvature, dbar_reference,
-                      dense, frame_vector, higgs_equation_residuals,
-                      make_params, matrix_is_zero, q_metric, random_pair,
-                      scalar_product, split_curvature)
+from conftest import (DEFORMED_TAU, chern_split, christoffel, curvature,
+                      dbar_reference, dense, frame_vector,
+                      higgs_equation_residuals, make_params, matrix_is_zero,
+                      q_metric, random_pair, scalar_product, split_curvature)
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -179,7 +179,7 @@ def test_chern_decomposition(model, h0, Omega, rng):
         s = make_params(model, h0, Omega, t0, t1)
         H = _metric(s)
         A = connection_DG(s)
-        C, phi = s.chern_split
+        C, phi = chern_split(s)
         assert A.comps == (C + phi).comps
         assert phi.comps == phi.part(1, 0).comps
         assert H.adjoint(C).comps == (-C).comps
@@ -224,7 +224,7 @@ def test_unitary_decomposition_on_each_family(t0, t1, kw):
 @pytest.mark.parametrize("t0, t1, kw", _SPLIT_FAMILIES)
 def test_chern_split_matches_adjoint_reference(t0, t1, kw):
     s = _split_family(t0, t1, kw)
-    C, phi = s.chern_split
+    C, phi = chern_split(s)
     C_ref, phi_ref = _chern_reference(s.connection, s.metric_H)
     assert C.comps == C_ref.comps
     assert phi.comps == phi_ref.comps
@@ -338,7 +338,7 @@ def test_codifferential_identity(model, h0, Omega, rng):
 
 
 def test_higgs_field_closed_form(std, model, h0):
-    C, phi = std.chern_split
+    phi = std.higgs_field
     Z = [frame_vector(model, a) for a in range(6)]
     two = Scalar.of(2)
     for b in range(6):

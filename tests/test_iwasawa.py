@@ -76,6 +76,39 @@ def test_tau_form_is_real_one_one(rng):
         assert f.is_zero() == tau.is_zero()
 
 
+def _tau_reference(model, tau):
+    """sum t_i tau_i with all four directions built, as the deformation was
+    first written: tau_1 = w1^w3' - w3^w1', tau_2 = i (w1^w3' + w3^w1'),
+    tau_3 and tau_4 the same with w2 for w1."""
+    i = Scalar.of(0, 1)
+    b = model.basis_form
+    basis = (b((0, 5)) - b((2, 3)), (b((0, 5)) + b((2, 3))).scale(i),
+             b((1, 5)) - b((2, 4)), (b((1, 5)) + b((2, 4))).scale(i))
+    out = model.zero()
+    for t, f in zip(tau.coeffs(), basis):
+        out = out + f.scale(Scalar.of(Fraction(t)))
+    return out
+
+
+def test_tau_form_builds_only_the_nonzero_directions(monkeypatch):
+    model, _, _ = build_iwasawa()
+    taus = [TauDeformation()]
+    taus += [TauDeformation(*[Fraction(1, 4) if k == d else 0
+                              for k in range(4)]) for d in range(4)]
+    taus.append(TauDeformation(Fraction(1, 10), Fraction(-1, 3),
+                               Fraction(-1, 4), Fraction(1, 2)))
+    expected = [_tau_reference(model, tau) for tau in taus]
+    assert expected[0] == model.zero()
+    built, basis_form = [], model.basis_form
+    monkeypatch.setattr(model, "basis_form",
+                        lambda *a: built.append(a) or basis_form(*a))
+    for tau, reference in zip(taus, expected):
+        built.clear()
+        assert tau.form(model) == reference
+        # two basis forms per nonzero direction, none at tau = 0
+        assert len(built) == 2 * sum(1 for t in tau.coeffs() if t)
+
+
 def test_make_family_standard_alpha():
     cand = _family((1, 2, 2), (2, -1, 0))
     assert cand.params.alpha == Scalar.pi(-2, Fraction(1, 8))
@@ -225,7 +258,7 @@ def test_family_context_is_built_once(monkeypatch):
     calls["curvature_omega_sq"] = 0
     monkeypatch.setattr(bundles, "wedge_omega_sq_top", counting(
         "curvature_omega_sq", algebroid.wedge_omega_sq_top))
-    # one adjoint: the Chern split is read off the unitary one
+    # one adjoint: the Higgs field is read off the unitary split
     calls["adjoint"] = 0
     monkeypatch.setattr(harmonic.CompatibleMetricH, "adjoint",
                         counting("adjoint", harmonic.CompatibleMetricH.adjoint))
@@ -238,7 +271,7 @@ def test_family_context_is_built_once(monkeypatch):
     assert calls == once
     s = cand.params
     for name in ("metric_H", "connection", "curvature_omega_sq",
-                 "dolbeault", "unitary_split", "chern_split"):
+                 "dolbeault", "unitary_split", "higgs_field"):
         assert getattr(s, name) is getattr(s, name)
     assert calls == once
     # the objects are only valid for fixed fields
@@ -435,18 +468,39 @@ def test_higgs_verdict_matches_the_whole_matrix(rng):
 
 def test_higgs_verdict_builds_the_whole_matrix_only_if_the_witness_is_zero(
         monkeypatch):
-    built, whole = [], []
+    from hslab.algebroid import QOperator
+    built, whole, inside, read, subtracted = [], [], [], [], []
 
     def counted(log, original):
         def call(s, *entry):
             log.append(entry)
-            return original(s, *entry)
+            inside.append(log is built)
+            try:
+                return original(s, *entry)
+            finally:
+                inside.pop()
+        return call
+
+    def logged(log, original, reads=lambda *a: True):
+        def call(*args):
+            if reads(*args):
+                log.append(args)
+            return original(*args)
         return call
 
     monkeypatch.setattr(iwasawa, "higgs_dbar_entry",
                         counted(built, higgs_dbar_entry))
     monkeypatch.setattr(iwasawa, "higgs_obstruction",
                         counted(whole, higgs_obstruction))
+    # the witness reads the components: no entry 1-form and no wedge of one
+    monkeypatch.setattr(QOperator, "form", logged(
+        read, QOperator.form, lambda *a: any(inside)))
+    monkeypatch.setattr(InvariantForm, "wedge", logged(
+        read, InvariantForm.wedge, lambda x, y: any(inside)
+        and 1 in x.degrees() + y.degrees()))
+    # and no Chern connection C = D^G - phi is formed
+    monkeypatch.setattr(QOperator, "__sub__",
+                        logged(subtracted, QOperator.__sub__))
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     # the witness's entry (6,7) decides the deformed family
     assert _higgs_outcome(_family((1, 1, 0), (1, 0, 0), tau=tau))[0]
@@ -457,6 +511,8 @@ def test_higgs_verdict_builds_the_whole_matrix_only_if_the_witness_is_zero(
     assert whole == [()]
     # only the witness builds a 2-form
     assert built == [(6, 7), (6, 7)]
+    assert read == []
+    assert subtracted == []
 
 
 def test_metric_forms_are_built_once(monkeypatch):

@@ -8,6 +8,8 @@ vector entry by entry, and every top-degree coefficient as the wedge of a
 2-form with omega^2.  They are checked on four families and on seeded
 operators on every oracle metric, the last of which (the
 Kodaira-Thurston-style stand-in) has a nonzero lam_a = (d e_a ^ omega^2)_top.
+The last test guards what the dbar_phi_23 witness rests on: phi has type
+(1,0), so the Chern-type C = D^G - phi keeps the (0,1) part of D^G.
 """
 
 import random
@@ -21,12 +23,13 @@ from hslab.cealg import InvariantVector
 from hslab.algebroid import QDIM, wedge_omega_sq_top
 from hslab.harmonic import (CompatibleMetricH, higgs_dbar_entry,
                             higgs_obstruction)
-from hslab.bundles import LineBundleTriple
+from hslab.bundles import (LineBundleTriple, SystemParams,
+                           curvature_from_triple)
 from hslab.iwasawa import FamilyConfig, PicardPoint, make_family
 
-from conftest import (DEFORMED_TAU, dbar_reference, forms, matmul,
-                      operator_of, q_metric, random_form, random_scalar,
-                      sparse)
+from conftest import (DEFORMED_TAU, chern_split, dbar_reference, forms,
+                      matmul, operator_of, q_metric, random_form,
+                      random_scalar, sparse)
 
 
 def _adjoint_reference(Q, E):
@@ -94,7 +97,7 @@ def _check_obstruction(s):
 def test_families_match_the_form_entry_algorithms(kind):
     s = _family(kind)
     B, Psi = s.unitary_split
-    C, phi = s.chern_split
+    phi = s.higgs_field
     vectors = [s.h.lee_sharp, InvariantVector(s.model, [1, 2, 0, -1, 0, 3])]
     for A in (s.connection, Psi, phi):
         _check_operator(A, s.metric_H, q_metric(s.h, s.alpha), vectors)
@@ -127,9 +130,29 @@ def test_seeded_operators_on_every_oracle_metric(oracle_metrics):
         c = wedge_omega_sq_top(h, L, pairs)
         assert c == sparse(_top_reference(h, L, pairs))
         assert c
-        s = SimpleNamespace(model=m, h=h, chern_split=(C, phi))
+        s = SimpleNamespace(model=m, h=h, connection=C, higgs_field=phi)
         assert _check_obstruction(s) >= 16
         lam_seen += any(not x.is_zero() for x in h.omega_sq_lambda)
     # the stand-in's lam term is exercised, and it is the last metric
     assert lam_seen == 1
     assert any(not x.is_zero() for x in oracle_metrics[-1].omega_sq_lambda)
+
+
+def test_phi_is_of_type_1_0_and_c_keeps_the_01_part_of_dg(oracle_metrics):
+    # the Higgs verdict reads C = D^G - phi only through its (0,1) part, and
+    # reads that off D^G: phi has no (0,1) component
+    kt = oracle_metrics[-1]  # the Kodaira-Thurston-style stand-in
+    m = kt.model
+    t0, t1 = LineBundleTriple(1, 2, 2), LineBundleTriple(2, -1, 0, role="V1")
+    stand_in = SystemParams(
+        model=m, h=kt, triple0=t0, triple1=t1,
+        F0=curvature_from_triple(m, t0), F1=curvature_from_triple(m, t1),
+        alpha=Scalar.of(Fraction(3, 2)), Omega=m.basis_form((0, 1, 2)))
+    kinds = ("flat", "picard", "deformed", "uncorrected")
+    for s in [_family(kind) for kind in kinds] + [stand_in]:
+        n = s.model.n
+        C, phi = chern_split(s)
+        assert any(phi.comps[:n])
+        assert phi.comps[n:] == [{}] * n
+        for a in range(n, 2 * n):
+            assert C.comps[a] == s.connection.comps[a]
