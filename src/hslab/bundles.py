@@ -196,10 +196,11 @@ def hs_residuals(s: SystemParams):
     equals the constant |Omega| times the third entry: |Omega| is constant
     on invariant data, so the zero locus is unchanged and the returned form
     keeps exact coefficients.  The metric h gives d(omega^2), dd^c omega
-    and F_j ^ omega^2 (h.d_omega_sq, h.ddc_omega, h.wedge_omega_sq).
+    and F_j ^ omega^2 = c_j e_top (h.d_omega_sq, h.ddc_omega, and c_j =
+    h.omega_sq_top(F_j), read off the table (e_a ^ e_b ^ omega^2)_top).
     """
-    h = s.h
+    h, top = s.h, s.model.top_index()
     bianchi = h.ddc_omega \
         - s.F0.wedge(s.F0).scale(s.alpha) + s.F1.wedge(s.F1).scale(s.alpha)
-    return (h.wedge_omega_sq(s.F0), h.wedge_omega_sq(s.F1), h.d_omega_sq,
-            bianchi)
+    hym = (s.model.basis_form(top, h.omega_sq_top(F)) for F in (s.F0, s.F1))
+    return (*hym, h.d_omega_sq, bianchi)

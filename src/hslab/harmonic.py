@@ -7,8 +7,9 @@ to it the connection splits into a unitary part and a self-adjoint 1-form
 Chern-type connection plus the Higgs field, A = C + phi = C + 2 Psi^{1,0}.
 The three moment-map residuals I, J, K and the harmonicity residual are
 computed exactly; the closed-form criteria (the pairing of one curvature
-against the torsion coclosure, plus the coupled frame contraction of the
-two curvatures) are exposed for cross-checks.
+with the star of the torsion, and the coupled frame contraction of the two
+curvatures, both read off that curvature raised once) are exposed for
+cross-checks.
 
 The adjoint, the splittings and the contraction with a vector act on the
 components of QOperators.  The top-degree residuals (I, the gap's star
@@ -19,8 +20,8 @@ C^{0,1} = (D^G)^{0,1}, phi being of type (1,0) (Simpson, Publ. IHES 1992).
 
 Every residual reads its SystemParams' per-family objects (metric,
 connection, unitary split, Higgs field), each built once per family, and
-the metric's members (Lee form and its sharp, *d^c omega, the Levi-Civita
-trace), built once per metric when its HermitianStructure is.  Harmonicity
+the metric's members (Lee form and its sharp, the Levi-Civita trace),
+built once per metric when its HermitianStructure is.  Harmonicity
 reads K alone, so moment_residuals builds K alone; moment_I and moment_J
 build the other two, each on its own call.
 
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .cealg import InvariantForm, InvariantVector
-from .hermitian import _combination, _plus, _product_sum
+from .hermitian import _combination, _form_entries, _plus, _product_sum
 from .algebroid import QOperator, wedge_omega_sq_top
 
 
@@ -200,18 +201,19 @@ def harmonic_residual(s):
 def harmonic_criteria(s):
     """Closed-form harmonicity criteria equivalent to the K residual.
 
-    Returns the 4-form F0 ^ *(d^c omega) (coclosure pairing of the first
-    curvature against the torsion) and the scalar |alpha| times the frame
-    contraction of the two curvatures (the cross coupling of the End
-    blocks, equal to the off-diagonal entries of the K residual).  Both
-    vanish iff the compatible metric is harmonic.
+    Returns the 5-form F0 ^ *(d^c omega) (coclosure pairing of the first
+    curvature against the torsion) and the scalar |alpha| g^{ac} g^{bd}
+    (F0)_ab (F1)_cd (the cross coupling of the End blocks, equal to the
+    off-diagonal entries of the K residual); both vanish iff the compatible
+    metric is harmonic.  Both read M0 = raise_form(F0): the pairing is one
+    contraction of the volume (wedge_star), and the cross term sums M0
+    against F1's entries, the contraction being symmetric in F0 and F1.
     """
-    h = s.h
-    torsion_pairing = s.F0.wedge(h.star_dc_omega)
-    cross = s.alpha * h.frame_contraction(s.F1, s.F0)
-    if s.alpha.sign() < 0:
-        cross = -cross
-    return {"torsion_pairing": torsion_pairing, "cross": cross}
+    h, aabs = s.h, s.alpha if s.alpha.sign() > 0 else -s.alpha
+    M0, F1 = h.raise_form(s.F0), _form_entries(s.F1)
+    cross = aabs * Scalar.sum_of_products(
+        [(m, F1[k], 1) for k, m in M0.items() if k in F1])
+    return {"torsion_pairing": h.wedge_star(M0, h.dc_omega), "cross": cross}
 
 
 def harmonic_vs_moment_gap(s):

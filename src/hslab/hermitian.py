@@ -3,8 +3,8 @@
 Everything is driven by a Hermitian fundamental form omega: the complexified
 Gram matrix G6 = [[0, g], [g^T, 0]] and its inverse Ginv6 from the 3x3
 inverse of g, each held once as a sparse matrix, a C-bilinear Hodge star,
-the Lee form J d^* omega from d(omega^2), double metric contractions of
-2-forms, and the Bismut connection coefficients on the invariant frame.
+the Lee form J d^* omega from d(omega^2), the pairings of 2-forms with
+omega^2 and with the star of a 3-form, and the Bismut connection.
 
 The module also holds the package's one exact linear-algebra core.  A
 Scalar matrix is held sparse, as the dict {(i, j): v} of its nonzero
@@ -19,22 +19,17 @@ elimination of g.
 A HermitianStructure is finished at construction: it builds everything that
 depends on the metric alone (omega^2, d(omega^2), dd^c(omega^2) for the
 Aeppli check of [omega^2], d^c omega, 2i partial(omega), dd^c omega, the
-volume, the table (e_a ^ e_b ^ omega^2)_top and its companion (d e_a ^
-omega^2)_top, G6 and Ginv6, the nonzero entries of each row of the metric
-on Q and of each column of its inverse on T (Hm_T_rows, Hm_inv_T_cols),
-what CompatibleMetricH reads, the cotangent span with its Gram inverse and
-isotropy verdict (a MetricSpan, what subbundle_report reads), the Bismut
-connection as one sparse matrix per frame direction (what connection_DG
-reads), the Lee form and its sharp, *d^c omega and the Levi-Civita trace
-of the codifferential, the sharp of the model's ad_trace) and nothing is
-written to it afterwards, so one structure serves every verifier and family
-of its metric.  The connection comes from the terms of the model's d w_c
-(the brackets) paired with G6 and the terms of d^c omega, raised by Ginv6
-in one sparse product; the table is read off the terms of omega^2, so
-their cost follows the nonzero structure constants.
-wedge_omega_sq is the wedge with omega^2; star builds the image of each
-basis form e_J on every call: the volume contracted by the metric duals
-(sharp) of the factors of e_J, in order.
+table W[a][b] = (e_a ^ e_b ^ omega^2)_top, the volume, G6 and Ginv6, what
+CompatibleMetricH, subbundle_report and connection_DG read, the Lee form
+and the Levi-Civita trace of the codifferential) and nothing is written to
+it afterwards, so one structure serves every verifier and family of its
+metric.  Top-degree products with omega^2 are read off the table, itself
+read off the terms of omega^2: F ^ omega^2 = (sum_{a<b} F_ab W[a][b]) e_top
+for a 2-form F (omega_sq_top), and vol = omega^3/6 = c_vol e_top with
+c_vol = omega_sq_top(omega)/6.  The torsion pairing F ^ *T is one
+contraction of the volume (wedge_star).  star builds the image of each
+basis form e_J on every call, the volume contracted by the metric duals
+(sharp) of the factors of e_J in order, for the Lee form and the selftest.
 
 All operations stay in exact scalars; frame orthonormalization (which would
 need square roots) is never performed.  Positivity of the Gram matrix is
@@ -270,7 +265,6 @@ class HermitianStructure:
         # certified before g is inverted, so a degenerate g names its minor;
         # det g > 0 also makes the volume's coefficient c_vol nonzero
         self._certify_positive()
-        zero = Scalar.zero()
         # G6 = [[0, g], [g^T, 0]], so Ginv6 = [[0, g^-T], [g^-1, 0]]: the
         # nonzero entries of the mixed blocks, row by row
         ginv = matrix_inverse(self.g)
@@ -296,28 +290,26 @@ class HermitianStructure:
         self.cotangent = metric_span(self, {(a, k): m_half * x for (a, k), x
                                             in self.Ginv6.items() if k < n})
         self.omega_sq = omega.wedge(omega)
-        self.d_omega_sq = self.omega_sq.d()
-        # the Aeppli check of the balanced class [omega^2]
-        self.ddc_omega_sq = self.omega_sq.dc().d()
+        self.d_omega_sq = dw2 = self.omega_sq.d()
+        # the Aeppli check of the balanced class [omega^2]: omega^2 is (2,2),
+        # so d^c(omega^2) = i ((d omega^2)^{2,3} - (d omega^2)^{3,2})
+        self.ddc_omega_sq = (dw2.part(2, 3) - dw2.part(3, 2)).scale(
+            Scalar.i()).d()
         self.dc_omega = omega.dc()
         # omega is (1,1), so (d^c omega)^{2,1} = -i partial(omega)
         self.two_i_partial_omega = self.dc_omega.part(2, 1).scale(-2)
         self.ddc_omega = self.dc_omega.d()
-        self.volume = self.omega_sq.wedge(omega).scale(Fraction(1, 6))
-        self.c_vol = self.volume.top_coeff()
         self.omega_sq_table = self._omega_sq_table()
+        # vol = omega^3/6 = c_vol e_top, lam[a] = (d e_a ^ omega^2)_top
+        self.c_vol = self.omega_sq_top(omega) * Scalar.of(Fraction(1, 6))
+        self.volume = model.basis_form(model.top_index(), self.c_vol)
+        self.omega_sq_lambda = [self.omega_sq_top(da) for da in model.diff]
         self.bismut = self._bismut()
-        # lam[a] = (d e_a ^ omega^2)_top, read through the table
-        W = self.omega_sq_table
-        self.omega_sq_lambda = [sum((v * W[b][c] for (b, c), v in
-                                     da.terms.items()), zero)
-                                for da in model.diff]
         # theta = J d^* omega = -J *d(omega^2)/2, as d^* = -*d* and *omega =
         # omega^2/2 in complex dimension 3 (Huybrechts, Complex Geometry, 1.2)
         self.lee_form = self.j_form(
             -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
         self.lee_sharp = self.sharp(self.lee_form)
-        self.star_dc_omega = self.star(self.dc_omega)
         # g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab} of Levi-Civita, by Koszul
         self.lc_trace = self.sharp(model.ad_trace).coeffs
 
@@ -368,9 +360,16 @@ class HermitianStructure:
             out = out.contract(self.sharp(self.model.basis_form((a,))))
         return out.terms
 
-    def wedge_omega_sq(self, form):
-        """form ^ omega^2."""
-        return form.wedge(self.omega_sq)
+    def omega_sq_top(self, form):
+        """The c with form ^ omega^2 = c e_top, for a 2-form: sum_{a<b}
+        form_ab W[a][b], read off the table.  A nonzero form of another
+        degree, or of mixed degree, is a ValueError."""
+        if form.terms and form.degree() != 2:
+            raise ValueError("the omega^2 pairing takes a 2-form, got a "
+                             "%d-form" % form.degree())
+        W = self.omega_sq_table
+        return Scalar.sum_of_products([(v, W[a][b], 1) for (a, b), v
+                                       in form.terms.items()])
 
     def _omega_sq_table(self):
         """W[a][b] = (e_a ^ e_b ^ omega^2)_top: a term v e_K of omega^2 sets
@@ -387,19 +386,11 @@ class HermitianStructure:
     def j_form(self, form):
         """(J a)(X,..) = a(JX,..): multiplies a (p,q) term by i^(p-q)."""
         n = self.model.n
-        t = {}
-        for k, v in form.terms.items():
-            p = sum(1 for a in k if a < n)
-            q = len(k) - p
-            r = (p - q) % 4
-            if r == 1:
-                v = v * Scalar.i()
-            elif r == 2:
-                v = -v
-            elif r == 3:
-                v = v * Scalar.of(0, -1)
-            t[k] = v
-        return InvariantForm(self.model, t)
+        powers = (Scalar.one(), Scalar.i(), Scalar.of(-1), Scalar.of(0, -1))
+        # p - q = 2p - (p + q) for a term of degree p + q
+        return InvariantForm(self.model, {
+            k: v * powers[(2 * sum(1 for a in k if a < n) - len(k)) % 4]
+            for k, v in form.terms.items()})
 
     def sharp(self, oneform):
         """Metric dual vector of a 1-form."""
@@ -414,19 +405,33 @@ class HermitianStructure:
         """lambda: top coefficient normalized so the total volume is 1."""
         return form.top_coeff() * self.c_vol.inverse()
 
-    def frame_contraction(self, F, G):
-        """Double metric contraction g^{ac} g^{bd} F_{ab} G_{cd}.
+    def raise_form(self, F):
+        """M = Ginv6 . F . Ginv6 (Ginv6 is symmetric): the sparse matrix
+        {(a, b): F^{ab}} of a 2-form with both indices raised.  Summed
+        against the entries of a 2-form G it is the double contraction
+        g^{ac} g^{bd} F_ab G_cd."""
+        Ginv = self.Ginv6
+        return _product_sum([(_product_sum([(Ginv, _form_entries(F), 1)]),
+                              Ginv, 1)])
 
-        Equals the orthonormal-frame sum sum_{ij} F(e_i,e_j) G(e_i,e_j)
-        without leaving exact arithmetic.
+    def wedge_star(self, M, T):
+        """F ^ *T = i_{sharp Y} vol, Y_c = sum_{a<b} M_ab T_abc, of a 2-form
+        F given as M = raise_form(F) and a 3-form T: no star image is built.
+
+        For every 1-form gamma, gamma ^ F ^ *T = <gamma ^ F, T> vol =
+        <gamma, Y> vol = gamma ^ *Y, and *Y = i_{sharp Y} vol (Huybrechts,
+        Complex Geometry, 1.2).  A term v e_ijk of T adds v M_ij to Y_k,
+        v M_jk to Y_i and v M_ki to Y_j.
         """
-        # M = Ginv . F . Ginv (Ginv6 is symmetric), then contract with G,
-        # both over the nonzero entries only
-        Ginv, Gv = self.Ginv6, _form_entries(G)
-        M = _product_sum([(_product_sum([(Ginv, _form_entries(F), 1)]),
-                           Ginv, 1)])
-        return Scalar.sum_of_products([(m, Gv[k], 1) for k, m in M.items()
-                                       if k in Gv])
+        terms = {}
+        for (i, j, k), v in T.terms.items():
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                m = M.get((a, b))
+                if m is not None:
+                    terms.setdefault((c,), []).append((m, v, 1))
+        Y = InvariantForm(self.model, {c: Scalar.sum_of_products(t)
+                                       for c, t in terms.items()})
+        return self.volume.contract(self.sharp(Y))
 
     # -- connection ---------------------------------------------------------
 
@@ -438,11 +443,11 @@ class HermitianStructure:
         g(nabla_{Z_a} Z_b, Z_z) = P_abz - P_bza + P_zab with P_xyz =
         (1/2) g([Z_x, Z_y], Z_z), and [Z_x, Z_y]^c = -d w^c(Z_x, Z_y): the
         terms of the d w^c paired with G6 give every nonzero P_xyz, and the
-        three Koszul terms are P with its keys permuted, each raised by
-        Ginv6.  The torsion adds the rows (1/2) d^c omega(Z_a, Z_b, Z_z),
-        read off the terms of d^c omega, to the same product, whose entry
-        (d, (a, b)) goes to the matrix of direction a.  So the cost follows
-        the nonzero structure constants and torsion terms.
+        three Koszul terms are P with its keys permuted.  With the torsion
+        rows (1/2) d^c omega(Z_a, Z_b, Z_z), read off the terms of d^c
+        omega, they are summed into one matrix, raised by one product with
+        Ginv6 whose entry (d, (a, b)) goes to the matrix of direction a.  So
+        the cost follows the nonzero structure constants and torsion terms.
         """
         half = Scalar.of(Fraction(1, 2))
         brackets = {}  # ((x, y), c): (1/2) [Z_x, Z_y]^c
@@ -451,17 +456,17 @@ class HermitianStructure:
                 v = half * v
                 brackets[(x, y), c], brackets[(y, x), c] = -v, v
         P = _product_sum([(brackets, self.G6, 1)])
-        Ginv = self.Ginv6
         # the matrices below hold the entry for nabla_{Z_a} Z_b at (z, (a, b))
-        koszul = [(Ginv, {(z, (x, y)): v for ((x, y), z), v in P.items()}, 1),
-                  (Ginv, {(y, (z, x)): v for ((x, y), z), v in P.items()}, -1),
-                  (Ginv, {(x, (y, z)): v for ((x, y), z), v in P.items()}, 1)]
+        koszul = [{(z, (x, y)): v for ((x, y), z), v in P.items()},
+                  {(y, (z, x)): v for ((x, y), z), v in P.items()},
+                  {(x, (y, z)): v for ((x, y), z), v in P.items()}]
         torsion = {}
         for (i, j, k), v in self.dc_omega.terms.items():
-            v = half * v
             for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
                 torsion[z, (a, b)], torsion[z, (b, a)] = v, -v
-        gamma = _product_sum(koszul + [(Ginv, torsion, 1)])
+        one = Scalar.one()
+        lowered = _combination([one, -one, one, half], koszul + [torsion])
+        gamma = _product_sum([(self.Ginv6, lowered, 1)])
         out = [{} for _ in range(self.model.dim)]
         for (d, (a, b)), v in gamma.items():
             out[a][d, b] = v

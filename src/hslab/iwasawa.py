@@ -273,24 +273,16 @@ def _scalar_entry(value):
     return {"exact": str(value), "display": repr(value.evalf())}
 
 
-def _degree(h, F, F_omega_sq, i_2pi):
-    """(i/2pi) lambda(F ^ omega^2) of a closed 2-form F, given F ^ omega^2."""
-    CohClass(F)
-    if F.degree() not in (0, 2) or h.omega_sq.degree() != 4:
-        raise ValueError("slope pairing needs a 2-class against a 4-class")
-    return h.integrate(F_omega_sq) * i_2pi
-
-
 def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     """Run every exact verifier on an assembled family.
 
     What depends on the metric alone is read off s.h, built once per
     metric: the Aeppli check of [omega^2] (h.ddc_omega_sq, a nonzero one a
     ValueError) and the cotangent span of subbundle_report.  The degrees
-    of the line bundles are (i/2pi) lambda(F_j ^ omega^2), read off the
-    HYM residuals of hs_residuals, with no second wedge.  The Higgs verdict
-    reads entry (6,7) of dbar_Q phi ^ omega^2 off the dbar_phi_23 witness
-    and builds the whole matrix (higgs_obstruction) only when it is zero.
+    of the closed F_j are (i/2pi) lambda(F_j ^ omega^2), read off the HYM
+    residuals of hs_residuals.  The Higgs verdict pairs the dbar_phi_23
+    witness with omega^2 (entry (6,7) of dbar_Q phi ^ omega^2) and builds
+    the whole matrix (higgs_obstruction) only when that is zero.
     """
     s = candidate.params
     h = s.h
@@ -323,7 +315,7 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     # dbar_Q phi ^ omega^2 != 0?  Its entry (6,7) is witness ^ omega^2
     witness = higgs_dbar_entry(s, 6, 7)
     residuals.append(_residual_entry("dbar_phi_23", witness))
-    higgs_nonholomorphic = (not h.wedge_omega_sq(witness).is_zero()
+    higgs_nonholomorphic = (not h.omega_sq_top(witness).is_zero()
                             or bool(higgs_obstruction(s)))
 
     # slope of the cotangent subbundle and degrees of the two line bundles
@@ -331,8 +323,8 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
         raise ValueError("Aeppli representative is not dd^c-closed")
     rep = subbundle_report(s)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
-    deg0, deg1 = (_degree(h, F, F_omega_sq, i_2pi)
-                  for F, F_omega_sq in zip((s.F0, s.F1), hs))
+    CohClass(s.F0), CohClass(s.F1)  # a degree pairs closed 2-forms only
+    deg0, deg1 = (h.integrate(F_omega_sq) * i_2pi for F_omega_sq in hs[:2])
 
     verdicts = {
         "hs_solution": hs_ok,

@@ -176,6 +176,21 @@ def matrix_is_zero(rows):
     return all(x.is_zero() for row in rows for x in row)
 
 
+def raised(h, F):
+    """Dense Ginv6 . F . Ginv6 of a 2-form F, F_cd = F(Z_c, Z_d): F with
+    both indices raised, by the definition."""
+    Ginv, r = dense(h.Ginv6, h.model.dim), range(h.model.dim)
+    return [[sum((Ginv[a][c] * F.at(c, d) * Ginv[d][b] for c in r
+                  for d in r), Scalar.zero()) for b in r] for a in r]
+
+
+def frame_contraction(h, F, G):
+    """g^{ac} g^{bd} F_ab G_cd of two 2-forms, summed over every index."""
+    r = range(h.model.dim)
+    M = raised(h, F)
+    return sum((M[c][d] * G.at(c, d) for c in r for d in r), Scalar.zero())
+
+
 def q_metric(h, alpha):
     """Dense Hm and Hm^-1 of the metric on Q, by their definition.
 

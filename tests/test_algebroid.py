@@ -317,7 +317,7 @@ def test_curvature_wedge_omega_sq_with_a_nonzero_lambda(kt_model, seed):
 
 def _check_against_the_curvature(h, A, c):
     """Check c_ij e_top = F_ij ^ omega^2, F = dA + A ^ A; return F ^ omega^2."""
-    F = [[h.wedge_omega_sq(f) for f in row] for row in curvature(A)]
+    F = [[f.wedge(h.omega_sq) for f in row] for row in curvature(A)]
     top = h.model.top_index()
     for frow, crow in zip(F, dense(c)):
         for f, x in zip(frow, crow):

@@ -80,7 +80,7 @@ def test_hs_residuals_and_alpha_perturbation(model, h0, Omega, rng):
 def test_hym_residual(model, h0, rng):
     t = random_triple(rng)
     F = curvature_from_triple(model, LineBundleTriple(*t, role="V0"))
-    assert h0.wedge_omega_sq(F).is_zero()
+    assert F.wedge(h0.omega_sq).is_zero()
 
 
 def test_ch2_constraint(model, h0):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,10 @@ from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
                            make_family, su3_structure)
 
 from conftest import (DEFORMED_TAU, chern_split, christoffel, curvature,
-                      dbar_reference, dense, frame_vector,
+                      dbar_reference, dense, frame_contraction, frame_vector,
                       higgs_equation_residuals, make_params, matrix_is_zero,
-                      q_metric, random_pair, scalar_product, split_curvature)
+                      q_metric, random_form, random_pair, scalar_product,
+                      split_curvature)
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -314,6 +316,22 @@ def test_harmonic_three_way_equivalence(model, h0, Omega, rng):
         assert crit["cross"].is_zero() == (dot == 0)
 
 
+def test_criteria_where_the_torsion_pairing_is_not_zero(oracle_metrics, rng):
+    # the pairing is zero on every Iwasawa family, so the criteria read
+    # seeded 2-forms F0, F1 and a negative coupling on every oracle metric,
+    # the Kodaira-Thurston stand-in (d(omega^2) != 0) included, against the
+    # star itself and the frame contraction by its definition
+    nonzero = 0
+    for h in oracle_metrics:
+        F0, F1 = (random_form(h.model, rng, 2, nterms=4) for _ in range(2))
+        s = types.SimpleNamespace(h=h, F0=F0, F1=F1, alpha=Scalar.of(-2))
+        crit = harmonic_criteria(s)
+        assert crit["torsion_pairing"] == F0.wedge(h.star(h.dc_omega))
+        assert crit["cross"] == Scalar.of(2) * frame_contraction(h, F0, F1)
+        nonzero += not crit["torsion_pairing"].is_zero()
+    assert nonzero >= len(oracle_metrics) - 1
+
+
 def test_cross_term_closed_form(model, h0, Omega, rng):
     # the only nonzero entries of the K residual are the End off-diagonals,
     # equal to |alpha| times the frame contraction of the two curvatures
@@ -321,9 +339,10 @@ def test_cross_term_closed_form(model, h0, Omega, rng):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
         K = dense(harmonic_residual(s))
-        cross = s.alpha * h0.frame_contraction(s.F1, s.F0)
+        cross = s.alpha * frame_contraction(h0, s.F1, s.F0)
         if s.alpha.sign() < 0:
             cross = -cross
+        assert harmonic_criteria(s)["cross"] == cross
         for i in range(QDIM):
             for j in range(QDIM):
                 expect = cross if (i, j) in ((6, 7), (7, 6)) else Scalar.zero()

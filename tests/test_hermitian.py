@@ -13,8 +13,8 @@ from hslab.hermitian import HermitianStructure, matrix_inverse
 from hslab.iwasawa import TauDeformation, su3_structure
 
 from conftest import (apply, christoffel, dense, frame_vector, levi_civita,
-                      partial, q_metric, random_form, random_scalar,
-                      vector_is_zero)
+                      partial, q_metric, raised, random_form, random_scalar,
+                      sparse, vector_is_zero)
 
 
 def _diag_metric(model, coeffs):
@@ -77,8 +77,10 @@ def _deformed(model):
 @pytest.mark.parametrize("name", ["model", "abelian_model", "kt_model",
                                   "oracle_metrics"])
 def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
-    # a deformed metric of each model, and every oracle metric; seeded forms
-    # of every degree 0-6 and two of mixed degree
+    # a deformed metric of each model, and every oracle metric: the pairing
+    # omega_sq_top is the top coefficient of the wedge with omega^2 on
+    # seeded 2-forms and on the zero form, and refuses seeded forms of every
+    # other degree 0-6 and one of mixed degree
     fixture = request.getfixturevalue(name)
     metrics = fixture if name == "oracle_metrics" else [_deformed(fixture)]
     nonzero = 0
@@ -86,11 +88,42 @@ def test_wedge_omega_sq_is_the_wedge_with_omega_sq(request, name, rng):
         w2 = h.omega.wedge(h.omega)
         forms = [random_form(h.model, rng, deg, nterms=4)
                  for deg in range(7) for _ in range(3)]
-        forms += [forms[3] + forms[6], forms[0] + forms[6] + forms[12]]
-        nonzero += sum(1 for f in forms if not f.wedge(w2).is_zero())
-        for f in forms:
-            assert h.wedge_omega_sq(f) == f.wedge(w2)
-    assert nonzero >= 9 * len(metrics)
+        others = [f for f in forms if f.degree() != 2] + [forms[6] + forms[9]]
+        two = [f for f in forms if f.degree() == 2] + [h.model.zero()]
+        for f in two:
+            c = h.omega_sq_top(f)
+            assert h.model.basis_form(h.model.top_index(), c) == f.wedge(w2)
+            nonzero += not c.is_zero()
+        for f in others:
+            with pytest.raises(ValueError, match="2-form|homogeneous"):
+                h.omega_sq_top(f)
+    assert nonzero >= 2 * len(metrics)
+
+
+def test_wedge_star_is_one_contraction_of_the_volume(oracle_metrics, rng):
+    # F ^ *T against the Hodge star itself, on seeded 2-forms F that are
+    # mostly not closed (curvatures are; the pairing with T = d^c omega is
+    # zero on every Iwasawa family): T = d^c omega and a seeded 3-form;
+    # raise_form against Ginv6 . F . Ginv6 by the definition
+    nonzero = not_closed = 0
+    for h in oracle_metrics:
+        for _ in range(2):
+            F = random_form(h.model, rng, 2, nterms=4)
+            M = h.raise_form(F)
+            assert M == sparse(raised(h, F))
+            not_closed += not F.d().is_zero()
+            for T in (h.dc_omega, random_form(h.model, rng, 3, nterms=4)):
+                pairing = h.wedge_star(M, T)
+                assert pairing == F.wedge(h.star(T))
+                nonzero += not pairing.is_zero()
+    assert not_closed >= len(oracle_metrics)
+    assert nonzero >= 2 * len(oracle_metrics)
+    # on the Kodaira-Thurston stand-in d(omega^2) != 0, and the pairing
+    # with its d^c omega is not zero
+    h = oracle_metrics[-1]
+    assert not h.d_omega_sq.is_zero()
+    F = random_form(h.model, rng, 2, nterms=4)
+    assert not h.wedge_star(h.raise_form(F), h.dc_omega).is_zero()
 
 
 def test_members_are_their_definitions(oracle_metrics):
@@ -106,7 +139,10 @@ def test_members_are_their_definitions(oracle_metrics):
         dim, gamma = h.model.dim, levi_civita(h)
         Ginv = dense(h.Ginv6, dim)
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
-        assert h.star_dc_omega == h.star(h.dc_omega)
+        assert h.ddc_omega_sq == h.omega_sq.dc().d()
+        # vol = omega^3/6 = c_vol e_top, by the wedge itself
+        assert h.volume == h.omega_sq.wedge(h.omega).scale(Fraction(1, 6))
+        assert h.c_vol == h.volume.top_coeff()
         assert h.two_i_partial_omega == partial(h.omega).scale(
             Scalar.of(0, 2))
         assert h.lc_trace == [
@@ -189,8 +225,9 @@ def test_metric_objects_are_built_once(model):
     h = _diag_metric(model, (1, 2, 3))
     # every member is a plain attribute, built with the structure
     members = ("omega_sq_table", "omega_sq_lambda", "bismut", "lee_form",
-               "lee_sharp", "star_dc_omega", "lc_trace", "G6", "Ginv6",
-               "Hm_T_rows", "Hm_inv_T_cols", "cotangent", "ddc_omega_sq")
+               "lee_sharp", "lc_trace", "G6", "Ginv6", "Hm_T_rows",
+               "Hm_inv_T_cols", "cotangent", "ddc_omega_sq", "c_vol",
+               "volume")
     assert set(members) <= set(vars(h))
     assert not any(callable(getattr(h, name)) for name in members)
     # a second structure on the same metric builds its own, equal, objects
@@ -301,6 +338,12 @@ def test_omega_sq_table_is_the_wedge_with_omega_sq(model, h0, kt_model):
         HermitianStructure._omega_sq_table(stand_in)
 
 
+def _frame_contraction(h, F, G):
+    """g^{ac} g^{bd} F_ab G_cd, summed over the raised F's entries."""
+    M = h.raise_form(F)
+    return sum((m * G.at(a, b) for (a, b), m in M.items()), Scalar.zero())
+
+
 def test_frame_contraction_norm(model, h0, rng):
     from hslab.bundles import LineBundleTriple, curvature_from_triple
     from conftest import random_triple
@@ -309,13 +352,14 @@ def test_frame_contraction_norm(model, h0, rng):
         F = curvature_from_triple(model, LineBundleTriple(*t, role="V0"))
         norm = sum(x * x for x in t)
         expect = Scalar.pi(2, -16 * norm)
-        assert h0.frame_contraction(F, F) == expect
-    # bilinearity in the integer dot product
+        assert _frame_contraction(h0, F, F) == expect
+    # bilinearity in the integer dot product, and symmetry
     t0, t1 = random_triple(rng), random_triple(rng)
     F0 = curvature_from_triple(model, LineBundleTriple(*t0, role="V0"))
     F1 = curvature_from_triple(model, LineBundleTriple(*t1, role="V1"))
     dot = sum(a * b for a, b in zip(t0, t1))
-    assert h0.frame_contraction(F1, F0) == Scalar.pi(2, -16 * dot)
+    assert _frame_contraction(h0, F1, F0) == Scalar.pi(2, -16 * dot)
+    assert _frame_contraction(h0, F0, F1) == Scalar.pi(2, -16 * dot)
 
 
 def test_only_complex_dimension_three_is_accepted():

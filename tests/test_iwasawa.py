@@ -455,10 +455,10 @@ def test_higgs_verdict_matches_the_whole_matrix(rng):
     # on the standard flat family entry (6,7) wedges to zero, so the verdict
     # comes from the whole matrix
     s = families[0].params
-    assert s.h.wedge_omega_sq(higgs_dbar_entry(s, 6, 7)).is_zero()
+    assert higgs_dbar_entry(s, 6, 7).wedge(s.h.omega_sq).is_zero()
     for cand in families:
         dbar = dbar_reference(cand.params)
-        verdict = not all(cand.params.h.wedge_omega_sq(e).is_zero()
+        verdict = not all(e.wedge(cand.params.h.omega_sq).is_zero()
                           for row in dbar for e in row)
         dbar_23 = dbar[6][7]
         expect = {"name": "dbar_phi_23", "zero": dbar_23.is_zero(),
@@ -537,6 +537,7 @@ def test_metric_forms_are_built_once(monkeypatch):
     monkeypatch.setattr(InvariantForm, "d", counted_d)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
+    built = len(wedges)
     verify_family(cand)
     # every verifier reads omega^2, d^c omega and dd^c omega off the one
     # metric
@@ -545,6 +546,14 @@ def test_metric_forms_are_built_once(monkeypatch):
     assert sum(1 for a in dcs if a is h.omega) == 1
     assert sum(1 for a in ds if a is h.dc_omega) == 1
     assert sum(1 for a in ds if a is h.omega_sq) == 1
+    # d^c(omega^2) is read off d(omega^2), and every top-degree product
+    # with omega^2 (the volume, F_j ^ omega^2, the Higgs witness) off the
+    # table: no wedge with omega^2, and verify wedges no pair of forms
+    # whose degrees sum to 6
+    assert not any(a is h.omega_sq for a in dcs)
+    assert not any(h.omega_sq in (a, b) for a, b in wedges)
+    assert not any(max(a.degrees() + [0]) + max(b.degrees() + [0]) == 6
+                   for a, b in wedges[built:])
 
 
 # Scalar.__mul__ + __add__ calls that verify_family makes on the deformed
@@ -646,9 +655,10 @@ def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
     # the cotangent span's Gram inverse is built with the metric: verify
     # runs no elimination at all
     assert sizes == []
-    # the Lee form comes from d(omega^2): no 2-form image of omega is
-    # starred, only those of the 3-form d^c omega
-    assert degrees and all(k == 3 for k in degrees)
+    # the Lee form comes from d(omega^2) = 0 and the torsion pairing from
+    # one contraction of the volume: neither the structure nor verify
+    # builds a star image
+    assert degrees == []
 
 
 def test_verify_family_negative_control():

@@ -51,7 +51,7 @@ def _top_reference(h, L, pairs):
     for X, Y in pairs:
         out = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
                zip(out, matmul(forms(X), forms(Y), zero))]
-    return [[h.wedge_omega_sq(f).top_coeff() for f in row] for row in out]
+    return [[f.wedge(h.omega_sq).top_coeff() for f in row] for row in out]
 
 
 def _family(kind):
@@ -85,7 +85,7 @@ def _check_obstruction(s):
     number of nonzero entries."""
     whole = dbar_reference(s)
     c = higgs_obstruction(s)
-    assert c == sparse([[s.h.wedge_omega_sq(e).top_coeff() for e in row]
+    assert c == sparse([[e.wedge(s.h.omega_sq).top_coeff() for e in row]
                         for row in whole])
     for i in range(QDIM):
         for j in range(QDIM):
