@@ -6,8 +6,7 @@ from .cealg import (NilmanifoldModel, InvariantForm, InvariantVector,
                     build_iwasawa_model)
 from .hermitian import HermitianStructure
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
-                      ch2_constraint, CohClass, SystemParams, hs_residuals,
-                      DegenerateCoupling)
+                      SystemParams, hs_residuals, DegenerateCoupling)
 from .algebroid import (QOperator, connection_DG, he_residual_G,
                         dolbeault_Q, extension_class_gamma, subbundle_report)
 from .harmonic import (CompatibleMetricH, decompose_unitary,

@@ -6,9 +6,11 @@ A triple (m,n,p) in Z^3 \\ {0} determines a purely imaginary invariant
     F = pi (m (w_{11'} - w_{22'}) + n (w_{12'} + w_{21'}) + ip (w_{12'} - w_{21'})),
 
 the curvature of a Hermitian holomorphic line bundle.  This module houses
-the curvature map, Hermitian-Yang-Mills and Bianchi residuals, the exact
-coupling constant solve, closedness-checked cohomology classes and the
-second-Chern-character constraint.  A line bundle's degree against the
+the curvature map, the Hermitian-Yang-Mills and Bianchi residuals and the
+exact coupling constant solve.  The solve also decides the second Chern
+character condition: when it succeeds, dd^c(omega/alpha) = F0^2 - F1^2,
+so the difference is dd^c-exact with the real (1,1)-form omega/alpha as
+potential (iwasawa._ch2_holds).  A line bundle's degree against the
 balanced class [omega^2] is read off its HYM residual F ^ omega^2
 (iwasawa.verify_family).
 
@@ -32,7 +34,6 @@ from functools import cached_property
 
 from .scalars import Scalar
 from .cealg import InvariantForm
-from .hermitian import solve
 from .algebroid import connection_DG, dolbeault_Q, wedge_omega_sq_top
 from .harmonic import CompatibleMetricH, decompose_unitary
 
@@ -57,52 +58,6 @@ def curvature_from_triple(model, triple):
                                  (1, 4): Scalar.pi(1, -m),
                                  (0, 4): Scalar.pi(1, n, p),
                                  (1, 3): Scalar.pi(1, n, -p)})
-
-
-class CohClass:
-    """A cohomology class by invariant representative, closedness-checked."""
-
-    def __init__(self, rep, flavor="bottChern"):
-        if flavor not in ("bottChern", "aeppli"):
-            raise ValueError("unknown cohomology flavor %r" % flavor)
-        if flavor == "aeppli":
-            if not rep.dc().d().is_zero():
-                raise ValueError("Aeppli representative is not dd^c-closed")
-        else:
-            if not rep.d().is_zero():
-                raise ValueError("%s representative is not closed" % flavor)
-        self.rep = rep
-        self.flavor = flavor
-
-
-def ch2_constraint(model, F0, F1):
-    """Decide whether F0^2 - F1^2 is in the image of dd^c on invariant (1,1)-forms.
-
-    Returns (True, witness) with dd^c(witness) = F0^2 - F1^2, or (False, None).
-    """
-    for F in (F0, F1):
-        if not F.d().is_zero():
-            raise ValueError("curvature input is not closed")
-        for pq in F.bigrade():
-            if pq != (1, 1):
-                raise ValueError("curvature input is not of bidegree (1,1)")
-    n = model.n
-    basis = [(j, k + n) for j in range(n) for k in range(n)]
-    images = [model.basis_form(idx).dc().d() for idx in basis]
-    target = F0.wedge(F0) - F1.wedge(F1)
-    keys = sorted(set().union(*[set(f.terms) for f in images + [target]]))
-    if not keys:
-        return True, model.zero()
-    rows = [[img.terms.get(key, Scalar.zero()) for img in images] for key in keys]
-    rhs = [target.terms.get(key, Scalar.zero()) for key in keys]
-    sol = solve(rows, rhs)
-    if sol is None:
-        return False, None
-    witness = model.zero()
-    for x, idx in zip(sol, basis):
-        if not x.is_zero():
-            witness = witness + model.basis_form(idx, x)
-    return True, witness
 
 
 def alpha_solve(F0, F1, h):

@@ -19,8 +19,6 @@ by the graded Leibniz rule, with no cache.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import Scalar
 
 
@@ -145,6 +143,11 @@ class NilmanifoldModel:
     def top_index(self):
         return tuple(range(self.dim))
 
+    def complement(self, key):
+        """(C, s): key's increasing complement C, e_C ^ e_key = s e_top."""
+        c = tuple(a for a in range(self.dim) if a not in key)
+        return c, _merge_sign(c, key)[1]
+
 
 class InvariantForm:
     """Sparse element of the complexified invariant exterior algebra."""
@@ -185,7 +188,7 @@ class InvariantForm:
 
     def scale(self, s):
         if not isinstance(s, Scalar):
-            s = Scalar.of(Fraction(s))
+            raise TypeError("forms scale by a Scalar, got %r" % (s,))
         if s.is_zero():
             return self.model.zero()
         out = InvariantForm.__new__(InvariantForm)
@@ -339,6 +342,19 @@ class InvariantForm:
     def top_coeff(self):
         return self.terms.get(self.model.top_index(), Scalar.zero())
 
+    def top_pairing(self, other):
+        """(self ^ other)_top with no wedge built: a term w e_K of other
+        meets only self's term v e_C at (C, s) = model.complement(K), and
+        s v w goes into one Scalar.sum_of_products."""
+        self._same_model(other)
+        terms = []
+        for K, w in other.terms.items():
+            C, sign = self.model.complement(K)
+            v = self.terms.get(C)
+            if v is not None:
+                terms.append((v, w, sign))
+        return Scalar.sum_of_products(terms)
+
     # -- serialization ---------------------------------------------------------
 
     def literal(self):
@@ -370,9 +386,10 @@ class InvariantVector:
         coeffs = list(coeffs)
         if len(coeffs) != model.dim:
             raise ValueError("vector needs %d coefficients" % model.dim)
+        if not all(isinstance(c, Scalar) for c in coeffs):
+            raise TypeError("vector coefficients must be Scalars")
         self.model = model
-        self.coeffs = [c if isinstance(c, Scalar) else Scalar.of(Fraction(c))
-                       for c in coeffs]
+        self.coeffs = coeffs
 
     def __repr__(self):
         body = ", ".join("%s Z(%s)" % (c, self.model.labels[a])

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .scalars import Scalar
-from .cealg import InvariantForm, InvariantVector, _merge_sign
+from .cealg import InvariantForm, InvariantVector
 
 
 def _pivot_row(a, col, start):
@@ -297,7 +297,7 @@ class HermitianStructure:
             Scalar.i()).d()
         self.dc_omega = omega.dc()
         # omega is (1,1), so (d^c omega)^{2,1} = -i partial(omega)
-        self.two_i_partial_omega = self.dc_omega.part(2, 1).scale(-2)
+        self.two_i_partial_omega = self.dc_omega.part(2, 1).scale(Scalar.of(-2))
         self.ddc_omega = self.dc_omega.d()
         self.omega_sq_table = self._omega_sq_table()
         # vol = omega^3/6 = c_vol e_top, lam[a] = (d e_a ^ omega^2)_top
@@ -308,7 +308,7 @@ class HermitianStructure:
         # theta = J d^* omega = -J *d(omega^2)/2, as d^* = -*d* and *omega =
         # omega^2/2 in complex dimension 3 (Huybrechts, Complex Geometry, 1.2)
         self.lee_form = self.j_form(
-            -self.star(self.d_omega_sq.scale(Fraction(1, 2))))
+            -self.star(self.d_omega_sq.scale(Scalar.of(Fraction(1, 2)))))
         self.lee_sharp = self.sharp(self.lee_form)
         # g^c = sum_{ab} Ginv[a][b] Gamma^c_{ab} of Levi-Civita, by Koszul
         self.lc_trace = self.sharp(model.ad_trace).coeffs
@@ -378,8 +378,8 @@ class HermitianStructure:
         dim = self.model.dim
         W = [[Scalar.zero()] * dim for _ in range(dim)]
         for K, v in self.omega_sq.terms.items():
-            a, b = ab = tuple(i for i in range(dim) if i not in K)
-            v = v if _merge_sign(ab, K)[1] > 0 else -v
+            (a, b), sign = self.model.complement(K)
+            v = v if sign > 0 else -v
             W[a][b], W[b][a] = v, -v
         return W
 

@@ -28,14 +28,14 @@ certificate of the moment-map residual K, then closed-form records, row by
 row.  K of a triple against its orthogonal partner is a polynomial of
 degree <= 2 in the triple, so _certify_base proves it zero on every triple
 from 30 exact engine runs on unisolvent samples and guards, at any --max,
-and checks that F0^2 - F1^2 is dd^c-exact (one pair decides every pair).
-A row is one triple t0 against every triple t1; _sweep_row builds its
-record heads once per squared norm of t1 and verdict, puts the
-non-harmonic head of each column by its norm into a per-sweep list that
-alternates head slots with t1's tails (_columns, built once per sweep),
-and puts in the harmonic heads only at the columns on the plane
-t0 . t1 = 0, which it enumerates (_orthogonal) instead of testing every
-column.  The list is joined once into the row's text, which iter_sweep
+and checks by one anomaly solve that F0^2 - F1^2 is dd^c-exact (one pair
+decides every pair).  A row is one triple t0 against every triple t1;
+_sweep_row builds its record heads once per squared norm of t1 and
+verdict, puts the non-harmonic head of each column by its norm into a
+per-sweep list that alternates head slots with t1's tails (_columns,
+built once per sweep), and puts in the harmonic heads only at the columns
+on the plane t0 . t1 = 0, which it enumerates (_orthogonal) instead of
+testing every column.  The list is joined once into the row's text, which iter_sweep
 yields and the CLI writes with one write.  Memory is bounded by one row
 and the per-sweep columns, not by the record count.
 """
@@ -51,7 +51,7 @@ from .scalars import Scalar
 from .cealg import build_iwasawa_model
 from .hermitian import HermitianStructure, _nonzero, matrix_inverse, solve
 from .bundles import (LineBundleTriple, curvature_from_triple, alpha_solve,
-                      ch2_constraint, CohClass, SystemParams, hs_residuals)
+                      SystemParams, hs_residuals)
 from .algebroid import he_residual_G, extension_class_gamma, subbundle_report
 from .harmonic import (harmonic_residual, harmonic_criteria, higgs_dbar_entry,
                        higgs_obstruction)
@@ -158,18 +158,15 @@ def _gamma_correction(omega0, tau_form, F0, F1):
 
     gamma is sought in the real span of the two curvature directions; the
     resulting family solves the instanton equations exactly, not just to
-    second order.
+    second order.  Each entry is a top_pairing, so no 6-form is built.
     """
     i_over_pi = Scalar.of(0, 1) * Scalar.pi(-1)
     g_basis = [F0.scale(i_over_pi), F1.scale(i_over_pi)]
     tau_sq = tau_form.wedge(tau_form)
     two = Scalar.of(2)
-    rows = []
-    rhs = []
-    for F in (F0, F1):
-        rows.append([F.wedge(omega0).wedge(g).top_coeff() * two
-                     for g in g_basis])
-        rhs.append(-(F.wedge(tau_sq).top_coeff()))
+    rows = [[F_omega0.top_pairing(g) * two for g in g_basis]
+            for F_omega0 in (F0.wedge(omega0), F1.wedge(omega0))]
+    rhs = [-F.top_pairing(tau_sq) for F in (F0, F1)]
     sol = solve(rows, rhs)
     if sol is None:
         raise ValueError("inconsistent correction system")
@@ -323,7 +320,8 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
         raise ValueError("Aeppli representative is not dd^c-closed")
     rep = subbundle_report(s)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
-    CohClass(s.F0), CohClass(s.F1)  # a degree pairs closed 2-forms only
+    if not (s.F0.d().is_zero() and s.F1.d().is_zero()):
+        raise ValueError("a degree pairs closed 2-forms only")
     deg0, deg1 = (h.integrate(F_omega_sq) * i_2pi for F_omega_sq in hs[:2])
 
     verdicts = {
@@ -406,7 +404,8 @@ def _certify_base():
     on a unisolvent set is zero, so the engine runs on each branch's
     samples only, at alpha = 1 and 2, and the guard checks the degree
     bound: 30 runs certify the base part zero on every triple at any --max.
-    Last, _ch2_holds checks that F0^2 - F1^2 is dd^c-exact for every pair.
+    Last, _ch2_holds checks by the anomaly solve behind the catalog's
+    hs_solution that F0^2 - F1^2 is dd^c-exact for every pair.
 
     Raises ValueError (singular) before any engine run if a branch's
     samples are not unisolvent, and AssertionError if a sample's or a
@@ -556,16 +555,21 @@ def _sweep_row(t0, s0, j0, cols, prefixes, require_harmonic=False):
 
 
 def _ch2_holds():
-    """Whether F0^2 - F1^2 is dd^c-exact, decided once for every pair.
-
-    F(t)^2 = 2 pi^2 |t|^2 w_{121'2'} for every triple t (the selftest's
-    F(m,n,p)^2 identity), so each pair's target is a nonzero multiple of one
-    4-form and any one pair decides the whole sweep.
+    """Whether F0^2 - F1^2 is dd^c-exact, decided for every pair by one
+    anomaly solve at omega_0: a solve that succeeds has checked dd^c omega_0
+    = alpha (F0^2 - F1^2) exactly, alpha real and nonzero, so the real
+    (1,1)-form omega_0 / alpha is a potential.  F(t)^2 = 2 pi^2 |t|^2
+    w_{121'2'} for every triple t (the selftest's F(m,n,p)^2 identity), so
+    one pair decides every pair.  A failed solve (a ValueError) is False.
     """
     model, _, _ = build_iwasawa()
     F0 = curvature_from_triple(model, LineBundleTriple(1, 0, 0, role="V0"))
     F1 = curvature_from_triple(model, LineBundleTriple(1, 1, 0, role="V1"))
-    return ch2_constraint(model, F0, F1)[0]
+    try:
+        alpha_solve(F0, F1, omega0_structure())
+    except ValueError:  # DegenerateCoupling among them
+        return False
+    return True
 
 
 def iter_sweep(max_abs, require_harmonic=False, raw=False):

@@ -6,8 +6,8 @@ operator (forms, matmul, curvature), the Chern-type connection
 (higgs_equation_residuals): the package holds each Q operator only as its
 sparse components and reads C = D^G - phi only through its (0,1) part.
 The pairing of Q (pairing_matrix), the Bismut isomorphism
-(bismut_iso_matrix) and the degree pairing of two classes
-(degree_and_slope) are oracles of what the package reads off the metric
+(bismut_iso_matrix) and the degree pairing of a closed 2-form with a
+dd^c-closed 4-form (degree_and_slope) are oracles of what the package reads off the metric
 (h.cotangent) and off the HYM residuals (the report's degrees), and the
 Levi-Civita connection (levi_civita) is the oracle of the metric's trace
 h.lc_trace, the package's only use of it.
@@ -232,12 +232,13 @@ def bismut_iso_matrix(h):
 
 
 def degree_and_slope(c, b, h):
-    """Degree lambda(c ^ b) of a 2-class c against a 4-class b under the
+    """Degree lambda(c ^ b) of a 2-form c against a 4-form b under the
     unit-volume normalization, by its own wedge: the slope of a line
-    bundle, whose rank is 1."""
-    if c.rep.degree() not in (0, 2) or b.rep.degree() != 4:
-        raise ValueError("slope pairing needs a 2-class against a 4-class")
-    return h.integrate(c.rep.wedge(b.rep))
+    bundle, whose rank is 1.  The caller checks that c is closed and b
+    dd^c-closed, so that the degree is one of their classes."""
+    if c.degree() not in (0, 2) or b.degree() != 4:
+        raise ValueError("slope pairing needs a 2-form against a 4-form")
+    return h.integrate(c.wedge(b))
 
 
 def hermitian_matrix(t):
@@ -258,7 +259,8 @@ def hermitian_curvature(model, M):
 
 def frame_vector(model, a):
     """The frame vector Z_a of a model."""
-    return InvariantVector(model, [int(b == a) for b in range(model.dim)])
+    return InvariantVector(model, [Scalar.of(int(b == a))
+                                   for b in range(model.dim)])
 
 
 def operator_of(model, E):

@@ -6,10 +6,10 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
-                           CohClass, ch2_constraint, alpha_solve,
-                           DegenerateCoupling, SystemParams, hs_residuals)
+                           alpha_solve, DegenerateCoupling, SystemParams,
+                           hs_residuals)
 
-from hslab.iwasawa import FamilyConfig, make_family
+from hslab.iwasawa import FamilyConfig, make_family, omega0_structure
 
 from conftest import (degree_and_slope, hermitian_curvature,
                       hermitian_matrix, make_params, random_pair,
@@ -83,31 +83,33 @@ def test_hym_residual(model, h0, rng):
     assert F.wedge(h0.omega_sq).is_zero()
 
 
-def test_ch2_constraint(model, h0):
-    F0 = curvature_from_triple(model, LineBundleTriple(1, 2, 2, role="V0"))
-    F1 = curvature_from_triple(model, LineBundleTriple(2, -1, 0, role="V1"))
-    ok, witness = ch2_constraint(model, F0, F1)
-    assert ok
-    # the witness is a potential: dd^c(witness) recovers the difference
-    assert (witness.dc().d() - (F0.wedge(F0) - F1.wedge(F1))).is_zero()
-
-
-def test_cohclass_validation(model, h0):
-    with pytest.raises(ValueError):
-        CohClass(model.basis_form((2,)))  # d w3 != 0
-    with pytest.raises(ValueError):
-        CohClass(model.zero(), flavor="hodge")
-    c = CohClass(h0.omega.wedge(h0.omega), flavor="aeppli")
-    assert c.flavor == "aeppli"
+def test_ch2_constraint(model, h0, rng):
+    # the anomaly solve's alpha makes omega_0 / alpha a potential of
+    # F0^2 - F1^2: at the sweep certificate's pair and at seeded pairs
+    assert h0 is omega0_structure()
+    pairs = [((1, 0, 0), (1, 1, 0)), ((1, 2, 2), (2, -1, 0))]
+    pairs += [random_pair(rng) for _ in range(5)]
+    for t0, t1 in pairs:
+        F0 = curvature_from_triple(model, LineBundleTriple(*t0, role="V0"))
+        F1 = curvature_from_triple(model, LineBundleTriple(*t1, role="V1"))
+        alpha = alpha_solve(F0, F1, h0)
+        witness = h0.omega.scale(alpha.inverse())
+        assert witness.conjugate() == witness
+        assert set(witness.bigrade()) == {(1, 1)}
+        target = F0.wedge(F0) - F1.wedge(F1)
+        assert not target.is_zero()
+        assert witness.dc().d() == target
 
 
 def test_degree_zero(model, h0, rng):
-    b = CohClass(h0.omega.wedge(h0.omega), flavor="aeppli")
+    b = h0.omega.wedge(h0.omega)
+    assert b.dc().d().is_zero()  # an Aeppli class
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     for _ in range(10):
         t = random_triple(rng)
         F = curvature_from_triple(model, LineBundleTriple(*t, role="V0"))
-        c = CohClass(F.scale(i_2pi))
+        c = F.scale(i_2pi)
+        assert c.d().is_zero()
         assert degree_and_slope(c, b, h0).is_zero()
 
 

@@ -1,6 +1,7 @@
 """Invariant exterior calculus on nilmanifold models."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +61,59 @@ def test_d_matches_chevalley_eilenberg(model, abelian_model, kt_model, rng):
                 for idx in itertools.combinations(range(m.dim), deg + 1):
                     assert da.at(*idx) == _ce_d_value(m, a, idx), (deg, idx)
     assert nonzero >= 10
+
+
+def test_top_pairing_is_the_top_coefficient_of_the_wedge(model, kt_model,
+                                                          rng):
+    # complementary degrees, and forms of mixed degree, whose other terms
+    # meet no complement
+    nonzero = 0
+    for m in (model, kt_model):
+        top = m.top_index()
+        for key in itertools.chain.from_iterable(
+                itertools.combinations(range(6), k) for k in range(7)):
+            C, sign = m.complement(key)
+            assert m.basis_form(C).wedge(m.basis_form(key)) == \
+                m.basis_form(top, Scalar.of(sign))
+        for deg in range(7):
+            for _ in range(5):
+                a = random_form(m, rng, deg, nterms=4)
+                b = random_form(m, rng, 6 - deg, nterms=4)
+                assert a.top_pairing(b) == a.wedge(b).top_coeff()
+                nonzero += not a.top_pairing(b).is_zero()
+        a = random_form(m, rng, 2) + random_form(m, rng, 3)
+        b = random_form(m, rng, 4) + random_form(m, rng, 1)
+        assert a.top_pairing(b) == a.wedge(b).top_coeff()
+    assert nonzero >= 20
+    with pytest.raises(ValueError, match="different models"):
+        model.basis_form((0,)).top_pairing(kt_model.basis_form((1,)))
+
+
+def test_forms_and_vectors_take_scalars_only(model):
+    f = model.basis_form((0, 3))
+    assert f.scale(Scalar.of(2)) == model.basis_form((0, 3), Scalar.of(2))
+    for x in (2, Fraction(1, 2)):
+        with pytest.raises(TypeError, match="Scalar"):
+            f.scale(x)
+    with pytest.raises(TypeError, match="Scalars"):
+        InvariantVector(model, [1, 0, 0, 0, 0, 0])
+    with pytest.raises(TypeError, match="Scalars"):
+        InvariantVector(model, [Scalar.one()] * 5 + [Fraction(1, 2)])
+
+
+def test_reprs_are_pinned(model):
+    # pytest shows a failing form or vector by its repr
+    f = (model.basis_form((3, 0), Scalar.of(0, Fraction(1, 2)))
+         + model.basis_form((), Scalar.pi(-1, 2))
+         + model.basis_form((2,), Scalar.of(1, -1)))
+    assert repr(f) == ("InvariantForm((2 pi^-1) + (-1/2 i) w1^w1' "
+                       "+ ((1 - 1 i)) w3)")
+    assert repr(model.zero()) == "InvariantForm(0)"
+    z = Scalar.zero()
+    v = InvariantVector(model, [Scalar.of(Fraction(1, 3)), z,
+                                Scalar.pi(1, 0, 1), z, z, Scalar.of(-2)])
+    assert repr(v) == "InvariantVector(1/3 Z(w1), 1 i pi Z(w3), -2 Z(w3'))"
+    assert repr(InvariantVector(model, [z] * 6)) == "InvariantVector(0)"
 
 
 def test_leibniz_randomized(model, rng):

@@ -141,7 +141,8 @@ def test_members_are_their_definitions(oracle_metrics):
         assert h.lee_sharp.coeffs == h.sharp(h.lee_form).coeffs
         assert h.ddc_omega_sq == h.omega_sq.dc().d()
         # vol = omega^3/6 = c_vol e_top, by the wedge itself
-        assert h.volume == h.omega_sq.wedge(h.omega).scale(Fraction(1, 6))
+        assert h.volume == h.omega_sq.wedge(h.omega).scale(
+            Scalar.of(Fraction(1, 6)))
         assert h.c_vol == h.volume.top_coeff()
         assert h.two_i_partial_omega == partial(h.omega).scale(
             Scalar.of(0, 2))
@@ -191,7 +192,7 @@ def test_star_of_omega_and_the_lee_form(oracle_metrics):
     # *omega = omega^2/2 in complex dimension 3, so the Lee form J d^* omega
     # = -J *d*omega equals -J *d(omega^2)/2
     for h in oracle_metrics:
-        assert h.star(h.omega) == h.omega_sq.scale(Fraction(1, 2))
+        assert h.star(h.omega) == h.omega_sq.scale(Scalar.of(Fraction(1, 2)))
         assert h.lee_form == h.j_form(-h.star(h.star(h.omega).d()))
     assert not oracle_metrics[-1].lee_form.is_zero()
 

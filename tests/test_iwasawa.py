@@ -14,8 +14,7 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
-from hslab.bundles import (LineBundleTriple, CohClass, DegenerateCoupling,
-                           hs_residuals)
+from hslab.bundles import LineBundleTriple, DegenerateCoupling, hs_residuals
 from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
 import hslab.hermitian as hermitian
@@ -537,7 +536,7 @@ def test_metric_forms_are_built_once(monkeypatch):
     monkeypatch.setattr(InvariantForm, "d", counted_d)
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau)
-    built = len(wedges)
+    assert not cand.gamma_form.is_zero()
     verify_family(cand)
     # every verifier reads omega^2, d^c omega and dd^c omega off the one
     # metric
@@ -548,12 +547,13 @@ def test_metric_forms_are_built_once(monkeypatch):
     assert sum(1 for a in ds if a is h.omega_sq) == 1
     # d^c(omega^2) is read off d(omega^2), and every top-degree product
     # with omega^2 (the volume, F_j ^ omega^2, the Higgs witness) off the
-    # table: no wedge with omega^2, and verify wedges no pair of forms
-    # whose degrees sum to 6
+    # table: no wedge with omega^2.  The gamma correction of make_family
+    # reads its top coefficients by top_pairing, so neither make_family nor
+    # verify_family wedges a pair of forms whose degrees sum to 6
     assert not any(a is h.omega_sq for a in dcs)
     assert not any(h.omega_sq in (a, b) for a, b in wedges)
     assert not any(max(a.degrees() + [0]) + max(b.degrees() + [0]) == 6
-                   for a, b in wedges[built:])
+                   for a, b in wedges)
 
 
 # Scalar.__mul__ + __add__ calls that verify_family makes on the deformed
@@ -629,13 +629,27 @@ def test_degrees_are_read_off_the_hym_residuals():
     tau = TauDeformation(Fraction(1, 10), 0, Fraction(-1, 4), 0)
     cand = _family((1, 1, 0), (1, 0, 0), tau=tau, correct=False)
     s, scalars = cand.params, verify_family(cand).scalars
-    b = CohClass(s.h.omega_sq, flavor="aeppli")
+    b = s.h.omega_sq
+    assert b.dc().d().is_zero()
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
     for name, F in (("degree_L0", s.F0), ("degree_L1", s.F1)):
-        expect = degree_and_slope(CohClass(F.scale(i_2pi)), b, s.h)
+        assert F.d().is_zero()
+        expect = degree_and_slope(F.scale(i_2pi), b, s.h)
         assert not expect.is_zero()
         assert scalars[name] == {"exact": str(expect),
                                  "display": repr(expect.evalf())}
+
+
+def test_verify_family_refuses_a_curvature_that_is_not_closed():
+    # a degree pairs closed 2-forms only: F0 + pi w3 ^ w1' is a (1,1)-form
+    # with d(w3 ^ w1') = w1 ^ w2 ^ w1' != 0
+    cand = _family((1, 2, 2), (2, -1, 0))
+    s = cand.params
+    F0 = s.F0 + s.model.basis_form((2, 3), Scalar.pi(1))
+    assert not F0.d().is_zero() and set(F0.bigrade()) == {(1, 1)}
+    bad = dataclasses.replace(cand, params=dataclasses.replace(s, F0=F0))
+    with pytest.raises(ValueError, match="closed 2-forms"):
+        verify_family(bad)
 
 
 def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
@@ -892,8 +906,11 @@ def test_base_flags_check_the_samples_and_the_cross_term(monkeypatch):
 def test_certificate_checks_the_ch2_condition(monkeypatch, tmp_path):
     from hslab.cli import main
     assert iwasawa._ch2_holds()
-    monkeypatch.setattr(iwasawa, "ch2_constraint",
-                        lambda model, F0, F1: (False, None))
+
+    def no_solve(F0, F1, h):
+        raise ValueError("Bianchi sides are not proportional")
+
+    monkeypatch.setattr(iwasawa, "alpha_solve", no_solve)
     with pytest.raises(AssertionError, match="dd\\^c-exact"):
         iwasawa._certify_base()
     # the sweep raises before its first row, and leaves no catalog behind

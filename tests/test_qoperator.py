@@ -98,7 +98,8 @@ def test_families_match_the_form_entry_algorithms(kind):
     s = _family(kind)
     B, Psi = s.unitary_split
     phi = s.higgs_field
-    vectors = [s.h.lee_sharp, InvariantVector(s.model, [1, 2, 0, -1, 0, 3])]
+    vectors = [s.h.lee_sharp, InvariantVector(
+        s.model, [Scalar.of(x) for x in (1, 2, 0, -1, 0, 3)])]
     for A in (s.connection, Psi, phi):
         _check_operator(A, s.metric_H, q_metric(s.h, s.alpha), vectors)
     assert _check_obstruction(s) >= 4

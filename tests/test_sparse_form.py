@@ -51,7 +51,8 @@ def _scalar_matrices(s):
     out["curvature_omega_sq"] = s.curvature_omega_sq
     out["he_residual_G"] = he_residual_G(s)
     out["nabla_H_star"] = nabla_H_star(s, B, Psi)
-    vectors = [s.h.lee_sharp, InvariantVector(s.model, [1, 2, 0, -1, 0, 3])]
+    vectors = [s.h.lee_sharp, InvariantVector(
+        s.model, [Scalar.of(x) for x in (1, 2, 0, -1, 0, 3)])]
     for k, v in enumerate(vectors):
         out["value_at_%d" % k] = Psi.value_at(v)
     out["wedge_omega_sq_top"] = wedge_omega_sq_top(s.h, Psi, [(B, Psi),
