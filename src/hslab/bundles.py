@@ -21,16 +21,17 @@ phi = 2 Psi^{1,0} read off it are built on first use and kept, so every
 verifier of one family reads the same objects.  The Chern-type connection
 C = D^G - phi is not built: phi has type (1,0), so C^{0,1} = (D^G)^{0,1},
 and that is all of C the Higgs verdict reads.  F_{D^G} ^ omega^2 is read
-off the connection's components, so no curvature 2-form is built.  The
-dataclass is frozen, which keeps them valid, and none of them refers back
-to the family.  The coupling alpha is checked once, at construction: a
-nonzero real monomial q pi^k, whose sign is decided exactly.
+off the connection's components, so no curvature 2-form is built.  Each
+attribute of a SystemParams is set once, which keeps them valid, and none
+of them refers back to the family.  The coupling alpha is checked once, at
+construction: a nonzero real monomial q pi^k, whose sign is decided
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .scalars import Scalar
 from .cealg import InvariantForm
@@ -38,17 +39,29 @@ from .algebroid import connection_DG, dolbeault_Q, wedge_omega_sq_top
 from .harmonic import CompatibleMetricH, decompose_unitary
 
 
-@dataclass(frozen=True)
-class LineBundleTriple:
-    """Integer curvature parameters of one line bundle summand."""
+class _Triple(NamedTuple):
     m: int
     n: int
     p: int
     role: str = "V0"
 
-    def __post_init__(self):
+
+class LineBundleTriple(_Triple):
+    """Integer curvature parameters of one line bundle summand."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # the generated constructor takes the call forms, _make checks
+        return cls._make(_Triple(*args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The triple of the given fields, as the constructor and _replace
+        build it; the zero triple is a ValueError."""
+        self = super()._make(iterable)
         if (self.m, self.n, self.p) == (0, 0, 0):
             raise ValueError("line bundle triple must be nonzero")
+        return self
 
 
 def curvature_from_triple(model, triple):
@@ -83,32 +96,45 @@ class DegenerateCoupling(ValueError):
     """Raised when m_0^2+n_0^2+p_0^2 = m_1^2+n_1^2+p_1^2 (no alpha exists)."""
 
 
-@dataclass(frozen=True)
 class SystemParams:
     """One verifiable Hull-Strominger configuration and its Q-bundle objects.
 
-    The Q-bundle objects below are built on first use and kept: the family
-    is frozen, so they stay valid.
+    The Q-bundle objects below are built on first use and kept: no field
+    can be assigned again, so they stay valid.
     """
-    model: object
-    h: object                 # HermitianStructure
-    triple0: LineBundleTriple
-    triple1: LineBundleTriple
-    F0: InvariantForm
-    F1: InvariantForm
-    alpha: Scalar
-    Omega: InvariantForm
 
-    def __post_init__(self):
-        a = self.alpha  # the metric needs its sign, exact on monomials only
-        if a.is_zero() or not (a.is_real() and a.is_monomial()):
+    def __init__(self, model, h, triple0: LineBundleTriple,
+                 triple1: LineBundleTriple, F0: InvariantForm,
+                 F1: InvariantForm, alpha: Scalar, Omega: InvariantForm):
+        # the metric needs alpha's sign, exact on monomials only
+        if alpha.is_zero() or not (alpha.is_real() and alpha.is_monomial()):
             raise ValueError("coupling constant must be real and nonzero, "
-                             "a monomial q pi^k: got %s" % a)
-        if not self.Omega.d().is_zero():
+                             "a monomial q pi^k: got %s" % alpha)
+        if not Omega.d().is_zero():
             raise ValueError("holomorphic volume form must be closed")
-        for pq in self.Omega.bigrade():
+        for pq in Omega.bigrade():
             if pq != (3, 0):
                 raise ValueError("volume form must have bidegree (3,0)")
+        self.model = model
+        self.h = h                # HermitianStructure
+        self.triple0 = triple0
+        self.triple1 = triple1
+        self.F0 = F0
+        self.F1 = F1
+        self.alpha = alpha
+        self.Omega = Omega
+
+    def __setattr__(self, name, *value):
+        """Sets an attribute once: a field, in __init__.  Setting an
+        attribute already set or a Q-bundle object (which cached_property
+        writes to vars(self) itself), or deleting any attribute, is an
+        AttributeError."""
+        if not value or name in vars(self) or hasattr(SystemParams, name):
+            raise AttributeError("SystemParams is frozen: cannot %s %s"
+                                 % ("assign" if value else "delete", name))
+        vars(self)[name] = value[0]
+
+    __delattr__ = __setattr__
 
     @cached_property
     def metric_H(self):

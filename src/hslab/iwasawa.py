@@ -43,9 +43,9 @@ and the per-sweep columns, not by the record count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .scalars import Scalar
 from .cealg import build_iwasawa_model
@@ -82,18 +82,30 @@ def omega0_structure():
     return _OMEGA0_STRUCTURE
 
 
-@dataclass(frozen=True)
-class TauDeformation:
-    """Real torus-fiber deformation tau = sum t_i tau_i of the metric."""
+class _Tau(NamedTuple):
     t1: Fraction = Fraction(0)
     t2: Fraction = Fraction(0)
     t3: Fraction = Fraction(0)
     t4: Fraction = Fraction(0)
 
-    def __post_init__(self):
+
+class TauDeformation(_Tau):
+    """Real torus-fiber deformation tau = sum t_i tau_i of the metric."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # the generated constructor takes the call forms, _make checks
+        return cls._make(_Tau(*args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The deformation of the given coefficients, as the constructor and
+        _replace build it; a coefficient above 1/2 in size is a ValueError."""
+        self = super()._make(iterable)
         for t in self.coeffs():
             if abs(Fraction(t)) > Fraction(1, 2):
                 raise ValueError("deformation coefficients must satisfy |t_i| <= 1/2")
+        return self
 
     def coeffs(self):
         return (self.t1, self.t2, self.t3, self.t4)
@@ -114,8 +126,7 @@ class TauDeformation:
         return out
 
 
-@dataclass(frozen=True)
-class PicardPoint:
+class PicardPoint(NamedTuple):
     """Flat twist of the two bundle metrics by closed invariant (0,1)-forms.
 
     Coefficients are over the closed coframe directions w_1', w_2' (the
@@ -135,8 +146,7 @@ class PicardPoint:
         return out
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
+class FamilyConfig(NamedTuple):
     triple0: LineBundleTriple
     triple1: LineBundleTriple
     tau: TauDeformation = TauDeformation()
@@ -145,8 +155,7 @@ class FamilyConfig:
     correct: bool = True          # apply the exact gamma-correction to omega
 
 
-@dataclass
-class SolutionCandidate:
+class SolutionCandidate(NamedTuple):
     params: SystemParams
     config: FamilyConfig
     tau_form: object
@@ -206,8 +215,7 @@ def make_family(cfg: FamilyConfig) -> SolutionCandidate:
                              tau_form=tau_form, gamma_form=gamma)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Exact verification record for one family."""
     family_id: str
     params: dict
@@ -216,7 +224,7 @@ class VerificationReport:
     scalars: dict
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
@@ -227,12 +235,10 @@ class VerificationReport:
         """Report content with the parameter echo stripped.
 
         Used for invariance assertions (Picard twists change the echo but
-        no verified quantity).
+        no verified quantity).  The dict shares its values with the report.
         """
-        d = asdict(self)
-        d.pop("params")
-        d.pop("family_id")
-        return d
+        return {"residuals": self.residuals, "verdicts": self.verdicts,
+                "scalars": self.scalars}
 
     def human_summary(self):
         lines = ["family %s" % self.family_id]
@@ -274,16 +280,22 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
     """Run every exact verifier on an assembled family.
 
     What depends on the metric alone is read off s.h, built once per
-    metric: the Aeppli check of [omega^2] (h.ddc_omega_sq, a nonzero one a
-    ValueError) and the cotangent span of subbundle_report.  The degrees
-    of the closed F_j are (i/2pi) lambda(F_j ^ omega^2), read off the HYM
-    residuals of hs_residuals.  The Higgs verdict pairs the dbar_phi_23
-    witness with omega^2 (entry (6,7) of dbar_Q phi ^ omega^2) and builds
-    the whole matrix (higgs_obstruction) only when that is zero.
+    metric: the Aeppli check of [omega^2] (h.ddc_omega_sq) and the
+    cotangent span of subbundle_report.  The degrees of the closed F_j are
+    (i/2pi) lambda(F_j ^ omega^2), read off the HYM residuals of
+    hs_residuals.  A nonzero h.ddc_omega_sq or a curvature F_j that is not
+    closed is a ValueError before any verifier runs.  The Higgs verdict
+    pairs the dbar_phi_23 witness with omega^2 (entry (6,7) of
+    dbar_Q phi ^ omega^2) and builds the whole matrix (higgs_obstruction)
+    only when that is zero.
     """
     s = candidate.params
     h = s.h
     cfg = candidate.config
+    if not h.ddc_omega_sq.is_zero():
+        raise ValueError("Aeppli representative is not dd^c-closed")
+    if not (s.F0.d().is_zero() and s.F1.d().is_zero()):
+        raise ValueError("a degree pairs closed 2-forms only")
 
     residuals = []
     hs = hs_residuals(s)
@@ -316,12 +328,8 @@ def verify_family(candidate: SolutionCandidate) -> VerificationReport:
                             or bool(higgs_obstruction(s)))
 
     # slope of the cotangent subbundle and degrees of the two line bundles
-    if not h.ddc_omega_sq.is_zero():
-        raise ValueError("Aeppli representative is not dd^c-closed")
     rep = subbundle_report(s)
     i_2pi = Scalar.of(0, Fraction(1, 2)) * Scalar.pi(-1)
-    if not (s.F0.d().is_zero() and s.F1.d().is_zero()):
-        raise ValueError("a degree pairs closed 2-forms only")
     deg0, deg1 = (h.integrate(F_omega_sq) * i_2pi for F_omega_sq in hs[:2])
 
     verdicts = {

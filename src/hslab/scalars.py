@@ -326,5 +326,4 @@ class Scalar:
                 parts.append("%s pi^%d" % (body, k))
         return " + ".join(parts)
 
-    def __repr__(self):
-        return "Scalar(%s)" % self
+    __repr__ = __str__

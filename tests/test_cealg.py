@@ -102,7 +102,9 @@ def test_forms_and_vectors_take_scalars_only(model):
 
 
 def test_reprs_are_pinned(model):
-    # pytest shows a failing form or vector by its repr
+    # pytest shows a failing scalar, form or vector by its repr
+    assert repr(Scalar.pi(-1, 2) + Scalar.of(1, -1)) == "2 pi^-1 + (1 - 1 i)"
+    assert repr(Scalar.zero()) == "0"
     f = (model.basis_form((3, 0), Scalar.of(0, Fraction(1, 2)))
          + model.basis_form((), Scalar.pi(-1, 2))
          + model.basis_form((2,), Scalar.of(1, -1)))

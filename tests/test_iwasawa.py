@@ -1,7 +1,6 @@
 """Family construction, exact verification reports, and the integer sweep."""
 
 import collections
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -14,7 +13,8 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
-from hslab.bundles import LineBundleTriple, DegenerateCoupling, hs_residuals
+from hslab.bundles import (LineBundleTriple, DegenerateCoupling,
+                           SystemParams, hs_residuals)
 from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
 import hslab.hermitian as hermitian
@@ -22,8 +22,9 @@ from hslab.harmonic import (harmonic_residual, harmonic_vs_moment_gap,
                             higgs_dbar_entry, higgs_obstruction)
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
-                           FamilyConfig, make_family, verify_family,
-                           VerificationReport, omega0_structure)
+                           FamilyConfig, SolutionCandidate, make_family,
+                           verify_family, VerificationReport,
+                           omega0_structure)
 from hslab.cli import run_selftest
 
 from conftest import (dbar_reference, degree_and_slope, random_pair,
@@ -163,7 +164,9 @@ def test_gamma_correction_properties(rng):
 
 
 def test_verify_family_standard():
-    report = verify_family(_family((1, 2, 2), (2, -1, 0)))
+    picard = PicardPoint(a0=(Scalar.of(Fraction(1, 3)), Scalar.zero()),
+                         a1=(Scalar.zero(), Scalar.of(Fraction(-2, 7))))
+    report = verify_family(_family((1, 2, 2), (2, -1, 0), picard=picard))
     assert report.verdicts == {
         "hs_solution": True,
         "hermitian_einstein": True,
@@ -175,9 +178,14 @@ def test_verify_family_standard():
     }
     for key in ("degree_L0", "degree_L1", "slope_cotangent"):
         assert report.scalars[key]["exact"] == "0"
-    # round-trip through JSON preserves everything
+    # round-trip through JSON preserves everything, the echo included
     again = VerificationReport.from_json(report.to_json())
-    assert again.comparable() == report.comparable()
+    assert again.to_json() == report.to_json()
+    assert again.comparable() == report.comparable() == {
+        "residuals": report.residuals, "verdicts": report.verdicts,
+        "scalars": report.scalars}
+    assert again.family_id == "L0(1,2,2)+L1(2,-1,0)"
+    assert again.params["picard"] == ["1/3", "0", "0", "-2/7"]
     assert "harmonic" in report.human_summary()
 
 
@@ -273,9 +281,16 @@ def test_family_context_is_built_once(monkeypatch):
                  "dolbeault", "unitary_split", "higgs_field"):
         assert getattr(s, name) is getattr(s, name)
     assert calls == once
-    # the objects are only valid for fixed fields
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        s.alpha = Scalar.one()
+    # the objects are only valid for fixed fields: no field of the family's
+    # records can be assigned or deleted, and no kept object replaced
+    cfg = cand.config
+    for record, field in ((s, "alpha"), (s, "connection"),
+                          (cfg.triple0, "m"), (cfg.tau, "t1"),
+                          (cfg.picard, "a0"), (cfg, "alpha")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
     # no kept object points back at the family, so dropping it frees it at
     # once, without the cyclic garbage collector
     ref = weakref.ref(s)
@@ -647,9 +662,13 @@ def test_verify_family_refuses_a_curvature_that_is_not_closed():
     s = cand.params
     F0 = s.F0 + s.model.basis_form((2, 3), Scalar.pi(1))
     assert not F0.d().is_zero() and set(F0.bigrade()) == {(1, 1)}
-    bad = dataclasses.replace(cand, params=dataclasses.replace(s, F0=F0))
+    bad = SystemParams(s.model, s.h, s.triple0, s.triple1, F0, s.F1,
+                       s.alpha, s.Omega)
     with pytest.raises(ValueError, match="closed 2-forms"):
-        verify_family(bad)
+        verify_family(SolutionCandidate(bad, cand.config, cand.tau_form,
+                                        cand.gamma_form))
+    # refused before any verifier ran: no connection or unitary split
+    assert not {"connection", "unitary_split"} & set(vars(bad))
 
 
 def test_deformed_verify_family_reads_its_inverses_off_the_metric(monkeypatch):
