@@ -15,28 +15,31 @@ balanced class [omega^2] is read off its HYM residual F ^ omega^2
 (iwasawa.verify_family).
 
 SystemParams is also the per-family context of the orthogonal bundle Q:
-its compatible metric H, connection D^G, F_{D^G} ^ omega^2, the Dolbeault
-operator of Q, the unitary split (B, Psi) of D^G and the Higgs field
-phi = 2 Psi^{1,0} read off it are built on first use and kept, so every
-verifier of one family reads the same objects.  The Chern-type connection
-C = D^G - phi is not built: phi has type (1,0), so C^{0,1} = (D^G)^{0,1},
-and that is all of C the Higgs verdict reads.  F_{D^G} ^ omega^2 is read
-off the connection's components, so no curvature 2-form is built.  Each
-attribute of a SystemParams is set once, which keeps them valid, and none
-of them refers back to the family.  The coupling alpha is checked once, at
-construction: a nonzero real monomial q pi^k, whose sign is decided
-exactly.
+its compatible metric H, connection A = D^G, F_{D^G} ^ omega^2, the
+Dolbeault operator of Q, S = A + A^{*H} = 2 Psi from the family's one
+adjoint, the Higgs field phi = 2 Psi^{1,0} = S^{1,0} and the unitary split
+(B, Psi) = (A - S/2, S/2) are built on first use and kept, so every
+verifier of one family reads the same objects.  Only moment_I, moment_J
+and the gap read the unitary split: K and phi read S.  The Chern-type
+connection C = D^G - phi is not built: phi has type (1,0), so C^{0,1} =
+(D^G)^{0,1}, and that is all of C the Higgs verdict reads.  F_{D^G} ^
+omega^2 is read off the connection's components, so no curvature 2-form
+is built.  Each attribute of a SystemParams is set once, which keeps them
+valid, and none of them refers back to the family.  The coupling alpha is
+checked once, at construction: a nonzero real monomial q pi^k, whose sign
+is decided exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .scalars import Scalar
 from .cealg import InvariantForm
 from .algebroid import connection_DG, dolbeault_Q, wedge_omega_sq_top
-from .harmonic import CompatibleMetricH, decompose_unitary
+from .harmonic import CompatibleMetricH
 
 
 class _Triple(NamedTuple):
@@ -158,15 +161,24 @@ class SystemParams:
         return dolbeault_Q(self)
 
     @cached_property
+    def adjoint_sum(self):
+        """S = A + A^{*H} = 2 Psi, A the connection: the family's one
+        adjoint."""
+        A = self.connection
+        return A + self.metric_H.adjoint(A)
+
+    @cached_property
     def unitary_split(self):
-        """(B, Psi): unitary part and self-adjoint 1-form of the connection."""
-        return decompose_unitary(self.connection, self.metric_H)
+        """(B, Psi) = (A - S/2, S/2): unitary part and self-adjoint 1-form
+        of the connection A, S = adjoint_sum."""
+        Psi = self.adjoint_sum.scale(Scalar.of(Fraction(1, 2)))
+        return self.connection - Psi, Psi
 
     @cached_property
     def higgs_field(self):
-        """phi = 2 Psi^{1,0}, with Psi from unitary_split: a (1,0)-form
+        """phi = 2 Psi^{1,0} = S^{1,0}, S = adjoint_sum: a (1,0)-form
         valued endomorphism, D^G = C + phi with C of Chern type."""
-        return self.unitary_split[1].part(1, 0).scale(Scalar.of(2))
+        return self.adjoint_sum.part(1, 0)
 
 
 def hs_residuals(s: SystemParams):

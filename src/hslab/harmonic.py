@@ -19,11 +19,12 @@ pairing wedge_omega_sq_top; only the dbar_phi_23 witness builds a 2-form
 C^{0,1} = (D^G)^{0,1}, phi being of type (1,0) (Simpson, Publ. IHES 1992).
 
 Every residual reads its SystemParams' per-family objects (metric,
-connection, unitary split, Higgs field), each built once per family, and
-the metric's members (Lee form and its sharp, the Levi-Civita trace),
-built once per metric when its HermitianStructure is.  Harmonicity
-reads K alone, so moment_residuals builds K alone; moment_I and moment_J
-build the other two, each on its own call.
+connection A, S = A + A^{*H} = 2 Psi from the family's one adjoint, Higgs
+field phi = S^{1,0}, unitary split), each built once per family, and the
+metric's members (Lee form and its sharp, the Levi-Civita trace), built
+once per metric when its HermitianStructure is.  Harmonicity reads K
+alone, off A and S, so moment_residuals builds K alone; moment_I, moment_J
+and the gap, each on its own call, read the unitary split.
 
 K adds the Lee-form term i_{theta^sharp} Psi and J subtracts
 i_{J theta^sharp} Psi.  Both are zero on every family a command builds:
@@ -99,44 +100,14 @@ class CompatibleMetricH:
         return QOperator(self.model, comps)
 
 
-def decompose_unitary(A: QOperator, H: CompatibleMetricH):
-    """A = B + Psi with B anti-self-adjoint (unitary part) and Psi self-adjoint.
-
-    Psi = (A + A^{*H})/2 and B = (A - A^{*H})/2, formed entry by entry
-    with no term list: where both A and A^{*H} hold an entry, a and s,
-    Psi = (a + s)/2 and B = a - Psi (B = a where a + s = 0, as for most
-    entries at omega_0); where only one does, one halving gives both,
-    Psi = B = a/2 or Psi = -B = s/2.
-    """
-    half = Scalar.of(Fraction(1, 2))
-    Bc, Pc = [], []
-    for a_comp, s_comp in zip(A.comps, H.adjoint(A).comps):
-        b, p = {}, {}
-        for k, a in a_comp.items():
-            s = s_comp.get(k)
-            if s is None:
-                b[k] = p[k] = a * half
-            elif (t := a + s):
-                p[k] = psi = t * half
-                b[k] = a - psi
-            else:
-                b[k] = a
-        for k, s in s_comp.items():
-            if k not in a_comp:
-                p[k] = psi = s * half
-                b[k] = -psi
-        Bc.append(b)
-        Pc.append(p)
-    return QOperator(A.model, Bc), QOperator(A.model, Pc)
-
-
 def _j_vector(model, vec):
     return InvariantVector(model, [c * Scalar.of(0, 1 if a < model.n else -1)
                                    for a, c in enumerate(vec.coeffs)])
 
 
 def nabla_H_star(s, B: QOperator, T: QOperator):
-    """Codifferential of a 1-form-valued endomorphism T for nabla^H = d + B.
+    """Codifferential of a 1-form-valued endomorphism T for nabla^H = d + B
+    (moment_residuals passes A = D^G as B, with T = S = 2 Psi).
 
     Returns the sparse Scalar matrix -sum_{ab} Ginv[a][b] ([B^a, T^b]
     - Gamma^c_{ab} T^c) with Gamma the Levi-Civita coefficients and B^a =
@@ -187,10 +158,22 @@ def moment_residuals(s):
     With I (moment_I) and J (moment_J) it vanishes exactly iff the
     connection is a critical point compatible with the full
     hyperkaehler-type system; harmonicity reads K alone.
+
+    K = (nabla^H)^* Psi + i_{theta^sharp} Psi, nabla^H = d + B and A = D^G
+    = B + Psi, is read off A and S = A + A^{*H} = 2 Psi (s.adjoint_sum),
+    with no B:
+
+    * nabla_H_star(s, X, T) is sum_a [V^a, X^a], V^a = sum_b Ginv[a][b]
+      T^b, plus a trace term.  For X = T the sum is sum_ab Ginv[a][b]
+      [T^b, T^a], zero as Ginv6 is symmetric: nabla_H_star(s, B, Psi) =
+      nabla_H_star(s, A, Psi).
+    * nabla_H_star and value_at are linear in T, so K = (nabla_H_star(s,
+      A, S) + S(theta^sharp)) / 2.
     """
-    B, Psi = s.unitary_split
-    # K: (nabla^H)^* Psi + i_{theta^sharp} Psi
-    return {"K": _plus(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))}
+    S = s.adjoint_sum
+    K = _plus(nabla_H_star(s, s.connection, S), S.value_at(s.h.lee_sharp))
+    half = Scalar.of(Fraction(1, 2))
+    return {"K": {k: v * half for k, v in K.items()}}
 
 
 def harmonic_residual(s):

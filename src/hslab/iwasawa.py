@@ -19,9 +19,10 @@ no state between calls.
 
 verify_family produces an exact report over every displayed condition.
 It reads one family's Q-bundle objects from the SystemParams that builds
-each of them once: the compatible metric H, the connection D^G and its
-F ^ omega^2, the Dolbeault operator, the unitary split (B, Psi) of D^G and
-the Higgs field phi = 2 Psi^{1,0}.
+each of them once: the compatible metric H, the connection A = D^G and
+its F ^ omega^2, the Dolbeault operator, S = A + A^{*H} from the family's
+one adjoint, and the Higgs field phi = S^{1,0}; it builds no unitary
+split.
 
 The sweep (iter_sweep) enumerates integer pairs in one process: one engine
 certificate of the moment-map residual K, then closed-form records, row by
@@ -395,23 +396,42 @@ def _monomials(t):
         Scalar.of(a * b) for i, a in enumerate(x) for b in x[i:]]
 
 
+def _base_K_is_zero(triple, alpha):
+    """Whether K of the triple against its orthogonal partner, at omega_0
+    and the coupling alpha, is zero; a cross entry is an AssertionError."""
+    model, _, Omega = _IWASAWA
+    t0 = LineBundleTriple(*triple, role="V0")
+    t1 = LineBundleTriple(*_orthogonal_partner(triple), role="V1")
+    K = harmonic_residual(SystemParams(
+        model=model, h=_OMEGA0_STRUCTURE, triple0=t0, triple1=t1,
+        F0=curvature_from_triple(model, t0),
+        F1=curvature_from_triple(model, t1), alpha=alpha, Omega=Omega))
+    if (6, 7) in K or (7, 6) in K:
+        raise AssertionError("cross term leaked into base computation")
+    return not K
+
+
 def _certify_base():
-    """Engine certificate that the harmonicity base residual is zero.
+    """Engine certificate that the harmonicity base residual is zero for
+    every positive coupling.
 
     The moment-map residual of a pair is a part depending only on the
-    triple of the self-adjoint block (linear in the coupling) plus a cross
-    term on the off-diagonal End entries, alpha times the frame contraction
-    of the curvatures.  The base part is the engine's K of the triple
-    against an orthogonal partner (no cross term) at two couplings.
+    triple of the self-adjoint block plus a cross term on the off-diagonal
+    End entries, alpha times the frame contraction of the curvatures.  The
+    base part is the engine's K of the triple against an orthogonal
+    partner (_base_K_is_zero) at two couplings.
 
     At omega_0 and a fixed coupling the curvatures are linear in the
-    triple, connection_DG is affine in them, the unitary split is linear
-    and K = nabla_H_star(B, Psi) + i_{theta^sharp} Psi is bilinear in
-    (B, Psi) plus linear in Psi: K is a polynomial of degree <= 2 in the
-    triple's branch variables.  A polynomial of degree <= 2 that vanishes
-    on a unisolvent set is zero, so the engine runs on each branch's
-    samples only, at alpha = 1 and 2, and the guard checks the degree
-    bound: 30 runs certify the base part zero on every triple at any --max.
+    triple, A = connection_DG and S = A + A^{*H} are affine in them, and K
+    is bilinear in (A, S) plus linear in S (moment_residuals): a
+    polynomial of degree <= 2 in the triple's branch variables.  One that
+    vanishes on a unisolvent set is zero, so the engine runs on each
+    branch's samples only, and the guard checks the degree bound.  On each
+    sign of alpha, the entries of S at (a, e), a in T and e in End, are
+    linear in |alpha| (alpha in A, |alpha| in H) and the others constant;
+    no two (a, e) entries multiply, so K is affine in |alpha|.  The 30 runs
+    at alpha = 1 and 2 thus certify the base part zero on every triple at
+    any --max for alpha > 0 only; a test runs the check at -1 and -2.
     Last, _ch2_holds checks by the anomaly solve behind the catalog's
     hs_solution that F0^2 - F1^2 is dd^c-exact for every pair.
 
@@ -421,28 +441,12 @@ def _certify_base():
     """
     for samples, _ in _SAMPLES.values():
         matrix_inverse([_monomials(t) for t in samples])
-    model, _, Omega = build_iwasawa()
-    h = omega0_structure()
-
-    def engine_K_is_zero(triple, aval):
-        t0 = LineBundleTriple(*triple, role="V0")
-        t1 = LineBundleTriple(*_orthogonal_partner(triple), role="V1")
-        s = SystemParams(model=model, h=h, triple0=t0, triple1=t1,
-                         F0=curvature_from_triple(model, t0),
-                         F1=curvature_from_triple(model, t1),
-                         alpha=aval, Omega=Omega)
-        K = harmonic_residual(s)
-        # the cross entries must vanish for the orthogonal partner
-        if (6, 7) in K or (7, 6) in K:
-            raise AssertionError("cross term leaked into base computation")
-        return not K
-
     for samples, guard in _SAMPLES.values():
         for aval in (Scalar.one(), Scalar.of(2)):
             for t in samples:
-                if not engine_K_is_zero(t, aval):
+                if not _base_K_is_zero(t, aval):
                     raise AssertionError("base K is nonzero at %s" % (t,))
-            if not engine_K_is_zero(guard, aval):
+            if not _base_K_is_zero(guard, aval):
                 raise AssertionError("K is not of degree <= 2 in the triple")
     if not _ch2_holds():
         raise AssertionError("F0^2 - F1^2 is not dd^c-exact")

@@ -10,7 +10,10 @@ The pairing of Q (pairing_matrix), the Bismut isomorphism
 dd^c-closed 4-form (degree_and_slope) are oracles of what the package reads off the metric
 (h.cotangent) and off the HYM residuals (the report's degrees), and the
 Levi-Civita connection (levi_civita) is the oracle of the metric's trace
-h.lc_trace, the package's only use of it.
+h.lc_trace, the package's only use of it.  The unitary split by its two
+half sums (unitary_reference) and K by its definition on that split
+(moment_K_reference) are oracles of the split and of K, which the package
+reads off D^G and S = D^G + (D^G)^{*H} with no B.
 """
 
 import json
@@ -21,9 +24,10 @@ import pytest
 
 from hslab.scalars import Scalar
 from hslab.cealg import InvariantForm, InvariantVector, NilmanifoldModel
-from hslab.hermitian import HermitianStructure, _nonzero, matrix_inverse
+from hslab.hermitian import (HermitianStructure, _combination, _nonzero,
+                             _plus, matrix_inverse)
 from hslab.algebroid import QDIM, QOperator, wedge_omega_sq_top
-from hslab.harmonic import higgs_dbar_entry
+from hslab.harmonic import higgs_dbar_entry, nabla_H_star
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            alpha_solve, SystemParams)
 from hslab.iwasawa import (FamilyConfig, TauDeformation, build_iwasawa,
@@ -304,6 +308,23 @@ def curvature(A):
     E = forms(A)
     return [[e.d() + x for e, x in zip(r1, r2)]
             for r1, r2 in zip(E, matmul(E, E, A.model.zero()))]
+
+
+def unitary_reference(A, H):
+    """(B, Psi) = ((A - A^*)/2, (A + A^*)/2) of a QOperator A under the
+    metric H on Q, each a _combination per component."""
+    half = Scalar.of(Fraction(1, 2))
+    pairs = list(zip(A.comps, H.adjoint(A).comps))
+    return tuple(QOperator(A.model, [_combination(c, m) for m in pairs])
+                 for c in ((half, -half), (half, half)))
+
+
+def moment_K_reference(s):
+    """K = (nabla^H)^* Psi + i_{theta^sharp} Psi, nabla^H = d + B, by its
+    definition on the unitary split (B, Psi) of D^G (unitary_reference):
+    the oracle of moment_residuals, which reads K off D^G and S = 2 Psi."""
+    B, Psi = unitary_reference(s.connection, s.metric_H)
+    return _plus(nabla_H_star(s, B, Psi), Psi.value_at(s.h.lee_sharp))
 
 
 def chern_split(s):

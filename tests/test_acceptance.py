@@ -10,9 +10,9 @@ from hslab.scalars import Scalar
 from hslab.bundles import (LineBundleTriple, curvature_from_triple,
                            hs_residuals)
 from hslab.algebroid import QDIM, connection_DG, he_residual_G
-from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
-                            harmonic_residual, harmonic_criteria,
-                            harmonic_vs_moment_gap, higgs_dbar_entry)
+from hslab.harmonic import (CompatibleMetricH, harmonic_residual,
+                            harmonic_criteria, harmonic_vs_moment_gap,
+                            higgs_dbar_entry)
 from hslab.iwasawa import (TauDeformation, PicardPoint, FamilyConfig,
                            make_family, verify_family)
 from hslab.cli import main
@@ -191,7 +191,7 @@ def test_criterion_6_structural_identities(capsys, model, h0, Omega, rng):
         s = make_params(model, h0, Omega, t0, t1)
         H = CompatibleMetricH(s.h, s.alpha)
         A = connection_DG(s)
-        B, Psi = decompose_unitary(A, H)
+        B, Psi = s.unitary_split
         # curvature consistency across the unitary splitting
         ok = ok and curvature(A) == split_curvature(B, Psi)
         # codifferential vs moment-map identity

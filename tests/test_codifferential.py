@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import pytest
 
 from hslab.scalars import Scalar
-from hslab.algebroid import QDIM
-from hslab.hermitian import HermitianStructure
+from hslab.algebroid import QDIM, QOperator
+from hslab.hermitian import HermitianStructure, _combination
 from hslab.harmonic import nabla_H_star
 from hslab.bundles import LineBundleTriple
 from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
@@ -154,6 +154,35 @@ def test_stand_in_metric_with_a_nonzero_trace(seed, shape):
         out = nabla_H_star(s, B, T)
         assert out == sparse(_reference(s, B, T, gamma))
         assert out
+
+
+def _seeded_operator(model, rng):
+    """A QOperator with seeded Gaussian-rational entries, about a third of
+    them nonzero."""
+    return QOperator(model, [{(i, j): _gaussian(rng, 0.7) for i in range(QDIM)
+                              for j in range(QDIM)} for _ in range(6)])
+
+
+def test_codifferential_of_an_operator_along_itself_is_its_trace_term():
+    # nabla_H_star(s, X, X) = sum_ab Ginv[a][b] [X^b, X^a] + the trace term,
+    # and the sum is zero as Ginv6 is symmetric: moment_residuals rests on
+    # this to read K off D^G and S = 2 Psi with no B.  At omega_0, at a
+    # deformed metric and at the stand-in whose trace is nonzero
+    rng = random.Random(20261020)
+    model = build_iwasawa()[0]
+    stand_in = _stand_in_inverse(rng, "multi")
+    structures = [omega0_structure(), FAMILIES["deformed"]().h,
+                  SimpleNamespace(Ginv6=sparse(stand_in), lc_trace=[
+                      _gaussian(rng, 0) for _ in range(6)])]
+    for h in structures:
+        s = SimpleNamespace(model=model, h=h)
+        for _ in range(3):
+            X, Y = _seeded_operator(model, rng), _seeded_operator(model, rng)
+            trace = _combination(h.lc_trace, X.comps)
+            assert nabla_H_star(s, X, X) == trace
+            # the commutators alone do not vanish for a second operator
+            assert nabla_H_star(s, Y, X) != trace
+    assert trace
 
 
 def _seeded_taus(rng, count):

@@ -12,9 +12,8 @@ from hslab.scalars import Scalar
 from hslab.cealg import InvariantVector, NilmanifoldModel
 from hslab.hermitian import HermitianStructure
 from hslab.algebroid import QDIM, QOperator, connection_DG
-from hslab.harmonic import (CompatibleMetricH, decompose_unitary,
-                            moment_I, moment_J, moment_residuals,
-                            harmonic_residual,
+from hslab.harmonic import (CompatibleMetricH, moment_I, moment_J,
+                            moment_residuals, harmonic_residual,
                             harmonic_criteria, harmonic_vs_moment_gap,
                             higgs_dbar_entry)
 from hslab.bundles import LineBundleTriple
@@ -25,8 +24,8 @@ from hslab.iwasawa import (FamilyConfig, PicardPoint, TauDeformation,
 from conftest import (DEFORMED_TAU, chern_split, christoffel, curvature,
                       dbar_reference, dense, frame_contraction, frame_vector,
                       higgs_equation_residuals, make_params, matrix_is_zero,
-                      q_metric, random_form, random_pair, scalar_product,
-                      split_curvature)
+                      moment_K_reference, q_metric, random_form, random_pair,
+                      scalar_product, split_curvature, unitary_reference)
 
 # sha256 of the I, J, K residuals of the uncorrected deformed family below,
 # recorded from code that computed all three at once: the lazily built I
@@ -49,28 +48,18 @@ def _metric(std):
     return CompatibleMetricH(std.h, std.alpha)
 
 
-def _unitary_reference(A, H):
-    """(B, Psi) = ((A - A^*)/2, (A + A^*)/2), each a _combination per
-    component."""
-    half = Scalar.of(Fraction(1, 2))
-    pairs = list(zip(A.comps, H.adjoint(A).comps))
-    return tuple(QOperator(A.model, [_combination(c, m) for m in pairs])
-                 for c in ((half, -half), (half, half)))
-
-
 def _check_unitary_split(s):
-    # on D^G and on its (1,0)-part, whose adjoint is of type (0,1), so that
-    # no entry of the one is held by the other
-    H = _metric(s)
-    DG = connection_DG(s)
-    for A in (DG, DG.part(1, 0)):
-        B, Psi = decompose_unitary(A, H)
-        assert A.comps == (B + Psi).comps
-        assert H.adjoint(B).comps == (-B).comps
-        assert H.adjoint(Psi).comps == Psi.comps
-        B_ref, Psi_ref = _unitary_reference(A, H)
-        assert B.comps == B_ref.comps
-        assert Psi.comps == Psi_ref.comps
+    # the family's split (A - S/2, S/2) of D^G, S = s.adjoint_sum, against
+    # the two-_combination reference and the defining properties
+    H, A = _metric(s), connection_DG(s)
+    B, Psi = s.unitary_split
+    assert A.comps == (B + Psi).comps
+    assert H.adjoint(B).comps == (-B).comps
+    assert H.adjoint(Psi).comps == Psi.comps
+    B_ref, Psi_ref = unitary_reference(A, H)
+    assert B.comps == B_ref.comps
+    assert Psi.comps == Psi_ref.comps
+    assert s.adjoint_sum.comps == Psi.scale(Scalar.of(2)).comps
 
 
 def test_unitary_decomposition(model, h0, Omega, rng):
@@ -130,10 +119,11 @@ def test_bismut_block_is_real_and_skew_for_the_hermitian_form(model, h0):
                       for c in zip(*dense(h.bismut[s[a]]))]
             adj = scalar_product(scalar_product(Hm_invT, conj_T), HmT)
             assert adj == [[-x for x in row] for row in dense(h.bismut[a])]
-    # where g is real, as at omega_0, CompatibleMetricH agrees
-    _, Psi = decompose_unitary(QOperator(model, h0.bismut),
-                               CompatibleMetricH(h0, Scalar.one()))
-    assert Psi.comps == [{}] * 6
+    # where g is real, as at omega_0, CompatibleMetricH agrees: A + A^{*H},
+    # twice the self-adjoint part, is zero
+    A = QOperator(model, h0.bismut)
+    assert (A + CompatibleMetricH(h0, Scalar.one()).adjoint(A)).comps \
+        == [{}] * 6
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -144,9 +134,9 @@ def test_bismut_block_is_real_and_skew_for_the_hermitian_form(model, h0):
     "in tests/test_iwasawa.py and perfbench/golden.json."))
 def test_bismut_block_is_unitary_at_a_deformed_metric(model, h0):
     h = _deformed_metric(model, h0)
-    _, Psi = decompose_unitary(QOperator(model, h.bismut),
-                               CompatibleMetricH(h, Scalar.one()))
-    assert Psi.comps == [{}] * 6
+    A = QOperator(model, h.bismut)
+    assert (A + CompatibleMetricH(h, Scalar.one()).adjoint(A)).comps \
+        == [{}] * 6
 
 
 def test_selfadjoint_block_localization(model, h0, Omega):
@@ -157,8 +147,7 @@ def test_selfadjoint_block_localization(model, h0, Omega):
                         (((2, -1, 0), (1, 2, 2)), 7)):
         s = make_params(model, h0, Omega, *pair)
         assert (s.alpha.sign() > 0) == (block == 6)
-        H = _metric(s)
-        _, Psi = decompose_unitary(connection_DG(s), H)
+        _, Psi = s.unitary_split
         for i in range(QDIM):
             for j in range(QDIM):
                 if Psi.form(i, j).is_zero():
@@ -188,7 +177,7 @@ def test_chern_decomposition(model, h0, Omega, rng):
         # C keeps the whole (0,1)-part of the connection
         assert C.part(0, 1).comps == A.part(0, 1).comps
         # the field is twice the (1,0)-part of the self-adjoint block
-        _, Psi = decompose_unitary(A, H)
+        _, Psi = s.unitary_split
         assert phi.comps == Psi.part(1, 0).scale(Scalar.of(2)).comps
 
 
@@ -218,9 +207,21 @@ def _split_family(t0, t1, kw):
 
 @pytest.mark.parametrize("t0, t1, kw", _SPLIT_FAMILIES)
 def test_unitary_decomposition_on_each_family(t0, t1, kw):
-    # the entry-by-entry split against the two-_combination reference, on
-    # every metric class and both coupling signs
+    # the split against the two-_combination reference, on every metric
+    # class and both coupling signs
     _check_unitary_split(_split_family(t0, t1, kw))
+
+
+@pytest.mark.parametrize("t0, t1, kw", _SPLIT_FAMILIES)
+def test_K_is_its_definition_on_the_unitary_split(t0, t1, kw):
+    # moment_residuals reads K off D^G and S = 2 Psi, with no B: it equals
+    # nabla_H_star(B, Psi) + i_{theta^sharp} Psi on the reference split,
+    # and off a solution that is not 0 == 0
+    s = _split_family(t0, t1, kw)
+    K = moment_residuals(s)["K"]
+    assert "unitary_split" not in vars(s)
+    assert K == moment_K_reference(s)
+    assert K or kw.get("correct") is not False
 
 
 @pytest.mark.parametrize("t0, t1, kw", _SPLIT_FAMILIES)
@@ -238,10 +239,8 @@ def test_curvature_decomposition(model, h0, Omega, rng):
     for _ in range(6):
         t0, t1 = random_pair(rng)
         s = make_params(model, h0, Omega, t0, t1)
-        H = _metric(s)
-        A = connection_DG(s)
-        B, Psi = decompose_unitary(A, H)
-        assert curvature(A) == split_curvature(B, Psi)
+        B, Psi = s.unitary_split
+        assert curvature(connection_DG(s)) == split_curvature(B, Psi)
 
 
 def test_moment_residuals_on_solution(std):
@@ -507,6 +506,9 @@ def test_higgs_identities_where_the_lee_form_is_not_zero():
                 res = higgs_equation_residuals(s)
                 I, J = moment_I(s), moment_J(s)
                 K = moment_residuals(s)["K"]
+                # K off D^G and S, with a nonzero Lee term, is K by its
+                # definition on the split
+                assert K == moment_K_reference(s)
                 assert res["IJ_curvature"] == I
                 assert res["IJ_mixed"] == _combination([Scalar.of(-4) * c],
                                                        [J])

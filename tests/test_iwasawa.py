@@ -19,7 +19,8 @@ from hslab.algebroid import he_residual_G
 import hslab.harmonic as harmonic
 import hslab.hermitian as hermitian
 from hslab.harmonic import (harmonic_residual, harmonic_vs_moment_gap,
-                            higgs_dbar_entry, higgs_obstruction)
+                            higgs_dbar_entry, higgs_obstruction, moment_I,
+                            moment_J)
 import hslab.iwasawa as iwasawa
 from hslab.iwasawa import (build_iwasawa, TauDeformation, PicardPoint,
                            FamilyConfig, SolutionCandidate, make_family,
@@ -265,7 +266,8 @@ def test_family_context_is_built_once(monkeypatch):
     calls["curvature_omega_sq"] = 0
     monkeypatch.setattr(bundles, "wedge_omega_sq_top", counting(
         "curvature_omega_sq", algebroid.wedge_omega_sq_top))
-    # one adjoint: the Higgs field is read off the unitary split
+    # one adjoint: K and the Higgs field read S = A + A^{*H}, and so does
+    # the unitary split, which only I, J and the gap build
     calls["adjoint"] = 0
     monkeypatch.setattr(harmonic.CompatibleMetricH, "adjoint",
                         counting("adjoint", harmonic.CompatibleMetricH.adjoint))
@@ -277,8 +279,12 @@ def test_family_context_is_built_once(monkeypatch):
     verify_family(cand)
     assert calls == once
     s = cand.params
+    assert "unitary_split" not in vars(s)
+    moment_I(s), moment_J(s), harmonic_vs_moment_gap(s)
+    assert "unitary_split" in vars(s)
+    assert calls == once
     for name in ("metric_H", "connection", "curvature_omega_sq",
-                 "dolbeault", "unitary_split", "higgs_field"):
+                 "dolbeault", "adjoint_sum", "unitary_split", "higgs_field"):
         assert getattr(s, name) is getattr(s, name)
     assert calls == once
     # the objects are only valid for fixed fields: no field of the family's
@@ -817,6 +823,20 @@ def test_engine_base_K_is_zero_on_every_triple_at_max_3(monkeypatch, model,
     assert len(triples) == 342
     assert _engine_flags(triples, model, h0, Omega) == dict.fromkeys(
         triples, True)
+
+
+def test_engine_base_K_is_zero_at_negative_couplings():
+    # _certify_base runs at alpha = 1 and 2, which certify alpha > 0 only:
+    # K is affine in |alpha| on each sign.  Every catalog record with
+    # |t0| < |t1| has alpha < 0, so the same check runs here on every
+    # sample and guard at alpha = -1 and -2
+    runs = 0
+    for samples, guard in iwasawa._SAMPLES.values():
+        for alpha in (Scalar.of(-1), Scalar.of(-2)):
+            for t in samples + [guard]:
+                assert iwasawa._base_K_is_zero(t, alpha), (t, alpha)
+                runs += 1
+    assert runs == 30
 
 
 def test_unisolvence_inverses_take_no_zero_product(monkeypatch):
